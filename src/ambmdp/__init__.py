@@ -42,7 +42,6 @@ from .risk import (
     AvarAmbiguitySet,
     avar_dual,
     avar_quantile,
-    bhattacharyya_distance,
     entropic_dual_value,
     entropic_risk,
     expected_cost,
@@ -75,7 +74,6 @@ __all__ = [
     "avar_dual",
     "avar_quantile",
     "bayes_cost",
-    "bhattacharyya_distance",
     "build_tree",
     "certify_saddle",
     "cost_bounds",

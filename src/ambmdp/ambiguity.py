@@ -10,26 +10,40 @@ an exact Bayes solve:
 * robust mode maximizes  inner(mu)  over the whole simplex on a given
   support (no penalty).
 
+All three run one cutting-plane loop (Kelley's method, also known as the
+double oracle).  The inner value V(mu) = min over policies of mu . C_pi is
+concave and piecewise linear, and each Bayes solve returns a supporting
+plane of it: the cost profile C_pi of the Bayes-optimal policy.  Each step
+solves a master problem, which maximizes the objective with V replaced by
+the minimum over the planes found so far (see ``search``), computes the
+best response at the master's prior, and adds its cost profile as a new
+plane.  The master value bounds the outer value from above, the objective
+at each best response bounds it from below, and the loop stops when the
+bounds meet to float slack.  Deterministic policies are finite, so the loop
+ends after finitely many steps with the exact maximum.
+
 The optimal policy is the Bayes-optimal policy at the maximizing prior, and
 the duality gap reported is the direct risk evaluation of that policy's
-cost profile minus the outer value.  With two parameters the outer problem
-is a 1-D concave line search (golden section); with more parameters a
-coarse simplex lattice is refined by pairwise coordinate search, which is a
-documented approximation knob.
+cost profile minus the outer value.
 
-Plateaus: the inner value is piecewise linear in the prior, so the argmax
-can be an interval.  The returned prior is then the feasible maximizer
-closest to the base prior, pushed a small offset (at most 1e-4) into the
-plateau interior so that the tie-broken deterministic policy at the
-returned prior is the saddle policy; the untouched plateau edges are
-reported alongside.
+Plateaus: the inner value is piecewise linear in the prior, so the avar
+and robust argmax can be a face.  The planes are intersected with a search
+line, the whole feasible line for two parameters and the segment from the
+reference prior to the best prior found for more; each edge found is
+confirmed by a best response there.  The returned prior is the maximizer
+on the line closest to the reference (the base prior, or in robust mode
+the point mass on the last support parameter), pushed a small offset (at
+most 1e-4) into the plateau interior so that the tie-broken deterministic
+policy at the returned prior is the saddle policy; with two parameters the
+untouched plateau edges are reported alongside.  The entropic penalty is
+strictly convex, so its maximizer is unique.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,27 +51,19 @@ from .bayes import (
     DEFAULT_NODE_CAP,
     DeterministicPolicy,
     bayes_cost,
-    policy_cost_profile,
+    evaluate_policy,
     solve_bayes,
 )
-from .model import Belief, StatisticalMDP
-from .risk import avar_quantile, entropic_risk, relative_entropy
-from .search import (
-    golden_section_max,
-    lattice_parts,
-    plateau_edges,
-    refine_coordinate_pairs,
-    simplex_lattice,
-)
+from .errors import BranchCoverageError
+from .model import Belief, StatisticalMDP, cost_bounds
+from .risk import AvarAmbiguitySet, avar_quantile, entropic_risk, relative_entropy
+from .search import entropic_master, lattice_parts, lp_master, simplex_lattice
 
-#: value slack used to decide that two outer values belong to one plateau
-PLATEAU_VALUE_TOL = 1e-9
-#: plateaus narrower than this are treated as a unique maximizer
-PLATEAU_UNIQUE_WIDTH = 1e-8
 #: largest offset used to move the returned prior off a plateau edge
 PLATEAU_MARGIN = 1e-4
-#: simplex-lattice size budget for three or more parameters
-LATTICE_BUDGET = 300
+#: the bounds have met once they differ by at most this times the largest
+#: absolute cost bound of the model
+CUT_SLACK = 1e-12
 
 
 @dataclass
@@ -67,7 +73,8 @@ class SaddleResult:
     ``worst_prior_lo`` / ``worst_prior_hi`` bracket the maximizer set along
     the search line when it is an interval (two-parameter case); both equal
     ``worst_prior`` when the maximizer is unique.  ``trace`` records every
-    candidate prior evaluated with its outer objective value.
+    prior at which a best response was computed, with its outer objective
+    value.
     """
 
     mode: str
@@ -99,6 +106,63 @@ class SaddleCertificate:
     tol: float
 
 
+class _Ambiguity:
+    """Feasible priors, penalty and dual risk of one solver mode.  Weight
+    vectors are indexed by position in ``support``.  A plain class: a
+    dataclass would cost the package import about 1 ms."""
+
+    def __init__(
+        self,
+        mode: str,
+        support: tuple[int, ...],
+        base: Belief | None = None,
+        gamma: float | None = None,
+    ):
+        self.mode, self.support, self.base, self.gamma = mode, support, base, gamma
+
+    @property
+    def caps(self) -> np.ndarray:
+        if self.mode == "avar":
+            caps = AvarAmbiguitySet(self.base, self.gamma).weight_caps()
+            return caps[list(self.support)]
+        return np.ones(len(self.support))
+
+    @property
+    def reference(self) -> np.ndarray:
+        """First prior of the search, and the prior plateau choices keep
+        closest to."""
+        if self.base is not None:
+            return self.base.weights[list(self.support)]
+        return np.eye(len(self.support))[-1]
+
+    def pair_range(self) -> tuple[float, float]:
+        """Feasible range of the first weight with two support parameters."""
+        caps = self.caps
+        return max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0]))
+
+    def penalty(self, mu: Belief) -> float:
+        if self.mode == "entropic":
+            return relative_entropy(mu, self.base) / self.gamma
+        return 0.0
+
+    def dual_risk(self, profile: np.ndarray) -> float:
+        if self.mode == "entropic":
+            return entropic_risk(profile, self.base, self.gamma)
+        if self.mode == "avar":
+            return avar_quantile(profile, self.base, self.gamma)
+        return float(profile[list(self.support)].max())
+
+    def master(self, cuts: np.ndarray) -> tuple[np.ndarray, float]:
+        if self.mode == "entropic":
+            return entropic_master(cuts, self.base.weights[list(self.support)], self.gamma)
+        return lp_master(cuts, self.caps)
+
+    def embed(self, size: int, w: np.ndarray) -> Belief:
+        full = np.zeros(size)
+        full[list(self.support)] = w
+        return Belief(full)
+
+
 def entropic_objective(
     model: StatisticalMDP,
     base_prior: Belief,
@@ -117,105 +181,153 @@ def entropic_objective(
     return solve_bayes(model, candidate, node_cap=node_cap).value - rel / gamma
 
 
-def _pair_belief(size: int, i: int, j: int, t: float) -> Belief:
-    w = np.zeros(size)
-    w[i] = t
-    w[j] = 1.0 - t
-    return Belief(w)
-
-
-def _embed(size: int, support: Sequence[int], w: np.ndarray) -> Belief:
-    full = np.zeros(size)
-    for pos, k in enumerate(support):
-        full[k] = w[pos]
-    return Belief(full)
-
-
-def _pick_in_plateau(left: float, right: float, reference: float) -> tuple[float, float, float]:
-    """Returned argument plus snapped interval edges for a maximizer set
-    [left, right]: the midpoint when the set is effectively a point, else
-    the point of the interior closest to the reference."""
-    if right - left <= PLATEAU_UNIQUE_WIDTH:
-        mid = 0.5 * (left + right)
-        return mid, mid, mid
-    margin = min(0.25 * (right - left), PLATEAU_MARGIN)
-    return min(max(reference, left + margin), right - margin), left, right
-
-
-def _finish(
+def _profile(
     model: StatisticalMDP,
-    mode: str,
-    mu_star: Belief,
-    mu_lo: Belief,
-    mu_hi: Belief,
-    value: float,
-    gamma: float | None,
-    base_prior: Belief | None,
+    policy: DeterministicPolicy,
+    indices: Iterable[int],
     support: tuple[int, ...],
-    trace: list[tuple[Belief, float]],
-    node_cap: int,
-) -> SaddleResult:
+    ceiling: float,
+) -> np.ndarray:
+    """Cost of the policy under each parameter in ``indices``.
+
+    A support parameter with zero weight at the policy's prior can reach
+    branches the policy's tree pruned; it then gets ``ceiling``, an upper
+    bound on every policy's cost.  The plane stays above V, since some
+    continuation of the policy costs at most that, and stays tight at the
+    policy's prior.
+    """
+    values = []
+    for k in indices:
+        try:
+            values.append(evaluate_policy(model, k, policy))
+        except BranchCoverageError:
+            if k not in support:
+                raise
+            values.append(ceiling)
+    return np.array(values)
+
+
+def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResult:
+    """The cutting-plane loop, then plateau location and the result."""
+    lo, hi = cost_bounds(model)
+    scale = max(abs(lo), abs(hi))
+    slack = CUT_SLACK * scale
+    trace: list[tuple[Belief, float]] = []
+    cuts: list[np.ndarray] = []
+
+    def best_response(w: np.ndarray) -> tuple[float, bool]:
+        """Outer objective at the prior w, and whether the best response's
+        plane was new (and added)."""
+        mu = amb.embed(model.n_params, w)
+        solution = solve_bayes(model, mu, node_cap=node_cap)
+        value = solution.value - amb.penalty(mu)
+        trace.append((mu, value))
+        cut = _profile(model, solution.policy, amb.support, amb.support, hi)
+        fresh = not cuts or float(np.abs(np.array(cuts) - cut).max(axis=1).min()) > slack
+        if fresh:
+            cuts.append(cut)
+        return value, fresh
+
+    w = amb.reference
+    best_w, best_v = w, -math.inf
+    while True:
+        value, fresh = best_response(w)
+        if value > best_v:
+            best_w, best_v = w, value
+        if not fresh:
+            break
+        w, upper = amb.master(np.array(cuts))
+        if upper - best_v <= slack:
+            break
+
+    w_star = w_lo = w_hi = best_w
+    if amb.mode != "entropic" and len(amb.support) > 1:
+        w_star, w_lo, w_hi = _plateau(amb, cuts, best_w, best_v, slack, best_response)
+    size = model.n_params
+    mu_star = amb.embed(size, w_star)
     solution = solve_bayes(model, mu_star, node_cap=node_cap)
-    profile = policy_cost_profile(model, solution.policy)
-    if mode == "entropic":
-        dual = entropic_risk(profile, base_prior, gamma)
-    elif mode == "avar":
-        dual = avar_quantile(profile, base_prior, gamma)
-    else:
-        dual = float(profile[list(support)].max())
-    raw_gap = dual - value
-    if raw_gap < -1e-10:
+    value = solution.value - amb.penalty(mu_star)
+    profile = _profile(model, solution.policy, range(size), amb.support, hi)
+    raw_gap = amb.dual_risk(profile) - value
+    if raw_gap < -1e-10 * max(scale, 1.0):
         raise RuntimeError(
             f"weak duality violated (gap {raw_gap}); this indicates a defect "
             "in the outer search or the risk evaluation"
         )
     return SaddleResult(
-        mode=mode,
+        mode=amb.mode,
         worst_prior=mu_star,
-        worst_prior_lo=mu_lo,
-        worst_prior_hi=mu_hi,
+        worst_prior_lo=amb.embed(size, w_lo),
+        worst_prior_hi=amb.embed(size, w_hi),
         policy=solution.policy,
         value=value,
         gap=max(raw_gap, 0.0),
-        gamma=gamma,
-        base_prior=base_prior,
-        support=support,
+        gamma=amb.gamma,
+        base_prior=amb.base,
+        support=amb.support,
         cost_profile=profile,
         trace=tuple(trace),
     )
 
 
-def _maximize_on_line(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    reference: float | None,
-    locate_plateau: bool,
-) -> tuple[float, float, float, float]:
-    """Maximize concave f on [lo, hi]; returns (argument, value, plateau
-    left, plateau right).  With locate_plateau the argmax interval is
-    bracketed and the argument is placed per _pick_in_plateau."""
-    t_hat, v_hat, _ = golden_section_max(f, lo, hi, tol)
-    if not locate_plateau:
-        return t_hat, v_hat, t_hat, t_hat
-    left, right = plateau_edges(f, lo, hi, t_hat, v_hat, PLATEAU_VALUE_TOL)
-    # a located edge can strictly beat the golden estimate when the true
-    # maximizer sits on the feasible boundary; re-locate from there
-    candidates = [(t_hat, v_hat), (left, f(left)), (right, f(right))]
-    best_t, best_v = max(candidates, key=lambda tv: tv[1])
-    if best_v > v_hat + 0.25 * PLATEAU_VALUE_TOL:
-        left, right = plateau_edges(f, lo, hi, best_t, best_v, PLATEAU_VALUE_TOL)
-    ref = best_t if reference is None else reference
-    t_star, left, right = _pick_in_plateau(left, right, ref)
-    return t_star, f(t_star), left, right
+def _plateau(
+    amb: _Ambiguity, cuts: list, best_w: np.ndarray, best_v: float, slack: float, best_response
+):
+    """Returned prior and plateau edges (as support weights) on the search
+    line a + s d through the best prior found.
+
+    The edges are where the lowest plane falls below the best value.  A
+    plane within ``slack`` of the best value at the best prior counts as
+    passing through it, and one that changes by at most ``slack`` along the
+    line as flat, so float noise neither widens nor splits the set.  Each
+    edge is confirmed by a best response there; a failed edge adds a plane.
+    """
+    if len(amb.support) == 2:
+        a, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
+        bounds = amb.pair_range()
+        s_ref, s_best = float(amb.reference[0]), float(best_w[0])
+    else:
+        a, d = amb.reference, best_w - amb.reference
+        bounds = (0.0, 1.0)
+        s_ref, s_best = 0.0, 1.0
+
+    def interval() -> tuple[float, float]:
+        left, right = bounds
+        for cut in cuts:
+            excess, slope = float(best_w @ cut) - best_v, float(d @ cut)
+            excess = 0.0 if excess <= slack else excess
+            if slope > slack:
+                left = max(left, s_best - excess / slope)
+            elif slope < -slack:
+                right = min(right, s_best - excess / slope)
+        return left, right
+
+    for side in (0, 1) if len(amb.support) == 2 else (0,):
+        while True:
+            s = interval()[side]
+            if s == s_best:
+                break
+            value, fresh = best_response(a + s * d)
+            if value >= best_v - slack or not fresh:
+                break
+    left, right = interval()
+    margin = min(0.25 * (right - left), PLATEAU_MARGIN)
+    w_star = a + min(max(s_ref, left + margin), right - margin) * d
+    if len(amb.support) == 2:
+        return w_star, a + left * d, a + right * d
+    return w_star, w_star, w_star
+
+
+def _around(mode: str, model: StatisticalMDP, base_prior: Belief, gamma: float) -> _Ambiguity:
+    if len(base_prior) != model.n_params:
+        raise ValueError("base prior dimension does not match the parameter set")
+    return _Ambiguity(mode, base_prior.support(), base_prior, gamma)
 
 
 def solve_entropic(
     model: StatisticalMDP,
     base_prior: Belief,
     gamma: float,
-    tol: float = 1e-6,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> SaddleResult:
     """Worst-case prior and Bayes-optimal policy under the entropic
@@ -223,229 +335,53 @@ def solve_entropic(
     and no plateau handling is needed."""
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if len(base_prior) != model.n_params:
-        raise ValueError("base prior dimension does not match the parameter set")
-    support = base_prior.support()
-    trace: list[tuple[Belief, float]] = []
-
-    def phi(candidate: Belief) -> float:
-        value = entropic_objective(model, base_prior, gamma, candidate, node_cap)
-        trace.append((candidate, value))
-        return value
-
-    if len(support) == 1:
-        mu_star = base_prior
-        value = phi(mu_star)
-    elif len(support) == 2:
-        i, j = support
-
-        def f(t: float) -> float:
-            return phi(_pair_belief(model.n_params, i, j, t))
-
-        t_star, value, _, _ = _maximize_on_line(f, 0.0, 1.0, tol, None, False)
-        mu_star = _pair_belief(model.n_params, i, j, t_star)
-    else:
-        w_star, value = _maximize_on_lattice(
-            lambda w: phi(_embed(model.n_params, support, w)),
-            n_coords=len(support),
-            lower=np.zeros(len(support)),
-            upper=np.ones(len(support)),
-            tol=tol,
-        )
-        mu_star = _embed(model.n_params, support, w_star)
-
-    return _finish(
-        model, "entropic", mu_star, mu_star, mu_star, value, gamma, base_prior,
-        support, trace, node_cap,
-    )
-
-
-def _maximize_on_lattice(
-    f: Callable[[np.ndarray], float],
-    n_coords: int,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, float]:
-    parts = lattice_parts(n_coords, math.ceil(1.0 / math.sqrt(tol)), LATTICE_BUDGET)
-    best_w = None
-    best_v = -math.inf
-    for w in simplex_lattice(n_coords, parts):
-        if np.any(w < lower - 1e-12) or np.any(w > upper + 1e-12):
-            continue
-        v = f(w)
-        if v > best_v:
-            best_w, best_v = w, v
-    if best_w is None:
-        best_w = np.clip((lower + upper) / 2.0, 0.0, None)
-        best_w = best_w / best_w.sum()
-        best_v = f(best_w)
-    return refine_coordinate_pairs(f, best_w, lower, upper, tol)
+    return _solve(model, _around("entropic", model, base_prior, gamma), node_cap)
 
 
 def solve_avar(
     model: StatisticalMDP,
     base_prior: Belief,
     gamma: float,
-    tol: float = 1e-6,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> SaddleResult:
     """Worst-case prior over the AVaR ambiguity polytope (densities against
     the base capped at 1/(1-gamma)) and the Bayes-optimal policy there."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if len(base_prior) != model.n_params:
-        raise ValueError("base prior dimension does not match the parameter set")
-    support = base_prior.support()
-    caps = base_prior.weights / (1.0 - gamma)
-    trace: list[tuple[Belief, float]] = []
-
-    def psi(candidate: Belief) -> float:
-        value = solve_bayes(model, candidate, node_cap=node_cap).value
-        trace.append((candidate, value))
-        return value
-
-    if len(support) == 1:
-        mu_star = mu_lo = mu_hi = base_prior
-        value = psi(mu_star)
-    elif len(support) == 2:
-        i, j = support
-        lo = max(0.0, 1.0 - float(caps[j]))
-        hi = min(1.0, float(caps[i]))
-
-        def f(t: float) -> float:
-            return psi(_pair_belief(model.n_params, i, j, t))
-
-        t_star, value, left, right = _maximize_on_line(
-            f, lo, hi, tol, reference=float(base_prior.weights[i]), locate_plateau=True
-        )
-        mu_star = _pair_belief(model.n_params, i, j, t_star)
-        mu_lo = _pair_belief(model.n_params, i, j, left)
-        mu_hi = _pair_belief(model.n_params, i, j, right)
-    else:
-        sub_caps = np.array([caps[k] for k in support])
-        w_hat, v_hat = _maximize_on_lattice(
-            lambda w: psi(_embed(model.n_params, support, w)),
-            n_coords=len(support),
-            lower=np.zeros(len(support)),
-            upper=sub_caps,
-            tol=tol,
-        )
-        w_base = np.array([base_prior.weights[k] for k in support])
-        w_star = _toward_reference(
-            lambda w: psi(_embed(model.n_params, support, w)), w_hat, v_hat, w_base
-        )
-        mu_star = _embed(model.n_params, support, w_star)
-        mu_lo = mu_hi = mu_star
-        value = psi(mu_star)
-
-    return _finish(
-        model, "avar", mu_star, mu_lo, mu_hi, value, gamma, base_prior,
-        support, trace, node_cap,
-    )
-
-
-def _toward_reference(
-    f: Callable[[np.ndarray], float],
-    w_hat: np.ndarray,
-    v_hat: float,
-    reference: np.ndarray,
-) -> np.ndarray:
-    """Earliest point on the segment reference -> w_hat that attains the
-    maximum value (within plateau tolerance), nudged slightly toward w_hat.
-    Approximates 'closest feasible maximizer to the base prior' for three
-    or more parameters."""
-
-    def g(s: float) -> float:
-        return f((1.0 - s) * reference + s * w_hat)
-
-    left, _ = plateau_edges(g, 0.0, 1.0, 1.0, v_hat, PLATEAU_VALUE_TOL)
-    s_star, _, _ = _pick_in_plateau(left, 1.0, left)
-    return (1.0 - s_star) * reference + s_star * w_hat
+    return _solve(model, _around("avar", model, base_prior, gamma), node_cap)
 
 
 def solve_robust(
     model: StatisticalMDP,
     support: Sequence[int] | None = None,
-    tol: float = 1e-6,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> SaddleResult:
     """Worst-case prior over the whole simplex on the given parameter
     indices (every parameter when omitted); no penalty term.  On plateaus
-    the lowest maximizer along the search line is returned."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    the maximizer closest to the point mass on the last support parameter
+    along the search line is returned."""
     if support is None:
         support = tuple(range(model.n_params))
     support = tuple(sorted(set(int(k) for k in support)))
     if not support or support[-1] >= model.n_params:
         raise ValueError(f"invalid support {support}")
-    trace: list[tuple[Belief, float]] = []
-
-    def psi(candidate: Belief) -> float:
-        value = solve_bayes(model, candidate, node_cap=node_cap).value
-        trace.append((candidate, value))
-        return value
-
-    if len(support) == 1:
-        mu_star = mu_lo = mu_hi = Belief.point_mass(model.n_params, support[0])
-        value = psi(mu_star)
-    elif len(support) == 2:
-        i, j = support
-
-        def f(t: float) -> float:
-            return psi(_pair_belief(model.n_params, i, j, t))
-
-        t_star, value, left, right = _maximize_on_line(
-            f, 0.0, 1.0, tol, reference=0.0, locate_plateau=True
-        )
-        mu_star = _pair_belief(model.n_params, i, j, t_star)
-        mu_lo = _pair_belief(model.n_params, i, j, left)
-        mu_hi = _pair_belief(model.n_params, i, j, right)
-    else:
-        w_star, value = _maximize_on_lattice(
-            lambda w: psi(_embed(model.n_params, support, w)),
-            n_coords=len(support),
-            lower=np.zeros(len(support)),
-            upper=np.ones(len(support)),
-            tol=tol,
-        )
-        mu_star = mu_lo = mu_hi = _embed(model.n_params, support, w_star)
-
-    return _finish(
-        model, "robust", mu_star, mu_lo, mu_hi, value, None, None,
-        support, trace, node_cap,
-    )
+    return _solve(model, _Ambiguity("robust", support), node_cap)
 
 
-def _feasible_grid(result: SaddleResult, model: StatisticalMDP, resolution: float):
+def _feasible_grid(amb: _Ambiguity, size: int, resolution: float):
     """Candidate priors covering the feasible set of the solved mode."""
-    support = result.support
-    size = model.n_params
-    if result.mode == "avar":
-        caps = result.base_prior.weights / (1.0 - result.gamma)
-    else:
-        caps = np.ones(size)
-    if len(support) == 1:
-        yield Belief.point_mass(size, support[0])
-        return
-    if len(support) == 2:
-        i, j = support
-        lo = max(0.0, 1.0 - float(caps[j]))
-        hi = min(1.0, float(caps[i]))
+    if len(amb.support) == 2:
+        lo, hi = amb.pair_range()
         steps = max(1, math.ceil((hi - lo) / resolution))
         for m in range(steps + 1):
-            yield _pair_belief(size, i, j, lo + (hi - lo) * m / steps)
+            t = lo + (hi - lo) * m / steps
+            yield amb.embed(size, np.array([t, 1.0 - t]))
         return
-    parts = lattice_parts(len(support), math.ceil(1.0 / resolution), 500)
-    sub_caps = np.array([caps[k] for k in support])
-    for w in simplex_lattice(len(support), parts):
-        if np.all(w <= sub_caps + 1e-12):
-            yield _embed(size, support, w)
+    parts = lattice_parts(len(amb.support), math.ceil(1.0 / resolution), 500)
+    caps = amb.caps
+    for w in simplex_lattice(len(amb.support), parts):
+        if np.all(w <= caps + 1e-12):
+            yield amb.embed(size, w)
 
 
 def certify_saddle(
@@ -463,21 +399,16 @@ def certify_saddle(
     policy's Bayes cost at the returned prior matches a fresh Bayes solve
     within 1e-10.
     """
+    amb = _Ambiguity(result.mode, result.support, result.base_prior, result.gamma)
     profile = result.cost_profile
 
     def lagrangian(mu: Belief) -> float:
-        value = float(mu.weights @ profile)
-        if result.mode == "entropic":
-            rel = relative_entropy(mu, result.base_prior)
-            if rel == math.inf:
-                return -math.inf
-            value -= rel / result.gamma
-        return value
+        return float(mu.weights @ profile) - amb.penalty(mu)
 
     l_star = lagrangian(result.worst_prior)
     violation = -math.inf
     count = 0
-    for mu in _feasible_grid(result, model, grid_resolution):
+    for mu in _feasible_grid(amb, model.n_params, grid_resolution):
         violation = max(violation, lagrangian(mu) - l_star)
         count += 1
 

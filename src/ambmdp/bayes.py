@@ -52,9 +52,6 @@ class ReachableBeliefTree:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def nodes_at_epoch(self, epoch: int) -> list[TreeNode]:
-        return [node for node in self.nodes if node.epoch == epoch]
-
 
 @dataclass
 class DeterministicPolicy:

@@ -14,7 +14,8 @@ Commands (see README for the full key reference):
     simulate --config FILE [--seed N] [--samples N] [--dump-trajectories FILE]
 
 Exit status: 0 on success, 1 on configuration errors, 2 when a solver
-guard (tree or trajectory cap) refuses the run.
+guard refuses the run: a tree or trajectory cap, or a policy evaluated
+under a parameter whose branches its tree pruned.
 """
 
 from __future__ import annotations
@@ -40,7 +41,12 @@ from .ambiguity import (
     solve_robust,
 )
 from .bayes import DEFAULT_NODE_CAP, DeterministicPolicy, ValueSolution, solve_bayes
-from .errors import ConfigError, TrajectoryLimitError, TreeSizeLimitError
+from .errors import (
+    BranchCoverageError,
+    ConfigError,
+    TrajectoryLimitError,
+    TreeSizeLimitError,
+)
 from .model import Belief, ParameterSet, StatisticalMDP, validate
 from .oracle import DEFAULT_TRAJECTORY_CAP, enumerate_cost, mc_estimate
 
@@ -60,7 +66,6 @@ class RunConfig:
     model_name: str
     prior: Belief | None
     gamma: float | None
-    tol: float
     node_cap: int
     trajectory_cap: int
     gamma_sweep: tuple[float, ...] | None
@@ -368,10 +373,6 @@ def parse_config(text: str) -> RunConfig:
         listing = "; ".join(diagnostics)
         raise ConfigError(f"model failed validation: {listing}")
 
-    raw, lineno = entries.take("solver.tol", default="1e-6")
-    tol = _number("solver.tol", raw, lineno)
-    if tol <= 0:
-        raise _err(lineno, "solver.tol", "must be positive")
     raw, lineno = entries.take("solver.node_cap", default=str(DEFAULT_NODE_CAP))
     node_cap = _integer("solver.node_cap", raw, lineno)
     raw, lineno = entries.take(
@@ -433,6 +434,8 @@ def parse_config(text: str) -> RunConfig:
             raise _err(lineno, "simulate.samples", "must be >= 1")
         raw, lineno = entries.take("simulate.seed", default="0")
         seed = _integer("simulate.seed", raw, lineno)
+        if seed < 0:
+            raise _err(lineno, "simulate.seed", "must be >= 0")
     else:
         for key in ("simulate.theta", "simulate.samples", "simulate.seed"):
             entries.forbid(key, f"not allowed in mode {mode}")
@@ -444,7 +447,6 @@ def parse_config(text: str) -> RunConfig:
         model_name=model_name,
         prior=prior,
         gamma=gamma,
-        tol=tol,
         node_cap=node_cap,
         trajectory_cap=trajectory_cap,
         gamma_sweep=gamma_sweep,
@@ -532,18 +534,15 @@ def _run_solve(config: RunConfig, out_path: str | None, stdout) -> None:
     else:
         if config.mode == "entropic":
             result = solve_entropic(
-                config.model, config.prior, config.gamma,
-                tol=config.tol, node_cap=config.node_cap,
+                config.model, config.prior, config.gamma, node_cap=config.node_cap
             )
         elif config.mode == "avar":
             result = solve_avar(
-                config.model, config.prior, config.gamma,
-                tol=config.tol, node_cap=config.node_cap,
+                config.model, config.prior, config.gamma, node_cap=config.node_cap
             )
         else:
             result = solve_robust(
-                config.model, support=config.prior.support(),
-                tol=config.tol, node_cap=config.node_cap,
+                config.model, support=config.prior.support(), node_cap=config.node_cap
             )
         cert = certify_saddle(config.model, result, node_cap=config.node_cap)
         payload = saddle_to_dict(result, cert)
@@ -577,16 +576,12 @@ def _figure_rows(config: RunConfig) -> list[tuple]:
                     rows.append((gamma, prior_weight, prior_weight, prior_weight, baseline))
                 continue
             if config.mode == "figure-entropic":
-                result = solve_entropic(
-                    model, prior, gamma, tol=config.tol, node_cap=config.node_cap
-                )
+                result = solve_entropic(model, prior, gamma, node_cap=config.node_cap)
                 rows.append(
                     (gamma, prior_weight, float(result.worst_prior.weights[0]), result.value)
                 )
             else:
-                result = solve_avar(
-                    model, prior, gamma, tol=config.tol, node_cap=config.node_cap
-                )
+                result = solve_avar(model, prior, gamma, node_cap=config.node_cap)
                 rows.append(
                     (
                         gamma,
@@ -726,6 +721,8 @@ def main(argv=None) -> int:
             )
         if args.command == "simulate":
             if args.seed is not None:
+                if args.seed < 0:
+                    raise ConfigError("--seed must be >= 0")
                 config.seed = args.seed
             if args.samples is not None:
                 if args.samples < 1:
@@ -737,7 +734,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (TreeSizeLimitError, TrajectoryLimitError) as exc:
+    except (TreeSizeLimitError, TrajectoryLimitError, BranchCoverageError) as exc:
         print(f"solver guard: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -63,17 +63,6 @@ def relative_entropy(mu, nu) -> float:
     return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
 
 
-def bhattacharyya_distance(mu, nu) -> float:
-    """-log sum(sqrt(mu * nu)); zero iff the distributions coincide, +inf
-    on disjoint supports.  Provided as an alternative convex distance; no
-    solver mode uses it."""
-    p, q = _matched(mu, nu)
-    overlap = float(np.sum(np.sqrt(p * q)))
-    if overlap <= 0.0:
-        return math.inf
-    return max(0.0, -math.log(overlap))
-
-
 def expected_cost(profile, base) -> float:
     """Plain expectation of the profile under the base distribution (the
     gamma -> 0 limit of both risk measures)."""

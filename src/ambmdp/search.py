@@ -1,91 +1,209 @@
-"""Derivative-free maximizers used by the outer prior optimization.
+"""Master problems of the cutting-plane outer solver, and simplex lattices.
 
-Everything here assumes a concave objective: golden-section search over an
-interval, bisection to the edges of a value-level plateau, and a coarse
-simplex lattice followed by pairwise coordinate refinement for more than
-two coordinates.
+The outer solver keeps a set of cuts: cost profiles C_i of Bayes-optimal
+policies, restricted to the parameters of the ambiguity set's support.
+The Bayes value V(w) = min over policies of w . C is concave and piecewise
+linear, and each cut is one of its supporting planes, so min_i w . C_i
+bounds V from above.  The masters maximize that bound over the feasible
+priors:
+
+* ``lp_master``: max_w min_i w . C_i over the simplex with weight caps
+  (AVaR and robust modes), a small linear program solved exactly by a dense
+  simplex method with Bland's rule;
+* ``entropic_master``: max_w min_i w . C_i - KL(w || base)/gamma, through
+  its dual min over mixtures lambda of the entropic risk of sum_i lambda_i
+  C_i, solved by Newton steps on lambda; the prior is the tilted prior of
+  the mixed profile.
+
+The simplex lattice serves grid checks of saddle certificates.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: pivot and reduced-cost threshold of the simplex method; the tableau is
+#: scaled so that cut entries lie in [1, 2]
+PIVOT_TOL = 1e-12
+#: the entropic master stops once its duality gap has not decreased for
+#: this many consecutive steps (the gap's float floor depends on gamma)
+STALL_STEPS = 5
+#: hard cap on entropic master steps
+MAX_MASTER_STEPS = 10_000
 
 
-def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float, list[tuple[float, float]]]:
-    """Maximize a concave function on [lo, hi] to argument tolerance tol.
+def lp_master(cuts: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
+    """Maximize min_i w . cuts[i] over {w >= 0, sum(w) = 1, w <= caps}.
 
-    Returns (best argument, best value, evaluation trace).  The best
-    argument is the best *evaluated* point, which for a concave function is
-    within tol of the argmax once the bracket has shrunk below tol.
+    Returns (w, value).  The cuts are shifted and scaled into [1, 2]; with
+    strictly positive cuts every optimum puts full mass on the simplex, so
+    ``sum(w) <= 1`` replaces the equality and the origin is a feasible
+    starting basis.  Caps of 1 or more are implied by the simplex and
+    dropped.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    trace: list[tuple[float, float]] = []
+    m, n = cuts.shape
+    low = float(cuts.min())
+    span = float(cuts.max()) - low or 1.0
+    capped = [k for k in range(n) if caps[k] < 1.0]
+    rows = m + 1 + len(capped)
+    width = n + 1 + rows  # columns: w, z, slacks; the last column is the rhs
+    tableau = np.zeros((rows + 1, width + 1))
+    tableau[:m, :n] = -((cuts - low) / span + 1.0)
+    tableau[:m, n] = 1.0
+    tableau[m, :n] = 1.0
+    tableau[m, -1] = 1.0
+    for r, k in enumerate(capped, start=m + 1):
+        tableau[r, k] = 1.0
+        tableau[r, -1] = caps[k]
+    tableau[:rows, n + 1 : width] = np.eye(rows)
+    tableau[-1, n] = -1.0
+    basis = list(range(n + 1, width))
+    while True:
+        entering = next((j for j in range(width) if tableau[-1, j] < -PIVOT_TOL), None)
+        if entering is None:
+            break
+        column = tableau[:rows, entering]
+        _, _, r = min(
+            (tableau[q, -1] / column[q], basis[q], q)
+            for q in range(rows)
+            if column[q] > PIVOT_TOL
+        )
+        tableau[r] /= tableau[r, entering]
+        for q in range(rows + 1):
+            if q != r:
+                tableau[q] -= tableau[q, entering] * tableau[r]
+        basis[r] = entering
+    w = np.zeros(n)
+    for r, j in enumerate(basis):
+        if j < n:
+            w[j] = max(tableau[r, -1], 0.0)
+    w /= w.sum()
+    return w, float((cuts @ w).min())
 
-    def ev(x: float) -> float:
-        y = f(x)
-        trace.append((x, y))
-        return y
 
-    if hi - lo <= tol:
-        mid = 0.5 * (lo + hi)
-        return mid, ev(mid), trace
+def entropic_master(
+    cuts: np.ndarray, base: np.ndarray, gamma: float
+) -> tuple[np.ndarray, float]:
+    """Maximize min_i w . cuts[i] - KL(w || base)/gamma over the simplex.
 
-    c = hi - INV_PHI * (hi - lo)
-    d = lo + INV_PHI * (hi - lo)
-    fc, fd = ev(c), ev(d)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - INV_PHI * (hi - lo)
-            fc = ev(c)
+    Returns (w, upper).  By minimax the maximum equals the minimum over
+    mixtures lambda of F(lambda) = rho(lambda . cuts), rho(c) =
+    log(base . exp(gamma c))/gamma, whose gradient is g_i = w . cuts[i] at
+    the tilted prior w proportional to base * exp(gamma * lambda . cuts).
+    Each step is a Newton step on the face of the active cuts plus the one
+    with the least g; when that step does not descend, mass moves from the
+    worst active cut to that one by a Newton line search instead.
+    Every step lowers F, and ``upper`` = F(lambda) bounds the maximum from
+    above for every lambda.  The steps stop once the duality gap
+    lambda . g - min g stops decreasing, which is where float noise sets
+    its floor; near that floor the gap pins the prior less tightly than the
+    last Newton step does, so the last iterate is returned.
+    """
+    log_base = np.log(base)
+
+    # risk.tilted_prior and risk.entropic_risk on the support, without their
+    # per-call validation, which would dominate this loop
+    def tilt(profile: np.ndarray) -> np.ndarray:
+        a = gamma * profile + log_base
+        w = np.exp(a - a.max())
+        return w / w.sum()
+
+    def rho(profile: np.ndarray) -> float:
+        a = gamma * profile + log_base
+        shift = float(a.max())
+        return (shift + math.log(float(np.exp(a - shift).sum()))) / gamma
+
+    lam = np.zeros(len(cuts))
+    lam[min(range(len(cuts)), key=lambda i: rho(cuts[i]))] = 1.0
+    least_gap, stalled = math.inf, 0
+    for _ in range(MAX_MASTER_STEPS):
+        w = tilt(lam @ cuts)
+        g = cuts @ w
+        j = int(np.argmin(g))
+        gap = float(lam @ g) - float(g[j])
+        if gap < least_gap:
+            least_gap, stalled = gap, 0
         else:
-            lo, c, fc = c, d, fd
-            d = lo + INV_PHI * (hi - lo)
-            fd = ev(d)
-    ev(0.5 * (lo + hi))
-    best_x, best_y = max(trace, key=lambda xy: xy[1])
-    return best_x, best_y, trace
+            stalled += 1
+        if gap <= 0.0 or stalled >= STALL_STEPS:
+            break
+        step = _face_newton(lam, cuts, j, w, g, gamma, rho)
+        if step is not None:
+            lam = step
+            continue
+        active = np.nonzero(lam > 0.0)[0]
+        i = int(active[np.argmax(g[active])])
+        t = _newton_line(tilt, lam @ cuts, cuts[j] - cuts[i], float(lam[i]), gamma)
+        lam[j] += t
+        lam[i] = 0.0 if t == lam[i] else lam[i] - t
+    mixed = lam @ cuts
+    return tilt(mixed), rho(mixed)
 
 
-def plateau_edges(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    x_best: float,
-    f_best: float,
-    value_tol: float = 1e-9,
-    arg_tol: float = 1e-11,
-) -> tuple[float, float]:
-    """Edges of {x in [lo, hi] : f(x) >= f_best - value_tol} for concave f.
+def _face_newton(lam, cuts, j, w, g, gamma, rho):
+    """Newton step with backtracking on the face of the active cuts and
+    cut j, cut short where a weight reaches zero; None unless it descends.
 
-    The set is an interval containing x_best; each edge is located by
-    bisection to argument tolerance arg_tol.
+    A ridge of 1e-12 of the mean curvature keeps the system regular when
+    the face's cuts are affinely dependent up to constant profiles.  F is
+    linear along such a dependence, and the ridge turns the step into a
+    long move along it, which the cut-short ends at the face's boundary.
     """
+    on_face = lam > 0.0
+    on_face[j] = True
+    face = np.nonzero(on_face)[0]
+    k = len(face)
+    rows = cuts[face]
+    hess = gamma * ((rows * w) @ rows.T - np.outer(g[face], g[face]))
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = hess + (1e-12 * np.trace(hess) / k or 1e-300) * np.eye(k)
+    kkt[:k, k] = kkt[k, :k] = 1.0
+    d = np.zeros(len(lam))
+    d[face] = np.linalg.solve(kkt, np.append(-g[face], 0.0))[:k]
+    slope = float(g @ d)
+    shrinking = np.nonzero(d < 0.0)[0]
+    if not slope < 0.0 or not len(shrinking):
+        return None
+    limits = lam[shrinking] / -d[shrinking]
+    alpha = min(1.0, float(limits.min()))
+    if alpha <= 0.0:
+        return None
+    start = rho(lam @ cuts)
+    while rho((lam + alpha * d) @ cuts) > start + 1e-4 * alpha * slope:
+        alpha *= 0.5
+        if alpha < 1e-12:
+            return None
+    step = np.maximum(lam + alpha * d, 0.0)
+    if alpha == limits.min():
+        step[shrinking[np.argmin(limits)]] = 0.0
+    return step / step.sum()
 
-    def on_plateau(x: float) -> bool:
-        return f(x) >= f_best - value_tol
 
-    def bisect(outside: float, inside: float) -> float:
-        while abs(inside - outside) > arg_tol:
-            mid = 0.5 * (outside + inside)
-            if on_plateau(mid):
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
-    left = lo if on_plateau(lo) else bisect(lo, x_best)
-    right = hi if on_plateau(hi) else bisect(hi, x_best)
-    return left, right
+def _newton_line(tilt, profile: np.ndarray, d: np.ndarray, t_max: float, gamma: float) -> float:
+    """Minimizer over [0, t_max] of the convex rho(profile + t d), whose
+    derivative is tilt(profile + t d) . d; Newton steps, bisection whenever
+    a step leaves the bracket."""
+    if tilt(profile + t_max * d) @ d <= 0.0:
+        return t_max
+    lo, hi, t = 0.0, t_max, 0.0
+    for _ in range(200):
+        w = tilt(profile + t * d)
+        slope = float(w @ d)
+        if slope > 0.0:
+            hi = t
+        else:
+            lo = t
+        curvature = gamma * (float(w @ (d * d)) - slope * slope)
+        step = t - slope / curvature if curvature > 0.0 else hi
+        t_next = step if lo < step < hi else 0.5 * (lo + hi)
+        if t_next == t or hi - lo <= 1e-16 * t_max:
+            break
+        t = t_next
+    return t
 
 
 def simplex_lattice(n_coords: int, parts: int) -> Iterator[np.ndarray]:
@@ -111,45 +229,3 @@ def lattice_parts(n_coords: int, target_parts: int, budget: int) -> int:
     while parts > 2 and math.comb(parts + n_coords - 1, n_coords - 1) > budget:
         parts -= 1
     return parts
-
-
-def refine_coordinate_pairs(
-    f: Callable[[np.ndarray], float],
-    start: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    tol: float,
-    max_sweeps: int = 60,
-) -> tuple[np.ndarray, float]:
-    """Cyclic 1-D maximization along coordinate-exchange directions
-    e_i - e_j, staying inside [lower, upper] and on the simplex.
-
-    For a concave objective the exchange directions span the simplex
-    tangent space, so sweeps converge to the maximum.
-    """
-    w = np.array(start, dtype=float)
-    best = f(w)
-    n = w.size
-    for _ in range(max_sweeps):
-        moved = 0.0
-        for i, j in combinations(range(n), 2):
-            t_lo = max(lower[i] - w[i], w[j] - upper[j])
-            t_hi = min(upper[i] - w[i], w[j] - lower[j])
-            if t_hi - t_lo <= tol:
-                continue
-
-            def g(t: float) -> float:
-                probe = w.copy()
-                probe[i] += t
-                probe[j] -= t
-                return f(probe)
-
-            t_star, g_star, _ = golden_section_max(g, t_lo, t_hi, tol)
-            if g_star > best:
-                moved = max(moved, abs(t_star))
-                w[i] += t_star
-                w[j] -= t_star
-                best = g_star
-        if moved <= tol:
-            break
-    return w, best

@@ -106,8 +106,9 @@ class TestSolveEntropic:
         base = seqtest.prior_belief(0.5)
         with pytest.raises(ValueError, match="gamma"):
             solve_entropic(bench_model, base, gamma=0.0)
-        with pytest.raises(ValueError, match="tol"):
-            solve_entropic(bench_model, base, gamma=1.0, tol=0.0)
+        # the outer solver is exact; an argument tolerance is refused, not ignored
+        with pytest.raises(TypeError, match="tol"):
+            solve_entropic(bench_model, base, gamma=1.0, tol=1e-6)
 
 
 class TestSolveAvar:
@@ -244,12 +245,12 @@ class TestThreeParameters:
         model = self.build_model()
         base = Belief(np.array([0.5, 0.3, 0.2]))
         gamma = 1.5
-        result = solve_entropic(model, base, gamma, tol=1e-4)
+        result = solve_entropic(model, base, gamma)
         brute = max(
             entropic_objective(model, base, gamma, Belief(w))
             for w in simplex_lattice(3, 60)
         )
-        assert result.value >= brute - 1e-4
+        assert result.value >= brute - 1e-9
         assert result.gap >= -1e-12
 
     def test_avar_matches_brute_force_grid(self):
@@ -257,18 +258,169 @@ class TestThreeParameters:
         base = Belief(np.array([0.5, 0.3, 0.2]))
         gamma = 0.4
         caps = base.weights / (1.0 - gamma)
-        result = solve_avar(model, base, gamma, tol=1e-4)
+        result = solve_avar(model, base, gamma)
         brute = max(
             solve_bayes(model, Belief(w)).value
             for w in simplex_lattice(3, 60)
             if np.all(w <= caps + 1e-12)
         )
-        assert result.value >= brute - 1e-4
+        assert result.value >= brute - 1e-9
 
     def test_robust_matches_brute_force_grid(self):
         model = self.build_model()
-        result = solve_robust(model, tol=1e-4)
+        result = solve_robust(model)
         brute = max(
             solve_bayes(model, Belief(w)).value for w in simplex_lattice(3, 60)
         )
-        assert result.value >= brute - 1e-4
+        assert result.value >= brute - 1e-9
+
+
+MODES = ("entropic", "avar", "robust")
+
+
+def solve_mode(model, base, mode):
+    if mode == "entropic":
+        return solve_entropic(model, base, gamma=1.5)
+    if mode == "avar":
+        return solve_avar(model, base, gamma=0.4)
+    return solve_robust(model)
+
+
+def reversed_params(model):
+    """The same model with the parameter order reversed."""
+    return StatisticalMDP(
+        horizon=model.horizon,
+        states=model.states,
+        actions=model.actions,
+        params=ParameterSet(model.params.labels[::-1]),
+        feasible=model.feasible,
+        initial_kernel=model.initial_kernel[::-1],
+        transition=model.transition[:, ::-1],
+        stage_cost=model.stage_cost[:, ::-1],
+        terminal_cost=model.terminal_cost[::-1],
+    )
+
+
+@pytest.fixture(scope="module")
+def random_instances():
+    """Seeded K=4 and K=5 models (3 states, 2 actions, H=2), a base prior,
+    and Bayes values on a simplex lattice, built once per K."""
+    cache = {}
+
+    def get(n_params):
+        if n_params not in cache:
+            rng = np.random.default_rng(0)
+            model = random_model(
+                rng, n_states=3, n_actions=2, horizon=2, n_params=n_params,
+                full_feasible=True,
+            )
+            base = Belief(rng.dirichlet(np.ones(n_params)))
+            grid = [
+                (w, solve_bayes(model, Belief(w)).value)
+                for w in simplex_lattice(n_params, 6)
+            ]
+            cache[n_params] = (model, base, grid)
+        return cache[n_params]
+
+    return get
+
+
+class TestRandomModels:
+    """The exact outer solver on random models with four and five
+    parameters: no lattice prior beats it, its value is attained at its
+    worst prior, and relabelling the parameters does not change it."""
+
+    @pytest.mark.parametrize("n_params", (4, 5))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_brute_force_grid_and_relabelling(self, random_instances, n_params, mode):
+        model, base, grid = random_instances(n_params)
+        result = solve_mode(model, base, mode)
+        caps = base.weights / (1.0 - 0.4)
+
+        def objective(w, bayes_value):
+            if mode == "entropic":
+                return bayes_value - relative_entropy(Belief(w), base) / 1.5
+            return bayes_value
+
+        brute = max(
+            objective(w, v) for w, v in grid if mode != "avar" or np.all(w <= caps + 1e-12)
+        )
+        assert result.value >= brute - 1e-9
+        attained = objective(
+            result.worst_prior.weights, solve_bayes(model, result.worst_prior).value
+        )
+        assert result.value == pytest.approx(attained, abs=1e-12)
+        mirrored = solve_mode(
+            reversed_params(model), Belief(base.weights[::-1]), mode
+        )
+        assert mirrored.value == pytest.approx(result.value, abs=1e-9)
+
+
+def go_or_stay_model():
+    """One action; under t0 it moves s0 -> s1 at cost 1, under t1 it stays
+    in s0 for free; s1 is absorbing and its terminal cost is 5.  A tree
+    built at a prior without t1 has no branch for t1's stay."""
+    transition = np.zeros((1, 2, 2, 1, 2))
+    transition[0, 0, 0, 0] = [0.0, 1.0]
+    transition[0, 1, 0, 0] = [1.0, 0.0]
+    transition[0, :, 1, 0] = [0.0, 1.0]
+    stage = np.zeros((1, 2, 2, 1))
+    stage[0, 0, 0, 0] = 1.0
+    return StatisticalMDP(
+        horizon=1,
+        states=("s0", "s1"),
+        actions=("go",),
+        params=ParameterSet(("t0", "t1")),
+        feasible=(((0,), (0,)),),
+        initial_kernel=np.array([[1.0, 0.0], [1.0, 0.0]]),
+        transition=transition,
+        stage_cost=stage,
+        terminal_cost=np.array([[0.0, 5.0], [0.0, 5.0]]),
+    )
+
+
+class TestPrunedBranches:
+    def test_vertex_worst_prior_is_exact(self):
+        # the worst prior is the point mass on t0, whose tree lacks t1's
+        # branch; t1's cut coordinate falls back to the cost upper bound
+        model = go_or_stay_model()
+        base = Belief(np.array([0.5, 0.5]))
+        for result in (solve_avar(model, base, gamma=0.5), solve_robust(model)):
+            assert result.value == 6.0
+            assert result.worst_prior == Belief(np.array([1.0, 0.0]))
+            assert result.gap == 0.0
+
+
+def logistic(x):
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    return math.exp(x) / (1.0 + math.exp(x))
+
+
+def entropic_closed_form(mu0, gamma):
+    """Maximizer and value of V(t) - KL(t || mu0)/gamma for the one-shot
+    sequential test: V is linear with slope b on each of its three pieces,
+    where the penalized maximizer is the logistic point logit(t) =
+    logit(mu0) + b*gamma, clipped to the piece."""
+    pieces = (
+        (0.0, seqtest.CONTINUE_LO, 10.0),
+        (seqtest.CONTINUE_LO, seqtest.CONTINUE_HI, 0.0),
+        (seqtest.CONTINUE_HI, 1.0, -10.0),
+    )
+    logit = math.log(mu0 / (1.0 - mu0))
+    candidates = []
+    for lo, hi, slope in pieces:
+        t = min(max(logistic(logit + slope * gamma), lo), hi)
+        candidates.append((seqtest.optimal_value(t) - kl_two_point(t, mu0) / gamma, t))
+    value, t = max(candidates)
+    return t, value
+
+
+class TestEntropicClosedForm:
+    @pytest.mark.parametrize("gamma", (1e-6, 1e-3, 0.05, 1.0, 10.0, 100.0, 1e3, 1e4))
+    def test_worst_prior_and_value_match(self, bench_model, gamma):
+        for mu0 in (0.05, 0.1, 0.2, 0.3, 0.45):
+            result = solve_entropic(bench_model, seqtest.prior_belief(mu0), gamma)
+            t, value = entropic_closed_form(mu0, gamma)
+            assert abs(result.worst_prior.weights[0] - t) <= 1e-9, mu0
+            assert abs(result.value - value) <= 1e-9, mu0

@@ -46,7 +46,25 @@ model.name = seqtest
 model.horizon = 1
 sweep.gamma = 0:1:0.25
 sweep.prior = 0.1 0.3
-solver.tol = 1e-6
+"""
+
+
+PRUNED_BRANCH_CONFIG = """
+model.name = inline
+model.horizon = 1
+model.states = s0 s1
+model.actions = go
+model.params = t0 t1
+model.initial.t0 = 1 0
+model.initial.t1 = 1 0
+model.transition.*.t0.s0.go = 0 1
+model.transition.*.t0.s1.go = 0 1
+model.transition.*.t1.s0.go = 1 0
+model.transition.*.t1.s1.go = 0 1
+model.cost.*.t0.s0.go = 1
+model.terminal.t0 = 0 5
+model.terminal.t1 = 0 5
+prior = 0
 """
 
 
@@ -55,7 +73,6 @@ class TestParseConfig:
         config = parse_config(ENTROPIC_CONFIG)
         assert config.mode == "entropic"
         assert config.gamma == pytest.approx(0.1)
-        assert config.tol == pytest.approx(1e-6)
         assert config.node_cap == 10_000_000
         assert config.trajectory_cap == 1_000_000
         assert list(config.prior.weights) == pytest.approx([0.1, 0.9])
@@ -173,7 +190,7 @@ class TestRunSolve:
         from ambmdp.ambiguity import certify_saddle
 
         config = parse_config(ENTROPIC_CONFIG)
-        result = solve_entropic(config.model, config.prior, config.gamma, tol=config.tol)
+        result = solve_entropic(config.model, config.prior, config.gamma)
         cert = certify_saddle(config.model, result)
         payload = saddle_to_dict(result, cert)
         text = json.dumps(payload, indent=2, sort_keys=True)
@@ -256,6 +273,11 @@ simulate.seed = 7
         with pytest.raises(ConfigError, match="simulate.theta"):
             parse_config(bad)
 
+    def test_negative_seed_rejected_with_line(self):
+        bad = self.CONFIG.replace("simulate.seed = 7", "simulate.seed = -1")
+        with pytest.raises(ConfigError, match=r"line \d+: simulate\.seed: must be >= 0"):
+            parse_config(bad)
+
 
 class TestMain:
     def write(self, tmp_path, text, name="run.cfg"):
@@ -297,3 +319,25 @@ class TestMain:
         assert capsys.readouterr().out == first
         assert main(["simulate", "--config", path, "--seed", "2"]) == 0
         assert capsys.readouterr().out != first
+
+    def test_negative_seed_option_exits_one(self, tmp_path, capsys):
+        path = self.write(tmp_path, TestRunSimulate.CONFIG)
+        assert main(["simulate", "--config", path, "--seed", "-3"]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, head",
+        [
+            ("solve", "mode = entropic\nsolver.gamma = 0.5\n"),
+            ("solve", "mode = avar\nsolver.gamma = 0.5\n"),
+            ("solve", "mode = robust\n"),
+            ("simulate", "mode = simulate\nsimulate.theta = t0\n"),
+        ],
+        ids=("entropic", "avar", "robust", "simulate"),
+    )
+    def test_pruned_branch_exits_two(self, tmp_path, capsys, command, head):
+        # prior 0 builds the tree without t0, whose move to s1 is then missing
+        path = self.write(tmp_path, head + PRUNED_BRANCH_CONFIG)
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver guard: ") and "theta=t0" in err

@@ -11,7 +11,6 @@ from ambmdp.risk import (
     AvarAmbiguitySet,
     avar_dual,
     avar_quantile,
-    bhattacharyya_distance,
     entropic_dual_value,
     entropic_risk,
     expected_cost,
@@ -273,28 +272,6 @@ class TestDuality:
             gamma_a = float(rng.uniform(0.05, 0.95))
             dual_a, _ = avar_dual(v, mu, gamma_a)
             assert dual_a == pytest.approx(avar_quantile(v, mu, gamma_a), abs=1e-12)
-
-
-class TestBhattacharyya:
-    def test_zero_on_identical(self):
-        mu = belief(0.4, 0.6)
-        assert bhattacharyya_distance(mu, mu) == pytest.approx(0.0, abs=1e-15)
-
-    def test_disjoint_support_is_infinite(self):
-        assert bhattacharyya_distance(belief(1.0, 0.0), belief(0.0, 1.0)) == math.inf
-
-    def test_direct_value(self):
-        expected = -math.log(math.sqrt(0.45) + math.sqrt(0.05))
-        assert bhattacharyya_distance(
-            belief(0.5, 0.5), belief(0.9, 0.1)
-        ) == pytest.approx(expected, abs=1e-14)
-
-    def test_non_negative(self, rng):
-        for _ in range(50):
-            k = int(rng.integers(2, 6))
-            assert bhattacharyya_distance(
-                random_belief(rng, k), random_belief(rng, k)
-            ) >= 0.0
 
 
 class TestAvarAmbiguitySet:
