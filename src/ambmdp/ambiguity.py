@@ -22,9 +22,11 @@ at each best response bounds it from below, and the loop stops when the
 bounds meet to float slack.  Deterministic policies are finite, so the loop
 ends after finitely many steps with the exact maximum.
 
-The optimal policy is the Bayes-optimal policy at the maximizing prior, and
+The optimal policy is a Bayes-optimal policy at the maximizing prior, and
 the duality gap reported is the direct risk evaluation of that policy's
-cost profile minus the outer value.
+cost profile minus the outer value.  A cut coordinate whose tree lacks its
+parameter's branches takes the model's cost upper bound; the returned
+profile never does (see ``_solve``).
 
 Plateaus: the inner value is piecewise linear in the prior, so the avar
 and robust argmax can be a face.  The planes are intersected with a search
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from .bayes import (
     DeterministicPolicy,
     bayes_cost,
     evaluate_policy,
+    policy_cost_profile,
     solve_bayes,
 )
 from .errors import BranchCoverageError
@@ -64,6 +67,9 @@ PLATEAU_MARGIN = 1e-4
 #: the bounds have met once they differ by at most this times the largest
 #: absolute cost bound of the model
 CUT_SLACK = 1e-12
+#: mixing weights of the uniform prior on the support tried, in turn, when
+#: the returned prior's tree lacks a support parameter's branches
+NUDGES = (1e-6, 1e-9, 1e-12)
 
 
 @dataclass
@@ -184,11 +190,10 @@ def entropic_objective(
 def _profile(
     model: StatisticalMDP,
     policy: DeterministicPolicy,
-    indices: Iterable[int],
     support: tuple[int, ...],
     ceiling: float,
 ) -> np.ndarray:
-    """Cost of the policy under each parameter in ``indices``.
+    """Cut coordinates: the cost of the policy under each support parameter.
 
     A support parameter with zero weight at the policy's prior can reach
     branches the policy's tree pruned; it then gets ``ceiling``, an upper
@@ -197,12 +202,10 @@ def _profile(
     policy's prior.
     """
     values = []
-    for k in indices:
+    for k in support:
         try:
             values.append(evaluate_policy(model, k, policy))
         except BranchCoverageError:
-            if k not in support:
-                raise
             values.append(ceiling)
     return np.array(values)
 
@@ -222,7 +225,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
         solution = solve_bayes(model, mu, node_cap=node_cap)
         value = solution.value - amb.penalty(mu)
         trace.append((mu, value))
-        cut = _profile(model, solution.policy, amb.support, amb.support, hi)
+        cut = _profile(model, solution.policy, amb.support, hi)
         fresh = not cuts or float(np.abs(np.array(cuts) - cut).max(axis=1).min()) > slack
         if fresh:
             cuts.append(cut)
@@ -247,7 +250,22 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
     mu_star = amb.embed(size, w_star)
     solution = solve_bayes(model, mu_star, node_cap=node_cap)
     value = solution.value - amb.penalty(mu_star)
-    profile = _profile(model, solution.policy, range(size), amb.support, hi)
+    policy = solution.policy
+    try:
+        profile = policy_cost_profile(model, policy)
+    except BranchCoverageError:
+        # mu_star gives a support parameter zero weight and its tree lacks
+        # that parameter's branches: take the policy at a prior nudged
+        # towards the uniform one on the support.  Policy planes are finite,
+        # so a small enough nudge finds one tight at mu_star (checked).
+        if w_star.all():
+            raise
+        for nudge in NUDGES:
+            inner = amb.embed(size, (1.0 - nudge) * w_star + nudge / len(w_star))
+            policy = solve_bayes(model, inner, node_cap=node_cap).policy
+            if abs(bayes_cost(model, policy, mu_star) - solution.value) <= slack:
+                break
+        profile = policy_cost_profile(model, policy)
     raw_gap = amb.dual_risk(profile) - value
     if raw_gap < -1e-10 * max(scale, 1.0):
         raise RuntimeError(
@@ -259,7 +277,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
         worst_prior=mu_star,
         worst_prior_lo=amb.embed(size, w_lo),
         worst_prior_hi=amb.embed(size, w_hi),
-        policy=solution.policy,
+        policy=policy,
         value=value,
         gap=max(raw_gap, 0.0),
         gamma=amb.gamma,

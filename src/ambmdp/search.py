@@ -12,8 +12,8 @@ priors:
   simplex method with Bland's rule;
 * ``entropic_master``: max_w min_i w . C_i - KL(w || base)/gamma, through
   its dual min over mixtures lambda of the entropic risk of sum_i lambda_i
-  C_i, solved by Newton steps on lambda; the prior is the tilted prior of
-  the mixed profile.
+  C_i, solved by line searches along Newton directions on lambda; the
+  prior is the tilted prior of the mixed profile.
 
 The simplex lattice serves grid checks of saddle certificates.
 """
@@ -29,9 +29,10 @@ import numpy as np
 #: pivot and reduced-cost threshold of the simplex method; the tableau is
 #: scaled so that cut entries lie in [1, 2]
 PIVOT_TOL = 1e-12
-#: the entropic master stops once its duality gap has not decreased for
-#: this many consecutive steps (the gap's float floor depends on gamma)
-STALL_STEPS = 5
+#: the entropic master stops once neither its objective nor its duality gap
+#: has decreased for this many consecutive steps (their float floor depends
+#: on gamma)
+STALL_STEPS = 3
 #: hard cap on entropic master steps
 MAX_MASTER_STEPS = 10_000
 
@@ -94,14 +95,15 @@ def entropic_master(
     mixtures lambda of F(lambda) = rho(lambda . cuts), rho(c) =
     log(base . exp(gamma c))/gamma, whose gradient is g_i = w . cuts[i] at
     the tilted prior w proportional to base * exp(gamma * lambda . cuts).
-    Each step is a Newton step on the face of the active cuts plus the one
-    with the least g; when that step does not descend, mass moves from the
-    worst active cut to that one by a Newton line search instead.
-    Every step lowers F, and ``upper`` = F(lambda) bounds the maximum from
-    above for every lambda.  The steps stop once the duality gap
-    lambda . g - min g stops decreasing, which is where float noise sets
-    its floor; near that floor the gap pins the prior less tightly than the
-    last Newton step does, so the last iterate is returned.
+    Each step moves lambda to the minimum of F along the Newton direction
+    on the face of the active cuts plus the one with the least g or, where
+    that direction is not a feasible descent, along the pairwise direction
+    from the worst active cut to that one.  The line minimum is found from
+    derivatives, which keep their sign where F's float values no longer
+    change.  ``upper`` = F(lambda) bounds the maximum for every lambda.
+    The steps stop once neither F nor the duality gap lambda . g - min g
+    has decreased for ``STALL_STEPS`` steps: float noise sets that floor,
+    and it grows with gamma, so no absolute threshold is used.
     """
     log_base = np.log(base)
 
@@ -117,70 +119,61 @@ def entropic_master(
         shift = float(a.max())
         return (shift + math.log(float(np.exp(a - shift).sum()))) / gamma
 
-    lam = np.zeros(len(cuts))
-    lam[min(range(len(cuts)), key=lambda i: rho(cuts[i]))] = 1.0
-    least_gap, stalled = math.inf, 0
+    m = len(cuts)
+    lam = np.zeros(m)
+    lam[min(range(m), key=lambda i: rho(cuts[i]))] = 1.0
+    least_gap = lowest = math.inf
+    stalled = 0
     for _ in range(MAX_MASTER_STEPS):
-        w = tilt(lam @ cuts)
+        mixed = lam @ cuts
+        w = tilt(mixed)
         g = cuts @ w
         j = int(np.argmin(g))
-        gap = float(lam @ g) - float(g[j])
-        if gap < least_gap:
-            least_gap, stalled = gap, 0
-        else:
-            stalled += 1
+        gap, f = float(lam @ g) - float(g[j]), rho(mixed)
+        stalled = 0 if gap < least_gap or f < lowest else stalled + 1
+        least_gap, lowest = min(least_gap, gap), min(lowest, f)
         if gap <= 0.0 or stalled >= STALL_STEPS:
             break
-        step = _face_newton(lam, cuts, j, w, g, gamma, rho)
-        if step is not None:
-            lam = step
-            continue
-        active = np.nonzero(lam > 0.0)[0]
-        i = int(active[np.argmax(g[active])])
-        t = _newton_line(tilt, lam @ cuts, cuts[j] - cuts[i], float(lam[i]), gamma)
-        lam[j] += t
-        lam[i] = 0.0 if t == lam[i] else lam[i] - t
+        d = _face_newton(lam, cuts, j, w, g, gamma)
+        shrinking = np.nonzero(d < 0.0)[0]
+        if not (float(g @ d) < 0.0 and len(shrinking) and lam[shrinking].min() > 0.0):
+            active = np.nonzero(lam > 0.0)[0]
+            i = int(active[np.argmax(g[active])])
+            if i == j:
+                break
+            d = np.zeros(m)
+            d[j], d[i] = 1.0, -1.0
+            shrinking = np.array([i])
+        limits = lam[shrinking] / -d[shrinking]
+        t_max = float(limits.min())
+        t = _newton_line(tilt, mixed, d @ cuts, min(1.0, t_max), gamma)
+        lam = lam + t * d
+        if t == t_max:
+            lam[shrinking[np.argmin(limits)]] = 0.0
+        lam = np.maximum(lam, 0.0)
+        lam /= lam.sum()
     mixed = lam @ cuts
     return tilt(mixed), rho(mixed)
 
 
-def _face_newton(lam, cuts, j, w, g, gamma, rho):
-    """Newton step with backtracking on the face of the active cuts and
-    cut j, cut short where a weight reaches zero; None unless it descends.
-
-    A ridge of 1e-12 of the mean curvature keeps the system regular when
-    the face's cuts are affinely dependent up to constant profiles.  F is
-    linear along such a dependence, and the ridge turns the step into a
-    long move along it, which the cut-short ends at the face's boundary.
-    """
-    on_face = lam > 0.0
-    on_face[j] = True
-    face = np.nonzero(on_face)[0]
+def _face_newton(lam, cuts, j, w, g, gamma) -> np.ndarray:
+    """Newton direction for F on the face of the active cuts and cut j,
+    scaled to entries of at most 1.  The Hessian, gamma times the
+    w-covariance of the face's cuts, is formed from centred rows so that it
+    stays positive semidefinite in floats.  A ridge of 1e-12 of its mean
+    diagonal keeps the system regular when the face's cuts are affinely
+    dependent up to constants; F is linear along such a dependence, and the
+    line search ends the long move along it at the face's boundary."""
+    face = np.nonzero((lam > 0.0) | (np.arange(len(lam)) == j))[0]
     k = len(face)
-    rows = cuts[face]
-    hess = gamma * ((rows * w) @ rows.T - np.outer(g[face], g[face]))
+    rows = cuts[face] - g[face, None]
+    hess = gamma * (rows * w) @ rows.T
     kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = hess + (1e-12 * np.trace(hess) / k or 1e-300) * np.eye(k)
+    kkt[:k, :k] = hess + max(1e-12 * np.trace(hess) / k, 1e-150) * np.eye(k)
     kkt[:k, k] = kkt[k, :k] = 1.0
     d = np.zeros(len(lam))
     d[face] = np.linalg.solve(kkt, np.append(-g[face], 0.0))[:k]
-    slope = float(g @ d)
-    shrinking = np.nonzero(d < 0.0)[0]
-    if not slope < 0.0 or not len(shrinking):
-        return None
-    limits = lam[shrinking] / -d[shrinking]
-    alpha = min(1.0, float(limits.min()))
-    if alpha <= 0.0:
-        return None
-    start = rho(lam @ cuts)
-    while rho((lam + alpha * d) @ cuts) > start + 1e-4 * alpha * slope:
-        alpha *= 0.5
-        if alpha < 1e-12:
-            return None
-    step = np.maximum(lam + alpha * d, 0.0)
-    if alpha == limits.min():
-        step[shrinking[np.argmin(limits)]] = 0.0
-    return step / step.sum()
+    return d / max(1.0, float(np.abs(d).max()))
 
 
 def _newton_line(tilt, profile: np.ndarray, d: np.ndarray, t_max: float, gamma: float) -> float:
@@ -197,7 +190,7 @@ def _newton_line(tilt, profile: np.ndarray, d: np.ndarray, t_max: float, gamma: 
             hi = t
         else:
             lo = t
-        curvature = gamma * (float(w @ (d * d)) - slope * slope)
+        curvature = gamma * float(w @ (d - slope) ** 2)
         step = t - slope / curvature if curvature > 0.0 else hi
         t_next = step if lo < step < hi else 0.5 * (lo + hi)
         if t_next == t or hi - lo <= 1e-16 * t_max:

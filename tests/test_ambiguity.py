@@ -15,7 +15,7 @@ from ambmdp.ambiguity import (
 from ambmdp.bayes import solve_bayes
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from ambmdp.risk import avar_quantile, entropic_risk, relative_entropy
-from ambmdp.search import simplex_lattice
+from ambmdp.search import entropic_master, simplex_lattice
 
 
 def kl_two_point(mu, mu0):
@@ -355,11 +355,20 @@ class TestRandomModels:
         )
         assert mirrored.value == pytest.approx(result.value, abs=1e-9)
 
+    @pytest.mark.parametrize("n_params", (4, 5))
+    @pytest.mark.parametrize("gamma", (100.0, 1000.0))
+    def test_entropic_large_gamma_matches_brute_force_grid(self, random_instances, n_params, gamma):
+        model, base, grid = random_instances(n_params)
+        result = solve_entropic(model, base, gamma)
+        brute = max(v - relative_entropy(Belief(w), base) / gamma for w, v in grid)
+        assert result.value >= brute - 1e-9
 
-def go_or_stay_model():
+
+def go_or_stay_model(t1_terminal_s1=5.0):
     """One action; under t0 it moves s0 -> s1 at cost 1, under t1 it stays
-    in s0 for free; s1 is absorbing and its terminal cost is 5.  A tree
-    built at a prior without t1 has no branch for t1's stay."""
+    in s0 for free; s1 is absorbing and its terminal cost is 5 (under t1,
+    which never reaches s1, ``t1_terminal_s1``).  A tree built at a prior
+    without t1 has no branch for t1's stay."""
     transition = np.zeros((1, 2, 2, 1, 2))
     transition[0, 0, 0, 0] = [0.0, 1.0]
     transition[0, 1, 0, 0] = [1.0, 0.0]
@@ -375,20 +384,31 @@ def go_or_stay_model():
         initial_kernel=np.array([[1.0, 0.0], [1.0, 0.0]]),
         transition=transition,
         stage_cost=stage,
-        terminal_cost=np.array([[0.0, 5.0], [0.0, 5.0]]),
+        terminal_cost=np.array([[0.0, 5.0], [0.0, t1_terminal_s1]]),
     )
 
 
 class TestPrunedBranches:
-    def test_vertex_worst_prior_is_exact(self):
-        # the worst prior is the point mass on t0, whose tree lacks t1's
-        # branch; t1's cut coordinate falls back to the cost upper bound
-        model = go_or_stay_model()
+    # the worst prior is the point mass on t0, whose tree lacks t1's
+    # branch; t1's cut coordinate falls back to the cost upper bound, but
+    # the returned policy and cost profile come from a tree with the branch
+    @pytest.mark.parametrize("t1_terminal_s1", (5.0, 8.0))
+    def test_vertex_worst_prior_is_exact(self, t1_terminal_s1):
+        # with 8 the upper bound from cost_bounds (9) exceeds the value
+        model = go_or_stay_model(t1_terminal_s1)
         base = Belief(np.array([0.5, 0.5]))
         for result in (solve_avar(model, base, gamma=0.5), solve_robust(model)):
             assert result.value == 6.0
             assert result.worst_prior == Belief(np.array([1.0, 0.0]))
             assert result.gap == 0.0
+        # at gamma 1e4 the tilted weight of t1 underflows to zero
+        entropic = solve_entropic(model, base, gamma=1e4)
+        assert entropic.value == pytest.approx(6.0 - math.log(2.0) / 1e4, abs=1e-12)
+        assert entropic.gap <= 1e-12
+        for result in (solve_avar(model, base, gamma=0.5), solve_robust(model), entropic):
+            assert result.cost_profile.tolist() == [6.0, 0.0]
+            certificate = certify_saddle(model, result)
+            assert certificate.mu_side_ok and certificate.pi_side_ok
 
 
 def logistic(x):
@@ -424,3 +444,19 @@ class TestEntropicClosedForm:
             t, value = entropic_closed_form(mu0, gamma)
             assert abs(result.worst_prior.weights[0] - t) <= 1e-9, mu0
             assert abs(result.value - value) <= 1e-9, mu0
+
+
+class TestEntropicMaster:
+    """The entropic master's prior attains its upper bound on random cut
+    sets, with gamma times the cost span from 1e-3 to 1e5."""
+
+    def test_prior_attains_upper_bound(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n_params, n_cuts = int(rng.integers(2, 7)), int(rng.integers(1, 30))
+            cuts = rng.uniform(0.0, 1.0, (n_cuts, n_params))
+            base = rng.dirichlet(np.ones(n_params))
+            gamma = 10.0 ** rng.uniform(-3.0, 5.0)
+            w, upper = entropic_master(cuts, base, gamma)
+            lower = float((cuts @ w).min()) - relative_entropy(Belief(w), Belief(base)) / gamma
+            assert upper - lower <= 1e-9, (gamma, n_cuts, n_params)
