@@ -26,7 +26,11 @@ The optimal policy is a Bayes-optimal policy at the maximizing prior, and
 the duality gap reported is the direct risk evaluation of that policy's
 cost profile minus the outer value.  A cut coordinate whose tree lacks its
 parameter's branches takes the model's cost upper bound; the returned
-profile never does (see ``_solve``).
+profile never does (see ``_solve``).  By the same duality the prior side
+of the saddle certificate is exact and costs O(K): the supremum over the
+feasible priors of mu . C - penalty(mu) is the dual risk of C, so
+``certify_saddle`` compares that with the objective at the returned prior
+instead of scanning a grid of priors.
 
 Plateaus: the inner value is piecewise linear in the prior, so the avar
 and robust argmax can be a face.  The planes are intersected with a search
@@ -60,7 +64,7 @@ from .bayes import (
 from .errors import BranchCoverageError
 from .model import Belief, StatisticalMDP, cost_bounds
 from .risk import AvarAmbiguitySet, avar_quantile, entropic_risk, relative_entropy
-from .search import entropic_master, lattice_parts, lp_master, simplex_lattice
+from .search import entropic_master, lp_master
 
 #: largest offset used to move the returned prior off a plateau edge
 PLATEAU_MARGIN = 1e-4
@@ -99,9 +103,11 @@ class SaddleResult:
 
 @dataclass
 class SaddleCertificate:
-    """Numerical saddle-point checks: no feasible prior improves on the
-    returned one against the returned policy (prior side), and the policy
-    is Bayes-optimal at the returned prior (policy side)."""
+    """Saddle-point checks: no feasible prior improves on the returned one
+    against the returned policy (prior side, in closed form), and the
+    policy is Bayes-optimal at the returned prior (policy side).
+    ``grid_points`` is always 0: no prior grid is scanned.  The field stays
+    so that artifacts and their readers keep their keys."""
 
     mu_side_ok: bool
     mu_side_violation: float
@@ -217,12 +223,13 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
     slack = CUT_SLACK * scale
     trace: list[tuple[Belief, float]] = []
     cuts: list[np.ndarray] = []
+    solutions = {}  # best-response solves by the bytes of their weights
 
     def best_response(w: np.ndarray) -> tuple[float, bool]:
         """Outer objective at the prior w, and whether the best response's
         plane was new (and added)."""
         mu = amb.embed(model.n_params, w)
-        solution = solve_bayes(model, mu, node_cap=node_cap)
+        solution = solutions[w.tobytes()] = solve_bayes(model, mu, node_cap=node_cap)
         value = solution.value - amb.penalty(mu)
         trace.append((mu, value))
         cut = _profile(model, solution.policy, amb.support, hi)
@@ -248,7 +255,9 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
         w_star, w_lo, w_hi = _plateau(amb, cuts, best_w, best_v, slack, best_response)
     size = model.n_params
     mu_star = amb.embed(size, w_star)
-    solution = solve_bayes(model, mu_star, node_cap=node_cap)
+    solution = solutions.get(w_star.tobytes())
+    if solution is None:
+        solution = solve_bayes(model, mu_star, node_cap=node_cap)
     value = solution.value - amb.penalty(mu_star)
     policy = solution.policy
     try:
@@ -386,60 +395,35 @@ def solve_robust(
     return _solve(model, _Ambiguity("robust", support), node_cap)
 
 
-def _feasible_grid(amb: _Ambiguity, size: int, resolution: float):
-    """Candidate priors covering the feasible set of the solved mode."""
-    if len(amb.support) == 2:
-        lo, hi = amb.pair_range()
-        steps = max(1, math.ceil((hi - lo) / resolution))
-        for m in range(steps + 1):
-            t = lo + (hi - lo) * m / steps
-            yield amb.embed(size, np.array([t, 1.0 - t]))
-        return
-    parts = lattice_parts(len(amb.support), math.ceil(1.0 / resolution), 500)
-    caps = amb.caps
-    for w in simplex_lattice(len(amb.support), parts):
-        if np.all(w <= caps + 1e-12):
-            yield amb.embed(size, w)
-
-
 def certify_saddle(
     model: StatisticalMDP,
     result: SaddleResult,
-    grid_resolution: float = 1e-3,
     tol: float = 1e-6,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> SaddleCertificate:
-    """Check the returned pair numerically.
+    """Check the returned pair.
 
-    Prior side: against the returned policy's cost profile, no feasible
-    prior on a grid improves the penalized objective by more than ``tol``
-    over its value at the returned prior.  Policy side: the returned
-    policy's Bayes cost at the returned prior matches a fresh Bayes solve
-    within 1e-10.
+    Prior side, exact: against the returned policy's cost profile C, the
+    supremum of the penalized objective mu . C - penalty(mu) over every
+    feasible prior is the dual risk of C (Donsker-Varadhan for entropic,
+    the greedy fill for avar, the largest support coordinate for robust).
+    It may exceed the objective at the returned prior by at most ``tol``.
+    Policy side: the returned policy's Bayes cost at the returned prior
+    matches a fresh Bayes solve within 1e-10.
     """
     amb = _Ambiguity(result.mode, result.support, result.base_prior, result.gamma)
     profile = result.cost_profile
+    mu = result.worst_prior
+    violation = amb.dual_risk(profile) - (float(mu.weights @ profile) - amb.penalty(mu))
 
-    def lagrangian(mu: Belief) -> float:
-        return float(mu.weights @ profile) - amb.penalty(mu)
-
-    l_star = lagrangian(result.worst_prior)
-    violation = -math.inf
-    count = 0
-    for mu in _feasible_grid(amb, model.n_params, grid_resolution):
-        violation = max(violation, lagrangian(mu) - l_star)
-        count += 1
-
-    resolve = solve_bayes(model, result.worst_prior, node_cap=node_cap)
-    pi_error = abs(
-        bayes_cost(model, result.policy, result.worst_prior) - resolve.value
-    )
+    resolve = solve_bayes(model, mu, node_cap=node_cap)
+    pi_error = abs(bayes_cost(model, result.policy, mu) - resolve.value)
     return SaddleCertificate(
         mu_side_ok=bool(violation <= tol),
         mu_side_violation=float(violation),
         pi_side_ok=bool(pi_error <= 1e-10),
         pi_side_error=float(pi_error),
         gap=result.gap,
-        grid_points=count,
+        grid_points=0,
         tol=tol,
     )

@@ -1,4 +1,4 @@
-"""Master problems of the cutting-plane outer solver, and simplex lattices.
+"""Master problems of the cutting-plane outer solver.
 
 The outer solver keeps a set of cuts: cost profiles C_i of Bayes-optimal
 policies, restricted to the parameters of the ambiguity set's support.
@@ -14,15 +14,11 @@ priors:
   its dual min over mixtures lambda of the entropic risk of sum_i lambda_i
   C_i, solved by line searches along Newton directions on lambda; the
   prior is the tilted prior of the mixed profile.
-
-The simplex lattice serves grid checks of saddle certificates.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 
@@ -197,28 +193,3 @@ def _newton_line(tilt, profile: np.ndarray, d: np.ndarray, t_max: float, gamma: 
             break
         t = t_next
     return t
-
-
-def simplex_lattice(n_coords: int, parts: int) -> Iterator[np.ndarray]:
-    """All compositions of ``parts`` equal mass units into ``n_coords``
-    coordinates, as probability vectors."""
-    if n_coords == 1:
-        yield np.array([1.0])
-        return
-    for cuts in combinations(range(parts + n_coords - 1), n_coords - 1):
-        counts = []
-        prev = -1
-        for c in cuts:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(parts + n_coords - 2 - prev)
-        yield np.array(counts, dtype=float) / parts
-
-
-def lattice_parts(n_coords: int, target_parts: int, budget: int) -> int:
-    """Largest lattice subdivision <= target_parts whose point count stays
-    within budget."""
-    parts = max(2, target_parts)
-    while parts > 2 and math.comb(parts + n_coords - 1, n_coords - 1) > budget:
-        parts -= 1
-    return parts

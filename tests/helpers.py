@@ -1,6 +1,6 @@
 """Shared builders for randomized test instances."""
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -74,3 +74,19 @@ def enumerate_policies(tree: ReachableBeliefTree) -> list[DeterministicPolicy]:
         actions = {node.index: action for node, action in zip(decision_nodes, combo)}
         policies.append(DeterministicPolicy(tree=tree, actions=actions))
     return policies
+
+
+def simplex_lattice(n_coords: int, parts: int):
+    """All compositions of ``parts`` equal mass units into ``n_coords``
+    coordinates, as probability vectors."""
+    if n_coords == 1:
+        yield np.array([1.0])
+        return
+    for cuts in combinations(range(parts + n_coords - 1), n_coords - 1):
+        counts = []
+        prev = -1
+        for c in cuts:
+            counts.append(c - prev - 1)
+            prev = c
+        counts.append(parts + n_coords - 2 - prev)
+        yield np.array(counts, dtype=float) / parts

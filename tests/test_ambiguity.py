@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_model
+from helpers import random_model, simplex_lattice
 
 from ambmdp import seqtest
 from ambmdp.ambiguity import (
@@ -15,7 +15,7 @@ from ambmdp.ambiguity import (
 from ambmdp.bayes import solve_bayes
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from ambmdp.risk import avar_quantile, entropic_risk, relative_entropy
-from ambmdp.search import entropic_master, simplex_lattice
+from ambmdp.search import entropic_master
 
 
 def kl_two_point(mu, mu0):
@@ -184,7 +184,8 @@ class TestCertifySaddle:
         report = certify_saddle(bench_model, result)
         assert report.mu_side_ok and report.pi_side_ok
         assert report.gap <= 1e-6
-        assert report.grid_points > 100
+        assert report.grid_points == 0
+        assert abs(report.mu_side_violation - report.gap) <= 1e-12
 
     def test_symmetric_instance_passes(self, bench_model):
         result = solve_entropic(bench_model, seqtest.prior_belief(0.5), gamma=0.2)
@@ -301,6 +302,15 @@ def reversed_params(model):
     )
 
 
+def seeded_instance(n_params):
+    """Seeded model with 3 states, 2 actions and H=2, and a base prior."""
+    rng = np.random.default_rng(0)
+    model = random_model(
+        rng, n_states=3, n_actions=2, horizon=2, n_params=n_params, full_feasible=True
+    )
+    return model, Belief(rng.dirichlet(np.ones(n_params)))
+
+
 @pytest.fixture(scope="module")
 def random_instances():
     """Seeded K=4 and K=5 models (3 states, 2 actions, H=2), a base prior,
@@ -309,12 +319,7 @@ def random_instances():
 
     def get(n_params):
         if n_params not in cache:
-            rng = np.random.default_rng(0)
-            model = random_model(
-                rng, n_states=3, n_actions=2, horizon=2, n_params=n_params,
-                full_feasible=True,
-            )
-            base = Belief(rng.dirichlet(np.ones(n_params)))
+            model, base = seeded_instance(n_params)
             grid = [
                 (w, solve_bayes(model, Belief(w)).value)
                 for w in simplex_lattice(n_params, 6)
@@ -362,6 +367,45 @@ class TestRandomModels:
         result = solve_entropic(model, base, gamma)
         brute = max(v - relative_entropy(Belief(w), base) / gamma for w, v in grid)
         assert result.value >= brute - 1e-9
+
+
+#: lattice subdivisions per parameter count, as dense as a 500-point budget
+#: allows (the density of the prior grid that certificates once scanned)
+LATTICE_PARTS = {3: 30, 4: 12, 5: 8}
+
+
+class TestCertifyRandomModels:
+    """The exact prior-side check on seeded random models: it is never
+    looser than a scan of a simplex lattice over the feasible priors, and
+    it fails wherever the duality gap does, including on K=3 avar, where
+    no lattice prior improves on the returned one although the gap is 0.13
+    (the capped polytope's vertices are off the lattice)."""
+
+    @pytest.mark.parametrize("n_params", (3, 4, 5))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exact_check_bounds_lattice_scan(self, n_params, mode):
+        model, base = seeded_instance(n_params)
+        result = solve_mode(model, base, mode)
+        certificate = certify_saddle(model, result)
+        profile = result.cost_profile
+
+        def lagrangian(w):
+            if mode == "entropic":
+                return float(w @ profile) - relative_entropy(Belief(w), base) / 1.5
+            return float(w @ profile)
+
+        caps = base.weights / (1.0 - 0.4) if mode == "avar" else np.ones(n_params)
+        lattice = max(
+            lagrangian(w)
+            for w in simplex_lattice(n_params, LATTICE_PARTS[n_params])
+            if np.all(w <= caps + 1e-12)
+        ) - lagrangian(result.worst_prior.weights)
+        assert certificate.mu_side_violation >= lattice - 1e-12
+        assert certificate.mu_side_violation == pytest.approx(result.gap, abs=1e-12)
+        assert certificate.mu_side_ok == (result.gap <= certificate.tol)
+        assert certificate.grid_points == 0
+        if (n_params, mode) == (3, "avar"):
+            assert lattice <= certificate.tol < result.gap
 
 
 def go_or_stay_model(t1_terminal_s1=5.0):

@@ -102,6 +102,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate key solver.gamma"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("key", ("solver.node_cap", "solver.trajectory_cap"))
+    @pytest.mark.parametrize("value", ("0", "-5"))
+    def test_non_positive_cap_rejected_with_line(self, key, value):
+        bad = ENTROPIC_CONFIG + f"{key} = {value}\n"
+        with pytest.raises(ConfigError, match=rf"line 8: {key}: must be >= 1"):
+            parse_config(bad)
+
     def test_missing_required_key(self):
         bad = ENTROPIC_CONFIG.replace("solver.gamma = 0.1", "")
         with pytest.raises(ConfigError, match="missing required key solver.gamma"):
@@ -238,6 +245,17 @@ class TestRunFigure:
             assert all(b >= a - 1e-6 for a, b in zip(series, series[1:]))
             assert all(v <= 0.5 + 1e-6 for v in series)
 
+    def test_gap_summary_on_stderr(self, tmp_path, capsys):
+        # every gamma > 0 row puts the worst prior on the 13/30 kink of the
+        # seqtest H=1 value, where no deterministic policy is a saddle
+        out = tmp_path / "fig.csv"
+        run(parse_config(FIGURE_CONFIG), out_path=str(out), stdout=io.StringIO())
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        head = "duality gap > 1e-06 in 8 of 10 rows (largest "
+        assert err[0].startswith(head) and err[0].endswith(")")
+        assert float(err[0][len(head) : -1]) == pytest.approx(1.92576315295, abs=1e-9)
+
     def test_missing_output_path_is_config_error(self):
         with pytest.raises(ConfigError, match="output.path"):
             run(parse_config(FIGURE_CONFIG), stdout=io.StringIO())
@@ -300,6 +318,12 @@ class TestMain:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ("solver.node_cap", "solver.trajectory_cap"))
+    def test_non_positive_cap_exits_one(self, tmp_path, capsys, key):
+        path = self.write(tmp_path, ENTROPIC_CONFIG + f"{key} = -5\n")
+        assert main(["solve", "--config", path]) == 1
+        assert f"config error: line 8: {key}: must be >= 1" in capsys.readouterr().err
 
     def test_tree_guard_exits_two(self, tmp_path, capsys):
         path = self.write(tmp_path, ENTROPIC_CONFIG + "solver.node_cap = 2\n")
