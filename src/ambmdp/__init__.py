@@ -19,6 +19,7 @@ from .ambiguity import (
 from .bayes import (
     DeterministicPolicy,
     ReachableBeliefTree,
+    TreeEpoch,
     ValueSolution,
     bayes_cost,
     build_tree,
@@ -69,6 +70,7 @@ __all__ = [
     "StatisticalMDP",
     "TrajectoryLimitError",
     "TrajectoryRecord",
+    "TreeEpoch",
     "TreeSizeLimitError",
     "ValueSolution",
     "avar_dual",

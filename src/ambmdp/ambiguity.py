@@ -56,8 +56,8 @@ import numpy as np
 from .bayes import (
     DEFAULT_NODE_CAP,
     DeterministicPolicy,
+    _policy_costs,
     bayes_cost,
-    evaluate_policy,
     policy_cost_profile,
     solve_bayes,
 )
@@ -207,13 +207,8 @@ def _profile(
     continuation of the policy costs at most that, and stays tight at the
     policy's prior.
     """
-    values = []
-    for k in support:
-        try:
-            values.append(evaluate_policy(model, k, policy))
-        except BranchCoverageError:
-            values.append(ceiling)
-    return np.array(values)
+    costs = _policy_costs(model, policy)[list(support)]
+    return np.where(np.isnan(costs), ceiling, costs)
 
 
 def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResult:

@@ -470,17 +470,21 @@ def _fmt(value: float) -> str:
 
 def policy_rows(policy: DeterministicPolicy) -> list[dict]:
     tree = policy.tree
+    model = tree.model
     rows = []
-    for index in sorted(policy.actions):
-        node = tree.nodes[index]
-        rows.append(
-            {
-                "epoch": node.epoch,
-                "state": tree.model.states[node.state],
-                "belief": node.belief.weights.tolist(),
-                "action": tree.model.actions[policy.actions[index]],
-            }
-        )
+    for n, epoch in enumerate(tree.epochs[:-1]):
+        actions = policy.actions[tree.offsets[n] : tree.offsets[n + 1]]
+        for state, belief, action in zip(
+            epoch.state.tolist(), epoch.belief.tolist(), actions.tolist()
+        ):
+            rows.append(
+                {
+                    "epoch": n,
+                    "state": model.states[state],
+                    "belief": belief,
+                    "action": model.actions[action],
+                }
+            )
     rows.sort(key=lambda r: (r["epoch"], r["state"], r["belief"]))
     return rows
 
@@ -523,6 +527,7 @@ def bayes_to_dict(solution: ValueSolution) -> dict:
         "value": solution.value,
         "prior": solution.tree.prior.weights.tolist(),
         "nodes": len(solution.tree),
+        "nodes_per_epoch": solution.tree.nodes_per_epoch,
         "policy": policy_rows(solution.policy),
     }
 
@@ -668,6 +673,7 @@ def _run_simulate(
                 "samples": config.samples,
                 "seed": config.seed,
                 "trajectories": len(records),
+                "nodes_per_epoch": solution.tree.nodes_per_epoch,
             },
         )
         print(f"wrote {out_path}", file=stdout)

@@ -4,11 +4,17 @@
 sums probability-weighted total costs; it shares no recursion with the
 backward induction in ``bayes.evaluate_policy`` and is the primary
 anti-bug oracle for it.  ``mc_estimate`` is a seeded Monte-Carlo rollout
-cross-check.
+cross-check that moves a whole batch of samples one epoch at a time
+through the tree's arrays.
 
 Random source: NumPy ``default_rng`` seeded through ``SeedSequence(seed)``,
-with one spawned child sequence per batch, consumed in batch order.  The
-same seed and inputs always reproduce the same estimate.
+with one spawned child sequence per batch, consumed in batch order.  Each
+batch draws one row-major ``(count, horizon + 1)`` block of uniforms, one
+row per sample: the first picks the initial state, the one at column
+``n + 1`` the state after epoch ``n``.  The block is drawn in whole rows,
+at most ``DRAW_FLOATS`` numbers at a time, which consumes the stream
+exactly as one draw would.  The same seed and inputs always reproduce the
+same estimate.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ DEFAULT_TRAJECTORY_CAP = 1_000_000
 
 #: normal-approximation quantile for 95% confidence half-widths
 Z_95 = 1.96
+#: uniforms drawn at a time by the Monte-Carlo sampler, which bounds its memory
+DRAW_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -36,8 +44,18 @@ class TrajectoryRecord:
     total_cost: float
 
 
-def _roots_by_state(policy: DeterministicPolicy) -> dict[int, int]:
-    return {policy.tree.nodes[idx].state: idx for idx, _ in policy.tree.roots}
+def _check(model: StatisticalMDP, theta: int, policy: DeterministicPolicy) -> None:
+    if policy.tree.model is not model:
+        raise PolicyTreeMismatchError("policy was built for a different model")
+    if theta < 0 or theta >= model.n_params:
+        raise ValueError(f"parameter index {theta} out of range")
+
+
+def _pruned(model: StatisticalMDP, theta: int, state: int) -> BranchCoverageError:
+    return BranchCoverageError(
+        f"state {model.states[state]} reachable under "
+        f"theta={model.params.labels[theta]} was pruned from the tree"
+    )
 
 
 def enumerate_cost(
@@ -52,98 +70,70 @@ def enumerate_cost(
     Raises TrajectoryLimitError when more than ``trajectory_cap``
     trajectories would be produced.
     """
+    _check(model, theta, policy)
     tree = policy.tree
-    if tree.model is not model:
-        raise PolicyTreeMismatchError("policy was built for a different model")
-    if theta < 0 or theta >= model.n_params:
-        raise ValueError(f"parameter index {theta} out of range")
-
     records: list[TrajectoryRecord] = []
-    roots = _roots_by_state(policy)
     init = model.initial_kernel[theta]
-
-    def descend(node_index: int, prob: float, cost: float, seq: tuple[str, ...]):
-        node = tree.nodes[node_index]
-        if node.epoch == model.horizon:
+    roots = {int(tree.epochs[0].state[idx]): idx for idx, _ in tree.roots}
+    # depth first, each node's successors in ascending state order; a
+    # pruned node (-1) raises when the walk reaches it
+    stack = [
+        (0, roots.get(int(x), -1), int(x), float(init[x]), 0.0, (model.states[x],))
+        for x in np.flatnonzero(init > 0.0)[::-1]
+    ]
+    while stack:
+        n, node, state, prob, cost, seq = stack.pop()
+        if node < 0:
+            raise _pruned(model, theta, state)
+        if n == model.horizon:
             if len(records) >= trajectory_cap:
                 raise TrajectoryLimitError(trajectory_cap)
             records.append(
                 TrajectoryRecord(
                     sequence=seq,
                     probability=prob,
-                    total_cost=cost + float(model.terminal_cost[theta, node.state]),
+                    total_cost=cost + float(model.terminal_cost[theta, state]),
                 )
             )
-            return
-        action = policy.action_at(node_index)
-        row = model.transition[node.epoch, theta, node.state, action]
-        by_state = {x: child for x, child, _ in node.children.get(action, ())}
-        cost = cost + float(model.stage_cost[node.epoch, theta, node.state, action])
+            continue
+        epoch = tree.epochs[n]
+        pair = policy.pairs[n][node]
+        action = int(epoch.pair_action[pair])
+        row = model.transition[n, theta, state, action]
+        cost = cost + float(model.stage_cost[n, theta, state, action])
         seq = seq + (model.actions[action],)
-        for x_next in np.nonzero(row > 0.0)[0]:
-            child = by_state.get(int(x_next))
-            if child is None:
-                raise BranchCoverageError(
-                    f"state {model.states[int(x_next)]} reachable under "
-                    f"theta={model.params.labels[theta]} was pruned from the tree"
-                )
-            descend(child, prob * float(row[x_next]), cost, seq + (model.states[int(x_next)],))
-
-    for x in np.nonzero(init > 0.0)[0]:
-        root = roots.get(int(x))
-        if root is None:
-            raise BranchCoverageError(
-                f"initial state {model.states[int(x)]} reachable under "
-                f"theta={model.params.labels[theta]} was pruned from the tree"
-            )
-        descend(root, float(init[x]), 0.0, (model.states[int(x)],))
+        for x_next in np.flatnonzero(row > 0.0)[::-1]:
+            stack.append((
+                n + 1, int(epoch.child[pair, x_next]), int(x_next),
+                prob * float(row[x_next]), cost, seq + (model.states[x_next],),
+            ))
 
     value = sum(r.probability * r.total_cost for r in records)
     return float(value), records
 
 
-def _sampler_tables(model: StatisticalMDP, theta: int, policy: DeterministicPolicy):
-    """Per-node cumulative successor distributions under the theta-kernel,
-    built lazily while sampling."""
-    tree = policy.tree
-    tables: dict[int, tuple[np.ndarray, np.ndarray, float, bool]] = {}
-
-    def table(node_index: int):
-        cached = tables.get(node_index)
-        if cached is not None:
-            return cached
-        node = tree.nodes[node_index]
-        terminal = node.epoch == model.horizon
-        if terminal:
-            entry = (np.empty(0), np.empty(0, dtype=int),
-                     float(model.terminal_cost[theta, node.state]), True)
-        else:
-            action = policy.action_at(node_index)
-            row = model.transition[node.epoch, theta, node.state, action]
-            by_state = {x: child for x, child, _ in node.children.get(action, ())}
-            states = np.nonzero(row > 0.0)[0]
-            children = []
-            for x_next in states:
-                child = by_state.get(int(x_next))
-                if child is None:
-                    raise BranchCoverageError(
-                        f"state {model.states[int(x_next)]} reachable under "
-                        f"theta={model.params.labels[theta]} was pruned from the tree"
-                    )
-                children.append(child)
-            probs = row[states]
-            cumulative = np.cumsum(probs / probs.sum())
-            cumulative[-1] = 1.0  # guard searchsorted against one-ulp undershoot
-            entry = (
-                cumulative,
-                np.asarray(children, dtype=int),
-                float(model.stage_cost[node.epoch, theta, node.state, action]),
-                False,
-            )
-        tables[node_index] = entry
-        return entry
-
-    return table
+def _cumulative(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the cumulative distribution of its positive entries, moved
+    to the front in column order and normalized by their sum, and the
+    column order used.  The last positive entry and the columns after it
+    read exactly 1, so ``(u > cumulative).sum(1)`` for u in [0, 1) is the
+    position ``searchsorted`` gives on the positive entries alone."""
+    positive = probs > 0.0
+    counts = positive.sum(axis=1)
+    order = np.argsort(~positive, axis=1, kind="stable")
+    front = np.where(
+        np.arange(probs.shape[1]) < counts[:, None],
+        np.take_along_axis(probs, order, axis=1),
+        0.0,
+    )
+    totals = np.empty(len(probs))
+    for count in set(counts.tolist()):
+        rows = counts == count
+        # summed as the 1-D array of that row's positive entries
+        totals[rows] = np.ascontiguousarray(front[rows, :count]).sum(axis=1)
+    cumulative = np.cumsum(front / totals[:, None], axis=1)
+    cumulative[np.arange(probs.shape[1]) >= counts[:, None] - 1] = 1.0
+    return cumulative, order
 
 
 def mc_estimate(
@@ -158,31 +148,50 @@ def mc_estimate(
     theta-kernel: (sample mean, 95% normal-approximation half-width).
 
     Batches use seeds spawned from ``SeedSequence(seed)`` and are combined
-    in batch order, so identical inputs give identical output.
+    in batch order, so identical inputs give identical output.  Raises
+    BranchCoverageError when a branch that theta reaches under the policy
+    was pruned from the tree.
     """
-    tree = policy.tree
-    if tree.model is not model:
-        raise PolicyTreeMismatchError("policy was built for a different model")
+    _check(model, theta, policy)
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    tree = policy.tree
 
     init = model.initial_kernel[theta]
-    root_states = np.nonzero(init > 0.0)[0]
-    roots = _roots_by_state(policy)
-    for x in root_states:
+    roots = {int(tree.epochs[0].state[idx]): idx for idx, _ in tree.roots}
+    reached = np.zeros(len(tree.epochs[0].state), dtype=bool)
+    for x in np.flatnonzero(init > 0.0):
         if int(x) not in roots:
-            raise BranchCoverageError(
-                f"initial state {model.states[int(x)]} reachable under "
-                f"theta={model.params.labels[theta]} was pruned from the tree"
-            )
-    root_probs = init[root_states]
-    root_cum = np.cumsum(root_probs / root_probs.sum())
-    root_cum[-1] = 1.0
-    root_nodes = np.asarray([roots[int(x)] for x in root_states], dtype=int)
-    table = _sampler_tables(model, theta, policy)
+            raise _pruned(model, theta, int(x))
+        reached[roots[int(x)]] = True
+    root_cum, order = _cumulative(init[None, :])
+    root_cum = root_cum[0]
+    root_nodes = np.array([roots.get(int(x), -1) for x in order[0]])
+
+    # per epoch below the horizon: cumulative successor table, children in
+    # the same column order, and stage cost of each node
+    tables = []
+    for n, pairs in enumerate(policy.pairs):
+        epoch = tree.epochs[n]
+        action = epoch.pair_action[pairs]
+        rows = model.transition[n, theta, epoch.state, action]
+        child = epoch.child[pairs]
+        taken = (rows > 0.0) & reached[:, None]
+        if np.any(child[taken] < 0):
+            raise _pruned(model, theta, int(np.nonzero(taken & (child < 0))[1][0]))
+        reached = np.zeros(len(tree.epochs[n + 1].state), dtype=bool)
+        reached[child[taken]] = True
+        cumulative, order = _cumulative(rows)
+        stage = model.stage_cost[n, theta, epoch.state, action]
+        tables.append((cumulative, np.take_along_axis(child, order, axis=1), stage))
+    terminal = model.terminal_cost[theta, tree.epochs[-1].state]
 
     n_batches = (samples + batch_size - 1) // batch_size
     seeds = np.random.SeedSequence(seed).spawn(n_batches)
+    width = model.horizon + 1
+    block = max(1, DRAW_FLOATS // width)
     total = 0.0
     total_sq = 0.0
     remaining = samples
@@ -190,18 +199,21 @@ def mc_estimate(
         rng = np.random.default_rng(batch_seed)
         count = min(batch_size, remaining)
         remaining -= count
-        for _ in range(count):
-            node = int(root_nodes[int(np.searchsorted(root_cum, rng.random()))])
-            cost = 0.0
-            while True:
-                cumulative, children, step_cost, terminal = table(node)
-                cost += step_cost
-                if terminal:
-                    break
-                node = int(children[int(np.searchsorted(cumulative, rng.random()))])
-            total += cost
-            total_sq += cost * cost
+        # blocks of consecutive rows draw the stream as one (count, width) block
+        for start in range(0, count, block):
+            draws = rng.random((min(block, count - start), width))
+            node = root_nodes[(draws[:, :1] > root_cum).sum(axis=1)]
+            cost = np.zeros(len(draws))
+            for n, (cumulative, child, stage) in enumerate(tables):
+                cost += stage[node]
+                pick = (draws[:, n + 1, None] > cumulative[node]).sum(axis=1)
+                node = child[node, pick]
+            cost += terminal[node]
+            # running sums in sample order, as one accumulation each
+            total = np.cumsum(np.concatenate(([total], cost)))[-1]
+            total_sq = np.cumsum(np.concatenate(([total_sq], cost * cost)))[-1]
 
+    total, total_sq = float(total), float(total_sq)
     mean = total / samples
     if samples == 1:
         return mean, 0.0

@@ -55,24 +55,38 @@ def random_belief(rng: np.random.Generator, size: int) -> Belief:
     return Belief(rng.dirichlet(np.ones(size)))
 
 
+def decision_nodes(tree: ReachableBeliefTree):
+    """(global index, epoch, state) of every node below the horizon."""
+    for n, epoch in enumerate(tree.epochs[:-1]):
+        for i, state in enumerate(epoch.state.tolist()):
+            yield int(tree.offsets[n]) + i, n, state
+
+
+def policy_from(tree: ReachableBeliefTree, actions: dict[int, int]) -> DeterministicPolicy:
+    """Policy taking ``actions[index]`` at each decision node's global index."""
+    table = np.full(len(tree), -1)
+    for index, action in actions.items():
+        table[index] = action
+    return DeterministicPolicy(tree=tree, actions=table)
+
+
 def policy_count(tree: ReachableBeliefTree) -> int:
     count = 1
     model = tree.model
-    for node in tree.nodes:
-        if node.epoch < model.horizon:
-            count *= len(model.feasible[node.epoch][node.state])
+    for _, n, state in decision_nodes(tree):
+        count *= len(model.feasible[n][state])
     return count
 
 
 def enumerate_policies(tree: ReachableBeliefTree) -> list[DeterministicPolicy]:
     """Every deterministic policy assignable on the tree's decision nodes."""
     model = tree.model
-    decision_nodes = [n for n in tree.nodes if n.epoch < model.horizon]
-    choices = [model.feasible[n.epoch][n.state] for n in decision_nodes]
+    nodes = list(decision_nodes(tree))
+    choices = [model.feasible[n][state] for _, n, state in nodes]
     policies = []
     for combo in product(*choices):
-        actions = {node.index: action for node, action in zip(decision_nodes, combo)}
-        policies.append(DeterministicPolicy(tree=tree, actions=actions))
+        actions = {index: action for (index, _, _), action in zip(nodes, combo)}
+        policies.append(policy_from(tree, actions))
     return policies
 
 

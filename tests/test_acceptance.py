@@ -11,11 +11,11 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from helpers import random_belief, random_model
+from helpers import decision_nodes, policy_from, random_belief, random_model
 
 from ambmdp import seqtest
 from ambmdp.ambiguity import solve_avar, solve_entropic, solve_robust
-from ambmdp.bayes import DeterministicPolicy, evaluate_policy, solve_bayes
+from ambmdp.bayes import evaluate_policy, solve_bayes
 from ambmdp.belief import predictive
 from ambmdp.cli import parse_config, run
 from ambmdp.oracle import enumerate_cost
@@ -129,13 +129,10 @@ def test_criterion_7_oracle_equivalence():
             policies = [solution.policy]
             for _ in range(5):
                 actions = {
-                    node.index: int(
-                        rng.choice(model.feasible[node.epoch][node.state])
-                    )
-                    for node in tree.nodes
-                    if node.epoch < model.horizon
+                    index: int(rng.choice(model.feasible[n][state]))
+                    for index, n, state in decision_nodes(tree)
                 }
-                policies.append(DeterministicPolicy(tree=tree, actions=actions))
+                policies.append(policy_from(tree, actions))
             for policy in policies:
                 for theta in range(model.n_params):
                     direct = evaluate_policy(model, theta, policy)

@@ -1,6 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from helpers import enumerate_policies, policy_count, random_belief, random_model
+from helpers import (
+    decision_nodes,
+    enumerate_policies,
+    policy_count,
+    policy_from,
+    random_belief,
+    random_model,
+)
 
 from ambmdp import seqtest
 from ambmdp.bayes import (
@@ -8,10 +17,13 @@ from ambmdp.bayes import (
     bayes_cost,
     build_tree,
     evaluate_policy,
+    policy_cost_profile,
     solve_bayes,
 )
-from ambmdp.errors import PolicyTreeMismatchError, TreeSizeLimitError
+from ambmdp.belief import predictive, update_posterior
+from ambmdp.errors import BranchCoverageError, PolicyTreeMismatchError, TreeSizeLimitError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
+from ambmdp.oracle import enumerate_cost, mc_estimate
 
 A_DECLARE_1 = seqtest.ACTIONS.index("declare_theta1")
 A_CONTINUE = seqtest.ACTIONS.index("continue")
@@ -21,12 +33,48 @@ X_STOPPED = seqtest.STATES.index("stopped")
 def declare_first_policy(tree) -> DeterministicPolicy:
     """Declare theta1 whenever possible, otherwise the stopped no-op."""
     actions = {}
-    for node in tree.nodes:
-        if node.epoch >= tree.model.horizon:
-            continue
-        feasible = tree.model.feasible[node.epoch][node.state]
-        actions[node.index] = A_DECLARE_1 if A_DECLARE_1 in feasible else feasible[0]
-    return DeterministicPolicy(tree=tree, actions=actions)
+    for index, n, state in decision_nodes(tree):
+        feasible = tree.model.feasible[n][state]
+        actions[index] = A_DECLARE_1 if A_DECLARE_1 in feasible else feasible[0]
+    return policy_from(tree, actions)
+
+
+def branches(tree):
+    """(epoch, node index within it, action, next state, child index within
+    the next epoch, mass) for every unpruned branch."""
+    for n, epoch in enumerate(tree.epochs):
+        for p, x in zip(*np.nonzero(epoch.child >= 0)):
+            yield (
+                n, int(epoch.pair_node[p]), int(epoch.pair_action[p]), int(x),
+                int(epoch.child[p, x]), float(epoch.mass[p, x]),
+            )
+
+
+def unreached_pruned_branch_model():
+    """One action, H=2, start in s0.  Epoch 0 from s0: t0 moves to s1; t1
+    moves to s1 or s2 with probability 1/2 each.  Epoch 1 from s2: t0 moves
+    to s0, t1 to s1.  s1 and s2 otherwise stay, and s0 stays at epoch 1.
+    At a (1/2, 1/2) prior, s2 is reached only under t1, so its move to s0
+    is pruned, although t0 never gets there."""
+    transition = np.zeros((2, 2, 3, 1, 3))
+    transition[:, :, 1, 0, 1] = 1.0
+    transition[:, :, 2, 0, 2] = 1.0
+    transition[0, 0, 0, 0] = [0.0, 1.0, 0.0]
+    transition[0, 1, 0, 0] = [0.0, 0.5, 0.5]
+    transition[1, :, 0, 0, 0] = 1.0
+    transition[1, 0, 2, 0] = [1.0, 0.0, 0.0]
+    transition[1, 1, 2, 0] = [0.0, 1.0, 0.0]
+    return StatisticalMDP(
+        horizon=2,
+        states=("s0", "s1", "s2"),
+        actions=("a0",),
+        params=ParameterSet(("t0", "t1")),
+        feasible=(((0,),) * 3,) * 2,
+        initial_kernel=np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+        transition=transition,
+        stage_cost=np.ones((2, 2, 3, 1)),
+        terminal_cost=np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]),
+    )
 
 
 class TestBuildTree:
@@ -44,33 +92,44 @@ class TestBuildTree:
         )
         tree = build_tree(model, Belief.uniform(1))
         assert len(tree) == 2
-        assert all(not node.children for node in tree.nodes)
+        assert len(tree.epochs) == 1 and tree.epochs[0].pair_node.size == 0
 
     def test_seqtest_two_observation_tree_is_small(self):
         model = seqtest.build_model(seqtest.SeqTestConfig(horizon=2))
         tree = build_tree(model, seqtest.prior_belief(0.3))
         assert len(tree) <= 30
-        for node in tree.nodes:
-            if node.state == X_STOPPED and node.epoch < model.horizon:
-                assert model.feasible[node.epoch][node.state] == (A_CONTINUE,)
+        for _, n, state in decision_nodes(tree):
+            if state == X_STOPPED:
+                assert model.feasible[n][state] == (A_CONTINUE,)
 
     def test_point_mass_prior_is_invariant(self, bench_model):
         tree = build_tree(bench_model, seqtest.prior_belief(1.0))
-        for node in tree.nodes:
-            np.testing.assert_array_equal(node.belief.weights, [1.0, 0.0])
+        for epoch in tree.epochs:
+            for belief in epoch.belief:
+                np.testing.assert_array_equal(belief, [1.0, 0.0])
 
     def test_zero_mass_branches_are_pruned(self, bench_model):
         tree = build_tree(bench_model, seqtest.prior_belief(0.3))
-        for node in tree.nodes:
-            for branches in node.children.values():
-                assert all(mass > 0.0 for _, _, mass in branches)
+        assert all(mass > 0.0 for *_, mass in branches(tree))
 
     def test_child_masses_sum_to_one(self, rng):
         model = random_model(rng)
         tree = build_tree(model, random_belief(rng, model.n_params))
-        for node in tree.nodes:
-            for branches in node.children.values():
-                assert sum(m for _, _, m in branches) == pytest.approx(1.0, abs=1e-12)
+        for epoch in tree.epochs:
+            for masses in epoch.mass:
+                assert sum(masses[masses > 0.0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_predictive_sums_are_renormalized_or_refused(self, rng):
+        model = random_model(rng)
+        prior = random_belief(rng, model.n_params)
+        drifted = dataclasses.replace(model, transition=model.transition * (1.0 + 1e-9))
+        tree = build_tree(drifted, prior)
+        assert len(tree) == len(build_tree(model, prior))
+        for epoch in tree.epochs:
+            np.testing.assert_allclose(epoch.mass.sum(axis=1), 1.0, atol=1e-12)
+        far = dataclasses.replace(model, transition=model.transition * (1.0 + 1e-3))
+        with pytest.raises(ValueError, match="row sums are off"):
+            build_tree(far, prior)
 
     def test_node_cap_guard(self, bench_model):
         with pytest.raises(TreeSizeLimitError, match="5"):
@@ -78,18 +137,55 @@ class TestBuildTree:
 
     def test_beliefs_follow_root_path_updates(self, bench_model):
         # every tree belief is the posterior composition along its path
-        from ambmdp.belief import update_posterior
-
         tree = build_tree(bench_model, seqtest.prior_belief(0.3))
-        for node in tree.nodes:
-            for action, branches in node.children.items():
-                for x_next, child, _ in branches:
-                    expected = update_posterior(
-                        bench_model, node.epoch, node.state, node.belief, action, x_next
+        for n, node, action, x_next, child, _ in branches(tree):
+            epoch = tree.epochs[n]
+            expected = update_posterior(
+                bench_model, n, int(epoch.state[node]), Belief(epoch.belief[node]),
+                action, x_next,
+            )
+            np.testing.assert_allclose(
+                tree.epochs[n + 1].belief[child], expected.weights, atol=1e-12
+            )
+            assert tree.epochs[n + 1].state[child] == x_next
+
+    @pytest.mark.parametrize("dedup", (True, False))
+    def test_children_match_predictive(self, rng, dedup):
+        # the array builder against the one-node oracle: every feasible
+        # action has a pair, every positive predictive mass a child with
+        # exactly that mass, and every zero mass a pruned branch
+        for _ in range(10):
+            model = random_model(rng, n_params=int(rng.integers(2, 6)))
+            tree = build_tree(model, random_belief(rng, model.n_params), dedup=dedup)
+            for n, epoch in enumerate(tree.epochs[:-1]):
+                pairs = list(zip(epoch.pair_node.tolist(), epoch.pair_action.tolist()))
+                expected_pairs = [
+                    (i, a) for i, x in enumerate(epoch.state) for a in model.feasible[n][x]
+                ]
+                assert pairs == expected_pairs
+                for p, (i, action) in enumerate(pairs):
+                    pred = predictive(
+                        model, n, int(epoch.state[i]), Belief(epoch.belief[i]), action
                     )
-                    np.testing.assert_allclose(
-                        tree.nodes[child].belief.weights, expected.weights, atol=1e-12
-                    )
+                    kept = pred.masses > 0.0
+                    np.testing.assert_array_equal(epoch.mass[p], np.where(kept, pred.masses, 0.0))
+                    np.testing.assert_array_equal(epoch.child[p] >= 0, kept)
+                    for x in np.flatnonzero(kept):
+                        child = epoch.child[p, x]
+                        np.testing.assert_allclose(
+                            tree.epochs[n + 1].belief[child],
+                            pred.posteriors[x].weights,
+                            atol=1e-12,
+                        )
+
+    def test_offsets_number_the_epochs(self, rng):
+        model = random_model(rng, horizon=3)
+        tree = build_tree(model, random_belief(rng, model.n_params))
+        assert tree.nodes_per_epoch == [len(epoch.state) for epoch in tree.epochs]
+        assert sum(tree.nodes_per_epoch) == len(tree) == tree.offsets[-1]
+        assert [idx for idx, _ in tree.roots] == sorted(
+            range(len(tree.epochs[0].state)), key=lambda i: tree.epochs[0].state[i]
+        )
 
 
 class TestSolveBayes:
@@ -109,26 +205,25 @@ class TestSolveBayes:
 
     def test_bellman_consistency_at_every_node(self, rng):
         # node values must equal the minimum of the Bellman right-hand side
-        from ambmdp.belief import predictive
-
         model = random_model(rng)
         solution = solve_bayes(model, random_belief(rng, model.n_params))
         tree = solution.tree
-        for node in tree.nodes:
-            if node.epoch == model.horizon:
-                continue
+        for index, n, state in decision_nodes(tree):
+            epoch = tree.epochs[n]
+            node = index - tree.offsets[n]
+            belief = Belief(epoch.belief[node])
             best = np.inf
-            for action in model.feasible[node.epoch][node.state]:
-                pred = predictive(model, node.epoch, node.state, node.belief, action)
-                q = float(
-                    node.belief.weights
-                    @ model.stage_cost[node.epoch, :, node.state, action]
-                )
-                for x_next, child, mass in node.children[action]:
+            for action in model.feasible[n][state]:
+                pred = predictive(model, n, state, belief, action)
+                q = float(belief.weights @ model.stage_cost[n, :, state, action])
+                (p,) = np.flatnonzero((epoch.pair_node == node) & (epoch.pair_action == action))
+                for x_next in np.flatnonzero(epoch.child[p] >= 0):
+                    mass = epoch.mass[p, x_next]
                     assert mass == pytest.approx(float(pred.masses[x_next]), abs=1e-13)
+                    child = tree.offsets[n + 1] + epoch.child[p, x_next]
                     q += mass * solution.node_values[child]
                 best = min(best, q)
-            assert solution.node_values[node.index] == pytest.approx(best, abs=1e-12)
+            assert solution.node_values[index] == pytest.approx(best, abs=1e-12)
 
     def test_value_is_root_mixture(self, rng):
         model = random_model(rng)
@@ -160,6 +255,38 @@ class TestEvaluatePolicy:
         solution = solve_bayes(other, random_belief(rng, other.n_params))
         with pytest.raises(PolicyTreeMismatchError):
             evaluate_policy(bench_model, 0, solution.policy)
+
+    def test_policy_must_cover_every_decision_node(self, bench_model):
+        tree = build_tree(bench_model, seqtest.prior_belief(0.5))
+        actions = declare_first_policy(tree).actions.copy()
+        actions[tree.roots[0][0]] = -1
+        with pytest.raises(PolicyTreeMismatchError, match="node"):
+            evaluate_policy(bench_model, 0, DeterministicPolicy(tree=tree, actions=actions))
+        with pytest.raises(PolicyTreeMismatchError):
+            evaluate_policy(bench_model, 0, DeterministicPolicy(tree=tree, actions=actions[1:]))
+
+    def test_pruned_branch_theta_never_reaches_is_not_an_error(self):
+        model = unreached_pruned_branch_model()
+        solution = solve_bayes(model, Belief(np.array([0.5, 0.5])))
+        for theta, cost in ((0, 3.0), (1, 3.0)):
+            assert evaluate_policy(model, theta, solution.policy) == cost
+            assert enumerate_cost(model, theta, solution.policy)[0] == cost
+            assert mc_estimate(model, theta, solution.policy, samples=100, seed=0)[0] == cost
+        assert policy_cost_profile(model, solution.policy).tolist() == [3.0, 3.0]
+        assert bayes_cost(model, solution.policy, Belief(np.array([0.5, 0.5]))) == 3.0
+
+    def test_pruned_branch_theta_reaches_raises(self):
+        # at the point mass on t0 the tree lacks t1's move from s0 to s2
+        model = unreached_pruned_branch_model()
+        solution = solve_bayes(model, Belief(np.array([1.0, 0.0])))
+        with pytest.raises(BranchCoverageError, match="theta=t1"):
+            evaluate_policy(model, 1, solution.policy)
+        with pytest.raises(BranchCoverageError, match="theta=t1"):
+            policy_cost_profile(model, solution.policy)
+        with pytest.raises(BranchCoverageError, match="s2 reachable under theta=t1"):
+            mc_estimate(model, 1, solution.policy, samples=1, seed=0)
+        assert evaluate_policy(model, 0, solution.policy) == 3.0
+        assert bayes_cost(model, solution.policy, Belief(np.array([1.0, 0.0]))) == 3.0
 
 
 class TestBayesCost:
@@ -202,9 +329,8 @@ class TestBayesCost:
         # all-zero costs tie every action exactly
         model = random_model(rng, cost_range=(0.0, 0.0))
         solution = solve_bayes(model, random_belief(rng, model.n_params))
-        for node_index, action in solution.policy.actions.items():
-            node = solution.tree.nodes[node_index]
-            assert action == model.feasible[node.epoch][node.state][0]
+        for index, n, state in decision_nodes(solution.tree):
+            assert solution.policy.actions[index] == model.feasible[n][state][0]
 
     def test_dedup_does_not_change_values(self, rng):
         for _ in range(5):

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from ambmdp.cli import main, parse_config, run, saddle_to_dict
+from ambmdp.cli import FIGURE_MODES, SOLVE_MODES, main, parse_config, run, saddle_to_dict
 from ambmdp.errors import ConfigError
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 ENTROPIC_CONFIG = """
 # minimal entropic run on the built-in example
@@ -174,6 +177,14 @@ class TestRunSolve:
         assert payload["value"] <= 2.0 + 1e-12
         assert payload["policy"]
 
+    def test_bayes_artifact_reports_nodes_per_epoch(self, tmp_path):
+        config = parse_config("mode = bayes\nmodel.name = seqtest\nmodel.horizon = 4\nprior = 0.5\n")
+        out = tmp_path / "bayes.json"
+        run(config, out_path=str(out), stdout=io.StringIO())
+        payload = json.loads(out.read_text())
+        assert payload["nodes_per_epoch"] == [1, 3, 7, 11, 15, 9]
+        assert sum(payload["nodes_per_epoch"]) == payload["nodes"] == 46
+
     def test_avar_mode_artifact(self, tmp_path):
         text = ENTROPIC_CONFIG.replace("mode = entropic", "mode = avar").replace(
             "solver.gamma = 0.1", "solver.gamma = 0.2"
@@ -285,6 +296,7 @@ simulate.seed = 7
         rows = list(csv.reader(dump.read_text().splitlines()))
         assert rows[0] == ["trajectory", "probability", "total_cost"]
         assert sum(float(r[1]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-10)
+        assert payload["nodes_per_epoch"] == [1, 3, 3]
 
     def test_unknown_theta_rejected(self):
         bad = self.CONFIG.replace("theta2", "theta9")
@@ -365,3 +377,30 @@ class TestMain:
         assert main([command, "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("solver guard: ") and "theta=t0" in err
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+def test_shipped_config_runs(path, tmp_path, monkeypatch):
+    # relative output paths land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    text = path.read_text()
+    if "output.path" not in text:
+        text += "output.path = out.json\n"
+    config_path = tmp_path / path.name
+    config_path.write_text(text)
+    config = parse_config(text)
+    if config.mode in SOLVE_MODES:
+        command = "solve"
+    elif config.mode in FIGURE_MODES:
+        command = "figure"
+    else:
+        command = "simulate"
+    assert main([command, "--config", str(config_path)]) == 0
+    out = tmp_path / config.out_path
+    assert out.exists()
+    if command == "solve" and config.mode != "bayes":
+        certificate = json.loads(out.read_text())["certificate"]
+        assert certificate["mu_side_ok"] and certificate["pi_side_ok"]
+    if command == "simulate":
+        payload = json.loads(out.read_text())
+        assert abs(payload["mc_mean"] - payload["exact_cost"]) <= 4 * payload["mc_half_width_95"]
