@@ -12,6 +12,7 @@ from .ambiguity import (
     SaddleResult,
     certify_saddle,
     entropic_objective,
+    solve,
     solve_avar,
     solve_entropic,
     solve_robust,
@@ -90,6 +91,7 @@ __all__ = [
     "policy_cost_profile",
     "predictive",
     "relative_entropy",
+    "solve",
     "solve_avar",
     "solve_bayes",
     "solve_entropic",

@@ -1,25 +1,30 @@
 """Outer prior optimization and saddle-point assembly.
 
-Each solver maximizes a concave function of the prior whose inner value is
-an exact Bayes solve:
+``solve(model, mode, prior, gamma)`` is the one entry point; the mode
+names the ambiguity set, and ``solve_entropic``, ``solve_avar`` and
+``solve_robust`` are shorthands for its three modes.  Every mode-specific
+choice (feasible priors, penalty, dual risk, master problem) is made here,
+by the private ``_Ambiguity`` object.  Each mode maximizes a concave
+function of the prior whose inner value is an exact Bayes solve:
 
 * entropic mode maximizes  inner(mu) - relative_entropy(mu, base)/gamma
   over the simplex restricted to the base prior's support;
 * avar mode maximizes  inner(mu)  over the density-capped polytope of the
   AVaR dual;
-* robust mode maximizes  inner(mu)  over the whole simplex on a given
+* robust mode maximizes  inner(mu)  over the whole simplex on the prior's
   support (no penalty).
 
 All three run one cutting-plane loop (Kelley's method, also known as the
 double oracle).  The inner value V(mu) = min over policies of mu . C_pi is
 concave and piecewise linear, and each Bayes solve returns a supporting
-plane of it: the cost profile C_pi of the Bayes-optimal policy.  Each step
-solves a master problem, which maximizes the objective with V replaced by
-the minimum over the planes found so far (see ``search``), computes the
-best response at the master's prior, and adds its cost profile as a new
-plane.  The master value bounds the outer value from above, the objective
-at each best response bounds it from below, and the loop stops when the
-bounds meet to float slack.  Deterministic policies are finite, so the loop
+plane of it: the cost profile C_pi of the Bayes-optimal policy, which the
+solve's one backward pass returns with the value (``ValueSolution.costs``).
+Each step solves a master problem, which maximizes the objective with V
+replaced by the minimum over the planes found so far (see ``search``),
+computes the best response at the master's prior, and adds its cost
+profile as a new plane.  The master value bounds the outer value from
+above, the objective at each best response bounds it from below, and the
+loop stops when the bounds meet to float slack.  Deterministic policies are finite, so the loop
 ends after finitely many steps with the exact maximum.
 
 The optimal policy is a Bayes-optimal policy at the maximizing prior, and
@@ -53,15 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import (
-    DEFAULT_NODE_CAP,
-    DeterministicPolicy,
-    _policy_costs,
-    bayes_cost,
-    policy_cost_profile,
-    solve_bayes,
-)
-from .errors import BranchCoverageError
+from .bayes import DEFAULT_NODE_CAP, DeterministicPolicy, _covered, bayes_cost, solve_bayes
 from .model import Belief, StatisticalMDP, cost_bounds
 from .risk import AvarAmbiguitySet, avar_quantile, entropic_risk, relative_entropy
 from .search import entropic_master, lp_master
@@ -185,30 +182,11 @@ def entropic_objective(
     """Penalized outer objective: optimal Bayes cost at the candidate prior
     minus relative_entropy(candidate, base)/gamma; -inf off the base's
     support."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    check_gamma("entropic", gamma)
     rel = relative_entropy(candidate, base_prior)
     if rel == math.inf:
         return -math.inf
     return solve_bayes(model, candidate, node_cap=node_cap).value - rel / gamma
-
-
-def _profile(
-    model: StatisticalMDP,
-    policy: DeterministicPolicy,
-    support: tuple[int, ...],
-    ceiling: float,
-) -> np.ndarray:
-    """Cut coordinates: the cost of the policy under each support parameter.
-
-    A support parameter with zero weight at the policy's prior can reach
-    branches the policy's tree pruned; it then gets ``ceiling``, an upper
-    bound on every policy's cost.  The plane stays above V, since some
-    continuation of the policy costs at most that, and stays tight at the
-    policy's prior.
-    """
-    costs = _policy_costs(model, policy)[list(support)]
-    return np.where(np.isnan(costs), ceiling, costs)
 
 
 def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResult:
@@ -227,7 +205,12 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
         solution = solutions[w.tobytes()] = solve_bayes(model, mu, node_cap=node_cap)
         value = solution.value - amb.penalty(mu)
         trace.append((mu, value))
-        cut = _profile(model, solution.policy, amb.support, hi)
+        # a support parameter with zero weight at mu can reach branches the
+        # tree pruned; its coordinate is then ``hi``, an upper bound on every
+        # policy's cost.  The plane stays above V, since some continuation
+        # of the policy costs at most that, and stays tight at mu.
+        cut = solution.costs[list(amb.support)]
+        cut = np.where(np.isnan(cut), hi, cut)
         fresh = not cuts or float(np.abs(np.array(cuts) - cut).max(axis=1).min()) > slack
         if fresh:
             cuts.append(cut)
@@ -254,22 +237,19 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
     if solution is None:
         solution = solve_bayes(model, mu_star, node_cap=node_cap)
     value = solution.value - amb.penalty(mu_star)
-    policy = solution.policy
-    try:
-        profile = policy_cost_profile(model, policy)
-    except BranchCoverageError:
+    policy, profile = solution.policy, solution.costs
+    if np.isnan(profile[list(amb.support)]).any():
         # mu_star gives a support parameter zero weight and its tree lacks
         # that parameter's branches: take the policy at a prior nudged
         # towards the uniform one on the support.  Policy planes are finite,
         # so a small enough nudge finds one tight at mu_star (checked).
-        if w_star.all():
-            raise
         for nudge in NUDGES:
             inner = amb.embed(size, (1.0 - nudge) * w_star + nudge / len(w_star))
-            policy = solve_bayes(model, inner, node_cap=node_cap).policy
+            nudged = solve_bayes(model, inner, node_cap=node_cap)
+            policy, profile = nudged.policy, nudged.costs
             if abs(bayes_cost(model, policy, mu_star) - solution.value) <= slack:
                 break
-        profile = policy_cost_profile(model, policy)
+    _covered(model, profile, range(size))
     raw_gap = amb.dual_risk(profile) - value
     if raw_gap < -1e-10 * max(scale, 1.0):
         raise RuntimeError(
@@ -340,10 +320,45 @@ def _plateau(
     return w_star, w_star, w_star
 
 
-def _around(mode: str, model: StatisticalMDP, base_prior: Belief, gamma: float) -> _Ambiguity:
-    if len(base_prior) != model.n_params:
-        raise ValueError("base prior dimension does not match the parameter set")
-    return _Ambiguity(mode, base_prior.support(), base_prior, gamma)
+def check_gamma(mode: str, gamma: float | None) -> None:
+    """Raise ValueError unless ``gamma`` suits the outer mode: entropic
+    needs gamma > 0, avar gamma in (0, 1), and robust takes none."""
+    if mode == "entropic":
+        if gamma is None or not gamma > 0.0:
+            raise ValueError("entropic mode requires gamma > 0")
+    elif mode == "avar":
+        if gamma is None or not 0.0 < gamma < 1.0:
+            raise ValueError("avar mode requires gamma in (0, 1)")
+    elif mode == "robust":
+        if gamma is not None:
+            raise ValueError("robust mode takes no gamma")
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected entropic, avar or robust")
+
+
+def solve(
+    model: StatisticalMDP,
+    mode: str,
+    prior: Belief,
+    gamma: float | None = None,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> SaddleResult:
+    """Worst-case prior and a Bayes-optimal policy there, for one outer
+    mode.
+
+    entropic: the prior is the base of the relative-entropy penalty with
+    weight 1/gamma.  avar: the prior is the base, and feasible priors have
+    densities against it capped at 1/(1-gamma).  robust: every prior on
+    the prior's support is feasible, there is no penalty, and on plateaus
+    the maximizer closest to the point mass on the last support parameter
+    along the search line is returned.
+    """
+    check_gamma(mode, gamma)
+    if len(prior) != model.n_params:
+        raise ValueError("prior dimension does not match the parameter set")
+    if mode == "robust":
+        return _solve(model, _Ambiguity(mode, prior.support()), node_cap)
+    return _solve(model, _Ambiguity(mode, prior.support(), prior, gamma), node_cap)
 
 
 def solve_entropic(
@@ -352,12 +367,8 @@ def solve_entropic(
     gamma: float,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> SaddleResult:
-    """Worst-case prior and Bayes-optimal policy under the entropic
-    penalty.  The penalty is strictly convex, so the maximizer is unique
-    and no plateau handling is needed."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return _solve(model, _around("entropic", model, base_prior, gamma), node_cap)
+    """``solve`` in entropic mode."""
+    return solve(model, "entropic", base_prior, gamma, node_cap=node_cap)
 
 
 def solve_avar(
@@ -366,11 +377,8 @@ def solve_avar(
     gamma: float,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> SaddleResult:
-    """Worst-case prior over the AVaR ambiguity polytope (densities against
-    the base capped at 1/(1-gamma)) and the Bayes-optimal policy there."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    return _solve(model, _around("avar", model, base_prior, gamma), node_cap)
+    """``solve`` in avar mode."""
+    return solve(model, "avar", base_prior, gamma, node_cap=node_cap)
 
 
 def solve_robust(
@@ -378,16 +386,18 @@ def solve_robust(
     support: Sequence[int] | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> SaddleResult:
-    """Worst-case prior over the whole simplex on the given parameter
-    indices (every parameter when omitted); no penalty term.  On plateaus
-    the maximizer closest to the point mass on the last support parameter
-    along the search line is returned."""
-    if support is None:
-        support = tuple(range(model.n_params))
-    support = tuple(sorted(set(int(k) for k in support)))
-    if not support or support[-1] >= model.n_params:
-        raise ValueError(f"invalid support {support}")
-    return _solve(model, _Ambiguity("robust", support), node_cap)
+    """``solve`` in robust mode over the given parameter indices (every
+    parameter when omitted)."""
+    return solve(model, "robust", _uniform(model.n_params, support), node_cap=node_cap)
+
+
+def _uniform(size: int, support: Sequence[int] | None) -> Belief:
+    indices = sorted(set(range(size) if support is None else (int(k) for k in support)))
+    if not indices or indices[0] < 0 or indices[-1] >= size:
+        raise ValueError(f"invalid support {tuple(indices)}")
+    weights = np.zeros(size)
+    weights[indices] = 1.0 / len(indices)
+    return Belief(weights)
 
 
 def certify_saddle(

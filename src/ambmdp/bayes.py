@@ -12,17 +12,21 @@ mass.  Nodes are numbered globally through per-epoch offsets.  Children
 with identical (state, belief rounded to 12 decimals) are merged, which
 turns the tree into a DAG without changing any value: the continuation
 value and the optimal action depend on the history only through (epoch,
-state, belief).  The first child in expansion order represents its merged
-group, and within an epoch nodes are ordered as a depth-first expansion
-from the roots reaches them, so every belief is bitwise the one that
-``belief.update_posterior`` composes along the representative's path.
+state, belief).  Within an epoch nodes are numbered in order of first
+occurrence: by parent, then action, then next state.  The first child so
+reached represents its merged group, and its belief is the posterior
+along its own path.
 
-Two backward passes run over the arrays with a few array operations per
-epoch, adding terms in the order a per-node loop adds them, so values are
-bitwise those of that loop.  ``solve_bayes`` takes the Bayes value and its
-arg-min policy; ``evaluate_policy``, ``bayes_cost`` and
-``policy_cost_profile`` share a pass that evaluates a policy under every
-parameter at once.
+One backward pass runs over the arrays with a few array operations per
+epoch.  It carries a cost column per parameter: the expected cost to go of
+the policy under that parameter, moved by that parameter's own kernel (the
+alpha vectors of Smallwood and Sondik).  A node's Bayes value is its
+belief-weighted mix of the columns, and the prior-weighted mix of the
+costs at the roots is the Bayes value of the policy.  ``solve_bayes``
+runs the pass choosing at each node the action with the least mix, and so
+returns the optimal policy together with its per-parameter cost profile;
+``evaluate_policy``, ``bayes_cost`` and ``policy_cost_profile`` run it
+with the actions of a given policy.
 """
 
 from __future__ import annotations
@@ -118,12 +122,15 @@ class DeterministicPolicy:
 @dataclass
 class ValueSolution:
     """Output of the value recursion: total value, per-node continuation
-    values, and an arg-min policy (ties broken by lowest action index)."""
+    values, an arg-min policy (ties broken by lowest action index), and the
+    policy's expected total cost under each parameter, NaN exactly where
+    the tree lacks branches that parameter reaches."""
 
     tree: ReachableBeliefTree
     value: float
     node_values: np.ndarray
     policy: DeterministicPolicy
+    costs: np.ndarray
 
 
 def _normalized(weights: np.ndarray) -> np.ndarray:
@@ -155,29 +162,20 @@ def _like_table(c: np.ndarray, contiguous: bool) -> np.ndarray:
     return padded[..., : c.shape[-1]]
 
 
-def _row_dots(w: np.ndarray, c: np.ndarray, contiguous: bool) -> np.ndarray:
-    """``w[i] @ c[i]`` for every row, as one batched BLAS call."""
-    c = _like_table(c[:, :, None], contiguous)
-    return np.matmul(np.ascontiguousarray(w)[:, None, :], c)[:, 0, 0]
-
-
-def _sum_in_order(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """``start + terms[..., 0] + terms[..., 1] + ...``, added left to right
-    as a loop over the last axis adds them."""
-    return np.cumsum(np.concatenate((start[..., None], terms), axis=-1), axis=-1)[..., -1]
-
-
 def _first_of_equal_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the first row of each group of equal rows of ``key``, and
-    the group of every row.  A stable sort keeps each group's rows in
-    their original order."""
+    """Index of the first row of each group of equal rows of ``key``, with
+    the groups numbered in order of their first rows, and the group of
+    every row.  A stable sort keeps each group's rows in their original
+    order."""
     order = np.lexsort(key.T[::-1])
     ordered = key[order]
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first = order[starts]
+    by_first = np.argsort(first)
     group = np.empty_like(order)
-    group[order] = np.cumsum(starts) - 1
-    return order[starts], group
+    group[order] = np.argsort(by_first)[np.cumsum(starts) - 1]
+    return first[by_first], group
 
 
 def build_tree(
@@ -196,14 +194,9 @@ def build_tree(
     if len(prior) != model.n_params:
         raise ValueError("prior dimension does not match the parameter set")
     root_masses = prior.weights @ model.initial_kernel
-    root_states = np.flatnonzero(root_masses > 0.0)
-    # a depth-first expansion pushes the roots in state order and so
-    # expands them in reverse
-    state = root_states[::-1]
+    state = np.flatnonzero(root_masses > 0.0)
     belief = _normalized(model.initial_kernel.T[state] * prior.weights)
-    roots = tuple(
-        (len(root_states) - 1 - i, float(root_masses[x])) for i, x in enumerate(root_states)
-    )
+    roots = tuple((i, float(root_masses[x])) for i, x in enumerate(state))
     n_states, n_actions = model.n_states, model.n_actions
     epochs: list[TreeEpoch] = []
     offsets = [0, state.size]
@@ -211,10 +204,7 @@ def build_tree(
         raise TreeSizeLimitError(node_cap)
 
     for n in range(model.horizon):
-        feasible = np.zeros((n_states, n_actions), dtype=bool)
-        for x, actions in enumerate(model.feasible[n]):
-            feasible[x, list(actions)] = True
-        pair_node, pair_action = np.nonzero(feasible[state])
+        pair_node, pair_action = np.nonzero(model.feasible_mask[n][state])
         pair_state = state[pair_node]
         pair_belief = belief[pair_node]
         # predictive masses, computed as belief.predictive computes them
@@ -244,19 +234,14 @@ def build_tree(
             )
         else:
             first = inverse = np.arange(cand_pair.size)
-        # depth-first order: by the parent that first reached a node, and
-        # within one parent in reverse order of reaching
-        order = np.lexsort((-first, pair_node[cand_pair[first]]))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
         child = np.full(masses.shape, -1)
-        child[cand_pair, cand_state] = rank[inverse]
+        child[cand_pair, cand_state] = inverse
 
         epochs.append(
             TreeEpoch(state, belief, pair_node, pair_action, child, np.where(kept, masses, 0.0))
         )
-        state = cand_state[first[order]]
-        belief = posterior[first[order]]
+        state = cand_state[first]
+        belief = posterior[first]
         offsets.append(offsets[-1] + state.size)
         if offsets[-1] > node_cap:
             raise TreeSizeLimitError(node_cap)
@@ -271,6 +256,77 @@ def build_tree(
     )
 
 
+def _mix(weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Weighted sums of the cost columns along the last axis; a column with
+    zero weight adds nothing, even where it is NaN."""
+    return np.where(weights > 0.0, weights * columns, 0.0) @ np.ones(columns.shape[-1])
+
+
+def _expect(start: np.ndarray, prob: np.ndarray, reached: np.ndarray) -> np.ndarray:
+    """``start`` plus the ``prob``-weighted values ``reached``, both indexed
+    by next state along the last axis, added in ascending next state.  Only
+    positive-probability next states are added, so a NaN value counts only
+    where it can be reached."""
+    terms = np.where(prob > 0.0, prob * reached, 0.0)
+    for x in range(terms.shape[-1]):
+        start = start + terms[..., x]
+    return start
+
+
+def _backward(
+    model: StatisticalMDP,
+    tree: ReachableBeliefTree,
+    pairs: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """One backward pass carrying a cost column per parameter: the expected
+    cost to go of the policy under that parameter, each moved by its own
+    kernel.  A node's Bayes value is its belief-weighted mix of columns.
+
+    With ``pairs`` (per epoch, the chosen pair of each node) the pass
+    evaluates that policy.  Without, every node takes the feasible pair
+    whose columns have the least belief-weighted mix, the lowest action on
+    a tie.  A pruned branch reads NaN, so a column is NaN exactly where the
+    policy reaches a pruned branch under that parameter; such columns have
+    zero belief weight and never decide a choice.
+
+    Returns the per-parameter cost of the policy from the prior, the Bayes
+    value of every node (only computed when choosing) and the chosen pairs.
+    """
+    offsets = tree.offsets
+    values = np.empty(len(tree))
+    chosen = [None] * model.horizon if pairs is None else pairs
+    missing = np.full((1, model.n_params), np.nan)
+
+    last = tree.epochs[model.horizon]
+    columns = model.terminal_cost[:, last.state].T
+    if pairs is None:
+        values[offsets[model.horizon] :] = _mix(last.belief, columns)
+    for n in range(model.horizon - 1, -1, -1):
+        epoch = tree.epochs[n]
+        p = slice(None) if pairs is None else pairs[n]
+        state, action = epoch.state[epoch.pair_node[p]], epoch.pair_action[p]
+        # stage term first, then the branches; (pair, parameter, next state)
+        columns = _expect(
+            model.stage_cost[n][:, state, action].T,
+            model.transition[n].transpose(1, 2, 0, 3)[state, action],
+            np.concatenate((columns, missing))[epoch.child[p]].transpose(0, 2, 1),
+        )
+        if pairs is None:
+            mixed = _mix(epoch.belief[epoch.pair_node], columns)
+            # a node's pairs are in action order, so the stable sort puts
+            # its least mix, with the lowest action on a tie, first
+            first = np.searchsorted(epoch.pair_node, np.arange(epoch.state.size))
+            chosen[n] = np.lexsort((mixed, epoch.pair_node))[first]
+            columns = columns[chosen[n]]
+            values[offsets[n] : offsets[n + 1]] = mixed[chosen[n]]
+
+    root_of = np.full(model.n_states, -1)
+    root_of[tree.epochs[0].state] = np.arange(tree.epochs[0].state.size)
+    reached = np.concatenate((columns, missing))[root_of].T
+    costs = _expect(np.zeros(model.n_params), model.initial_kernel, reached)
+    return costs, values, chosen
+
+
 def solve_bayes(
     model: StatisticalMDP,
     prior: Belief,
@@ -279,91 +335,47 @@ def solve_bayes(
 ) -> ValueSolution:
     """Backward induction over the reachable belief tree.
 
-    Terminal values mix the terminal cost by the node belief; interior
-    values minimize expected stage cost plus the predictive mixture of
-    child values over feasible actions.  The returned value mixes root
-    values by the prior-mixture initial distribution.
+    Each node takes the feasible action of least expected stage cost plus
+    continuation cost under its belief (see ``_backward``).  The returned
+    value mixes the policy's per-parameter costs by the prior.
     """
     if tree is None:
         tree = build_tree(model, prior, node_cap=node_cap)
     elif tree.model is not model:
         raise PolicyTreeMismatchError("tree was built for a different model")
-    n_states, n_actions = model.n_states, model.n_actions
-    offsets = tree.offsets
-    values = np.empty(len(tree))
+    costs, values, chosen = _backward(model, tree)
     actions = np.full(len(tree), -1)
-    chosen = [None] * model.horizon
-
-    last = tree.epochs[model.horizon]
-    values[offsets[model.horizon] :] = _row_dots(
-        last.belief, model.terminal_cost[:, last.state].T, contiguous=n_states == 1
-    )
-    for n in range(model.horizon - 1, -1, -1):
-        epoch = tree.epochs[n]
-        later = values[offsets[n + 1] : offsets[n + 2]]
-        stage = model.stage_cost[n][:, epoch.state[epoch.pair_node], epoch.pair_action].T
-        q = _row_dots(
-            epoch.belief[epoch.pair_node], stage, contiguous=n_states * n_actions == 1
-        )
-        # stage term first, then the branches in ascending next state; a
-        # pruned branch adds 0
-        q = _sum_in_order(q, epoch.mass * later[epoch.child])
-        # pair of each (node, action), or one past the last where infeasible
-        index = np.full((epoch.state.size, n_actions), q.size)
-        index[epoch.pair_node, epoch.pair_action] = np.arange(q.size)
-        best = np.append(q, np.inf)[index].argmin(axis=1)  # lowest action on a tie
-        chosen[n] = index[np.arange(best.size), best]
-        values[offsets[n] : offsets[n + 1]] = q[chosen[n]]
-        actions[offsets[n] : offsets[n + 1]] = best
-
-    total = sum(mass * values[idx] for idx, mass in tree.roots)
+    for n, pairs in enumerate(chosen):
+        actions[tree.offsets[n] : tree.offsets[n + 1]] = tree.epochs[n].pair_action[pairs]
     policy = DeterministicPolicy(tree=tree, actions=actions)
     policy.__dict__["pairs"] = chosen  # fills the cached property
-    return ValueSolution(tree=tree, value=float(total), node_values=values, policy=policy)
+    return ValueSolution(
+        tree=tree,
+        value=float(_mix(tree.prior.weights, costs)),
+        node_values=values,
+        policy=policy,
+        costs=costs,
+    )
 
 
 def _policy_costs(model: StatisticalMDP, policy: DeterministicPolicy) -> np.ndarray:
-    """Expected total cost of ``policy`` under every parameter: one backward
-    pass with a value column per parameter, each moved by its own kernel.
-
-    Only theta-positive next states are added.  A pruned branch has value
-    NaN, so a parameter's cost is NaN exactly when one of its pruned
-    branches is reachable under it.
-    """
-    tree = policy.tree
-    if tree.model is not model:
+    """Per-parameter cost of ``policy``, NaN where its tree lacks a branch
+    the parameter reaches."""
+    if policy.tree.model is not model:
         raise PolicyTreeMismatchError("policy was built for a different model")
-    pairs = policy.pairs
-    n_params = model.n_params
-    missing = np.full((1, n_params), np.nan)
-
-    last = tree.epochs[model.horizon]
-    values = model.terminal_cost[:, last.state].T
-    for n in range(model.horizon - 1, -1, -1):
-        epoch = tree.epochs[n]
-        action = epoch.pair_action[pairs[n]]
-        child = epoch.child[pairs[n]]
-        later = np.concatenate((values, missing))  # child -1 reads NaN
-        prob = model.transition[n][:, epoch.state, action].transpose(1, 0, 2)
-        reached = later[child].transpose(0, 2, 1)
-        stage = model.stage_cost[n][:, epoch.state, action].T
-        values = _sum_in_order(stage, np.where(prob > 0.0, prob * reached, 0.0))
-
-    root_of = np.full(model.n_states, -1)
-    for idx, _ in tree.roots:
-        root_of[tree.epochs[0].state[idx]] = idx
-    prob = model.initial_kernel
-    reached = np.concatenate((values, missing))[root_of].T
-    return _sum_in_order(np.zeros(n_params), np.where(prob > 0.0, prob * reached, 0.0))
+    return _backward(model, policy.tree, policy.pairs)[0]
 
 
-def _covered(model: StatisticalMDP, costs: np.ndarray, theta: int) -> float:
-    if np.isnan(costs[theta]):
-        raise BranchCoverageError(
-            f"a state reachable under theta={model.params.labels[theta]} carried "
-            "zero mass under the tree's prior"
-        )
-    return float(costs[theta])
+def _covered(model: StatisticalMDP, costs: np.ndarray, thetas) -> np.ndarray:
+    """``costs``, once checked to be finite under every parameter in
+    ``thetas``."""
+    for k in thetas:
+        if np.isnan(costs[k]):
+            raise BranchCoverageError(
+                f"a state reachable under theta={model.params.labels[k]} carried "
+                "zero mass under the tree's prior"
+            )
+    return costs
 
 
 def evaluate_policy(
@@ -379,7 +391,7 @@ def evaluate_policy(
     """
     if theta < 0 or theta >= model.n_params:
         raise ValueError(f"parameter index {theta} out of range")
-    return _covered(model, _policy_costs(model, policy), theta)
+    return float(_covered(model, _policy_costs(model, policy), (theta,))[theta])
 
 
 def bayes_cost(model: StatisticalMDP, policy: DeterministicPolicy, mu: Belief) -> float:
@@ -387,16 +399,10 @@ def bayes_cost(model: StatisticalMDP, policy: DeterministicPolicy, mu: Belief) -
     weight are skipped, so their branches need not be covered by the tree."""
     if len(mu) != model.n_params:
         raise ValueError("belief dimension does not match the parameter set")
-    costs = _policy_costs(model, policy)
-    total = 0.0
-    for k in mu.support():
-        total += float(mu.weights[k]) * _covered(model, costs, k)
-    return total
+    costs = _covered(model, _policy_costs(model, policy), mu.support())
+    return float(_mix(mu.weights, costs))
 
 
 def policy_cost_profile(model: StatisticalMDP, policy: DeterministicPolicy) -> np.ndarray:
     """Per-parameter expected total cost of a policy, as an array."""
-    costs = _policy_costs(model, policy)
-    for k in range(model.n_params):
-        _covered(model, costs, k)
-    return costs
+    return _covered(model, _policy_costs(model, policy), range(model.n_params))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,14 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seqtest
-from .ambiguity import (
-    SaddleCertificate,
-    SaddleResult,
-    certify_saddle,
-    solve_avar,
-    solve_entropic,
-    solve_robust,
-)
+from .ambiguity import SaddleCertificate, SaddleResult, certify_saddle, check_gamma, solve
 from .bayes import DEFAULT_NODE_CAP, DeterministicPolicy, ValueSolution, solve_bayes
 from .errors import (
     BranchCoverageError,
@@ -51,11 +43,17 @@ from .model import Belief, ParameterSet, StatisticalMDP, validate
 from .oracle import DEFAULT_TRAJECTORY_CAP, enumerate_cost, mc_estimate
 
 SOLVE_MODES = ("bayes", "entropic", "avar", "robust")
-FIGURE_MODES = ("figure-entropic", "figure-avar")
+#: solve modes that take solver.gamma
+GAMMA_MODES = ("entropic", "avar")
+#: per figure mode, the result fields whose first weight fills the columns
+#: between prior and value; the outer mode is the name after "figure-"
+FIGURE_COLUMNS = {
+    "figure-entropic": ("worst_prior",),
+    "figure-avar": ("worst_prior_lo", "worst_prior_hi"),
+}
+FIGURE_MODES = tuple(FIGURE_COLUMNS)
 ALL_MODES = SOLVE_MODES + FIGURE_MODES + ("simulate",)
 
-ENTROPIC_FIGURE_HEADER = ("gamma", "prior", "worst_prior", "value")
-AVAR_FIGURE_HEADER = ("gamma", "prior", "worst_prior_lo", "worst_prior_hi", "value")
 TRAJECTORY_HEADER = ("trajectory", "probability", "total_cost")
 #: figure rows whose duality gap exceeds this are counted on stderr
 FIGURE_GAP_TOL = 1e-6
@@ -220,111 +218,87 @@ def _parse_inline_model(entries: _Entries) -> StatisticalMDP:
     raw, lineno = entries.take("model.params", required=True)
     params = _labels("model.params", raw, lineno)
     n_e, n_a, n_k = len(states), len(actions), len(params)
+    labels = {"state": states, "action": actions, "param": params}
 
-    def state_of(token, key, lineno):
-        if token not in states:
-            raise _err(lineno, key, f"unknown state {token!r}")
-        return states.index(token)
+    def index(field, token, key, lineno):
+        """The table index a key field names: every epoch for ``*``."""
+        if field == "epoch":
+            if token == "*":
+                return slice(None)
+            epoch = _integer(key, token, lineno)
+            if not 0 <= epoch < horizon:
+                raise _err(lineno, key, f"epoch {epoch} outside 0..{horizon - 1}")
+            return epoch
+        if token not in labels[field]:
+            name = "parameter" if field == "param" else field
+            raise _err(lineno, key, f"unknown {name} {token!r}")
+        return labels[field].index(token)
 
-    def action_of(token, key, lineno):
-        if token not in actions:
-            raise _err(lineno, key, f"unknown action {token!r}")
-        return actions.index(token)
+    def cells(prefix, fields):
+        """Per key ``model.<prefix>.<field>...``: the key, its value, its line
+        number, and the index of the table cells it names."""
+        head = f"model.{prefix}."
+        for key, raw, lineno in entries.take_prefixed(head):
+            tail = key.removeprefix(head).split(".")
+            if len(tail) != len(fields):
+                form = ".".join(f"<{field}>" for field in fields)
+                raise _err(lineno, key, f"expected {head}{form}")
+            yield key, raw, lineno, tuple(
+                index(field, token, key, lineno) for field, token in zip(fields, tail)
+            )
 
-    def param_of(token, key, lineno):
-        if token not in params:
-            raise _err(lineno, key, f"unknown parameter {token!r}")
-        return params.index(token)
-
-    def epochs_of(token, key, lineno):
-        if token == "*":
-            return range(horizon)
-        epoch = _integer(key, token, lineno)
-        if not 0 <= epoch < horizon:
-            raise _err(lineno, key, f"epoch {epoch} outside 0..{horizon - 1}")
-        return (epoch,)
+    def row(key, raw, lineno, what):
+        values = _number_list(key, raw, lineno)
+        if len(values) != n_e:
+            raise _err(lineno, key, f"expected {n_e} {what}, got {len(values)}")
+        return values
 
     initial = np.zeros((n_k, n_e))
-    seen_initial = set()
-    for key, raw, lineno in entries.take_prefixed("model.initial."):
-        k = param_of(key.removeprefix("model.initial."), key, lineno)
-        row = _number_list(key, raw, lineno)
-        if len(row) != n_e:
-            raise _err(lineno, key, f"expected {n_e} probabilities, got {len(row)}")
-        initial[k] = row
-        seen_initial.add(k)
-    missing = [params[k] for k in range(n_k) if k not in seen_initial]
-    if missing:
-        raise ConfigError(f"missing model.initial.<param> for: {', '.join(missing)}")
+    given = np.zeros(n_k, dtype=bool)
+    for key, raw, lineno, where in cells("initial", ("param",)):
+        initial[where] = row(key, raw, lineno, "probabilities")
+        given[where] = True
+    if not given.all():
+        missing = ", ".join(params[k] for k in np.flatnonzero(~given))
+        raise ConfigError(f"missing model.initial.<param> for: {missing}")
 
-    feasible = [[list(range(n_a)) for _ in range(n_e)] for _ in range(horizon)]
-    explicit: dict[tuple[int, int], list[int]] = {}
-    for key, raw, lineno in entries.take_prefixed("model.feasible."):
-        tail = key.removeprefix("model.feasible.").split(".")
-        if len(tail) != 2:
-            raise _err(lineno, key, "expected model.feasible.<epoch>.<state>")
-        x = state_of(tail[1], key, lineno)
-        acts = [action_of(tok, key, lineno) for tok in raw.split()]
-        for n in epochs_of(tail[0], key, lineno):
-            explicit[(n, x)] = acts
-    for (n, x), acts in explicit.items():
-        feasible[n][x] = acts
+    feasible = np.ones((horizon, n_e, n_a), dtype=bool)
+    for key, raw, lineno, where in cells("feasible", ("epoch", "state")):
+        feasible[where] = False
+        for token in raw.split():
+            feasible[where + (index("action", token, key, lineno),)] = True
 
     # infeasible rows keep a valid filler distribution; validation skips them
     transition = np.zeros((horizon, n_k, n_e, n_a, n_e))
     transition[..., 0] = 1.0
     assigned = np.zeros((horizon, n_k, n_e, n_a), dtype=bool)
-    for key, raw, lineno in entries.take_prefixed("model.transition."):
-        tail = key.removeprefix("model.transition.").split(".")
-        if len(tail) != 4:
-            raise _err(lineno, key, "expected model.transition.<epoch>.<param>.<state>.<action>")
-        k = param_of(tail[1], key, lineno)
-        x = state_of(tail[2], key, lineno)
-        a = action_of(tail[3], key, lineno)
-        row = _number_list(key, raw, lineno)
-        if len(row) != n_e:
-            raise _err(lineno, key, f"expected {n_e} probabilities, got {len(row)}")
-        for n in epochs_of(tail[0], key, lineno):
-            transition[n, k, x, a] = row
-            assigned[n, k, x, a] = True
+    for key, raw, lineno, where in cells("transition", ("epoch", "param", "state", "action")):
+        transition[where] = row(key, raw, lineno, "probabilities")
+        assigned[where] = True
 
     stage = np.zeros((horizon, n_k, n_e, n_a))
-    for key, raw, lineno in entries.take_prefixed("model.cost."):
-        tail = key.removeprefix("model.cost.").split(".")
-        if len(tail) != 4:
-            raise _err(lineno, key, "expected model.cost.<epoch>.<param>.<state>.<action>")
-        k = param_of(tail[1], key, lineno)
-        x = state_of(tail[2], key, lineno)
-        a = action_of(tail[3], key, lineno)
-        value = _number(key, raw, lineno)
-        for n in epochs_of(tail[0], key, lineno):
-            stage[n, k, x, a] = value
+    for key, raw, lineno, where in cells("cost", ("epoch", "param", "state", "action")):
+        stage[where] = _number(key, raw, lineno)
 
     terminal = np.zeros((n_k, n_e))
-    for key, raw, lineno in entries.take_prefixed("model.terminal."):
-        k = param_of(key.removeprefix("model.terminal."), key, lineno)
-        row = _number_list(key, raw, lineno)
-        if len(row) != n_e:
-            raise _err(lineno, key, f"expected {n_e} costs, got {len(row)}")
-        terminal[k] = row
+    for key, raw, lineno, where in cells("terminal", ("param",)):
+        terminal[where] = row(key, raw, lineno, "costs")
 
-    for n in range(horizon):
-        for x in range(n_e):
-            for a in feasible[n][x]:
-                for k in range(n_k):
-                    if not assigned[n, k, x, a]:
-                        raise ConfigError(
-                            "missing model.transition row for epoch "
-                            f"{n}, param {params[k]}, state {states[x]}, "
-                            f"action {actions[a]}"
-                        )
+    # the first in (epoch, state, action, parameter) order
+    unset = np.argwhere(feasible[..., None] & ~assigned.transpose(0, 2, 3, 1))
+    if unset.size:
+        n, x, a, k = unset[0]
+        raise ConfigError(
+            f"missing model.transition row for epoch {n}, param {params[k]}, "
+            f"state {states[x]}, action {actions[a]}"
+        )
 
     return StatisticalMDP(
         horizon=horizon,
         states=states,
         actions=actions,
         params=ParameterSet(params),
-        feasible=tuple(tuple(tuple(acts) for acts in per_state) for per_state in feasible),
+        feasible=[[np.flatnonzero(acts) for acts in per_state] for per_state in feasible],
         initial_kernel=initial,
         transition=transition,
         stage_cost=stage,
@@ -389,13 +363,10 @@ def parse_config(text: str) -> RunConfig:
     out_path = raw
 
     gamma = None
-    if mode in ("entropic", "avar"):
+    if mode in GAMMA_MODES:
         raw, lineno = entries.take("solver.gamma", required=True)
         gamma = _number("solver.gamma", raw, lineno)
-        if mode == "entropic" and gamma <= 0:
-            raise _err(lineno, "solver.gamma", "entropic mode requires gamma > 0")
-        if mode == "avar" and not 0 < gamma < 1:
-            raise _err(lineno, "solver.gamma", "avar mode requires gamma in (0, 1)")
+        _check_gamma(mode, gamma, "solver.gamma", lineno)
     else:
         entries.forbid("solver.gamma", f"not allowed in mode {mode}")
 
@@ -406,13 +377,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("figure modes require a two-parameter model")
         raw, lineno = entries.take("sweep.gamma", required=True)
         gamma_sweep = _sweep_values("sweep.gamma", raw, lineno)
-        upper = math.inf if mode == "figure-entropic" else 1.0
         for value in gamma_sweep:
-            if value < 0 or value >= upper:
-                raise _err(
-                    lineno, "sweep.gamma",
-                    f"values must lie in [0, {upper}), got {value}",
-                )
+            # gamma = 0 rows take the plain Bayes value
+            if value != 0.0:
+                _check_gamma(_outer_mode(mode), value, "sweep.gamma", lineno)
         raw, lineno = entries.take("sweep.prior", required=True)
         prior_sweep = _sweep_values("sweep.prior", raw, lineno)
         for value in prior_sweep:
@@ -462,6 +430,17 @@ def parse_config(text: str) -> RunConfig:
         theta=theta,
         out_path=out_path,
     )
+
+
+def _check_gamma(mode: str, gamma: float, key: str, lineno: int) -> None:
+    try:
+        check_gamma(mode, gamma)
+    except ValueError as exc:
+        raise _err(lineno, key, f"{exc}, got {gamma}") from None
+
+
+def _outer_mode(figure_mode: str) -> str:
+    return figure_mode.removeprefix("figure-")
 
 
 def _fmt(value: float) -> str:
@@ -533,7 +512,7 @@ def bayes_to_dict(solution: ValueSolution) -> dict:
 
 
 def _write_json(path: str, payload: dict):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _run_solve(config: RunConfig, out_path: str | None, stdout) -> None:
@@ -543,18 +522,9 @@ def _run_solve(config: RunConfig, out_path: str | None, stdout) -> None:
         print(f"bayes value = {_fmt(solution.value)}", file=stdout)
         print(f"policy rows = {len(payload['policy'])}", file=stdout)
     else:
-        if config.mode == "entropic":
-            result = solve_entropic(
-                config.model, config.prior, config.gamma, node_cap=config.node_cap
-            )
-        elif config.mode == "avar":
-            result = solve_avar(
-                config.model, config.prior, config.gamma, node_cap=config.node_cap
-            )
-        else:
-            result = solve_robust(
-                config.model, support=config.prior.support(), node_cap=config.node_cap
-            )
+        result = solve(
+            config.model, config.mode, config.prior, config.gamma, node_cap=config.node_cap
+        )
         cert = certify_saddle(config.model, result, node_cap=config.node_cap)
         payload = saddle_to_dict(result, cert)
         print(f"{result.mode} value = {_fmt(result.value)}", file=stdout)
@@ -573,6 +543,7 @@ def _run_solve(config: RunConfig, out_path: str | None, stdout) -> None:
 def _figure_rows(config: RunConfig) -> tuple[list[tuple], list[float]]:
     """CSV rows, and the duality gap of each outer solve among them."""
     model = config.model
+    columns = FIGURE_COLUMNS[config.mode]
     rows, gaps = [], []
     for prior_weight in sorted(config.prior_sweep):
         prior = Belief(np.array([prior_weight, 1.0 - prior_weight]))
@@ -582,27 +553,13 @@ def _figure_rows(config: RunConfig) -> tuple[list[tuple], list[float]]:
                 # the gamma = 0 value is defined as the plain expectation path
                 if baseline is None:
                     baseline = solve_bayes(model, prior, node_cap=config.node_cap).value
-                if config.mode == "figure-entropic":
-                    rows.append((gamma, prior_weight, prior_weight, baseline))
-                else:
-                    rows.append((gamma, prior_weight, prior_weight, prior_weight, baseline))
+                rows.append((gamma, prior_weight, *[prior_weight] * len(columns), baseline))
                 continue
-            if config.mode == "figure-entropic":
-                result = solve_entropic(model, prior, gamma, node_cap=config.node_cap)
-                rows.append(
-                    (gamma, prior_weight, float(result.worst_prior.weights[0]), result.value)
-                )
-            else:
-                result = solve_avar(model, prior, gamma, node_cap=config.node_cap)
-                rows.append(
-                    (
-                        gamma,
-                        prior_weight,
-                        float(result.worst_prior_lo.weights[0]),
-                        float(result.worst_prior_hi.weights[0]),
-                        result.value,
-                    )
-                )
+            result = solve(
+                model, _outer_mode(config.mode), prior, gamma, node_cap=config.node_cap
+            )
+            worst = [float(getattr(result, name).weights[0]) for name in columns]
+            rows.append((gamma, prior_weight, *worst, result.value))
             gaps.append(result.gap)
     return rows, gaps
 
@@ -610,15 +567,10 @@ def _figure_rows(config: RunConfig) -> tuple[list[tuple], list[float]]:
 def _run_figure(config: RunConfig, out_path: str | None, stdout) -> None:
     if not out_path:
         raise ConfigError("figure modes require output.path (or --out)")
-    header = (
-        ENTROPIC_FIGURE_HEADER
-        if config.mode == "figure-entropic"
-        else AVAR_FIGURE_HEADER
-    )
     rows, gaps = _figure_rows(config)
     with open(out_path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
+        writer.writerow(("gamma", "prior", *FIGURE_COLUMNS[config.mode], "value"))
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
     print(f"wrote {out_path} ({len(rows)} rows)", file=stdout)

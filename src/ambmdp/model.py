@@ -13,6 +13,7 @@ i.e. the distribution of the state observed at epoch ``n+1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -206,23 +207,30 @@ class StatisticalMDP:
     def n_params(self) -> int:
         return len(self.params)
 
-    def feasible_actions(self, epoch: int, state: int) -> tuple[int, ...]:
-        return self.feasible[epoch][state]
+    @cached_property
+    def feasible_mask(self) -> np.ndarray:
+        """(N, E, A) boolean table of the feasible sets."""
+        mask = np.zeros((self.horizon, self.n_states, self.n_actions), dtype=bool)
+        for n, per_state in enumerate(self.feasible):
+            for x, acts in enumerate(per_state):
+                mask[n, x, list(acts)] = True
+        return mask
 
-    def state_index(self, label: str) -> int:
-        return self.states.index(label)
 
-    def action_index(self, label: str) -> int:
-        return self.actions.index(label)
-
-
-def _check_row(diags: list[str], row: np.ndarray, where: str):
-    if np.any(row < 0.0) or not np.all(np.isfinite(row)):
-        diags.append(f"probability row has negative or non-finite entries ({where})")
-        return
-    total = float(row.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        diags.append(f"probability row sums to {total!r}, not 1 within {SUM_TOL} ({where})")
+def _row_faults(rows: np.ndarray):
+    """(index, diagnostic) of each probability row, along the last axis,
+    with negative or non-finite entries or a sum off 1 by more than
+    SUM_TOL, in index order."""
+    broken = np.any((rows < 0.0) | ~np.isfinite(rows), axis=-1)
+    totals = rows.sum(axis=-1)
+    off = ~broken & (np.abs(totals - 1.0) > SUM_TOL)
+    for index in zip(*np.nonzero(broken | off)):
+        if broken[index]:
+            yield index, "probability row has negative or non-finite entries"
+        else:
+            yield index, (
+                f"probability row sums to {float(totals[index])!r}, not 1 within {SUM_TOL}"
+            )
 
 
 def validate(model: StatisticalMDP) -> list[str]:
@@ -232,37 +240,31 @@ def validate(model: StatisticalMDP) -> list[str]:
     names the violated invariant and its location (epoch, parameter, state,
     action).  Rows for infeasible state/action pairs are not checked.
     """
-    diags: list[str] = []
-    thetas = model.params.labels
+    thetas, states, actions = model.params.labels, model.states, model.actions
+    diags = [
+        f"{message} (initial kernel, theta={thetas[k]})"
+        for (k,), message in _row_faults(model.initial_kernel)
+    ]
 
-    for k in range(model.n_params):
-        _check_row(diags, model.initial_kernel[k], f"initial kernel, theta={thetas[k]}")
+    def where(n, k, x, a):
+        return f"epoch {n}, theta={thetas[k]}, state {states[x]}, action {actions[a]}"
 
-    for n in range(model.horizon):
-        for x in range(model.n_states):
-            acts = model.feasible[n][x]
-            if not acts:
-                diags.append(
-                    f"empty feasible action set (epoch {n}, state {model.states[x]})"
-                )
-                continue
-            for a in acts:
-                for k in range(model.n_params):
-                    where = (
-                        f"epoch {n}, theta={thetas[k]}, state {model.states[x]}, "
-                        f"action {model.actions[a]}"
-                    )
-                    _check_row(diags, model.transition[n, k, x, a], where)
-                    if not np.isfinite(model.stage_cost[n, k, x, a]):
-                        diags.append(f"stage cost is not finite ({where})")
+    # keyed by (epoch, state, action, parameter, kind) to list them in that
+    # order; a state without feasible actions has no other entries
+    feasible = model.feasible_mask
+    found = [
+        ((n, x, -1, -1, 0), f"empty feasible action set (epoch {n}, state {states[x]})")
+        for n, x in zip(*np.nonzero(~feasible.any(axis=2)))
+    ]
+    for (n, k, x, a), message in _row_faults(model.transition):
+        if feasible[n, x, a]:
+            found.append(((n, x, a, k, 0), f"{message} ({where(n, k, x, a)})"))
+    for n, k, x, a in zip(*np.nonzero(~np.isfinite(model.stage_cost) & feasible[:, None])):
+        found.append(((n, x, a, k, 1), f"stage cost is not finite ({where(n, k, x, a)})"))
+    diags += [message for _, message in sorted(found)]
 
-    for k in range(model.n_params):
-        for x in range(model.n_states):
-            if not np.isfinite(model.terminal_cost[k, x]):
-                diags.append(
-                    f"terminal cost is not finite (theta={thetas[k]}, "
-                    f"state {model.states[x]})"
-                )
+    for k, x in zip(*np.nonzero(~np.isfinite(model.terminal_cost))):
+        diags.append(f"terminal cost is not finite (theta={thetas[k]}, state {states[x]})")
     return diags
 
 
@@ -274,15 +276,10 @@ def cost_bounds(model: StatisticalMDP) -> tuple[float, float]:
     the expected total cost of every policy under every parameter.
     """
     lo = hi = 0.0
-    for n in range(model.horizon):
-        entries = [
-            model.stage_cost[n, k, x, a]
-            for x in range(model.n_states)
-            for a in model.feasible[n][x]
-            for k in range(model.n_params)
-        ]
-        lo += float(min(entries))
-        hi += float(max(entries))
+    for n, feasible in enumerate(model.feasible_mask):
+        entries = model.stage_cost[n][:, feasible]
+        lo += float(entries.min())
+        hi += float(entries.max())
     lo += float(model.terminal_cost.min())
     hi += float(model.terminal_cost.max())
     return lo, hi

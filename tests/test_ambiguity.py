@@ -8,6 +8,7 @@ from ambmdp import seqtest
 from ambmdp.ambiguity import (
     certify_saddle,
     entropic_objective,
+    solve,
     solve_avar,
     solve_entropic,
     solve_robust,
@@ -109,6 +110,47 @@ class TestSolveEntropic:
         # the outer solver is exact; an argument tolerance is refused, not ignored
         with pytest.raises(TypeError, match="tol"):
             solve_entropic(bench_model, base, gamma=1.0, tol=1e-6)
+
+
+class TestSolveEntryPoint:
+    @pytest.mark.parametrize(
+        "mode, gamma, wrapper",
+        [
+            ("entropic", 0.7, lambda model, base: solve_entropic(model, base, 0.7)),
+            ("avar", 0.4, lambda model, base: solve_avar(model, base, 0.4)),
+            ("robust", None, lambda model, base: solve_robust(model, base.support())),
+        ],
+        ids=("entropic", "avar", "robust"),
+    )
+    def test_equals_the_mode_wrapper(self, mode, gamma, wrapper):
+        model, base = seeded_instance(3)
+        base = Belief(np.array([*base.weights[:2], 0.0]) / base.weights[:2].sum())
+        for prior in (base, Belief(np.array([0.2, 0.3, 0.5]))):
+            direct = solve(model, mode, prior, gamma)
+            shorthand = wrapper(model, prior)
+            assert direct.mode == shorthand.mode == mode
+            assert direct.support == shorthand.support == prior.support()
+            assert direct.value == shorthand.value
+            assert direct.worst_prior == shorthand.worst_prior
+            assert direct.cost_profile.tolist() == shorthand.cost_profile.tolist()
+            np.testing.assert_array_equal(direct.policy.actions, shorthand.policy.actions)
+
+    @pytest.mark.parametrize(
+        "mode, gamma, message",
+        [
+            ("entropic", 0.0, "entropic mode requires gamma > 0"),
+            ("entropic", -1.0, "entropic mode requires gamma > 0"),
+            ("entropic", None, "entropic mode requires gamma > 0"),
+            ("avar", 0.0, r"avar mode requires gamma in \(0, 1\)"),
+            ("avar", 1.0, r"avar mode requires gamma in \(0, 1\)"),
+            ("avar", None, r"avar mode requires gamma in \(0, 1\)"),
+            ("robust", 0.5, "robust mode takes no gamma"),
+            ("bayes", None, "unknown mode 'bayes'"),
+        ],
+    )
+    def test_gamma_errors_name_the_mode(self, bench_model, mode, gamma, message):
+        with pytest.raises(ValueError, match=message):
+            solve(bench_model, mode, seqtest.prior_belief(0.3), gamma)
 
 
 class TestSolveAvar:

@@ -235,6 +235,55 @@ class TestSolveBayes:
         assert solution.value == pytest.approx(mixture, abs=1e-13)
 
 
+def sparse_model(rng):
+    """A random model whose kernels have zeros: each entry is kept with
+    probability 1/2 (at least one per row), then the rows renormalized."""
+    model = random_model(rng, n_params=3)
+
+    def thinned(table):
+        keep = rng.uniform(size=table.shape) < 0.5
+        keep[..., 0] |= ~keep.any(axis=-1)
+        table = table * keep
+        return table / table.sum(axis=-1, keepdims=True)
+
+    return dataclasses.replace(
+        model,
+        initial_kernel=thinned(model.initial_kernel),
+        transition=thinned(model.transition),
+    )
+
+
+class TestSolutionCosts:
+    def test_costs_match_enumeration_and_are_nan_where_branches_lack(self, rng):
+        # a zero-weight parameter may reach branches the tree pruned; its
+        # cost is NaN exactly there, and finite costs are exact
+        nan_costs = 0
+        for _ in range(40):
+            model = sparse_model(rng)
+            weights = rng.dirichlet(np.ones(3))
+            weights[int(rng.integers(3))] = 0.0
+            prior = Belief(weights / weights.sum())
+            solution = solve_bayes(model, prior)
+            for theta in range(model.n_params):
+                try:
+                    evaluated = evaluate_policy(model, theta, solution.policy)
+                except BranchCoverageError:
+                    assert np.isnan(solution.costs[theta])
+                    with pytest.raises(BranchCoverageError):
+                        enumerate_cost(model, theta, solution.policy)
+                    nan_costs += 1
+                    continue
+                assert solution.costs[theta] == evaluated
+                exact, _ = enumerate_cost(model, theta, solution.policy)
+                assert solution.costs[theta] == pytest.approx(exact, abs=1e-12)
+            support = list(prior.support())
+            assert not np.isnan(solution.costs[support]).any()
+            assert solution.value == pytest.approx(
+                float(prior.weights[support] @ solution.costs[support]), abs=1e-12
+            )
+        assert nan_costs > 0
+
+
 class TestEvaluatePolicy:
     def test_immediate_declaration_costs(self, bench_model):
         tree = build_tree(bench_model, seqtest.prior_belief(0.5))

@@ -140,6 +140,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep.gamma"):
             parse_config(bad)
 
+    @pytest.mark.parametrize(
+        "mode, sweep, message",
+        [
+            ("figure-entropic", "0 -0.5", "entropic mode requires gamma > 0, got -0.5"),
+            ("figure-avar", "0:1:0.25", r"avar mode requires gamma in \(0, 1\), got 1.0"),
+            ("figure-avar", "0 -0.25", r"avar mode requires gamma in \(0, 1\), got -0.25"),
+        ],
+    )
+    def test_sweep_gamma_checked_per_mode_with_line(self, mode, sweep, message):
+        # gamma = 0 rows are the plain Bayes value; every other gamma must
+        # suit the outer mode
+        bad = FIGURE_CONFIG.replace("figure-entropic", mode)
+        bad = bad.replace("sweep.gamma = 0:1:0.25", f"sweep.gamma = {sweep}")
+        with pytest.raises(ConfigError, match=rf"^line 5: sweep\.gamma: {message}$"):
+            parse_config(bad)
+
     def test_figure_range_expansion_is_exact(self):
         config = parse_config(FIGURE_CONFIG)
         assert config.gamma_sweep == (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -161,7 +177,7 @@ class TestRunSolve:
         assert payload["gap"] <= 1e-6
         assert payload["certificate"]["mu_side_ok"] is True
         # byte-for-byte identical on reserialization of the same payload
-        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out.read_text()
+        assert json.dumps(payload, sort_keys=True) + "\n" == out.read_text()
         assert "wrote" in buffer.getvalue()
 
     def test_bayes_mode_reports_value(self, tmp_path):

@@ -121,6 +121,62 @@ class TestValidate:
         )
         assert any("stage cost" in d and "theta=t1" in d for d in validate(broken))
 
+    def test_every_defect_is_listed_in_order(self):
+        # several defects of every kind, some at infeasible pairs (skipped);
+        # initial rows first, then by epoch, state, action and parameter,
+        # then terminal costs by parameter and state
+        nan, inf = np.nan, np.inf
+        transition = np.full((2, 3, 3, 2, 3), 1.0 / 3.0)
+        transition[0, 0, 0, 0] = [0.5, 0.6, 0.0]
+        transition[0, 2, 0, 1] = [inf, 0.0, 0.0]
+        transition[0, 1, 1, 0] = [-1.0, 1.0, 1.0]
+        transition[0, 1, 2, 0] = [-1.0, 1.0, 1.0]
+        transition[0, 1, 2, 1] = [-0.5, 1.0, 0.5]
+        transition[1, 0, 1, 1] = [0.2, 0.2, 0.2]
+        transition[1, 2, 0, 0] = [nan, 0.5, 0.5]
+        stage = np.zeros((2, 3, 3, 2))
+        stage[0, 1, 0, 0] = inf
+        stage[0, 0, 0, 0] = nan
+        stage[1, 2, 1, 0] = -inf
+        stage[0, 0, 1, 0] = nan
+        terminal = np.zeros((3, 3))
+        terminal[0, 2] = nan
+        terminal[2, 0] = inf
+        terminal[1, 1] = -inf
+        model = StatisticalMDP(
+            horizon=2,
+            states=("s0", "s1", "s2"),
+            actions=("a0", "a1"),
+            params=ParameterSet(("t0", "t1", "t2")),
+            feasible=(((0, 1), (), (1,)), ((0,), (0, 1), ())),
+            initial_kernel=np.array([[nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [0.3, 0.3, 0.3]]),
+            transition=transition,
+            stage_cost=stage,
+            terminal_cost=terminal,
+        )
+        bad_row = "probability row has negative or non-finite entries"
+        assert validate(model) == [
+            f"{bad_row} (initial kernel, theta=t0)",
+            f"{bad_row} (initial kernel, theta=t1)",
+            "probability row sums to 0.8999999999999999, not 1 within 1e-12 "
+            "(initial kernel, theta=t2)",
+            "probability row sums to 1.1, not 1 within 1e-12 "
+            "(epoch 0, theta=t0, state s0, action a0)",
+            "stage cost is not finite (epoch 0, theta=t0, state s0, action a0)",
+            "stage cost is not finite (epoch 0, theta=t1, state s0, action a0)",
+            f"{bad_row} (epoch 0, theta=t2, state s0, action a1)",
+            "empty feasible action set (epoch 0, state s1)",
+            f"{bad_row} (epoch 0, theta=t1, state s2, action a1)",
+            f"{bad_row} (epoch 1, theta=t2, state s0, action a0)",
+            "stage cost is not finite (epoch 1, theta=t2, state s1, action a0)",
+            "probability row sums to 0.6000000000000001, not 1 within 1e-12 "
+            "(epoch 1, theta=t0, state s1, action a1)",
+            "empty feasible action set (epoch 1, state s2)",
+            "terminal cost is not finite (theta=t0, state s2)",
+            "terminal cost is not finite (theta=t1, state s1)",
+            "terminal cost is not finite (theta=t2, state s0)",
+        ]
+
     def test_random_models_are_valid_and_solvable(self, rng):
         for _ in range(10):
             model = random_model(rng)
