@@ -5,17 +5,26 @@ history.  For finite spaces and horizon, the set of reachable pairs is
 finite, so the value recursion is computed exactly by enumerating it; no
 belief-grid discretization is involved.
 
-The reachable pairs are stored epoch by epoch in arrays (``TreeEpoch``):
-the state and belief of each node, a table of its feasible (node, action)
-pairs, and for each pair and next state the child node and its predictive
-mass.  Nodes are numbered globally through per-epoch offsets.  Children
-with identical (state, belief rounded to 12 decimals) are merged, which
-turns the tree into a DAG without changing any value: the continuation
-value and the optimal action depend on the history only through (epoch,
-state, belief).  Within an epoch nodes are numbered in order of first
-occurrence: by parent, then action, then next state.  The first child so
-reached represents its merged group, and its belief is the posterior
-along its own path.
+The posterior at a history is mu * L, normalized, where L is the history's
+likelihood vector, so the reachable structure depends on the prior only
+through its support.  ``build_tree`` grows it once per (model, support),
+from the uniform prior on the support, and caches it on the model
+(``StatisticalMDP.belief_dags``).  It is stored epoch by epoch in arrays:
+the state and normalized likelihood of each node, a table of its feasible
+(node, action) pairs, and per pair the child at each next state, the
+kernel rows and the stage costs.  Nodes are numbered globally through
+per-epoch offsets, within an epoch in order of first occurrence (by
+parent, then action, then next state).  Zero-mass branches are pruned.
+Children with identical (state, likelihood rounded to 12 decimals) are
+merged, which turns the tree into a DAG without changing any value: the
+continuation value and the optimal action depend on the history only
+through (epoch, state, belief).
+
+A solve reads the DAG through a view at its prior (``ReachableBeliefTree``,
+one ``TreeEpoch`` per epoch): beliefs are the likelihoods times the prior,
+normalized, root masses the prior's mix of initial kernels, and predictive
+masses are computed when first read.  A prior that gives a parameter zero
+weight has a smaller support, and its own DAG.
 
 One backward pass runs over the arrays with a few array operations per
 epoch.  It carries a cost column per parameter: the expected cost to go of
@@ -51,19 +60,57 @@ class TreeEpoch:
     """The nodes of one epoch, and below the horizon their (node, action)
     pairs, ordered by node and then action.  ``child[p, x]`` is the index,
     within the next epoch, of the node reached from pair ``p`` on observing
-    next state ``x``, or -1 where that branch had zero predictive mass and
-    was pruned; ``mass[p, x]`` is its predictive mass (0 where pruned)."""
+    next state ``x``, or -1 where that branch was pruned.  ``kernel[p]`` is
+    the pair's (parameter, next state) table of transition probabilities
+    and ``stage[p]`` its stage cost per parameter; ``mass[p, x]`` is the
+    predictive mass of a branch under the node's belief (0 where pruned)."""
 
     state: np.ndarray  # (nodes,)
     belief: np.ndarray  # (nodes, K)
     pair_node: np.ndarray  # (pairs,)
     pair_action: np.ndarray  # (pairs,)
     child: np.ndarray  # (pairs, E)
-    mass: np.ndarray  # (pairs, E)
+    kernel: np.ndarray  # (pairs, K, E)
+    stage: np.ndarray  # (pairs, K)
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """(pairs, E) predictive masses, computed as belief.predictive
+        computes them."""
+        # a model's kernel rows are contiguous only with one state and one
+        # action, and a one-state kernel is stored in the model's layout
+        table = self.kernel
+        if table.shape[-1] > 1:
+            table = _like_table(table, contiguous=False)
+        masses = np.matmul(self.belief[self.pair_node][:, None, :], table)[:, 0, :]
+        totals = masses.sum(axis=1)
+        drift = np.abs(totals - 1.0) > SUM_TOL
+        if drift.any():
+            masses[drift] /= totals[drift, None]
+        return np.where(self.child >= 0, masses, 0.0)
+
+
+class _BeliefDag:
+    """The reachable DAG of a model on one prior support: per epoch the
+    ``TreeEpoch`` arrays other than ``belief``, in field order; the
+    normalized likelihood of every node, in global order; and the epoch
+    offsets.  Arrays only, and read-only: every view of the DAG shares
+    them."""
+
+    __slots__ = ("support", "layers", "likelihood", "offsets")
+
+    def __init__(self, support, layers, likelihood, offsets):
+        self.support, self.layers = support, layers
+        self.likelihood, self.offsets = likelihood, offsets
+
+    def __len__(self) -> int:
+        return int(self.offsets[-1])
 
 
 @dataclass
 class ReachableBeliefTree:
+    """The belief DAG ``dag`` seen at ``prior``."""
+
     model: StatisticalMDP
     prior: Belief
     epochs: list[TreeEpoch]
@@ -71,6 +118,7 @@ class ReachableBeliefTree:
     offsets: np.ndarray
     # (root node index, prior-mixture mass of its initial state)
     roots: tuple[tuple[int, float], ...]
+    dag: _BeliefDag
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -184,21 +232,26 @@ def build_tree(
     node_cap: int = DEFAULT_NODE_CAP,
     dedup: bool = True,
 ) -> ReachableBeliefTree:
-    """Enumerate every (state, belief) pair reachable from the prior within
-    the horizon, one epoch at a time.  Zero-mass branches are pruned.
+    """Build the DAG of every (state, belief) pair reachable within the
+    horizon from the priors on ``prior``'s support, and return its view at
+    ``prior``.  With ``dedup`` the DAG is cached on the model for that
+    support; without, nodes are never merged and nothing is cached.
 
     Raises TreeSizeLimitError once the node count exceeds ``node_cap``, and
     ValueError when a predictive distribution sums to more than
-    RENORM_LIMIT away from 1.
+    RENORM_LIMIT away from 1.  A build that raises caches nothing.
     """
     if len(prior) != model.n_params:
         raise ValueError("prior dimension does not match the parameter set")
-    root_masses = prior.weights @ model.initial_kernel
-    state = np.flatnonzero(root_masses > 0.0)
-    belief = _normalized(model.initial_kernel.T[state] * prior.weights)
-    roots = tuple((i, float(root_masses[x])) for i, x in enumerate(state))
+    # the DAG is grown from the uniform prior on the support, one epoch at
+    # a time, so that it does not depend on which prior built it
+    support = prior.support()
+    uniform = np.zeros(model.n_params)
+    uniform[list(support)] = 1.0 / len(support)
+    state = np.flatnonzero(uniform @ model.initial_kernel > 0.0)
+    belief = _normalized(model.initial_kernel.T[state] * uniform)
     n_states, n_actions = model.n_states, model.n_actions
-    epochs: list[TreeEpoch] = []
+    layers, beliefs = [], [belief]
     offsets = [0, state.size]
     if state.size > node_cap:
         raise TreeSizeLimitError(node_cap)
@@ -207,12 +260,10 @@ def build_tree(
         pair_node, pair_action = np.nonzero(model.feasible_mask[n][state])
         pair_state = state[pair_node]
         pair_belief = belief[pair_node]
-        # predictive masses, computed as belief.predictive computes them
-        rows = _like_table(
-            model.transition[n].transpose(1, 2, 0, 3)[pair_state, pair_action],
-            contiguous=n_states * n_actions == 1,
-        )
-        masses = np.matmul(pair_belief[:, None, :], rows)[:, 0, :]
+        kernel = model.transition[n].transpose(1, 2, 0, 3)[pair_state, pair_action]
+        if n_states == 1:  # so that ``TreeEpoch.mass`` can use it as it is
+            kernel = _like_table(kernel, contiguous=n_actions == 1)
+        masses = np.matmul(pair_belief[:, None, :], kernel)[:, 0, :]
         totals = masses.sum(axis=1)
         far = ~(np.abs(totals - 1.0) <= RENORM_LIMIT)  # NaN is far too
         if far.any():
@@ -220,13 +271,9 @@ def build_tree(
                 f"predictive masses sum to {totals[far][0]}; model row sums are off "
                 f"by more than {RENORM_LIMIT}"
             )
-        drift = np.abs(totals - 1.0) > SUM_TOL
-        if drift.any():
-            masses[drift] /= totals[drift, None]
 
-        kept = masses > 0.0
-        cand_pair, cand_state = np.nonzero(kept)
-        joint = rows.transpose(0, 2, 1)[cand_pair, cand_state] * pair_belief[cand_pair]
+        cand_pair, cand_state = np.nonzero(masses > 0.0)
+        joint = kernel.transpose(0, 2, 1)[cand_pair, cand_state] * pair_belief[cand_pair]
         posterior = _normalized(joint)
         if dedup:
             first, inverse = _first_of_equal_rows(
@@ -237,22 +284,43 @@ def build_tree(
         child = np.full(masses.shape, -1)
         child[cand_pair, cand_state] = inverse
 
-        epochs.append(
-            TreeEpoch(state, belief, pair_node, pair_action, child, np.where(kept, masses, 0.0))
-        )
+        stage = model.stage_cost[n][:, pair_state, pair_action].T
+        layers.append((state, pair_node, pair_action, child, kernel, stage))
         state = cand_state[first]
         belief = posterior[first]
+        beliefs.append(belief)
         offsets.append(offsets[-1] + state.size)
         if offsets[-1] > node_cap:
             raise TreeSizeLimitError(node_cap)
 
     no_pairs = np.empty(0, dtype=int)
-    epochs.append(
-        TreeEpoch(state, belief, no_pairs, no_pairs,
-                  np.empty((0, n_states), dtype=int), np.empty((0, n_states)))
-    )
+    k = model.n_params
+    layers.append((
+        state, no_pairs, no_pairs, np.empty((0, n_states), dtype=int),
+        np.empty((0, k, n_states)), np.empty((0, k)),
+    ))
+    offsets, likelihood = np.array(offsets), np.concatenate(beliefs)
+    for a in [offsets, likelihood] + [a for layer in layers for a in layer]:
+        a.flags.writeable = False
+    dag = _BeliefDag(support, layers, likelihood, offsets)
+    if dedup:
+        model.belief_dags[support] = dag
+    return _view(model, dag, prior)
+
+
+def _view(model: StatisticalMDP, dag: _BeliefDag, prior: Belief) -> ReachableBeliefTree:
+    """``dag`` at ``prior``: beliefs are the likelihood rows times the
+    prior, normalized, and root masses the prior's initial-state mixture."""
+    belief = _normalized(dag.likelihood * prior.weights)
+    bounds = dag.offsets.tolist()
+    epochs = [
+        TreeEpoch(state, belief[bounds[n] : bounds[n + 1]], *rest)
+        for n, (state, *rest) in enumerate(dag.layers)
+    ]
+    masses = (prior.weights @ model.initial_kernel)[epochs[0].state]
     return ReachableBeliefTree(
-        model=model, prior=prior, epochs=epochs, offsets=np.array(offsets), roots=roots
+        model=model, prior=prior, epochs=epochs, offsets=dag.offsets,
+        roots=tuple(enumerate(masses.tolist())), dag=dag,
     )
 
 
@@ -304,11 +372,10 @@ def _backward(
     for n in range(model.horizon - 1, -1, -1):
         epoch = tree.epochs[n]
         p = slice(None) if pairs is None else pairs[n]
-        state, action = epoch.state[epoch.pair_node[p]], epoch.pair_action[p]
         # stage term first, then the branches; (pair, parameter, next state)
         columns = _expect(
-            model.stage_cost[n][:, state, action].T,
-            model.transition[n].transpose(1, 2, 0, 3)[state, action],
+            epoch.stage[p],
+            epoch.kernel[p],
             np.concatenate((columns, missing))[epoch.child[p]].transpose(0, 2, 1),
         )
         if pairs is None:
@@ -333,16 +400,36 @@ def solve_bayes(
     node_cap: int = DEFAULT_NODE_CAP,
     tree: ReachableBeliefTree | None = None,
 ) -> ValueSolution:
-    """Backward induction over the reachable belief tree.
+    """Backward induction over the reachable belief DAG at ``prior``: the
+    model's cached DAG on the prior's support, or with ``tree`` the DAG
+    that tree views.
 
     Each node takes the feasible action of least expected stage cost plus
     continuation cost under its belief (see ``_backward``).  The returned
     value mixes the policy's per-parameter costs by the prior.
+
+    Raises PolicyTreeMismatchError when ``tree`` was built for another
+    model or on another prior support.
     """
+    if len(prior) != model.n_params:
+        raise ValueError("prior dimension does not match the parameter set")
     if tree is None:
-        tree = build_tree(model, prior, node_cap=node_cap)
+        dag = model.belief_dags.get(prior.support())
+        if dag is None:
+            tree = build_tree(model, prior, node_cap=node_cap)
+        elif len(dag) > node_cap:
+            raise TreeSizeLimitError(node_cap)
+        else:
+            tree = _view(model, dag, prior)
     elif tree.model is not model:
         raise PolicyTreeMismatchError("tree was built for a different model")
+    elif tree.prior != prior:
+        if prior.support() != tree.dag.support:
+            raise PolicyTreeMismatchError(
+                f"tree was built on prior support {tree.dag.support}, "
+                f"not on {prior.support()}"
+            )
+        tree = _view(model, tree.dag, prior)
     costs, values, chosen = _backward(model, tree)
     actions = np.full(len(tree), -1)
     for n, pairs in enumerate(chosen):
@@ -351,7 +438,7 @@ def solve_bayes(
     policy.__dict__["pairs"] = chosen  # fills the cached property
     return ValueSolution(
         tree=tree,
-        value=float(_mix(tree.prior.weights, costs)),
+        value=float(_mix(prior.weights, costs)),
         node_values=values,
         policy=policy,
         costs=costs,

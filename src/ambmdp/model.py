@@ -216,6 +216,12 @@ class StatisticalMDP:
                 mask[n, x, list(acts)] = True
         return mask
 
+    @cached_property
+    def belief_dags(self) -> dict:
+        """Reachable belief DAGs by prior support, filled by
+        ``bayes.build_tree``; they hold arrays only, no model."""
+        return {}
+
 
 def _row_faults(rows: np.ndarray):
     """(index, diagnostic) of each probability row, along the last axis,

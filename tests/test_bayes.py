@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from helpers import (
 )
 
 from ambmdp import seqtest
+from ambmdp.ambiguity import certify_saddle, solve
 from ambmdp.bayes import (
     DeterministicPolicy,
     bayes_cost,
@@ -381,6 +384,16 @@ class TestBayesCost:
         for index, n, state in decision_nodes(solution.tree):
             assert solution.policy.actions[index] == model.feasible[n][state][0]
 
+    def test_given_tree_is_solved_at_the_given_prior(self):
+        model = seqtest.build_model(seqtest.SeqTestConfig(horizon=2))
+        tree = build_tree(model, seqtest.prior_belief(0.3))
+        solution = solve_bayes(model, seqtest.prior_belief(0.1), tree=tree)
+        assert solution.value == pytest.approx(1.0, abs=1e-12)
+        assert solution.tree.prior == seqtest.prior_belief(0.1)
+        assert solution.tree.dag is tree.dag
+        with pytest.raises(PolicyTreeMismatchError, match="support"):
+            solve_bayes(model, seqtest.prior_belief(1.0), tree=tree)
+
     def test_dedup_does_not_change_values(self, rng):
         for _ in range(5):
             model = random_model(rng)
@@ -405,3 +418,72 @@ class TestBayesCost:
                 + (1.0 - alpha) * solve_bayes(model, mu2).value
             )
             assert lhs >= rhs - 1e-10
+
+
+def _outputs(model, prior) -> list:
+    """Everything ``solve_bayes``, ``solve`` and ``certify_saddle`` report
+    at ``prior``, as plain values and bytes."""
+    solution = solve_bayes(model, prior)
+    out = [
+        solution.value, solution.costs.tobytes(), solution.node_values.tobytes(),
+        solution.policy.actions.tobytes(),
+    ]
+    for mode, gamma in (("entropic", 0.7), ("avar", 0.4), ("robust", None)):
+        result = solve(model, mode, prior, gamma)
+        out += [
+            result.value, result.gap, result.cost_profile.tobytes(),
+            result.worst_prior.weights.tobytes(), result.worst_prior_lo.weights.tobytes(),
+            result.worst_prior_hi.weights.tobytes(), result.policy.actions.tobytes(),
+            [(mu.weights.tobytes(), value) for mu, value in result.trace],
+            dataclasses.astuple(certify_saddle(model, result)),
+        ]
+    return out
+
+
+class TestBeliefDagCache:
+    def test_priors_on_one_support_share_one_dag(self, rng):
+        model = random_model(rng, n_params=3)
+        a = solve_bayes(model, random_belief(rng, 3))
+        b = solve_bayes(model, random_belief(rng, 3))
+        point = solve_bayes(model, Belief.point_mass(3, 1))
+        assert a.tree.dag is b.tree.dag
+        assert point.tree.dag is not a.tree.dag
+        assert sorted(model.belief_dags) == [(0, 1, 2), (1,)]
+
+    def test_warm_cache_gives_bitwise_identical_results(self, rng):
+        for model in (
+            random_model(rng, n_params=3, horizon=2),
+            seqtest.build_model(seqtest.SeqTestConfig(horizon=2)),
+        ):
+            k = model.n_params
+            warm = dataclasses.replace(model)
+            # other priors and other supports first
+            for w in ([1.0] + [0.0] * (k - 1), [0.5, 0.5] + [0.0] * (k - 2)):
+                solve_bayes(warm, Belief(np.array(w)))
+            solve(warm, "robust", Belief.uniform(k))
+            assert len(warm.belief_dags) >= 3
+            prior = random_belief(rng, k)
+            assert _outputs(warm, prior) == _outputs(dataclasses.replace(model), prior)
+
+    def test_solved_model_is_freed_by_its_last_reference(self):
+        gc.disable()
+        try:
+            model = seqtest.build_model(seqtest.SeqTestConfig(horizon=2))
+            ref = weakref.ref(model)
+            result = solve(model, "entropic", seqtest.prior_belief(0.3), 0.5)
+            certify_saddle(model, result)
+            assert model.belief_dags
+            del model, result
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_node_cap_is_checked_against_the_cached_dag(self, bench_model):
+        model = dataclasses.replace(bench_model)
+        with pytest.raises(TreeSizeLimitError, match="5"):
+            solve_bayes(model, seqtest.prior_belief(0.3), node_cap=5)
+        assert model.belief_dags == {}  # a build that raises caches nothing
+        assert len(solve_bayes(model, seqtest.prior_belief(0.3)).tree) == 7
+        with pytest.raises(TreeSizeLimitError, match="6"):
+            solve_bayes(model, seqtest.prior_belief(0.6), node_cap=6)
+        assert len(solve_bayes(model, seqtest.prior_belief(0.6), node_cap=7).tree) == 7

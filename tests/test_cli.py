@@ -9,6 +9,8 @@ from ambmdp.cli import FIGURE_MODES, SOLVE_MODES, main, parse_config, run, saddl
 from ambmdp.errors import ConfigError
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+#: ``ambmdp figure`` output of the shipped figure configs, kept byte for byte
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
 ENTROPIC_CONFIG = """
 # minimal entropic run on the built-in example
@@ -286,6 +288,13 @@ class TestRunFigure:
     def test_missing_output_path_is_config_error(self):
         with pytest.raises(ConfigError, match="output.path"):
             run(parse_config(FIGURE_CONFIG), stdout=io.StringIO())
+
+    @pytest.mark.parametrize("name", ("figure_entropic", "figure_avar"))
+    def test_shipped_figure_matches_golden_csv(self, name, tmp_path, capsys):
+        out = tmp_path / f"{name}.csv"
+        config = GOLDEN_DIR.parents[1] / "configs" / f"{name}.cfg"
+        assert main(["figure", "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
 class TestRunSimulate:
