@@ -31,7 +31,6 @@ from .bayes import (
 from .belief import PredictiveDistribution, initial_posterior, predictive, update_posterior
 from .errors import (
     AmbiguityMDPError,
-    BranchCoverageError,
     ConfigError,
     InfeasibleActionError,
     PolicyTreeMismatchError,
@@ -58,7 +57,6 @@ __all__ = [
     "AmbiguityMDPError",
     "AvarAmbiguitySet",
     "Belief",
-    "BranchCoverageError",
     "ConfigError",
     "DeterministicPolicy",
     "InfeasibleActionError",

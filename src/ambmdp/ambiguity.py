@@ -29,13 +29,13 @@ ends after finitely many steps with the exact maximum.
 
 The optimal policy is a Bayes-optimal policy at the maximizing prior, and
 the duality gap reported is the direct risk evaluation of that policy's
-cost profile minus the outer value.  A cut coordinate whose tree lacks its
-parameter's branches takes the model's cost upper bound; the returned
-profile never does (see ``_solve``).  By the same duality the prior side
-of the saddle certificate is exact and costs O(K): the supremum over the
-feasible priors of mu . C - penalty(mu) is the dual risk of C, so
-``certify_saddle`` compares that with the objective at the returned prior
-instead of scanning a grid of priors.
+cost profile minus the outer value.  Every Bayes solve runs over the
+model's one belief DAG, which holds the branches of every parameter, so
+cost profiles are exact even at priors that give a parameter zero weight.
+By the same duality the prior side of the saddle certificate is exact and
+costs O(K): the supremum over the feasible priors of mu . C - penalty(mu)
+is the dual risk of C, so ``certify_saddle`` compares that with the
+objective at the returned prior instead of scanning a grid of priors.
 
 Plateaus: the inner value is piecewise linear in the prior, so the avar
 and robust argmax can be a face.  The planes are intersected with a search
@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import DEFAULT_NODE_CAP, DeterministicPolicy, _covered, bayes_cost, solve_bayes
+from .bayes import DEFAULT_NODE_CAP, DeterministicPolicy, bayes_cost, solve_bayes
 from .model import Belief, StatisticalMDP, cost_bounds
 from .risk import AvarAmbiguitySet, avar_quantile, entropic_risk, relative_entropy
 from .search import entropic_master, lp_master
@@ -68,9 +68,6 @@ PLATEAU_MARGIN = 1e-4
 #: the bounds have met once they differ by at most this times the largest
 #: absolute cost bound of the model
 CUT_SLACK = 1e-12
-#: mixing weights of the uniform prior on the support tried, in turn, when
-#: the returned prior's tree lacks a support parameter's branches
-NUDGES = (1e-6, 1e-9, 1e-12)
 
 
 @dataclass
@@ -205,12 +202,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
         solution = solutions[w.tobytes()] = solve_bayes(model, mu, node_cap=node_cap)
         value = solution.value - amb.penalty(mu)
         trace.append((mu, value))
-        # a support parameter with zero weight at mu can reach branches the
-        # tree pruned; its coordinate is then ``hi``, an upper bound on every
-        # policy's cost.  The plane stays above V, since some continuation
-        # of the policy costs at most that, and stays tight at mu.
         cut = solution.costs[list(amb.support)]
-        cut = np.where(np.isnan(cut), hi, cut)
         fresh = not cuts or float(np.abs(np.array(cuts) - cut).max(axis=1).min()) > slack
         if fresh:
             cuts.append(cut)
@@ -237,20 +229,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
     if solution is None:
         solution = solve_bayes(model, mu_star, node_cap=node_cap)
     value = solution.value - amb.penalty(mu_star)
-    policy, profile = solution.policy, solution.costs
-    if np.isnan(profile[list(amb.support)]).any():
-        # mu_star gives a support parameter zero weight and its tree lacks
-        # that parameter's branches: take the policy at a prior nudged
-        # towards the uniform one on the support.  Policy planes are finite,
-        # so a small enough nudge finds one tight at mu_star (checked).
-        for nudge in NUDGES:
-            inner = amb.embed(size, (1.0 - nudge) * w_star + nudge / len(w_star))
-            nudged = solve_bayes(model, inner, node_cap=node_cap)
-            policy, profile = nudged.policy, nudged.costs
-            if abs(bayes_cost(model, policy, mu_star) - solution.value) <= slack:
-                break
-    _covered(model, profile, range(size))
-    raw_gap = amb.dual_risk(profile) - value
+    raw_gap = amb.dual_risk(solution.costs) - value
     if raw_gap < -1e-10 * max(scale, 1.0):
         raise RuntimeError(
             f"weak duality violated (gap {raw_gap}); this indicates a defect "
@@ -261,13 +240,13 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
         worst_prior=mu_star,
         worst_prior_lo=amb.embed(size, w_lo),
         worst_prior_hi=amb.embed(size, w_hi),
-        policy=policy,
+        policy=solution.policy,
         value=value,
         gap=max(raw_gap, 0.0),
         gamma=amb.gamma,
         base_prior=amb.base,
         support=amb.support,
-        cost_profile=profile,
+        cost_profile=solution.costs,
         trace=tuple(trace),
     )
 

@@ -6,25 +6,26 @@ finite, so the value recursion is computed exactly by enumerating it; no
 belief-grid discretization is involved.
 
 The posterior at a history is mu * L, normalized, where L is the history's
-likelihood vector, so the reachable structure depends on the prior only
-through its support.  ``build_tree`` grows it once per (model, support),
-from the uniform prior on the support, and caches it on the model
-(``StatisticalMDP.belief_dags``).  It is stored epoch by epoch in arrays:
-the state and normalized likelihood of each node, a table of its feasible
-(node, action) pairs, and per pair the child at each next state, the
-kernel rows and the stage costs.  Nodes are numbered globally through
-per-epoch offsets, within an epoch in order of first occurrence (by
-parent, then action, then next state).  Zero-mass branches are pruned.
-Children with identical (state, likelihood rounded to 12 decimals) are
-merged, which turns the tree into a DAG without changing any value: the
-continuation value and the optimal action depend on the history only
-through (epoch, state, belief).
+likelihood vector, so one structure serves every prior.  ``build_tree``
+grows it once per model, from the uniform prior on every parameter, and
+caches it on the model (``StatisticalMDP.belief_dag``).  It is stored
+epoch by epoch in arrays: the state and normalized likelihood of each
+node, a table of its feasible (node, action) pairs, and per pair the child
+at each next state, the kernel rows and the stage costs.  Nodes are
+numbered globally through per-epoch offsets, within an epoch in order of
+first occurrence (by parent, then action, then next state).  Only branches
+that no parameter reaches are pruned.  Children with identical (state,
+likelihood rounded to 12 decimals) are merged, which turns the tree into a
+DAG without changing any value: the continuation value and the optimal
+action depend on the history only through (epoch, state, belief).
 
 A solve reads the DAG through a view at its prior (``ReachableBeliefTree``,
 one ``TreeEpoch`` per epoch): beliefs are the likelihoods times the prior,
 normalized, root masses the prior's mix of initial kernels, and predictive
-masses are computed when first read.  A prior that gives a parameter zero
-weight has a smaller support, and its own DAG.
+masses are computed when first read.  A node reached only under
+parameters of zero prior weight has zero mass; its belief is its
+likelihood, the limit of the beliefs there as the prior is moved towards
+the uniform one.
 
 One backward pass runs over the arrays with a few array operations per
 epoch.  It carries a cost column per parameter: the expected cost to go of
@@ -45,11 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BranchCoverageError,
-    PolicyTreeMismatchError,
-    TreeSizeLimitError,
-)
+from .errors import PolicyTreeMismatchError, TreeSizeLimitError
 from .model import RENORM_LIMIT, SUM_TOL, Belief, StatisticalMDP
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -60,10 +57,11 @@ class TreeEpoch:
     """The nodes of one epoch, and below the horizon their (node, action)
     pairs, ordered by node and then action.  ``child[p, x]`` is the index,
     within the next epoch, of the node reached from pair ``p`` on observing
-    next state ``x``, or -1 where that branch was pruned.  ``kernel[p]`` is
-    the pair's (parameter, next state) table of transition probabilities
-    and ``stage[p]`` its stage cost per parameter; ``mass[p, x]`` is the
-    predictive mass of a branch under the node's belief (0 where pruned)."""
+    next state ``x``, or -1 where no parameter reaches that branch.
+    ``kernel[p]`` is the pair's (parameter, next state) table of transition
+    probabilities and ``stage[p]`` its stage cost per parameter;
+    ``mass[p, x]`` is the predictive mass of a branch under the node's
+    belief (0 where pruned)."""
 
     state: np.ndarray  # (nodes,)
     belief: np.ndarray  # (nodes, K)
@@ -91,17 +89,15 @@ class TreeEpoch:
 
 
 class _BeliefDag:
-    """The reachable DAG of a model on one prior support: per epoch the
-    ``TreeEpoch`` arrays other than ``belief``, in field order; the
-    normalized likelihood of every node, in global order; and the epoch
-    offsets.  Arrays only, and read-only: every view of the DAG shares
-    them."""
+    """The reachable DAG of a model: per epoch the ``TreeEpoch`` arrays
+    other than ``belief``, in field order; the normalized likelihood of
+    every node, in global order; and the epoch offsets.  Arrays only, and
+    read-only: every view of the DAG shares them."""
 
-    __slots__ = ("support", "layers", "likelihood", "offsets")
+    __slots__ = ("layers", "likelihood", "offsets")
 
-    def __init__(self, support, layers, likelihood, offsets):
-        self.support, self.layers = support, layers
-        self.likelihood, self.offsets = likelihood, offsets
+    def __init__(self, layers, likelihood, offsets):
+        self.layers, self.likelihood, self.offsets = layers, likelihood, offsets
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -171,8 +167,7 @@ class DeterministicPolicy:
 class ValueSolution:
     """Output of the value recursion: total value, per-node continuation
     values, an arg-min policy (ties broken by lowest action index), and the
-    policy's expected total cost under each parameter, NaN exactly where
-    the tree lacks branches that parameter reaches."""
+    policy's expected total cost under each parameter."""
 
     tree: ReachableBeliefTree
     value: float
@@ -233,9 +228,9 @@ def build_tree(
     dedup: bool = True,
 ) -> ReachableBeliefTree:
     """Build the DAG of every (state, belief) pair reachable within the
-    horizon from the priors on ``prior``'s support, and return its view at
-    ``prior``.  With ``dedup`` the DAG is cached on the model for that
-    support; without, nodes are never merged and nothing is cached.
+    horizon under some parameter, and return its view at ``prior``.  With
+    ``dedup`` the DAG is cached on the model; without, nodes are never
+    merged and nothing is cached.
 
     Raises TreeSizeLimitError once the node count exceeds ``node_cap``, and
     ValueError when a predictive distribution sums to more than
@@ -243,11 +238,9 @@ def build_tree(
     """
     if len(prior) != model.n_params:
         raise ValueError("prior dimension does not match the parameter set")
-    # the DAG is grown from the uniform prior on the support, one epoch at
-    # a time, so that it does not depend on which prior built it
-    support = prior.support()
-    uniform = np.zeros(model.n_params)
-    uniform[list(support)] = 1.0 / len(support)
+    # the DAG is grown from the uniform prior, one epoch at a time, so that
+    # it does not depend on which prior built it
+    uniform = np.full(model.n_params, 1.0 / model.n_params)
     state = np.flatnonzero(uniform @ model.initial_kernel > 0.0)
     belief = _normalized(model.initial_kernel.T[state] * uniform)
     n_states, n_actions = model.n_states, model.n_actions
@@ -302,16 +295,23 @@ def build_tree(
     offsets, likelihood = np.array(offsets), np.concatenate(beliefs)
     for a in [offsets, likelihood] + [a for layer in layers for a in layer]:
         a.flags.writeable = False
-    dag = _BeliefDag(support, layers, likelihood, offsets)
+    dag = _BeliefDag(layers, likelihood, offsets)
     if dedup:
-        model.belief_dags[support] = dag
+        object.__setattr__(model, "belief_dag", dag)
     return _view(model, dag, prior)
 
 
 def _view(model: StatisticalMDP, dag: _BeliefDag, prior: Belief) -> ReachableBeliefTree:
     """``dag`` at ``prior``: beliefs are the likelihood rows times the
-    prior, normalized, and root masses the prior's initial-state mixture."""
-    belief = _normalized(dag.likelihood * prior.weights)
+    prior, normalized, and root masses the prior's initial-state mixture.
+    A row the prior zeroes keeps its likelihood as belief."""
+    weighted = dag.likelihood * prior.weights
+    if prior.weights.all():
+        belief = _normalized(weighted)
+    else:
+        belief = dag.likelihood.copy()
+        live = weighted.any(axis=1)
+        belief[live] = _normalized(weighted[live])
     bounds = dag.offsets.tolist()
     epochs = [
         TreeEpoch(state, belief[bounds[n] : bounds[n + 1]], *rest)
@@ -353,9 +353,9 @@ def _backward(
     With ``pairs`` (per epoch, the chosen pair of each node) the pass
     evaluates that policy.  Without, every node takes the feasible pair
     whose columns have the least belief-weighted mix, the lowest action on
-    a tie.  A pruned branch reads NaN, so a column is NaN exactly where the
-    policy reaches a pruned branch under that parameter; such columns have
-    zero belief weight and never decide a choice.
+    a tie.  A pruned branch reads NaN with zero probability under every
+    parameter.  A column can still be NaN at a node that its parameter
+    never reaches, where it has zero belief weight and decides nothing.
 
     Returns the per-parameter cost of the policy from the prior, the Bayes
     value of every node (only computed when choosing) and the chosen pairs.
@@ -401,20 +401,19 @@ def solve_bayes(
     tree: ReachableBeliefTree | None = None,
 ) -> ValueSolution:
     """Backward induction over the reachable belief DAG at ``prior``: the
-    model's cached DAG on the prior's support, or with ``tree`` the DAG
-    that tree views.
+    model's cached DAG, or with ``tree`` the DAG that tree views.
 
     Each node takes the feasible action of least expected stage cost plus
     continuation cost under its belief (see ``_backward``).  The returned
     value mixes the policy's per-parameter costs by the prior.
 
     Raises PolicyTreeMismatchError when ``tree`` was built for another
-    model or on another prior support.
+    model.
     """
     if len(prior) != model.n_params:
         raise ValueError("prior dimension does not match the parameter set")
     if tree is None:
-        dag = model.belief_dags.get(prior.support())
+        dag = model.belief_dag
         if dag is None:
             tree = build_tree(model, prior, node_cap=node_cap)
         elif len(dag) > node_cap:
@@ -424,11 +423,6 @@ def solve_bayes(
     elif tree.model is not model:
         raise PolicyTreeMismatchError("tree was built for a different model")
     elif tree.prior != prior:
-        if prior.support() != tree.dag.support:
-            raise PolicyTreeMismatchError(
-                f"tree was built on prior support {tree.dag.support}, "
-                f"not on {prior.support()}"
-            )
         tree = _view(model, tree.dag, prior)
     costs, values, chosen = _backward(model, tree)
     actions = np.full(len(tree), -1)
@@ -445,24 +439,11 @@ def solve_bayes(
     )
 
 
-def _policy_costs(model: StatisticalMDP, policy: DeterministicPolicy) -> np.ndarray:
-    """Per-parameter cost of ``policy``, NaN where its tree lacks a branch
-    the parameter reaches."""
+def policy_cost_profile(model: StatisticalMDP, policy: DeterministicPolicy) -> np.ndarray:
+    """Per-parameter expected total cost of a policy, as an array."""
     if policy.tree.model is not model:
         raise PolicyTreeMismatchError("policy was built for a different model")
     return _backward(model, policy.tree, policy.pairs)[0]
-
-
-def _covered(model: StatisticalMDP, costs: np.ndarray, thetas) -> np.ndarray:
-    """``costs``, once checked to be finite under every parameter in
-    ``thetas``."""
-    for k in thetas:
-        if np.isnan(costs[k]):
-            raise BranchCoverageError(
-                f"a state reachable under theta={model.params.labels[k]} carried "
-                "zero mass under the tree's prior"
-            )
-    return costs
 
 
 def evaluate_policy(
@@ -471,25 +452,14 @@ def evaluate_policy(
     """Exact expected total cost of ``policy`` when the parameter is
     ``theta``: backward induction over the tree with probabilities taken
     from the theta-kernel rather than the predictive mixture.
-
-    Raises BranchCoverageError when a theta-positive branch that theta
-    reaches was pruned from the tree (possible only when the tree's prior
-    gives the branch zero mixture mass).
     """
     if theta < 0 or theta >= model.n_params:
         raise ValueError(f"parameter index {theta} out of range")
-    return float(_covered(model, _policy_costs(model, policy), (theta,))[theta])
+    return float(policy_cost_profile(model, policy)[theta])
 
 
 def bayes_cost(model: StatisticalMDP, policy: DeterministicPolicy, mu: Belief) -> float:
-    """Belief-mixture of per-parameter policy costs.  Parameters with zero
-    weight are skipped, so their branches need not be covered by the tree."""
+    """Belief-mixture of per-parameter policy costs."""
     if len(mu) != model.n_params:
         raise ValueError("belief dimension does not match the parameter set")
-    costs = _covered(model, _policy_costs(model, policy), mu.support())
-    return float(_mix(mu.weights, costs))
-
-
-def policy_cost_profile(model: StatisticalMDP, policy: DeterministicPolicy) -> np.ndarray:
-    """Per-parameter expected total cost of a policy, as an array."""
-    return _covered(model, _policy_costs(model, policy), range(model.n_params))
+    return float(_mix(mu.weights, policy_cost_profile(model, policy)))

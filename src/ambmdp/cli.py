@@ -14,8 +14,7 @@ Commands (see README for the full key reference):
     simulate --config FILE [--seed N] [--samples N] [--dump-trajectories FILE]
 
 Exit status: 0 on success, 1 on configuration errors, 2 when a solver
-guard refuses the run: a tree or trajectory cap, or a policy evaluated
-under a parameter whose branches its tree pruned.
+guard refuses the run: the tree node cap or the trajectory cap.
 """
 
 from __future__ import annotations
@@ -33,12 +32,7 @@ import numpy as np
 from . import seqtest
 from .ambiguity import SaddleCertificate, SaddleResult, certify_saddle, check_gamma, solve
 from .bayes import DEFAULT_NODE_CAP, DeterministicPolicy, ValueSolution, solve_bayes
-from .errors import (
-    BranchCoverageError,
-    ConfigError,
-    TrajectoryLimitError,
-    TreeSizeLimitError,
-)
+from .errors import ConfigError, TrajectoryLimitError, TreeSizeLimitError
 from .model import Belief, ParameterSet, StatisticalMDP, validate
 from .oracle import DEFAULT_TRAJECTORY_CAP, enumerate_cost, mc_estimate
 
@@ -55,7 +49,7 @@ FIGURE_MODES = tuple(FIGURE_COLUMNS)
 ALL_MODES = SOLVE_MODES + FIGURE_MODES + ("simulate",)
 
 TRAJECTORY_HEADER = ("trajectory", "probability", "total_cost")
-#: figure rows whose duality gap exceeds this are counted on stderr
+#: outer solves of a figure whose duality gap exceeds this are counted on stderr
 FIGURE_GAP_TOL = 1e-6
 
 
@@ -577,7 +571,7 @@ def _run_figure(config: RunConfig, out_path: str | None, stdout) -> None:
     # the CSV headers are fixed, so gaps are reported beside the file
     wide = sum(gap > FIGURE_GAP_TOL for gap in gaps)
     print(
-        f"duality gap > {FIGURE_GAP_TOL:g} in {wide} of {len(rows)} rows "
+        f"duality gap > {FIGURE_GAP_TOL:g} in {wide} of {len(gaps)} outer solves "
         f"(largest {_fmt(max(gaps, default=0.0))})",
         file=sys.stderr,
     )
@@ -707,7 +701,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (TreeSizeLimitError, TrajectoryLimitError, BranchCoverageError) as exc:
+    except (TreeSizeLimitError, TrajectoryLimitError) as exc:
         print(f"solver guard: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -29,10 +29,5 @@ class PolicyTreeMismatchError(AmbiguityMDPError, ValueError):
     """A policy was evaluated against a model or tree it was not built for."""
 
 
-class BranchCoverageError(AmbiguityMDPError, RuntimeError):
-    """A branch with positive probability under the requested parameter was
-    pruned from the tree (it had zero mass under the tree's prior mixture)."""
-
-
 class ConfigError(AmbiguityMDPError, ValueError):
     """A run configuration file failed to parse or validate."""

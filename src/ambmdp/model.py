@@ -140,6 +140,9 @@ class StatisticalMDP:
     transition: np.ndarray
     stage_cost: np.ndarray
     terminal_cost: np.ndarray
+    #: the reachable belief DAG, set by ``bayes.build_tree``; it holds
+    #: arrays only, no model
+    belief_dag = None
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -215,12 +218,6 @@ class StatisticalMDP:
             for x, acts in enumerate(per_state):
                 mask[n, x, list(acts)] = True
         return mask
-
-    @cached_property
-    def belief_dags(self) -> dict:
-        """Reachable belief DAGs by prior support, filled by
-        ``bayes.build_tree``; they hold arrays only, no model."""
-        return {}
 
 
 def _row_faults(rows: np.ndarray):

@@ -5,16 +5,18 @@ sums probability-weighted total costs; it shares no recursion with the
 backward induction in ``bayes.evaluate_policy`` and is the primary
 anti-bug oracle for it.  ``mc_estimate`` is a seeded Monte-Carlo rollout
 cross-check that moves a whole batch of samples one epoch at a time
-through the tree's arrays.
+through the tree's arrays.  Both follow the tree's children, which hold
+every branch that some parameter reaches.
 
 Random source: NumPy ``default_rng`` seeded through ``SeedSequence(seed)``,
-with one spawned child sequence per batch, consumed in batch order.  Each
-batch draws one row-major ``(count, horizon + 1)`` block of uniforms, one
-row per sample: the first picks the initial state, the one at column
-``n + 1`` the state after epoch ``n``.  The block is drawn in whole rows,
-at most ``DRAW_FLOATS`` numbers at a time, which consumes the stream
-exactly as one draw would.  The same seed and inputs always reproduce the
-same estimate.
+with one spawned child sequence per batch of ``BATCH_SIZE`` samples (the
+last batch takes the rest), consumed in batch order.  Each batch draws one
+row-major ``(count, horizon + 1)`` block of uniforms, one row per sample:
+the first picks the initial state, the one at column ``n + 1`` the state
+after epoch ``n``.  The block is drawn in whole rows, at most
+``DRAW_FLOATS`` numbers at a time, which consumes the stream exactly as
+one draw would.  The same seed and inputs always reproduce the same
+estimate.
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import DeterministicPolicy
-from .errors import BranchCoverageError, PolicyTreeMismatchError, TrajectoryLimitError
+from .errors import PolicyTreeMismatchError, TrajectoryLimitError
 from .model import StatisticalMDP
 
 DEFAULT_TRAJECTORY_CAP = 1_000_000
 
 #: normal-approximation quantile for 95% confidence half-widths
 Z_95 = 1.96
+#: samples per Monte-Carlo batch, each batch with its own spawned seed
+BATCH_SIZE = 10_000
 #: uniforms drawn at a time by the Monte-Carlo sampler, which bounds its memory
 DRAW_FLOATS = 1 << 15
 
@@ -51,13 +55,6 @@ def _check(model: StatisticalMDP, theta: int, policy: DeterministicPolicy) -> No
         raise ValueError(f"parameter index {theta} out of range")
 
 
-def _pruned(model: StatisticalMDP, theta: int, state: int) -> BranchCoverageError:
-    return BranchCoverageError(
-        f"state {model.states[state]} reachable under "
-        f"theta={model.params.labels[theta]} was pruned from the tree"
-    )
-
-
 def enumerate_cost(
     model: StatisticalMDP,
     theta: int,
@@ -75,16 +72,13 @@ def enumerate_cost(
     records: list[TrajectoryRecord] = []
     init = model.initial_kernel[theta]
     roots = {int(tree.epochs[0].state[idx]): idx for idx, _ in tree.roots}
-    # depth first, each node's successors in ascending state order; a
-    # pruned node (-1) raises when the walk reaches it
+    # depth first, each node's successors in ascending state order
     stack = [
-        (0, roots.get(int(x), -1), int(x), float(init[x]), 0.0, (model.states[x],))
+        (0, roots[int(x)], int(x), float(init[x]), 0.0, (model.states[x],))
         for x in np.flatnonzero(init > 0.0)[::-1]
     ]
     while stack:
         n, node, state, prob, cost, seq = stack.pop()
-        if node < 0:
-            raise _pruned(model, theta, state)
         if n == model.horizon:
             if len(records) >= trajectory_cap:
                 raise TrajectoryLimitError(trajectory_cap)
@@ -142,30 +136,20 @@ def mc_estimate(
     policy: DeterministicPolicy,
     samples: int,
     seed: int,
-    batch_size: int = 10_000,
 ) -> tuple[float, float]:
     """Seeded Monte-Carlo estimate of the policy cost under the
     theta-kernel: (sample mean, 95% normal-approximation half-width).
 
     Batches use seeds spawned from ``SeedSequence(seed)`` and are combined
-    in batch order, so identical inputs give identical output.  Raises
-    BranchCoverageError when a branch that theta reaches under the policy
-    was pruned from the tree.
+    in batch order, so identical inputs give identical output.
     """
     _check(model, theta, policy)
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
     tree = policy.tree
 
     init = model.initial_kernel[theta]
     roots = {int(tree.epochs[0].state[idx]): idx for idx, _ in tree.roots}
-    reached = np.zeros(len(tree.epochs[0].state), dtype=bool)
-    for x in np.flatnonzero(init > 0.0):
-        if int(x) not in roots:
-            raise _pruned(model, theta, int(x))
-        reached[roots[int(x)]] = True
     root_cum, order = _cumulative(init[None, :])
     root_cum = root_cum[0]
     root_nodes = np.array([roots.get(int(x), -1) for x in order[0]])
@@ -177,18 +161,12 @@ def mc_estimate(
         epoch = tree.epochs[n]
         action = epoch.pair_action[pairs]
         rows = model.transition[n, theta, epoch.state, action]
-        child = epoch.child[pairs]
-        taken = (rows > 0.0) & reached[:, None]
-        if np.any(child[taken] < 0):
-            raise _pruned(model, theta, int(np.nonzero(taken & (child < 0))[1][0]))
-        reached = np.zeros(len(tree.epochs[n + 1].state), dtype=bool)
-        reached[child[taken]] = True
         cumulative, order = _cumulative(rows)
         stage = model.stage_cost[n, theta, epoch.state, action]
-        tables.append((cumulative, np.take_along_axis(child, order, axis=1), stage))
+        tables.append((cumulative, np.take_along_axis(epoch.child[pairs], order, axis=1), stage))
     terminal = model.terminal_cost[theta, tree.epochs[-1].state]
 
-    n_batches = (samples + batch_size - 1) // batch_size
+    n_batches = (samples + BATCH_SIZE - 1) // BATCH_SIZE
     seeds = np.random.SeedSequence(seed).spawn(n_batches)
     width = model.horizon + 1
     block = max(1, DRAW_FLOATS // width)
@@ -197,7 +175,7 @@ def mc_estimate(
     remaining = samples
     for batch_seed in seeds:
         rng = np.random.default_rng(batch_seed)
-        count = min(batch_size, remaining)
+        count = min(BATCH_SIZE, remaining)
         remaining -= count
         # blocks of consecutive rows draw the stream as one (count, width) block
         for start in range(0, count, block):

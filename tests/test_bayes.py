@@ -24,7 +24,8 @@ from ambmdp.bayes import (
     solve_bayes,
 )
 from ambmdp.belief import predictive, update_posterior
-from ambmdp.errors import BranchCoverageError, PolicyTreeMismatchError, TreeSizeLimitError
+from ambmdp import bayes
+from ambmdp.errors import PolicyTreeMismatchError, TreeSizeLimitError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from ambmdp.oracle import enumerate_cost, mc_estimate
 
@@ -257,34 +258,27 @@ def sparse_model(rng):
 
 
 class TestSolutionCosts:
-    def test_costs_match_enumeration_and_are_nan_where_branches_lack(self, rng):
-        # a zero-weight parameter may reach branches the tree pruned; its
-        # cost is NaN exactly there, and finite costs are exact
-        nan_costs = 0
+    def test_costs_match_enumeration_under_every_parameter(self, rng):
+        # a zero-weight parameter may reach nodes of zero mass under the
+        # prior; its cost is exact all the same
+        zero_mass_nodes = 0
         for _ in range(40):
             model = sparse_model(rng)
             weights = rng.dirichlet(np.ones(3))
             weights[int(rng.integers(3))] = 0.0
             prior = Belief(weights / weights.sum())
             solution = solve_bayes(model, prior)
+            weighted = solution.tree.dag.likelihood * prior.weights
+            zero_mass_nodes += int((~weighted.any(axis=1)).sum())
             for theta in range(model.n_params):
-                try:
-                    evaluated = evaluate_policy(model, theta, solution.policy)
-                except BranchCoverageError:
-                    assert np.isnan(solution.costs[theta])
-                    with pytest.raises(BranchCoverageError):
-                        enumerate_cost(model, theta, solution.policy)
-                    nan_costs += 1
-                    continue
-                assert solution.costs[theta] == evaluated
+                assert np.isfinite(solution.costs[theta])
+                assert solution.costs[theta] == evaluate_policy(model, theta, solution.policy)
                 exact, _ = enumerate_cost(model, theta, solution.policy)
                 assert solution.costs[theta] == pytest.approx(exact, abs=1e-12)
-            support = list(prior.support())
-            assert not np.isnan(solution.costs[support]).any()
             assert solution.value == pytest.approx(
-                float(prior.weights[support] @ solution.costs[support]), abs=1e-12
+                float(prior.weights @ solution.costs), abs=1e-12
             )
-        assert nan_costs > 0
+        assert zero_mass_nodes > 0
 
 
 class TestEvaluatePolicy:
@@ -327,18 +321,24 @@ class TestEvaluatePolicy:
         assert policy_cost_profile(model, solution.policy).tolist() == [3.0, 3.0]
         assert bayes_cost(model, solution.policy, Belief(np.array([0.5, 0.5]))) == 3.0
 
-    def test_pruned_branch_theta_reaches_raises(self):
-        # at the point mass on t0 the tree lacks t1's move from s0 to s2
+    def test_zero_weight_parameter_is_evaluated_exactly(self):
+        # at the point mass on t0, t1's move from s0 to s2 has zero mass
+        # and stays in the tree; s2 takes t1's likelihood as its belief,
+        # the limit of priors nudged towards uniform
         model = unreached_pruned_branch_model()
-        solution = solve_bayes(model, Belief(np.array([1.0, 0.0])))
-        with pytest.raises(BranchCoverageError, match="theta=t1"):
-            evaluate_policy(model, 1, solution.policy)
-        with pytest.raises(BranchCoverageError, match="theta=t1"):
-            policy_cost_profile(model, solution.policy)
-        with pytest.raises(BranchCoverageError, match="s2 reachable under theta=t1"):
-            mc_estimate(model, 1, solution.policy, samples=1, seed=0)
+        point = Belief(np.array([1.0, 0.0]))
+        solution = solve_bayes(model, point)
+        assert evaluate_policy(model, 1, solution.policy) == 3.0
+        assert enumerate_cost(model, 1, solution.policy)[0] == 3.0
+        assert mc_estimate(model, 1, solution.policy, samples=100, seed=0)[0] == 3.0
+        assert policy_cost_profile(model, solution.policy).tolist() == [3.0, 3.0]
         assert evaluate_policy(model, 0, solution.policy) == 3.0
-        assert bayes_cost(model, solution.policy, Belief(np.array([1.0, 0.0]))) == 3.0
+        assert bayes_cost(model, solution.policy, point) == 3.0
+        nudge = 1e-9
+        nudged = solve_bayes(model, Belief((1.0 - nudge) * point.weights + nudge / 2))
+        np.testing.assert_array_equal(nudged.policy.actions, solution.policy.actions)
+        for epoch, limit in zip(solution.tree.epochs, nudged.tree.epochs):
+            np.testing.assert_allclose(epoch.belief, limit.belief, atol=1e-8)
 
 
 class TestBayesCost:
@@ -391,8 +391,9 @@ class TestBayesCost:
         assert solution.value == pytest.approx(1.0, abs=1e-12)
         assert solution.tree.prior == seqtest.prior_belief(0.1)
         assert solution.tree.dag is tree.dag
-        with pytest.raises(PolicyTreeMismatchError, match="support"):
-            solve_bayes(model, seqtest.prior_belief(1.0), tree=tree)
+        point = solve_bayes(model, seqtest.prior_belief(1.0), tree=tree)
+        assert point.tree.dag is tree.dag
+        assert point.value == solve_bayes(model, seqtest.prior_belief(1.0)).value
 
     def test_dedup_does_not_change_values(self, rng):
         for _ in range(5):
@@ -441,14 +442,25 @@ def _outputs(model, prior) -> list:
 
 
 class TestBeliefDagCache:
-    def test_priors_on_one_support_share_one_dag(self, rng):
+    def test_every_prior_shares_one_dag(self, rng):
         model = random_model(rng, n_params=3)
         a = solve_bayes(model, random_belief(rng, 3))
         b = solve_bayes(model, random_belief(rng, 3))
         point = solve_bayes(model, Belief.point_mass(3, 1))
-        assert a.tree.dag is b.tree.dag
-        assert point.tree.dag is not a.tree.dag
-        assert sorted(model.belief_dags) == [(0, 1, 2), (1,)]
+        assert a.tree.dag is b.tree.dag is point.tree.dag is model.belief_dag
+
+    def test_cold_robust_solve_builds_once(self, rng, monkeypatch):
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build_tree(*args, **kwargs)
+
+        monkeypatch.setattr(bayes, "build_tree", counted)
+        model = random_model(rng, n_params=3)
+        result = solve(model, "robust", Belief.uniform(3))
+        assert len(builds) == 1
+        assert len(result.trace) > 1
 
     def test_warm_cache_gives_bitwise_identical_results(self, rng):
         for model in (
@@ -461,7 +473,7 @@ class TestBeliefDagCache:
             for w in ([1.0] + [0.0] * (k - 1), [0.5, 0.5] + [0.0] * (k - 2)):
                 solve_bayes(warm, Belief(np.array(w)))
             solve(warm, "robust", Belief.uniform(k))
-            assert len(warm.belief_dags) >= 3
+            assert warm.belief_dag is not None
             prior = random_belief(rng, k)
             assert _outputs(warm, prior) == _outputs(dataclasses.replace(model), prior)
 
@@ -472,7 +484,7 @@ class TestBeliefDagCache:
             ref = weakref.ref(model)
             result = solve(model, "entropic", seqtest.prior_belief(0.3), 0.5)
             certify_saddle(model, result)
-            assert model.belief_dags
+            assert model.belief_dag is not None
             del model, result
             assert ref() is None
         finally:
@@ -482,7 +494,7 @@ class TestBeliefDagCache:
         model = dataclasses.replace(bench_model)
         with pytest.raises(TreeSizeLimitError, match="5"):
             solve_bayes(model, seqtest.prior_belief(0.3), node_cap=5)
-        assert model.belief_dags == {}  # a build that raises caches nothing
+        assert model.belief_dag is None  # a build that raises caches nothing
         assert len(solve_bayes(model, seqtest.prior_belief(0.3)).tree) == 7
         with pytest.raises(TreeSizeLimitError, match="6"):
             solve_bayes(model, seqtest.prior_belief(0.6), node_cap=6)

@@ -54,7 +54,7 @@ sweep.prior = 0.1 0.3
 """
 
 
-PRUNED_BRANCH_CONFIG = """
+ZERO_WEIGHT_BRANCH_CONFIG = """
 model.name = inline
 model.horizon = 1
 model.states = s0 s1
@@ -281,7 +281,7 @@ class TestRunFigure:
         run(parse_config(FIGURE_CONFIG), out_path=str(out), stdout=io.StringIO())
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        head = "duality gap > 1e-06 in 8 of 10 rows (largest "
+        head = "duality gap > 1e-06 in 8 of 8 outer solves (largest "
         assert err[0].startswith(head) and err[0].endswith(")")
         assert float(err[0][len(head) : -1]) == pytest.approx(1.92576315295, abs=1e-9)
 
@@ -396,12 +396,14 @@ class TestMain:
         ],
         ids=("entropic", "avar", "robust", "simulate"),
     )
-    def test_pruned_branch_exits_two(self, tmp_path, capsys, command, head):
-        # prior 0 builds the tree without t0, whose move to s1 is then missing
-        path = self.write(tmp_path, head + PRUNED_BRANCH_CONFIG)
-        assert main([command, "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("solver guard: ") and "theta=t0" in err
+    def test_zero_weight_branch_exits_zero(self, tmp_path, capsys, command, head):
+        # prior 0 gives t0 zero weight; its move to s1 stays in the tree
+        path = self.write(tmp_path, head + ZERO_WEIGHT_BRANCH_CONFIG)
+        assert main([command, "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "simulate":
+            assert "exact cost under t0 = 6 (1 trajectories)" in captured.out
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import random_belief, random_model
 
-from ambmdp import seqtest
+from ambmdp import oracle, seqtest
 from ambmdp.bayes import evaluate_policy, solve_bayes
 from ambmdp.errors import TrajectoryLimitError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
@@ -133,30 +133,28 @@ class TestMcEstimate:
         with pytest.raises(ValueError, match="samples"):
             mc_estimate(bench_model, 0, solution.policy, samples=0, seed=1)
 
-    def test_parameter_and_batch_validation(self, bench_model):
+    def test_parameter_validation(self, bench_model):
         solution = solve_bayes(bench_model, seqtest.prior_belief(0.5))
         for theta in (-1, 2):
             with pytest.raises(ValueError, match="parameter index"):
                 mc_estimate(bench_model, theta, solution.policy, samples=10, seed=1)
-        with pytest.raises(ValueError, match="batch_size"):
-            mc_estimate(bench_model, 0, solution.policy, samples=10, seed=1, batch_size=0)
 
-    def test_random_stream_is_pinned(self):
+    def test_random_stream_is_pinned(self, monkeypatch):
         # each batch draws a row-major (count, horizon + 1) block of
         # uniforms, one row per sample; these figures were recorded from the
         # one-sample-at-a-time sampler the batched one replaced
         model = seqtest.build_model(seqtest.SeqTestConfig(horizon=4))
         solution = solve_bayes(model, seqtest.prior_belief(0.5))
-        result = mc_estimate(model, 1, solution.policy, samples=20_000, seed=2024, batch_size=7_000)
+        monkeypatch.setattr(oracle, "BATCH_SIZE", 7_000)
+        result = mc_estimate(model, 1, solution.policy, samples=20_000, seed=2024)
         assert result == (4.2735, 0.06503582848529983)
 
-    def test_batch_split_covers_every_sample(self):
+    def test_batch_split_covers_every_sample(self, monkeypatch):
         # zero-variance chain: any batch partition must average exactly 2.5
         model = chain_model()
         solution = solve_bayes(model, Belief.uniform(1))
         for batch_size in (1, 7, 50, 10_000):
-            mean, half = mc_estimate(
-                model, 0, solution.policy, samples=23, seed=2, batch_size=batch_size
-            )
+            monkeypatch.setattr(oracle, "BATCH_SIZE", batch_size)
+            mean, half = mc_estimate(model, 0, solution.policy, samples=23, seed=2)
             assert mean == pytest.approx(2.5, abs=1e-15)
             assert half == 0.0
