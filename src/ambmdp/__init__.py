@@ -28,7 +28,6 @@ from .bayes import (
     policy_cost_profile,
     solve_bayes,
 )
-from .belief import PredictiveDistribution, initial_posterior, predictive, update_posterior
 from .errors import (
     AmbiguityMDPError,
     ConfigError,
@@ -39,30 +38,18 @@ from .errors import (
 )
 from .model import Belief, ParameterSet, StatisticalMDP, cost_bounds, validate
 from .oracle import TrajectoryRecord, enumerate_cost, mc_estimate
-from .risk import (
-    AvarAmbiguitySet,
-    avar_dual,
-    avar_quantile,
-    entropic_dual_value,
-    entropic_risk,
-    expected_cost,
-    relative_entropy,
-    tilted_prior,
-    value_at_risk,
-)
+from .risk import avar_quantile, entropic_risk, relative_entropy
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguityMDPError",
-    "AvarAmbiguitySet",
     "Belief",
     "ConfigError",
     "DeterministicPolicy",
     "InfeasibleActionError",
     "ParameterSet",
     "PolicyTreeMismatchError",
-    "PredictiveDistribution",
     "ReachableBeliefTree",
     "SaddleCertificate",
     "SaddleResult",
@@ -72,30 +59,22 @@ __all__ = [
     "TreeEpoch",
     "TreeSizeLimitError",
     "ValueSolution",
-    "avar_dual",
     "avar_quantile",
     "bayes_cost",
     "build_tree",
     "certify_saddle",
     "cost_bounds",
-    "entropic_dual_value",
     "entropic_objective",
     "entropic_risk",
     "enumerate_cost",
     "evaluate_policy",
-    "expected_cost",
-    "initial_posterior",
     "mc_estimate",
     "policy_cost_profile",
-    "predictive",
     "relative_entropy",
     "solve",
     "solve_avar",
     "solve_bayes",
     "solve_entropic",
     "solve_robust",
-    "tilted_prior",
-    "update_posterior",
     "validate",
-    "value_at_risk",
 ]

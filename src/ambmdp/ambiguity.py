@@ -60,7 +60,7 @@ import numpy as np
 
 from .bayes import DEFAULT_NODE_CAP, DeterministicPolicy, bayes_cost, solve_bayes
 from .model import Belief, StatisticalMDP, cost_bounds
-from .risk import AvarAmbiguitySet, avar_quantile, entropic_risk, relative_entropy
+from .risk import avar_quantile, entropic_risk, relative_entropy
 from .search import entropic_master, lp_master
 
 #: largest offset used to move the returned prior off a plateau edge
@@ -129,8 +129,8 @@ class _Ambiguity:
     @property
     def caps(self) -> np.ndarray:
         if self.mode == "avar":
-            caps = AvarAmbiguitySet(self.base, self.gamma).weight_caps()
-            return caps[list(self.support)]
+            # densities against the base are capped at 1/(1-gamma)
+            return self.base.weights[list(self.support)] * (1.0 / (1.0 - self.gamma))
         return np.ones(len(self.support))
 
     @property
@@ -301,10 +301,12 @@ def _plateau(
 
 def check_gamma(mode: str, gamma: float | None) -> None:
     """Raise ValueError unless ``gamma`` suits the outer mode: entropic
-    needs gamma > 0, avar gamma in (0, 1), and robust takes none."""
+    needs a finite gamma > 0, avar gamma in (0, 1), and robust takes none."""
     if mode == "entropic":
         if gamma is None or not gamma > 0.0:
             raise ValueError("entropic mode requires gamma > 0")
+        if gamma == math.inf:
+            raise ValueError("entropic mode requires a finite gamma")
     elif mode == "avar":
         if gamma is None or not 0.0 < gamma < 1.0:
             raise ValueError("avar mode requires gamma in (0, 1)")

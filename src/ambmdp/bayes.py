@@ -21,11 +21,10 @@ action depend on the history only through (epoch, state, belief).
 
 A solve reads the DAG through a view at its prior (``ReachableBeliefTree``,
 one ``TreeEpoch`` per epoch): beliefs are the likelihoods times the prior,
-normalized, root masses the prior's mix of initial kernels, and predictive
-masses are computed when first read.  A node reached only under
-parameters of zero prior weight has zero mass; its belief is its
-likelihood, the limit of the beliefs there as the prior is moved towards
-the uniform one.
+normalized, and root masses the prior's mix of initial kernels.  A node
+reached only under parameters of zero prior weight has zero mass; its
+belief is its likelihood, the limit of the beliefs there as the prior is
+moved towards the uniform one.
 
 One backward pass runs over the arrays with a few array operations per
 epoch.  It carries a cost column per parameter: the expected cost to go of
@@ -59,9 +58,7 @@ class TreeEpoch:
     within the next epoch, of the node reached from pair ``p`` on observing
     next state ``x``, or -1 where no parameter reaches that branch.
     ``kernel[p]`` is the pair's (parameter, next state) table of transition
-    probabilities and ``stage[p]`` its stage cost per parameter;
-    ``mass[p, x]`` is the predictive mass of a branch under the node's
-    belief (0 where pruned)."""
+    probabilities and ``stage[p]`` its stage cost per parameter."""
 
     state: np.ndarray  # (nodes,)
     belief: np.ndarray  # (nodes, K)
@@ -70,22 +67,6 @@ class TreeEpoch:
     child: np.ndarray  # (pairs, E)
     kernel: np.ndarray  # (pairs, K, E)
     stage: np.ndarray  # (pairs, K)
-
-    @cached_property
-    def mass(self) -> np.ndarray:
-        """(pairs, E) predictive masses, computed as belief.predictive
-        computes them."""
-        # a model's kernel rows are contiguous only with one state and one
-        # action, and a one-state kernel is stored in the model's layout
-        table = self.kernel
-        if table.shape[-1] > 1:
-            table = _like_table(table, contiguous=False)
-        masses = np.matmul(self.belief[self.pair_node][:, None, :], table)[:, 0, :]
-        totals = masses.sum(axis=1)
-        drift = np.abs(totals - 1.0) > SUM_TOL
-        if drift.any():
-            masses[drift] /= totals[drift, None]
-        return np.where(self.child >= 0, masses, 0.0)
 
 
 class _BeliefDag:
@@ -188,23 +169,6 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _like_table(c: np.ndarray, contiguous: bool) -> np.ndarray:
-    """``c``, gathered from slices of a model table, laid out as BLAS saw
-    those slices: the last axis unit-strided, and the axis before it
-    contiguous with it only when the slices were.
-
-    OpenBLAS sums vector-vector and vector-matrix products in a different
-    order when the leading dimension equals the row length, so a gathered
-    batch keeps that property of the slices it replaces, and its products
-    stay bitwise equal to the one-node products.
-    """
-    if contiguous:
-        return np.ascontiguousarray(c)
-    padded = np.empty(c.shape[:-1] + (2 * c.shape[-1],))
-    padded[..., : c.shape[-1]] = c
-    return padded[..., : c.shape[-1]]
-
-
 def _first_of_equal_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the first row of each group of equal rows of ``key``, with
     the groups numbered in order of their first rows, and the group of
@@ -222,15 +186,11 @@ def _first_of_equal_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_tree(
-    model: StatisticalMDP,
-    prior: Belief,
-    node_cap: int = DEFAULT_NODE_CAP,
-    dedup: bool = True,
+    model: StatisticalMDP, prior: Belief, node_cap: int = DEFAULT_NODE_CAP
 ) -> ReachableBeliefTree:
     """Build the DAG of every (state, belief) pair reachable within the
-    horizon under some parameter, and return its view at ``prior``.  With
-    ``dedup`` the DAG is cached on the model; without, nodes are never
-    merged and nothing is cached.
+    horizon under some parameter, cache it on the model, and return its
+    view at ``prior``.
 
     Raises TreeSizeLimitError once the node count exceeds ``node_cap``, and
     ValueError when a predictive distribution sums to more than
@@ -243,7 +203,7 @@ def build_tree(
     uniform = np.full(model.n_params, 1.0 / model.n_params)
     state = np.flatnonzero(uniform @ model.initial_kernel > 0.0)
     belief = _normalized(model.initial_kernel.T[state] * uniform)
-    n_states, n_actions = model.n_states, model.n_actions
+    n_states = model.n_states
     layers, beliefs = [], [belief]
     offsets = [0, state.size]
     if state.size > node_cap:
@@ -254,8 +214,6 @@ def build_tree(
         pair_state = state[pair_node]
         pair_belief = belief[pair_node]
         kernel = model.transition[n].transpose(1, 2, 0, 3)[pair_state, pair_action]
-        if n_states == 1:  # so that ``TreeEpoch.mass`` can use it as it is
-            kernel = _like_table(kernel, contiguous=n_actions == 1)
         masses = np.matmul(pair_belief[:, None, :], kernel)[:, 0, :]
         totals = masses.sum(axis=1)
         far = ~(np.abs(totals - 1.0) <= RENORM_LIMIT)  # NaN is far too
@@ -268,12 +226,9 @@ def build_tree(
         cand_pair, cand_state = np.nonzero(masses > 0.0)
         joint = kernel.transpose(0, 2, 1)[cand_pair, cand_state] * pair_belief[cand_pair]
         posterior = _normalized(joint)
-        if dedup:
-            first, inverse = _first_of_equal_rows(
-                np.column_stack((cand_state, np.round(posterior, 12)))
-            )
-        else:
-            first = inverse = np.arange(cand_pair.size)
+        first, inverse = _first_of_equal_rows(
+            np.column_stack((cand_state, np.round(posterior, 12)))
+        )
         child = np.full(masses.shape, -1)
         child[cand_pair, cand_state] = inverse
 
@@ -296,8 +251,7 @@ def build_tree(
     for a in [offsets, likelihood] + [a for layer in layers for a in layer]:
         a.flags.writeable = False
     dag = _BeliefDag(layers, likelihood, offsets)
-    if dedup:
-        object.__setattr__(model, "belief_dag", dag)
+    object.__setattr__(model, "belief_dag", dag)
     return _view(model, dag, prior)
 
 
@@ -395,35 +349,23 @@ def _backward(
 
 
 def solve_bayes(
-    model: StatisticalMDP,
-    prior: Belief,
-    node_cap: int = DEFAULT_NODE_CAP,
-    tree: ReachableBeliefTree | None = None,
+    model: StatisticalMDP, prior: Belief, node_cap: int = DEFAULT_NODE_CAP
 ) -> ValueSolution:
-    """Backward induction over the reachable belief DAG at ``prior``: the
-    model's cached DAG, or with ``tree`` the DAG that tree views.
+    """Backward induction over the model's belief DAG, seen at ``prior``.
 
     Each node takes the feasible action of least expected stage cost plus
     continuation cost under its belief (see ``_backward``).  The returned
     value mixes the policy's per-parameter costs by the prior.
-
-    Raises PolicyTreeMismatchError when ``tree`` was built for another
-    model.
     """
     if len(prior) != model.n_params:
         raise ValueError("prior dimension does not match the parameter set")
-    if tree is None:
-        dag = model.belief_dag
-        if dag is None:
-            tree = build_tree(model, prior, node_cap=node_cap)
-        elif len(dag) > node_cap:
-            raise TreeSizeLimitError(node_cap)
-        else:
-            tree = _view(model, dag, prior)
-    elif tree.model is not model:
-        raise PolicyTreeMismatchError("tree was built for a different model")
-    elif tree.prior != prior:
-        tree = _view(model, tree.dag, prior)
+    dag = model.belief_dag
+    if dag is None:
+        tree = build_tree(model, prior, node_cap=node_cap)
+    elif len(dag) > node_cap:
+        raise TreeSizeLimitError(node_cap)
+    else:
+        tree = _view(model, dag, prior)
     costs, values, chosen = _backward(model, tree)
     actions = np.full(len(tree), -1)
     for n, pairs in enumerate(chosen):

@@ -5,7 +5,7 @@ is exact for finite parameter sets: new weights are proportional to
 ``likelihood(theta) * old_weight(theta)``.  When the total posterior mass of
 an observation is zero the belief is returned unchanged; such branches carry
 zero probability in every expectation, so the convention never affects
-values.
+values.  No solver path imports this module; tests check ``bayes`` by it.
 """
 
 from __future__ import annotations

@@ -132,6 +132,8 @@ def _number(key: str, raw: str, lineno: int) -> float:
         return float(Fraction(raw))
     except (ValueError, ZeroDivisionError):
         raise _err(lineno, key, f"not a number or rational literal: {raw!r}") from None
+    except OverflowError:
+        raise _err(lineno, key, f"out of float range: {raw!r}") from None
 
 
 def _integer(key: str, raw: str, lineno: int) -> int:
@@ -172,9 +174,12 @@ def _sweep_values(key: str, raw: str, lineno: int) -> tuple[float, ...]:
             raise _err(lineno, key, "range requires step > 0 and stop >= start")
         values = []
         current = start
-        while current <= stop:
-            values.append(float(current))
-            current += step
+        try:
+            while current <= stop:
+                values.append(float(current))
+                current += step
+        except OverflowError:
+            raise _err(lineno, key, f"out of float range: {raw!r}") from None
         return tuple(values)
     return tuple(_number_list(key, raw, lineno))
 

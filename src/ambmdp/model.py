@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -169,34 +168,6 @@ class StatisticalMDP:
             object.__setattr__(self, name, arr)
 
         object.__setattr__(self, "feasible", _as_feasible(self.feasible, n, e, a))
-
-    @classmethod
-    def stationary(
-        cls,
-        horizon: int,
-        states: Sequence[str],
-        actions: Sequence[str],
-        params: ParameterSet,
-        feasible: Sequence[Sequence[int]],
-        initial_kernel,
-        transition,
-        stage_cost,
-        terminal_cost,
-    ) -> "StatisticalMDP":
-        """Build a model from single-epoch tables replicated across epochs."""
-        trans = np.asarray(transition, dtype=float)
-        stage = np.asarray(stage_cost, dtype=float)
-        return cls(
-            horizon=horizon,
-            states=tuple(states),
-            actions=tuple(actions),
-            params=params,
-            feasible=tuple(tuple(tuple(f) for f in feasible) for _ in range(horizon)),
-            initial_kernel=initial_kernel,
-            transition=np.broadcast_to(trans, (horizon,) + trans.shape),
-            stage_cost=np.broadcast_to(stage, (horizon,) + stage.shape),
-            terminal_cost=terminal_cost,
-        )
 
     @property
     def n_states(self) -> int:

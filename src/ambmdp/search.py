@@ -103,8 +103,9 @@ def entropic_master(
     """
     log_base = np.log(base)
 
-    # risk.tilted_prior and risk.entropic_risk on the support, without their
-    # per-call validation, which would dominate this loop
+    # the tilted prior, base * exp(gamma * profile) normalized, and
+    # risk.entropic_risk on the support, without the per-call validation
+    # of the latter, which would dominate this loop
     def tilt(profile: np.ndarray) -> np.ndarray:
         a = gamma * profile + log_base
         w = np.exp(a - a.max())

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from helpers import decision_nodes, policy_from, random_belief, random_model
+from oracles import avar_dual, entropic_dual_value
 
 from ambmdp import seqtest
 from ambmdp.ambiguity import solve_avar, solve_entropic, solve_robust
@@ -19,7 +20,7 @@ from ambmdp.bayes import evaluate_policy, solve_bayes
 from ambmdp.belief import predictive
 from ambmdp.cli import parse_config, run
 from ambmdp.oracle import enumerate_cost
-from ambmdp.risk import avar_dual, avar_quantile, entropic_dual_value, entropic_risk
+from ambmdp.risk import avar_quantile, entropic_risk
 
 GRID = np.linspace(0.0, 1.0, 1001)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import random_model, simplex_lattice
+from oracles import within_avar_caps
 
 from ambmdp import seqtest
 from ambmdp.ambiguity import (
@@ -107,6 +108,8 @@ class TestSolveEntropic:
         base = seqtest.prior_belief(0.5)
         with pytest.raises(ValueError, match="gamma"):
             solve_entropic(bench_model, base, gamma=0.0)
+        with pytest.raises(ValueError, match="finite gamma"):
+            solve(bench_model, "entropic", base, math.inf)
         # the outer solver is exact; an argument tolerance is refused, not ignored
         with pytest.raises(TypeError, match="tol"):
             solve_entropic(bench_model, base, gamma=1.0, tol=1e-6)
@@ -174,12 +177,10 @@ class TestSolveAvar:
         assert result.worst_prior.weights[0] == pytest.approx(0.25, abs=1e-3)
 
     def test_worst_prior_is_feasible(self, bench_model):
-        from ambmdp.risk import AvarAmbiguitySet
-
         for gamma in (0.1, 0.5, 0.9):
             base = seqtest.prior_belief(0.2)
             result = solve_avar(bench_model, base, gamma=gamma)
-            assert AvarAmbiguitySet(base, gamma).contains(result.worst_prior, tol=1e-9)
+            assert within_avar_caps(result.worst_prior, base, gamma, tol=1e-9)
 
     def test_weak_duality_over_trace(self, bench_model):
         base = seqtest.prior_belief(0.2)

@@ -12,6 +12,7 @@ from helpers import (
     random_belief,
     random_model,
 )
+from oracles import history_value
 
 from ambmdp import seqtest
 from ambmdp.ambiguity import certify_saddle, solve
@@ -43,6 +44,13 @@ def declare_first_policy(tree) -> DeterministicPolicy:
     return policy_from(tree, actions)
 
 
+def pair_masses(tree, n, p) -> np.ndarray:
+    """Next-state masses from pair ``p`` of epoch ``n``, by ``predictive``."""
+    epoch, node = tree.epochs[n], tree.epochs[n].pair_node[p]
+    state, belief = int(epoch.state[node]), Belief(epoch.belief[node])
+    return predictive(tree.model, n, state, belief, int(epoch.pair_action[p])).masses
+
+
 def branches(tree):
     """(epoch, node index within it, action, next state, child index within
     the next epoch, mass) for every unpruned branch."""
@@ -50,7 +58,7 @@ def branches(tree):
         for p, x in zip(*np.nonzero(epoch.child >= 0)):
             yield (
                 n, int(epoch.pair_node[p]), int(epoch.pair_action[p]), int(x),
-                int(epoch.child[p, x]), float(epoch.mass[p, x]),
+                int(epoch.child[p, x]), float(pair_masses(tree, n, p)[x]),
             )
 
 
@@ -119,9 +127,10 @@ class TestBuildTree:
     def test_child_masses_sum_to_one(self, rng):
         model = random_model(rng)
         tree = build_tree(model, random_belief(rng, model.n_params))
-        for epoch in tree.epochs:
-            for masses in epoch.mass:
-                assert sum(masses[masses > 0.0]) == pytest.approx(1.0, abs=1e-12)
+        for n, epoch in enumerate(tree.epochs[:-1]):
+            for p, children in enumerate(epoch.child):
+                masses = pair_masses(tree, n, p)[children >= 0]
+                assert masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_predictive_sums_are_renormalized_or_refused(self, rng):
         model = random_model(rng)
@@ -129,8 +138,10 @@ class TestBuildTree:
         drifted = dataclasses.replace(model, transition=model.transition * (1.0 + 1e-9))
         tree = build_tree(drifted, prior)
         assert len(tree) == len(build_tree(model, prior))
-        for epoch in tree.epochs:
-            np.testing.assert_allclose(epoch.mass.sum(axis=1), 1.0, atol=1e-12)
+        for n, epoch in enumerate(tree.epochs[:-1]):
+            for p, children in enumerate(epoch.child):
+                masses = pair_masses(tree, n, p)[children >= 0]
+                assert masses.sum() == pytest.approx(1.0, abs=1e-12)
         far = dataclasses.replace(model, transition=model.transition * (1.0 + 1e-3))
         with pytest.raises(ValueError, match="row sums are off"):
             build_tree(far, prior)
@@ -153,14 +164,14 @@ class TestBuildTree:
             )
             assert tree.epochs[n + 1].state[child] == x_next
 
-    @pytest.mark.parametrize("dedup", (True, False))
-    def test_children_match_predictive(self, rng, dedup):
+    def test_children_match_predictive(self, rng):
         # the array builder against the one-node oracle: every feasible
-        # action has a pair, every positive predictive mass a child with
-        # exactly that mass, and every zero mass a pruned branch
+        # action has a pair carrying exactly the model's kernel rows and
+        # stage costs, every positive predictive mass a child, and every
+        # zero mass a pruned branch
         for _ in range(10):
             model = random_model(rng, n_params=int(rng.integers(2, 6)))
-            tree = build_tree(model, random_belief(rng, model.n_params), dedup=dedup)
+            tree = build_tree(model, random_belief(rng, model.n_params))
             for n, epoch in enumerate(tree.epochs[:-1]):
                 pairs = list(zip(epoch.pair_node.tolist(), epoch.pair_action.tolist()))
                 expected_pairs = [
@@ -168,11 +179,15 @@ class TestBuildTree:
                 ]
                 assert pairs == expected_pairs
                 for p, (i, action) in enumerate(pairs):
-                    pred = predictive(
-                        model, n, int(epoch.state[i]), Belief(epoch.belief[i]), action
-                    )
+                    state = int(epoch.state[i])
+                    pred = predictive(model, n, state, Belief(epoch.belief[i]), action)
                     kept = pred.masses > 0.0
-                    np.testing.assert_array_equal(epoch.mass[p], np.where(kept, pred.masses, 0.0))
+                    np.testing.assert_array_equal(
+                        epoch.kernel[p], model.transition[n, :, state, action]
+                    )
+                    np.testing.assert_array_equal(
+                        epoch.stage[p], model.stage_cost[n, :, state, action]
+                    )
                     np.testing.assert_array_equal(epoch.child[p] >= 0, kept)
                     for x in np.flatnonzero(kept):
                         child = epoch.child[p, x]
@@ -222,8 +237,7 @@ class TestSolveBayes:
                 q = float(belief.weights @ model.stage_cost[n, :, state, action])
                 (p,) = np.flatnonzero((epoch.pair_node == node) & (epoch.pair_action == action))
                 for x_next in np.flatnonzero(epoch.child[p] >= 0):
-                    mass = epoch.mass[p, x_next]
-                    assert mass == pytest.approx(float(pred.masses[x_next]), abs=1e-13)
+                    mass = pred.masses[x_next]
                     child = tree.offsets[n + 1] + epoch.child[p, x_next]
                     q += mass * solution.node_values[child]
                 best = min(best, q)
@@ -239,10 +253,10 @@ class TestSolveBayes:
         assert solution.value == pytest.approx(mixture, abs=1e-13)
 
 
-def sparse_model(rng):
+def sparse_model(rng, n_params=3):
     """A random model whose kernels have zeros: each entry is kept with
     probability 1/2 (at least one per row), then the rows renormalized."""
-    model = random_model(rng, n_params=3)
+    model = random_model(rng, n_params=n_params)
 
     def thinned(table):
         keep = rng.uniform(size=table.shape) < 0.5
@@ -373,7 +387,7 @@ class TestBayesCost:
             if policy_count(tree) > 200:
                 continue
             checked += 1
-            best = solve_bayes(model, prior, tree=tree).value
+            best = solve_bayes(model, prior).value
             for policy in enumerate_policies(tree):
                 assert bayes_cost(model, policy, prior) >= best - 1e-12
 
@@ -385,26 +399,34 @@ class TestBayesCost:
             assert solution.policy.actions[index] == model.feasible[n][state][0]
 
     def test_given_tree_is_solved_at_the_given_prior(self):
+        # a DAG built at one prior is solved at the asked prior
         model = seqtest.build_model(seqtest.SeqTestConfig(horizon=2))
         tree = build_tree(model, seqtest.prior_belief(0.3))
-        solution = solve_bayes(model, seqtest.prior_belief(0.1), tree=tree)
+        solution = solve_bayes(model, seqtest.prior_belief(0.1))
         assert solution.value == pytest.approx(1.0, abs=1e-12)
         assert solution.tree.prior == seqtest.prior_belief(0.1)
         assert solution.tree.dag is tree.dag
-        point = solve_bayes(model, seqtest.prior_belief(1.0), tree=tree)
+        point = solve_bayes(model, seqtest.prior_belief(1.0))
         assert point.tree.dag is tree.dag
-        assert point.value == solve_bayes(model, seqtest.prior_belief(1.0)).value
+        fresh = dataclasses.replace(model)
+        assert point.value == solve_bayes(fresh, seqtest.prior_belief(1.0)).value
 
     def test_dedup_does_not_change_values(self, rng):
+        # the merged DAG against the unmerged recursion over histories, then
+        # with zeros in the kernels and the prior, where some nodes are
+        # reached only under parameters of zero weight
         for _ in range(5):
             model = random_model(rng)
             prior = random_belief(rng, model.n_params)
-            merged = build_tree(model, prior, dedup=True)
-            expanded = build_tree(model, prior, dedup=False)
-            assert len(merged) <= len(expanded)
-            a = solve_bayes(model, prior, tree=merged)
-            b = solve_bayes(model, prior, tree=expanded)
-            assert a.value == pytest.approx(b.value, abs=1e-12)
+            value = solve_bayes(model, prior).value
+            assert value == pytest.approx(history_value(model, prior), abs=1e-12)
+        for _ in range(120):
+            model = sparse_model(rng, n_params=int(rng.integers(2, 6)))
+            weights = rng.dirichlet(np.ones(model.n_params))
+            weights[int(rng.integers(model.n_params))] = 0.0
+            prior = Belief(weights / weights.sum())
+            value = solve_bayes(model, prior).value
+            assert value == pytest.approx(history_value(model, prior), abs=1e-12)
 
     def test_value_is_concave_in_the_prior(self, rng):
         for _ in range(20):

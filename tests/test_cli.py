@@ -91,6 +91,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"solver\.gamma.*gamma > 0"):
             parse_config(bad)
 
+    def test_overflowing_sweep_value_rejected_with_line(self):
+        bad = FIGURE_CONFIG.replace("0:1:0.25", "0:1e400:1e399")
+        with pytest.raises(ConfigError, match=r"^line 5: sweep\.gamma: out of float range"):
+            parse_config(bad)
+
     def test_avar_gamma_range(self):
         bad = ENTROPIC_CONFIG.replace("mode = entropic", "mode = avar")
         bad = bad.replace("solver.gamma = 0.1", "solver.gamma = 1.5")
@@ -351,6 +356,13 @@ class TestMain:
         path = self.write(tmp_path, ENTROPIC_CONFIG + "bogus = 1\n")
         assert main(["solve", "--config", path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_overflowing_gamma_exits_one(self, tmp_path, capsys):
+        # 1e400 is a valid rational that no float holds
+        path = self.write(tmp_path, ENTROPIC_CONFIG.replace("gamma = 0.1", "gamma = 1e400"))
+        assert main(["solve", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error: line 7: solver.gamma: out of float range: '1e400'" in err
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 1

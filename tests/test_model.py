@@ -255,24 +255,6 @@ class TestConstruction:
                 terminal_cost=np.zeros((1, 1)),
             )
 
-    def test_stationary_replicates_tables(self):
-        params = ParameterSet(("t0", "t1"))
-        model = StatisticalMDP.stationary(
-            horizon=3,
-            states=("s0", "s1"),
-            actions=("a0",),
-            params=params,
-            feasible=((0,), (0,)),
-            initial_kernel=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            transition=np.full((2, 2, 1, 2), 0.5),
-            stage_cost=np.ones((2, 2, 1)),
-            terminal_cost=np.zeros((2, 2)),
-        )
-        assert model.horizon == 3
-        assert validate(model) == []
-        assert np.array_equal(model.transition[0], model.transition[2])
-        assert model.feasible[0] == model.feasible[2]
-
     def test_zero_horizon_model_is_allowed(self):
         params = ParameterSet(("t0",))
         model = StatisticalMDP(
