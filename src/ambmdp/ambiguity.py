@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import DEFAULT_NODE_CAP, DeterministicPolicy, bayes_cost, solve_bayes
+from .bayes import DeterministicPolicy, bayes_cost, solve_bayes
 from .model import Belief, StatisticalMDP, cost_bounds
 from .risk import avar_quantile, entropic_risk, relative_entropy
 from .search import entropic_master, lp_master
@@ -170,11 +170,7 @@ class _Ambiguity:
 
 
 def entropic_objective(
-    model: StatisticalMDP,
-    base_prior: Belief,
-    gamma: float,
-    candidate: Belief,
-    node_cap: int = DEFAULT_NODE_CAP,
+    model: StatisticalMDP, base_prior: Belief, gamma: float, candidate: Belief
 ) -> float:
     """Penalized outer objective: optimal Bayes cost at the candidate prior
     minus relative_entropy(candidate, base)/gamma; -inf off the base's
@@ -183,10 +179,10 @@ def entropic_objective(
     rel = relative_entropy(candidate, base_prior)
     if rel == math.inf:
         return -math.inf
-    return solve_bayes(model, candidate, node_cap=node_cap).value - rel / gamma
+    return solve_bayes(model, candidate).value - rel / gamma
 
 
-def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResult:
+def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     """The cutting-plane loop, then plateau location and the result."""
     lo, hi = cost_bounds(model)
     scale = max(abs(lo), abs(hi))
@@ -199,7 +195,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
         """Outer objective at the prior w, and whether the best response's
         plane was new (and added)."""
         mu = amb.embed(model.n_params, w)
-        solution = solutions[w.tobytes()] = solve_bayes(model, mu, node_cap=node_cap)
+        solution = solutions[w.tobytes()] = solve_bayes(model, mu)
         value = solution.value - amb.penalty(mu)
         trace.append((mu, value))
         cut = solution.costs[list(amb.support)]
@@ -227,7 +223,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity, node_cap: int) -> SaddleResul
     mu_star = amb.embed(size, w_star)
     solution = solutions.get(w_star.tobytes())
     if solution is None:
-        solution = solve_bayes(model, mu_star, node_cap=node_cap)
+        solution = solve_bayes(model, mu_star)
     value = solution.value - amb.penalty(mu_star)
     raw_gap = amb.dual_risk(solution.costs) - value
     if raw_gap < -1e-10 * max(scale, 1.0):
@@ -318,11 +314,7 @@ def check_gamma(mode: str, gamma: float | None) -> None:
 
 
 def solve(
-    model: StatisticalMDP,
-    mode: str,
-    prior: Belief,
-    gamma: float | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
+    model: StatisticalMDP, mode: str, prior: Belief, gamma: float | None = None
 ) -> SaddleResult:
     """Worst-case prior and a Bayes-optimal policy there, for one outer
     mode.
@@ -338,38 +330,26 @@ def solve(
     if len(prior) != model.n_params:
         raise ValueError("prior dimension does not match the parameter set")
     if mode == "robust":
-        return _solve(model, _Ambiguity(mode, prior.support()), node_cap)
-    return _solve(model, _Ambiguity(mode, prior.support(), prior, gamma), node_cap)
+        return _solve(model, _Ambiguity(mode, prior.support()))
+    return _solve(model, _Ambiguity(mode, prior.support(), prior, gamma))
 
 
-def solve_entropic(
-    model: StatisticalMDP,
-    base_prior: Belief,
-    gamma: float,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> SaddleResult:
+def solve_entropic(model: StatisticalMDP, base_prior: Belief, gamma: float) -> SaddleResult:
     """``solve`` in entropic mode."""
-    return solve(model, "entropic", base_prior, gamma, node_cap=node_cap)
+    return solve(model, "entropic", base_prior, gamma)
 
 
-def solve_avar(
-    model: StatisticalMDP,
-    base_prior: Belief,
-    gamma: float,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> SaddleResult:
+def solve_avar(model: StatisticalMDP, base_prior: Belief, gamma: float) -> SaddleResult:
     """``solve`` in avar mode."""
-    return solve(model, "avar", base_prior, gamma, node_cap=node_cap)
+    return solve(model, "avar", base_prior, gamma)
 
 
 def solve_robust(
-    model: StatisticalMDP,
-    support: Sequence[int] | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
+    model: StatisticalMDP, support: Sequence[int] | None = None
 ) -> SaddleResult:
     """``solve`` in robust mode over the given parameter indices (every
     parameter when omitted)."""
-    return solve(model, "robust", _uniform(model.n_params, support), node_cap=node_cap)
+    return solve(model, "robust", _uniform(model.n_params, support))
 
 
 def _uniform(size: int, support: Sequence[int] | None) -> Belief:
@@ -382,10 +362,7 @@ def _uniform(size: int, support: Sequence[int] | None) -> Belief:
 
 
 def certify_saddle(
-    model: StatisticalMDP,
-    result: SaddleResult,
-    tol: float = 1e-6,
-    node_cap: int = DEFAULT_NODE_CAP,
+    model: StatisticalMDP, result: SaddleResult, tol: float = 1e-6
 ) -> SaddleCertificate:
     """Check the returned pair.
 
@@ -402,7 +379,7 @@ def certify_saddle(
     mu = result.worst_prior
     violation = amb.dual_risk(profile) - (float(mu.weights @ profile) - amb.penalty(mu))
 
-    resolve = solve_bayes(model, mu, node_cap=node_cap)
+    resolve = solve_bayes(model, mu)
     pi_error = abs(bayes_cost(model, result.policy, mu) - resolve.value)
     return SaddleCertificate(
         mu_side_ok=bool(violation <= tol),

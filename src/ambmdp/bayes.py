@@ -19,12 +19,12 @@ likelihood rounded to 12 decimals) are merged, which turns the tree into a
 DAG without changing any value: the continuation value and the optimal
 action depend on the history only through (epoch, state, belief).
 
-A solve reads the DAG through a view at its prior (``ReachableBeliefTree``,
-one ``TreeEpoch`` per epoch): beliefs are the likelihoods times the prior,
-normalized, and root masses the prior's mix of initial kernels.  A node
-reached only under parameters of zero prior weight has zero mass; its
-belief is its likelihood, the limit of the beliefs there as the prior is
-moved towards the uniform one.
+A solve reads the DAG through a view at its prior (``ReachableBeliefTree``),
+which shares the DAG's epochs and adds one array, the belief of every
+node: the likelihoods times the prior, normalized.  A node reached only
+under parameters of zero prior weight keeps its likelihood as belief, the
+limit of the beliefs there as the prior is moved towards the uniform one.
+``build_tree`` is the one place that takes a node cap.
 
 One backward pass runs over the arrays with a few array operations per
 epoch.  It carries a cost column per parameter: the expected cost to go of
@@ -51,17 +51,18 @@ from .model import RENORM_LIMIT, SUM_TOL, Belief, StatisticalMDP
 DEFAULT_NODE_CAP = 10_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeEpoch:
-    """The nodes of one epoch, and below the horizon their (node, action)
-    pairs, ordered by node and then action.  ``child[p, x]`` is the index,
-    within the next epoch, of the node reached from pair ``p`` on observing
-    next state ``x``, or -1 where no parameter reaches that branch.
-    ``kernel[p]`` is the pair's (parameter, next state) table of transition
-    probabilities and ``stage[p]`` its stage cost per parameter."""
+    """The nodes of one epoch of the belief DAG, and below the horizon
+    their (node, action) pairs, ordered by node and then action.
+    ``child[p, x]`` is the index, within the next epoch, of the node
+    reached from pair ``p`` on observing next state ``x``, or -1 where no
+    parameter reaches that branch.  ``kernel[p]`` is the pair's (parameter,
+    next state) table of transition probabilities and ``stage[p]`` its
+    stage cost per parameter.  The arrays are read-only and shared by every
+    view of the DAG; the beliefs at a prior are ``ReachableBeliefTree.belief``."""
 
     state: np.ndarray  # (nodes,)
-    belief: np.ndarray  # (nodes, K)
     pair_node: np.ndarray  # (pairs,)
     pair_action: np.ndarray  # (pairs,)
     child: np.ndarray  # (pairs, E)
@@ -70,15 +71,16 @@ class TreeEpoch:
 
 
 class _BeliefDag:
-    """The reachable DAG of a model: per epoch the ``TreeEpoch`` arrays
-    other than ``belief``, in field order; the normalized likelihood of
-    every node, in global order; and the epoch offsets.  Arrays only, and
-    read-only: every view of the DAG shares them."""
+    """The reachable DAG of a model: its ``TreeEpoch``s; the normalized
+    likelihood of every node, in global order; the epoch offsets; and per
+    state the index of its root node, -1 for a state no parameter starts
+    in.  Arrays only, and read-only: every view of the DAG shares them."""
 
-    __slots__ = ("layers", "likelihood", "offsets")
+    __slots__ = ("epochs", "likelihood", "offsets", "root_of")
 
-    def __init__(self, layers, likelihood, offsets):
-        self.layers, self.likelihood, self.offsets = layers, likelihood, offsets
+    def __init__(self, epochs, likelihood, offsets, root_of):
+        self.epochs, self.likelihood = epochs, likelihood
+        self.offsets, self.root_of = offsets, root_of
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -86,16 +88,17 @@ class _BeliefDag:
 
 @dataclass
 class ReachableBeliefTree:
-    """The belief DAG ``dag`` seen at ``prior``."""
+    """The belief DAG ``dag`` seen at ``prior``: the DAG's own ``epochs``
+    and ``offsets``, and the ``(nodes, K)`` belief of every node by global
+    index."""
 
     model: StatisticalMDP
     prior: Belief
-    epochs: list[TreeEpoch]
+    dag: _BeliefDag
+    epochs: tuple[TreeEpoch, ...]
     # global index of epoch n's first node; offsets[-1] is the node count
     offsets: np.ndarray
-    # (root node index, prior-mixture mass of its initial state)
-    roots: tuple[tuple[int, float], ...]
-    dag: _BeliefDag
+    belief: np.ndarray
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -204,7 +207,9 @@ def build_tree(
     state = np.flatnonzero(uniform @ model.initial_kernel > 0.0)
     belief = _normalized(model.initial_kernel.T[state] * uniform)
     n_states = model.n_states
-    layers, beliefs = [], [belief]
+    root_of = np.full(n_states, -1)
+    root_of[state] = np.arange(state.size)
+    epochs, beliefs = [], [belief]
     offsets = [0, state.size]
     if state.size > node_cap:
         raise TreeSizeLimitError(node_cap)
@@ -233,7 +238,7 @@ def build_tree(
         child[cand_pair, cand_state] = inverse
 
         stage = model.stage_cost[n][:, pair_state, pair_action].T
-        layers.append((state, pair_node, pair_action, child, kernel, stage))
+        epochs.append(TreeEpoch(state, pair_node, pair_action, child, kernel, stage))
         state = cand_state[first]
         belief = posterior[first]
         beliefs.append(belief)
@@ -243,22 +248,22 @@ def build_tree(
 
     no_pairs = np.empty(0, dtype=int)
     k = model.n_params
-    layers.append((
+    epochs.append(TreeEpoch(
         state, no_pairs, no_pairs, np.empty((0, n_states), dtype=int),
         np.empty((0, k, n_states)), np.empty((0, k)),
     ))
     offsets, likelihood = np.array(offsets), np.concatenate(beliefs)
-    for a in [offsets, likelihood] + [a for layer in layers for a in layer]:
+    for a in [offsets, likelihood, root_of] + [a for e in epochs for a in vars(e).values()]:
         a.flags.writeable = False
-    dag = _BeliefDag(layers, likelihood, offsets)
+    dag = _BeliefDag(tuple(epochs), likelihood, offsets, root_of)
     object.__setattr__(model, "belief_dag", dag)
     return _view(model, dag, prior)
 
 
 def _view(model: StatisticalMDP, dag: _BeliefDag, prior: Belief) -> ReachableBeliefTree:
     """``dag`` at ``prior``: beliefs are the likelihood rows times the
-    prior, normalized, and root masses the prior's initial-state mixture.
-    A row the prior zeroes keeps its likelihood as belief."""
+    prior, normalized.  A row the prior zeroes keeps its likelihood as
+    belief."""
     weighted = dag.likelihood * prior.weights
     if prior.weights.all():
         belief = _normalized(weighted)
@@ -266,16 +271,7 @@ def _view(model: StatisticalMDP, dag: _BeliefDag, prior: Belief) -> ReachableBel
         belief = dag.likelihood.copy()
         live = weighted.any(axis=1)
         belief[live] = _normalized(weighted[live])
-    bounds = dag.offsets.tolist()
-    epochs = [
-        TreeEpoch(state, belief[bounds[n] : bounds[n + 1]], *rest)
-        for n, (state, *rest) in enumerate(dag.layers)
-    ]
-    masses = (prior.weights @ model.initial_kernel)[epochs[0].state]
-    return ReachableBeliefTree(
-        model=model, prior=prior, epochs=epochs, offsets=dag.offsets,
-        roots=tuple(enumerate(masses.tolist())), dag=dag,
-    )
+    return ReachableBeliefTree(model, prior, dag, dag.epochs, dag.offsets, belief)
 
 
 def _mix(weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -319,10 +315,9 @@ def _backward(
     chosen = [None] * model.horizon if pairs is None else pairs
     missing = np.full((1, model.n_params), np.nan)
 
-    last = tree.epochs[model.horizon]
-    columns = model.terminal_cost[:, last.state].T
+    columns = model.terminal_cost[:, tree.epochs[model.horizon].state].T
     if pairs is None:
-        values[offsets[model.horizon] :] = _mix(last.belief, columns)
+        values[offsets[model.horizon] :] = _mix(tree.belief[offsets[model.horizon] :], columns)
     for n in range(model.horizon - 1, -1, -1):
         epoch = tree.epochs[n]
         p = slice(None) if pairs is None else pairs[n]
@@ -333,7 +328,7 @@ def _backward(
             np.concatenate((columns, missing))[epoch.child[p]].transpose(0, 2, 1),
         )
         if pairs is None:
-            mixed = _mix(epoch.belief[epoch.pair_node], columns)
+            mixed = _mix(tree.belief[offsets[n] + epoch.pair_node], columns)
             # a node's pairs are in action order, so the stable sort puts
             # its least mix, with the lowest action on a tie, first
             first = np.searchsorted(epoch.pair_node, np.arange(epoch.state.size))
@@ -341,17 +336,15 @@ def _backward(
             columns = columns[chosen[n]]
             values[offsets[n] : offsets[n + 1]] = mixed[chosen[n]]
 
-    root_of = np.full(model.n_states, -1)
-    root_of[tree.epochs[0].state] = np.arange(tree.epochs[0].state.size)
-    reached = np.concatenate((columns, missing))[root_of].T
+    reached = np.concatenate((columns, missing))[tree.dag.root_of].T
     costs = _expect(np.zeros(model.n_params), model.initial_kernel, reached)
     return costs, values, chosen
 
 
-def solve_bayes(
-    model: StatisticalMDP, prior: Belief, node_cap: int = DEFAULT_NODE_CAP
-) -> ValueSolution:
-    """Backward induction over the model's belief DAG, seen at ``prior``.
+def solve_bayes(model: StatisticalMDP, prior: Belief) -> ValueSolution:
+    """Backward induction over the model's belief DAG, seen at ``prior``;
+    a model with no cached DAG builds it under ``DEFAULT_NODE_CAP`` (call
+    ``build_tree`` first for another cap).
 
     Each node takes the feasible action of least expected stage cost plus
     continuation cost under its belief (see ``_backward``).  The returned
@@ -360,12 +353,7 @@ def solve_bayes(
     if len(prior) != model.n_params:
         raise ValueError("prior dimension does not match the parameter set")
     dag = model.belief_dag
-    if dag is None:
-        tree = build_tree(model, prior, node_cap=node_cap)
-    elif len(dag) > node_cap:
-        raise TreeSizeLimitError(node_cap)
-    else:
-        tree = _view(model, dag, prior)
+    tree = build_tree(model, prior) if dag is None else _view(model, dag, prior)
     costs, values, chosen = _backward(model, tree)
     actions = np.full(len(tree), -1)
     for n, pairs in enumerate(chosen):

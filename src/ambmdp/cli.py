@@ -13,14 +13,16 @@ Commands (see README for the full key reference):
     figure   --config FILE [--out FILE]      modes figure-entropic|figure-avar
     simulate --config FILE [--seed N] [--samples N] [--dump-trajectories FILE]
 
-Exit status: 0 on success, 1 on configuration errors, 2 when a solver
-guard refuses the run: the tree node cap or the trajectory cap.
+Exit status: 0 on success, 1 on configuration errors and on output files
+that cannot be written, 2 when a solver guard refuses the run: the tree
+node cap or the trajectory cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -31,7 +33,9 @@ import numpy as np
 
 from . import seqtest
 from .ambiguity import SaddleCertificate, SaddleResult, certify_saddle, check_gamma, solve
-from .bayes import DEFAULT_NODE_CAP, DeterministicPolicy, ValueSolution, solve_bayes
+from .bayes import (
+    DEFAULT_NODE_CAP, DeterministicPolicy, ValueSolution, build_tree, solve_bayes,
+)
 from .errors import ConfigError, TrajectoryLimitError, TreeSizeLimitError
 from .model import Belief, ParameterSet, StatisticalMDP, validate
 from .oracle import DEFAULT_TRAJECTORY_CAP, enumerate_cost, mc_estimate
@@ -51,6 +55,8 @@ ALL_MODES = SOLVE_MODES + FIGURE_MODES + ("simulate",)
 TRAJECTORY_HEADER = ("trajectory", "probability", "total_cost")
 #: outer solves of a figure whose duality gap exceeds this are counted on stderr
 FIGURE_GAP_TOL = 1e-6
+#: most values a start:stop:step sweep range may expand to
+MAX_SWEEP_VALUES = 10_000
 
 
 @dataclass
@@ -161,7 +167,8 @@ def _labels(key: str, raw: str, lineno: int) -> tuple[str, ...]:
 
 def _sweep_values(key: str, raw: str, lineno: int) -> tuple[float, ...]:
     """Either a whitespace/comma list or an inclusive range start:stop:step,
-    expanded with exact rational arithmetic."""
+    expanded with exact rational arithmetic to at most MAX_SWEEP_VALUES
+    values, counted before any is made."""
     if ":" in raw:
         pieces = raw.split(":")
         if len(pieces) != 3:
@@ -172,15 +179,13 @@ def _sweep_values(key: str, raw: str, lineno: int) -> tuple[float, ...]:
             raise _err(lineno, key, f"bad range literal: {raw!r}") from None
         if step <= 0 or stop < start:
             raise _err(lineno, key, "range requires step > 0 and stop >= start")
-        values = []
-        current = start
+        count = (stop - start) // step + 1
+        if count > MAX_SWEEP_VALUES:
+            raise _err(lineno, key, f"range has {count} values, at most {MAX_SWEEP_VALUES}")
         try:
-            while current <= stop:
-                values.append(float(current))
-                current += step
+            return tuple(float(start + i * step) for i in range(count))
         except OverflowError:
             raise _err(lineno, key, f"out of float range: {raw!r}") from None
-        return tuple(values)
     return tuple(_number_list(key, raw, lineno))
 
 
@@ -451,9 +456,9 @@ def policy_rows(policy: DeterministicPolicy) -> list[dict]:
     model = tree.model
     rows = []
     for n, epoch in enumerate(tree.epochs[:-1]):
-        actions = policy.actions[tree.offsets[n] : tree.offsets[n + 1]]
+        nodes = slice(tree.offsets[n], tree.offsets[n + 1])
         for state, belief, action in zip(
-            epoch.state.tolist(), epoch.belief.tolist(), actions.tolist()
+            epoch.state.tolist(), tree.belief[nodes].tolist(), policy.actions[nodes].tolist()
         ):
             rows.append(
                 {
@@ -510,21 +515,36 @@ def bayes_to_dict(solution: ValueSolution) -> dict:
     }
 
 
+def _write(path: str, text: str) -> None:
+    """Write an artifact; an OSError names ``path``, and ``main`` reports it."""
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        exc.filename = path
+        raise
+
+
 def _write_json(path: str, payload: dict):
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    _write(path, json.dumps(payload, sort_keys=True) + "\n")
+
+
+def _write_csv(path: str, header: tuple, rows) -> None:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(path, buffer.getvalue())
 
 
 def _run_solve(config: RunConfig, out_path: str | None, stdout) -> None:
     if config.mode == "bayes":
-        solution = solve_bayes(config.model, config.prior, node_cap=config.node_cap)
+        solution = solve_bayes(config.model, config.prior)
         payload = bayes_to_dict(solution)
         print(f"bayes value = {_fmt(solution.value)}", file=stdout)
         print(f"policy rows = {len(payload['policy'])}", file=stdout)
     else:
-        result = solve(
-            config.model, config.mode, config.prior, config.gamma, node_cap=config.node_cap
-        )
-        cert = certify_saddle(config.model, result, node_cap=config.node_cap)
+        result = solve(config.model, config.mode, config.prior, config.gamma)
+        cert = certify_saddle(config.model, result)
         payload = saddle_to_dict(result, cert)
         print(f"{result.mode} value = {_fmt(result.value)}", file=stdout)
         print(f"worst prior = {[_fmt(w) for w in result.worst_prior.weights]}", file=stdout)
@@ -551,27 +571,20 @@ def _figure_rows(config: RunConfig) -> tuple[list[tuple], list[float]]:
             if gamma == 0.0:
                 # the gamma = 0 value is defined as the plain expectation path
                 if baseline is None:
-                    baseline = solve_bayes(model, prior, node_cap=config.node_cap).value
+                    baseline = solve_bayes(model, prior).value
                 rows.append((gamma, prior_weight, *[prior_weight] * len(columns), baseline))
                 continue
-            result = solve(
-                model, _outer_mode(config.mode), prior, gamma, node_cap=config.node_cap
-            )
+            result = solve(model, _outer_mode(config.mode), prior, gamma)
             worst = [float(getattr(result, name).weights[0]) for name in columns]
             rows.append((gamma, prior_weight, *worst, result.value))
             gaps.append(result.gap)
     return rows, gaps
 
 
-def _run_figure(config: RunConfig, out_path: str | None, stdout) -> None:
-    if not out_path:
-        raise ConfigError("figure modes require output.path (or --out)")
+def _run_figure(config: RunConfig, out_path: str, stdout) -> None:
     rows, gaps = _figure_rows(config)
-    with open(out_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("gamma", "prior", *FIGURE_COLUMNS[config.mode], "value"))
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    header = ("gamma", "prior", *FIGURE_COLUMNS[config.mode], "value")
+    _write_csv(out_path, header, ([_fmt(v) for v in row] for row in rows))
     print(f"wrote {out_path} ({len(rows)} rows)", file=stdout)
     # the CSV headers are fixed, so gaps are reported beside the file
     wide = sum(gap > FIGURE_GAP_TOL for gap in gaps)
@@ -585,7 +598,7 @@ def _run_figure(config: RunConfig, out_path: str | None, stdout) -> None:
 def _run_simulate(
     config: RunConfig, out_path: str | None, dump_path: str | None, stdout
 ) -> None:
-    solution = solve_bayes(config.model, config.prior, node_cap=config.node_cap)
+    solution = solve_bayes(config.model, config.prior)
     exact, records = enumerate_cost(
         config.model, config.theta, solution.policy,
         trajectory_cap=config.trajectory_cap,
@@ -603,13 +616,9 @@ def _run_simulate(
         file=stdout,
     )
     if dump_path:
-        with open(dump_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(TRAJECTORY_HEADER)
-            for record in records:
-                writer.writerow(
-                    [" ".join(record.sequence), _fmt(record.probability), _fmt(record.total_cost)]
-                )
+        _write_csv(dump_path, TRAJECTORY_HEADER, (
+            (" ".join(r.sequence), _fmt(r.probability), _fmt(r.total_cost)) for r in records
+        ))
         print(f"wrote {dump_path} ({len(records)} trajectories)", file=stdout)
     if out_path:
         _write_json(
@@ -637,10 +646,15 @@ def run(
     stdout=None,
 ) -> None:
     """Execute a parsed configuration, writing artifacts as requested.
-    Raises ConfigError or the solver guard exceptions; the command-line
-    wrapper maps those to exit codes."""
+    The model's belief DAG is built once, under ``config.node_cap``, and
+    every solve of the run reads it.  Raises ConfigError, OSError from a
+    write, or the solver guard exceptions; the command-line wrapper maps
+    those to exit codes."""
     stdout = stdout or sys.stdout
     out_path = out_path or config.out_path
+    if config.mode in FIGURE_MODES and not out_path:
+        raise ConfigError("figure modes require output.path (or --out)")
+    build_tree(config.model, Belief.uniform(config.model.n_params), config.node_cap)
     if config.mode in SOLVE_MODES:
         _run_solve(config, out_path, stdout)
     elif config.mode in FIGURE_MODES:
@@ -709,6 +723,9 @@ def main(argv=None) -> int:
     except (TreeSizeLimitError, TrajectoryLimitError) as exc:
         print(f"solver guard: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
     return 0
 
 

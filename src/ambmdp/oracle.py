@@ -71,10 +71,9 @@ def enumerate_cost(
     tree = policy.tree
     records: list[TrajectoryRecord] = []
     init = model.initial_kernel[theta]
-    roots = {int(tree.epochs[0].state[idx]): idx for idx, _ in tree.roots}
     # depth first, each node's successors in ascending state order
     stack = [
-        (0, roots[int(x)], int(x), float(init[x]), 0.0, (model.states[x],))
+        (0, int(tree.dag.root_of[x]), int(x), float(init[x]), 0.0, (model.states[x],))
         for x in np.flatnonzero(init > 0.0)[::-1]
     ]
     while stack:
@@ -148,11 +147,9 @@ def mc_estimate(
         raise ValueError("samples must be at least 1")
     tree = policy.tree
 
-    init = model.initial_kernel[theta]
-    roots = {int(tree.epochs[0].state[idx]): idx for idx, _ in tree.roots}
-    root_cum, order = _cumulative(init[None, :])
+    root_cum, order = _cumulative(model.initial_kernel[theta][None, :])
     root_cum = root_cum[0]
-    root_nodes = np.array([roots.get(int(x), -1) for x in order[0]])
+    root_nodes = tree.dag.root_of[order[0]]
 
     # per epoch below the horizon: cumulative successor table, children in
     # the same column order, and stage cost of each node

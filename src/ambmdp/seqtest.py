@@ -43,8 +43,7 @@ class SeqTestConfig:
 
     ``horizon`` counts observation opportunities; the built model has one
     extra epoch during which only declarations are feasible, so a decision
-    is always forced.  ``mu0`` is the prior weight on the low-rate
-    hypothesis theta1.
+    is always forced.
     """
 
     horizon: int = 1
@@ -52,7 +51,6 @@ class SeqTestConfig:
     error_cost: float = 10.0
     p_low: float = 1.0 / 3.0
     p_high: float = 2.0 / 3.0
-    mu0: float = 0.5
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -65,8 +63,6 @@ class SeqTestConfig:
             c = getattr(self, name)
             if not (math.isfinite(c) and c >= 0.0):
                 raise ValueError(f"{name} must be a non-negative real, got {c}")
-        if not 0.0 <= self.mu0 <= 1.0:
-            raise ValueError(f"mu0 must lie in [0, 1], got {self.mu0}")
 
 
 DEFAULT_CONFIG = SeqTestConfig()

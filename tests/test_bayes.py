@@ -47,7 +47,7 @@ def declare_first_policy(tree) -> DeterministicPolicy:
 def pair_masses(tree, n, p) -> np.ndarray:
     """Next-state masses from pair ``p`` of epoch ``n``, by ``predictive``."""
     epoch, node = tree.epochs[n], tree.epochs[n].pair_node[p]
-    state, belief = int(epoch.state[node]), Belief(epoch.belief[node])
+    state, belief = int(epoch.state[node]), Belief(tree.belief[tree.offsets[n] + node])
     return predictive(tree.model, n, state, belief, int(epoch.pair_action[p])).masses
 
 
@@ -116,9 +116,8 @@ class TestBuildTree:
 
     def test_point_mass_prior_is_invariant(self, bench_model):
         tree = build_tree(bench_model, seqtest.prior_belief(1.0))
-        for epoch in tree.epochs:
-            for belief in epoch.belief:
-                np.testing.assert_array_equal(belief, [1.0, 0.0])
+        for belief in tree.belief:
+            np.testing.assert_array_equal(belief, [1.0, 0.0])
 
     def test_zero_mass_branches_are_pruned(self, bench_model):
         tree = build_tree(bench_model, seqtest.prior_belief(0.3))
@@ -156,11 +155,11 @@ class TestBuildTree:
         for n, node, action, x_next, child, _ in branches(tree):
             epoch = tree.epochs[n]
             expected = update_posterior(
-                bench_model, n, int(epoch.state[node]), Belief(epoch.belief[node]),
-                action, x_next,
+                bench_model, n, int(epoch.state[node]),
+                Belief(tree.belief[tree.offsets[n] + node]), action, x_next,
             )
             np.testing.assert_allclose(
-                tree.epochs[n + 1].belief[child], expected.weights, atol=1e-12
+                tree.belief[tree.offsets[n + 1] + child], expected.weights, atol=1e-12
             )
             assert tree.epochs[n + 1].state[child] == x_next
 
@@ -180,7 +179,8 @@ class TestBuildTree:
                 assert pairs == expected_pairs
                 for p, (i, action) in enumerate(pairs):
                     state = int(epoch.state[i])
-                    pred = predictive(model, n, state, Belief(epoch.belief[i]), action)
+                    belief = Belief(tree.belief[tree.offsets[n] + i])
+                    pred = predictive(model, n, state, belief, action)
                     kept = pred.masses > 0.0
                     np.testing.assert_array_equal(
                         epoch.kernel[p], model.transition[n, :, state, action]
@@ -192,7 +192,7 @@ class TestBuildTree:
                     for x in np.flatnonzero(kept):
                         child = epoch.child[p, x]
                         np.testing.assert_allclose(
-                            tree.epochs[n + 1].belief[child],
+                            tree.belief[tree.offsets[n + 1] + child],
                             pred.posteriors[x].weights,
                             atol=1e-12,
                         )
@@ -202,9 +202,12 @@ class TestBuildTree:
         tree = build_tree(model, random_belief(rng, model.n_params))
         assert tree.nodes_per_epoch == [len(epoch.state) for epoch in tree.epochs]
         assert sum(tree.nodes_per_epoch) == len(tree) == tree.offsets[-1]
-        assert [idx for idx, _ in tree.roots] == sorted(
-            range(len(tree.epochs[0].state)), key=lambda i: tree.epochs[0].state[i]
+        root_of, roots = tree.dag.root_of, tree.epochs[0].state
+        assert root_of[root_of >= 0].tolist() == sorted(
+            range(len(roots)), key=lambda i: roots[i]
         )
+        assert root_of[roots].tolist() == list(range(len(roots)))
+        assert ((root_of >= 0) == model.initial_kernel.any(axis=0)).all()
 
 
 class TestSolveBayes:
@@ -230,7 +233,7 @@ class TestSolveBayes:
         for index, n, state in decision_nodes(tree):
             epoch = tree.epochs[n]
             node = index - tree.offsets[n]
-            belief = Belief(epoch.belief[node])
+            belief = Belief(tree.belief[index])
             best = np.inf
             for action in model.feasible[n][state]:
                 pred = predictive(model, n, state, belief, action)
@@ -247,8 +250,10 @@ class TestSolveBayes:
         model = random_model(rng)
         prior = random_belief(rng, model.n_params)
         solution = solve_bayes(model, prior)
+        masses = prior.weights @ model.initial_kernel
+        root_of = solution.tree.dag.root_of
         mixture = sum(
-            mass * solution.node_values[idx] for idx, mass in solution.tree.roots
+            masses[x] * solution.node_values[root_of[x]] for x in np.flatnonzero(root_of >= 0)
         )
         assert solution.value == pytest.approx(mixture, abs=1e-13)
 
@@ -319,7 +324,7 @@ class TestEvaluatePolicy:
     def test_policy_must_cover_every_decision_node(self, bench_model):
         tree = build_tree(bench_model, seqtest.prior_belief(0.5))
         actions = declare_first_policy(tree).actions.copy()
-        actions[tree.roots[0][0]] = -1
+        actions[tree.dag.root_of[seqtest.STATES.index("start")]] = -1
         with pytest.raises(PolicyTreeMismatchError, match="node"):
             evaluate_policy(bench_model, 0, DeterministicPolicy(tree=tree, actions=actions))
         with pytest.raises(PolicyTreeMismatchError):
@@ -351,8 +356,7 @@ class TestEvaluatePolicy:
         nudge = 1e-9
         nudged = solve_bayes(model, Belief((1.0 - nudge) * point.weights + nudge / 2))
         np.testing.assert_array_equal(nudged.policy.actions, solution.policy.actions)
-        for epoch, limit in zip(solution.tree.epochs, nudged.tree.epochs):
-            np.testing.assert_allclose(epoch.belief, limit.belief, atol=1e-8)
+        np.testing.assert_allclose(solution.tree.belief, nudged.tree.belief, atol=1e-8)
 
 
 class TestBayesCost:
@@ -470,6 +474,11 @@ class TestBeliefDagCache:
         b = solve_bayes(model, random_belief(rng, 3))
         point = solve_bayes(model, Belief.point_mass(3, 1))
         assert a.tree.dag is b.tree.dag is point.tree.dag is model.belief_dag
+        assert a.tree.epochs is b.tree.epochs is model.belief_dag.epochs
+        assert a.tree.offsets is b.tree.offsets is model.belief_dag.offsets
+        assert a.tree.belief is not b.tree.belief
+        assert not np.array_equal(a.tree.belief, b.tree.belief)
+        assert a.tree.belief.shape == (len(model.belief_dag), 3)
 
     def test_cold_robust_solve_builds_once(self, rng, monkeypatch):
         builds = []
@@ -512,12 +521,15 @@ class TestBeliefDagCache:
         finally:
             gc.enable()
 
-    def test_node_cap_is_checked_against_the_cached_dag(self, bench_model):
+    def test_node_cap_is_checked_when_the_dag_is_built(self, bench_model):
+        # the cap is a build-time guard; a cached DAG is read without one
         model = dataclasses.replace(bench_model)
         with pytest.raises(TreeSizeLimitError, match="5"):
-            solve_bayes(model, seqtest.prior_belief(0.3), node_cap=5)
+            build_tree(model, seqtest.prior_belief(0.3), node_cap=5)
         assert model.belief_dag is None  # a build that raises caches nothing
         assert len(solve_bayes(model, seqtest.prior_belief(0.3)).tree) == 7
+        dag = model.belief_dag
         with pytest.raises(TreeSizeLimitError, match="6"):
-            solve_bayes(model, seqtest.prior_belief(0.6), node_cap=6)
-        assert len(solve_bayes(model, seqtest.prior_belief(0.6), node_cap=7).tree) == 7
+            build_tree(model, seqtest.prior_belief(0.6), node_cap=6)
+        assert model.belief_dag is dag
+        assert len(build_tree(model, seqtest.prior_belief(0.6), node_cap=7)) == 7

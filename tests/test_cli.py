@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ambmdp import bayes, cli
 from ambmdp.cli import FIGURE_MODES, SOLVE_MODES, main, parse_config, run, saddle_to_dict
 from ambmdp.errors import ConfigError
 
@@ -95,6 +96,20 @@ class TestParseConfig:
         bad = FIGURE_CONFIG.replace("0:1:0.25", "0:1e400:1e399")
         with pytest.raises(ConfigError, match=r"^line 5: sweep\.gamma: out of float range"):
             parse_config(bad)
+
+    def test_long_sweep_range_refused_before_expansion(self, monkeypatch):
+        # the values are counted exactly, and not one of them is made
+        monkeypatch.setattr(cli, "float", None, raising=False)
+        with pytest.raises(ConfigError) as caught:
+            cli._sweep_values("sweep.gamma", "1/100000:1:1/100000", 5)
+        monkeypatch.undo()
+        assert str(caught.value) == "line 5: sweep.gamma: range has 100000 values, at most 10000"
+        bad = FIGURE_CONFIG.replace("0:1:0.25", "1/100000:1:1/100000")
+        with pytest.raises(ConfigError, match=r"^line 5: sweep\.gamma: range has 100000 values"):
+            parse_config(bad)
+        with pytest.raises(ConfigError, match="range has 10001 values"):
+            cli._sweep_values("sweep.gamma", "0:10000:1", 5)
+        assert len(cli._sweep_values("sweep.gamma", "1:10000:1", 5)) == cli.MAX_SWEEP_VALUES
 
     def test_avar_gamma_range(self):
         bad = ENTROPIC_CONFIG.replace("mode = entropic", "mode = avar")
@@ -294,6 +309,20 @@ class TestRunFigure:
         with pytest.raises(ConfigError, match="output.path"):
             run(parse_config(FIGURE_CONFIG), stdout=io.StringIO())
 
+    def test_run_builds_the_dag_once(self, tmp_path, monkeypatch):
+        builds, build_tree = [], bayes.build_tree
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build_tree(*args, **kwargs)
+
+        monkeypatch.setattr(bayes, "build_tree", counted)
+        monkeypatch.setattr(cli, "build_tree", counted)
+        out = tmp_path / "fig.csv"
+        run(parse_config(FIGURE_CONFIG), out_path=str(out), stdout=io.StringIO())
+        assert len(out.read_text().splitlines()) == 1 + 5 * 2
+        assert len(builds) == 1
+
     @pytest.mark.parametrize("name", ("figure_entropic", "figure_avar"))
     def test_shipped_figure_matches_golden_csv(self, name, tmp_path, capsys):
         out = tmp_path / f"{name}.csv"
@@ -374,10 +403,41 @@ class TestMain:
         assert main(["solve", "--config", path]) == 1
         assert f"config error: line 8: {key}: must be >= 1" in capsys.readouterr().err
 
-    def test_tree_guard_exits_two(self, tmp_path, capsys):
-        path = self.write(tmp_path, ENTROPIC_CONFIG + "solver.node_cap = 2\n")
-        assert main(["solve", "--config", path]) == 2
-        assert "solver guard" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("solve", ENTROPIC_CONFIG),
+            ("figure", FIGURE_CONFIG),
+            ("simulate", TestRunSimulate.CONFIG),
+        ],
+        ids=("solve", "figure", "simulate"),
+    )
+    def test_tree_guard_exits_two(self, tmp_path, capsys, command, text):
+        # the DAG is built, under the cap, before anything is solved or written
+        path = self.write(tmp_path, text + "solver.node_cap = 2\n")
+        out = tmp_path / "out"
+        argv = ["--dump-trajectories" if command == "simulate" else "--out", str(out)]
+        assert main([command, "--config", path, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "solver guard: reachable belief tree exceeds node cap 2\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text, option",
+        [
+            ("solve", ENTROPIC_CONFIG, "--out"),
+            ("figure", FIGURE_CONFIG, "--out"),
+            ("simulate", TestRunSimulate.CONFIG, "--dump-trajectories"),
+        ],
+        ids=("solve", "figure", "simulate"),
+    )
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, command, text, option):
+        path = self.write(tmp_path, text)
+        out = str(tmp_path / "missing" / "out")
+        assert main([command, "--config", path, option, out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"cannot write {out}: No such file or directory\n"
 
     def test_command_mode_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, ENTROPIC_CONFIG)

@@ -27,8 +27,6 @@ class TestConfig:
             seqtest.SeqTestConfig(p_low=0.0)
         with pytest.raises(ValueError, match="error_cost"):
             seqtest.SeqTestConfig(error_cost=-1.0)
-        with pytest.raises(ValueError, match="mu0"):
-            seqtest.SeqTestConfig(mu0=1.5)
 
 
 class TestBuildModel:
@@ -144,7 +142,7 @@ class TestOptimalFirstAction:
             if min(abs(mu - 13.0 / 30.0), abs(mu - 17.0 / 30.0)) <= 1e-9:
                 continue
             solution = solve_bayes(bench_model, seqtest.prior_belief(mu))
-            root = solution.tree.roots[0][0]
+            root = solution.tree.dag.root_of[seqtest.STATES.index("start")]
             action = seqtest.ACTIONS[solution.policy.actions[root]]
             assert action == seqtest.optimal_first_action(mu), f"mu={mu}"
 
