@@ -3,9 +3,9 @@ machine-readable artifacts.
 
 Config files are line-oriented ``key = value`` text with ``#`` comments and
 dotted key sections (``model.*``, ``solver.*``, ``sweep.*``, ``output.*``).
-Numeric values accept rational literals such as ``13/30``, parsed exactly
-before conversion to float.  Unknown keys are rejected with their line
-number.
+Decimal numbers are read by ``float``, as the double their exact value
+rounds to; rational literals such as ``13/30`` and other forms are parsed
+exactly by ``Fraction``.  Unknown keys are rejected with their line number.
 
 Commands (see README for the full key reference):
 
@@ -14,16 +14,20 @@ Commands (see README for the full key reference):
     simulate --config FILE [--seed N] [--samples N] [--dump-trajectories FILE]
 
 Exit status: 0 on success, 1 on configuration errors and on output files
-that cannot be written, 2 when a solver guard refuses the run: the tree
-node cap or the trajectory cap.
+that cannot be written (checked before any solve where possible), 2 when a
+solver guard refuses the run: the tree node cap or the trajectory cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
+import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,12 +55,16 @@ FIGURE_COLUMNS = {
 }
 FIGURE_MODES = tuple(FIGURE_COLUMNS)
 ALL_MODES = SOLVE_MODES + FIGURE_MODES + ("simulate",)
+#: the config modes each command runs
+COMMAND_MODES = {"solve": SOLVE_MODES, "figure": FIGURE_MODES, "simulate": ("simulate",)}
 
 TRAJECTORY_HEADER = ("trajectory", "probability", "total_cost")
 #: outer solves of a figure whose duality gap exceeds this are counted on stderr
 FIGURE_GAP_TOL = 1e-6
 #: most values a start:stop:step sweep range may expand to
 MAX_SWEEP_VALUES = 10_000
+#: an ASCII decimal literal, which float() rounds once, as float(Fraction()) does
+_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 
 @dataclass
@@ -81,13 +89,14 @@ class _Entries:
 
     def __init__(self, text: str):
         self.values: dict[str, tuple[str, int]] = {}
+        self.tables: dict[str, list[str]] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
+            key, value = map(str.strip, line.split("=", 1))
             if not key:
                 raise ConfigError(f"line {lineno}: empty key")
             if key in self.values:
@@ -96,6 +105,9 @@ class _Entries:
                     f"line {lineno}: duplicate key {key} (first set on line {first})"
                 )
             self.values[key] = (value, lineno)
+            parts = key.split(".", 2)
+            if len(parts) == 3:
+                self.tables.setdefault(f"{parts[0]}.{parts[1]}.", []).append(key)
         self.consumed: set[str] = set()
 
     def take(self, key: str, default: str | None = None, required: bool = False):
@@ -106,13 +118,10 @@ class _Entries:
             raise ConfigError(f"missing required key {key}")
         return (default, 0) if default is not None else (None, 0)
 
-    def take_prefixed(self, prefix: str):
-        out = []
-        for key in sorted(self.values):
-            if key.startswith(prefix):
-                self.consumed.add(key)
-                out.append((key, *self.values[key]))
-        return out
+    def take_prefixed(self, head: str):
+        keys = sorted(self.tables.get(head, ()))
+        self.consumed.update(keys)
+        return [(key, *self.values[key]) for key in keys]
 
     def forbid(self, key: str, reason: str):
         if key in self.values:
@@ -134,6 +143,11 @@ def _err(lineno: int, key: str, message: str) -> ConfigError:
 
 
 def _number(key: str, raw: str, lineno: int) -> float:
+    # Fraction reads the rest and '-' zeros: -0 is +0.0 there, -1e-400 is -0.0
+    if _DECIMAL.fullmatch(raw):
+        value = float(raw)
+        if math.isfinite(value) and (value or raw[0] != "-"):
+            return value
     try:
         return float(Fraction(raw))
     except (ValueError, ZeroDivisionError):
@@ -223,6 +237,7 @@ def _parse_inline_model(entries: _Entries) -> StatisticalMDP:
     params = _labels("model.params", raw, lineno)
     n_e, n_a, n_k = len(states), len(actions), len(params)
     labels = {"state": states, "action": actions, "param": params}
+    positions = {field: {x: i for i, x in enumerate(names)} for field, names in labels.items()}
 
     def index(field, token, key, lineno):
         """The table index a key field names: every epoch for ``*``."""
@@ -233,10 +248,10 @@ def _parse_inline_model(entries: _Entries) -> StatisticalMDP:
             if not 0 <= epoch < horizon:
                 raise _err(lineno, key, f"epoch {epoch} outside 0..{horizon - 1}")
             return epoch
-        if token not in labels[field]:
+        if token not in positions[field]:
             name = "parameter" if field == "param" else field
             raise _err(lineno, key, f"unknown {name} {token!r}")
-        return labels[field].index(token)
+        return positions[field][token]
 
     def cells(prefix, fields):
         """Per key ``model.<prefix>.<field>...``: the key, its value, its line
@@ -363,8 +378,7 @@ def parse_config(text: str) -> RunConfig:
     trajectory_cap = _integer("solver.trajectory_cap", raw, lineno)
     if trajectory_cap < 1:
         raise _err(lineno, "solver.trajectory_cap", "must be >= 1")
-    raw, _ = entries.take("output.path")
-    out_path = raw
+    out_path, _ = entries.take("output.path")
 
     gamma = None
     if mode in GAMMA_MODES:
@@ -524,6 +538,16 @@ def _write(path: str, text: str) -> None:
         raise
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError writing ``path`` would for a missing directory, a
+    directory or an unwritable file, creating and truncating nothing."""
+    parent = os.path.dirname(path) or "."
+    # append truncates nothing, and creates nothing without a parent directory
+    if os.path.isfile(path) or os.path.isdir(path) or not os.path.isdir(parent):
+        with open(path, "a"):
+            pass
+
+
 def _write_json(path: str, payload: dict):
     _write(path, json.dumps(payload, sort_keys=True) + "\n")
 
@@ -647,13 +671,15 @@ def run(
 ) -> None:
     """Execute a parsed configuration, writing artifacts as requested.
     The model's belief DAG is built once, under ``config.node_cap``, and
-    every solve of the run reads it.  Raises ConfigError, OSError from a
-    write, or the solver guard exceptions; the command-line wrapper maps
-    those to exit codes."""
+    every solve of the run reads it, after the output paths are checked.
+    Raises ConfigError, OSError from a write, or the solver guard exceptions;
+    the command-line wrapper maps those to exit codes."""
     stdout = stdout or sys.stdout
     out_path = out_path or config.out_path
     if config.mode in FIGURE_MODES and not out_path:
         raise ConfigError("figure modes require output.path (or --out)")
+    for path in filter(None, (out_path, dump_path)):
+        _check_writable(path)
     build_tree(config.model, Belief.uniform(config.model.n_params), config.node_cap)
     if config.mode in SOLVE_MODES:
         _run_solve(config, out_path, stdout)
@@ -671,35 +697,34 @@ def _load(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="ambmdp",
         description="Finite-horizon Bayesian MDP solver with ambiguity aversion",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    solve_cmd = commands.add_parser("solve", help="run a single solver mode")
-    solve_cmd.add_argument("--config", required=True)
-    solve_cmd.add_argument("--out", default=None)
-
-    figure_cmd = commands.add_parser("figure", help="sweep gamma/prior grids to CSV")
-    figure_cmd.add_argument("--config", required=True)
-    figure_cmd.add_argument("--out", default=None)
+    for name, text in (
+        ("solve", "run a single solver mode"), ("figure", "sweep gamma/prior grids to CSV")
+    ):
+        command = commands.add_parser(name, help=text)
+        command.add_argument("--config", required=True)
+        command.add_argument("--out", default=None)
 
     simulate_cmd = commands.add_parser("simulate", help="Monte-Carlo cross-check")
     simulate_cmd.add_argument("--config", required=True)
     simulate_cmd.add_argument("--seed", type=int, default=None)
     simulate_cmd.add_argument("--samples", type=int, default=None)
     simulate_cmd.add_argument("--dump-trajectories", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         config = _load(args.config)
-        expected = {
-            "solve": SOLVE_MODES,
-            "figure": FIGURE_MODES,
-            "simulate": ("simulate",),
-        }[args.command]
+        expected = COMMAND_MODES[args.command]
         if config.mode not in expected:
             raise ConfigError(
                 f"command {args.command} requires mode in {expected}, "

@@ -104,3 +104,36 @@ def simplex_lattice(n_coords: int, parts: int):
             prev = c
         counts.append(parts + n_coords - 2 - prev)
         yield np.array(counts, dtype=float) / parts
+
+
+def render_inline(model: StatisticalMDP, prior: Belief) -> str:
+    """Bayes-mode config text for an inline model, with every number written
+    as its ``repr``, so that a correct parse gives back the same doubles."""
+
+    def floats(values) -> str:
+        return " ".join(repr(float(v)) for v in values)
+
+    params = model.params.labels
+    lines = [
+        "mode = bayes",
+        "model.name = inline",
+        f"model.horizon = {model.horizon}",
+        f"model.states = {' '.join(model.states)}",
+        f"model.actions = {' '.join(model.actions)}",
+        f"model.params = {' '.join(params)}",
+        f"prior = {floats(prior.weights)}",
+    ]
+    for k, theta in enumerate(params):
+        lines.append(f"model.initial.{theta} = {floats(model.initial_kernel[k])}")
+        lines.append(f"model.terminal.{theta} = {floats(model.terminal_cost[k])}")
+    for n in range(model.horizon):
+        for x, state in enumerate(model.states):
+            actions = [model.actions[a] for a in model.feasible[n][x]]
+            lines.append(f"model.feasible.{n}.{state} = {' '.join(actions)}")
+            for k, theta in enumerate(params):
+                for a, action in zip(model.feasible[n][x], actions):
+                    where = f"{n}.{theta}.{state}.{action}"
+                    row = floats(model.transition[n, k, x, a])
+                    lines.append(f"model.transition.{where} = {row}")
+                    lines.append(f"model.cost.{where} = {float(model.stage_cost[n, k, x, a])!r}")
+    return "\n".join(lines) + "\n"

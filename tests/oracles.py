@@ -1,5 +1,8 @@
 """Reference implementations the tests check the solver against: the risk
-measures' dual forms, and the Bayes recursion over unmerged histories."""
+measures' dual forms, the Bayes recursion over unmerged histories, and the
+exact reading of config number literals."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -113,3 +116,9 @@ def history_value(model, prior: Belief) -> float:
         float(masses[x]) * value(0, int(x), initial_posterior(model, prior, int(x)))
         for x in np.flatnonzero(masses > 0.0)
     )
+
+
+def exact_number(raw: str) -> float:
+    """A config number literal read as an exact rational and rounded once to
+    the nearest double; raises as ``Fraction`` and ``float`` do."""
+    return float(Fraction(raw))

@@ -1,13 +1,22 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ambmdp
 from ambmdp import bayes, cli
 from ambmdp.cli import FIGURE_MODES, SOLVE_MODES, main, parse_config, run, saddle_to_dict
 from ambmdp.errors import ConfigError
+from helpers import random_belief, random_model, render_inline
+from oracles import exact_number
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 #: ``ambmdp figure`` output of the shipped figure configs, kept byte for byte
@@ -144,6 +153,13 @@ class TestParseConfig:
         assert config.model.states == ("s0", "s1")
         assert config.model.horizon == 1
 
+    def test_epoch_key_overrides_wildcard_in_any_line_order(self):
+        # a table's keys apply in key order, where * sorts before any epoch
+        text = INLINE_CONFIG.replace(
+            "model.cost.*.t0.s0.go = 2", "model.cost.0.t0.s0.go = 5\nmodel.cost.*.t0.s0.go = 2"
+        )
+        assert parse_config(text).model.stage_cost[0, 0, 0, 1] == 5.0
+
     def test_inline_bad_row_sum_quotes_validation(self):
         bad = INLINE_CONFIG.replace(
             "model.transition.*.t1.s0.go = 1/2 1/2",
@@ -185,6 +201,105 @@ class TestParseConfig:
     def test_mode_must_be_known(self):
         with pytest.raises(ConfigError, match="mode"):
             parse_config("mode = nonsense\nprior = 0.5\n")
+
+
+def _number_outcome(raw: str) -> str:
+    """What the config reader makes of a literal: the double, sign of zero
+    included, as ``float.hex``, or the error text."""
+    try:
+        return cli._number("solver.gamma", raw, 3).hex()
+    except ConfigError as exc:
+        return str(exc)
+
+
+def _exact_outcome(raw: str) -> str:
+    """The same for the exact rational reading, the reference."""
+    try:
+        return exact_number(raw).hex()
+    except (ValueError, ZeroDivisionError):
+        return f"line 3: solver.gamma: not a number or rational literal: {raw!r}"
+    except OverflowError:
+        return f"line 3: solver.gamma: out of float range: {raw!r}"
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+
+
+@st.composite
+def decimal_literals(draw) -> str:
+    """ASCII decimal literals: signs, a point with digits on either side or
+    both, and exponents from far below the subnormals to past overflow."""
+    whole, part = draw(_DIGITS), draw(_DIGITS)
+    mantissa = draw(st.sampled_from([whole, f"{whole}.", f".{part}", f"{whole}.{part}"]))
+    exponent = draw(st.one_of(
+        st.just(""),
+        st.builds(
+            "{}{}{}".format,
+            st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+            st.integers(0, 420).map(str),
+        ),
+    ))
+    return draw(st.sampled_from(["", "+", "-"])) + mantissa + exponent
+
+
+class TestNumberLiterals:
+    """Config numbers must be read as the exact rational rounded once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.one_of(decimal_literals(), st.floats(allow_nan=False).map(repr)))
+    @example(raw="1e-400")
+    @example(raw="-1e-400")
+    @example(raw="-0")
+    @example(raw="-0.000e5")
+    @example(raw="5e-324")
+    @example(raw="2.4703282292062327e-324")  # just under half the least subnormal
+    @example(raw="2.4703282292062328e-324")  # just over it
+    @example(raw="1.7976931348623157e308")
+    @example(raw="1.7976931348623159e308")  # rounds past the largest double
+    def test_decimal_reads_as_exact_rational(self, raw):
+        assert _number_outcome(raw) == _exact_outcome(raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["inf", "nan", "-Infinity", "1_0", "0x10", "\u0661", " 2 ", "1e400", "-1e400",
+         "1/0", "13/30", "-0/5", "1.5.2", "", "e5", "."],
+    )
+    def test_other_literal_matches_exact_reading(self, raw):
+        # Fraction's accepted syntax differs between Python versions; the
+        # reader follows the running one
+        assert _number_outcome(raw) == _exact_outcome(raw)
+
+    @staticmethod
+    def exact_parse(text, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_number", lambda key, raw, lineno: exact_number(raw))
+            return parse_config(text)
+
+    @staticmethod
+    def assert_bitwise_equal(got, want):
+        for name in ("initial_kernel", "transition", "stage_cost", "terminal_cost"):
+            assert getattr(got.model, name).tobytes() == getattr(want.model, name).tobytes()
+        for name in ("gamma", "gamma_sweep", "prior_sweep"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name))
+        if want.prior is None:
+            assert got.prior is None
+        else:
+            assert got.prior.weights.tobytes() == want.prior.weights.tobytes()
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_config_parses_as_exact_reading(self, path, monkeypatch):
+        text = path.read_text()
+        self.assert_bitwise_equal(parse_config(text), self.exact_parse(text, monkeypatch))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_inline_config_parses_as_exact_reading(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_params=int(rng.integers(3, 6)))
+        text = render_inline(model, random_belief(rng, model.n_params))
+        config = parse_config(text)
+        self.assert_bitwise_equal(config, self.exact_parse(text, monkeypatch))
+        assert config.model.initial_kernel.tobytes() == model.initial_kernel.tobytes()
+        assert config.model.terminal_cost.tobytes() == model.terminal_cost.tobytes()
 
 
 class TestRunSolve:
@@ -368,6 +483,30 @@ simulate.seed = 7
             parse_config(bad)
 
 
+#: runs ``main`` on each argv of a JSON list in this process and prints, per
+#: call, its exit status, stdout, stderr and the ``out-*`` files it wrote
+MAIN_SESSION = """
+import contextlib, io, json, sys
+from pathlib import Path
+from ambmdp.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    artifacts = {}
+    for path in sorted(Path().glob("out-*")):
+        artifacts[path.name] = path.read_text()
+        path.unlink()
+    results.append([code, out.getvalue(), err.getvalue(), artifacts])
+print(json.dumps(results))
+"""
+
+
 class TestMain:
     def write(self, tmp_path, text, name="run.cfg"):
         path = tmp_path / name
@@ -429,15 +568,77 @@ class TestMain:
             ("solve", ENTROPIC_CONFIG, "--out"),
             ("figure", FIGURE_CONFIG, "--out"),
             ("simulate", TestRunSimulate.CONFIG, "--dump-trajectories"),
+            ("solve", ENTROPIC_CONFIG, "output.path"),
+            ("simulate", TestRunSimulate.CONFIG, "output.path"),
         ],
-        ids=("solve", "figure", "simulate"),
+        ids=("solve", "figure", "simulate", "solve-output-path", "simulate-output-path"),
     )
-    def test_unwritable_output_exits_one(self, tmp_path, capsys, command, text, option):
-        path = self.write(tmp_path, text)
+    def test_unwritable_output_exits_one(
+        self, tmp_path, capsys, monkeypatch, command, text, option
+    ):
+        # refused before the belief DAG is built or anything is solved
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver entry point called")
+
+        for name in ("build_tree", "solve", "solve_bayes"):
+            monkeypatch.setattr(cli, name, refuse)
         out = str(tmp_path / "missing" / "out")
-        assert main([command, "--config", path, option, out]) == 1
-        err = capsys.readouterr().err
-        assert err == f"cannot write {out}: No such file or directory\n"
+        if option == "output.path":
+            text, options = text + f"output.path = {out}\n", []
+        else:
+            options = [option, out]
+        path = self.write(tmp_path, text)
+        assert main([command, "--config", path, *options]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"cannot write {out}: No such file or directory\n"
+        assert captured.out == ""
+
+    def test_output_check_creates_and_truncates_nothing(self, tmp_path, capsys):
+        # the tree guard refuses the run after the output path is checked
+        path = self.write(tmp_path, ENTROPIC_CONFIG + "solver.node_cap = 2\n")
+        out = tmp_path / "out.json"
+        out.write_text("kept")
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        assert out.read_text() == "kept"
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.endswith(f"cannot write {tmp_path}: Is a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "run.cfg"]
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path):
+        # the parser is built once per process; no call may leave state for
+        # the next, the refused ones included
+        for name, text in (
+            ("entropic.cfg", ENTROPIC_CONFIG),
+            ("simulate.cfg", TestRunSimulate.CONFIG),
+            ("figure.cfg", FIGURE_CONFIG),
+            ("bad.cfg", ENTROPIC_CONFIG + "bogus = 1\n"),
+        ):
+            (tmp_path / name).write_text(text)
+        calls = [
+            ["solve", "--config", "entropic.cfg", "--out", "out-solve.json"],
+            ["simulate", "--config", "simulate.cfg", "--seed", "3", "--samples", "500",
+             "--dump-trajectories", "out-trajectories.csv"],
+            ["figure", "--config", "figure.cfg", "--out", "out-figure.csv"],
+            ["solve", "--config", "bad.cfg"],
+            ["solve", "--config", "entropic.cfg", "--seed", "1"],
+            ["solve", "--config", "entropic.cfg", "--out", "out-solve.json"],
+            # options left out take their defaults again
+            ["simulate", "--config", "simulate.cfg"],
+            ["solve", "--config", "entropic.cfg"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(ambmdp.__file__).resolve().parents[1])}
+
+        def session(argvs):
+            done = subprocess.run(
+                [sys.executable, "-c", MAIN_SESSION, json.dumps(argvs)],
+                cwd=tmp_path, env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            return json.loads(done.stdout)
+
+        together = session(calls)
+        assert [code for code, *_ in together] == [0, 0, 0, 1, 2, 0, 0, 0]
+        alone = {tuple(argv): session([argv])[0] for argv in calls}
+        assert together == [alone[tuple(argv)] for argv in calls]
 
     def test_command_mode_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, ENTROPIC_CONFIG)
