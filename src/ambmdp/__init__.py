@@ -11,7 +11,6 @@ from .ambiguity import (
     SaddleCertificate,
     SaddleResult,
     certify_saddle,
-    entropic_objective,
     solve,
     solve_avar,
     solve_entropic,
@@ -64,7 +63,6 @@ __all__ = [
     "build_tree",
     "certify_saddle",
     "cost_bounds",
-    "entropic_objective",
     "entropic_risk",
     "enumerate_cost",
     "evaluate_policy",

@@ -36,17 +36,18 @@ By the same duality the prior side of the saddle certificate is exact and
 costs O(K): the supremum over the feasible priors of mu . C - penalty(mu)
 is the dual risk of C, so ``certify_saddle`` compares that with the
 objective at the returned prior instead of scanning a grid of priors.
+Both of its sides allow slack in proportion to the model's cost scale.
 
 Plateaus: the inner value is piecewise linear in the prior, so the avar
-and robust argmax can be a face.  The planes are intersected with a search
-line, the whole feasible line for two parameters and the segment from the
-reference prior to the best prior found for more; each edge found is
-confirmed by a best response there.  The returned prior is the maximizer
-on the line closest to the reference (the base prior, or in robust mode
-the point mass on the last support parameter), pushed a small offset (at
-most 1e-4) into the plateau interior so that the tie-broken deterministic
-policy at the returned prior is the saddle policy; with two parameters the
-untouched plateau edges are reported alongside.  The entropic penalty is
+and robust argmax can be a face.  With two support parameters the planes
+are intersected with the line (s, 1 - s) of feasible priors, each edge
+found is confirmed by a best response there, and the edges are reported;
+the returned prior is the maximizer closest to the reference (the base
+prior, or in robust mode the point mass on the last support parameter),
+pushed at most 1e-4 into the plateau so that the tie-broken deterministic
+policy there is the saddle policy.  Any other solve returns the first best
+response with the largest objective: by the minimax theorem any maximizer
+with a certified Bayes policy is an answer.  The entropic penalty is
 strictly convex, so its maximizer is unique.
 """
 
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -65,20 +65,23 @@ from .search import entropic_master, lp_master
 
 #: largest offset used to move the returned prior off a plateau edge
 PLATEAU_MARGIN = 1e-4
-#: the bounds have met once they differ by at most this times the largest
-#: absolute cost bound of the model
+#: the bounds have met once they differ by at most this times the cost
+#: scale, the largest absolute cost bound of the model
 CUT_SLACK = 1e-12
+#: the certificate's prior and policy sides allow these times the cost scale
+PRIOR_SIDE_SLACK = 1e-7
+POLICY_SIDE_SLACK = 1e-12
 
 
 @dataclass
 class SaddleResult:
     """Saddle-point solve output.
 
-    ``worst_prior_lo`` / ``worst_prior_hi`` bracket the maximizer set along
-    the search line when it is an interval (two-parameter case); both equal
-    ``worst_prior`` when the maximizer is unique.  ``trace`` records every
-    prior at which a best response was computed, with its outer objective
-    value.
+    ``worst_prior_lo`` / ``worst_prior_hi`` are the plateau edges of an
+    avar or robust solve with two support parameters, on the line of its
+    feasible priors; every other solve reports ``worst_prior`` in both.
+    ``trace`` records every prior at which a best response was computed,
+    with its outer objective value.
     """
 
     mode: str
@@ -98,10 +101,10 @@ class SaddleResult:
 @dataclass
 class SaddleCertificate:
     """Saddle-point checks: no feasible prior improves on the returned one
-    against the returned policy (prior side, in closed form), and the
-    policy is Bayes-optimal at the returned prior (policy side).
-    ``grid_points`` is always 0: no prior grid is scanned.  The field stays
-    so that artifacts and their readers keep their keys."""
+    against the returned policy (prior side, in closed form, within
+    ``tol``), and the policy is Bayes-optimal at the returned prior (policy
+    side).  ``grid_points`` is always 0: no prior grid is scanned.  The
+    field stays so that artifacts and their readers keep their keys."""
 
     mu_side_ok: bool
     mu_side_violation: float
@@ -141,11 +144,6 @@ class _Ambiguity:
             return self.base.weights[list(self.support)]
         return np.eye(len(self.support))[-1]
 
-    def pair_range(self) -> tuple[float, float]:
-        """Feasible range of the first weight with two support parameters."""
-        caps = self.caps
-        return max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0]))
-
     def penalty(self, mu: Belief) -> float:
         if self.mode == "entropic":
             return relative_entropy(mu, self.base) / self.gamma
@@ -169,23 +167,14 @@ class _Ambiguity:
         return Belief(full)
 
 
-def entropic_objective(
-    model: StatisticalMDP, base_prior: Belief, gamma: float, candidate: Belief
-) -> float:
-    """Penalized outer objective: optimal Bayes cost at the candidate prior
-    minus relative_entropy(candidate, base)/gamma; -inf off the base's
-    support."""
-    check_gamma("entropic", gamma)
-    rel = relative_entropy(candidate, base_prior)
-    if rel == math.inf:
-        return -math.inf
-    return solve_bayes(model, candidate).value - rel / gamma
+def _cost_scale(model: StatisticalMDP) -> float:
+    """The largest absolute cost bound of the model."""
+    return max(map(abs, cost_bounds(model)))
 
 
 def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
-    """The cutting-plane loop, then plateau location and the result."""
-    lo, hi = cost_bounds(model)
-    scale = max(abs(lo), abs(hi))
+    """The cutting-plane loop, then the plateau edges and the result."""
+    scale = _cost_scale(model)
     slack = CUT_SLACK * scale
     trace: list[tuple[Belief, float]] = []
     cuts: list[np.ndarray] = []
@@ -217,13 +206,10 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
             break
 
     w_star = w_lo = w_hi = best_w
-    if amb.mode != "entropic" and len(amb.support) > 1:
+    if amb.mode != "entropic" and len(amb.support) == 2:
         w_star, w_lo, w_hi = _plateau(amb, cuts, best_w, best_v, slack, best_response)
-    size = model.n_params
-    mu_star = amb.embed(size, w_star)
-    solution = solutions.get(w_star.tobytes())
-    if solution is None:
-        solution = solve_bayes(model, mu_star)
+    mu_star = amb.embed(model.n_params, w_star)
+    solution = solutions.get(w_star.tobytes()) or solve_bayes(model, mu_star)
     value = solution.value - amb.penalty(mu_star)
     raw_gap = amb.dual_risk(solution.costs) - value
     if raw_gap < -1e-10 * max(scale, 1.0):
@@ -234,8 +220,8 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     return SaddleResult(
         mode=amb.mode,
         worst_prior=mu_star,
-        worst_prior_lo=amb.embed(size, w_lo),
-        worst_prior_hi=amb.embed(size, w_hi),
+        worst_prior_lo=amb.embed(model.n_params, w_lo),
+        worst_prior_hi=amb.embed(model.n_params, w_hi),
         policy=solution.policy,
         value=value,
         gap=max(raw_gap, 0.0),
@@ -250,8 +236,8 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
 def _plateau(
     amb: _Ambiguity, cuts: list, best_w: np.ndarray, best_v: float, slack: float, best_response
 ):
-    """Returned prior and plateau edges (as support weights) on the search
-    line a + s d through the best prior found.
+    """Returned prior and plateau edges (as support weights) on the line
+    a + s d = (s, 1 - s) of the feasible priors of two support parameters.
 
     The edges are where the lowest plane falls below the best value.  A
     plane within ``slack`` of the best value at the best prior counts as
@@ -259,14 +245,10 @@ def _plateau(
     line as flat, so float noise neither widens nor splits the set.  Each
     edge is confirmed by a best response there; a failed edge adds a plane.
     """
-    if len(amb.support) == 2:
-        a, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
-        bounds = amb.pair_range()
-        s_ref, s_best = float(amb.reference[0]), float(best_w[0])
-    else:
-        a, d = amb.reference, best_w - amb.reference
-        bounds = (0.0, 1.0)
-        s_ref, s_best = 0.0, 1.0
+    a, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
+    caps = amb.caps
+    bounds = max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0]))
+    s_best = float(best_w[0])
 
     def interval() -> tuple[float, float]:
         left, right = bounds
@@ -279,7 +261,7 @@ def _plateau(
                 right = min(right, s_best - excess / slope)
         return left, right
 
-    for side in (0, 1) if len(amb.support) == 2 else (0,):
+    for side in (0, 1):
         while True:
             s = interval()[side]
             if s == s_best:
@@ -289,10 +271,8 @@ def _plateau(
                 break
     left, right = interval()
     margin = min(0.25 * (right - left), PLATEAU_MARGIN)
-    w_star = a + min(max(s_ref, left + margin), right - margin) * d
-    if len(amb.support) == 2:
-        return w_star, a + left * d, a + right * d
-    return w_star, w_star, w_star
+    s_star = min(max(float(amb.reference[0]), left + margin), right - margin)
+    return a + s_star * d, a + left * d, a + right * d
 
 
 def check_gamma(mode: str, gamma: float | None) -> None:
@@ -322,16 +302,14 @@ def solve(
     entropic: the prior is the base of the relative-entropy penalty with
     weight 1/gamma.  avar: the prior is the base, and feasible priors have
     densities against it capped at 1/(1-gamma).  robust: every prior on
-    the prior's support is feasible, there is no penalty, and on plateaus
-    the maximizer closest to the point mass on the last support parameter
-    along the search line is returned.
+    the prior's support is feasible and there is no penalty.  The module
+    docstring says which maximizer a plateau returns.
     """
     check_gamma(mode, gamma)
     if len(prior) != model.n_params:
         raise ValueError("prior dimension does not match the parameter set")
-    if mode == "robust":
-        return _solve(model, _Ambiguity(mode, prior.support()))
-    return _solve(model, _Ambiguity(mode, prior.support(), prior, gamma))
+    base = None if mode == "robust" else prior
+    return _solve(model, _Ambiguity(mode, prior.support(), base, gamma))
 
 
 def solve_entropic(model: StatisticalMDP, base_prior: Belief, gamma: float) -> SaddleResult:
@@ -344,47 +322,37 @@ def solve_avar(model: StatisticalMDP, base_prior: Belief, gamma: float) -> Saddl
     return solve(model, "avar", base_prior, gamma)
 
 
-def solve_robust(
-    model: StatisticalMDP, support: Sequence[int] | None = None
-) -> SaddleResult:
-    """``solve`` in robust mode over the given parameter indices (every
-    parameter when omitted)."""
-    return solve(model, "robust", _uniform(model.n_params, support))
+def solve_robust(model: StatisticalMDP) -> SaddleResult:
+    """``solve`` in robust mode over every parameter; ``solve(model,
+    "robust", prior)`` takes the support of ``prior`` instead."""
+    return solve(model, "robust", Belief.uniform(model.n_params))
 
 
-def _uniform(size: int, support: Sequence[int] | None) -> Belief:
-    indices = sorted(set(range(size) if support is None else (int(k) for k in support)))
-    if not indices or indices[0] < 0 or indices[-1] >= size:
-        raise ValueError(f"invalid support {tuple(indices)}")
-    weights = np.zeros(size)
-    weights[indices] = 1.0 / len(indices)
-    return Belief(weights)
-
-
-def certify_saddle(
-    model: StatisticalMDP, result: SaddleResult, tol: float = 1e-6
-) -> SaddleCertificate:
+def certify_saddle(model: StatisticalMDP, result: SaddleResult) -> SaddleCertificate:
     """Check the returned pair.
 
     Prior side, exact: against the returned policy's cost profile C, the
     supremum of the penalized objective mu . C - penalty(mu) over every
     feasible prior is the dual risk of C (Donsker-Varadhan for entropic,
     the greedy fill for avar, the largest support coordinate for robust).
-    It may exceed the objective at the returned prior by at most ``tol``.
+    It may exceed the objective at the returned prior by at most
+    ``PRIOR_SIDE_SLACK`` times the cost scale, the certificate's ``tol``.
     Policy side: the returned policy's Bayes cost at the returned prior
-    matches a fresh Bayes solve within 1e-10.
+    matches a fresh Bayes solve within ``POLICY_SIDE_SLACK`` times it.
     """
     amb = _Ambiguity(result.mode, result.support, result.base_prior, result.gamma)
     profile = result.cost_profile
     mu = result.worst_prior
     violation = amb.dual_risk(profile) - (float(mu.weights @ profile) - amb.penalty(mu))
+    scale = _cost_scale(model)
+    tol = PRIOR_SIDE_SLACK * scale
 
     resolve = solve_bayes(model, mu)
     pi_error = abs(bayes_cost(model, result.policy, mu) - resolve.value)
     return SaddleCertificate(
         mu_side_ok=bool(violation <= tol),
         mu_side_violation=float(violation),
-        pi_side_ok=bool(pi_error <= 1e-10),
+        pi_side_ok=bool(pi_error <= POLICY_SIDE_SLACK * scale),
         pi_side_error=float(pi_error),
         gap=result.gap,
         grid_points=0,

@@ -29,7 +29,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,7 +71,6 @@ _DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 class RunConfig:
     mode: str
     model: StatisticalMDP
-    model_name: str
     prior: Belief | None
     gamma: float | None
     node_cap: int
@@ -436,7 +435,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         mode=mode,
         model=model,
-        model_name=model_name,
         prior=prior,
         gamma=gamma,
         node_cap=node_cap,
@@ -486,18 +484,6 @@ def policy_rows(policy: DeterministicPolicy) -> list[dict]:
     return rows
 
 
-def certificate_to_dict(cert: SaddleCertificate) -> dict:
-    return {
-        "mu_side_ok": cert.mu_side_ok,
-        "mu_side_violation": cert.mu_side_violation,
-        "pi_side_ok": cert.pi_side_ok,
-        "pi_side_error": cert.pi_side_error,
-        "gap": cert.gap,
-        "grid_points": cert.grid_points,
-        "tol": cert.tol,
-    }
-
-
 def saddle_to_dict(result: SaddleResult, cert: SaddleCertificate | None) -> dict:
     return {
         "mode": result.mode,
@@ -513,7 +499,7 @@ def saddle_to_dict(result: SaddleResult, cert: SaddleCertificate | None) -> dict
         "support": list(result.support),
         "cost_profile": result.cost_profile.tolist(),
         "policy": policy_rows(result.policy),
-        "certificate": None if cert is None else certificate_to_dict(cert),
+        "certificate": None if cert is None else asdict(cert),
         "trace": [[mu.weights.tolist(), value] for mu, value in result.trace],
     }
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -138,31 +137,6 @@ def _check_mu(mu: float):
         raise ValueError(f"belief must lie in [0, 1], got {mu}")
 
 
-def success_posterior(mu: float, config: SeqTestConfig = DEFAULT_CONFIG) -> float:
-    """Belief on theta1 after observing a success; mu/(2-mu) at the default
-    rates."""
-    _check_mu(mu)
-    num = config.p_low * mu
-    den = num + config.p_high * (1.0 - mu)
-    return num / den if den > 0.0 else mu
-
-
-def failure_posterior(mu: float, config: SeqTestConfig = DEFAULT_CONFIG) -> float:
-    """Belief on theta1 after observing a failure; 2*mu/(1+mu) at the
-    default rates."""
-    _check_mu(mu)
-    num = (1.0 - config.p_low) * mu
-    den = num + (1.0 - config.p_high) * (1.0 - mu)
-    return num / den if den > 0.0 else mu
-
-
-def terminal_decision_cost(mu: float) -> float:
-    """Expected cost of an immediate forced declaration at belief ``mu``
-    under the default configuration: 10 * min(mu, 1 - mu)."""
-    _check_mu(mu)
-    return 10.0 * min(mu, 1.0 - mu)
-
-
 def optimal_value(mu: float) -> float:
     """Optimal expected cost at belief ``mu`` when at least one observation
     remains, default configuration.  The same piecewise-linear function is
@@ -173,18 +147,6 @@ def optimal_value(mu: float) -> float:
     if mu <= CONTINUE_HI:
         return PLATEAU_VALUE
     return 10.0 * (1.0 - mu)
-
-
-def optimal_first_action(mu: float) -> str:
-    """Optimal initial action at belief ``mu``, default configuration:
-    continue strictly inside the plateau region, otherwise declare the
-    hypothesis with the higher belief.  Boundary beliefs declare."""
-    _check_mu(mu)
-    if CONTINUE_LO < mu < CONTINUE_HI:
-        return ACTIONS[A_CONTINUE]
-    if mu <= 0.5:
-        return ACTIONS[A_DECLARE_2]
-    return ACTIONS[A_DECLARE_1]
 
 
 def avar_worst_prior_interval(gamma: float, mu0: float) -> tuple[float, float]:
@@ -205,26 +167,3 @@ def avar_worst_prior_interval(gamma: float, mu0: float) -> tuple[float, float]:
     if gamma < 1.0 - mu0 / CONTINUE_HI:
         return CONTINUE_LO, cap
     return CONTINUE_LO, CONTINUE_HI
-
-
-def bellman_sweep(
-    values: Callable[[float], float],
-    mu: float,
-    config: SeqTestConfig = DEFAULT_CONFIG,
-) -> float:
-    """One dynamic-programming step applied to a scalar value function of
-    the belief: the cheaper of declaring now and paying one observation
-    plus the predictive mixture of ``values`` at the updated beliefs.
-
-    Implemented from the scalar recursion directly, independently of the
-    tree solver, so the two can check each other.
-    """
-    _check_mu(mu)
-    stop = config.error_cost * min(mu, 1.0 - mu)
-    p_success = config.p_low * mu + config.p_high * (1.0 - mu)
-    continue_value = (
-        config.observation_cost
-        + p_success * values(success_posterior(mu, config))
-        + (1.0 - p_success) * values(failure_posterior(mu, config))
-    )
-    return min(stop, continue_value)

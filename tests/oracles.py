@@ -1,14 +1,30 @@
 """Reference implementations the tests check the solver against: the risk
-measures' dual forms, the Bayes recursion over unmerged histories, and the
-exact reading of config number literals."""
+measures' dual forms, the Bayes recursion over unmerged histories, the
+penalized entropic objective, the sequential test's scalar recursion, and
+the exact reading of config number literals."""
 
+import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
+from ambmdp.ambiguity import check_gamma
+from ambmdp.bayes import solve_bayes
 from ambmdp.belief import initial_posterior, predictive
-from ambmdp.model import Belief
+from ambmdp.model import Belief, StatisticalMDP
 from ambmdp.risk import _weights, as_profile, relative_entropy
+from ambmdp.seqtest import (
+    A_CONTINUE,
+    A_DECLARE_1,
+    A_DECLARE_2,
+    ACTIONS,
+    CONTINUE_HI,
+    CONTINUE_LO,
+    DEFAULT_CONFIG,
+    SeqTestConfig,
+    _check_mu,
+)
 
 #: comparison slack for cumulative masses in quantile computations
 QUANTILE_TOL = 1e-12
@@ -122,3 +138,76 @@ def exact_number(raw: str) -> float:
     """A config number literal read as an exact rational and rounded once to
     the nearest double; raises as ``Fraction`` and ``float`` do."""
     return float(Fraction(raw))
+
+
+def entropic_objective(
+    model: StatisticalMDP, base_prior: Belief, gamma: float, candidate: Belief
+) -> float:
+    """Penalized outer objective: optimal Bayes cost at the candidate prior
+    minus relative_entropy(candidate, base)/gamma; -inf off the base's
+    support."""
+    check_gamma("entropic", gamma)
+    rel = relative_entropy(candidate, base_prior)
+    if rel == math.inf:
+        return -math.inf
+    return solve_bayes(model, candidate).value - rel / gamma
+
+
+def success_posterior(mu: float, config: SeqTestConfig = DEFAULT_CONFIG) -> float:
+    """Belief on theta1 after observing a success; mu/(2-mu) at the default
+    rates."""
+    _check_mu(mu)
+    num = config.p_low * mu
+    den = num + config.p_high * (1.0 - mu)
+    return num / den if den > 0.0 else mu
+
+
+def failure_posterior(mu: float, config: SeqTestConfig = DEFAULT_CONFIG) -> float:
+    """Belief on theta1 after observing a failure; 2*mu/(1+mu) at the
+    default rates."""
+    _check_mu(mu)
+    num = (1.0 - config.p_low) * mu
+    den = num + (1.0 - config.p_high) * (1.0 - mu)
+    return num / den if den > 0.0 else mu
+
+
+def terminal_decision_cost(mu: float) -> float:
+    """Expected cost of an immediate forced declaration at belief ``mu``
+    under the default configuration: 10 * min(mu, 1 - mu)."""
+    _check_mu(mu)
+    return 10.0 * min(mu, 1.0 - mu)
+
+
+def optimal_first_action(mu: float) -> str:
+    """Optimal initial action at belief ``mu``, default configuration:
+    continue strictly inside the plateau region, otherwise declare the
+    hypothesis with the higher belief.  Boundary beliefs declare."""
+    _check_mu(mu)
+    if CONTINUE_LO < mu < CONTINUE_HI:
+        return ACTIONS[A_CONTINUE]
+    if mu <= 0.5:
+        return ACTIONS[A_DECLARE_2]
+    return ACTIONS[A_DECLARE_1]
+
+
+def bellman_sweep(
+    values: Callable[[float], float],
+    mu: float,
+    config: SeqTestConfig = DEFAULT_CONFIG,
+) -> float:
+    """One dynamic-programming step applied to a scalar value function of
+    the belief: the cheaper of declaring now and paying one observation
+    plus the predictive mixture of ``values`` at the updated beliefs.
+
+    Implemented from the scalar recursion directly, independently of the
+    tree solver, so the two can check each other.
+    """
+    _check_mu(mu)
+    stop = config.error_cost * min(mu, 1.0 - mu)
+    p_success = config.p_low * mu + config.p_high * (1.0 - mu)
+    continue_value = (
+        config.observation_cost
+        + p_success * values(success_posterior(mu, config))
+        + (1.0 - p_success) * values(failure_posterior(mu, config))
+    )
+    return min(stop, continue_value)

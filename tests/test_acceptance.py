@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from helpers import decision_nodes, policy_from, random_belief, random_model
-from oracles import avar_dual, entropic_dual_value
+from oracles import avar_dual, bellman_sweep, entropic_dual_value
 
 from ambmdp import seqtest
 from ambmdp.ambiguity import solve_avar, solve_entropic, solve_robust
@@ -144,7 +144,7 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_bellman_fixed_point():
     with criterion(8, "one sweep of the optimal value reproduces it (1e-9)"):
         for mu in GRID:
-            swept = seqtest.bellman_sweep(seqtest.optimal_value, mu)
+            swept = bellman_sweep(seqtest.optimal_value, mu)
             assert abs(swept - seqtest.optimal_value(mu)) <= 1e-9, mu
 
 

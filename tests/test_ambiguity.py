@@ -1,14 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from helpers import random_model, simplex_lattice
-from oracles import within_avar_caps
+from oracles import entropic_objective, within_avar_caps
 
 from ambmdp import seqtest
 from ambmdp.ambiguity import (
     certify_saddle,
-    entropic_objective,
     solve,
     solve_avar,
     solve_entropic,
@@ -121,14 +121,16 @@ class TestSolveEntryPoint:
         [
             ("entropic", 0.7, lambda model, base: solve_entropic(model, base, 0.7)),
             ("avar", 0.4, lambda model, base: solve_avar(model, base, 0.4)),
-            ("robust", None, lambda model, base: solve_robust(model, base.support())),
+            # the robust shorthand solves over every parameter
+            ("robust", None, lambda model, base: solve_robust(model)),
         ],
         ids=("entropic", "avar", "robust"),
     )
     def test_equals_the_mode_wrapper(self, mode, gamma, wrapper):
         model, base = seeded_instance(3)
         base = Belief(np.array([*base.weights[:2], 0.0]) / base.weights[:2].sum())
-        for prior in (base, Belief(np.array([0.2, 0.3, 0.5]))):
+        full = Belief(np.array([0.2, 0.3, 0.5]))
+        for prior in (full,) if mode == "robust" else (base, full):
             direct = solve(model, mode, prior, gamma)
             shorthand = wrapper(model, prior)
             assert direct.mode == shorthand.mode == mode
@@ -202,7 +204,7 @@ class TestSolveRobust:
         assert result.gap <= 1e-9
 
     def test_single_parameter_support(self, bench_model):
-        result = solve_robust(bench_model, support=(1,))
+        result = solve(bench_model, "robust", Belief.point_mass(2, 1))
         assert result.worst_prior == Belief.point_mass(2, 1)
         # theta2 alone: optimal play declares theta2 immediately at no cost
         assert result.value == pytest.approx(0.0, abs=1e-12)
@@ -217,7 +219,7 @@ class TestSolveRobust:
         result = solve_robust(bench_model)
         # worst-case value is at least the optimal cost under each theta
         for theta in range(2):
-            solo = solve_robust(bench_model, support=(theta,))
+            solo = solve(bench_model, "robust", Belief.point_mass(2, theta))
             assert result.value >= solo.value - 1e-9
 
 
@@ -244,8 +246,6 @@ class TestCertifySaddle:
         assert report.mu_side_ok and report.pi_side_ok
 
     def test_perturbed_worst_prior_fails_mu_side(self, bench_model):
-        import dataclasses
-
         result = solve_entropic(bench_model, seqtest.prior_belief(0.1), gamma=0.1)
         shifted = float(result.worst_prior.weights[0]) + 0.05
         tampered = dataclasses.replace(
@@ -449,6 +449,90 @@ class TestCertifyRandomModels:
         assert certificate.grid_points == 0
         if (n_params, mode) == (3, "avar"):
             assert lattice <= certificate.tol < result.gap
+
+
+def seeded_models(seed, count):
+    """``count`` seeded small random models, each with a Dirichlet base
+    prior: K = 2-5, 2-3 states, 2-3 actions, H = 1-2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(2, 6))
+        model = random_model(
+            rng,
+            n_states=int(rng.integers(2, 4)),
+            n_actions=int(rng.integers(2, 4)),
+            horizon=int(rng.integers(1, 3)),
+            n_params=k,
+        )
+        yield model, Belief(rng.dirichlet(np.ones(k)))
+
+
+class TestLoopBestPrior:
+    """With three or more support parameters there is no plateau search:
+    avar and robust solves return the first best response with the largest
+    objective, and report it as both plateau edges."""
+
+    def test_returns_the_first_best_trace_prior(self):
+        rng = np.random.default_rng(12345)
+        for _ in range(30):
+            k = int(rng.integers(3, 6))
+            model = random_model(
+                rng, n_states=3, n_actions=2, horizon=2, n_params=k, full_feasible=True
+            )
+            base = Belief(rng.dirichlet(np.ones(k)))
+            for mode, gamma in (("avar", 0.5), ("robust", None)):
+                result = solve(model, mode, base, gamma)
+                best = max(result.trace, key=lambda entry: entry[1])[0]
+                assert result.worst_prior == best, mode
+                assert result.worst_prior_lo == best and result.worst_prior_hi == best
+
+
+def scaled_costs(model, factor):
+    """The model with every stage and terminal cost multiplied by factor."""
+    return dataclasses.replace(
+        model, stage_cost=model.stage_cost * factor, terminal_cost=model.terminal_cost * factor
+    )
+
+
+class TestCertificateScale:
+    """The certificate's tolerances follow the cost scale, so multiplying
+    every cost by a factor (and dividing the entropic gamma by it, which
+    keeps the game the same) leaves every verdict as it was."""
+
+    MODES = (("entropic", 0.5), ("entropic", 50.0), ("avar", 0.5), ("robust", None))
+
+    def test_verdicts_survive_scaling_every_cost(self):
+        for model, base in seeded_models(7, 20):
+            for mode, gamma in self.MODES:
+                plain = certify_saddle(model, solve(model, mode, base, gamma))
+                for factor in (1e-6, 1e6):
+                    big = scaled_costs(model, factor)
+                    g = gamma / factor if mode == "entropic" else gamma
+                    cert = certify_saddle(big, solve(big, mode, base, g))
+                    assert cert.mu_side_ok == plain.mu_side_ok, (mode, gamma, factor)
+                    assert cert.pi_side_ok == plain.pi_side_ok, (mode, gamma, factor)
+
+    def test_policy_side_flags_a_small_excess_at_every_scale(self, bench_model):
+        # the policy returned at the worst prior 0.125 declares at once; just
+        # inside the continue region it costs 1e-6 of the cost scale more
+        # than a Bayes-optimal policy
+        for factor in (1.0, 1e-6, 1e6):
+            model = scaled_costs(bench_model, factor)
+            result = solve_avar(model, seqtest.prior_belief(0.1), gamma=0.2)
+            moved = dataclasses.replace(
+                result, worst_prior=seqtest.prior_belief(13.0 / 30.0 + 1e-7)
+            )
+            cert = certify_saddle(model, moved)
+            assert cert.pi_side_error == pytest.approx(1e-6 * factor, rel=1e-6)
+            assert not cert.pi_side_ok, factor
+
+    def test_zero_cost_models_certify(self):
+        for model, base in seeded_models(5, 10):
+            zero = scaled_costs(model, 0.0)
+            for mode, gamma in self.MODES:
+                cert = certify_saddle(zero, solve(zero, mode, base, gamma))
+                assert cert.mu_side_ok and cert.pi_side_ok, (mode, gamma)
+                assert cert.tol == 0.0
 
 
 def go_or_stay_model(t1_terminal_s1=5.0):

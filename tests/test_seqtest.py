@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from oracles import (
+    bellman_sweep,
+    failure_posterior,
+    optimal_first_action,
+    success_posterior,
+    terminal_decision_cost,
+)
 
 from ambmdp import seqtest
 from ambmdp.bayes import solve_bayes
@@ -50,7 +57,7 @@ class TestBuildModel:
                 for a in (A_DECLARE_1, A_DECLARE_2)
             ]
             assert min(declare_costs) == pytest.approx(
-                seqtest.terminal_decision_cost(mu), abs=1e-12
+                terminal_decision_cost(mu), abs=1e-12
             )
 
     def test_success_and_failure_updates(self, bench_model):
@@ -61,18 +68,18 @@ class TestBuildModel:
             assert up.weights[0] == pytest.approx(mu / (2.0 - mu), abs=1e-14)
             assert down.weights[0] == pytest.approx(2.0 * mu / (1.0 + mu), abs=1e-14)
             assert up.weights[0] == pytest.approx(
-                seqtest.success_posterior(mu), abs=1e-14
+                success_posterior(mu), abs=1e-14
             )
             assert down.weights[0] == pytest.approx(
-                seqtest.failure_posterior(mu), abs=1e-14
+                failure_posterior(mu), abs=1e-14
             )
 
 
 class TestClosedForms:
     def test_terminal_decision_cost_points(self):
-        assert seqtest.terminal_decision_cost(0.0) == 0.0
-        assert seqtest.terminal_decision_cost(0.5) == pytest.approx(5.0)
-        assert seqtest.terminal_decision_cost(0.8) == pytest.approx(2.0)
+        assert terminal_decision_cost(0.0) == 0.0
+        assert terminal_decision_cost(0.5) == pytest.approx(5.0)
+        assert terminal_decision_cost(0.8) == pytest.approx(2.0)
 
     def test_optimal_value_pieces(self):
         assert seqtest.optimal_value(0.3) == pytest.approx(3.0)
@@ -82,8 +89,8 @@ class TestClosedForms:
 
     def test_symmetry(self):
         for mu in np.linspace(0.0, 1.0, 101):
-            assert seqtest.terminal_decision_cost(mu) == pytest.approx(
-                seqtest.terminal_decision_cost(1.0 - mu), abs=1e-12
+            assert terminal_decision_cost(mu) == pytest.approx(
+                terminal_decision_cost(1.0 - mu), abs=1e-12
             )
             assert seqtest.optimal_value(mu) == pytest.approx(
                 seqtest.optimal_value(1.0 - mu), abs=1e-12
@@ -91,9 +98,9 @@ class TestClosedForms:
 
     def test_range_validation(self):
         for func in (
-            seqtest.terminal_decision_cost,
+            terminal_decision_cost,
             seqtest.optimal_value,
-            seqtest.optimal_first_action,
+            optimal_first_action,
         ):
             with pytest.raises(ValueError):
                 func(-0.1)
@@ -132,10 +139,10 @@ class TestAvarWorstPriorInterval:
 
 class TestOptimalFirstAction:
     def test_reference_points(self):
-        assert seqtest.optimal_first_action(0.5) == "continue"
-        assert seqtest.optimal_first_action(0.1) == "declare_theta2"
-        assert seqtest.optimal_first_action(13.0 / 30.0) == "declare_theta2"
-        assert seqtest.optimal_first_action(0.9) == "declare_theta1"
+        assert optimal_first_action(0.5) == "continue"
+        assert optimal_first_action(0.1) == "declare_theta2"
+        assert optimal_first_action(13.0 / 30.0) == "declare_theta2"
+        assert optimal_first_action(0.9) == "declare_theta1"
 
     def test_solver_agrees_away_from_breakpoints(self, bench_model):
         for mu in np.linspace(0.001, 0.999, 199):
@@ -144,7 +151,7 @@ class TestOptimalFirstAction:
             solution = solve_bayes(bench_model, seqtest.prior_belief(mu))
             root = solution.tree.dag.root_of[seqtest.STATES.index("start")]
             action = seqtest.ACTIONS[solution.policy.actions[root]]
-            assert action == seqtest.optimal_first_action(mu), f"mu={mu}"
+            assert action == optimal_first_action(mu), f"mu={mu}"
 
 
 class TestGenericSolverAgreement:
@@ -169,10 +176,10 @@ class TestBellmanSweep:
     def test_zero_observation_base_case(self):
         # sweeping the terminal decision cost once gives the one-step value
         for mu in np.linspace(0.0, 1.0, 101):
-            swept = seqtest.bellman_sweep(seqtest.terminal_decision_cost, mu)
+            swept = bellman_sweep(terminal_decision_cost, mu)
             assert swept == pytest.approx(seqtest.optimal_value(mu), abs=1e-12)
 
     def test_optimal_value_is_a_fixed_point(self):
         for mu in np.linspace(0.0, 1.0, 101):
-            swept = seqtest.bellman_sweep(seqtest.optimal_value, mu)
+            swept = bellman_sweep(seqtest.optimal_value, mu)
             assert swept == pytest.approx(seqtest.optimal_value(mu), abs=1e-9)
