@@ -61,13 +61,10 @@ import numpy as np
 from .bayes import DeterministicPolicy, bayes_cost, solve_bayes
 from .model import Belief, StatisticalMDP, cost_bounds
 from .risk import avar_quantile, entropic_risk, relative_entropy
-from .search import entropic_master, lp_master
+from .search import CUT_SLACK, entropic_master, lp_master
 
 #: largest offset used to move the returned prior off a plateau edge
 PLATEAU_MARGIN = 1e-4
-#: the bounds have met once they differ by at most this times the cost
-#: scale, the largest absolute cost bound of the model
-CUT_SLACK = 1e-12
 #: the certificate's prior and policy sides allow these times the cost scale
 PRIOR_SIDE_SLACK = 1e-7
 POLICY_SIDE_SLACK = 1e-12

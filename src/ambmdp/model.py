@@ -190,6 +190,24 @@ class StatisticalMDP:
                 mask[n, x, list(acts)] = True
         return mask
 
+    @cached_property
+    def cost_bounds(self) -> tuple[float, float]:
+        """Bracket the total cost by summing per-epoch extrema of the stage
+        cost over feasible pairs, plus terminal extrema.
+
+        The bracket is loose in general (it ignores reachability) but
+        contains the expected total cost of every policy under every
+        parameter.  The model's arrays are read-only, so the cache holds.
+        """
+        lo = hi = 0.0
+        for n, feasible in enumerate(self.feasible_mask):
+            entries = self.stage_cost[n][:, feasible]
+            lo += float(entries.min())
+            hi += float(entries.max())
+        lo += float(self.terminal_cost.min())
+        hi += float(self.terminal_cost.max())
+        return lo, hi
+
 
 def _row_faults(rows: np.ndarray):
     """(index, diagnostic) of each probability row, along the last axis,
@@ -243,17 +261,5 @@ def validate(model: StatisticalMDP) -> list[str]:
 
 
 def cost_bounds(model: StatisticalMDP) -> tuple[float, float]:
-    """Bracket the total cost by summing per-epoch extrema of the stage cost
-    over feasible pairs, plus terminal extrema.
-
-    The bracket is loose in general (it ignores reachability) but contains
-    the expected total cost of every policy under every parameter.
-    """
-    lo = hi = 0.0
-    for n, feasible in enumerate(model.feasible_mask):
-        entries = model.stage_cost[n][:, feasible]
-        lo += float(entries.min())
-        hi += float(entries.max())
-    lo += float(model.terminal_cost.min())
-    hi += float(model.terminal_cost.max())
-    return lo, hi
+    """``model.cost_bounds``."""
+    return model.cost_bounds

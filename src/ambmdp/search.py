@@ -12,8 +12,9 @@ priors:
   simplex method with Bland's rule;
 * ``entropic_master``: max_w min_i w . C_i - KL(w || base)/gamma, through
   its dual min over mixtures lambda of the entropic risk of sum_i lambda_i
-  C_i, solved by line searches along Newton directions on lambda; the
-  prior is the tilted prior of the mixed profile.
+  C_i, solved by line searches along Newton directions on lambda until
+  its duality gap is within the outer loop's slack; the prior is the
+  tilted prior of the mixed profile.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ import numpy as np
 #: pivot and reduced-cost threshold of the simplex method; the tableau is
 #: scaled so that cut entries lie in [1, 2]
 PIVOT_TOL = 1e-12
-#: the entropic master stops once neither its objective nor its duality gap
-#: has decreased for this many consecutive steps (their float floor depends
-#: on gamma)
+#: the outer loop's bounds have met once they differ by at most this times
+#: the cost scale, the largest absolute cost bound of the model; the
+#: entropic master stops at a duality gap of at most this times its largest
+#: absolute cut entry, which the cost scale bounds
+CUT_SLACK = 1e-12
+#: where float noise floors the entropic master's duality gap above its
+#: threshold (at extreme gamma), it stops once neither its objective nor the
+#: gap has decreased for this many consecutive steps
 STALL_STEPS = 3
 #: hard cap on entropic master steps
 MAX_MASTER_STEPS = 10_000
@@ -97,39 +103,41 @@ def entropic_master(
     from the worst active cut to that one.  The line minimum is found from
     derivatives, which keep their sign where F's float values no longer
     change.  ``upper`` = F(lambda) bounds the maximum for every lambda.
-    The steps stop once neither F nor the duality gap lambda . g - min g
-    has decreased for ``STALL_STEPS`` steps: float noise sets that floor,
-    and it grows with gamma, so no absolute threshold is used.
+
+    The steps stop once the duality gap lambda . g - min g, which bounds
+    ``upper`` minus the maximum, is at most ``CUT_SLACK`` times the largest
+    absolute cut entry; the outer loop's slack is never smaller.  At
+    extreme gamma float noise floors the gap above that, so the steps also
+    stop once neither F nor the gap has decreased for ``STALL_STEPS``
+    steps, or after ``MAX_MASTER_STEPS``.
     """
     log_base = np.log(base)
 
     # the tilted prior, base * exp(gamma * profile) normalized, and
-    # risk.entropic_risk on the support, without the per-call validation
-    # of the latter, which would dominate this loop
-    def tilt(profile: np.ndarray) -> np.ndarray:
-        a = gamma * profile + log_base
-        w = np.exp(a - a.max())
-        return w / w.sum()
-
-    def rho(profile: np.ndarray) -> float:
+    # risk.entropic_risk on the support from the same exponentials, without
+    # the per-call validation of the latter, which would dominate this loop
+    def tilt(profile: np.ndarray) -> tuple[np.ndarray, float]:
         a = gamma * profile + log_base
         shift = float(a.max())
-        return (shift + math.log(float(np.exp(a - shift).sum()))) / gamma
+        e = np.exp(a - shift)
+        total = float(e.sum())
+        return e / total, (shift + math.log(total)) / gamma
 
     m = len(cuts)
+    tol = CUT_SLACK * float(np.abs(cuts).max())
     lam = np.zeros(m)
-    lam[min(range(m), key=lambda i: rho(cuts[i]))] = 1.0
+    lam[min(range(m), key=lambda i: tilt(cuts[i])[1])] = 1.0
     least_gap = lowest = math.inf
     stalled = 0
-    for _ in range(MAX_MASTER_STEPS):
+    for steps in range(MAX_MASTER_STEPS + 1):
         mixed = lam @ cuts
-        w = tilt(mixed)
+        w, f = tilt(mixed)
         g = cuts @ w
         j = int(np.argmin(g))
-        gap, f = float(lam @ g) - float(g[j]), rho(mixed)
+        gap = float(lam @ g) - float(g[j])
         stalled = 0 if gap < least_gap or f < lowest else stalled + 1
         least_gap, lowest = min(least_gap, gap), min(lowest, f)
-        if gap <= 0.0 or stalled >= STALL_STEPS:
+        if gap <= tol or stalled >= STALL_STEPS or steps == MAX_MASTER_STEPS:
             break
         d = _face_newton(lam, cuts, j, w, g, gamma)
         shrinking = np.nonzero(d < 0.0)[0]
@@ -143,14 +151,13 @@ def entropic_master(
             shrinking = np.array([i])
         limits = lam[shrinking] / -d[shrinking]
         t_max = float(limits.min())
-        t = _newton_line(tilt, mixed, d @ cuts, min(1.0, t_max), gamma)
+        t = _newton_line(tilt, mixed, d @ cuts, w, min(1.0, t_max), gamma)
         lam = lam + t * d
         if t == t_max:
             lam[shrinking[np.argmin(limits)]] = 0.0
         lam = np.maximum(lam, 0.0)
         lam /= lam.sum()
-    mixed = lam @ cuts
-    return tilt(mixed), rho(mixed)
+    return w, f
 
 
 def _face_newton(lam, cuts, j, w, g, gamma) -> np.ndarray:
@@ -173,24 +180,35 @@ def _face_newton(lam, cuts, j, w, g, gamma) -> np.ndarray:
     return d / max(1.0, float(np.abs(d).max()))
 
 
-def _newton_line(tilt, profile: np.ndarray, d: np.ndarray, t_max: float, gamma: float) -> float:
+def _newton_line(
+    tilt, profile: np.ndarray, d: np.ndarray, w: np.ndarray, t_max: float, gamma: float
+) -> float:
     """Minimizer over [0, t_max] of the convex rho(profile + t d), whose
-    derivative is tilt(profile + t d) . d; Newton steps, bisection whenever
-    a step leaves the bracket."""
-    if tilt(profile + t_max * d) @ d <= 0.0:
+    derivative is tilt(profile + t d)[0] . d; ``w`` is the tilted prior at
+    t = 0.  Newton steps, bisection whenever a step would leave the
+    bracket; the search ends where a Newton step rounds to the current
+    point, or the bracket has shrunk to float noise."""
+    if tilt(profile + t_max * d)[0] @ d <= 0.0:
         return t_max
     lo, hi, t = 0.0, t_max, 0.0
     for _ in range(200):
-        w = tilt(profile + t * d)
         slope = float(w @ d)
         if slope > 0.0:
             hi = t
         else:
             lo = t
         curvature = gamma * float(w @ (d - slope) ** 2)
-        step = t - slope / curvature if curvature > 0.0 else hi
+        # a step longer than the bracket is not taken, so it is not divided
+        # out either: with a subnormal curvature the quotient overflows
+        if curvature > 0.0 and abs(slope) <= curvature * (hi - lo):
+            step = t - slope / curvature
+            if step == t:
+                break
+        else:
+            step = hi
         t_next = step if lo < step < hi else 0.5 * (lo + hi)
         if t_next == t or hi - lo <= 1e-16 * t_max:
             break
         t = t_next
+        w = tilt(profile + t * d)[0]
     return t

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from helpers import random_model, simplex_lattice
 from oracles import entropic_objective, within_avar_caps
 
-from ambmdp import seqtest
+from ambmdp import search, seqtest
 from ambmdp.ambiguity import (
     certify_saddle,
     solve,
@@ -619,7 +620,8 @@ class TestEntropicClosedForm:
 
 class TestEntropicMaster:
     """The entropic master's prior attains its upper bound on random cut
-    sets, with gamma times the cost span from 1e-3 to 1e5."""
+    sets, with gamma times the cost span from 1e-3 to 1e5, without a
+    numeric warning, and a figure row's solve costs it few evaluations."""
 
     def test_prior_attains_upper_bound(self):
         rng = np.random.default_rng(3)
@@ -631,3 +633,38 @@ class TestEntropicMaster:
             w, upper = entropic_master(cuts, base, gamma)
             lower = float((cuts @ w).min()) - relative_entropy(Belief(w), Belief(base)) / gamma
             assert upper - lower <= 1e-9, (gamma, n_cuts, n_params)
+
+    def test_subnormal_curvature_does_not_overflow(self):
+        # draws 7, 35 and 240 of this generator drive a line search to a
+        # subnormal curvature, where slope / curvature overflowed (gamma
+        # times the cost span 1.7e4, 6.7e3 and 8.4e4)
+        rng = np.random.default_rng(1)
+        for draw in range(241):
+            n_params, n_cuts = int(rng.integers(2, 7)), int(rng.integers(1, 30))
+            cuts = rng.uniform(-3.0, 7.0, (n_cuts, n_params)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            base = rng.dirichlet(np.ones(n_params))
+            gamma = 10.0 ** rng.uniform(-3.0, 5.0) / np.abs(cuts).max()
+            if draw not in (7, 35, 240):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                w, upper = entropic_master(cuts, base, gamma)
+            lower = float((cuts @ w).min()) - relative_entropy(Belief(w), Belief(base)) / gamma
+            assert upper - lower <= 1e-9 * np.abs(cuts).max(), draw
+
+    def test_master_work_on_a_figure_row(self, bench_model, monkeypatch):
+        # one figure row; each master call takes few line searches, and each
+        # line search ends once Newton has converged
+        evals, newton_line = [], search._newton_line
+
+        def counted(tilt, *args):
+            def counted_tilt(profile):
+                evals.append(None)
+                return tilt(profile)
+
+            return newton_line(counted_tilt, *args)
+
+        monkeypatch.setattr(search, "_newton_line", counted)
+        result = solve_entropic(bench_model, seqtest.prior_belief(0.2), 0.75)
+        assert result.value == pytest.approx(entropic_closed_form(0.2, 0.75)[1], abs=1e-9)
+        assert 0 < len(evals) <= 20
