@@ -21,7 +21,9 @@ action depend on the history only through (epoch, state, belief).
 
 A solve reads the DAG through a view at its prior (``ReachableBeliefTree``),
 which shares the DAG's epochs and adds one array, the belief of every
-node: the likelihoods times the prior, normalized.  A node reached only
+node: the likelihoods times the prior, normalized.  The array is computed
+on first read, so a view that only evaluates a given policy, or that a
+caller discards after a build, costs nothing.  A node reached only
 under parameters of zero prior weight keeps its likelihood as belief, the
 limit of the beliefs there as the prior is moved towards the uniform one.
 ``build_tree`` is the one place that takes a node cap.
@@ -90,7 +92,7 @@ class _BeliefDag:
 class ReachableBeliefTree:
     """The belief DAG ``dag`` seen at ``prior``: the DAG's own ``epochs``
     and ``offsets``, and the ``(nodes, K)`` belief of every node by global
-    index."""
+    index, computed on first read."""
 
     model: StatisticalMDP
     prior: Belief
@@ -98,10 +100,22 @@ class ReachableBeliefTree:
     epochs: tuple[TreeEpoch, ...]
     # global index of epoch n's first node; offsets[-1] is the node count
     offsets: np.ndarray
-    belief: np.ndarray
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
+
+    @cached_property
+    def belief(self) -> np.ndarray:
+        """The likelihood rows times the prior, normalized.  A row the
+        prior zeroes keeps its likelihood as belief."""
+        likelihood, weights = self.dag.likelihood, self.prior.weights
+        weighted = likelihood * weights
+        if weights.all():
+            return _normalized(weighted)
+        belief = likelihood.copy()
+        live = weighted.any(axis=1)
+        belief[live] = _normalized(weighted[live])
+        return belief
 
     @property
     def nodes_per_epoch(self) -> list[int]:
@@ -257,21 +271,7 @@ def build_tree(
         a.flags.writeable = False
     dag = _BeliefDag(tuple(epochs), likelihood, offsets, root_of)
     object.__setattr__(model, "belief_dag", dag)
-    return _view(model, dag, prior)
-
-
-def _view(model: StatisticalMDP, dag: _BeliefDag, prior: Belief) -> ReachableBeliefTree:
-    """``dag`` at ``prior``: beliefs are the likelihood rows times the
-    prior, normalized.  A row the prior zeroes keeps its likelihood as
-    belief."""
-    weighted = dag.likelihood * prior.weights
-    if prior.weights.all():
-        belief = _normalized(weighted)
-    else:
-        belief = dag.likelihood.copy()
-        live = weighted.any(axis=1)
-        belief[live] = _normalized(weighted[live])
-    return ReachableBeliefTree(model, prior, dag, dag.epochs, dag.offsets, belief)
+    return ReachableBeliefTree(model, prior, dag, dag.epochs, dag.offsets)
 
 
 def _mix(weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -353,7 +353,8 @@ def solve_bayes(model: StatisticalMDP, prior: Belief) -> ValueSolution:
     if len(prior) != model.n_params:
         raise ValueError("prior dimension does not match the parameter set")
     dag = model.belief_dag
-    tree = build_tree(model, prior) if dag is None else _view(model, dag, prior)
+    tree = build_tree(model, prior) if dag is None else ReachableBeliefTree(
+        model, prior, dag, dag.epochs, dag.offsets)
     costs, values, chosen = _backward(model, tree)
     actions = np.full(len(tree), -1)
     for n, pairs in enumerate(chosen):

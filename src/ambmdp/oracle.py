@@ -4,9 +4,10 @@
 sums probability-weighted total costs; it shares no recursion with the
 backward induction in ``bayes.evaluate_policy`` and is the primary
 anti-bug oracle for it.  ``mc_estimate`` is a seeded Monte-Carlo rollout
-cross-check that moves a whole batch of samples one epoch at a time
-through the tree's arrays.  Both follow the tree's children, which hold
-every branch that some parameter reaches.
+cross-check that builds one successor table over every decision node of
+the policy's tree and moves a whole batch of samples through it one epoch
+at a time.  Both follow the tree's children, which hold every branch that
+some parameter reaches.
 
 Random source: NumPy ``default_rng`` seeded through ``SeedSequence(seed)``,
 with one spawned child sequence per batch of ``BATCH_SIZE`` samples (the
@@ -146,22 +147,32 @@ def mc_estimate(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     tree = policy.tree
+    n_states = model.n_states
 
     root_cum, order = _cumulative(model.initial_kernel[theta][None, :])
     root_cum = root_cum[0]
     root_nodes = tree.dag.root_of[order[0]]
 
-    # per epoch below the horizon: cumulative successor table, children in
-    # the same column order, and stage cost of each node
-    tables = []
+    # per decision node in global order (none at horizon 0): the theta-row
+    # of its action, its children by global index (-1 where pruned) and its
+    # stage cost; the horizon nodes' terminal costs follow the stage costs
+    blocks = [(np.empty((0, n_states)), np.empty((0, n_states), dtype=int), np.empty(0))]
     for n, pairs in enumerate(policy.pairs):
         epoch = tree.epochs[n]
         action = epoch.pair_action[pairs]
-        rows = model.transition[n, theta, epoch.state, action]
-        cumulative, order = _cumulative(rows)
-        stage = model.stage_cost[n, theta, epoch.state, action]
-        tables.append((cumulative, np.take_along_axis(epoch.child[pairs], order, axis=1), stage))
-    terminal = model.terminal_cost[theta, tree.epochs[-1].state]
+        child = epoch.child[pairs]
+        blocks.append((
+            model.transition[n, theta, epoch.state, action],
+            np.where(child < 0, -1, child + tree.offsets[n + 1]),
+            model.stage_cost[n, theta, epoch.state, action],
+        ))
+    rows, child, stage = (np.concatenate(b) for b in zip(*blocks))
+    cumulative, order = _cumulative(rows)
+    child = np.take_along_axis(child, order, axis=1).ravel()
+    node_cost = np.concatenate((stage, model.terminal_cost[theta, tree.epochs[-1].state]))
+    # a row reads 1 from its last positive entry on, where u < 1 never counts
+    last = int((rows > 0.0).sum(axis=1).max(initial=1)) - 1
+    columns = np.ascontiguousarray(cumulative[:, :last].T)
 
     n_batches = (samples + BATCH_SIZE - 1) // BATCH_SIZE
     seeds = np.random.SeedSequence(seed).spawn(n_batches)
@@ -179,11 +190,14 @@ def mc_estimate(
             draws = rng.random((min(block, count - start), width))
             node = root_nodes[(draws[:, :1] > root_cum).sum(axis=1)]
             cost = np.zeros(len(draws))
-            for n, (cumulative, child, stage) in enumerate(tables):
-                cost += stage[node]
-                pick = (draws[:, n + 1, None] > cumulative[node]).sum(axis=1)
-                node = child[node, pick]
-            cost += terminal[node]
+            for n in range(model.horizon):
+                cost += node_cost[node]
+                u = draws[:, n + 1]
+                pick = node * n_states
+                for column in columns:
+                    pick += u > column[node]
+                node = child[pick]
+            cost += node_cost[node]
             # running sums in sample order, as one accumulation each
             total = np.cumsum(np.concatenate(([total], cost)))[-1]
             total_sq = np.cumsum(np.concatenate(([total_sq], cost * cost)))[-1]

@@ -480,6 +480,18 @@ class TestBeliefDagCache:
         assert not np.array_equal(a.tree.belief, b.tree.belief)
         assert a.tree.belief.shape == (len(model.belief_dag), 3)
 
+    def test_view_normalizes_beliefs_on_first_read(self, rng):
+        # the CLI builds the DAG and drops the view; a view that only
+        # evaluates a given policy needs no beliefs either
+        model = random_model(rng, n_params=3)
+        prior = random_belief(rng, 3)
+        tree = build_tree(model, prior)
+        solution = solve_bayes(model, prior)
+        policy_cost_profile(model, DeterministicPolicy(tree, solution.policy.actions))
+        assert "belief" not in vars(tree)
+        assert np.array_equal(tree.belief, solution.tree.belief)
+        assert tree.belief is tree.belief
+
     def test_cold_robust_solve_builds_once(self, rng, monkeypatch):
         builds = []
 

@@ -19,7 +19,8 @@ from helpers import random_belief, random_model, render_inline
 from oracles import exact_number
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
-#: ``ambmdp figure`` output of the shipped figure configs, kept byte for byte
+#: ``ambmdp figure`` output of the shipped figure configs and the stdout of
+#: ``ambmdp simulate`` on ``configs/simulate.cfg``, kept byte for byte
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
 ENTROPIC_CONFIG = """
@@ -473,6 +474,11 @@ simulate.seed = 7
         assert rows[0] == ["trajectory", "probability", "total_cost"]
         assert sum(float(r[1]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-10)
         assert payload["nodes_per_epoch"] == [1, 3, 3]
+
+    def test_shipped_simulate_matches_golden_stdout(self, capsys):
+        config = GOLDEN_DIR.parents[1] / "configs" / "simulate.cfg"
+        assert main(["simulate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / "simulate.txt").read_text()
 
     def test_unknown_theta_rejected(self):
         bad = self.CONFIG.replace("theta2", "theta9")

@@ -30,19 +30,50 @@ def chain_model():
     return model
 
 
+def zero_horizon_model():
+    """No decision: the cost is the terminal cost of the initial state."""
+    return StatisticalMDP(
+        horizon=0,
+        states=("s0", "s1"),
+        actions=("a0",),
+        params=ParameterSet(("t0",)),
+        feasible=(),
+        initial_kernel=np.array([[0.25, 0.75]]),
+        transition=np.zeros((0, 1, 2, 1, 2)),
+        stage_cost=np.zeros((0, 1, 2, 1)),
+        terminal_cost=np.array([[1.0, 3.0]]),
+    )
+
+
+def mixed_successor_model():
+    """Three epochs over three states whose rows have 3, 1 and 2 positive
+    successors: s0 moves anywhere, s1 always moves to s2 (its one positive
+    entry is its last column), and s2 skips s1.  The row of s1 prunes two
+    branches under both parameters."""
+    params = ParameterSet(("t0", "t1"))
+    horizon = 3
+    rows = np.array([
+        [[0.2, 0.3, 0.5], [0.0, 0.0, 1.0], [0.6, 0.0, 0.4]],
+        [[0.5, 0.25, 0.25], [0.0, 0.0, 1.0], [0.1, 0.0, 0.9]],
+    ])
+    return StatisticalMDP(
+        horizon=horizon,
+        states=("s0", "s1", "s2"),
+        actions=("a0",),
+        params=params,
+        feasible=tuple((((0,),) * 3) for _ in range(horizon)),
+        initial_kernel=np.array([[0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]),
+        transition=np.broadcast_to(rows[None, :, :, None, :], (horizon, 2, 3, 1, 3)).copy(),
+        stage_cost=np.broadcast_to(
+            np.array([[1.0, 0.0, 2.5], [0.5, 0.0, 3.0]])[None, :, :, None], (horizon, 2, 3, 1)
+        ).copy(),
+        terminal_cost=np.array([[0.0, 4.0, 1.0], [2.0, 4.0, 0.0]]),
+    )
+
+
 class TestEnumerateCost:
     def test_zero_horizon_averages_terminal_cost(self):
-        model = StatisticalMDP(
-            horizon=0,
-            states=("s0", "s1"),
-            actions=("a0",),
-            params=ParameterSet(("t0",)),
-            feasible=(),
-            initial_kernel=np.array([[0.25, 0.75]]),
-            transition=np.zeros((0, 1, 2, 1, 2)),
-            stage_cost=np.zeros((0, 1, 2, 1)),
-            terminal_cost=np.array([[1.0, 3.0]]),
-        )
+        model = zero_horizon_model()
         solution = solve_bayes(model, Belief.uniform(1))
         value, records = enumerate_cost(model, 0, solution.policy)
         assert value == pytest.approx(0.25 * 1.0 + 0.75 * 3.0, abs=1e-15)
@@ -158,3 +189,53 @@ class TestMcEstimate:
             mean, half = mc_estimate(model, 0, solution.policy, samples=23, seed=2)
             assert mean == pytest.approx(2.5, abs=1e-15)
             assert half == 0.0
+
+    # Figures below were recorded from the per-epoch sampler that the one
+    # table over all decision nodes replaced; they must not move by a bit.
+
+    def test_pinned_on_seqtest_long_horizon(self):
+        model = seqtest.build_model(seqtest.SeqTestConfig(horizon=32))
+        solution = solve_bayes(model, seqtest.prior_belief(0.5))
+        assert mc_estimate(model, 0, solution.policy, samples=5_000, seed=201) == (
+            4.416, 0.13146748203965408
+        )
+        assert mc_estimate(model, 1, solution.policy, samples=5_000, seed=201) == (
+            4.19, 0.12920621384879066
+        )
+
+    def test_pinned_on_random_model_over_three_batches(self):
+        rng = np.random.default_rng(7)
+        model = random_model(rng, n_states=3, n_actions=2, horizon=4, n_params=3)
+        solution = solve_bayes(model, random_belief(rng, 3))
+        assert mc_estimate(model, 2, solution.policy, samples=23_456, seed=13) == (
+            9.756816744598604, 0.04216039928021743
+        )
+
+    def test_pinned_with_partial_draw_blocks(self, monkeypatch):
+        # 30 rows per draw block: batches of 500 and 234 samples each end
+        # in a partial block
+        rng = np.random.default_rng(11)
+        model = random_model(rng, n_states=3, n_actions=2, horizon=3)
+        solution = solve_bayes(model, random_belief(rng, model.n_params))
+        monkeypatch.setattr(oracle, "DRAW_FLOATS", 120)
+        monkeypatch.setattr(oracle, "BATCH_SIZE", 500)
+        assert mc_estimate(model, 1, solution.policy, samples=1_234, seed=5) == (
+            3.031418225407694, 0.14378498748596177
+        )
+
+    def test_zero_horizon_model(self):
+        model = zero_horizon_model()
+        solution = solve_bayes(model, Belief.uniform(1))
+        mean, half = mc_estimate(model, 0, solution.policy, samples=1_000, seed=4)
+        assert (mean, half) == (2.494, 0.053916772165261494)
+        assert abs(mean - enumerate_cost(model, 0, solution.policy)[0]) <= 4 * half
+
+    def test_rows_with_different_successor_counts(self):
+        model = mixed_successor_model()
+        solution = solve_bayes(model, Belief.uniform(2))
+        assert (solution.tree.epochs[0].child == -1).any()
+        for theta in range(2):
+            exact, _ = enumerate_cost(model, theta, solution.policy)
+            mean, half = mc_estimate(model, theta, solution.policy, samples=20_000, seed=3)
+            assert 0.0 < half < 0.1
+            assert abs(mean - exact) <= 4 * half
