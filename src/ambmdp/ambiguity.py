@@ -27,28 +27,25 @@ above, the objective at each best response bounds it from below, and the
 loop stops when the bounds meet to float slack.  Deterministic policies are finite, so the loop
 ends after finitely many steps with the exact maximum.
 
-The optimal policy is a Bayes-optimal policy at the maximizing prior, and
-the duality gap reported is the direct risk evaluation of that policy's
-cost profile minus the outer value.  Every Bayes solve runs over the
-model's one belief DAG, which holds the branches of every parameter, so
-cost profiles are exact even at priors that give a parameter zero weight.
-By the same duality the prior side of the saddle certificate is exact and
-costs O(K): the supremum over the feasible priors of mu . C - penalty(mu)
-is the dual risk of C, so ``certify_saddle`` compares that with the
-objective at the returned prior instead of scanning a grid of priors.
-Both of its sides allow slack in proportion to the model's cost scale.
+Every solve returns the loop's best prior, the first best response with
+the largest objective; by the minimax theorem any maximizer with a
+certified Bayes policy is an answer.  Of the held planes through that
+prior, to the loop's slack, it returns the policy of least dual risk (the
+first on a tie), with its cost profile and its dual risk minus the outer
+value as the duality gap.  The best response there is among them, so the
+gap never exceeds that of the Bayes tie-break's policy.  Every Bayes solve
+runs over the model's one belief DAG, which holds the branches of every
+parameter, so cost profiles are exact even at priors that give a
+parameter zero weight.  By the same duality the prior side of the saddle
+certificate is exact and costs O(K): the supremum over the feasible priors
+of mu . C - penalty(mu) is the dual risk of C, so ``certify_saddle``
+compares that with the objective at the returned prior.  Both of its sides
+allow slack in proportion to the model's cost scale.
 
-Plateaus: the inner value is piecewise linear in the prior, so the avar
-and robust argmax can be a face.  With two support parameters the planes
-are intersected with the line (s, 1 - s) of feasible priors, each edge
-found is confirmed by a best response there, and the edges are reported;
-the returned prior is the maximizer closest to the reference (the base
-prior, or in robust mode the point mass on the last support parameter),
-pushed at most 1e-4 into the plateau so that the tie-broken deterministic
-policy there is the saddle policy.  Any other solve returns the first best
-response with the largest objective: by the minimax theorem any maximizer
-with a certified Bayes policy is an answer.  The entropic penalty is
-strictly convex, so its maximizer is unique.
+Plateaus: the avar and robust argmax can be a face.  With two support
+parameters the planes are intersected with the line (s, 1 - s) of
+feasible priors, each edge found is confirmed by a best response there,
+and the edges are reported beside the returned prior.
 """
 
 from __future__ import annotations
@@ -63,10 +60,8 @@ from .model import Belief, StatisticalMDP, cost_bounds
 from .risk import avar_quantile, entropic_risk, relative_entropy
 from .search import CUT_SLACK, entropic_master, lp_master
 
-#: largest offset used to move the returned prior off a plateau edge
-PLATEAU_MARGIN = 1e-4
 #: the certificate's prior and policy sides allow these times the cost scale
-PRIOR_SIDE_SLACK = 1e-7
+PRIOR_SIDE_SLACK = 1e-10
 POLICY_SIDE_SLACK = 1e-12
 
 
@@ -135,8 +130,8 @@ class _Ambiguity:
 
     @property
     def reference(self) -> np.ndarray:
-        """First prior of the search, and the prior plateau choices keep
-        closest to."""
+        """First prior of the search: the base prior, or in robust mode the
+        point mass on the last support parameter."""
         if self.base is not None:
             return self.base.weights[list(self.support)]
         return np.eye(len(self.support))[-1]
@@ -169,25 +164,31 @@ def _cost_scale(model: StatisticalMDP) -> float:
     return max(map(abs, cost_bounds(model)))
 
 
+def gap_tolerance(model: StatisticalMDP) -> float:
+    """``PRIOR_SIDE_SLACK`` times the cost scale: the largest duality gap that
+    certificates, the weak duality guard and figure summaries take as noise."""
+    return PRIOR_SIDE_SLACK * _cost_scale(model)
+
+
 def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     """The cutting-plane loop, then the plateau edges and the result."""
-    scale = _cost_scale(model)
-    slack = CUT_SLACK * scale
+    slack = CUT_SLACK * _cost_scale(model)
     trace: list[tuple[Belief, float]] = []
     cuts: list[np.ndarray] = []
-    solutions = {}  # best-response solves by the bytes of their weights
+    held = []  # the best-response solve behind each cut
 
     def best_response(w: np.ndarray) -> tuple[float, bool]:
         """Outer objective at the prior w, and whether the best response's
         plane was new (and added)."""
         mu = amb.embed(model.n_params, w)
-        solution = solutions[w.tobytes()] = solve_bayes(model, mu)
+        solution = solve_bayes(model, mu)
         value = solution.value - amb.penalty(mu)
         trace.append((mu, value))
         cut = solution.costs[list(amb.support)]
         fresh = not cuts or float(np.abs(np.array(cuts) - cut).max(axis=1).min()) > slack
         if fresh:
             cuts.append(cut)
+            held.append(solution)
         return value, fresh
 
     w = amb.reference
@@ -202,25 +203,26 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
         if upper - best_v <= slack:
             break
 
-    w_star = w_lo = w_hi = best_w
+    w_lo = w_hi = best_w
     if amb.mode != "entropic" and len(amb.support) == 2:
-        w_star, w_lo, w_hi = _plateau(amb, cuts, best_w, best_v, slack, best_response)
-    mu_star = amb.embed(model.n_params, w_star)
-    solution = solutions.get(w_star.tobytes()) or solve_bayes(model, mu_star)
-    value = solution.value - amb.penalty(mu_star)
-    raw_gap = amb.dual_risk(solution.costs) - value
-    if raw_gap < -1e-10 * max(scale, 1.0):
+        w_lo, w_hi = _plateau(amb, cuts, best_w, best_v, slack, best_response)
+    # the held planes through the returned prior, to slack, are its Bayes policies
+    heights = np.array(cuts) @ best_w
+    tied = [s for s, h in zip(held, heights) if h <= heights.min() + slack]
+    solution = min(tied, key=lambda s: amb.dual_risk(s.costs))
+    raw_gap = amb.dual_risk(solution.costs) - best_v
+    if raw_gap < -gap_tolerance(model):
         raise RuntimeError(
             f"weak duality violated (gap {raw_gap}); this indicates a defect "
             "in the outer search or the risk evaluation"
         )
     return SaddleResult(
         mode=amb.mode,
-        worst_prior=mu_star,
+        worst_prior=amb.embed(model.n_params, best_w),
         worst_prior_lo=amb.embed(model.n_params, w_lo),
         worst_prior_hi=amb.embed(model.n_params, w_hi),
         policy=solution.policy,
-        value=value,
+        value=best_v,
         gap=max(raw_gap, 0.0),
         gamma=amb.gamma,
         base_prior=amb.base,
@@ -233,8 +235,8 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
 def _plateau(
     amb: _Ambiguity, cuts: list, best_w: np.ndarray, best_v: float, slack: float, best_response
 ):
-    """Returned prior and plateau edges (as support weights) on the line
-    a + s d = (s, 1 - s) of the feasible priors of two support parameters.
+    """Plateau edges (as support weights) on the line a + s d = (s, 1 - s)
+    of the feasible priors of two support parameters.
 
     The edges are where the lowest plane falls below the best value.  A
     plane within ``slack`` of the best value at the best prior counts as
@@ -266,10 +268,7 @@ def _plateau(
             value, fresh = best_response(a + s * d)
             if value >= best_v - slack or not fresh:
                 break
-    left, right = interval()
-    margin = min(0.25 * (right - left), PLATEAU_MARGIN)
-    s_star = min(max(float(amb.reference[0]), left + margin), right - margin)
-    return a + s_star * d, a + left * d, a + right * d
+    return [a + s * d for s in interval()]
 
 
 def check_gamma(mode: str, gamma: float | None) -> None:
@@ -342,7 +341,7 @@ def certify_saddle(model: StatisticalMDP, result: SaddleResult) -> SaddleCertifi
     mu = result.worst_prior
     violation = amb.dual_risk(profile) - (float(mu.weights @ profile) - amb.penalty(mu))
     scale = _cost_scale(model)
-    tol = PRIOR_SIDE_SLACK * scale
+    tol = gap_tolerance(model)
 
     resolve = solve_bayes(model, mu)
     pi_error = abs(bayes_cost(model, result.policy, mu) - resolve.value)

@@ -1,7 +1,7 @@
 """Batch front end: flat key-value config files, solver dispatch, and
 machine-readable artifacts.
 
-Config files are line-oriented ``key = value`` text with ``#`` comments and
+Config files are line-oriented UTF-8 ``key = value`` text with ``#`` comments and
 dotted key sections (``model.*``, ``solver.*``, ``sweep.*``, ``output.*``).
 Decimal numbers are read by ``float``, as the double their exact value
 rounds to; rational literals such as ``13/30`` and other forms are parsed
@@ -36,7 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from . import seqtest
-from .ambiguity import SaddleCertificate, SaddleResult, certify_saddle, check_gamma, solve
+from .ambiguity import (
+    SaddleCertificate, SaddleResult, certify_saddle, check_gamma, gap_tolerance, solve,
+)
 from .bayes import (
     DEFAULT_NODE_CAP, DeterministicPolicy, ValueSolution, build_tree, solve_bayes,
 )
@@ -59,8 +61,6 @@ ALL_MODES = SOLVE_MODES + FIGURE_MODES + ("simulate",)
 COMMAND_MODES = {"solve": SOLVE_MODES, "figure": FIGURE_MODES, "simulate": ("simulate",)}
 
 TRAJECTORY_HEADER = ("trajectory", "probability", "total_cost")
-#: outer solves of a figure whose duality gap exceeds this are counted on stderr
-FIGURE_GAP_TOL = 1e-6
 #: most values a start:stop:step sweep range may expand to
 MAX_SWEEP_VALUES = 10_000
 #: an ASCII decimal literal, which float() rounds once, as float(Fraction()) does
@@ -518,7 +518,7 @@ def bayes_to_dict(solution: ValueSolution) -> dict:
 def _write(path: str, text: str) -> None:
     """Write an artifact; an OSError names ``path``, and ``main`` reports it."""
     try:
-        Path(path).write_text(text, newline="")
+        Path(path).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         exc.filename = path
         raise
@@ -597,9 +597,10 @@ def _run_figure(config: RunConfig, out_path: str, stdout) -> None:
     _write_csv(out_path, header, ([_fmt(v) for v in row] for row in rows))
     print(f"wrote {out_path} ({len(rows)} rows)", file=stdout)
     # the CSV headers are fixed, so gaps are reported beside the file
-    wide = sum(gap > FIGURE_GAP_TOL for gap in gaps)
+    tol = gap_tolerance(config.model)
+    wide = sum(gap > tol for gap in gaps)
     print(
-        f"duality gap > {FIGURE_GAP_TOL:g} in {wide} of {len(gaps)} outer solves "
+        f"duality gap > {tol:g} in {wide} of {len(gaps)} outer solves "
         f"(largest {_fmt(max(gaps, default=0.0))})",
         file=sys.stderr,
     )
@@ -677,8 +678,8 @@ def run(
 
 def _load(path: str) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
 

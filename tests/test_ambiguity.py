@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from ambmdp.ambiguity import (
     solve_robust,
 )
 from ambmdp.bayes import solve_bayes
-from ambmdp.model import Belief, ParameterSet, StatisticalMDP
+from ambmdp.cli import parse_config
+from ambmdp.model import Belief, ParameterSet, StatisticalMDP, cost_bounds
 from ambmdp.risk import avar_quantile, entropic_risk, relative_entropy
 from ambmdp.search import entropic_master
 
@@ -469,9 +471,10 @@ def seeded_models(seed, count):
 
 
 class TestLoopBestPrior:
-    """With three or more support parameters there is no plateau search:
-    avar and robust solves return the first best response with the largest
-    objective, and report it as both plateau edges."""
+    """Every solve returns the first best response with the largest
+    objective.  With three or more support parameters there is no plateau
+    search, and avar and robust solves report that prior as both plateau
+    edges; with two, the edges bracket it."""
 
     def test_returns_the_first_best_trace_prior(self):
         rng = np.random.default_rng(12345)
@@ -486,6 +489,72 @@ class TestLoopBestPrior:
                 best = max(result.trace, key=lambda entry: entry[1])[0]
                 assert result.worst_prior == best, mode
                 assert result.worst_prior_lo == best and result.worst_prior_hi == best
+
+    def test_every_mode_and_support_size_returns_the_first_best_trace_prior(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            k = int(rng.integers(2, 5))
+            model = random_model(rng, n_states=2, n_actions=2, horizon=2, n_params=k)
+            base = Belief(rng.dirichlet(np.ones(k)))
+            for mode, gamma in (("entropic", 0.5), ("avar", 0.5), ("robust", None)):
+                result = solve(model, mode, base, gamma)
+                best = max(result.trace, key=lambda entry: entry[1])[0]
+                assert result.worst_prior == best, (k, mode)
+                lo, hi = result.worst_prior_lo, result.worst_prior_hi
+                if mode == "entropic" or k > 2:
+                    assert lo == best and hi == best, (k, mode)
+                else:
+                    assert lo.weights[0] <= best.weights[0] <= hi.weights[0], mode
+
+
+def dual_risk(mode, profile, base, gamma):
+    """The dual risk of a cost profile in each outer mode."""
+    if mode == "entropic":
+        return entropic_risk(profile, base, gamma)
+    if mode == "avar":
+        return avar_quantile(profile, base, gamma)
+    return float(profile[list(base.support())].max())
+
+
+class TestLeastRiskPolicy:
+    """The returned policy is the least-risk one among the held planes
+    through the returned prior, so its gap is at most that of the policy the
+    Bayes tie-break picks there, and it is Bayes-optimal there."""
+
+    def test_gap_at_most_the_tie_broken_policy_gap(self):
+        for model, base in seeded_models(12345, 40):
+            scale = max(map(abs, cost_bounds(model)))
+            for mode, gamma in (("entropic", 0.5), ("avar", 0.5), ("robust", None)):
+                result = solve(model, mode, base, gamma)
+                tie_broken = solve_bayes(model, result.worst_prior).costs
+                tied_gap = dual_risk(mode, tie_broken, base, gamma) - result.value
+                assert result.gap <= tied_gap + 1e-12 * scale, mode
+                assert certify_saddle(model, result).pi_side_ok, mode
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestUlpStability:
+    """The returned pair does not follow the Bayes tie-break at a kink: on
+    every gamma > 0 row of both shipped figure grids, the reported gap at
+    gamma and at the next double above it agree."""
+
+    @pytest.mark.parametrize("name", ("figure_entropic.cfg", "figure_avar.cfg"))
+    def test_gap_survives_one_ulp_of_gamma(self, name):
+        config = parse_config((CONFIG_DIR / name).read_text())
+        mode = config.mode.removeprefix("figure-")
+        rows = 0
+        for mu0 in config.prior_sweep:
+            prior = Belief(np.array([mu0, 1.0 - mu0]))
+            for gamma in config.gamma_sweep:
+                if gamma == 0.0:
+                    continue
+                here = solve(config.model, mode, prior, gamma)
+                up = solve(config.model, mode, prior, math.nextafter(gamma, math.inf))
+                assert abs(up.gap - here.gap) <= 1e-9, (mu0, gamma)
+                rows += 1
+        assert rows == {"figure_entropic.cfg": 120, "figure_avar.cfg": 57}[name]
 
 
 def scaled_costs(model, factor):
@@ -526,6 +595,17 @@ class TestCertificateScale:
             cert = certify_saddle(model, moved)
             assert cert.pi_side_error == pytest.approx(1e-6 * factor, rel=1e-6)
             assert not cert.pi_side_ok, factor
+
+    def test_small_prior_side_violation_is_flagged(self):
+        # against the robust result at the vertex (1, 0), a profile whose t1
+        # cost exceeds t0's by 1e-8 of the cost scale is no saddle
+        model = go_or_stay_model()
+        result = solve_robust(model)
+        excess = 1e-8 * max(map(abs, cost_bounds(model)))
+        tampered = dataclasses.replace(result, cost_profile=np.array([6.0, 6.0 + excess]))
+        cert = certify_saddle(model, tampered)
+        assert cert.mu_side_violation == pytest.approx(excess, rel=1e-6)
+        assert not cert.mu_side_ok
 
     def test_zero_cost_models_certify(self):
         for model, base in seeded_models(5, 10):

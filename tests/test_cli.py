@@ -84,6 +84,152 @@ prior = 0
 """
 
 
+SIMULATE_CONFIG = """
+mode = simulate
+model.name = seqtest
+model.horizon = 1
+prior = 0.5
+simulate.theta = theta2
+simulate.samples = 2000
+simulate.seed = 7
+"""
+
+#: INLINE_CONFIG without its second parameter, as a figure config
+ONE_PARAM_FIGURE_CONFIG = "\n".join(
+    line for line in INLINE_CONFIG.splitlines()
+    if ".t1" not in line and not line.startswith("prior")
+).replace("mode = bayes", "mode = figure-avar").replace("t0 t1", "t0") + (
+    "\nsweep.gamma = 0.5\nsweep.prior = 0.5\n"
+)
+
+#: per defect, a config that has it and the exact message it is refused with
+CONFIG_ERRORS = {
+    "no-equals": (
+        ENTROPIC_CONFIG + "gamma 0.1\n", "line 8: expected 'key = value', got 'gamma 0.1'"
+    ),
+    "empty-key": (ENTROPIC_CONFIG + "= 3\n", "line 8: empty key"),
+    "gamma-not-allowed": (
+        INLINE_CONFIG + "solver.gamma = 0.5\n",
+        "line 23: solver.gamma: not allowed in mode bayes",
+    ),
+    "sweep-not-allowed": (
+        ENTROPIC_CONFIG + "sweep.prior = 0.5\n",
+        "line 8: sweep.prior: not allowed in mode entropic",
+    ),
+    "simulate-not-allowed": (
+        ENTROPIC_CONFIG + "simulate.seed = 3\n",
+        "line 8: simulate.seed: not allowed in mode entropic",
+    ),
+    "figure-prior": (
+        FIGURE_CONFIG + "prior = 0.5\n", "line 7: prior: figure modes take sweep.prior instead"
+    ),
+    "not-an-integer": (
+        ENTROPIC_CONFIG.replace("model.horizon = 1", "model.horizon = 1.5"),
+        "line 5: model.horizon: not an integer: '1.5'",
+    ),
+    "empty-value": (
+        ENTROPIC_CONFIG.replace("prior = 0.1", "prior ="), "line 6: prior: empty value"
+    ),
+    "empty-labels": (
+        INLINE_CONFIG.replace("model.actions = stay go", "model.actions ="),
+        "line 6: model.actions: empty label list",
+    ),
+    "duplicate-labels": (
+        INLINE_CONFIG.replace("model.states = s0 s1", "model.states = s0 s0"),
+        "line 5: model.states: labels must be unique",
+    ),
+    "range-shape": (
+        FIGURE_CONFIG.replace("0:1:0.25", "0:1"),
+        "line 5: sweep.gamma: range must be start:stop:step, got '0:1'",
+    ),
+    "range-literal": (
+        FIGURE_CONFIG.replace("0:1:0.25", "0:1:x"),
+        "line 5: sweep.gamma: bad range literal: '0:1:x'",
+    ),
+    "range-order": (
+        FIGURE_CONFIG.replace("0:1:0.25", "1:0:0.25"),
+        "line 5: sweep.gamma: range requires step > 0 and stop >= start",
+    ),
+    "seqtest-horizon": (
+        ENTROPIC_CONFIG.replace("model.horizon = 1", "model.horizon = -1"),
+        "line 5: model.horizon: must be >= 0",
+    ),
+    "observation-cost": (
+        ENTROPIC_CONFIG + "model.observation_cost = -1\n",
+        "line 8: model.observation_cost: must be >= 0, got -1.0",
+    ),
+    "error-cost": (
+        ENTROPIC_CONFIG + "model.error_cost = -2\n",
+        "line 8: model.error_cost: must be >= 0, got -2.0",
+    ),
+    "p-low": (
+        ENTROPIC_CONFIG + "model.p_low = 1\n",
+        "line 8: model.p_low: must be strictly inside (0, 1), got 1.0",
+    ),
+    "p-high": (
+        ENTROPIC_CONFIG + "model.p_high = 0\n",
+        "line 8: model.p_high: must be strictly inside (0, 1), got 0.0",
+    ),
+    "inline-horizon": (
+        INLINE_CONFIG.replace("model.horizon = 1", "model.horizon = 0"),
+        "line 4: model.horizon: must be >= 1",
+    ),
+    "epoch-range": (
+        INLINE_CONFIG.replace("model.cost.*.t0.s0.go", "model.cost.1.t0.s0.go"),
+        "line 18: model.cost.1.t0.s0.go: epoch 1 outside 0..0",
+    ),
+    "unknown-state": (
+        INLINE_CONFIG.replace("model.cost.*.t0.s0.go", "model.cost.*.t0.s2.go"),
+        "line 18: model.cost.*.t0.s2.go: unknown state 's2'",
+    ),
+    "unknown-action": (
+        INLINE_CONFIG.replace("model.cost.*.t0.s0.go", "model.cost.*.t0.s0.fly"),
+        "line 18: model.cost.*.t0.s0.fly: unknown action 'fly'",
+    ),
+    "unknown-param": (
+        INLINE_CONFIG.replace("model.cost.*.t0.s0.go", "model.cost.*.t9.s0.go"),
+        "line 18: model.cost.*.t9.s0.go: unknown parameter 't9'",
+    ),
+    "key-shape": (
+        INLINE_CONFIG.replace("model.cost.*.t0.s0.go", "model.cost.*.t0.s0"),
+        "line 18: model.cost.*.t0.s0: expected model.cost.<epoch>.<param>.<state>.<action>",
+    ),
+    "row-length": (
+        INLINE_CONFIG.replace("model.terminal.t1 = 0 3", "model.terminal.t1 = 0 3 1"),
+        "line 21: model.terminal.t1: expected 2 costs, got 3",
+    ),
+    "missing-initial": (
+        INLINE_CONFIG.replace("model.initial.t1 = 1 0\n", ""),
+        "missing model.initial.<param> for: t1",
+    ),
+    "scalar-prior": (
+        ENTROPIC_CONFIG.replace("prior = 0.1", "prior = 1.5"),
+        "line 6: prior: scalar prior must lie in [0, 1], got 1.5",
+    ),
+    "prior-length": (
+        ENTROPIC_CONFIG.replace("prior = 0.1", "prior = 0.2 0.3 0.5"),
+        "line 6: prior: expected 2 weights (or a scalar for two parameters)",
+    ),
+    "prior-weights": (
+        ENTROPIC_CONFIG.replace("prior = 0.1", "prior = 0.5 0.6"),
+        "line 6: prior: belief weights sum to 1.1, too far from 1",
+    ),
+    "model-name": (
+        ENTROPIC_CONFIG.replace("model.name = seqtest", "model.name = grid"),
+        "line 4: model.name: must be 'seqtest' or 'inline', got 'grid'",
+    ),
+    "figure-params": (ONE_PARAM_FIGURE_CONFIG, "figure modes require a two-parameter model"),
+    "sweep-prior": (
+        FIGURE_CONFIG.replace("sweep.prior = 0.1 0.3", "sweep.prior = 0.1 1.5"),
+        "line 6: sweep.prior: values must lie in [0, 1], got 1.5",
+    ),
+    "simulate-samples": (
+        SIMULATE_CONFIG.replace("simulate.samples = 2000", "simulate.samples = 0"),
+        "line 7: simulate.samples: must be >= 1",
+    ),
+}
+
+
 class TestParseConfig:
     def test_minimal_entropic_fills_defaults(self):
         config = parse_config(ENTROPIC_CONFIG)
@@ -202,6 +348,13 @@ class TestParseConfig:
     def test_mode_must_be_known(self):
         with pytest.raises(ConfigError, match="mode"):
             parse_config("mode = nonsense\nprior = 0.5\n")
+
+    @pytest.mark.parametrize("name", list(CONFIG_ERRORS))
+    def test_config_error_message(self, name):
+        text, message = CONFIG_ERRORS[name]
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == message
 
 
 def _number_outcome(raw: str) -> str:
@@ -413,15 +566,15 @@ class TestRunFigure:
     def test_gap_summary_on_stderr(self, tmp_path, capsys):
         # every gamma > 0 row puts the worst prior on the 13/30 kink of the
         # seqtest H=1 value, where no deterministic policy is a saddle; the
-        # largest gap follows which of two tied policies the tie-break picks
-        # there, so an ulp's move of a worst prior can change it
+        # largest gap is that of the least-risk policy among those tied at
+        # the kink, and the threshold is 1e-10 of the cost scale 20
         out = tmp_path / "fig.csv"
         run(parse_config(FIGURE_CONFIG), out_path=str(out), stdout=io.StringIO())
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        head = "duality gap > 1e-06 in 8 of 8 outer solves (largest "
+        head = "duality gap > 2e-09 in 8 of 8 outer solves (largest "
         assert err[0].startswith(head) and err[0].endswith(")")
-        assert float(err[0][len(head) : -1]) == pytest.approx(4.50240537488, abs=1e-9)
+        assert float(err[0][len(head) : -1]) == pytest.approx(0.746518801413, abs=1e-9)
 
     def test_missing_output_path_is_config_error(self):
         with pytest.raises(ConfigError, match="output.path"):
@@ -450,15 +603,7 @@ class TestRunFigure:
 
 
 class TestRunSimulate:
-    CONFIG = """
-mode = simulate
-model.name = seqtest
-model.horizon = 1
-prior = 0.5
-simulate.theta = theta2
-simulate.samples = 2000
-simulate.seed = 7
-"""
+    CONFIG = SIMULATE_CONFIG
 
     def test_simulate_report_and_dump(self, tmp_path):
         config = parse_config(self.CONFIG)
@@ -539,6 +684,29 @@ class TestMain:
         assert main(["solve", "--config", path]) == 1
         err = capsys.readouterr().err
         assert "config error: line 7: solver.gamma: out of float range: '1e400'" in err
+
+    def test_undecodable_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"mode = bayes\nprior = 0.5\n\xff\n")
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: 'utf-8' codec")
+
+    def test_config_is_read_as_utf8_in_any_locale(self, tmp_path):
+        # in the C locale, without UTF-8 mode, the locale's encoding is ASCII
+        path = tmp_path / "run.cfg"
+        text = TestRunSimulate.CONFIG.replace("prior = 0.5", "prior = 0.5  # \u03b8\u2082")
+        path.write_text(text, encoding="utf-8")
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(ambmdp.__file__).resolve().parents[1]),
+            "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+        }
+        done = subprocess.run(
+            [sys.executable, "-m", "ambmdp.cli", "simulate", "--config", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 1
@@ -666,6 +834,13 @@ class TestMain:
         path = self.write(tmp_path, TestRunSimulate.CONFIG)
         assert main(["simulate", "--config", path, "--seed", "-3"]) == 1
         assert "--seed must be >= 0" in capsys.readouterr().err
+
+    def test_simulate_samples_override(self, tmp_path, capsys):
+        path = self.write(tmp_path, TestRunSimulate.CONFIG)
+        assert main(["simulate", "--config", path, "--samples", "500"]) == 0
+        assert "\nmonte carlo (500 samples, seed 7): " in capsys.readouterr().out
+        assert main(["simulate", "--config", path, "--samples", "0"]) == 1
+        assert capsys.readouterr().err == "config error: --samples must be >= 1\n"
 
     @pytest.mark.parametrize(
         "command, head",
