@@ -17,7 +17,11 @@ first occurrence (by parent, then action, then next state).  Only branches
 that no parameter reaches are pruned.  Children with identical (state,
 likelihood rounded to 12 decimals) are merged, which turns the tree into a
 DAG without changing any value: the continuation value and the optimal
-action depend on the history only through (epoch, state, belief).
+action depend on the history only through (epoch, state, belief).  Equal
+children are found by one sort on a hash of each (state, rounded
+likelihood) row and an exact check of every row against the first of its
+hash group; a sort on all the columns serves only when two different rows
+share a hash.
 
 A solve reads the DAG through a view at its prior (``ReachableBeliefTree``),
 which shares the DAG's epochs and adds one array, the belief of every
@@ -43,7 +47,7 @@ with the actions of a given policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -186,20 +190,59 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _row_hash(key: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of a float array, equal for equal rows.
+    It is computed elementwise on the bits, never by a matrix product,
+    which could round equal rows differently.  Adding 0.0 turns -0.0 into
+    0.0, the one pair of equal floats with different bits."""
+    multipliers = _HASH_MULTIPLIERS[: key.shape[1]]
+    if multipliers.size < key.shape[1]:
+        multipliers = np.resize(_HASH_MULTIPLIERS, key.shape[1])
+    mixed = (key + 0.0).view(np.uint64) * multipliers
+    mixed ^= mixed >> _HASH_SHIFT
+    # column by column: a reduction along a short axis is slower
+    return reduce(np.add, mixed.T)
+
+
+#: distinct odd multipliers for the key columns, reused in turn past the 64th
+_HASH_MULTIPLIERS = np.arange(1, 129, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+_HASH_SHIFT = np.uint64(31)
+
+
+def _group_heads(order: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For rows sorted by ``order`` into groups that begin where ``starts``
+    is set: the least row index of each group, and of every row's group."""
+    heads = np.minimum.reduceat(order, np.flatnonzero(starts))
+    head_of = np.empty_like(order)
+    head_of[order] = heads[np.cumsum(starts) - 1]
+    return heads, head_of
+
+
 def _first_of_equal_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the first row of each group of equal rows of ``key``, with
-    the groups numbered in order of their first rows, and the group of
-    every row.  A stable sort keeps each group's rows in their original
-    order."""
-    order = np.lexsort(key.T[::-1])
-    ordered = key[order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    first = order[starts]
-    by_first = np.argsort(first)
-    group = np.empty_like(order)
-    group[order] = np.argsort(by_first)[np.cumsum(starts) - 1]
-    return first[by_first], group
+    """Index of the first row of each group of equal rows of the float
+    array ``key``, with the groups numbered in order of their first rows,
+    and the group of every row.
+
+    One sort by a hash of each row brings equal rows together, and every
+    row is then checked to equal the first row of its hash group, so the
+    groups are exact.  Only when two different rows share a hash are the
+    rows sorted on all the key's columns instead."""
+    hashes = _row_hash(key)
+    order = np.argsort(hashes)
+    hashes = hashes[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(hashes[1:], hashes[:-1], out=starts[1:])
+    if starts.all():
+        return np.arange(order.size), np.arange(order.size)
+    heads, head_of = _group_heads(order, starts)
+    if not (key == np.take(key, head_of, axis=0)).all():
+        order = np.lexsort(key.T[::-1])
+        ordered = key[order]
+        starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        heads, head_of = _group_heads(order, starts)
+    first = np.sort(heads)
+    return first, np.searchsorted(first, head_of)
 
 
 def build_tree(

@@ -24,6 +24,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -175,6 +176,10 @@ def _labels(key: str, raw: str, lineno: int) -> tuple[str, ...]:
         raise _err(lineno, key, "empty label list")
     if len(set(parts)) != len(parts):
         raise _err(lineno, key, "labels must be unique")
+    # keys split on '.', and lines on their first '='
+    for label, char in itertools.product(parts, ".="):
+        if char in label:
+            raise _err(lineno, key, f"label {label!r} contains {char!r}, so no key can name it")
     return parts
 
 
@@ -463,25 +468,36 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def policy_rows(policy: DeterministicPolicy) -> list[dict]:
-    tree = policy.tree
-    model = tree.model
-    rows = []
-    for n, epoch in enumerate(tree.epochs[:-1]):
-        nodes = slice(tree.offsets[n], tree.offsets[n + 1])
-        for state, belief, action in zip(
-            epoch.state.tolist(), tree.belief[nodes].tolist(), policy.actions[nodes].tolist()
-        ):
-            rows.append(
-                {
-                    "epoch": n,
-                    "state": model.states[state],
-                    "belief": belief,
-                    "action": model.actions[action],
-                }
-            )
-    rows.sort(key=lambda r: (r["epoch"], r["state"], r["belief"]))
-    return rows
+def _policy_json(policy: DeterministicPolicy) -> str:
+    """The policy table as JSON text: a row per decision node with its
+    epoch, state, belief and action, sorted by epoch, state label and belief,
+    tied rows in node order.  The text is the one ``json.dumps`` writes for
+    the list of row dicts with sorted keys: each label is encoded by
+    ``json.dumps``, and each distinct belief value (by its bits; beliefs are
+    finite) by ``float.__repr__``, as the encoder does, but once."""
+    tree, model = policy.tree, policy.tree.model
+    decided = int(tree.offsets[-2])  # the nodes below the horizon
+    if not decided:
+        return "[]"
+    epoch = tree.offsets[1:].searchsorted(np.arange(decided), "right")
+    state = np.concatenate([e.state for e in tree.epochs])[:decided]
+    belief = tree.belief[:decided]
+    ranks = {label: rank for rank, label in enumerate(sorted(model.states))}
+    state_rank = np.array([ranks[label] for label in model.states])
+    order = np.lexsort((*belief.T[::-1], state_rank[state], epoch))
+    values, which = np.unique(belief[order].view(np.uint64), return_inverse=True)
+    floats = np.array(list(map(float.__repr__, values.view(np.float64).tolist())), dtype=object)
+    fields = np.empty((decided, model.n_params + 3), dtype=object)
+    fields[:, 0] = np.array([json.dumps(a) for a in model.actions], dtype=object)[
+        np.asarray(policy.actions)[:decided][order]]
+    fields[:, 1:-2] = floats[which.reshape(decided, -1)]
+    fields[:, -2] = epoch[order]
+    fields[:, -1] = np.array([json.dumps(x) for x in model.states], dtype=object)[state[order]]
+    row = (
+        '{"action": %s, "belief": [' + ", ".join(["%s"] * model.n_params)
+        + '], "epoch": %d, "state": %s}'
+    )
+    return "[" + ", ".join([row] * decided) % tuple(fields.ravel().tolist()) + "]"
 
 
 def saddle_to_dict(result: SaddleResult, cert: SaddleCertificate | None) -> dict:
@@ -498,7 +514,7 @@ def saddle_to_dict(result: SaddleResult, cert: SaddleCertificate | None) -> dict
         "worst_prior_hi": result.worst_prior_hi.weights.tolist(),
         "support": list(result.support),
         "cost_profile": result.cost_profile.tolist(),
-        "policy": policy_rows(result.policy),
+        "policy": result.policy,
         "certificate": None if cert is None else asdict(cert),
         "trace": [[mu.weights.tolist(), value] for mu, value in result.trace],
     }
@@ -511,7 +527,7 @@ def bayes_to_dict(solution: ValueSolution) -> dict:
         "prior": solution.tree.prior.weights.tolist(),
         "nodes": len(solution.tree),
         "nodes_per_epoch": solution.tree.nodes_per_epoch,
-        "policy": policy_rows(solution.policy),
+        "policy": solution.policy,
     }
 
 
@@ -534,8 +550,24 @@ def _check_writable(path: str) -> None:
             pass
 
 
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True)`` and a newline; a
+    ``DeterministicPolicy`` under ``"policy"`` is written as its policy
+    table, and every other value by ``json.dumps``."""
+    policy = payload.get("policy")
+    if not isinstance(policy, DeterministicPolicy):
+        return json.dumps(payload, sort_keys=True) + "\n"
+    # null holds the table's place: no value of a key that sorts before
+    # "policy" is a dict with a "policy" key, so the first match is the top
+    # level's
+    head, _, tail = json.dumps({**payload, "policy": None}, sort_keys=True).partition(
+        '"policy": null'
+    )
+    return "".join((head, '"policy": ', _policy_json(policy), tail, "\n"))
+
+
 def _write_json(path: str, payload: dict):
-    _write(path, json.dumps(payload, sort_keys=True) + "\n")
+    _write(path, _json_text(payload))
 
 
 def _write_csv(path: str, header: tuple, rows) -> None:
@@ -551,7 +583,7 @@ def _run_solve(config: RunConfig, out_path: str | None, stdout) -> None:
         solution = solve_bayes(config.model, config.prior)
         payload = bayes_to_dict(solution)
         print(f"bayes value = {_fmt(solution.value)}", file=stdout)
-        print(f"policy rows = {len(payload['policy'])}", file=stdout)
+        print(f"policy rows = {solution.tree.offsets[-2]}", file=stdout)
     else:
         result = solve(config.model, config.mode, config.prior, config.gamma)
         cert = certify_saddle(config.model, result)

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the solver against: the risk
 measures' dual forms, the Bayes recursion over unmerged histories, the
-penalized entropic objective, the sequential test's scalar recursion, and
-the exact reading of config number literals."""
+penalized entropic objective, the sequential test's scalar recursion, the
+exact reading of config number literals, the merge of equal DAG children
+by a sort on every key column, and the policy table as a list of dicts."""
 
 import math
 from fractions import Fraction
@@ -10,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from ambmdp.ambiguity import check_gamma
-from ambmdp.bayes import solve_bayes
+from ambmdp.bayes import DeterministicPolicy, solve_bayes
 from ambmdp.belief import initial_posterior, predictive
 from ambmdp.model import Belief, StatisticalMDP
 from ambmdp.risk import _weights, as_profile, relative_entropy
@@ -132,6 +133,44 @@ def history_value(model, prior: Belief) -> float:
         float(masses[x]) * value(0, int(x), initial_posterior(model, prior, int(x)))
         for x in np.flatnonzero(masses > 0.0)
     )
+
+
+def first_of_equal_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first row of each group of equal rows of ``key``, with
+    the groups numbered in order of their first rows, and the group of
+    every row, by a stable sort on all the key's columns."""
+    order = np.lexsort(key.T[::-1])
+    ordered = key[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first = order[starts]
+    by_first = np.argsort(first)
+    group = np.empty_like(order)
+    group[order] = np.argsort(by_first)[np.cumsum(starts) - 1]
+    return first[by_first], group
+
+
+def policy_rows(policy: DeterministicPolicy) -> list[dict]:
+    """The policy table of a JSON artifact, one dict per decision node,
+    sorted by epoch, state label and belief."""
+    tree = policy.tree
+    model = tree.model
+    rows = []
+    for n, epoch in enumerate(tree.epochs[:-1]):
+        nodes = slice(tree.offsets[n], tree.offsets[n + 1])
+        for state, belief, action in zip(
+            epoch.state.tolist(), tree.belief[nodes].tolist(), policy.actions[nodes].tolist()
+        ):
+            rows.append(
+                {
+                    "epoch": n,
+                    "state": model.states[state],
+                    "belief": belief,
+                    "action": model.actions[action],
+                }
+            )
+    rows.sort(key=lambda r: (r["epoch"], r["state"], r["belief"]))
+    return rows
 
 
 def exact_number(raw: str) -> float:

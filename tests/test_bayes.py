@@ -12,7 +12,7 @@ from helpers import (
     random_belief,
     random_model,
 )
-from oracles import history_value
+from oracles import first_of_equal_rows, history_value
 
 from ambmdp import seqtest
 from ambmdp.ambiguity import certify_saddle, solve
@@ -87,6 +87,95 @@ def unreached_pruned_branch_model():
         stage_cost=np.ones((2, 2, 3, 1)),
         terminal_cost=np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]),
     )
+
+
+def _merge_keys(model) -> list[np.ndarray]:
+    """The merge key of every epoch of ``model``'s DAG build."""
+    keys = []
+    merge = bayes._first_of_equal_rows
+    bayes._first_of_equal_rows = lambda key: keys.append(key) or merge(key)
+    try:
+        build_tree(model, Belief.uniform(model.n_params))
+    finally:
+        bayes._first_of_equal_rows = merge
+    return keys
+
+
+def _duplicated_keys(seed: int) -> np.ndarray:
+    """Rows of (state, belief) drawn from a few distinct rows, with -0.0
+    beside 0.0: 300 rows and at most 20 groups."""
+    rng = np.random.default_rng(seed)
+    distinct = np.column_stack((rng.integers(0, 3, 20), rng.dirichlet(np.ones(3), 20)))
+    distinct[::4, 1] = 0.0
+    key = np.round(distinct, 12)[rng.integers(0, 20, 300)]
+    key[::7, 1] *= -1.0
+    return key
+
+
+class TestMergeEqualChildren:
+    """``_first_of_equal_rows`` against the sort on every key column."""
+
+    @staticmethod
+    def assert_same_as_reference(key):
+        first, group = bayes._first_of_equal_rows(key)
+        want_first, want_group = first_of_equal_rows(key)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(group, want_group)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_heavily_duplicated_keys(self, seed):
+        self.assert_same_as_reference(_duplicated_keys(seed))
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[1.0, 0.25, 0.75]]),
+        np.tile([2.0, 0.5, 0.5], (9, 1)),
+        np.array([[0.0, np.nan], [0.0, np.nan], [0.0, 1.0]]),
+        np.empty((0, 3)),
+        # more columns than hash multipliers, which are then reused
+        np.tile(np.random.default_rng(3).random((3, 70)), (4, 1)),
+    ], ids=["one-row", "all-equal", "nan", "empty", "70-columns"])
+    def test_small_keys(self, rows):
+        self.assert_same_as_reference(rows)
+
+    @pytest.mark.parametrize("collide", [
+        lambda groups: np.zeros_like(groups),
+        lambda groups: groups // 2,
+    ], ids=["one-hash", "two-groups-a-hash"])
+    def test_colliding_hashes_fall_back_to_the_full_sort(self, collide, monkeypatch):
+        key = _duplicated_keys(7)
+        want_first, want_group = first_of_equal_rows(key)
+        hashes = collide(want_group).astype(np.uint64)
+        monkeypatch.setattr(bayes, "_row_hash", lambda key: hashes)
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+        first, group = bayes._first_of_equal_rows(key)
+        assert sorts == [1]
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(group, want_group)
+
+    def test_hashes_in_any_order_need_no_fallback(self, monkeypatch):
+        key = _duplicated_keys(8)
+        want_first, want_group = first_of_equal_rows(key)
+        hashes = (want_group.max() - want_group).astype(np.uint64)
+        monkeypatch.setattr(bayes, "_row_hash", lambda key: hashes)
+        monkeypatch.setattr(np, "lexsort", None)
+        first, group = bayes._first_of_equal_rows(key)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(group, want_group)
+
+    def test_every_epoch_of_the_bench_models(self):
+        rng = np.random.default_rng(1)
+        models = [
+            seqtest.build_model(seqtest.SeqTestConfig(horizon=32)),
+            random_model(rng, n_states=3, n_actions=2, horizon=4, n_params=3,
+                         full_feasible=True),
+        ]
+        for model in models:
+            keys = _merge_keys(model)
+            assert len(keys) == model.horizon
+            for key in keys:
+                self.assert_same_as_reference(key)
 
 
 class TestBuildTree:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,15 +13,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ambmdp
-from ambmdp import bayes, cli
-from ambmdp.cli import FIGURE_MODES, SOLVE_MODES, main, parse_config, run, saddle_to_dict
+from ambmdp import bayes, cli, seqtest
+from ambmdp.ambiguity import certify_saddle, solve
+from ambmdp.bayes import DeterministicPolicy, solve_bayes
+from ambmdp.cli import (
+    FIGURE_MODES, SOLVE_MODES, bayes_to_dict, main, parse_config, run, saddle_to_dict,
+)
 from ambmdp.errors import ConfigError
-from helpers import random_belief, random_model, render_inline
-from oracles import exact_number
+from ambmdp.model import Belief, ParameterSet, StatisticalMDP
+from helpers import decision_nodes, random_belief, random_model, render_inline
+from oracles import exact_number, policy_rows
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
-#: ``ambmdp figure`` output of the shipped figure configs and the stdout of
-#: ``ambmdp simulate`` on ``configs/simulate.cfg``, kept byte for byte
+#: ``ambmdp figure`` output of the shipped figure configs, the stdout of
+#: ``ambmdp simulate`` on ``configs/simulate.cfg`` and the ``ambmdp solve``
+#: artifact of ``configs/bayes.cfg``, kept byte for byte
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
 ENTROPIC_CONFIG = """
@@ -137,6 +144,18 @@ CONFIG_ERRORS = {
     "duplicate-labels": (
         INLINE_CONFIG.replace("model.states = s0 s1", "model.states = s0 s0"),
         "line 5: model.states: labels must be unique",
+    ),
+    "dotted-param": (
+        INLINE_CONFIG.replace("model.params = t0 t1", "model.params = t.0 t1"),
+        "line 7: model.params: label 't.0' contains '.', so no key can name it",
+    ),
+    "dotted-state": (
+        INLINE_CONFIG.replace("model.states = s0 s1", "model.states = s0 s.1"),
+        "line 5: model.states: label 's.1' contains '.', so no key can name it",
+    ),
+    "equals-action": (
+        INLINE_CONFIG.replace("model.actions = stay go", "model.actions = stay go=1"),
+        "line 6: model.actions: label 'go=1' contains '=', so no key can name it",
     ),
     "range-shape": (
         FIGURE_CONFIG.replace("0:1:0.25", "0:1"),
@@ -510,16 +529,116 @@ class TestRunSolve:
         run(parse_config(ENTROPIC_CONFIG), out_path=str(out_b), stdout=io.StringIO())
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_serialization_matches_in_memory_result(self, tmp_path):
-        from ambmdp import solve_entropic
-        from ambmdp.ambiguity import certify_saddle
-
+    def test_serialization_matches_in_memory_result(self):
         config = parse_config(ENTROPIC_CONFIG)
-        result = solve_entropic(config.model, config.prior, config.gamma)
+        result = solve(config.model, "entropic", config.prior, config.gamma)
         cert = certify_saddle(config.model, result)
         payload = saddle_to_dict(result, cert)
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        assert json.loads(text) == payload
+        rows = policy_rows(result.policy)
+        assert rows and all(row["belief"] in result.policy.tree.belief.tolist() for row in rows)
+        assert json.loads(cli._json_text(payload)) == {**payload, "policy": rows}
+
+    def test_shipped_bayes_matches_golden_artifact(self, tmp_path, capsys):
+        out = tmp_path / "bayes.json"
+        config = GOLDEN_DIR.parents[1] / "configs" / "bayes.cfg"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "bayes.json").read_bytes()
+
+
+def _reference_text(payload: dict) -> str:
+    """The artifact text of ``payload`` as ``json.dumps`` writes it, with the
+    policy table as a list of row dicts."""
+    return json.dumps({**payload, "policy": policy_rows(payload["policy"])}, sort_keys=True) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Equal texts, or a failure quoting where they first differ (pytest's
+    own diff of long texts takes minutes)."""
+    if got != want:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want))
+        )
+        pytest.fail(f"texts differ at {at}: {got[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+
+
+def _bayes_payload(model, prior: Belief) -> dict:
+    return bayes_to_dict(solve_bayes(model, prior))
+
+
+class TestPolicyTable:
+    """The policy table written from arrays against ``json.dumps`` of the
+    reference row dicts, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "path", [p for p in SHIPPED_CONFIGS if parse_config(p.read_text()).mode in SOLVE_MODES],
+        ids=lambda path: path.name,
+    )
+    def test_shipped_solve_artifact(self, path, tmp_path):
+        config = parse_config(path.read_text())
+        out = tmp_path / "out.json"
+        run(config, out_path=str(out), stdout=io.StringIO())
+        if config.mode == "bayes":
+            payload = _bayes_payload(config.model, config.prior)
+        else:
+            result = solve(config.model, config.mode, config.prior, config.gamma)
+            payload = saddle_to_dict(result, certify_saddle(config.model, result))
+        assert_same_text(out.read_bytes().decode(), _reference_text(payload))
+
+    @pytest.mark.parametrize("horizon", [1, 4, 16])
+    def test_seqtest_bayes_table(self, horizon):
+        model = seqtest.build_model(seqtest.SeqTestConfig(horizon=horizon))
+        payload = _bayes_payload(model, seqtest.prior_belief(0.3))
+        assert_same_text(cli._json_text(payload), _reference_text(payload))
+
+    @pytest.mark.parametrize("text", [
+        "mode = bayes\nmodel.name = seqtest\nmodel.horizon = 4\nprior = 0\n",
+        "mode = bayes\n" + ZERO_WEIGHT_BRANCH_CONFIG,
+        # -1e-400 reads as -0.0; at epoch 1 the node reached only under t0
+        # keeps its likelihood (1, 0), so the table holds both signed zeros
+        "mode = bayes\n" + ZERO_WEIGHT_BRANCH_CONFIG.replace(
+            "prior = 0", "prior = -1e-400").replace("horizon = 1", "horizon = 2"),
+    ], ids=["seqtest", "branch-under-t0-only", "negative-zero-weight"])
+    def test_zero_weight_prior_keeps_likelihood_rows(self, text):
+        config = parse_config(text)
+        payload = _bayes_payload(config.model, config.prior)
+        assert_same_text(cli._json_text(payload), _reference_text(payload))
+
+    def test_labels_that_json_escapes(self, rng):
+        model = dataclasses.replace(
+            random_model(rng, n_states=3, n_actions=2, horizon=2, n_params=3, full_feasible=True),
+            states=("sé2", 's"0', "s\\1"), actions=('b"é', "a\\"),
+        )
+        payload = _bayes_payload(model, random_belief(rng, 3))
+        text = cli._json_text(payload)
+        assert_same_text(text, _reference_text(payload))
+        assert '"s\\"0"' in text and '"s\\\\1"' in text and '"s\\u00e92"' in text
+
+    def test_rows_tied_on_epoch_state_and_belief_keep_node_order(self):
+        # at a point-mass prior every node where t0 is possible has belief
+        # (1, 0); the actions alternate by node, so only node order decides
+        model = seqtest.build_model(seqtest.SeqTestConfig(horizon=6))
+        tree = solve_bayes(model, seqtest.prior_belief(1.0)).tree
+        actions = np.full(len(tree), -1)
+        for index, n, state in decision_nodes(tree):
+            feasible = model.feasible[n][state]
+            actions[index] = feasible[index % len(feasible)]
+        policy = DeterministicPolicy(tree=tree, actions=actions)
+        rows = policy_rows(policy)
+        keys = [(r["epoch"], r["state"], tuple(r["belief"])) for r in rows]
+        assert len(set(keys)) < len(keys)
+        assert len({(k, r["action"]) for k, r in zip(keys, rows)}) > len(set(keys))
+        assert_same_text(cli._policy_json(policy), json.dumps(rows, sort_keys=True))
+
+    def test_horizon_zero_has_an_empty_table(self):
+        model = StatisticalMDP(
+            horizon=0, states=("s0", "s1"), actions=("a0",), params=ParameterSet(("t0",)),
+            feasible=(), initial_kernel=np.array([[0.25, 0.75]]),
+            transition=np.zeros((0, 1, 2, 1, 2)), stage_cost=np.zeros((0, 1, 2, 1)),
+            terminal_cost=np.array([[1.0, 3.0]]),
+        )
+        payload = _bayes_payload(model, Belief.uniform(1))
+        assert '"policy": []' in cli._json_text(payload)
+        assert_same_text(cli._json_text(payload), _reference_text(payload))
 
 
 class TestRunFigure:
