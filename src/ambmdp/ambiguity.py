@@ -28,19 +28,22 @@ loop stops when the bounds meet to float slack.  Deterministic policies are fini
 ends after finitely many steps with the exact maximum.
 
 Every solve returns the loop's best prior, the first best response with
-the largest objective; by the minimax theorem any maximizer with a
-certified Bayes policy is an answer.  Of the held planes through that
-prior, to the loop's slack, it returns the policy of least dual risk (the
-first on a tie), with its cost profile and its dual risk minus the outer
-value as the duality gap.  The best response there is among them, so the
-gap never exceeds that of the Bayes tie-break's policy.  Every Bayes solve
-runs over the model's one belief DAG, which holds the branches of every
-parameter, so cost profiles are exact even at priors that give a
-parameter zero weight.  By the same duality the prior side of the saddle
-certificate is exact and costs O(K): the supremum over the feasible priors
-of mu . C - penalty(mu) is the dual risk of C, so ``certify_saddle``
-compares that with the objective at the returned prior.  Both of its sides
-allow slack in proportion to the model's cost scale.
+the largest objective, as the ``Belief`` that response was solved at; by
+the minimax theorem any maximizer with a certified Bayes policy is an
+answer.  Of the held planes through that prior, to the loop's slack, it
+returns the policy of least dual risk (the first on a tie), with its cost
+profile and its dual risk minus the outer value as the duality gap.  The
+best response there is among them, so the gap never exceeds that of the
+Bayes tie-break's policy.  Every Bayes solve runs over the model's one
+belief DAG, which holds the branches of every parameter, so cost profiles
+are exact even at priors that give a parameter zero weight.  By the same
+duality the prior side of the saddle certificate is exact and costs O(K):
+the supremum over the feasible priors of mu . C - penalty(mu) is the dual
+risk of C, so ``certify_saddle`` compares that with the objective at the
+returned prior.  Its policy side needs the Bayes value at that prior,
+which the loop has computed: the solve leaves it on the model's DAG, keyed
+by the prior's bits.  Both sides allow slack in proportion to the model's
+cost scale.
 
 Plateaus: the avar and robust argmax can be a face.  With two support
 parameters the planes are intersected with the line (s, 1 - s) of
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import DeterministicPolicy, bayes_cost, solve_bayes
+from .bayes import DeterministicPolicy, ValueSolution, bayes_cost, solve_bayes
 from .model import Belief, StatisticalMDP, cost_bounds
 from .risk import avar_quantile, entropic_risk, relative_entropy
 from .search import CUT_SLACK, entropic_master, lp_master
@@ -120,21 +123,16 @@ class _Ambiguity:
         gamma: float | None = None,
     ):
         self.mode, self.support, self.base, self.gamma = mode, support, base, gamma
+        self.index = np.array(support, dtype=int)
+        #: first prior of the search: the base, or (robust) the last support vertex
+        self.reference = np.eye(len(support))[-1] if base is None else base.weights[self.index]
 
     @property
     def caps(self) -> np.ndarray:
         if self.mode == "avar":
             # densities against the base are capped at 1/(1-gamma)
-            return self.base.weights[list(self.support)] * (1.0 / (1.0 - self.gamma))
+            return self.reference * (1.0 / (1.0 - self.gamma))
         return np.ones(len(self.support))
-
-    @property
-    def reference(self) -> np.ndarray:
-        """First prior of the search: the base prior, or in robust mode the
-        point mass on the last support parameter."""
-        if self.base is not None:
-            return self.base.weights[list(self.support)]
-        return np.eye(len(self.support))[-1]
 
     def penalty(self, mu: Belief) -> float:
         if self.mode == "entropic":
@@ -146,16 +144,16 @@ class _Ambiguity:
             return entropic_risk(profile, self.base, self.gamma)
         if self.mode == "avar":
             return avar_quantile(profile, self.base, self.gamma)
-        return float(profile[list(self.support)].max())
+        return float(profile[self.index].max())
 
     def master(self, cuts: np.ndarray) -> tuple[np.ndarray, float]:
         if self.mode == "entropic":
-            return entropic_master(cuts, self.base.weights[list(self.support)], self.gamma)
+            return entropic_master(cuts, self.reference, self.gamma)
         return lp_master(cuts, self.caps)
 
     def embed(self, size: int, w: np.ndarray) -> Belief:
         full = np.zeros(size)
-        full[list(self.support)] = w
+        full[self.index] = w
         return Belief(full)
 
 
@@ -177,40 +175,44 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     cuts: list[np.ndarray] = []
     held = []  # the best-response solve behind each cut
 
-    def best_response(w: np.ndarray) -> tuple[float, bool]:
-        """Outer objective at the prior w, and whether the best response's
-        plane was new (and added)."""
+    def best_response(w: np.ndarray) -> tuple[float, bool, ValueSolution]:
+        """Outer objective at the prior w, whether the best response's
+        plane was new (and added), and the best response's solve."""
         mu = amb.embed(model.n_params, w)
         solution = solve_bayes(model, mu)
         value = solution.value - amb.penalty(mu)
         trace.append((mu, value))
-        cut = solution.costs[list(amb.support)]
+        cut = solution.costs.take(amb.index)
         fresh = not cuts or float(np.abs(np.array(cuts) - cut).max(axis=1).min()) > slack
         if fresh:
             cuts.append(cut)
             held.append(solution)
-        return value, fresh
+        return value, fresh, solution
 
-    w = amb.reference
-    best_w, best_v = w, -math.inf
-    while True:
-        value, fresh = best_response(w)
-        if value > best_v:
-            best_w, best_v = w, value
-        if not fresh:
-            break
+    best_w = w = amb.reference
+    best_v, fresh, best = best_response(w)
+    while fresh:
         w, upper = amb.master(np.array(cuts))
         if upper - best_v <= slack:
             break
+        value, fresh, solution = best_response(w)
+        if value > best_v:
+            best_w, best_v, best = w, value, solution
 
-    w_lo = w_hi = best_w
+    # the certificate's policy side reads the Bayes value at the returned prior
+    worst = best.tree.prior
+    best.tree.dag.bayes_at = (worst.weights.tobytes(), best.value)
+    lo = hi = worst
     if amb.mode != "entropic" and len(amb.support) == 2:
-        w_lo, w_hi = _plateau(amb, cuts, best_w, best_v, slack, best_response)
+        lo, hi = (
+            worst if e.tobytes() == best_w.tobytes() else amb.embed(model.n_params, e)
+            for e in _plateau(amb, cuts, best_w, best_v, slack, best_response)
+        )
     # the held planes through the returned prior, to slack, are its Bayes policies
     heights = np.array(cuts) @ best_w
     tied = [s for s, h in zip(held, heights) if h <= heights.min() + slack]
-    solution = min(tied, key=lambda s: amb.dual_risk(s.costs))
-    raw_gap = amb.dual_risk(solution.costs) - best_v
+    solution, risk = min(((s, amb.dual_risk(s.costs)) for s in tied), key=lambda sr: sr[1])
+    raw_gap = risk - best_v
     if raw_gap < -gap_tolerance(model):
         raise RuntimeError(
             f"weak duality violated (gap {raw_gap}); this indicates a defect "
@@ -218,9 +220,9 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
         )
     return SaddleResult(
         mode=amb.mode,
-        worst_prior=amb.embed(model.n_params, best_w),
-        worst_prior_lo=amb.embed(model.n_params, w_lo),
-        worst_prior_hi=amb.embed(model.n_params, w_hi),
+        worst_prior=worst,
+        worst_prior_lo=lo,
+        worst_prior_hi=hi,
         policy=solution.policy,
         value=best_v,
         gap=max(raw_gap, 0.0),
@@ -265,7 +267,7 @@ def _plateau(
             s = interval()[side]
             if s == s_best:
                 break
-            value, fresh = best_response(a + s * d)
+            value, fresh, _ = best_response(a + s * d)
             if value >= best_v - slack or not fresh:
                 break
     return [a + s * d for s in interval()]
@@ -334,7 +336,10 @@ def certify_saddle(model: StatisticalMDP, result: SaddleResult) -> SaddleCertifi
     It may exceed the objective at the returned prior by at most
     ``PRIOR_SIDE_SLACK`` times the cost scale, the certificate's ``tol``.
     Policy side: the returned policy's Bayes cost at the returned prior
-    matches a fresh Bayes solve within ``POLICY_SIDE_SLACK`` times it.
+    matches the Bayes value there within ``POLICY_SIDE_SLACK`` times the
+    cost scale.  The value is read from the model's DAG when the last outer
+    solve on it returned a prior with the same bits, and solved afresh
+    otherwise; it depends on nothing but the immutable model and the bits.
     """
     amb = _Ambiguity(result.mode, result.support, result.base_prior, result.gamma)
     profile = result.cost_profile
@@ -343,8 +348,10 @@ def certify_saddle(model: StatisticalMDP, result: SaddleResult) -> SaddleCertifi
     scale = _cost_scale(model)
     tol = gap_tolerance(model)
 
-    resolve = solve_bayes(model, mu)
-    pi_error = abs(bayes_cost(model, result.policy, mu) - resolve.value)
+    solved_at, bayes_value = getattr(model.belief_dag, "bayes_at", None) or (None, None)
+    if solved_at != mu.weights.tobytes():
+        bayes_value = solve_bayes(model, mu).value
+    pi_error = abs(bayes_cost(model, result.policy, mu) - bayes_value)
     return SaddleCertificate(
         mu_side_ok=bool(violation <= tol),
         mu_side_violation=float(violation),

@@ -33,8 +33,11 @@ limit of the beliefs there as the prior is moved towards the uniform one.
 ``build_tree`` is the one place that takes a node cap.
 
 One backward pass runs over the arrays with a few array operations per
-epoch.  It carries a cost column per parameter: the expected cost to go of
-the policy under that parameter, moved by that parameter's own kernel (the
+epoch.  Its index work (each node's first pair, each pair's belief row,
+where the kernel is positive) is planned once per DAG, by ``build_tree``,
+so that a pass over a small DAG costs little beyond its arithmetic.  It
+carries a cost column per parameter: the expected cost to go of the
+policy under that parameter, moved by that parameter's own kernel (the
 alpha vectors of Smallwood and Sondik).  A node's Bayes value is its
 belief-weighted mix of the columns, and the prior-weighted mix of the
 costs at the roots is the Bayes value of the policy.  ``solve_bayes``
@@ -74,15 +77,22 @@ class TreeEpoch:
     child: np.ndarray  # (pairs, E)
     kernel: np.ndarray  # (pairs, K, E)
     stage: np.ndarray  # (pairs, K)
+    # the backward pass's plan: each node's first pair (empty at the
+    # horizon), each pair's node by global index, where the kernel is > 0
+    first_pair: np.ndarray  # (nodes,)
+    pair_row: np.ndarray  # (pairs,)
+    live: np.ndarray  # (pairs, K, E)
 
 
 class _BeliefDag:
     """The reachable DAG of a model: its ``TreeEpoch``s; the normalized
     likelihood of every node, in global order; the epoch offsets; and per
     state the index of its root node, -1 for a state no parameter starts
-    in.  Arrays only, and read-only: every view of the DAG shares them."""
+    in.  Arrays only, and read-only: every view of the DAG shares them.
+    ``bayes_at``, once an outer solve sets it, is the bytes of its returned
+    prior's weights and the Bayes value there (see ``certify_saddle``)."""
 
-    __slots__ = ("epochs", "likelihood", "offsets", "root_of")
+    __slots__ = ("epochs", "likelihood", "offsets", "root_of", "bayes_at")
 
     def __init__(self, epochs, likelihood, offsets, root_of):
         self.epochs, self.likelihood = epochs, likelihood
@@ -295,7 +305,9 @@ def build_tree(
         child[cand_pair, cand_state] = inverse
 
         stage = model.stage_cost[n][:, pair_state, pair_action].T
-        epochs.append(TreeEpoch(state, pair_node, pair_action, child, kernel, stage))
+        first_pair = np.searchsorted(pair_node, np.arange(state.size))
+        plan = (first_pair, offsets[-2] + pair_node, kernel > 0.0)
+        epochs.append(TreeEpoch(state, pair_node, pair_action, child, kernel, stage, *plan))
         state = cand_state[first]
         belief = posterior[first]
         beliefs.append(belief)
@@ -308,6 +320,7 @@ def build_tree(
     epochs.append(TreeEpoch(
         state, no_pairs, no_pairs, np.empty((0, n_states), dtype=int),
         np.empty((0, k, n_states)), np.empty((0, k)),
+        no_pairs, no_pairs, np.empty((0, k, n_states), dtype=bool),
     ))
     offsets, likelihood = np.array(offsets), np.concatenate(beliefs)
     for a in [offsets, likelihood, root_of] + [a for e in epochs for a in vars(e).values()]:
@@ -323,15 +336,15 @@ def _mix(weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return np.where(weights > 0.0, weights * columns, 0.0) @ np.ones(columns.shape[-1])
 
 
-def _expect(start: np.ndarray, prob: np.ndarray, reached: np.ndarray) -> np.ndarray:
+def _expect(start: np.ndarray, prob: np.ndarray, live: np.ndarray, reached: np.ndarray):
     """``start`` plus the ``prob``-weighted values ``reached``, both indexed
-    by next state along the last axis, added in ascending next state.  Only
-    positive-probability next states are added, so a NaN value counts only
-    where it can be reached."""
-    terms = np.where(prob > 0.0, prob * reached, 0.0)
-    for x in range(terms.shape[-1]):
-        start = start + terms[..., x]
-    return start
+    by next state along the last axis, added by a running sum in ascending
+    next state.  Only next states where ``live`` (``prob > 0``) are added,
+    so a NaN value counts only where it can be reached.  The result is
+    contiguous, as a dot product with a strided vector can round otherwise."""
+    terms = np.where(live, prob * reached, 0.0)
+    terms[..., 0] += start
+    return np.add.accumulate(terms, axis=-1)[..., -1].copy()
 
 
 def _backward(
@@ -358,7 +371,7 @@ def _backward(
     chosen = [None] * model.horizon if pairs is None else pairs
     missing = np.full((1, model.n_params), np.nan)
 
-    columns = model.terminal_cost[:, tree.epochs[model.horizon].state].T
+    columns = model.terminal_cost.take(tree.epochs[model.horizon].state, axis=1).T
     if pairs is None:
         values[offsets[model.horizon] :] = _mix(tree.belief[offsets[model.horizon] :], columns)
     for n in range(model.horizon - 1, -1, -1):
@@ -366,21 +379,20 @@ def _backward(
         p = slice(None) if pairs is None else pairs[n]
         # stage term first, then the branches; (pair, parameter, next state)
         columns = _expect(
-            epoch.stage[p],
-            epoch.kernel[p],
-            np.concatenate((columns, missing))[epoch.child[p]].transpose(0, 2, 1),
+            epoch.stage[p], epoch.kernel[p], epoch.live[p],
+            np.concatenate((columns, missing)).take(epoch.child[p], axis=0).transpose(0, 2, 1),
         )
         if pairs is None:
-            mixed = _mix(tree.belief[offsets[n] + epoch.pair_node], columns)
+            mixed = _mix(tree.belief.take(epoch.pair_row, axis=0), columns)
             # a node's pairs are in action order, so the stable sort puts
             # its least mix, with the lowest action on a tie, first
-            first = np.searchsorted(epoch.pair_node, np.arange(epoch.state.size))
-            chosen[n] = np.lexsort((mixed, epoch.pair_node))[first]
-            columns = columns[chosen[n]]
-            values[offsets[n] : offsets[n + 1]] = mixed[chosen[n]]
+            chosen[n] = np.lexsort((mixed, epoch.pair_node)).take(epoch.first_pair)
+            columns = columns.take(chosen[n], axis=0)
+            values[offsets[n] : offsets[n + 1]] = mixed.take(chosen[n])
 
-    reached = np.concatenate((columns, missing))[tree.dag.root_of].T
-    costs = _expect(np.zeros(model.n_params), model.initial_kernel, reached)
+    reached = np.concatenate((columns, missing)).take(tree.dag.root_of, axis=0).T
+    initial = model.initial_kernel
+    costs = _expect(np.zeros(model.n_params), initial, initial > 0.0, reached)
     return costs, values, chosen
 
 
@@ -401,7 +413,7 @@ def solve_bayes(model: StatisticalMDP, prior: Belief) -> ValueSolution:
     costs, values, chosen = _backward(model, tree)
     actions = np.full(len(tree), -1)
     for n, pairs in enumerate(chosen):
-        actions[tree.offsets[n] : tree.offsets[n + 1]] = tree.epochs[n].pair_action[pairs]
+        actions[tree.offsets[n] : tree.offsets[n + 1]] = tree.epochs[n].pair_action.take(pairs)
     policy = DeterministicPolicy(tree=tree, actions=actions)
     policy.__dict__["pairs"] = chosen  # fills the cached property
     return ValueSolution(

@@ -53,10 +53,10 @@ def relative_entropy(mu, nu) -> float:
     conventions 0*log(0/x) = 0 and +inf when mu puts mass where nu does
     not.  Always >= 0."""
     p, q = _matched(mu, nu)
-    mask = p > 0.0
-    if np.any(q[mask] == 0.0):
+    p, q = p[p > 0.0], q[p > 0.0]
+    if not q.all():
         return math.inf
-    return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
+    return max(0.0, float(np.sum(p * np.log(p / q))))
 
 
 def _support_range(v: np.ndarray, p: np.ndarray) -> tuple[float, float]:

@@ -8,15 +8,16 @@ import pytest
 from helpers import random_model, simplex_lattice
 from oracles import entropic_objective, within_avar_caps
 
-from ambmdp import search, seqtest
+from ambmdp import ambiguity, search, seqtest
 from ambmdp.ambiguity import (
     certify_saddle,
+    gap_tolerance,
     solve,
     solve_avar,
     solve_entropic,
     solve_robust,
 )
-from ambmdp.bayes import solve_bayes
+from ambmdp.bayes import DeterministicPolicy, build_tree, solve_bayes
 from ambmdp.cli import parse_config
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP, cost_bounds
 from ambmdp.risk import avar_quantile, entropic_risk, relative_entropy
@@ -258,6 +259,80 @@ class TestCertifySaddle:
         assert not report.mu_side_ok
 
 
+def counted_solves(monkeypatch) -> list:
+    """The priors of every Bayes solve ``ambiguity`` runs from now on."""
+    calls = []
+
+    def counted(model, prior):
+        calls.append(prior)
+        return solve_bayes(model, prior)
+
+    monkeypatch.setattr(ambiguity, "solve_bayes", counted)
+    return calls
+
+
+def certificate_bits(certificate) -> list:
+    """The certificate's fields, each float as its bytes."""
+    return [
+        np.float64(v).tobytes() if isinstance(v, float) else v
+        for v in dataclasses.astuple(certificate)
+    ]
+
+
+class TestCertificateReuse:
+    """An outer solve leaves the Bayes value at its returned prior on the
+    model's DAG, and ``certify_saddle`` reads it in place of a second solve
+    when the prior's bits match.  The certificate stays a check."""
+
+    def test_swapped_policy_or_profile_fails_with_the_reused_value(
+        self, bench_model, monkeypatch
+    ):
+        other = solve_entropic(bench_model, seqtest.prior_belief(0.9), gamma=0.1)
+        result = solve_entropic(bench_model, seqtest.prior_belief(0.1), gamma=0.1)
+        solves = counted_solves(monkeypatch)
+        assert certify_saddle(bench_model, result).pi_side_ok
+        swapped_policy = certify_saddle(
+            bench_model, dataclasses.replace(result, policy=other.policy)
+        )
+        swapped_profile = certify_saddle(
+            bench_model, dataclasses.replace(result, cost_profile=other.cost_profile)
+        )
+        assert solves == []  # every check above read the loop's value
+        assert not swapped_policy.pi_side_ok
+        assert swapped_policy.pi_side_error > 1.0
+        assert not swapped_profile.mu_side_ok
+
+    def test_prior_moved_by_one_ulp_is_solved_afresh(self, bench_model, monkeypatch):
+        result = solve_avar(bench_model, seqtest.prior_belief(0.1), gamma=0.2)
+        weights = result.worst_prior.weights.copy()
+        weights[0] = np.nextafter(weights[0], 1.0)
+        moved = dataclasses.replace(result, worst_prior=Belief(weights))
+        assert moved.worst_prior.weights.tobytes() != result.worst_prior.weights.tobytes()
+        solves = counted_solves(monkeypatch)
+        certify_saddle(bench_model, moved)
+        assert [mu.weights.tobytes() for mu in solves] == [weights.tobytes()]
+        certify_saddle(bench_model, result)
+        assert len(solves) == 1
+
+    def test_reused_value_gives_the_certificate_of_a_fresh_dag(self, monkeypatch):
+        solves = counted_solves(monkeypatch)
+        for model, base in seeded_models(11, 8):
+            for mode, gamma in (("entropic", 0.7), ("avar", 0.4), ("robust", None)):
+                result = solve(model, mode, base, gamma)
+                before = len(solves)
+                hit = certify_saddle(model, result)
+                assert len(solves) == before, mode
+                # a copy of the model has no DAG; its policy is rebuilt on a new one
+                fresh = dataclasses.replace(model)
+                policy = DeterministicPolicy(
+                    build_tree(fresh, result.worst_prior), result.policy.actions
+                )
+                miss = certify_saddle(fresh, dataclasses.replace(result, policy=policy))
+                assert len(solves) == before + 1, mode
+                assert fresh.belief_dag is not model.belief_dag
+                assert certificate_bits(hit) == certificate_bits(miss), mode
+
+
 class TestThreeParameters:
     def build_model(self):
         # three coins with distinct heads probabilities; declare one of them
@@ -333,18 +408,18 @@ def solve_mode(model, base, mode):
     return solve_robust(model)
 
 
-def reversed_params(model):
-    """The same model with the parameter order reversed."""
+def permuted_params(model, perm):
+    """The same model with parameter ``perm[i]`` moved to position i."""
     return StatisticalMDP(
         horizon=model.horizon,
         states=model.states,
         actions=model.actions,
-        params=ParameterSet(model.params.labels[::-1]),
+        params=ParameterSet(tuple(model.params.labels[i] for i in perm)),
         feasible=model.feasible,
-        initial_kernel=model.initial_kernel[::-1],
-        transition=model.transition[:, ::-1],
-        stage_cost=model.stage_cost[:, ::-1],
-        terminal_cost=model.terminal_cost[::-1],
+        initial_kernel=model.initial_kernel[perm],
+        transition=model.transition[:, perm],
+        stage_cost=model.stage_cost[:, perm],
+        terminal_cost=model.terminal_cost[perm],
     )
 
 
@@ -402,7 +477,7 @@ class TestRandomModels:
         )
         assert result.value == pytest.approx(attained, abs=1e-12)
         mirrored = solve_mode(
-            reversed_params(model), Belief(base.weights[::-1]), mode
+            permuted_params(model, np.arange(n_params)[::-1]), Belief(base.weights[::-1]), mode
         )
         assert mirrored.value == pytest.approx(result.value, abs=1e-9)
 
@@ -413,6 +488,47 @@ class TestRandomModels:
         result = solve_entropic(model, base, gamma)
         brute = max(v - relative_entropy(Belief(w), base) / gamma for w, v in grid)
         assert result.value >= brute - 1e-9
+
+
+class TestParameterPermutation:
+    """Relabelling the parameters, with the prior and its support
+    relabelled alike, relabels the solve: the worst prior moves with the
+    labels, the value stays within the loop's slack, and the returned
+    policy's cost profile moves with the labels wherever the result is a
+    certified saddle.  Elsewhere the held planes of the two loops can
+    differ, but each returned profile still passes through the worst
+    prior."""
+
+    @pytest.mark.parametrize(
+        "mode, gamma", (("entropic", 0.8), ("avar", 0.4), ("robust", None))
+    )
+    def test_permuting_parameters_permutes_the_saddle(self, mode, gamma):
+        rng = np.random.default_rng(4242)
+        certified = 0
+        for model, base in seeded_models(31, 25):
+            k = model.n_params
+            if k >= 3:  # a support short of every parameter
+                weights = base.weights.copy()
+                weights[rng.integers(k)] = 0.0
+                base = Belief(weights / weights.sum())
+            perm = rng.permutation(k)
+            result = solve(model, mode, base, gamma)
+            moved = solve(permuted_params(model, perm), mode, Belief(base.weights[perm]), gamma)
+            slack = search.CUT_SLACK * max(map(abs, cost_bounds(model)))
+            assert moved.support == tuple(sorted(np.argsort(perm)[list(result.support)]))
+            assert abs(moved.value - result.value) <= slack
+            assert np.allclose(
+                moved.worst_prior.weights, result.worst_prior.weights[perm], rtol=0, atol=1e-9
+            )
+            mu = result.worst_prior.weights
+            unmoved = moved.cost_profile[np.argsort(perm)]
+            assert abs(float(mu @ unmoved) - float(mu @ result.cost_profile)) <= slack
+            if result.gap <= gap_tolerance(model):
+                certified += 1
+                assert np.allclose(
+                    moved.cost_profile, result.cost_profile[perm], rtol=0, atol=slack
+                )
+        assert certified >= 5
 
 
 #: lattice subdivisions per parameter count, as dense as a 500-point budget

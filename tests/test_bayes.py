@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ambmdp.bayes import (
     solve_bayes,
 )
 from ambmdp.belief import predictive, update_posterior
+from ambmdp.cli import _figure_rows, parse_config
 from ambmdp import bayes
 from ambmdp.errors import PolicyTreeMismatchError, TreeSizeLimitError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
@@ -33,6 +35,7 @@ from ambmdp.oracle import enumerate_cost, mc_estimate
 A_DECLARE_1 = seqtest.ACTIONS.index("declare_theta1")
 A_CONTINUE = seqtest.ACTIONS.index("continue")
 X_STOPPED = seqtest.STATES.index("stopped")
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def declare_first_policy(tree) -> DeterministicPolicy:
@@ -610,14 +613,31 @@ class TestBeliefDagCache:
             assert _outputs(warm, prior) == _outputs(dataclasses.replace(model), prior)
 
     def test_solved_model_is_freed_by_its_last_reference(self):
+        # a figure sweep, an outer solve and its certificate leave on the
+        # DAG its read-only arrays and one (prior bytes, Bayes value) entry
         gc.disable()
         try:
-            model = seqtest.build_model(seqtest.SeqTestConfig(horizon=2))
+            config = parse_config((CONFIG_DIR / "figure_avar.cfg").read_text())
+            model = config.model
             ref = weakref.ref(model)
+            _figure_rows(config)
             result = solve(model, "entropic", seqtest.prior_belief(0.3), 0.5)
             certify_saddle(model, result)
-            assert model.belief_dag is not None
-            del model, result
+            dag = model.belief_dag
+            assert not hasattr(dag, "__dict__")
+            solved_at, value = dag.bayes_at
+            assert type(solved_at) is bytes and type(value) is float
+            assert solved_at == result.worst_prior.weights.tobytes()
+            views = [result.policy.tree, solve_bayes(model, seqtest.prior_belief(0.7)).tree]
+            assert all(view.dag is dag and view.epochs is dag.epochs for view in views)
+            for n, epoch in enumerate(dag.epochs[:-1]):
+                plan = (epoch.first_pair, epoch.pair_row, epoch.live)
+                assert not any(a.flags.writeable for a in plan)
+                assert np.array_equal(epoch.pair_row, dag.offsets[n] + epoch.pair_node)
+                assert np.array_equal(epoch.live, epoch.kernel > 0.0)
+                nodes = np.arange(epoch.state.size)
+                assert np.array_equal(epoch.pair_node[epoch.first_pair], nodes)
+            del config, model, result, dag, views
             assert ref() is None
         finally:
             gc.enable()

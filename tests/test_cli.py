@@ -544,6 +544,14 @@ class TestRunSolve:
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "bayes.json").read_bytes()
 
+    @pytest.mark.parametrize("mode", ("entropic", "avar", "robust"))
+    def test_shipped_saddle_config_matches_golden_artifact(self, tmp_path, capsys, mode):
+        # every value, trace entry and certificate field, byte for byte
+        out = tmp_path / f"{mode}.json"
+        config = GOLDEN_DIR.parents[1] / "configs" / f"{mode}.cfg"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / f"{mode}.json").read_bytes()
+
 
 def _reference_text(payload: dict) -> str:
     """The artifact text of ``payload`` as ``json.dumps`` writes it, with the
