@@ -805,19 +805,24 @@ def entropic_closed_form(mu0, gamma):
 
 
 class TestEntropicClosedForm:
-    @pytest.mark.parametrize("gamma", (1e-6, 1e-3, 0.05, 1.0, 10.0, 100.0, 1e3, 1e4))
+    @pytest.mark.parametrize(
+        "gamma", (1e-6, 1e-3, 0.05, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
+    )
     def test_worst_prior_and_value_match(self, bench_model, gamma):
+        # the two-parameter master is exact to rounding at extreme gamma
+        tol = 1e-12 if gamma >= 1e5 else 1e-9
         for mu0 in (0.05, 0.1, 0.2, 0.3, 0.45):
             result = solve_entropic(bench_model, seqtest.prior_belief(mu0), gamma)
             t, value = entropic_closed_form(mu0, gamma)
-            assert abs(result.worst_prior.weights[0] - t) <= 1e-9, mu0
-            assert abs(result.value - value) <= 1e-9, mu0
+            assert abs(result.worst_prior.weights[0] - t) <= tol, mu0
+            assert abs(result.value - value) <= tol, mu0
 
 
 class TestEntropicMaster:
     """The entropic master's prior attains its upper bound on random cut
-    sets, with gamma times the cost span from 1e-3 to 1e5, without a
-    numeric warning, and a figure row's solve costs it few evaluations."""
+    sets, with gamma times the cost span from 1e-3 to 1e5 (1e8 for two
+    parameters), without a numeric warning; two-parameter masters end
+    without line searches."""
 
     def test_prior_attains_upper_bound(self):
         rng = np.random.default_rng(3)
@@ -831,9 +836,10 @@ class TestEntropicMaster:
             assert upper - lower <= 1e-9, (gamma, n_cuts, n_params)
 
     def test_subnormal_curvature_does_not_overflow(self):
-        # draws 7, 35 and 240 of this generator drive a line search to a
+        # draws 7, 35 and 240 of this generator drove a line search to a
         # subnormal curvature, where slope / curvature overflowed (gamma
-        # times the cost span 1.7e4, 6.7e3 and 8.4e4)
+        # times the cost span 1.7e4, 6.7e3 and 8.4e4); draw 35 has two
+        # parameters and now ends in closed form, without a line search
         rng = np.random.default_rng(1)
         for draw in range(241):
             n_params, n_cuts = int(rng.integers(2, 7)), int(rng.integers(1, 30))
@@ -848,19 +854,40 @@ class TestEntropicMaster:
             lower = float((cuts @ w).min()) - relative_entropy(Belief(w), Belief(base)) / gamma
             assert upper - lower <= 1e-9 * np.abs(cuts).max(), draw
 
+    def test_two_parameter_master_is_exact(self):
+        # its prior attains upper, and upper is the primal maximum to rounding
+        rng = np.random.default_rng(17)
+        s = np.linspace(0.0, 1.0, 20_001)
+        grid = np.stack((s, 1.0 - s))
+        for _ in range(300):
+            cuts = rng.uniform(-3.0, 7.0, (int(rng.integers(1, 25)), 2))
+            cuts *= 10.0 ** rng.uniform(-3.0, 3.0)
+            base = rng.dirichlet(np.ones(2))
+            gamma = 10.0 ** rng.uniform(-3.0, 8.0) / float(cuts.max() - cuts.min())
+            scale = float(np.abs(cuts).max())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                w, upper = entropic_master(cuts, base, gamma)
+            kl = relative_entropy(Belief(w), Belief(base))
+            assert abs(upper - (float((cuts @ w).min()) - kl / gamma)) <= 1e-12 * scale
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(grid > 0.0, grid * np.log(grid / base[:, None]), 0.0)
+            best = float(((cuts @ grid).min(axis=0) - terms.sum(axis=0) / gamma).max())
+            assert upper >= best - 1e-12 * scale, gamma * float(cuts.max() - cuts.min())
+
     def test_master_work_on_a_figure_row(self, bench_model, monkeypatch):
-        # one figure row; each master call takes few line searches, and each
-        # line search ends once Newton has converged
-        evals, newton_line = [], search._newton_line
+        # a figure row's masters have two parameters and make no line
+        # search; a three-parameter solve still takes the Newton path
+        calls, newton_line = [], search._newton_line
 
-        def counted(tilt, *args):
-            def counted_tilt(profile):
-                evals.append(None)
-                return tilt(profile)
-
-            return newton_line(counted_tilt, *args)
+        def counted(*args):
+            calls.append(None)
+            return newton_line(*args)
 
         monkeypatch.setattr(search, "_newton_line", counted)
         result = solve_entropic(bench_model, seqtest.prior_belief(0.2), 0.75)
         assert result.value == pytest.approx(entropic_closed_form(0.2, 0.75)[1], abs=1e-9)
-        assert 0 < len(evals) <= 20
+        assert len(result.trace) > 2 and not calls
+        model = random_model(np.random.default_rng(0), n_params=3, horizon=2)
+        solve_entropic(model, Belief(np.ones(3) / 3), 2.0)
+        assert 1 <= len(calls) <= 20

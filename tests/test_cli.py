@@ -728,6 +728,15 @@ class TestRunFigure:
         assert main(["figure", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
+    def test_shipped_entropic_figure_gap_count(self, tmp_path, capsys):
+        # the rows whose worst prior sits on a kink of the value have no
+        # deterministic saddle; a master that certifies fewer rows moves it
+        out = tmp_path / "figure_entropic.csv"
+        config = GOLDEN_DIR.parents[1] / "configs" / "figure_entropic.cfg"
+        assert main(["figure", "--config", str(config), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("duality gap > 2e-09 in 114 of 120 outer solves (largest ")
+
 
 class TestRunSimulate:
     CONFIG = SIMULATE_CONFIG
