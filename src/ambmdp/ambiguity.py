@@ -172,27 +172,28 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     """The cutting-plane loop, then the plateau edges and the result."""
     slack = CUT_SLACK * _cost_scale(model)
     trace: list[tuple[Belief, float]] = []
-    cuts: list[np.ndarray] = []
+    cuts = np.empty((0, len(amb.support)))  # a row per held plane
     held = []  # the best-response solve behind each cut
 
     def best_response(w: np.ndarray) -> tuple[float, bool, ValueSolution]:
         """Outer objective at the prior w, whether the best response's
         plane was new (and added), and the best response's solve."""
+        nonlocal cuts
         mu = amb.embed(model.n_params, w)
         solution = solve_bayes(model, mu)
         value = solution.value - amb.penalty(mu)
         trace.append((mu, value))
         cut = solution.costs.take(amb.index)
-        fresh = not cuts or float(np.abs(np.array(cuts) - cut).max(axis=1).min()) > slack
+        fresh = not held or float(np.abs(cuts - cut).max(axis=1).min()) > slack
         if fresh:
-            cuts.append(cut)
+            cuts = np.vstack((cuts, cut))
             held.append(solution)
         return value, fresh, solution
 
     best_w = w = amb.reference
     best_v, fresh, best = best_response(w)
     while fresh:
-        w, upper = amb.master(np.array(cuts))
+        w, upper = amb.master(cuts)
         if upper - best_v <= slack:
             break
         value, fresh, solution = best_response(w)
@@ -206,10 +207,10 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     if amb.mode != "entropic" and len(amb.support) == 2:
         lo, hi = (
             worst if e.tobytes() == best_w.tobytes() else amb.embed(model.n_params, e)
-            for e in _plateau(amb, cuts, best_w, best_v, slack, best_response)
+            for e in _plateau(amb, held, best_w, best_v, slack, best_response)
         )
     # the held planes through the returned prior, to slack, are its Bayes policies
-    heights = np.array(cuts) @ best_w
+    heights = cuts @ best_w
     tied = [s for s, h in zip(held, heights) if h <= heights.min() + slack]
     solution, risk = min(((s, amb.dual_risk(s.costs)) for s in tied), key=lambda sr: sr[1])
     raw_gap = risk - best_v
@@ -235,10 +236,12 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
 
 
 def _plateau(
-    amb: _Ambiguity, cuts: list, best_w: np.ndarray, best_v: float, slack: float, best_response
+    amb: _Ambiguity, held: list, best_w: np.ndarray, best_v: float, slack: float, best_response
 ):
     """Plateau edges (as support weights) on the line a + s d = (s, 1 - s)
-    of the feasible priors of two support parameters.
+    of the feasible priors of two support parameters; the planes are the
+    support costs of the ``held`` solves, which the edges' best responses
+    extend.
 
     The edges are where the lowest plane falls below the best value.  A
     plane within ``slack`` of the best value at the best prior counts as
@@ -253,7 +256,7 @@ def _plateau(
 
     def interval() -> tuple[float, float]:
         left, right = bounds
-        for cut in cuts:
+        for cut in (solution.costs.take(amb.index) for solution in held):
             excess, slope = float(best_w @ cut) - best_v, float(d @ cut)
             excess = 0.0 if excess <= slack else excess
             if slope > slack:

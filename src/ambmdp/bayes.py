@@ -33,18 +33,24 @@ limit of the beliefs there as the prior is moved towards the uniform one.
 ``build_tree`` is the one place that takes a node cap.
 
 One backward pass runs over the arrays with a few array operations per
-epoch.  Its index work (each node's first pair, each pair's belief row,
-where the kernel is positive) is planned once per DAG, by ``build_tree``,
-so that a pass over a small DAG costs little beyond its arithmetic.  It
-carries a cost column per parameter: the expected cost to go of the
-policy under that parameter, moved by that parameter's own kernel (the
-alpha vectors of Smallwood and Sondik).  A node's Bayes value is its
-belief-weighted mix of the columns, and the prior-weighted mix of the
-costs at the roots is the Bayes value of the policy.  ``solve_bayes``
-runs the pass choosing at each node the action with the least mix, and so
-returns the optimal policy together with its per-parameter cost profile;
-``evaluate_policy``, ``bayes_cost`` and ``policy_cost_profile`` run it
-with the actions of a given policy.
+epoch.  All its prior-free work (each node's first pair, each pair's
+belief row, the live branches, the terminal and initial tables) is
+planned once per DAG, by ``build_tree``, so that a pass over a small DAG
+costs little beyond its arithmetic.  It carries a cost column per
+parameter: the expected cost to go of the policy under that parameter,
+moved by that parameter's own kernel (the alpha vectors of Smallwood and
+Sondik).  A node's Bayes value is its belief-weighted mix of the columns,
+and the prior-weighted mix of the costs at the roots is the Bayes value
+of the policy.  ``solve_bayes`` runs the pass choosing at each node the
+action with the least mix, and so returns the optimal policy together
+with its per-parameter cost profile; the policy's action table is
+computed on first read.  ``evaluate_policy``,
+``bayes_cost`` and ``policy_cost_profile`` run it with the actions of a
+given policy.  A branch is live for a parameter where its kernel entry
+is positive and the branch has a child, so a pruned branch counts for
+nothing and no column is NaN.  A parameter reaches a pruned branch only
+where its likelihood has underflowed to 0, so the branch weighs less
+than about 1e-300 under it.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ class TreeEpoch:
     stage: np.ndarray  # (pairs, K)
     # the backward pass's plan: each node's first pair (empty at the
     # horizon), each pair's node by global index, where the kernel is > 0
+    # on a branch with a child
     first_pair: np.ndarray  # (nodes,)
     pair_row: np.ndarray  # (pairs,)
     live: np.ndarray  # (pairs, K, E)
@@ -86,17 +93,19 @@ class TreeEpoch:
 
 class _BeliefDag:
     """The reachable DAG of a model: its ``TreeEpoch``s; the normalized
-    likelihood of every node, in global order; the epoch offsets; and per
+    likelihood of every node, in global order; the epoch offsets; per
     state the index of its root node, -1 for a state no parameter starts
-    in.  Arrays only, and read-only: every view of the DAG shares them.
-    ``bayes_at``, once an outer solve sets it, is the bytes of its returned
-    prior's weights and the Bayes value there (see ``certify_saddle``)."""
+    in; and the backward pass's terminal columns and root step.  Arrays
+    only, and read-only: every view of the DAG shares them.  ``bayes_at``,
+    once an outer solve sets it, is the bytes of its returned prior's
+    weights and the Bayes value there (see ``certify_saddle``)."""
 
-    __slots__ = ("epochs", "likelihood", "offsets", "root_of", "bayes_at")
+    __slots__ = ("epochs", "likelihood", "offsets", "root_of", "terminal", "root_step", "bayes_at")
 
-    def __init__(self, epochs, likelihood, offsets, root_of):
+    def __init__(self, epochs, likelihood, offsets, root_of, terminal, root_step):
         self.epochs, self.likelihood = epochs, likelihood
         self.offsets, self.root_of = offsets, root_of
+        self.terminal, self.root_step = terminal, root_step
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -136,13 +145,21 @@ class ReachableBeliefTree:
         return np.diff(self.offsets).tolist()
 
 
-@dataclass
 class DeterministicPolicy:
     """Action per tree node by global index; -1 at the horizon epoch,
-    where no decision is taken."""
+    where no decision is taken.  A policy that ``solve_bayes`` returns
+    holds its ``pairs``, and its ``actions`` are computed on first read."""
 
-    tree: ReachableBeliefTree
-    actions: np.ndarray
+    def __init__(self, tree: ReachableBeliefTree, actions: np.ndarray):
+        self.tree, self.actions = tree, actions
+
+    @cached_property
+    def actions(self) -> np.ndarray:
+        tree = self.tree
+        actions = np.full(len(tree), -1)
+        for n, pairs in enumerate(self.pairs):
+            actions[tree.offsets[n] : tree.offsets[n + 1]] = tree.epochs[n].pair_action.take(pairs)
+        return actions
 
     @cached_property
     def pairs(self) -> list[np.ndarray]:
@@ -177,13 +194,12 @@ class DeterministicPolicy:
 
 @dataclass
 class ValueSolution:
-    """Output of the value recursion: total value, per-node continuation
-    values, an arg-min policy (ties broken by lowest action index), and the
-    policy's expected total cost under each parameter."""
+    """Output of the value recursion: total value, an arg-min policy (ties
+    broken by lowest action index) and the policy's expected total cost
+    under each parameter."""
 
     tree: ReachableBeliefTree
     value: float
-    node_values: np.ndarray
     policy: DeterministicPolicy
     costs: np.ndarray
 
@@ -273,7 +289,7 @@ def build_tree(
     uniform = np.full(model.n_params, 1.0 / model.n_params)
     state = np.flatnonzero(uniform @ model.initial_kernel > 0.0)
     belief = _normalized(model.initial_kernel.T[state] * uniform)
-    n_states = model.n_states
+    n_states, k = model.n_states, model.n_params
     root_of = np.full(n_states, -1)
     root_of[state] = np.arange(state.size)
     epochs, beliefs = [], [belief]
@@ -295,18 +311,20 @@ def build_tree(
                 f"by more than {RENORM_LIMIT}"
             )
 
-        cand_pair, cand_state = np.nonzero(masses > 0.0)
+        reached = masses > 0.0
+        cand_pair, cand_state = np.nonzero(reached)
         joint = kernel.transpose(0, 2, 1)[cand_pair, cand_state] * pair_belief[cand_pair]
         posterior = _normalized(joint)
-        first, inverse = _first_of_equal_rows(
-            np.column_stack((cand_state, np.round(posterior, 12)))
-        )
+        key = np.empty((cand_state.size, k + 1))  # (state, rounded posterior) rows
+        key[:, 0], key[:, 1:] = cand_state, np.round(posterior, 12)
+        first, inverse = _first_of_equal_rows(key)
         child = np.full(masses.shape, -1)
         child[cand_pair, cand_state] = inverse
 
         stage = model.stage_cost[n][:, pair_state, pair_action].T
         first_pair = np.searchsorted(pair_node, np.arange(state.size))
-        plan = (first_pair, offsets[-2] + pair_node, kernel > 0.0)
+        live = (kernel > 0.0) & reached[:, None, :]  # and the branch has a child
+        plan = (first_pair, offsets[-2] + pair_node, live)
         epochs.append(TreeEpoch(state, pair_node, pair_action, child, kernel, stage, *plan))
         state = cand_state[first]
         belief = posterior[first]
@@ -316,16 +334,18 @@ def build_tree(
             raise TreeSizeLimitError(node_cap)
 
     no_pairs = np.empty(0, dtype=int)
-    k = model.n_params
     epochs.append(TreeEpoch(
         state, no_pairs, no_pairs, np.empty((0, n_states), dtype=int),
         np.empty((0, k, n_states)), np.empty((0, k)),
         no_pairs, no_pairs, np.empty((0, k, n_states), dtype=bool),
     ))
     offsets, likelihood = np.array(offsets), np.concatenate(beliefs)
-    for a in [offsets, likelihood, root_of] + [a for e in epochs for a in vars(e).values()]:
+    terminal = model.terminal_cost.take(state, axis=1).T
+    root_step = (np.zeros(k), model.initial_kernel, model.initial_kernel > 0.0)
+    arrays = [offsets, likelihood, root_of, terminal, *root_step]
+    for a in arrays + [a for e in epochs for a in vars(e).values()]:
         a.flags.writeable = False
-    dag = _BeliefDag(tuple(epochs), likelihood, offsets, root_of)
+    dag = _BeliefDag(tuple(epochs), likelihood, offsets, root_of, terminal, root_step)
     object.__setattr__(model, "belief_dag", dag)
     return ReachableBeliefTree(model, prior, dag, dag.epochs, dag.offsets)
 
@@ -339,8 +359,8 @@ def _mix(weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
 def _expect(start: np.ndarray, prob: np.ndarray, live: np.ndarray, reached: np.ndarray):
     """``start`` plus the ``prob``-weighted values ``reached``, both indexed
     by next state along the last axis, added by a running sum in ascending
-    next state.  Only next states where ``live`` (``prob > 0``) are added,
-    so a NaN value counts only where it can be reached.  The result is
+    next state.  Only next states where ``live`` are added, so a value
+    read where a branch is not live counts for nothing.  The result is
     contiguous, as a dot product with a strided vector can round otherwise."""
     terms = np.where(live, prob * reached, 0.0)
     terms[..., 0] += start
@@ -351,7 +371,7 @@ def _backward(
     model: StatisticalMDP,
     tree: ReachableBeliefTree,
     pairs: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """One backward pass carrying a cost column per parameter: the expected
     cost to go of the policy under that parameter, each moved by its own
     kernel.  A node's Bayes value is its belief-weighted mix of columns.
@@ -359,28 +379,22 @@ def _backward(
     With ``pairs`` (per epoch, the chosen pair of each node) the pass
     evaluates that policy.  Without, every node takes the feasible pair
     whose columns have the least belief-weighted mix, the lowest action on
-    a tie.  A pruned branch reads NaN with zero probability under every
-    parameter.  A column can still be NaN at a node that its parameter
-    never reaches, where it has zero belief weight and decides nothing.
+    a tie.  A branch that is not live adds nothing, so the child index -1
+    of a pruned branch reads a row that counts for nothing.
 
-    Returns the per-parameter cost of the policy from the prior, the Bayes
-    value of every node (only computed when choosing) and the chosen pairs.
+    Returns the per-parameter cost of the policy from the prior and the
+    chosen pairs.
     """
-    offsets = tree.offsets
-    values = np.empty(len(tree))
+    dag = tree.dag
     chosen = [None] * model.horizon if pairs is None else pairs
-    missing = np.full((1, model.n_params), np.nan)
-
-    columns = model.terminal_cost.take(tree.epochs[model.horizon].state, axis=1).T
-    if pairs is None:
-        values[offsets[model.horizon] :] = _mix(tree.belief[offsets[model.horizon] :], columns)
+    columns = dag.terminal
     for n in range(model.horizon - 1, -1, -1):
         epoch = tree.epochs[n]
         p = slice(None) if pairs is None else pairs[n]
         # stage term first, then the branches; (pair, parameter, next state)
         columns = _expect(
             epoch.stage[p], epoch.kernel[p], epoch.live[p],
-            np.concatenate((columns, missing)).take(epoch.child[p], axis=0).transpose(0, 2, 1),
+            columns.take(epoch.child[p], axis=0).transpose(0, 2, 1),
         )
         if pairs is None:
             mixed = _mix(tree.belief.take(epoch.pair_row, axis=0), columns)
@@ -388,12 +402,7 @@ def _backward(
             # its least mix, with the lowest action on a tie, first
             chosen[n] = np.lexsort((mixed, epoch.pair_node)).take(epoch.first_pair)
             columns = columns.take(chosen[n], axis=0)
-            values[offsets[n] : offsets[n + 1]] = mixed.take(chosen[n])
-
-    reached = np.concatenate((columns, missing)).take(tree.dag.root_of, axis=0).T
-    initial = model.initial_kernel
-    costs = _expect(np.zeros(model.n_params), initial, initial > 0.0, reached)
-    return costs, values, chosen
+    return _expect(*dag.root_step, columns.take(dag.root_of, axis=0).T), chosen
 
 
 def solve_bayes(model: StatisticalMDP, prior: Belief) -> ValueSolution:
@@ -410,19 +419,10 @@ def solve_bayes(model: StatisticalMDP, prior: Belief) -> ValueSolution:
     dag = model.belief_dag
     tree = build_tree(model, prior) if dag is None else ReachableBeliefTree(
         model, prior, dag, dag.epochs, dag.offsets)
-    costs, values, chosen = _backward(model, tree)
-    actions = np.full(len(tree), -1)
-    for n, pairs in enumerate(chosen):
-        actions[tree.offsets[n] : tree.offsets[n + 1]] = tree.epochs[n].pair_action.take(pairs)
-    policy = DeterministicPolicy(tree=tree, actions=actions)
-    policy.__dict__["pairs"] = chosen  # fills the cached property
-    return ValueSolution(
-        tree=tree,
-        value=float(_mix(prior.weights, costs)),
-        node_values=values,
-        policy=policy,
-        costs=costs,
-    )
+    costs, chosen = _backward(model, tree)
+    policy = DeterministicPolicy.__new__(DeterministicPolicy)
+    policy.tree, policy.pairs = tree, chosen  # actions on first read
+    return ValueSolution(tree, float(_mix(prior.weights, costs)), policy, costs)
 
 
 def policy_cost_profile(model: StatisticalMDP, policy: DeterministicPolicy) -> np.ndarray:

@@ -58,16 +58,19 @@ class Belief:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("belief weights must form a non-empty vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("belief weights must be finite")
-        if np.any(w < -SUM_TOL):
-            raise ValueError(f"belief weights must be non-negative, got {w}")
-        w = np.where(w < 0.0, 0.0, w)
-        total = float(w.sum())
-        if abs(total - 1.0) > RENORM_LIMIT:
-            raise ValueError(f"belief weights sum to {total}, too far from 1")
-        if abs(total - 1.0) > SUM_TOL:
-            w = w / total
+        # one min and one sum pass a valid vector (NaN fails both tests, an
+        # infinity the sum's); the tests below name the fault or repair it
+        if not (w.min() >= 0.0 and abs(float(w.sum()) - 1.0) <= SUM_TOL):
+            if not np.all(np.isfinite(w)):
+                raise ValueError("belief weights must be finite")
+            if np.any(w < -SUM_TOL):
+                raise ValueError(f"belief weights must be non-negative, got {w}")
+            w = np.where(w < 0.0, 0.0, w)
+            total = float(w.sum())
+            if abs(total - 1.0) > RENORM_LIMIT:
+                raise ValueError(f"belief weights sum to {total}, too far from 1")
+            if abs(total - 1.0) > SUM_TOL:
+                w = w / total
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

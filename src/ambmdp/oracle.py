@@ -7,7 +7,8 @@ anti-bug oracle for it.  ``mc_estimate`` is a seeded Monte-Carlo rollout
 cross-check that builds one successor table over every decision node of
 the policy's tree and moves a whole batch of samples through it one epoch
 at a time.  Both follow the tree's children, which hold every branch that
-some parameter reaches.
+some parameter reaches; ``enumerate_cost`` leaves out a branch that the
+tree prunes, which weighs less than about 1e-300 under theta.
 
 Random source: NumPy ``default_rng`` seeded through ``SeedSequence(seed)``,
 with one spawned child sequence per batch of ``BATCH_SIZE`` samples (the
@@ -97,10 +98,12 @@ def enumerate_cost(
         cost = cost + float(model.stage_cost[n, theta, state, action])
         seq = seq + (model.actions[action],)
         for x_next in np.flatnonzero(row > 0.0)[::-1]:
-            stack.append((
-                n + 1, int(epoch.child[pair, x_next]), int(x_next),
-                prob * float(row[x_next]), cost, seq + (model.states[x_next],),
-            ))
+            child = int(epoch.child[pair, x_next])
+            if child >= 0:
+                stack.append((
+                    n + 1, child, int(x_next),
+                    prob * float(row[x_next]), cost, seq + (model.states[x_next],),
+                ))
 
     value = sum(r.probability * r.total_cost for r in records)
     return float(value), records

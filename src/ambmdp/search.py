@@ -130,8 +130,13 @@ def entropic_master(
 
     m = len(cuts)
     tol = CUT_SLACK * float(np.abs(cuts).max())
+    # every cut's rho as ``tilt`` computes it, in one broadcast; math.log,
+    # as there, for np.log may round differently
+    a = gamma * cuts + log_base
+    shift = a.max(axis=1)
+    totals = np.exp(a - shift[:, None]).sum(axis=1)
     lam = np.zeros(m)
-    lam[min(range(m), key=lambda i: tilt(cuts[i])[1])] = 1.0
+    lam[np.argmin((shift + np.array([math.log(t) for t in totals.tolist()])) / gamma)] = 1.0
     least_gap = lowest = math.inf
     stalled = 0
     for steps in range(MAX_MASTER_STEPS + 1):

@@ -2,7 +2,8 @@
 measures' dual forms, the Bayes recursion over unmerged histories, the
 penalized entropic objective, the sequential test's scalar recursion, the
 exact reading of config number literals, the merge of equal DAG children
-by a sort on every key column, and the policy table as a list of dicts."""
+by a sort on every key column, the policy table as a list of dicts, and
+every node's Bayes value with the action table filled in one pass."""
 
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from ambmdp.ambiguity import check_gamma
-from ambmdp.bayes import DeterministicPolicy, solve_bayes
+from ambmdp.bayes import DeterministicPolicy, _expect, _mix, solve_bayes
 from ambmdp.belief import initial_posterior, predictive
 from ambmdp.model import Belief, StatisticalMDP
 from ambmdp.risk import _weights, as_profile, relative_entropy
@@ -133,6 +134,31 @@ def history_value(model, prior: Belief) -> float:
         float(masses[x]) * value(0, int(x), initial_posterior(model, prior, int(x)))
         for x in np.flatnonzero(masses > 0.0)
     )
+
+
+def eager_bayes_outputs(model, prior: Belief) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's Bayes value and the optimal action table, filled in
+    the choosing pass itself: the reference for the action table that
+    ``solve_bayes`` computes on first read.  Pruned branches read a NaN
+    row, which counts only if a live branch of the DAG's plan has no child."""
+    tree = solve_bayes(model, prior).tree
+    offsets, horizon = tree.offsets, model.horizon
+    values, actions = np.empty(len(tree)), np.full(len(tree), -1)
+    missing = np.full((1, model.n_params), np.nan)
+    columns = model.terminal_cost.take(tree.epochs[horizon].state, axis=1).T
+    values[offsets[horizon] :] = _mix(tree.belief[offsets[horizon] :], columns)
+    for n in range(horizon - 1, -1, -1):
+        epoch = tree.epochs[n]
+        columns = _expect(
+            epoch.stage, epoch.kernel, epoch.live,
+            np.concatenate((columns, missing)).take(epoch.child, axis=0).transpose(0, 2, 1),
+        )
+        mixed = _mix(tree.belief.take(epoch.pair_row, axis=0), columns)
+        chosen = np.lexsort((mixed, epoch.pair_node)).take(epoch.first_pair)
+        columns = columns.take(chosen, axis=0)
+        values[offsets[n] : offsets[n + 1]] = mixed.take(chosen)
+        actions[offsets[n] : offsets[n + 1]] = epoch.pair_action.take(chosen)
+    return values, actions
 
 
 def first_of_equal_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from helpers import (
     random_belief,
     random_model,
 )
-from oracles import first_of_equal_rows, history_value
+from oracles import eager_bayes_outputs, first_of_equal_rows, history_value
 
 from ambmdp import seqtest
 from ambmdp.ambiguity import certify_saddle, solve
@@ -29,7 +29,7 @@ from ambmdp.belief import predictive, update_posterior
 from ambmdp.cli import _figure_rows, parse_config
 from ambmdp import bayes
 from ambmdp.errors import PolicyTreeMismatchError, TreeSizeLimitError
-from ambmdp.model import Belief, ParameterSet, StatisticalMDP
+from ambmdp.model import Belief, ParameterSet, StatisticalMDP, validate
 from ambmdp.oracle import enumerate_cost, mc_estimate
 
 A_DECLARE_1 = seqtest.ACTIONS.index("declare_theta1")
@@ -320,8 +320,9 @@ class TestSolveBayes:
     def test_bellman_consistency_at_every_node(self, rng):
         # node values must equal the minimum of the Bellman right-hand side
         model = random_model(rng)
-        solution = solve_bayes(model, random_belief(rng, model.n_params))
-        tree = solution.tree
+        prior = random_belief(rng, model.n_params)
+        tree = solve_bayes(model, prior).tree
+        values = eager_bayes_outputs(model, prior)[0]
         for index, n, state in decision_nodes(tree):
             epoch = tree.epochs[n]
             node = index - tree.offsets[n]
@@ -334,19 +335,18 @@ class TestSolveBayes:
                 for x_next in np.flatnonzero(epoch.child[p] >= 0):
                     mass = pred.masses[x_next]
                     child = tree.offsets[n + 1] + epoch.child[p, x_next]
-                    q += mass * solution.node_values[child]
+                    q += mass * values[child]
                 best = min(best, q)
-            assert solution.node_values[index] == pytest.approx(best, abs=1e-12)
+            assert values[index] == pytest.approx(best, abs=1e-12)
 
     def test_value_is_root_mixture(self, rng):
         model = random_model(rng)
         prior = random_belief(rng, model.n_params)
         solution = solve_bayes(model, prior)
+        values = eager_bayes_outputs(model, prior)[0]
         masses = prior.weights @ model.initial_kernel
         root_of = solution.tree.dag.root_of
-        mixture = sum(
-            masses[x] * solution.node_values[root_of[x]] for x in np.flatnonzero(root_of >= 0)
-        )
+        mixture = sum(masses[x] * values[root_of[x]] for x in np.flatnonzero(root_of >= 0))
         assert solution.value == pytest.approx(mixture, abs=1e-13)
 
 
@@ -390,6 +390,105 @@ class TestSolutionCosts:
                 float(prior.weights @ solution.costs), abs=1e-12
             )
         assert zero_mass_nodes > 0
+
+
+def underflow_model() -> StatisticalMDP:
+    """One action, three parameters that all start in s0, and from every
+    state the rows t0 (1/2, 1/2, 0), t1 (0.6, 0.4, 0) and t2 (1e-300, 1/2,
+    1/2 - 1e-300).  After two moves from s0 to s0 t2's normalized
+    likelihood underflows to 0, while its kernel still moves half its mass
+    to s2, which no other parameter reaches."""
+    rows = np.array([[0.5, 0.5, 0.0], [0.6, 0.4, 0.0], [1e-300, 0.5, 0.5 - 1e-300]])
+    return StatisticalMDP(
+        horizon=3,
+        states=("s0", "s1", "s2"),
+        actions=("a",),
+        params=ParameterSet(("t0", "t1", "t2")),
+        feasible=(((0,), (0,), (0,)),) * 3,
+        initial_kernel=np.tile([1.0, 0.0, 0.0], (3, 1)),
+        transition=np.broadcast_to(rows[None, :, None, None, :], (3, 3, 3, 1, 3)),
+        stage_cost=np.ones((3, 3, 3, 1)),
+        terminal_cost=np.tile([0.0, 1.0, 2.0], (3, 1)),
+    )
+
+
+def markov_chain_costs(model: StatisticalMDP) -> list[float]:
+    """Per parameter, the expected total cost of a one-action model, by
+    moving the state distribution forward epoch by epoch."""
+    costs = []
+    for theta in range(model.n_params):
+        dist, cost = model.initial_kernel[theta], 0.0
+        for n in range(model.horizon):
+            cost += float(dist @ model.stage_cost[n, theta, :, 0])
+            dist = dist @ model.transition[n, theta, :, 0, :]
+        costs.append(cost + float(dist @ model.terminal_cost[theta]))
+    return costs
+
+
+class TestLikelihoodUnderflow:
+    def test_underflowed_parameter_has_a_finite_exact_cost(self):
+        model = underflow_model()
+        assert validate(model) == []
+        expected = markov_chain_costs(model)
+        assert expected == pytest.approx([3.5, 3.4, 4.5], abs=1e-12)
+        priors = (Belief.uniform(3), Belief.point_mass(3, 2), Belief(np.array([0.2, 0.0, 0.8])))
+        for prior in priors:
+            solution = solve_bayes(model, prior)
+            assert solution.costs.tolist() == pytest.approx(expected, abs=1e-12)
+            assert np.isfinite(eager_bayes_outputs(model, prior)[0]).all()
+            for theta in range(3):
+                exact, _ = enumerate_cost(model, theta, solution.policy)
+                assert exact == pytest.approx(expected[theta], abs=1e-12)
+
+    def test_every_mode_solves_and_certifies(self):
+        # numeric warnings are errors here, as the lp master's divide was
+        model = underflow_model()
+        for mode, gamma in (("robust", None), ("avar", 0.5), ("entropic", 1.0)):
+            result = solve(model, mode, Belief.uniform(3), gamma)
+            certificate = certify_saddle(model, result)
+            assert certificate.mu_side_ok and certificate.pi_side_ok
+            assert result.cost_profile.tolist() == pytest.approx([3.5, 3.4, 4.5], abs=1e-12)
+        assert solve(model, "robust", Belief.uniform(3)).value == pytest.approx(4.5, abs=1e-12)
+
+    def test_every_live_branch_has_a_child(self, rng):
+        for model in [underflow_model()] + [sparse_model(rng) for _ in range(20)]:
+            dag = build_tree(model, Belief.uniform(model.n_params)).dag
+            for epoch in dag.epochs[:-1]:
+                assert (epoch.child >= 0)[epoch.live.any(axis=1)].all()
+
+
+class TestActionsOnFirstRead:
+    def assert_eager(self, model, prior):
+        policy = solve_bayes(model, prior).policy
+        assert policy.actions.tobytes() == eager_bayes_outputs(model, prior)[1].tobytes()
+        assert policy.actions is policy.actions
+
+    @pytest.mark.parametrize("horizon", (1, 4))
+    def test_seqtest_matches_the_eager_pass(self, horizon):
+        model = seqtest.build_model(seqtest.SeqTestConfig(horizon=horizon))
+        for mu in (0.0, 0.1, 0.3, 13.0 / 30.0, 0.5, 0.8, 1.0):
+            self.assert_eager(model, seqtest.prior_belief(mu))
+
+    def test_random_models_match_the_eager_pass(self, rng):
+        for _ in range(60):
+            model = sparse_model(rng, n_params=int(rng.integers(2, 6)))
+            weights = rng.dirichlet(np.ones(model.n_params))
+            weights[int(rng.integers(model.n_params))] = 0.0
+            self.assert_eager(model, Belief(weights / weights.sum()))
+            self.assert_eager(model, random_belief(rng, model.n_params))
+
+    def test_unread_outputs_are_not_computed(self, rng):
+        model = sparse_model(rng)
+        solution = solve_bayes(model, random_belief(rng, 3))
+        assert "actions" not in vars(solution.policy)
+        for mode, gamma in (("entropic", 0.7), ("avar", 0.4), ("robust", None)):
+            result = solve(model, mode, Belief.uniform(3), gamma)
+            certify_saddle(model, result)
+            assert "actions" not in vars(result.policy)
+        # a policy given by its actions computes its pairs instead
+        given = DeterministicPolicy(solution.tree, solution.policy.actions)
+        assert "pairs" not in vars(given)
+        assert [p.tolist() for p in given.pairs] == [p.tolist() for p in solution.policy.pairs]
 
 
 class TestEvaluatePolicy:
@@ -544,8 +643,8 @@ def _outputs(model, prior) -> list:
     at ``prior``, as plain values and bytes."""
     solution = solve_bayes(model, prior)
     out = [
-        solution.value, solution.costs.tobytes(), solution.node_values.tobytes(),
-        solution.policy.actions.tobytes(),
+        solution.value, solution.costs.tobytes(),
+        eager_bayes_outputs(model, prior)[0].tobytes(), solution.policy.actions.tobytes(),
     ]
     for mode, gamma in (("entropic", 0.7), ("avar", 0.4), ("robust", None)):
         result = solve(model, mode, prior, gamma)
@@ -634,9 +733,11 @@ class TestBeliefDagCache:
                 plan = (epoch.first_pair, epoch.pair_row, epoch.live)
                 assert not any(a.flags.writeable for a in plan)
                 assert np.array_equal(epoch.pair_row, dag.offsets[n] + epoch.pair_node)
-                assert np.array_equal(epoch.live, epoch.kernel > 0.0)
+                has_child = (epoch.child >= 0)[:, None, :]
+                assert np.array_equal(epoch.live, (epoch.kernel > 0.0) & has_child)
                 nodes = np.arange(epoch.state.size)
                 assert np.array_equal(epoch.pair_node[epoch.first_pair], nodes)
+            assert not any(a.flags.writeable for a in (dag.terminal, *dag.root_step))
             del config, model, result, dag, views
             assert ref() is None
         finally:

@@ -544,7 +544,8 @@ class TestRunSolve:
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "bayes.json").read_bytes()
 
-    @pytest.mark.parametrize("mode", ("entropic", "avar", "robust"))
+    # inline_example is the one shipped inline model, with rational literals
+    @pytest.mark.parametrize("mode", ("entropic", "avar", "robust", "inline_example"))
     def test_shipped_saddle_config_matches_golden_artifact(self, tmp_path, capsys, mode):
         # every value, trace entry and certificate field, byte for byte
         out = tmp_path / f"{mode}.json"

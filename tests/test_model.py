@@ -61,6 +61,42 @@ class TestBelief:
         with pytest.raises(ValueError):
             b.weights[0] = 0.3
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([0.5, np.nan], "belief weights must be finite"),
+            ([np.inf, 0.5], "belief weights must be finite"),
+            ([-np.inf, 1.0], "belief weights must be finite"),
+            ([np.inf, -np.inf], "belief weights must be finite"),
+            ([1.0 + 2e-12, -2e-12], "belief weights must be non-negative, got [ 1.e+00 -2.e-12]"),
+            ([1.5, -0.5], "belief weights must be non-negative, got [ 1.5 -0.5]"),
+            ([0.5, 0.6], "belief weights sum to 1.1, too far from 1"),
+            # finite entries whose sum overflows
+            ([1e308, 1e308], "belief weights sum to inf, too far from 1"),
+        ],
+    )
+    def test_each_fault_is_named(self, weights, message):
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as raised:
+            Belief(np.array(weights))
+        assert str(raised.value) == message
+
+    def test_tiny_negative_is_clipped_to_zero(self):
+        b = Belief(np.array([1.0, -1e-13]))
+        assert b.weights.tobytes() == np.array([1.0, 0.0]).tobytes()
+        c = Belief(np.array([0.5, 0.5 + 1e-13, -1e-13]))
+        assert c.weights.tobytes() == np.array([0.5, 0.5 + 1e-13, 0.0]).tobytes()
+
+    def test_drifted_sum_is_renormalized(self):
+        w = np.array([0.5, 0.5 + 1e-9])
+        assert Belief(w).weights.tobytes() == (w / float(w.sum())).tobytes()
+
+    def test_valid_weights_are_kept_bit_for_bit(self):
+        # a sum within SUM_TOL is not renormalized, and -0.0 stays -0.0
+        for w in ([0.5, 0.5 + 5e-13], [1.0, -0.0], [0.25, 0.25, 0.5]):
+            b = Belief(np.array(w))
+            assert b.weights.tobytes() == np.array(w).tobytes()
+            assert not b.weights.flags.writeable
+
 
 class TestValidate:
     def test_well_formed_model_has_no_diagnostics(self):
