@@ -41,9 +41,9 @@ duality the prior side of the saddle certificate is exact and costs O(K):
 the supremum over the feasible priors of mu . C - penalty(mu) is the dual
 risk of C, so ``certify_saddle`` compares that with the objective at the
 returned prior.  Its policy side needs the Bayes value at that prior,
-which the loop has computed: the solve leaves it on the model's DAG, keyed
-by the prior's bits.  Both sides allow slack in proportion to the model's
-cost scale.
+which the loop has computed: ``solve_bayes`` keeps its last 64 solves on
+the model's DAG, keyed by the prior's bits, and answers it with no second
+pass.  Both sides allow slack in proportion to the model's cost scale.
 
 Plateaus: the avar and robust argmax can be a face.  With two support
 parameters the planes are intersected with the line (s, 1 - s) of
@@ -200,9 +200,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
         if value > best_v:
             best_w, best_v, best = w, value, solution
 
-    # the certificate's policy side reads the Bayes value at the returned prior
     worst = best.tree.prior
-    best.tree.dag.bayes_at = (worst.weights.tobytes(), best.value)
     lo = hi = worst
     if amb.mode != "entropic" and len(amb.support) == 2:
         lo, hi = (
@@ -340,9 +338,8 @@ def certify_saddle(model: StatisticalMDP, result: SaddleResult) -> SaddleCertifi
     ``PRIOR_SIDE_SLACK`` times the cost scale, the certificate's ``tol``.
     Policy side: the returned policy's Bayes cost at the returned prior
     matches the Bayes value there within ``POLICY_SIDE_SLACK`` times the
-    cost scale.  The value is read from the model's DAG when the last outer
-    solve on it returned a prior with the same bits, and solved afresh
-    otherwise; it depends on nothing but the immutable model and the bits.
+    cost scale.  ``solve_bayes`` reads the value from the DAG's memo while it
+    holds the loop's solve there; it depends only on the model and the bits.
     """
     amb = _Ambiguity(result.mode, result.support, result.base_prior, result.gamma)
     profile = result.cost_profile
@@ -350,11 +347,7 @@ def certify_saddle(model: StatisticalMDP, result: SaddleResult) -> SaddleCertifi
     violation = amb.dual_risk(profile) - (float(mu.weights @ profile) - amb.penalty(mu))
     scale = _cost_scale(model)
     tol = gap_tolerance(model)
-
-    solved_at, bayes_value = getattr(model.belief_dag, "bayes_at", None) or (None, None)
-    if solved_at != mu.weights.tobytes():
-        bayes_value = solve_bayes(model, mu).value
-    pi_error = abs(bayes_cost(model, result.policy, mu) - bayes_value)
+    pi_error = abs(bayes_cost(model, result.policy, mu) - solve_bayes(model, mu).value)
     return SaddleCertificate(
         mu_side_ok=bool(violation <= tol),
         mu_side_violation=float(violation),

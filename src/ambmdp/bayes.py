@@ -50,7 +50,11 @@ given policy.  A branch is live for a parameter where its kernel entry
 is positive and the branch has a child, so a pruned branch counts for
 nothing and no column is NaN.  A parameter reaches a pruned branch only
 where its likelihood has underflowed to 0, so the branch weighs less
-than about 1e-300 under it.
+than about 1e-300 under it.  ``solve_bayes`` keeps its last ``SOLVE_MEMO``
+results on the DAG, keyed by the bytes of the prior's weights, and drops
+the least recently used first: each the value, the read-only costs and the
+chosen pairs, and no model.  A solve is a pure function of the DAG and
+those bytes, so a hit, which runs no pass, never changes a result.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .errors import PolicyTreeMismatchError, TreeSizeLimitError
 from .model import RENORM_LIMIT, SUM_TOL, Belief, StatisticalMDP
 
 DEFAULT_NODE_CAP = 10_000_000
+SOLVE_MEMO = 64  # Bayes solves kept per DAG
 
 
 @dataclass(frozen=True)
@@ -96,16 +101,17 @@ class _BeliefDag:
     likelihood of every node, in global order; the epoch offsets; per
     state the index of its root node, -1 for a state no parameter starts
     in; and the backward pass's terminal columns and root step.  Arrays
-    only, and read-only: every view of the DAG shares them.  ``bayes_at``,
-    once an outer solve sets it, is the bytes of its returned prior's
-    weights and the Bayes value there (see ``certify_saddle``)."""
+    only, and read-only: every view of the DAG shares them.  ``solves``
+    maps the bytes of a prior's weights to the last ``SOLVE_MEMO`` Bayes
+    solves, least recently used first: each (value, costs, chosen pairs)."""
 
-    __slots__ = ("epochs", "likelihood", "offsets", "root_of", "terminal", "root_step", "bayes_at")
+    __slots__ = ("epochs", "likelihood", "offsets", "root_of", "terminal", "root_step", "solves")
 
     def __init__(self, epochs, likelihood, offsets, root_of, terminal, root_step):
         self.epochs, self.likelihood = epochs, likelihood
         self.offsets, self.root_of = offsets, root_of
         self.terminal, self.root_step = terminal, root_step
+        self.solves = {}
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -196,7 +202,7 @@ class DeterministicPolicy:
 class ValueSolution:
     """Output of the value recursion: total value, an arg-min policy (ties
     broken by lowest action index) and the policy's expected total cost
-    under each parameter."""
+    under each parameter, a read-only array that later solves may share."""
 
     tree: ReachableBeliefTree
     value: float
@@ -419,10 +425,19 @@ def solve_bayes(model: StatisticalMDP, prior: Belief) -> ValueSolution:
     dag = model.belief_dag
     tree = build_tree(model, prior) if dag is None else ReachableBeliefTree(
         model, prior, dag, dag.epochs, dag.offsets)
-    costs, chosen = _backward(model, tree)
+    solves, key = tree.dag.solves, prior.weights.tobytes()
+    entry = solves.pop(key, None)
+    if entry is None:
+        costs, chosen = _backward(model, tree)
+        for a in (costs, *chosen):
+            a.flags.writeable = False
+        entry = (float(_mix(prior.weights, costs)), costs, tuple(chosen))
+        if len(solves) == SOLVE_MEMO:
+            del solves[next(iter(solves))]
+    value, costs, chosen = solves[key] = entry  # now the most recently used
     policy = DeterministicPolicy.__new__(DeterministicPolicy)
     policy.tree, policy.pairs = tree, chosen  # actions on first read
-    return ValueSolution(tree, float(_mix(prior.weights, costs)), policy, costs)
+    return ValueSolution(tree, value, policy, costs)
 
 
 def policy_cost_profile(model: StatisticalMDP, policy: DeterministicPolicy) -> np.ndarray:

@@ -7,8 +7,8 @@ anti-bug oracle for it.  ``mc_estimate`` is a seeded Monte-Carlo rollout
 cross-check that builds one successor table over every decision node of
 the policy's tree and moves a whole batch of samples through it one epoch
 at a time.  Both follow the tree's children, which hold every branch that
-some parameter reaches; ``enumerate_cost`` leaves out a branch that the
-tree prunes, which weighs less than about 1e-300 under theta.
+some parameter reaches, and leave out a branch that the tree prunes,
+which weighs less than about 1e-300 under theta.
 
 Random source: NumPy ``default_rng`` seeded through ``SeedSequence(seed)``,
 with one spawned child sequence per batch of ``BATCH_SIZE`` samples (the
@@ -133,6 +133,31 @@ def _cumulative(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cumulative, order
 
 
+def _sampler_table(model: StatisticalMDP, theta: int, policy: DeterministicPolicy) -> tuple:
+    """Per decision node in global order (none at horizon 0): the next
+    state's cumulative distribution (``_cumulative``) and the children by
+    global index, in the same column order; then each node's stage or
+    terminal cost.  A branch without a child has no weight, as in
+    ``enumerate_cost``; a node where theta reaches none (with probability
+    below about 1e-300) samples evenly among the branches with one."""
+    tree = policy.tree
+    blocks = [(np.empty((0, model.n_states)), np.empty((0, model.n_states), dtype=int), [])]
+    for n, pairs in enumerate(policy.pairs):
+        epoch = tree.epochs[n]
+        action, child = epoch.pair_action[pairs], epoch.child[pairs]
+        blocks.append((
+            np.where(child < 0, 0.0, model.transition[n, theta, epoch.state, action]),
+            np.where(child < 0, -1, child + tree.offsets[n + 1]),
+            model.stage_cost[n, theta, epoch.state, action],
+        ))
+    rows, child, stage = (np.concatenate(b) for b in zip(*blocks))
+    dead = ~rows.any(axis=1)
+    rows[dead] = child[dead] >= 0
+    cumulative, order = _cumulative(rows)
+    terminal = model.terminal_cost[theta, tree.epochs[-1].state]
+    return cumulative, np.take_along_axis(child, order, axis=1), np.concatenate((stage, terminal))
+
+
 def mc_estimate(
     model: StatisticalMDP,
     theta: int,
@@ -149,32 +174,13 @@ def mc_estimate(
     _check(model, theta, policy)
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    tree = policy.tree
     n_states = model.n_states
-
     root_cum, order = _cumulative(model.initial_kernel[theta][None, :])
-    root_cum = root_cum[0]
-    root_nodes = tree.dag.root_of[order[0]]
-
-    # per decision node in global order (none at horizon 0): the theta-row
-    # of its action, its children by global index (-1 where pruned) and its
-    # stage cost; the horizon nodes' terminal costs follow the stage costs
-    blocks = [(np.empty((0, n_states)), np.empty((0, n_states), dtype=int), np.empty(0))]
-    for n, pairs in enumerate(policy.pairs):
-        epoch = tree.epochs[n]
-        action = epoch.pair_action[pairs]
-        child = epoch.child[pairs]
-        blocks.append((
-            model.transition[n, theta, epoch.state, action],
-            np.where(child < 0, -1, child + tree.offsets[n + 1]),
-            model.stage_cost[n, theta, epoch.state, action],
-        ))
-    rows, child, stage = (np.concatenate(b) for b in zip(*blocks))
-    cumulative, order = _cumulative(rows)
-    child = np.take_along_axis(child, order, axis=1).ravel()
-    node_cost = np.concatenate((stage, model.terminal_cost[theta, tree.epochs[-1].state]))
-    # a row reads 1 from its last positive entry on, where u < 1 never counts
-    last = int((rows > 0.0).sum(axis=1).max(initial=1)) - 1
+    root_nodes = policy.tree.dag.root_of[order[0]]
+    cumulative, child, node_cost = _sampler_table(model, theta, policy)
+    child = child.ravel()
+    # a row reads 1 from its last positive entry on, which u < 1 never passes
+    last = int((cumulative < 1.0).sum(axis=1).max(initial=0))
     columns = np.ascontiguousarray(cumulative[:, :last].T)
 
     n_batches = (samples + BATCH_SIZE - 1) // BATCH_SIZE

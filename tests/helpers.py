@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from ambmdp import bayes
 from ambmdp.bayes import DeterministicPolicy, ReachableBeliefTree
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 
@@ -53,6 +54,22 @@ def random_model(
 
 def random_belief(rng: np.random.Generator, size: int) -> Belief:
     return Belief(rng.dirichlet(np.ones(size)))
+
+
+def counted_passes(monkeypatch) -> list:
+    """The priors of every choosing backward pass (``bayes._backward``
+    without ``pairs``) run from now on: the Bayes solves that the DAG's
+    memo does not answer."""
+    passes = []
+    backward = bayes._backward
+
+    def counted(model, tree, pairs=None):
+        if pairs is None:
+            passes.append(tree.prior)
+        return backward(model, tree, pairs)
+
+    monkeypatch.setattr(bayes, "_backward", counted)
+    return passes
 
 
 def decision_nodes(tree: ReachableBeliefTree):

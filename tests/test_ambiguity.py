@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import random_model, simplex_lattice
+from helpers import counted_passes, random_model, simplex_lattice
 from oracles import entropic_objective, within_avar_caps
 
-from ambmdp import ambiguity, search, seqtest
+from ambmdp import search, seqtest
 from ambmdp.ambiguity import (
     certify_saddle,
     gap_tolerance,
@@ -259,18 +259,6 @@ class TestCertifySaddle:
         assert not report.mu_side_ok
 
 
-def counted_solves(monkeypatch) -> list:
-    """The priors of every Bayes solve ``ambiguity`` runs from now on."""
-    calls = []
-
-    def counted(model, prior):
-        calls.append(prior)
-        return solve_bayes(model, prior)
-
-    monkeypatch.setattr(ambiguity, "solve_bayes", counted)
-    return calls
-
-
 def certificate_bits(certificate) -> list:
     """The certificate's fields, each float as its bytes."""
     return [
@@ -280,16 +268,17 @@ def certificate_bits(certificate) -> list:
 
 
 class TestCertificateReuse:
-    """An outer solve leaves the Bayes value at its returned prior on the
-    model's DAG, and ``certify_saddle`` reads it in place of a second solve
-    when the prior's bits match.  The certificate stays a check."""
+    """An outer solve leaves its Bayes solves in the memo of the model's
+    DAG, so the policy side of ``certify_saddle`` at the returned prior
+    runs no choosing pass when the prior's bits match.  The certificate
+    stays a check."""
 
     def test_swapped_policy_or_profile_fails_with_the_reused_value(
         self, bench_model, monkeypatch
     ):
         other = solve_entropic(bench_model, seqtest.prior_belief(0.9), gamma=0.1)
         result = solve_entropic(bench_model, seqtest.prior_belief(0.1), gamma=0.1)
-        solves = counted_solves(monkeypatch)
+        passes = counted_passes(monkeypatch)
         assert certify_saddle(bench_model, result).pi_side_ok
         swapped_policy = certify_saddle(
             bench_model, dataclasses.replace(result, policy=other.policy)
@@ -297,7 +286,7 @@ class TestCertificateReuse:
         swapped_profile = certify_saddle(
             bench_model, dataclasses.replace(result, cost_profile=other.cost_profile)
         )
-        assert solves == []  # every check above read the loop's value
+        assert passes == []  # every check above read the loop's solve
         assert not swapped_policy.pi_side_ok
         assert swapped_policy.pi_side_error > 1.0
         assert not swapped_profile.mu_side_ok
@@ -308,27 +297,27 @@ class TestCertificateReuse:
         weights[0] = np.nextafter(weights[0], 1.0)
         moved = dataclasses.replace(result, worst_prior=Belief(weights))
         assert moved.worst_prior.weights.tobytes() != result.worst_prior.weights.tobytes()
-        solves = counted_solves(monkeypatch)
+        passes = counted_passes(monkeypatch)
         certify_saddle(bench_model, moved)
-        assert [mu.weights.tobytes() for mu in solves] == [weights.tobytes()]
+        assert [mu.weights.tobytes() for mu in passes] == [weights.tobytes()]
         certify_saddle(bench_model, result)
-        assert len(solves) == 1
+        assert len(passes) == 1
 
     def test_reused_value_gives_the_certificate_of_a_fresh_dag(self, monkeypatch):
-        solves = counted_solves(monkeypatch)
+        passes = counted_passes(monkeypatch)
         for model, base in seeded_models(11, 8):
             for mode, gamma in (("entropic", 0.7), ("avar", 0.4), ("robust", None)):
                 result = solve(model, mode, base, gamma)
-                before = len(solves)
+                before = len(passes)
                 hit = certify_saddle(model, result)
-                assert len(solves) == before, mode
+                assert len(passes) == before, mode
                 # a copy of the model has no DAG; its policy is rebuilt on a new one
                 fresh = dataclasses.replace(model)
                 policy = DeterministicPolicy(
                     build_tree(fresh, result.worst_prior), result.policy.actions
                 )
                 miss = certify_saddle(fresh, dataclasses.replace(result, policy=policy))
-                assert len(solves) == before + 1, mode
+                assert len(passes) == before + 1, mode
                 assert fresh.belief_dag is not model.belief_dag
                 assert certificate_bits(hit) == certificate_bits(miss), mode
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import (
+    counted_passes,
     decision_nodes,
     enumerate_policies,
     policy_count,
@@ -27,7 +28,7 @@ from ambmdp.bayes import (
 )
 from ambmdp.belief import predictive, update_posterior
 from ambmdp.cli import _figure_rows, parse_config
-from ambmdp import bayes
+from ambmdp import bayes, oracle
 from ambmdp.errors import PolicyTreeMismatchError, TreeSizeLimitError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP, validate
 from ambmdp.oracle import enumerate_cost, mc_estimate
@@ -450,6 +451,33 @@ class TestLikelihoodUnderflow:
             assert result.cost_profile.tolist() == pytest.approx([3.5, 3.4, 4.5], abs=1e-12)
         assert solve(model, "robust", Belief.uniform(3)).value == pytest.approx(4.5, abs=1e-12)
 
+    def test_the_sampler_picks_only_branches_with_a_child(self):
+        # in the last epoch t2 moves to s2 alone, which after two moves
+        # from s0 to s0 it alone reaches: a node with no live branch for t2
+        model = underflow_model()
+        transition = np.array(model.transition)
+        transition[2, 2] = [0.0, 0.0, 1.0]
+        dead_end = dataclasses.replace(model, transition=transition)
+        for m in (model, dead_end):
+            policy = solve_bayes(m, Belief.uniform(3)).policy
+            tree = policy.tree
+            pruned = [e.child[:, None, :] < 0 for e in tree.epochs[:-1]]
+            reached = [e.kernel[:, 2] > 0.0 for e in tree.epochs[:-1]]
+            assert any((p[:, 0] & r).any() for p, r in zip(pruned, reached))
+            for theta in range(3):
+                cumulative, child, node_cost = oracle._sampler_table(m, theta, policy)
+                assert np.isfinite(cumulative).all()
+                assert len(cumulative) + tree.epochs[-1].state.size == len(node_cost) == len(tree)
+                # u in [0, 1) lands on column 0 (at u = 0), or on a later
+                # column whose entry rises from one below 1
+                rises = (cumulative[:, 1:] > cumulative[:, :-1]) & (cumulative[:, :-1] < 1.0)
+                assert (child[:, 0] >= 0).all() and (child[:, 1:][rises] >= 0).all()
+                assert np.isfinite(mc_estimate(m, theta, policy, 2000, seed=5)[0])
+        no_branch = [
+            (~(e.kernel[:, 2] > 0.0) | (e.child < 0)).all(axis=1) for e in tree.epochs[:-1]
+        ]
+        assert any(rows.any() for rows in no_branch)  # dead_end has such a node
+
     def test_every_live_branch_has_a_child(self, rng):
         for model in [underflow_model()] + [sparse_model(rng) for _ in range(20)]:
             dag = build_tree(model, Belief.uniform(model.n_params)).dag
@@ -640,7 +668,7 @@ class TestBayesCost:
 
 def _outputs(model, prior) -> list:
     """Everything ``solve_bayes``, ``solve`` and ``certify_saddle`` report
-    at ``prior``, as plain values and bytes."""
+    at ``prior``, every float as its bytes."""
     solution = solve_bayes(model, prior)
     out = [
         solution.value, solution.costs.tobytes(),
@@ -655,7 +683,16 @@ def _outputs(model, prior) -> list:
             [(mu.weights.tobytes(), value) for mu, value in result.trace],
             dataclasses.astuple(certify_saddle(model, result)),
         ]
-    return out
+    return _float_bits(out)
+
+
+def _float_bits(value):
+    """``value`` with every float, also inside lists and tuples, as its bytes."""
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, (list, tuple)):
+        return [_float_bits(v) for v in value]
+    return value
 
 
 class TestBeliefDagCache:
@@ -713,7 +750,8 @@ class TestBeliefDagCache:
 
     def test_solved_model_is_freed_by_its_last_reference(self):
         # a figure sweep, an outer solve and its certificate leave on the
-        # DAG its read-only arrays and one (prior bytes, Bayes value) entry
+        # DAG its read-only arrays and a memo of (value, costs, pairs)
+        # entries, keyed by prior bytes, that hold no model
         gc.disable()
         try:
             config = parse_config((CONFIG_DIR / "figure_avar.cfg").read_text())
@@ -724,9 +762,12 @@ class TestBeliefDagCache:
             certify_saddle(model, result)
             dag = model.belief_dag
             assert not hasattr(dag, "__dict__")
-            solved_at, value = dag.bayes_at
-            assert type(solved_at) is bytes and type(value) is float
-            assert solved_at == result.worst_prior.weights.tobytes()
+            assert type(dag.solves) is dict and 0 < len(dag.solves) <= bayes.SOLVE_MEMO
+            # the certificate's solve at the returned prior was the last read
+            assert list(dag.solves)[-1] == result.worst_prior.weights.tobytes()
+            for key, (value, costs, pairs) in dag.solves.items():
+                assert type(key) is bytes and type(value) is float and type(pairs) is tuple
+                assert all(type(a) is np.ndarray and not a.flags.writeable for a in (costs, *pairs))
             views = [result.policy.tree, solve_bayes(model, seqtest.prior_belief(0.7)).tree]
             assert all(view.dag is dag and view.epochs is dag.epochs for view in views)
             for n, epoch in enumerate(dag.epochs[:-1]):
@@ -755,3 +796,59 @@ class TestBeliefDagCache:
             build_tree(model, seqtest.prior_belief(0.6), node_cap=6)
         assert model.belief_dag is dag
         assert len(build_tree(model, seqtest.prior_belief(0.6), node_cap=7)) == 7
+
+
+class TestSolveMemo:
+    """``solve_bayes`` keeps the DAG's last ``SOLVE_MEMO`` solves by the bits
+    of the prior's weights, and a hit returns them without a backward pass."""
+
+    def test_a_hit_gives_the_bytes_of_a_fresh_solve(self, monkeypatch):
+        rng = np.random.default_rng(1919)
+        passes = counted_passes(monkeypatch)
+        for _ in range(40):
+            model = sparse_model(rng, n_params=int(rng.integers(2, 6)))
+            weights = rng.dirichlet(np.ones(model.n_params))
+            weights[int(rng.integers(model.n_params))] = 0.0
+            prior = Belief(weights / weights.sum())
+            warm = dataclasses.replace(model)
+            first = _outputs(warm, prior)
+            before = len(passes)
+            assert _outputs(warm, prior) == first  # every solve a hit
+            assert len(passes) == before
+            assert _outputs(dataclasses.replace(model), prior) == first
+            assert len(passes) > before
+
+    def test_least_recently_used_solve_is_dropped_first(self, rng, monkeypatch):
+        model = random_model(rng, n_params=3)
+        priors = [random_belief(rng, 3) for _ in range(bayes.SOLVE_MEMO + 1)]
+        for prior in priors[:-1]:
+            solve_bayes(model, prior)
+        solve_bayes(model, priors[0])  # read again: now the most recent
+        passes = counted_passes(monkeypatch)
+        solve_bayes(model, priors[-1])  # the 65th prior drops the least recent, priors[1]
+        assert len(model.belief_dag.solves) == bayes.SOLVE_MEMO
+        solve_bayes(model, priors[0])
+        assert [mu.weights.tobytes() for mu in passes] == [priors[-1].weights.tobytes()]
+        again = solve_bayes(model, priors[1])
+        assert [mu.weights.tobytes() for mu in passes] == [
+            priors[-1].weights.tobytes(), priors[1].weights.tobytes()
+        ]
+        fresh = solve_bayes(dataclasses.replace(model), priors[1])
+        assert again.value == fresh.value
+        assert again.costs.tobytes() == fresh.costs.tobytes()
+
+    def test_costs_and_pairs_are_read_only(self, rng):
+        model = random_model(rng, n_params=3)
+        prior = random_belief(rng, 3)
+        for solution in (solve_bayes(model, prior), solve_bayes(model, prior)):
+            with pytest.raises(ValueError, match="read-only"):
+                solution.costs[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                solution.policy.pairs[0][0] = 0
+
+    def test_figure_sweeps_run_one_pass_per_distinct_prior(self, monkeypatch):
+        # 651 Bayes solves at 169 distinct (model, prior) bits; 651 passes without the memo
+        passes = counted_passes(monkeypatch)
+        for name in ("figure_avar", "figure_entropic"):
+            _figure_rows(parse_config((CONFIG_DIR / f"{name}.cfg").read_text()))
+        assert len(passes) == 169
