@@ -23,7 +23,6 @@ from .bayes import (
     ValueSolution,
     bayes_cost,
     build_tree,
-    evaluate_policy,
     policy_cost_profile,
     solve_bayes,
 )
@@ -35,7 +34,7 @@ from .errors import (
     TrajectoryLimitError,
     TreeSizeLimitError,
 )
-from .model import Belief, ParameterSet, StatisticalMDP, cost_bounds, validate
+from .model import Belief, ParameterSet, StatisticalMDP, validate
 from .oracle import TrajectoryRecord, enumerate_cost, mc_estimate
 from .risk import avar_quantile, entropic_risk, relative_entropy
 
@@ -62,10 +61,8 @@ __all__ = [
     "bayes_cost",
     "build_tree",
     "certify_saddle",
-    "cost_bounds",
     "entropic_risk",
     "enumerate_cost",
-    "evaluate_policy",
     "mc_estimate",
     "policy_cost_profile",
     "relative_entropy",

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import DeterministicPolicy, ValueSolution, bayes_cost, solve_bayes
-from .model import Belief, StatisticalMDP, cost_bounds
+from .model import Belief, StatisticalMDP
 from .risk import avar_quantile, entropic_risk, relative_entropy
 from .search import CUT_SLACK, entropic_master, lp_master
 
@@ -159,7 +159,7 @@ class _Ambiguity:
 
 def _cost_scale(model: StatisticalMDP) -> float:
     """The largest absolute cost bound of the model."""
-    return max(map(abs, cost_bounds(model)))
+    return max(map(abs, model.cost_bounds))
 
 
 def gap_tolerance(model: StatisticalMDP) -> float:
@@ -204,7 +204,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     lo = hi = worst
     if amb.mode != "entropic" and len(amb.support) == 2:
         lo, hi = (
-            worst if e.tobytes() == best_w.tobytes() else amb.embed(model.n_params, e)
+            amb.embed(model.n_params, e)
             for e in _plateau(amb, held, best_w, best_v, slack, best_response)
         )
     # the held planes through the returned prior, to slack, are its Bayes policies

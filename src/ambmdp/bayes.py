@@ -44,13 +44,13 @@ and the prior-weighted mix of the costs at the roots is the Bayes value
 of the policy.  ``solve_bayes`` runs the pass choosing at each node the
 action with the least mix, and so returns the optimal policy together
 with its per-parameter cost profile; the policy's action table is
-computed on first read.  ``evaluate_policy``,
-``bayes_cost`` and ``policy_cost_profile`` run it with the actions of a
-given policy.  A branch is live for a parameter where its kernel entry
-is positive and the branch has a child, so a pruned branch counts for
-nothing and no column is NaN.  A parameter reaches a pruned branch only
-where its likelihood has underflowed to 0, so the branch weighs less
-than about 1e-300 under it.  ``solve_bayes`` keeps its last ``SOLVE_MEMO``
+computed on first read.  ``bayes_cost`` and ``policy_cost_profile``
+run it with the actions of a given policy.  A branch is live for a
+parameter where its kernel entry is positive and the branch has a
+child, so a pruned branch counts for nothing and no column is NaN.  A
+parameter reaches a pruned branch only where its likelihood has
+underflowed to 0, so the branch weighs less than about 1e-300 under
+it.  ``solve_bayes`` keeps its last ``SOLVE_MEMO``
 results on the DAG, keyed by the bytes of the prior's weights, and drops
 the least recently used first: each the value, the read-only costs and the
 chosen pairs, and no model.  A solve is a pure function of the DAG and
@@ -112,9 +112,6 @@ class _BeliefDag:
         self.offsets, self.root_of = offsets, root_of
         self.terminal, self.root_step = terminal, root_step
         self.solves = {}
-
-    def __len__(self) -> int:
-        return int(self.offsets[-1])
 
 
 @dataclass
@@ -445,18 +442,6 @@ def policy_cost_profile(model: StatisticalMDP, policy: DeterministicPolicy) -> n
     if policy.tree.model is not model:
         raise PolicyTreeMismatchError("policy was built for a different model")
     return _backward(model, policy.tree, policy.pairs)[0]
-
-
-def evaluate_policy(
-    model: StatisticalMDP, theta: int, policy: DeterministicPolicy
-) -> float:
-    """Exact expected total cost of ``policy`` when the parameter is
-    ``theta``: backward induction over the tree with probabilities taken
-    from the theta-kernel rather than the predictive mixture.
-    """
-    if theta < 0 or theta >= model.n_params:
-        raise ValueError(f"parameter index {theta} out of range")
-    return float(policy_cost_profile(model, policy)[theta])
 
 
 def bayes_cost(model: StatisticalMDP, policy: DeterministicPolicy, mu: Belief) -> float:

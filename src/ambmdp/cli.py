@@ -116,7 +116,18 @@ class _Entries:
             return self.values[key]
         if required:
             raise ConfigError(f"missing required key {key}")
-        return (default, 0) if default is not None else (None, 0)
+        return (default, 0)
+
+    def integer(self, key: str, minimum: int, default: int | None = None) -> int:
+        """The value of ``key`` as an integer of at least ``minimum``; a key
+        without a default is required."""
+        if default is not None and key not in self.values:
+            return default
+        raw, lineno = self.take(key, required=True)
+        value = _integer(key, raw, lineno)
+        if value < minimum:
+            raise _err(lineno, key, f"must be >= {minimum}")
+        return value
 
     def take_prefixed(self, head: str):
         keys = sorted(self.tables.get(head, ()))
@@ -208,11 +219,7 @@ def _sweep_values(key: str, raw: str, lineno: int) -> tuple[float, ...]:
 
 
 def _parse_seqtest_model(entries: _Entries) -> StatisticalMDP:
-    fields = {}
-    raw, lineno = entries.take("model.horizon", default="1")
-    fields["horizon"] = _integer("model.horizon", raw, lineno)
-    if fields["horizon"] < 0:
-        raise _err(lineno, "model.horizon", "must be >= 0")
+    fields = {"horizon": entries.integer("model.horizon", 0, default=1)}
     for key, attr, check, what in (
         ("model.observation_cost", "observation_cost", lambda v: v >= 0, ">= 0"),
         ("model.error_cost", "error_cost", lambda v: v >= 0, ">= 0"),
@@ -229,10 +236,7 @@ def _parse_seqtest_model(entries: _Entries) -> StatisticalMDP:
 
 
 def _parse_inline_model(entries: _Entries) -> StatisticalMDP:
-    raw, lineno = entries.take("model.horizon", required=True)
-    horizon = _integer("model.horizon", raw, lineno)
-    if horizon < 1:
-        raise _err(lineno, "model.horizon", "must be >= 1")
+    horizon = entries.integer("model.horizon", 1)
     raw, lineno = entries.take("model.states", required=True)
     states = _labels("model.states", raw, lineno)
     raw, lineno = entries.take("model.actions", required=True)
@@ -353,35 +357,25 @@ def parse_config(text: str) -> RunConfig:
     field information on any defect, including model invariant violations."""
     entries = _Entries(text)
 
-    raw, lineno = entries.take("mode", required=True)
-    mode = raw.strip()
+    mode, lineno = entries.take("mode", required=True)
     if mode not in ALL_MODES:
         raise _err(lineno, "mode", f"must be one of {', '.join(ALL_MODES)}")
 
-    raw, lineno = entries.take("model.name", default="seqtest")
-    model_name = raw.strip()
-    if model_name == "seqtest":
+    name, lineno = entries.take("model.name", default="seqtest")
+    if name == "seqtest":
         model = _parse_seqtest_model(entries)
-    elif model_name == "inline":
+    elif name == "inline":
         model = _parse_inline_model(entries)
     else:
-        raise _err(lineno, "model.name", f"must be 'seqtest' or 'inline', got {raw!r}")
+        raise _err(lineno, "model.name", f"must be 'seqtest' or 'inline', got {name!r}")
 
     diagnostics = validate(model)
     if diagnostics:
         listing = "; ".join(diagnostics)
         raise ConfigError(f"model failed validation: {listing}")
 
-    raw, lineno = entries.take("solver.node_cap", default=str(DEFAULT_NODE_CAP))
-    node_cap = _integer("solver.node_cap", raw, lineno)
-    if node_cap < 1:
-        raise _err(lineno, "solver.node_cap", "must be >= 1")
-    raw, lineno = entries.take(
-        "solver.trajectory_cap", default=str(DEFAULT_TRAJECTORY_CAP)
-    )
-    trajectory_cap = _integer("solver.trajectory_cap", raw, lineno)
-    if trajectory_cap < 1:
-        raise _err(lineno, "solver.trajectory_cap", "must be >= 1")
+    node_cap = entries.integer("solver.node_cap", 1, default=DEFAULT_NODE_CAP)
+    trajectory_cap = entries.integer("solver.trajectory_cap", 1, default=DEFAULT_TRAJECTORY_CAP)
     out_path, _ = entries.take("output.path")
 
     gamma = None
@@ -416,22 +410,15 @@ def parse_config(text: str) -> RunConfig:
 
     samples, seed, theta = 10_000, 0, None
     if mode == "simulate":
-        raw, lineno = entries.take("simulate.theta", required=True)
-        label = raw.strip()
+        label, lineno = entries.take("simulate.theta", required=True)
         if label not in model.params.labels:
             raise _err(
                 lineno, "simulate.theta",
                 f"unknown parameter {label!r}; expected one of {model.params.labels}",
             )
         theta = model.params.index(label)
-        raw, lineno = entries.take("simulate.samples", default="10000")
-        samples = _integer("simulate.samples", raw, lineno)
-        if samples < 1:
-            raise _err(lineno, "simulate.samples", "must be >= 1")
-        raw, lineno = entries.take("simulate.seed", default="0")
-        seed = _integer("simulate.seed", raw, lineno)
-        if seed < 0:
-            raise _err(lineno, "simulate.seed", "must be >= 0")
+        samples = entries.integer("simulate.samples", 1, default=10_000)
+        seed = entries.integer("simulate.seed", 0, default=0)
     else:
         for key in ("simulate.theta", "simulate.samples", "simulate.seed"):
             entries.forbid(key, f"not allowed in mode {mode}")
@@ -566,10 +553,6 @@ def _json_text(payload: dict) -> str:
     return "".join((head, '"policy": ', _policy_json(policy), tail, "\n"))
 
 
-def _write_json(path: str, payload: dict):
-    _write(path, _json_text(payload))
-
-
 def _write_csv(path: str, header: tuple, rows) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -597,7 +580,7 @@ def _run_solve(config: RunConfig, out_path: str | None, stdout) -> None:
             file=stdout,
         )
     if out_path:
-        _write_json(out_path, payload)
+        _write(out_path, _json_text(payload))
         print(f"wrote {out_path}", file=stdout)
 
 
@@ -664,21 +647,18 @@ def _run_simulate(
         ))
         print(f"wrote {dump_path} ({len(records)} trajectories)", file=stdout)
     if out_path:
-        _write_json(
-            out_path,
-            {
-                "mode": "simulate",
-                "theta": label,
-                "bayes_value": solution.value,
-                "exact_cost": exact,
-                "mc_mean": mean,
-                "mc_half_width_95": half_width,
-                "samples": config.samples,
-                "seed": config.seed,
-                "trajectories": len(records),
-                "nodes_per_epoch": solution.tree.nodes_per_epoch,
-            },
-        )
+        _write(out_path, _json_text({
+            "mode": "simulate",
+            "theta": label,
+            "bayes_value": solution.value,
+            "exact_cost": exact,
+            "mc_mean": mean,
+            "mc_half_width_95": half_width,
+            "samples": config.samples,
+            "seed": config.seed,
+            "trajectories": len(records),
+            "nodes_per_epoch": solution.tree.nodes_per_epoch,
+        }))
         print(f"wrote {out_path}", file=stdout)
 
 
@@ -761,6 +741,8 @@ def main(argv=None) -> int:
             run(config, out_path=None, dump_path=args.dump_trajectories)
         else:
             run(config, out_path=args.out)
+        if sys.stdout is not None:  # None when descriptor 1 was closed at start
+            sys.stdout.flush()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -768,7 +750,16 @@ def main(argv=None) -> int:
         print(f"solver guard: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        if exc.filename is not None:
+            print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 1
+        print(f"cannot write standard output: {exc.strerror}", file=sys.stderr)
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no descriptor, or closed
+            return 1
+        # the interpreter flushes stdout again on exit; let that write succeed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return 1
     return 0
 

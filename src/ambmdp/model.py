@@ -261,8 +261,3 @@ def validate(model: StatisticalMDP) -> list[str]:
     for k, x in zip(*np.nonzero(~np.isfinite(model.terminal_cost))):
         diags.append(f"terminal cost is not finite (theta={thetas[k]}, state {states[x]})")
     return diags
-
-
-def cost_bounds(model: StatisticalMDP) -> tuple[float, float]:
-    """``model.cost_bounds``."""
-    return model.cost_bounds

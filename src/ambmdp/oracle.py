@@ -2,7 +2,7 @@
 
 ``enumerate_cost`` walks every positive-probability trajectory forward and
 sums probability-weighted total costs; it shares no recursion with the
-backward induction in ``bayes.evaluate_policy`` and is the primary
+backward induction in ``bayes.policy_cost_profile`` and is the primary
 anti-bug oracle for it.  ``mc_estimate`` is a seeded Monte-Carlo rollout
 cross-check that builds one successor table over every decision node of
 the policy's tree and moves a whole batch of samples through it one epoch

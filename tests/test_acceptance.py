@@ -16,7 +16,7 @@ from oracles import avar_dual, bellman_sweep, entropic_dual_value
 
 from ambmdp import seqtest
 from ambmdp.ambiguity import solve_avar, solve_entropic, solve_robust
-from ambmdp.bayes import evaluate_policy, solve_bayes
+from ambmdp.bayes import policy_cost_profile, solve_bayes
 from ambmdp.belief import predictive
 from ambmdp.cli import parse_config, run
 from ambmdp.oracle import enumerate_cost
@@ -136,7 +136,7 @@ def test_criterion_7_oracle_equivalence():
                 policies.append(policy_from(tree, actions))
             for policy in policies:
                 for theta in range(model.n_params):
-                    direct = evaluate_policy(model, theta, policy)
+                    direct = policy_cost_profile(model, policy)[theta]
                     enumerated, _ = enumerate_cost(model, theta, policy)
                     assert abs(direct - enumerated) <= 1e-12
 

@@ -9,8 +9,8 @@ PUBLIC = [
     "ReachableBeliefTree", "SaddleCertificate", "SaddleResult", "StatisticalMDP",
     "TrajectoryLimitError", "TrajectoryRecord", "TreeEpoch", "TreeSizeLimitError",
     "ValueSolution", "avar_quantile", "bayes_cost", "build_tree", "certify_saddle",
-    "cost_bounds", "entropic_risk", "enumerate_cost",
-    "evaluate_policy", "mc_estimate", "policy_cost_profile", "relative_entropy",
+    "entropic_risk", "enumerate_cost",
+    "mc_estimate", "policy_cost_profile", "relative_entropy",
     "solve", "solve_avar", "solve_bayes", "solve_entropic", "solve_robust", "validate",
 ]
 

@@ -22,7 +22,6 @@ from ambmdp.bayes import (
     DeterministicPolicy,
     bayes_cost,
     build_tree,
-    evaluate_policy,
     policy_cost_profile,
     solve_bayes,
 )
@@ -384,7 +383,7 @@ class TestSolutionCosts:
             zero_mass_nodes += int((~weighted.any(axis=1)).sum())
             for theta in range(model.n_params):
                 assert np.isfinite(solution.costs[theta])
-                assert solution.costs[theta] == evaluate_policy(model, theta, solution.policy)
+                assert solution.costs[theta] == policy_cost_profile(model, solution.policy)[theta]
                 exact, _ = enumerate_cost(model, theta, solution.policy)
                 assert solution.costs[theta] == pytest.approx(exact, abs=1e-12)
             assert solution.value == pytest.approx(
@@ -523,14 +522,14 @@ class TestEvaluatePolicy:
     def test_immediate_declaration_costs(self, bench_model):
         tree = build_tree(bench_model, seqtest.prior_belief(0.5))
         policy = declare_first_policy(tree)
-        assert evaluate_policy(bench_model, 0, policy) == pytest.approx(0.0, abs=1e-15)
-        assert evaluate_policy(bench_model, 1, policy) == pytest.approx(10.0, abs=1e-12)
+        assert policy_cost_profile(bench_model, policy)[0] == pytest.approx(0.0, abs=1e-15)
+        assert policy_cost_profile(bench_model, policy)[1] == pytest.approx(10.0, abs=1e-12)
 
     def test_zero_cost_model(self, rng):
         model = random_model(rng, cost_range=(0.0, 0.0))
         solution = solve_bayes(model, random_belief(rng, model.n_params))
         for theta in range(model.n_params):
-            assert evaluate_policy(model, theta, solution.policy) == pytest.approx(
+            assert policy_cost_profile(model, solution.policy)[theta] == pytest.approx(
                 0.0, abs=1e-15
             )
 
@@ -538,22 +537,22 @@ class TestEvaluatePolicy:
         other = random_model(rng)
         solution = solve_bayes(other, random_belief(rng, other.n_params))
         with pytest.raises(PolicyTreeMismatchError):
-            evaluate_policy(bench_model, 0, solution.policy)
+            policy_cost_profile(bench_model, solution.policy)
 
     def test_policy_must_cover_every_decision_node(self, bench_model):
         tree = build_tree(bench_model, seqtest.prior_belief(0.5))
         actions = declare_first_policy(tree).actions.copy()
         actions[tree.dag.root_of[seqtest.STATES.index("start")]] = -1
         with pytest.raises(PolicyTreeMismatchError, match="node"):
-            evaluate_policy(bench_model, 0, DeterministicPolicy(tree=tree, actions=actions))
+            policy_cost_profile(bench_model, DeterministicPolicy(tree=tree, actions=actions))
         with pytest.raises(PolicyTreeMismatchError):
-            evaluate_policy(bench_model, 0, DeterministicPolicy(tree=tree, actions=actions[1:]))
+            policy_cost_profile(bench_model, DeterministicPolicy(tree=tree, actions=actions[1:]))
 
     def test_pruned_branch_theta_never_reaches_is_not_an_error(self):
         model = unreached_pruned_branch_model()
         solution = solve_bayes(model, Belief(np.array([0.5, 0.5])))
         for theta, cost in ((0, 3.0), (1, 3.0)):
-            assert evaluate_policy(model, theta, solution.policy) == cost
+            assert policy_cost_profile(model, solution.policy)[theta] == cost
             assert enumerate_cost(model, theta, solution.policy)[0] == cost
             assert mc_estimate(model, theta, solution.policy, samples=100, seed=0)[0] == cost
         assert policy_cost_profile(model, solution.policy).tolist() == [3.0, 3.0]
@@ -566,11 +565,11 @@ class TestEvaluatePolicy:
         model = unreached_pruned_branch_model()
         point = Belief(np.array([1.0, 0.0]))
         solution = solve_bayes(model, point)
-        assert evaluate_policy(model, 1, solution.policy) == 3.0
+        assert policy_cost_profile(model, solution.policy)[1] == 3.0
         assert enumerate_cost(model, 1, solution.policy)[0] == 3.0
         assert mc_estimate(model, 1, solution.policy, samples=100, seed=0)[0] == 3.0
         assert policy_cost_profile(model, solution.policy).tolist() == [3.0, 3.0]
-        assert evaluate_policy(model, 0, solution.policy) == 3.0
+        assert policy_cost_profile(model, solution.policy)[0] == 3.0
         assert bayes_cost(model, solution.policy, point) == 3.0
         nudge = 1e-9
         nudged = solve_bayes(model, Belief((1.0 - nudge) * point.weights + nudge / 2))
@@ -584,7 +583,7 @@ class TestBayesCost:
         solution = solve_bayes(model, random_belief(rng, model.n_params))
         mu = Belief.point_mass(model.n_params, 1)
         assert bayes_cost(model, solution.policy, mu) == pytest.approx(
-            evaluate_policy(model, 1, solution.policy), abs=1e-13
+            policy_cost_profile(model, solution.policy)[1], abs=1e-13
         )
 
     def test_optimal_policy_cost_matches_solver_value(self, rng):
@@ -706,7 +705,7 @@ class TestBeliefDagCache:
         assert a.tree.offsets is b.tree.offsets is model.belief_dag.offsets
         assert a.tree.belief is not b.tree.belief
         assert not np.array_equal(a.tree.belief, b.tree.belief)
-        assert a.tree.belief.shape == (len(model.belief_dag), 3)
+        assert a.tree.belief.shape == (len(a.tree), 3)
 
     def test_view_normalizes_beliefs_on_first_read(self, rng):
         # the CLI builds the DAG and drops the view; a view that only

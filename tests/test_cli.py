@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -248,6 +249,35 @@ CONFIG_ERRORS = {
     ),
 }
 
+#: per integer key: the key, a config that leaves it out, its least value,
+#: its default (None where the key is required) and where the parse keeps it
+INTEGER_KEYS = {
+    "seqtest-horizon": (
+        # the built model adds the declaration epoch
+        "model.horizon", ENTROPIC_CONFIG.replace("model.horizon = 1\n", ""), 0, 1,
+        lambda config: config.model.horizon - 1,
+    ),
+    "inline-horizon": (
+        "model.horizon", INLINE_CONFIG.replace("model.horizon = 1\n", ""), 1, None,
+        lambda config: config.model.horizon,
+    ),
+    "node-cap": (
+        "solver.node_cap", ENTROPIC_CONFIG, 1, 10_000_000, lambda config: config.node_cap,
+    ),
+    "trajectory-cap": (
+        "solver.trajectory_cap", ENTROPIC_CONFIG, 1, 1_000_000,
+        lambda config: config.trajectory_cap,
+    ),
+    "simulate-samples": (
+        "simulate.samples", SIMULATE_CONFIG.replace("simulate.samples = 2000\n", ""), 1,
+        10_000, lambda config: config.samples,
+    ),
+    "simulate-seed": (
+        "simulate.seed", SIMULATE_CONFIG.replace("simulate.seed = 7\n", ""), 0, 0,
+        lambda config: config.seed,
+    ),
+}
+
 
 class TestParseConfig:
     def test_minimal_entropic_fills_defaults(self):
@@ -308,6 +338,26 @@ class TestParseConfig:
         bad = ENTROPIC_CONFIG + f"{key} = {value}\n"
         with pytest.raises(ConfigError, match=rf"line 8: {key}: must be >= 1"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("case", ("literal", "below", "minimum", "absent"))
+    @pytest.mark.parametrize("name", INTEGER_KEYS)
+    def test_integer_key(self, name, case):
+        # the key is set on the line after the rest of the config
+        key, text, minimum, default, read = INTEGER_KEYS[name]
+        line = len(text.splitlines()) + 1
+        value = {"literal": "2.5", "below": str(minimum - 1), "minimum": str(minimum)}
+        if case != "absent":
+            text += f"{key} = {value[case]}\n"
+        if case == "minimum" or (case == "absent" and default is not None):
+            assert read(parse_config(text)) == (minimum if case == "minimum" else default)
+            return
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == {
+            "literal": f"line {line}: {key}: not an integer: '2.5'",
+            "below": f"line {line}: {key}: must be >= {minimum}",
+            "absent": f"missing required key {key}",
+        }[case]
 
     def test_missing_required_key(self):
         bad = ENTROPIC_CONFIG.replace("solver.gamma = 0.1", "")
@@ -905,6 +955,33 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err == f"cannot write {out}: No such file or directory\n"
         assert captured.out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flags", ([], ["-u"]), ids=("block-buffered", "unbuffered"))
+    def test_full_stdout_exits_one(self, tmp_path, flags):
+        # block-buffered, the write fails at the flush; the interpreter's own
+        # flush at exit must not fail again
+        path = self.write(tmp_path, ENTROPIC_CONFIG)
+        env = {**os.environ, "PYTHONPATH": str(Path(ambmdp.__file__).resolve().parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "ambmdp.cli", "solve", "--config", path],
+                stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        assert (done.returncode, done.stderr) == (
+            1, "cannot write standard output: No space left on device\n"
+        )
+
+    def test_broken_pipe_on_stdout_exits_one(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        path = self.write(tmp_path, ENTROPIC_CONFIG)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err == "cannot write standard output: Broken pipe\n"
 
     def test_output_check_creates_and_truncates_nothing(self, tmp_path, capsys):
         # the tree guard refuses the run after the output path is checked

@@ -3,8 +3,8 @@ import pytest
 from helpers import random_belief, random_model
 
 from ambmdp import seqtest
-from ambmdp.bayes import build_tree, evaluate_policy, solve_bayes
-from ambmdp.model import Belief, ParameterSet, StatisticalMDP, cost_bounds, validate
+from ambmdp.bayes import build_tree, policy_cost_profile, solve_bayes
+from ambmdp.model import Belief, ParameterSet, StatisticalMDP, validate
 
 
 def two_state_model(row=(0.5, 0.5)):
@@ -226,7 +226,7 @@ class TestCostBounds:
         # true per-trajectory extrema for two observations then a forced
         # declaration: best 0, worst 1 + 1 + 10
         model = seqtest.build_model(seqtest.SeqTestConfig(horizon=2))
-        lo, hi = cost_bounds(model)
+        lo, hi = model.cost_bounds
         assert lo <= 0.0 and hi >= 12.0
 
     def test_zero_cost_model(self):
@@ -242,7 +242,7 @@ class TestCostBounds:
             stage_cost=np.zeros_like(model.stage_cost),
             terminal_cost=np.zeros_like(model.terminal_cost),
         )
-        assert cost_bounds(zero) == (0.0, 0.0)
+        assert zero.cost_bounds == (0.0, 0.0)
 
     def test_single_epoch_bounds(self):
         # stage costs 2 and 5 for the two actions, terminal cost 1
@@ -259,20 +259,20 @@ class TestCostBounds:
             stage_cost=np.array([[[[2.0, 5.0]]]]),
             terminal_cost=np.array([[1.0]]),
         )
-        assert cost_bounds(model) == (3.0, 6.0)
+        assert model.cost_bounds == (3.0, 6.0)
 
     def test_bounds_bracket_every_policy_value(self, rng):
         from helpers import enumerate_policies, policy_count
 
         for _ in range(5):
             model = random_model(rng, n_states=2, n_actions=2, horizon=2, n_params=2)
-            lo, hi = cost_bounds(model)
+            lo, hi = model.cost_bounds
             tree = build_tree(model, random_belief(rng, 2))
             if policy_count(tree) > 64:
                 continue
             for policy in enumerate_policies(tree):
                 for theta in range(model.n_params):
-                    value = evaluate_policy(model, theta, policy)
+                    value = policy_cost_profile(model, policy)[theta]
                     assert lo - 1e-9 <= value <= hi + 1e-9
 
 
@@ -305,4 +305,4 @@ class TestConstruction:
             terminal_cost=np.array([[1.0, 3.0]]),
         )
         assert validate(model) == []
-        assert cost_bounds(model) == (1.0, 3.0)
+        assert model.cost_bounds == (1.0, 3.0)

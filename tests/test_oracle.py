@@ -3,7 +3,7 @@ import pytest
 from helpers import random_belief, random_model
 
 from ambmdp import oracle, seqtest
-from ambmdp.bayes import evaluate_policy, solve_bayes
+from ambmdp.bayes import policy_cost_profile, solve_bayes
 from ambmdp.errors import TrajectoryLimitError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from ambmdp.oracle import enumerate_cost, mc_estimate
@@ -95,7 +95,7 @@ class TestEnumerateCost:
         for theta in range(2):
             value, _ = enumerate_cost(bench_model, theta, solution.policy)
             assert value == pytest.approx(
-                evaluate_policy(bench_model, theta, solution.policy), abs=1e-12
+                policy_cost_profile(bench_model, solution.policy)[theta], abs=1e-12
             )
 
     def test_matches_backward_induction_on_random_models(self, rng):
@@ -106,7 +106,7 @@ class TestEnumerateCost:
             theta = int(rng.integers(model.n_params))
             value, records = enumerate_cost(model, theta, solution.policy)
             assert value == pytest.approx(
-                evaluate_policy(model, theta, solution.policy), abs=1e-12
+                policy_cost_profile(model, solution.policy)[theta], abs=1e-12
             )
             total = sum(r.probability for r in records)
             assert total == pytest.approx(1.0, abs=1e-10)
