@@ -27,23 +27,35 @@ above, the objective at each best response bounds it from below, and the
 loop stops when the bounds meet to float slack.  Deterministic policies are finite, so the loop
 ends after finitely many steps with the exact maximum.
 
+A two-parameter entropic solve starts from its support's segment planes,
+the first round of the sandwich rule: the Bayes planes at both point
+masses and, when those differ, at their crossing, solved once per DAG and
+support and kept on the DAG.  The loop always takes a master step after
+the reference best response and certifies its answer by its own stop
+rule.  Only there are seeds exact to the bit: that objective is strictly
+concave and its master exact, so extra cuts change the path, not the
+maximizer.  An avar or robust argmax can be a face, where the LP master's
+vertex depends on the cuts held, and the master of three or more
+parameters is not exact to the bit.
+
 Every solve returns the loop's best prior, the first best response with
 the largest objective, as the ``Belief`` that response was solved at; by
 the minimax theorem any maximizer with a certified Bayes policy is an
 answer.  Of the held planes through that prior, to the loop's slack, it
-returns the policy of least dual risk (the first on a tie), with its cost
-profile and its dual risk minus the outer value as the duality gap.  The
-best response there is among them, so the gap never exceeds that of the
-Bayes tie-break's policy.  Every Bayes solve runs over the model's one
-belief DAG, which holds the branches of every parameter, so cost profiles
-are exact even at priors that give a parameter zero weight.  By the same
-duality the prior side of the saddle certificate is exact and costs O(K):
-the supremum over the feasible priors of mu . C - penalty(mu) is the dual
-risk of C, so ``certify_saddle`` compares that with the objective at the
-returned prior.  Its policy side needs the Bayes value at that prior,
-which the loop has computed: ``solve_bayes`` keeps its last 64 solves on
-the model's DAG, keyed by the prior's bits, and answers it with no second
-pass.  Both sides allow slack in proportion to the model's cost scale.
+returns the policy of least dual risk (the first on a tie), viewed at that
+prior, with its cost profile and its dual risk minus the outer value as
+the duality gap.  The best response there is among them, so the gap never
+exceeds that of the Bayes tie-break's policy.  Every Bayes solve runs over
+the model's one belief DAG, which holds the branches of every parameter,
+so cost profiles are exact even at priors that give a parameter zero
+weight.  By the same duality the prior side of the saddle certificate is
+exact and costs O(K): the supremum over the feasible priors of mu . C -
+penalty(mu) is the dual risk of C, so ``certify_saddle`` compares that
+with the objective at the returned prior.  Its policy side needs the Bayes
+value at that prior, which the loop has computed: ``solve_bayes`` keeps
+its last 64 solves on the model's DAG, keyed by the prior's bits, and
+answers it with no second pass.  Both sides allow slack in proportion to
+the model's cost scale.
 
 Plateaus: the avar and robust argmax can be a face.  With two support
 parameters the planes are intersected with the line (s, 1 - s) of
@@ -75,8 +87,9 @@ class SaddleResult:
     ``worst_prior_lo`` / ``worst_prior_hi`` are the plateau edges of an
     avar or robust solve with two support parameters, on the line of its
     feasible priors; every other solve reports ``worst_prior`` in both.
-    ``trace`` records every prior at which a best response was computed,
-    with its outer objective value.
+    ``trace`` records every prior at which this solve computed a best
+    response, with its outer objective value; seed solves are not in it.
+    ``policy`` is viewed at ``worst_prior``.
     """
 
     mode: str
@@ -168,30 +181,54 @@ def gap_tolerance(model: StatisticalMDP) -> float:
     return PRIOR_SIDE_SLACK * _cost_scale(model)
 
 
+def _segment_planes(model: StatisticalMDP, amb: _Ambiguity) -> tuple:
+    """The read-only (costs, pairs) of the segment planes of a two-parameter
+    support (see the module docstring), solved once per DAG and support."""
+    planes = getattr(model.belief_dag, "segments", {}).get(amb.support)
+    if planes is None:
+        ends = [solve_bayes(model, amb.embed(model.n_params, w)) for w in np.eye(2)]
+        (a0, a1), (b0, b1) = (end.costs.take(amb.index).tolist() for end in ends)
+        bend = a0 - a1 - b0 + b1  # the slope in s of plane a minus that of plane b
+        s = (b1 - a1) / bend if bend else 0.0
+        if 0.0 < s < 1.0:
+            ends.append(solve_bayes(model, amb.embed(model.n_params, np.array([s, 1.0 - s]))))
+        planes = tuple((end.costs, end.policy.pairs) for end in ends)
+        model.belief_dag.segments[amb.support] = planes
+    return planes
+
+
 def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     """The cutting-plane loop, then the plateau edges and the result."""
     slack = CUT_SLACK * _cost_scale(model)
     trace: list[tuple[Belief, float]] = []
     cuts = np.empty((0, len(amb.support)))  # a row per held plane
-    held = []  # the best-response solve behind each cut
+    held = []  # the (costs, pairs) behind each cut
+
+    def hold(costs: np.ndarray, pairs: tuple) -> bool:
+        """Add the plane unless a held one lies within slack; whether it did."""
+        nonlocal cuts
+        cut = costs.take(amb.index)
+        fresh = not held or float(np.abs(cuts - cut).max(axis=1).min()) > slack
+        if fresh:
+            cuts = np.vstack((cuts, cut))
+            held.append((costs, pairs))
+        return fresh
 
     def best_response(w: np.ndarray) -> tuple[float, bool, ValueSolution]:
         """Outer objective at the prior w, whether the best response's
         plane was new (and added), and the best response's solve."""
-        nonlocal cuts
         mu = amb.embed(model.n_params, w)
         solution = solve_bayes(model, mu)
         value = solution.value - amb.penalty(mu)
         trace.append((mu, value))
-        cut = solution.costs.take(amb.index)
-        fresh = not held or float(np.abs(cuts - cut).max(axis=1).min()) > slack
-        if fresh:
-            cuts = np.vstack((cuts, cut))
-            held.append(solution)
-        return value, fresh, solution
+        return value, hold(solution.costs, solution.policy.pairs), solution
 
+    if amb.mode == "entropic" and len(amb.support) == 2:
+        for plane in _segment_planes(model, amb):
+            hold(*plane)
     best_w = w = amb.reference
-    best_v, fresh, best = best_response(w)
+    best_v, _, best = best_response(w)
+    fresh = True  # one master step, even when the reference plane is a seed
     while fresh:
         w, upper = amb.master(cuts)
         if upper - best_v <= slack:
@@ -209,8 +246,8 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
         )
     # the held planes through the returned prior, to slack, are its Bayes policies
     heights = cuts @ best_w
-    tied = [s for s, h in zip(held, heights) if h <= heights.min() + slack]
-    solution, risk = min(((s, amb.dual_risk(s.costs)) for s in tied), key=lambda sr: sr[1])
+    tied = [plane for plane, h in zip(held, heights) if h <= heights.min() + slack]
+    (costs, pairs), risk = min(((p, amb.dual_risk(p[0])) for p in tied), key=lambda pr: pr[1])
     raw_gap = risk - best_v
     if raw_gap < -gap_tolerance(model):
         raise RuntimeError(
@@ -222,13 +259,13 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
         worst_prior=worst,
         worst_prior_lo=lo,
         worst_prior_hi=hi,
-        policy=solution.policy,
+        policy=DeterministicPolicy.from_pairs(best.tree, pairs),
         value=best_v,
         gap=max(raw_gap, 0.0),
         gamma=amb.gamma,
         base_prior=amb.base,
         support=amb.support,
-        cost_profile=solution.costs,
+        cost_profile=costs,
         trace=tuple(trace),
     )
 
@@ -238,7 +275,7 @@ def _plateau(
 ):
     """Plateau edges (as support weights) on the line a + s d = (s, 1 - s)
     of the feasible priors of two support parameters; the planes are the
-    support costs of the ``held`` solves, which the edges' best responses
+    support costs of the ``held`` planes, which the edges' best responses
     extend.
 
     The edges are where the lowest plane falls below the best value.  A
@@ -254,7 +291,7 @@ def _plateau(
 
     def interval() -> tuple[float, float]:
         left, right = bounds
-        for cut in (solution.costs.take(amb.index) for solution in held):
+        for cut in (costs.take(amb.index) for costs, _ in held):
             excess, slope = float(best_w @ cut) - best_v, float(d @ cut)
             excess = 0.0 if excess <= slack else excess
             if slope > slack:

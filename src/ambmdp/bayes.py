@@ -54,7 +54,8 @@ it.  ``solve_bayes`` keeps its last ``SOLVE_MEMO``
 results on the DAG, keyed by the bytes of the prior's weights, and drops
 the least recently used first: each the value, the read-only costs and the
 chosen pairs, and no model.  A solve is a pure function of the DAG and
-those bytes, so a hit, which runs no pass, never changes a result.
+those bytes, so a hit, which runs no pass, never changes a result.  Each
+two-parameter support's segment planes are kept beside it the same way.
 """
 
 from __future__ import annotations
@@ -103,15 +104,17 @@ class _BeliefDag:
     in; and the backward pass's terminal columns and root step.  Arrays
     only, and read-only: every view of the DAG shares them.  ``solves``
     maps the bytes of a prior's weights to the last ``SOLVE_MEMO`` Bayes
-    solves, least recently used first: each (value, costs, chosen pairs)."""
+    solves, least recently used first: each (value, costs, chosen pairs).
+    ``segments`` maps a support to its segment planes (see ``ambiguity``)."""
 
-    __slots__ = ("epochs", "likelihood", "offsets", "root_of", "terminal", "root_step", "solves")
+    __slots__ = ("epochs", "likelihood", "offsets", "root_of", "terminal", "root_step",
+                 "solves", "segments")
 
     def __init__(self, epochs, likelihood, offsets, root_of, terminal, root_step):
         self.epochs, self.likelihood = epochs, likelihood
         self.offsets, self.root_of = offsets, root_of
         self.terminal, self.root_step = terminal, root_step
-        self.solves = {}
+        self.solves, self.segments = {}, {}
 
 
 @dataclass
@@ -155,6 +158,13 @@ class DeterministicPolicy:
 
     def __init__(self, tree: ReachableBeliefTree, actions: np.ndarray):
         self.tree, self.actions = tree, actions
+
+    @classmethod
+    def from_pairs(cls, tree: ReachableBeliefTree, pairs: tuple) -> DeterministicPolicy:
+        """The policy choosing ``pairs`` on ``tree``; actions on first read."""
+        policy = cls.__new__(cls)
+        policy.tree, policy.pairs = tree, pairs
+        return policy
 
     @cached_property
     def actions(self) -> np.ndarray:
@@ -432,9 +442,7 @@ def solve_bayes(model: StatisticalMDP, prior: Belief) -> ValueSolution:
         if len(solves) == SOLVE_MEMO:
             del solves[next(iter(solves))]
     value, costs, chosen = solves[key] = entry  # now the most recently used
-    policy = DeterministicPolicy.__new__(DeterministicPolicy)
-    policy.tree, policy.pairs = tree, chosen  # actions on first read
-    return ValueSolution(tree, value, policy, costs)
+    return ValueSolution(tree, value, DeterministicPolicy.from_pairs(tree, chosen), costs)
 
 
 def policy_cost_profile(model: StatisticalMDP, policy: DeterministicPolicy) -> np.ndarray:

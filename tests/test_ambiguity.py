@@ -8,7 +8,7 @@ import pytest
 from helpers import counted_passes, random_model, simplex_lattice
 from oracles import entropic_objective, within_avar_caps
 
-from ambmdp import search, seqtest
+from ambmdp import ambiguity, search, seqtest
 from ambmdp.ambiguity import (
     certify_saddle,
     gap_tolerance,
@@ -21,7 +21,7 @@ from ambmdp.bayes import DeterministicPolicy, build_tree, solve_bayes
 from ambmdp.cli import parse_config
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from ambmdp.risk import avar_quantile, entropic_risk, relative_entropy
-from ambmdp.search import entropic_master
+from ambmdp.search import CUT_SLACK, entropic_master
 
 
 def kl_two_point(mu, mu0):
@@ -874,7 +874,8 @@ class TestEntropicMaster:
 
     def test_master_work_on_a_figure_row(self, bench_model, monkeypatch):
         # a figure row's masters have two parameters and make no line
-        # search; a three-parameter solve still takes the Newton path
+        # search, and the segment planes leave one best response after the
+        # reference; a three-parameter solve still takes the Newton path
         calls, newton_line = [], search._newton_line
 
         def counted(*args):
@@ -884,7 +885,140 @@ class TestEntropicMaster:
         monkeypatch.setattr(search, "_newton_line", counted)
         result = solve_entropic(bench_model, seqtest.prior_belief(0.2), 0.75)
         assert result.value == pytest.approx(entropic_closed_form(0.2, 0.75)[1], abs=1e-9)
-        assert len(result.trace) > 2 and not calls
+        assert len(result.trace) == 2 and not calls
         model = random_model(np.random.default_rng(0), n_params=3, horizon=2)
         solve_entropic(model, Belief(np.ones(3) / 3), 2.0)
         assert 1 <= len(calls) <= 20
+
+
+def _result_bits(result) -> list:
+    """What a saddle solve reports, every float as its bytes."""
+    return [
+        np.float64(result.value).tobytes(), np.float64(result.gap).tobytes(),
+        result.worst_prior.weights.tobytes(), result.cost_profile.tobytes(),
+        result.policy.actions.tobytes(),
+        [(mu.weights.tobytes(), np.float64(v).tobytes()) for mu, v in result.trace],
+    ]
+
+
+def _plain_solve(model, mode, prior, gamma):
+    """``solve`` with no segment planes: the unseeded cutting-plane loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ambiguity, "_segment_planes", lambda model, amb: ())
+        return solve(model, mode, prior, gamma)
+
+
+def _segment_crossings(planes) -> list[float]:
+    """The kinks of the lower envelope of two-parameter planes, left to right."""
+    cuts = sorted((c[:2].tolist() for c, _ in planes), key=lambda c: c[1] - c[0])
+    return [(b1 - a1) / (a0 - a1 - b0 + b1) for (a0, a1), (b0, b1) in zip(cuts, cuts[1:])]
+
+
+class TestSegmentPlanes:
+    """Two-parameter entropic solves start from the segment planes: the
+    Bayes planes at both point masses and at their crossing, solved once per
+    DAG and support.  The loop still certifies its own answer, so the seeds
+    change its path, never what it returns beyond the loop's slack."""
+
+    def test_seeded_loop_is_no_worse_than_the_plain_one(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        models = []
+        for i in range(10):
+            e, a, h = (int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 4)))
+            models.append(random_model(
+                rng, n_states=e, n_actions=a, horizon=h, n_params=2, full_feasible=bool(i % 2)
+            ))
+        models += [seqtest.build_model(seqtest.SeqTestConfig(horizon=h)) for h in (1, 2)]
+        passes = counted_passes(monkeypatch)
+        certified = {"seeded": 0, "plain": 0}
+        for model in models:
+            slack = CUT_SLACK * max(map(abs, model.cost_bounds))
+            for mu0 in (0.05, 0.5):
+                prior = seqtest.prior_belief(mu0)
+                for gamma in (1e-3, 0.1, 0.7, 3.0, 30.0, 1e3):
+                    runs = {}
+                    for name, run in (("seeded", solve), ("plain", _plain_solve)):
+                        fresh = dataclasses.replace(model)
+                        before = len(passes)
+                        result = run(fresh, "entropic", prior, gamma)
+                        cert = certify_saddle(fresh, result)
+                        certified[name] += cert.mu_side_ok and cert.pi_side_ok
+                        runs[name] = result, len(passes) - before
+                    (seeded, seeded_passes), (plain, plain_passes) = runs.values()
+                    assert seeded.value >= plain.value - slack, (mu0, gamma)
+                    assert seeded.gap <= plain.gap + slack, (mu0, gamma)
+                    # the first solve on a model pays at most the 3 seed passes
+                    assert seeded_passes <= plain_passes + 3, (mu0, gamma)
+        assert certified["seeded"] >= certified["plain"] > 0
+
+    @pytest.mark.parametrize("horizon", (1, 4, 16))
+    def test_seqtest_has_three_planes_with_the_plateau_kinks(self, horizon):
+        model = seqtest.build_model(seqtest.SeqTestConfig(horizon=horizon))
+        amb = ambiguity._Ambiguity("entropic", (0, 1), seqtest.prior_belief(0.3), 1.0)
+        planes = ambiguity._segment_planes(model, amb)
+        assert len(planes) == 3
+        assert model.belief_dag.segments[(0, 1)] is planes
+        assert ambiguity._segment_planes(model, amb) is planes  # solved once
+        lo, hi = _segment_crossings(planes)
+        assert lo == pytest.approx(seqtest.CONTINUE_LO, abs=1e-12)
+        assert hi == pytest.approx(seqtest.CONTINUE_HI, abs=1e-12)
+        s = np.linspace(0.0, 1.0, 201)
+        envelope = np.min([s * c[0] + (1.0 - s) * c[1] for c, _ in planes], axis=0)
+        assert np.abs(envelope - [seqtest.optimal_value(t) for t in s]).max() <= 1e-12
+
+    def test_without_the_crossing_plane_every_figure_row_keeps_the_closed_form(
+        self, monkeypatch
+    ):
+        # the loop finds the plateau's plane itself
+        real, seeds = ambiguity._segment_planes, []
+
+        def ends_only(model, amb):
+            seeds.append(real(model, amb)[:2])
+            return seeds[-1]
+
+        monkeypatch.setattr(ambiguity, "_segment_planes", ends_only)
+        config = parse_config((CONFIG_DIR / "figure_entropic.cfg").read_text())
+        model = config.model
+        rows = 0
+        for mu0 in config.prior_sweep:
+            for gamma in config.gamma_sweep:
+                if gamma == 0.0:
+                    continue
+                result = solve_entropic(model, seqtest.prior_belief(mu0), gamma)
+                t, value = entropic_closed_form(mu0, gamma)
+                assert abs(result.worst_prior.weights[0] - t) <= 1e-9, (mu0, gamma)
+                assert abs(result.value - value) <= 1e-9, (mu0, gamma)
+                rows += 1
+        assert rows == 120 and all(len(s) == 2 for s in seeds)
+
+    def test_shuffled_grid_and_fresh_models_give_the_same_bits(self):
+        config = parse_config((CONFIG_DIR / "figure_entropic.cfg").read_text())
+        grid = [(mu0, g) for mu0 in config.prior_sweep for g in config.gamma_sweep if g > 0.0]
+        order = np.random.default_rng(5).permutation(len(grid))
+        model = dataclasses.replace(config.model)
+        shared = {}
+        for i in order.tolist():
+            mu0, gamma = grid[i]
+            shared[i] = _result_bits(solve_entropic(model, seqtest.prior_belief(mu0), gamma))
+        for i, (mu0, gamma) in enumerate(grid):
+            fresh = dataclasses.replace(config.model)
+            assert _result_bits(solve_entropic(fresh, seqtest.prior_belief(mu0), gamma)) == (
+                shared[i]
+            ), (mu0, gamma)
+
+
+class TestPolicyView:
+    """The returned policy is viewed at the returned prior, so its table's
+    beliefs are the posteriors under ``worst_prior``, whichever best
+    response or seed first held its plane."""
+
+    def test_policy_tree_prior_is_the_worst_prior(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            k = int(rng.integers(2, 5))
+            model = random_model(rng, n_states=2, n_actions=2, horizon=2, n_params=k)
+            base = Belief(rng.dirichlet(np.ones(k)))
+            for mode, gamma in (("entropic", 0.5), ("entropic", 5.0), ("avar", 0.5), ("robust", None)):
+                result = solve(model, mode, base, gamma)
+                assert result.policy.tree.prior == result.worst_prior, (k, mode)
+                assert certify_saddle(model, result).pi_side_ok, (k, mode)

@@ -749,8 +749,9 @@ class TestBeliefDagCache:
 
     def test_solved_model_is_freed_by_its_last_reference(self):
         # a figure sweep, an outer solve and its certificate leave on the
-        # DAG its read-only arrays and a memo of (value, costs, pairs)
-        # entries, keyed by prior bytes, that hold no model
+        # DAG its read-only arrays, a memo of (value, costs, pairs) entries,
+        # keyed by prior bytes, and the segment planes of each two-parameter
+        # support, none of which holds a model
         gc.disable()
         try:
             config = parse_config((CONFIG_DIR / "figure_avar.cfg").read_text())
@@ -778,6 +779,15 @@ class TestBeliefDagCache:
                 nodes = np.arange(epoch.state.size)
                 assert np.array_equal(epoch.pair_node[epoch.first_pair], nodes)
             assert not any(a.flags.writeable for a in (dag.terminal, *dag.root_step))
+            # the entropic solve's segment planes: read-only (costs, pairs) only
+            assert type(dag.segments) is dict and list(dag.segments) == [(0, 1)]
+            for planes in dag.segments.values():
+                assert type(planes) is tuple and len(planes) == 3
+                for costs, pairs in planes:
+                    assert type(pairs) is tuple
+                    assert all(
+                        type(a) is np.ndarray and not a.flags.writeable for a in (costs, *pairs)
+                    )
             del config, model, result, dag, views
             assert ref() is None
         finally:
@@ -846,8 +856,9 @@ class TestSolveMemo:
                 solution.policy.pairs[0][0] = 0
 
     def test_figure_sweeps_run_one_pass_per_distinct_prior(self, monkeypatch):
-        # 651 Bayes solves at 169 distinct (model, prior) bits; 651 passes without the memo
+        # the 169 distinct (model, prior) bits of 651 Bayes solves before the
+        # two-parameter entropic solves started from their segment planes
         passes = counted_passes(monkeypatch)
         for name in ("figure_avar", "figure_entropic"):
             _figure_rows(parse_config((CONFIG_DIR / f"{name}.cfg").read_text()))
-        assert len(passes) == 169
+        assert len(passes) == 57
