@@ -30,7 +30,8 @@ ends after finitely many steps with the exact maximum.
 A two-parameter entropic solve starts from its support's segment planes,
 the first round of the sandwich rule: the Bayes planes at both point
 masses and, when those differ, at their crossing, solved once per DAG and
-support and kept on the DAG.  The loop always takes a master step after
+support and kept on the DAG, deduplicated to the loop's slack and stacked
+into their cut matrix once.  The loop always takes a master step after
 the reference best response and certifies its answer by its own stop
 rule.  Only there are seeds exact to the bit: that objective is strictly
 concave and its master exact, so extra cuts change the path, not the
@@ -51,10 +52,11 @@ so cost profiles are exact even at priors that give a parameter zero
 weight.  By the same duality the prior side of the saddle certificate is
 exact and costs O(K): the supremum over the feasible priors of mu . C -
 penalty(mu) is the dual risk of C, so ``certify_saddle`` compares that
-with the objective at the returned prior.  Its policy side needs the Bayes
-value at that prior, which the loop has computed: ``solve_bayes`` keeps
-its last 64 solves on the model's DAG, keyed by the prior's bits, and
-answers it with no second pass.  Both sides allow slack in proportion to
+with the objective at the returned prior.  Its policy side compares the
+returned policy's Bayes cost there with the Bayes value, and the DAG's
+memos answer both: ``solve_bayes`` with the loop's own solve, by the
+prior's bits, and ``policy_cost_profile`` with each distinct policy's one
+evaluation pass, by its pairs.  Both sides allow slack in proportion to
 the model's cost scale.
 
 Plateaus: the avar and robust argmax can be a face.  With two support
@@ -181,51 +183,59 @@ def gap_tolerance(model: StatisticalMDP) -> float:
     return PRIOR_SIDE_SLACK * _cost_scale(model)
 
 
-def _segment_planes(model: StatisticalMDP, amb: _Ambiguity) -> tuple:
+def _hold(
+    held: list, cuts: np.ndarray, solution: ValueSolution, amb: _Ambiguity, slack: float
+) -> np.ndarray:
+    """``cuts`` with the solution's support costs as a new row, and its
+    (costs, pairs) appended to ``held``, unless a row lies within slack."""
+    cut = solution.costs.take(amb.index)
+    if len(cuts) and float(np.abs(cuts - cut).max(axis=1).min()) <= slack:
+        return cuts
+    held.append((solution.costs, solution.policy.pairs))
+    return np.vstack((cuts, cut))
+
+
+def _segment_planes(model: StatisticalMDP, amb: _Ambiguity) -> tuple[tuple, np.ndarray]:
     """The read-only (costs, pairs) of the segment planes of a two-parameter
-    support (see the module docstring), solved once per DAG and support."""
-    planes = getattr(model.belief_dag, "segments", {}).get(amb.support)
-    if planes is None:
+    support (see the module docstring), each unless an earlier one lies
+    within the loop's slack, and their read-only cut matrix."""
+    seeds = getattr(model.belief_dag, "segments", {}).get(amb.support)
+    if seeds is None:
         ends = [solve_bayes(model, amb.embed(model.n_params, w)) for w in np.eye(2)]
         (a0, a1), (b0, b1) = (end.costs.take(amb.index).tolist() for end in ends)
         bend = a0 - a1 - b0 + b1  # the slope in s of plane a minus that of plane b
         s = (b1 - a1) / bend if bend else 0.0
         if 0.0 < s < 1.0:
             ends.append(solve_bayes(model, amb.embed(model.n_params, np.array([s, 1.0 - s]))))
-        planes = tuple((end.costs, end.policy.pairs) for end in ends)
-        model.belief_dag.segments[amb.support] = planes
-    return planes
+        slack, planes, cuts = CUT_SLACK * _cost_scale(model), [], np.empty((0, 2))
+        for end in ends:
+            cuts = _hold(planes, cuts, end, amb, slack)
+        cuts.flags.writeable = False
+        seeds = model.belief_dag.segments[amb.support] = (tuple(planes), cuts)
+    return seeds
 
 
 def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     """The cutting-plane loop, then the plateau edges and the result."""
     slack = CUT_SLACK * _cost_scale(model)
     trace: list[tuple[Belief, float]] = []
-    cuts = np.empty((0, len(amb.support)))  # a row per held plane
-    held = []  # the (costs, pairs) behind each cut
-
-    def hold(costs: np.ndarray, pairs: tuple) -> bool:
-        """Add the plane unless a held one lies within slack; whether it did."""
-        nonlocal cuts
-        cut = costs.take(amb.index)
-        fresh = not held or float(np.abs(cuts - cut).max(axis=1).min()) > slack
-        if fresh:
-            cuts = np.vstack((cuts, cut))
-            held.append((costs, pairs))
-        return fresh
+    held, cuts = [], np.empty((0, len(amb.support)))  # a cut row per held (costs, pairs)
+    if amb.mode == "entropic" and len(amb.support) == 2:
+        seeds, cuts = _segment_planes(model, amb)
+        held = list(seeds)
 
     def best_response(w: np.ndarray) -> tuple[float, bool, ValueSolution]:
         """Outer objective at the prior w, whether the best response's
         plane was new (and added), and the best response's solve."""
+        nonlocal cuts
         mu = amb.embed(model.n_params, w)
         solution = solve_bayes(model, mu)
         value = solution.value - amb.penalty(mu)
         trace.append((mu, value))
-        return value, hold(solution.costs, solution.policy.pairs), solution
+        held_before = len(held)
+        cuts = _hold(held, cuts, solution, amb, slack)
+        return value, len(held) > held_before, solution
 
-    if amb.mode == "entropic" and len(amb.support) == 2:
-        for plane in _segment_planes(model, amb):
-            hold(*plane)
     best_w = w = amb.reference
     best_v, _, best = best_response(w)
     fresh = True  # one master step, even when the reference plane is a seed
@@ -375,8 +385,8 @@ def certify_saddle(model: StatisticalMDP, result: SaddleResult) -> SaddleCertifi
     ``PRIOR_SIDE_SLACK`` times the cost scale, the certificate's ``tol``.
     Policy side: the returned policy's Bayes cost at the returned prior
     matches the Bayes value there within ``POLICY_SIDE_SLACK`` times the
-    cost scale.  ``solve_bayes`` reads the value from the DAG's memo while it
-    holds the loop's solve there; it depends only on the model and the bits.
+    cost scale.  The DAG's memos answer both; each entry depends only on
+    the DAG and the bits of its key.
     """
     amb = _Ambiguity(result.mode, result.support, result.base_prior, result.gamma)
     profile = result.cost_profile

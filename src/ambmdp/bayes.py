@@ -50,12 +50,15 @@ parameter where its kernel entry is positive and the branch has a
 child, so a pruned branch counts for nothing and no column is NaN.  A
 parameter reaches a pruned branch only where its likelihood has
 underflowed to 0, so the branch weighs less than about 1e-300 under
-it.  ``solve_bayes`` keeps its last ``SOLVE_MEMO``
-results on the DAG, keyed by the bytes of the prior's weights, and drops
-the least recently used first: each the value, the read-only costs and the
-chosen pairs, and no model.  A solve is a pure function of the DAG and
-those bytes, so a hit, which runs no pass, never changes a result.  Each
-two-parameter support's segment planes are kept beside it the same way.
+it.  ``solve_bayes`` keeps its last ``SOLVE_MEMO`` results on the DAG,
+keyed by the bytes of the prior's weights, and drops the least recently
+used first: each the value, the read-only costs and the chosen pairs, and
+no model.  A solve is a pure function of the DAG and those bytes, so a
+hit, which runs no pass, never changes a result.  ``policy_cost_profile``
+keeps its last evaluations the same way, keyed by the bytes of the
+policy's pairs (one entry per node in each epoch, so unambiguous on one
+DAG): read-only costs, filled by evaluation passes only.  Each
+two-parameter support's segment planes are kept beside them.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from .errors import PolicyTreeMismatchError, TreeSizeLimitError
 from .model import RENORM_LIMIT, SUM_TOL, Belief, StatisticalMDP
 
 DEFAULT_NODE_CAP = 10_000_000
-SOLVE_MEMO = 64  # Bayes solves kept per DAG
+SOLVE_MEMO = 64  # Bayes solves, and policy evaluations, kept per DAG
 
 
 @dataclass(frozen=True)
@@ -105,16 +108,17 @@ class _BeliefDag:
     only, and read-only: every view of the DAG shares them.  ``solves``
     maps the bytes of a prior's weights to the last ``SOLVE_MEMO`` Bayes
     solves, least recently used first: each (value, costs, chosen pairs).
+    ``evals`` maps the bytes of a policy's pairs to its costs the same way.
     ``segments`` maps a support to its segment planes (see ``ambiguity``)."""
 
     __slots__ = ("epochs", "likelihood", "offsets", "root_of", "terminal", "root_step",
-                 "solves", "segments")
+                 "solves", "evals", "segments")
 
     def __init__(self, epochs, likelihood, offsets, root_of, terminal, root_step):
         self.epochs, self.likelihood = epochs, likelihood
         self.offsets, self.root_of = offsets, root_of
         self.terminal, self.root_step = terminal, root_step
-        self.solves, self.segments = {}, {}
+        self.solves, self.evals, self.segments = {}, {}, {}
 
 
 @dataclass
@@ -432,24 +436,40 @@ def solve_bayes(model: StatisticalMDP, prior: Belief) -> ValueSolution:
     dag = model.belief_dag
     tree = build_tree(model, prior) if dag is None else ReachableBeliefTree(
         model, prior, dag, dag.epochs, dag.offsets)
-    solves, key = tree.dag.solves, prior.weights.tobytes()
-    entry = solves.pop(key, None)
-    if entry is None:
+    def solved():
         costs, chosen = _backward(model, tree)
         for a in (costs, *chosen):
             a.flags.writeable = False
-        entry = (float(_mix(prior.weights, costs)), costs, tuple(chosen))
-        if len(solves) == SOLVE_MEMO:
-            del solves[next(iter(solves))]
-    value, costs, chosen = solves[key] = entry  # now the most recently used
+        return float(_mix(prior.weights, costs)), costs, tuple(chosen)
+
+    value, costs, chosen = _recall(tree.dag.solves, prior.weights.tobytes(), solved)
     return ValueSolution(tree, value, DeterministicPolicy.from_pairs(tree, chosen), costs)
 
 
+def _recall(memo: dict, key: bytes, compute):
+    """``memo[key]``, from ``compute()`` on a miss, which at ``SOLVE_MEMO``
+    entries first drops the least recently used; now the most recent."""
+    entry = memo.pop(key, None)
+    if entry is None:
+        entry = compute()
+        if len(memo) == SOLVE_MEMO:
+            del memo[next(iter(memo))]
+    memo[key] = entry
+    return entry
+
+
 def policy_cost_profile(model: StatisticalMDP, policy: DeterministicPolicy) -> np.ndarray:
-    """Per-parameter expected total cost of a policy, as an array."""
+    """Per-parameter expected total cost of a policy, as a read-only array
+    from the DAG's evaluation memo."""
     if policy.tree.model is not model:
         raise PolicyTreeMismatchError("policy was built for a different model")
-    return _backward(model, policy.tree, policy.pairs)[0]
+    tree, pairs = policy.tree, policy.pairs  # pairs raise for a policy that does not fit
+    def evaluated():
+        costs = _backward(model, tree, pairs)[0]
+        costs.flags.writeable = False
+        return costs
+
+    return _recall(tree.dag.evals, b"".join(p.tobytes() for p in pairs), evaluated)
 
 
 def bayes_cost(model: StatisticalMDP, policy: DeterministicPolicy, mu: Belief) -> float:

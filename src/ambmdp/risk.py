@@ -10,8 +10,9 @@ its dual form, as a supremum over priors, and evaluates it here directly:
   worst expectation over distributions with density against the base
   capped at 1/(1-gamma).
 
-Exponents are always max-shifted so large gamma (1e4 and beyond) stays
-finite.
+Exponents are max-shifted so large gamma (1e4 and beyond) stays finite,
+and small gamma is computed about the base mean, so that neither the risk
+nor the penalty divided by gamma loses eps/gamma to cancellation.
 """
 
 from __future__ import annotations
@@ -48,38 +49,50 @@ def _matched(mu, nu) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def _divergence_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The generalized Kullback-Leibler terms q((1 + d) log1p(d) - d), d =
+    (p - q)/q, elementwise where q > 0, as p log1p(d) - (p - q).  They sum
+    to KL(p || q) when p and q sum to 1, are small where p is near q, and a
+    normalization defect of p adds nothing to first order.  Where d rounds
+    to -1, log1p is read at the next double, so the term is about q."""
+    diff = p - q
+    return p * np.log1p(np.maximum(diff / q, 2.0**-53 - 1.0)) - diff  # the next double above -1
+
+
 def relative_entropy(mu, nu) -> float:
-    """Kullback-Leibler divergence sum(mu * log(mu / nu)), with the
-    conventions 0*log(0/x) = 0 and +inf when mu puts mass where nu does
-    not.  Always >= 0."""
+    """KL(mu || nu), the sum of ``_divergence_terms``, with 0 log(0/x) = 0
+    and +inf where mu puts mass and nu none.  Always >= 0."""
     p, q = _matched(mu, nu)
-    p, q = p[p > 0.0], q[p > 0.0]
     if not q.all():
-        return math.inf
-    return max(0.0, float(np.sum(p * np.log(p / q))))
-
-
-def _support_range(v: np.ndarray, p: np.ndarray) -> tuple[float, float]:
-    on = v[p > 0.0]
-    return float(on.min()), float(on.max())
+        on = q.nonzero()[0]
+        kept = p.take(on)
+        if np.count_nonzero(kept) < np.count_nonzero(p):  # mass where nu has none
+            return math.inf
+        p, q = kept, q.take(on)
+    return max(0.0, float(_divergence_terms(p, q).sum()))
 
 
 def entropic_risk(profile, base, gamma: float) -> float:
-    """(1/gamma) * log sum(base * exp(gamma * profile)), max-shifted.
-
-    The result lies between the min and max of the profile on the support
-    of ``base``; it increases from the expectation (gamma -> 0) to the
-    worst case (gamma -> inf).
-    """
+    """(1/gamma) log sum(base exp(gamma profile)): max-shifted or, where
+    gamma times the profile's distance from its base mean m is below 1, m +
+    log1p(base . expm1(gamma (profile - m)))/gamma, the base taken as
+    normalized.  It lies between the min and max of the profile on the
+    support of ``base``, rising from the expectation (gamma -> 0) to the
+    worst case (gamma -> inf)."""
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     p = _weights(base)
     v = as_profile(profile, p.size)
-    mask = p > 0.0
-    a = gamma * v[mask]
-    shift = float(a.max())
-    value = (shift + math.log(float(np.sum(p[mask] * np.exp(a - shift))))) / gamma
-    lo, hi = _support_range(v, p)
+    if not p.all():
+        on = p > 0.0
+        p, v = p[on], v[on]
+    listed = v.tolist()
+    m, lo, hi = float(p @ v), min(listed), max(listed)
+    if gamma * max(hi - m, m - lo) < 1.0:
+        value = m + math.log1p(float(p @ np.expm1(gamma * (v - m)))) / gamma
+    else:
+        shift = gamma * hi
+        value = (shift + math.log(float(np.sum(p * np.exp(gamma * v - shift))))) / gamma
     return min(max(value, lo), hi)
 
 
@@ -90,6 +103,7 @@ def avar_quantile(profile, base, gamma: float) -> float:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     p = _weights(base)
     v = as_profile(profile, p.size)
+    on = v[p > 0.0]
     order = np.argsort(v, kind="stable")
     cum = np.cumsum(p[order])
     cum[-1] = 1.0
@@ -100,6 +114,4 @@ def avar_quantile(profile, base, gamma: float) -> float:
         if length > 0.0:
             integral += float(v[order[k]]) * length
         prev = cum[k]
-    value = integral / (1.0 - gamma)
-    lo, hi = _support_range(v, p)
-    return min(max(value, lo), hi)
+    return min(max(integral / (1.0 - gamma), float(on.min())), float(on.max()))

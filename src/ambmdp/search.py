@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from .risk import _divergence_terms
+
 #: pivot and reduced-cost threshold of the simplex method; the tableau is
 #: scaled so that cut entries lie in [1, 2]
 PIVOT_TOL = 1e-12
@@ -94,28 +96,29 @@ def entropic_master(
 ) -> tuple[np.ndarray, float]:
     """Maximize min_i w . cuts[i] - KL(w || base)/gamma over the simplex.
 
-    Returns (w, upper).  By minimax the maximum equals the minimum over
-    mixtures lambda of F(lambda) = rho(lambda . cuts), rho(c) =
-    log(base . exp(gamma c))/gamma, whose gradient is g_i = w . cuts[i] at
-    the tilted prior w proportional to base * exp(gamma * lambda . cuts).
-    The first step puts lambda on the cut of least F; each later one moves
-    lambda to the minimum of F along the Newton direction on the face of
-    the active cuts plus the one with the least g or, where that direction
-    is not a feasible descent, along the pairwise direction from the worst
-    active cut to that one.  The line minimum is found from derivatives,
-    which keep their sign where F's float values no longer change.
-    ``upper`` = F(lambda) bounds the maximum for every lambda.
+    Returns (w, upper): with two parameters ``_two_parameter_max``, whose
+    ``upper`` is the primal value at w, exact to rounding.  With more, by
+    minimax the maximum equals the minimum over mixtures lambda of
+    F(lambda) = rho(lambda . cuts), rho(c) = log(base . exp(gamma c))/gamma,
+    whose gradient is g_i = w . cuts[i] at the tilted prior w proportional
+    to base * exp(gamma * lambda . cuts).  The first step puts lambda on
+    the cut of least F; each later one moves lambda to the minimum of F
+    along the Newton direction on the face of the active cuts plus the one
+    with the least g or, where that direction is not a feasible descent,
+    along the pairwise direction from the worst active cut to that one.
+    The line minimum is found from derivatives, which keep their sign where
+    F's float values no longer change.  ``upper`` = F(lambda) bounds the
+    maximum for every lambda.
 
     The steps stop once the duality gap lambda . g - min g, which bounds
     ``upper`` minus the maximum, is at most ``CUT_SLACK`` times the largest
     absolute cut entry; the outer loop's slack is never smaller.  At
     extreme gamma float noise floors the gap above that, so the steps also
     stop once neither F nor the gap has decreased for ``STALL_STEPS``
-    steps, or after ``MAX_MASTER_STEPS``.  With two parameters there is no
-    second step: the master returns the exact maximum from
-    ``_two_parameter_max``, where ``upper`` is the primal value at w, exact
-    to rounding, not F(lambda).
+    steps, or after ``MAX_MASTER_STEPS``.
     """
+    if len(base) == 2:
+        return _two_parameter_max(cuts, base, gamma)
     log_base = np.log(base)
 
     # the tilted prior, base * exp(gamma * profile) normalized, and
@@ -149,8 +152,6 @@ def entropic_master(
         least_gap, lowest = min(least_gap, gap), min(lowest, f)
         if gap <= tol or stalled >= STALL_STEPS or steps == MAX_MASTER_STEPS:
             break
-        if len(base) == 2:
-            return _two_parameter_max(cuts, log_base, gamma)
         d = _face_newton(lam, cuts, j, w, g, gamma)
         shrinking = np.nonzero(d < 0.0)[0]
         if not (float(g @ d) < 0.0 and len(shrinking) and lam[shrinking].min() > 0.0):
@@ -172,20 +173,20 @@ def entropic_master(
     return w, f
 
 
-def _two_parameter_max(cuts, log_base, gamma) -> tuple[np.ndarray, float]:
+def _two_parameter_max(cuts, base, gamma) -> tuple[np.ndarray, float]:
     """(w, f(w)) at the maximum of the concave f(w) = min_i w . cuts[i] -
     KL(w || base)/gamma on w = (s, 1 - s), where cut i is a_i + s b_i: the
     best of the cuts' pairwise crossings and their tilted priors.  At the
     crossing of cuts i and j the dual mixture is closed-form too:
     lambda_i b_i + lambda_j b_j = (logit s - logit base_0)/gamma."""
     a, b = cuts[:, 1], cuts[:, 0] - cuts[:, 1]
-    e = gamma * cuts + log_base
+    e = gamma * cuts + np.log(base)
     e = np.exp(e - e.max(axis=1, keepdims=True))
     with np.errstate(all="ignore"):
         s = (a - a[:, None]) / (b[:, None] - b)
         s = s[(s > 0.0) & (s < 1.0)]
-        w = np.hstack((np.stack((s, 1.0 - s)), (e / e.sum(axis=1, keepdims=True)).T))
-        kl = np.where(w > 0.0, w * (np.log(w) - log_base[:, None]), 0.0).sum(axis=0)
+    w = np.hstack((np.stack((s, 1.0 - s)), (e / e.sum(axis=1, keepdims=True)).T))
+    kl = _divergence_terms(w, base[:, None]).sum(axis=0)
     f = (cuts @ w).min(axis=0) - kl / gamma
     return w[:, f.argmax()], float(f.max())
 

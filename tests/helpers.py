@@ -56,16 +56,34 @@ def random_belief(rng: np.random.Generator, size: int) -> Belief:
     return Belief(rng.dirichlet(np.ones(size)))
 
 
-def counted_passes(monkeypatch) -> list:
+class Passes(list):
+    """The priors of the choosing passes counted; ``evaluations`` holds the
+    policies of the evaluation passes, each as the bytes of its pairs."""
+
+    def __init__(self):
+        super().__init__()
+        self.evaluations = []
+
+
+def pairs_key(pairs) -> bytes:
+    """A policy's per-epoch pairs as one byte string."""
+    return b"".join(np.asarray(p).tobytes() for p in pairs)
+
+
+def counted_passes(monkeypatch) -> Passes:
     """The priors of every choosing backward pass (``bayes._backward``
     without ``pairs``) run from now on: the Bayes solves that the DAG's
-    memo does not answer."""
-    passes = []
+    memo does not answer.  Its ``evaluations`` are the evaluation passes
+    (with ``pairs``): the evaluations that the evaluation memo does not
+    answer."""
+    passes = Passes()
     backward = bayes._backward
 
     def counted(model, tree, pairs=None):
         if pairs is None:
             passes.append(tree.prior)
+        else:
+            passes.evaluations.append(pairs_key(pairs))
         return backward(model, tree, pairs)
 
     monkeypatch.setattr(bayes, "_backward", counted)

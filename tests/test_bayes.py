@@ -9,6 +9,7 @@ from helpers import (
     counted_passes,
     decision_nodes,
     enumerate_policies,
+    pairs_key,
     policy_count,
     policy_from,
     random_belief,
@@ -26,7 +27,7 @@ from ambmdp.bayes import (
     solve_bayes,
 )
 from ambmdp.belief import predictive, update_posterior
-from ambmdp.cli import _figure_rows, parse_config
+from ambmdp.cli import _figure_rows, _outer_mode, parse_config
 from ambmdp import bayes, oracle
 from ambmdp.errors import PolicyTreeMismatchError, TreeSizeLimitError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP, validate
@@ -757,7 +758,7 @@ class TestBeliefDagCache:
             config = parse_config((CONFIG_DIR / "figure_avar.cfg").read_text())
             model = config.model
             ref = weakref.ref(model)
-            _figure_rows(config)
+            _certified_figure_rows(config)
             result = solve(model, "entropic", seqtest.prior_belief(0.3), 0.5)
             certify_saddle(model, result)
             dag = model.belief_dag
@@ -768,6 +769,13 @@ class TestBeliefDagCache:
             for key, (value, costs, pairs) in dag.solves.items():
                 assert type(key) is bytes and type(value) is float and type(pairs) is tuple
                 assert all(type(a) is np.ndarray and not a.flags.writeable for a in (costs, *pairs))
+            # the evaluation memo: read-only costs by the bytes of the pairs,
+            # the certificate's policy last
+            assert type(dag.evals) is dict and 0 < len(dag.evals) <= bayes.SOLVE_MEMO
+            assert list(dag.evals)[-1] == pairs_key(result.policy.pairs)
+            for key, costs in dag.evals.items():
+                assert type(key) is bytes and type(costs) is np.ndarray
+                assert not costs.flags.writeable
             views = [result.policy.tree, solve_bayes(model, seqtest.prior_belief(0.7)).tree]
             assert all(view.dag is dag and view.epochs is dag.epochs for view in views)
             for n, epoch in enumerate(dag.epochs[:-1]):
@@ -779,10 +787,13 @@ class TestBeliefDagCache:
                 nodes = np.arange(epoch.state.size)
                 assert np.array_equal(epoch.pair_node[epoch.first_pair], nodes)
             assert not any(a.flags.writeable for a in (dag.terminal, *dag.root_step))
-            # the entropic solve's segment planes: read-only (costs, pairs) only
+            # the entropic solve's segment planes: read-only (costs, pairs)
+            # and their read-only cut matrix only
             assert type(dag.segments) is dict and list(dag.segments) == [(0, 1)]
-            for planes in dag.segments.values():
+            for planes, cuts in dag.segments.values():
                 assert type(planes) is tuple and len(planes) == 3
+                assert type(cuts) is np.ndarray and cuts.shape == (3, 2)
+                assert not cuts.flags.writeable
                 for costs, pairs in planes:
                     assert type(pairs) is tuple
                     assert all(
@@ -862,3 +873,99 @@ class TestSolveMemo:
         for name in ("figure_avar", "figure_entropic"):
             _figure_rows(parse_config((CONFIG_DIR / f"{name}.cfg").read_text()))
         assert len(passes) == 57
+
+    def test_certified_figure_sweeps_pay_once_per_policy(self, monkeypatch):
+        # 177 certificates evaluate 4 distinct policies (177 passes before
+        # the evaluation memo); a warm repeat of the sweep runs no pass
+        passes = counted_passes(monkeypatch)
+        configs = [
+            parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+            for name in ("figure_avar", "figure_entropic")
+        ]
+        for config in configs:
+            _certified_figure_rows(config)
+        assert (len(passes), len(passes.evaluations)) == (57, 4)
+        for config in configs:
+            _certified_figure_rows(config)
+        assert (len(passes), len(passes.evaluations)) == (57, 4)
+
+
+def _certified_figure_rows(config) -> None:
+    """Every row of a figure config, as ``cli._figure_rows`` solves it, with
+    each outer solve certified."""
+    for mu0 in sorted(config.prior_sweep):
+        prior = Belief(np.array([mu0, 1.0 - mu0]))
+        for gamma in sorted(config.gamma_sweep):
+            if gamma == 0.0:
+                solve_bayes(config.model, prior)
+            else:
+                result = solve(config.model, _outer_mode(config.mode), prior, gamma)
+                certify_saddle(config.model, result)
+
+
+class TestEvaluationMemo:
+    """``policy_cost_profile`` keeps the DAG's last ``SOLVE_MEMO``
+    evaluations by the bytes of the policy's pairs, and a hit returns them
+    without a backward pass."""
+
+    def test_a_hit_gives_the_bytes_of_a_fresh_pass(self, monkeypatch):
+        rng = np.random.default_rng(2222)
+        passes = counted_passes(monkeypatch)
+        for _ in range(40):
+            model = sparse_model(rng, n_params=int(rng.integers(2, 6)))
+            solution = solve_bayes(model, random_belief(rng, model.n_params))
+            tree = solution.tree
+            # a policy given by its actions, so its pairs are found afresh
+            given = DeterministicPolicy(tree, solution.policy.actions)
+            first = policy_cost_profile(model, given)
+            assert len(passes.evaluations) == 1
+            again = policy_cost_profile(model, DeterministicPolicy(tree, given.actions))
+            assert again is first and len(passes.evaluations) == 1
+            fresh = bayes._backward(model, tree, given.pairs)[0]
+            assert first.tobytes() == again.tobytes() == fresh.tobytes()
+            assert bayes_cost(model, given, tree.prior) == solution.value
+            passes.evaluations.clear()
+
+    def test_least_recently_used_evaluation_is_dropped_first(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        model = random_model(rng, n_states=3, n_actions=3, horizon=2, full_feasible=True)
+        tree = build_tree(model, Belief.uniform(model.n_params))
+        nodes = list(decision_nodes(tree))
+        policies, keys = [], set()
+        while len(policies) < bayes.SOLVE_MEMO + 1:
+            actions = {i: int(rng.integers(3)) for i, _, _ in nodes}
+            policy = policy_from(tree, actions)
+            if pairs_key(policy.pairs) not in keys:
+                keys.add(pairs_key(policy.pairs))
+                policies.append(policy)
+        for policy in policies[:-1]:
+            policy_cost_profile(model, policy)
+        policy_cost_profile(model, policies[0])  # read again: now the most recent
+        passes = counted_passes(monkeypatch)
+        # the 65th policy drops the least recent, policies[1]
+        policy_cost_profile(model, policies[-1])
+        assert len(tree.dag.evals) == bayes.SOLVE_MEMO
+        policy_cost_profile(model, policies[0])
+        assert passes.evaluations == [pairs_key(policies[-1].pairs)]
+        again = policy_cost_profile(model, policies[1])
+        assert passes.evaluations == [pairs_key(policies[-1].pairs), pairs_key(policies[1].pairs)]
+        fresh = bayes._backward(model, tree, policies[1].pairs)[0]
+        assert again.tobytes() == fresh.tobytes()
+        assert passes == []  # no choosing pass
+
+    def test_costs_are_read_only(self, rng):
+        model = random_model(rng, n_params=3)
+        solution = solve_bayes(model, random_belief(rng, 3))
+        for _ in range(2):  # a miss, then a hit
+            costs = policy_cost_profile(model, solution.policy)
+            with pytest.raises(ValueError, match="read-only"):
+                costs[0] = 0.0
+
+    def test_a_policy_that_does_not_fit_raises_before_the_lookup(self, bench_model):
+        tree = build_tree(bench_model, seqtest.prior_belief(0.5))
+        policy = declare_first_policy(tree)
+        policy_cost_profile(bench_model, policy)
+        actions = policy.actions.copy()
+        actions[tree.dag.root_of[seqtest.STATES.index("start")]] = -1
+        with pytest.raises(PolicyTreeMismatchError, match="node"):
+            policy_cost_profile(bench_model, DeterministicPolicy(tree=tree, actions=actions))

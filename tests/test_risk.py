@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -45,7 +46,49 @@ class TestRelativeEntropy:
             assert relative_entropy(random_belief(rng, k), random_belief(rng, k)) >= 0.0
 
 
+    def test_near_pairs_match_exact_arithmetic(self, rng):
+        # no normalization defect of order eps survives: the error is far
+        # below eps, which divided by a small gamma broke weak duality
+        for _ in range(50):
+            k = int(rng.integers(2, 6))
+            q = random_belief(rng, k).weights
+            for spread in (1e-2, 1e-4, 1e-6):
+                p = q * (1.0 + rng.uniform(-spread, spread, k))
+                p = Belief(p / p.sum()).weights
+                exact = exact_divergence(p, q)
+                assert abs(relative_entropy(Belief(p), Belief(q)) - exact) <= 1e-17 + 1e-14 * exact
+
+
+def exact_divergence(p, q) -> float:
+    """sum p log(p/q) - p + q in 60-digit decimals: KL for normalized p and q."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = Decimal(0)
+        for a, b in zip(map(Decimal, p.tolist()), map(Decimal, q.tolist())):
+            total += (a * (a / b).ln() if a else 0) - a + b
+        return float(total)
+
+
+def exact_entropic_risk(profile, weights, gamma: float) -> float:
+    """log(sum b exp(gamma c))/gamma in 60-digit decimals, the base normalized."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b = [Decimal(x) for x in weights.tolist()]
+        g = Decimal(gamma)
+        total = sum(x * (g * Decimal(c)).exp() for x, c in zip(b, profile.tolist()))
+        return float((total / sum(b)).ln() / g)
+
+
 class TestEntropicRisk:
+    def test_matches_exact_arithmetic_down_to_tiny_gamma(self, rng):
+        for _ in range(40):
+            k = int(rng.integers(2, 6))
+            mu = random_belief(rng, k)
+            v = rng.uniform(-5.0, 5.0, size=k)
+            for gamma in 10.0 ** np.arange(-12.0, 1.0):
+                exact = exact_entropic_risk(v, mu.weights, gamma)
+                assert abs(entropic_risk(v, mu, gamma) - exact) <= 4e-16 * np.abs(v).max(), gamma
+
     def test_constant_profile_for_any_gamma(self):
         mu = belief(0.4, 0.6)
         for gamma in (1e-6, 0.1, 1.0, 1e4):
