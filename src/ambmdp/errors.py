@@ -12,17 +12,17 @@ class InfeasibleActionError(AmbiguityMDPError, ValueError):
 class TreeSizeLimitError(AmbiguityMDPError, RuntimeError):
     """Building the reachable belief tree would exceed the node cap."""
 
-    def __init__(self, cap: int, message: str | None = None):
+    def __init__(self, cap: int):
         self.cap = cap
-        super().__init__(message or f"reachable belief tree exceeds node cap {cap}")
+        super().__init__(f"reachable belief tree exceeds node cap {cap}")
 
 
 class TrajectoryLimitError(AmbiguityMDPError, RuntimeError):
     """Trajectory enumeration would exceed the trajectory cap."""
 
-    def __init__(self, cap: int, message: str | None = None):
+    def __init__(self, cap: int):
         self.cap = cap
-        super().__init__(message or f"trajectory enumeration exceeds cap {cap}")
+        super().__init__(f"trajectory enumeration exceeds cap {cap}")
 
 
 class PolicyTreeMismatchError(AmbiguityMDPError, ValueError):

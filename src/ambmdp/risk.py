@@ -12,7 +12,9 @@ its dual form, as a supremum over priors, and evaluates it here directly:
 
 Exponents are max-shifted so large gamma (1e4 and beyond) stays finite,
 and small gamma is computed about the base mean, so that neither the risk
-nor the penalty divided by gamma loses eps/gamma to cancellation.
+nor the penalty divided by gamma loses eps/gamma to cancellation.  The
+entropic master of ``search`` reads both entropic rules from here too,
+unvalidated: the risk from ``_entropic``, the tilted prior from ``_tilted``.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ import numpy as np
 from .model import Belief
 
 
-def as_profile(values, size: int | None = None) -> np.ndarray:
+def as_profile(values, size: int) -> np.ndarray:
     """Coerce a cost profile to a validated 1-D float array."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("cost profile must be a non-empty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("cost profile entries must be finite")
-    if size is not None and v.size != size:
+    if v.size != size:
         raise ValueError(f"cost profile has {v.size} entries, expected {size}")
     return v
 
@@ -40,13 +42,6 @@ def _weights(dist) -> np.ndarray:
     if isinstance(dist, Belief):
         return dist.weights
     return Belief(np.asarray(dist, dtype=float)).weights
-
-
-def _matched(mu, nu) -> tuple[np.ndarray, np.ndarray]:
-    p, q = _weights(mu), _weights(nu)
-    if p.size != q.size:
-        raise ValueError(f"distribution sizes differ: {p.size} vs {q.size}")
-    return p, q
 
 
 def _divergence_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -62,7 +57,9 @@ def _divergence_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def relative_entropy(mu, nu) -> float:
     """KL(mu || nu), the sum of ``_divergence_terms``, with 0 log(0/x) = 0
     and +inf where mu puts mass and nu none.  Always >= 0."""
-    p, q = _matched(mu, nu)
+    p, q = _weights(mu), _weights(nu)
+    if p.size != q.size:
+        raise ValueError(f"distribution sizes differ: {p.size} vs {q.size}")
     if not q.all():
         on = q.nonzero()[0]
         kept = p.take(on)
@@ -73,16 +70,19 @@ def relative_entropy(mu, nu) -> float:
 
 
 def entropic_risk(profile, base, gamma: float) -> float:
-    """(1/gamma) log sum(base exp(gamma profile)): max-shifted or, where
-    gamma times the profile's distance from its base mean m is below 1, m +
-    log1p(base . expm1(gamma (profile - m)))/gamma, the base taken as
-    normalized.  It lies between the min and max of the profile on the
-    support of ``base``, rising from the expectation (gamma -> 0) to the
-    worst case (gamma -> inf)."""
+    """(1/gamma) log sum(base exp(gamma profile)), validated, by ``_entropic``:
+    between the min and max of the profile on the support of ``base``, from
+    the expectation (gamma -> 0) to the worst case (gamma -> inf)."""
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     p = _weights(base)
-    v = as_profile(profile, p.size)
+    return _entropic(as_profile(profile, p.size), p, gamma)
+
+
+def _entropic(v: np.ndarray, p: np.ndarray, gamma: float) -> float:
+    """``entropic_risk`` unvalidated, ``p`` taken as normalized: max-shifted
+    or, where gamma times the distance of ``v`` from its mean m is below 1,
+    m + log1p(p . expm1(gamma (v - m)))/gamma; clamped to v's range on p > 0."""
     if not p.all():
         on = p > 0.0
         p, v = p[on], v[on]
@@ -94,6 +94,14 @@ def entropic_risk(profile, base, gamma: float) -> float:
         shift = gamma * hi
         value = (shift + math.log(float(np.sum(p * np.exp(gamma * v - shift))))) / gamma
     return min(max(value, lo), hi)
+
+
+def _tilted(profiles: np.ndarray, base: np.ndarray, gamma: float) -> np.ndarray:
+    """Each row's tilted prior, base * exp(gamma * row) normalized, from the
+    exponents gamma * row + log(base) max-shifted; ``base`` is positive."""
+    a = gamma * profiles + np.log(base)
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def avar_quantile(profile, base, gamma: float) -> float:

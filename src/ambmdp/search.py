@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .risk import _divergence_terms
+from .risk import _divergence_terms, _entropic, _tilted
 
 #: pivot and reduced-cost threshold of the simplex method; the tableau is
 #: scaled so that cut entries lie in [1, 2]
@@ -101,8 +101,11 @@ def entropic_master(
     minimax the maximum equals the minimum over mixtures lambda of
     F(lambda) = rho(lambda . cuts), rho(c) = log(base . exp(gamma c))/gamma,
     whose gradient is g_i = w . cuts[i] at the tilted prior w proportional
-    to base * exp(gamma * lambda . cuts).  The first step puts lambda on
-    the cut of least F; each later one moves lambda to the minimum of F
+    to base * exp(gamma * lambda . cuts).  rho is ``risk._entropic`` and w
+    ``risk._tilted``, so F keeps its precision at small gamma, where a
+    log-sum-exp divided by gamma loses eps/gamma and would end the outer
+    loop short of its slack.  The first step puts lambda on the cut of
+    least F; each later one moves lambda to the minimum of F
     along the Newton direction on the face of the active cuts plus the one
     with the least g or, where that direction is not a feasible descent,
     along the pairwise direction from the worst active cut to that one.
@@ -119,32 +122,15 @@ def entropic_master(
     """
     if len(base) == 2:
         return _two_parameter_max(cuts, base, gamma)
-    log_base = np.log(base)
-
-    # the tilted prior, base * exp(gamma * profile) normalized, and
-    # risk.entropic_risk on the support from the same exponentials, without
-    # the per-call validation of the latter, which would dominate this loop
-    def tilt(profile: np.ndarray) -> tuple[np.ndarray, float]:
-        a = gamma * profile + log_base
-        shift = float(a.max())
-        e = np.exp(a - shift)
-        total = float(e.sum())
-        return e / total, (shift + math.log(total)) / gamma
-
     m = len(cuts)
     tol = CUT_SLACK * float(np.abs(cuts).max())
-    # every cut's rho as ``tilt`` computes it, in one broadcast; math.log,
-    # as there, for np.log may round differently
-    a = gamma * cuts + log_base
-    shift = a.max(axis=1)
-    totals = np.exp(a - shift[:, None]).sum(axis=1)
     lam = np.zeros(m)
-    lam[np.argmin((shift + np.array([math.log(t) for t in totals.tolist()])) / gamma)] = 1.0
+    lam[np.argmin([_entropic(cut, base, gamma) for cut in cuts])] = 1.0
     least_gap = lowest = math.inf
     stalled = 0
     for steps in range(MAX_MASTER_STEPS + 1):
         mixed = lam @ cuts
-        w, f = tilt(mixed)
+        w, f = _tilted(mixed, base, gamma), _entropic(mixed, base, gamma)
         g = cuts @ w
         j = int(np.argmin(g))
         gap = float(lam @ g) - float(g[j])
@@ -164,7 +150,7 @@ def entropic_master(
             shrinking = np.array([i])
         limits = lam[shrinking] / -d[shrinking]
         t_max = float(limits.min())
-        t = _newton_line(tilt, mixed, d @ cuts, w, min(1.0, t_max), gamma)
+        t = _newton_line(mixed, d @ cuts, w, min(1.0, t_max), base, gamma)
         lam = lam + t * d
         if t == t_max:
             lam[shrinking[np.argmin(limits)]] = 0.0
@@ -180,12 +166,10 @@ def _two_parameter_max(cuts, base, gamma) -> tuple[np.ndarray, float]:
     crossing of cuts i and j the dual mixture is closed-form too:
     lambda_i b_i + lambda_j b_j = (logit s - logit base_0)/gamma."""
     a, b = cuts[:, 1], cuts[:, 0] - cuts[:, 1]
-    e = gamma * cuts + np.log(base)
-    e = np.exp(e - e.max(axis=1, keepdims=True))
     with np.errstate(all="ignore"):
         s = (a - a[:, None]) / (b[:, None] - b)
         s = s[(s > 0.0) & (s < 1.0)]
-    w = np.hstack((np.stack((s, 1.0 - s)), (e / e.sum(axis=1, keepdims=True)).T))
+    w = np.hstack((np.stack((s, 1.0 - s)), _tilted(cuts, base, gamma).T))
     kl = _divergence_terms(w, base[:, None]).sum(axis=0)
     f = (cuts @ w).min(axis=0) - kl / gamma
     return w[:, f.argmax()], float(f.max())
@@ -212,14 +196,15 @@ def _face_newton(lam, cuts, j, w, g, gamma) -> np.ndarray:
 
 
 def _newton_line(
-    tilt, profile: np.ndarray, d: np.ndarray, w: np.ndarray, t_max: float, gamma: float
+    profile: np.ndarray, d: np.ndarray, w: np.ndarray, t_max: float, base, gamma: float
 ) -> float:
     """Minimizer over [0, t_max] of the convex rho(profile + t d), whose
-    derivative is tilt(profile + t d)[0] . d; ``w`` is the tilted prior at
-    t = 0.  Newton steps, bisection whenever a step would leave the
-    bracket; the search ends where a Newton step rounds to the current
-    point, or the bracket has shrunk to float noise."""
-    if tilt(profile + t_max * d)[0] @ d <= 0.0:
+    derivative is w(t) . d, w(t) the tilted prior of profile + t d under
+    ``base`` (``risk._tilted``); ``w`` is w(0).  Newton steps, bisection
+    whenever a step would leave the bracket; the search ends where a Newton
+    step rounds to the current point, or the bracket has shrunk to float
+    noise.  rho's own values are never read."""
+    if _tilted(profile + t_max * d, base, gamma) @ d <= 0.0:
         return t_max
     lo, hi, t = 0.0, t_max, 0.0
     for _ in range(200):
@@ -241,5 +226,5 @@ def _newton_line(
         if t_next == t or hi - lo <= 1e-16 * t_max:
             break
         t = t_next
-        w = tilt(profile + t * d)[0]
+        w = _tilted(profile + t * d, base, gamma)
     return t

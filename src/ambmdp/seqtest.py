@@ -84,27 +84,21 @@ def build_model(config: SeqTestConfig = DEFAULT_CONFIG) -> StatisticalMDP:
     """
     n_epochs = config.horizon + 1
     n_e, n_a, n_k = len(STATES), len(ACTIONS), len(PARAMS)
-    success = (config.p_low, config.p_high)
+    success = np.array((config.p_low, config.p_high))
 
     transition = np.zeros((n_e, n_a, n_e, n_k))  # built as (x, a, x', k), moved below
-    for x in range(n_e):
-        if x == X_STOPPED:
-            transition[x, :, X_STOPPED, :] = 1.0
-            continue
-        for k in range(n_k):
-            transition[x, A_DECLARE_1, X_STOPPED, k] = 1.0
-            transition[x, A_DECLARE_2, X_STOPPED, k] = 1.0
-            transition[x, A_CONTINUE, STATES.index("obs1"), k] = success[k]
-            transition[x, A_CONTINUE, STATES.index("obs0"), k] = 1.0 - success[k]
+    transition[:, (A_DECLARE_1, A_DECLARE_2), X_STOPPED] = 1.0
+    transition[:, A_CONTINUE, STATES.index("obs1")] = success
+    transition[:, A_CONTINUE, STATES.index("obs0")] = 1.0 - success
+    transition[X_STOPPED] = 0.0
+    transition[X_STOPPED, :, X_STOPPED] = 1.0
     per_epoch = np.transpose(transition, (3, 0, 1, 2))
 
     stage = np.zeros((n_k, n_e, n_a))
-    for x in range(n_e):
-        if x == X_STOPPED:
-            continue
-        stage[:, x, A_CONTINUE] = config.observation_cost
-        stage[1, x, A_DECLARE_1] = config.error_cost  # theta2 true, theta1 declared
-        stage[0, x, A_DECLARE_2] = config.error_cost  # theta1 true, theta2 declared
+    stage[:, :, A_CONTINUE] = config.observation_cost
+    stage[1, :, A_DECLARE_1] = config.error_cost  # theta2 true, theta1 declared
+    stage[0, :, A_DECLARE_2] = config.error_cost  # theta1 true, theta2 declared
+    stage[:, X_STOPPED] = 0.0
 
     open_epoch = tuple(
         (A_CONTINUE,) if x == X_STOPPED else (A_DECLARE_1, A_DECLARE_2, A_CONTINUE)
