@@ -35,8 +35,8 @@ into their cut matrix once.  The loop always takes a master step after
 the reference best response and certifies its answer by its own stop
 rule.  Only there are seeds exact to the bit: that objective is strictly
 concave and its master exact, so extra cuts change the path, not the
-maximizer.  An avar or robust argmax can be a face, where the LP master's
-vertex depends on the cuts held, and the master of three or more
+maximizer.  An avar or robust argmax can be a face, where the point a
+master returns depends on the cuts held, and the master of three or more
 parameters is not exact to the bit.
 
 Every solve returns the loop's best prior, the first best response with
@@ -60,9 +60,11 @@ evaluation pass, by its pairs.  Both sides allow slack in proportion to
 the model's cost scale.
 
 Plateaus: the avar and robust argmax can be a face.  With two support
-parameters the planes are intersected with the line (s, 1 - s) of
-feasible priors, each edge found is confirmed by a best response there,
-and the edges are reported beside the returned prior.
+parameters a master step onto it lands on an end of the feasible interval
+that it reaches, else on a crossing of two planes (the master's first best
+candidate, ends first).  The planes are intersected with the line
+(s, 1 - s) of feasible priors, each edge found is confirmed by a best
+response there, and the edges are reported beside the returned prior.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ import numpy as np
 from .bayes import DeterministicPolicy, ValueSolution, bayes_cost, solve_bayes
 from .model import Belief, StatisticalMDP
 from .risk import avar_quantile, entropic_risk, relative_entropy
-from .search import CUT_SLACK, entropic_master, lp_master
+from .search import CUT_SLACK, entropic_master, lp_master, segment_ends, segment_master
 
 #: the certificate's prior and policy sides allow these times the cost scale
 PRIOR_SIDE_SLACK = 1e-10
@@ -164,6 +166,8 @@ class _Ambiguity:
     def master(self, cuts: np.ndarray) -> tuple[np.ndarray, float]:
         if self.mode == "entropic":
             return entropic_master(cuts, self.reference, self.gamma)
+        if len(self.support) == 2:
+            return segment_master(cuts, self.caps)
         return lp_master(cuts, self.caps)
 
     def embed(self, size: int, w: np.ndarray) -> Belief:
@@ -252,7 +256,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     if amb.mode != "entropic" and len(amb.support) == 2:
         lo, hi = (
             amb.embed(model.n_params, e)
-            for e in _plateau(amb, held, best_w, best_v, slack, best_response)
+            for e in _plateau(amb, lambda: cuts, best_w, best_v, slack, best_response)
         )
     # the held planes through the returned prior, to slack, are its Bayes policies
     heights = cuts @ best_w
@@ -281,28 +285,28 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
 
 
 def _plateau(
-    amb: _Ambiguity, held: list, best_w: np.ndarray, best_v: float, slack: float, best_response
+    amb: _Ambiguity, planes, best_w: np.ndarray, best_v: float, slack: float, best_response
 ):
     """Plateau edges (as support weights) on the line a + s d = (s, 1 - s)
-    of the feasible priors of two support parameters; the planes are the
-    support costs of the ``held`` planes, which the edges' best responses
-    extend.
+    of the feasible priors of two support parameters; ``planes()`` is the
+    loop's cut matrix, a row of support costs per held plane, which the
+    edges' best responses extend.
 
     The edges are where the lowest plane falls below the best value.  A
     plane within ``slack`` of the best value at the best prior counts as
     passing through it, and one that changes by at most ``slack`` along the
     line as flat, so float noise neither widens nor splits the set.  Each
     edge is confirmed by a best response there; a failed edge adds a plane.
+    A master step onto a plateau lands on an end it reaches, else a crossing.
     """
     a, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
-    caps = amb.caps
-    bounds = max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0]))
+    bounds = segment_ends(amb.caps)
     s_best = float(best_w[0])
 
     def interval() -> tuple[float, float]:
         left, right = bounds
-        for cut in (costs.take(amb.index) for costs, _ in held):
-            excess, slope = float(best_w @ cut) - best_v, float(d @ cut)
+        cuts = planes()
+        for excess, slope in zip((cuts @ best_w - best_v).tolist(), (cuts @ d).tolist()):
             excess = 0.0 if excess <= slack else excess
             if slope > slack:
                 left = max(left, s_best - excess / slope)

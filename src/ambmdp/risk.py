@@ -96,10 +96,10 @@ def _entropic(v: np.ndarray, p: np.ndarray, gamma: float) -> float:
     return min(max(value, lo), hi)
 
 
-def _tilted(profiles: np.ndarray, base: np.ndarray, gamma: float) -> np.ndarray:
+def _tilted(profiles: np.ndarray, log_base: np.ndarray, gamma: float) -> np.ndarray:
     """Each row's tilted prior, base * exp(gamma * row) normalized, from the
-    exponents gamma * row + log(base) max-shifted; ``base`` is positive."""
-    a = gamma * profiles + np.log(base)
+    exponents gamma * row + log_base max-shifted, log_base = log(base) > -inf."""
+    a = gamma * profiles + log_base
     e = np.exp(a - a.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 

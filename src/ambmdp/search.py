@@ -9,13 +9,16 @@ priors:
 
 * ``lp_master``: max_w min_i w . C_i over the simplex with weight caps
   (AVaR and robust modes), a small linear program solved exactly by a dense
-  simplex method with Bland's rule;
-* ``entropic_master``: max_w min_i w . C_i - KL(w || base)/gamma.  With two
-  parameters it is exact: the maximum lies at a crossing of two cuts or at
-  one cut's tilted prior.  Otherwise it solves the dual min over mixtures
-  lambda of the entropic risk of sum_i lambda_i C_i by line searches along
-  Newton directions on lambda until its duality gap is within the outer
-  loop's slack; the prior is the tilted prior of the mixed profile.
+  simplex method with Bland's rule, for three or more support parameters;
+* ``entropic_master``: max_w min_i w . C_i - KL(w || base)/gamma.  With
+  three or more parameters it solves the dual min over mixtures lambda of
+  the entropic risk of sum_i lambda_i C_i by line searches along Newton
+  directions on lambda until its duality gap is within the outer loop's
+  slack; the prior is the tilted prior of the mixed profile;
+* with two parameters both are exact (``segment_master`` for the LP): on
+  w = (s, 1 - s) the maximum lies at a crossing of two cuts, an end of the
+  feasible s or (entropic) one cut's tilted prior, and ``_segment_max``
+  returns the first best of these candidates.
 """
 
 from __future__ import annotations
@@ -91,12 +94,23 @@ def lp_master(cuts: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
     return w, float((cuts @ w).min())
 
 
+def segment_ends(caps: np.ndarray) -> tuple[float, float]:
+    """The feasible s of w = (s, 1 - s) under the weight caps: [lo, hi]."""
+    return max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0]))
+
+
+def segment_master(cuts: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
+    """``lp_master`` for two parameters; the ends of the feasible s first."""
+    lo, hi = segment_ends(caps)
+    return _segment_max(cuts, lo, hi, (lo, hi))
+
+
 def entropic_master(
     cuts: np.ndarray, base: np.ndarray, gamma: float
 ) -> tuple[np.ndarray, float]:
     """Maximize min_i w . cuts[i] - KL(w || base)/gamma over the simplex.
 
-    Returns (w, upper): with two parameters ``_two_parameter_max``, whose
+    Returns (w, upper): with two parameters ``_segment_max``, whose
     ``upper`` is the primal value at w, exact to rounding.  With more, by
     minimax the maximum equals the minimum over mixtures lambda of
     F(lambda) = rho(lambda . cuts), rho(c) = log(base . exp(gamma c))/gamma,
@@ -121,8 +135,8 @@ def entropic_master(
     steps, or after ``MAX_MASTER_STEPS``.
     """
     if len(base) == 2:
-        return _two_parameter_max(cuts, base, gamma)
-    m = len(cuts)
+        return _segment_max(cuts, 0.0, 1.0, (), base, gamma)
+    m, log_base = len(cuts), np.log(base)
     tol = CUT_SLACK * float(np.abs(cuts).max())
     lam = np.zeros(m)
     lam[np.argmin([_entropic(cut, base, gamma) for cut in cuts])] = 1.0
@@ -130,7 +144,7 @@ def entropic_master(
     stalled = 0
     for steps in range(MAX_MASTER_STEPS + 1):
         mixed = lam @ cuts
-        w, f = _tilted(mixed, base, gamma), _entropic(mixed, base, gamma)
+        w, f = _tilted(mixed, log_base, gamma), _entropic(mixed, base, gamma)
         g = cuts @ w
         j = int(np.argmin(g))
         gap = float(lam @ g) - float(g[j])
@@ -150,7 +164,7 @@ def entropic_master(
             shrinking = np.array([i])
         limits = lam[shrinking] / -d[shrinking]
         t_max = float(limits.min())
-        t = _newton_line(mixed, d @ cuts, w, min(1.0, t_max), base, gamma)
+        t = _newton_line(mixed, d @ cuts, w, min(1.0, t_max), log_base, gamma)
         lam = lam + t * d
         if t == t_max:
             lam[shrinking[np.argmin(limits)]] = 0.0
@@ -159,20 +173,32 @@ def entropic_master(
     return w, f
 
 
-def _two_parameter_max(cuts, base, gamma) -> tuple[np.ndarray, float]:
-    """(w, f(w)) at the maximum of the concave f(w) = min_i w . cuts[i] -
-    KL(w || base)/gamma on w = (s, 1 - s), where cut i is a_i + s b_i: the
-    best of the cuts' pairwise crossings and their tilted priors.  At the
-    crossing of cuts i and j the dual mixture is closed-form too:
-    lambda_i b_i + lambda_j b_j = (logit s - logit base_0)/gamma."""
-    a, b = cuts[:, 1], cuts[:, 0] - cuts[:, 1]
-    with np.errstate(all="ignore"):
-        s = (a - a[:, None]) / (b[:, None] - b)
-        s = s[(s > 0.0) & (s < 1.0)]
-    w = np.hstack((np.stack((s, 1.0 - s)), _tilted(cuts, base, gamma).T))
-    kl = _divergence_terms(w, base[:, None]).sum(axis=0)
-    f = (cuts @ w).min(axis=0) - kl / gamma
-    return w[:, f.argmax()], float(f.max())
+def _segment_max(cuts, lo, hi, ends, base=None, gamma=None) -> tuple[np.ndarray, float]:
+    """(w, f(w)) for the first w = (s, 1 - s) of largest f(w) = min_i w .
+    cuts[i], less KL(w || base)/gamma given a ``base``, among: s in
+    ``ends``, the crossings s = (a_j - a_i)/(b_i - b_j) in (lo, hi) of the
+    cuts a_i + s b_i, by i then j, and given a base each cut's tilted prior.
+    Only quotients below 1 in size are divided, so (near-)parallel cuts
+    neither divide by zero nor overflow; a segment's few cuts are cheaper
+    as Python floats than as arrays.  At a crossing the entropic dual
+    mixture is lambda_i b_i + lambda_j b_j = (logit s - logit base_0)/gamma."""
+    lines = [(c1, c0 - c1) for c0, c1 in cuts.tolist()]
+    s = list(ends)
+    for ai, bi in lines:
+        for aj, bj in lines:
+            if abs(aj - ai) < abs(bi - bj) and lo < (q := (aj - ai) / (bi - bj)) < hi:
+                s.append(q)
+    n = len(s)
+    tilted = np.empty((0, 2)) if base is None else _tilted(cuts, np.log(base), gamma)
+    w = np.empty((2, n + len(tilted)))
+    w[0, :n] = s
+    w[1, :n] = 1.0 - w[0, :n]
+    w[:, n:] = tilted.T
+    f = (cuts @ w).min(axis=0)
+    if base is not None:
+        f -= _divergence_terms(w, base[:, None]).sum(axis=0) / gamma
+    k = int(f.argmax())
+    return w[:, k], float(f[k])
 
 
 def _face_newton(lam, cuts, j, w, g, gamma) -> np.ndarray:
@@ -196,15 +222,15 @@ def _face_newton(lam, cuts, j, w, g, gamma) -> np.ndarray:
 
 
 def _newton_line(
-    profile: np.ndarray, d: np.ndarray, w: np.ndarray, t_max: float, base, gamma: float
+    profile: np.ndarray, d: np.ndarray, w: np.ndarray, t_max: float, log_base, gamma: float
 ) -> float:
     """Minimizer over [0, t_max] of the convex rho(profile + t d), whose
     derivative is w(t) . d, w(t) the tilted prior of profile + t d under
-    ``base`` (``risk._tilted``); ``w`` is w(0).  Newton steps, bisection
-    whenever a step would leave the bracket; the search ends where a Newton
-    step rounds to the current point, or the bracket has shrunk to float
-    noise.  rho's own values are never read."""
-    if _tilted(profile + t_max * d, base, gamma) @ d <= 0.0:
+    the base of log ``log_base`` (``risk._tilted``); ``w`` is w(0).  Newton
+    steps, bisection whenever a step would leave the bracket; the search
+    ends where a Newton step rounds to the current point, or the bracket
+    has shrunk to float noise.  rho's own values are never read."""
+    if _tilted(profile + t_max * d, log_base, gamma) @ d <= 0.0:
         return t_max
     lo, hi, t = 0.0, t_max, 0.0
     for _ in range(200):
@@ -226,5 +252,5 @@ def _newton_line(
         if t_next == t or hi - lo <= 1e-16 * t_max:
             break
         t = t_next
-        w = _tilted(profile + t * d, base, gamma)
+        w = _tilted(profile + t * d, log_base, gamma)
     return t

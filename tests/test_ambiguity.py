@@ -19,7 +19,7 @@ from ambmdp.ambiguity import (
     solve_robust,
 )
 from ambmdp.bayes import DeterministicPolicy, build_tree, solve_bayes
-from ambmdp.cli import parse_config
+from ambmdp.cli import _figure_rows, parse_config
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from ambmdp.risk import avar_quantile, entropic_risk, relative_entropy
 from ambmdp.search import CUT_SLACK, entropic_master
@@ -958,8 +958,9 @@ class TestEntropicMaster:
 
 
 class TestLpMaster:
-    """``lp_master`` against brute-force vertex enumeration of max z subject
-    to z <= w . cuts[i], sum(w) = 1 and 0 <= w <= caps."""
+    """``lp_master`` and, with two parameters, ``segment_master`` against
+    brute-force vertex enumeration of max z subject to z <= w . cuts[i],
+    sum(w) = 1 and 0 <= w <= caps."""
 
     @staticmethod
     def vertex_max(cuts: np.ndarray, caps: np.ndarray) -> float:
@@ -978,18 +979,107 @@ class TestLpMaster:
         feasible = (w.min(axis=1) >= -1e-13) & ((w - caps).max(axis=1) <= 1e-13)
         return float((w[feasible] @ cuts.T).min(axis=1).max())
 
+    def check(self, master, cuts: np.ndarray, caps: np.ndarray) -> None:
+        k = cuts.shape[1]
+        scale = float(np.abs(cuts).max())
+        w, value = master(cuts, caps)
+        assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-15 * k
+        assert (w - caps).max() <= 1e-12, (w, caps)
+        attained = float((cuts @ w).min())
+        # the segment master rates all its candidates in one matrix product,
+        # which may round apart from the product with w alone
+        exact = master is search.lp_master
+        assert attained == value if exact else abs(attained - value) <= 1e-15 * scale
+        assert abs(value - self.vertex_max(cuts, caps)) <= 1e-12 * scale, cuts.shape
+
     def test_matches_vertex_enumeration(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
             k, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
             cuts = rng.uniform(-3.0, 7.0, (m, k)) * 10.0 ** rng.uniform(-2.0, 2.0)
             caps = rng.dirichlet(np.ones(k)) / rng.uniform(0.2, 1.0)  # sum(caps) >= 1
-            scale = float(np.abs(cuts).max())
-            w, value = search.lp_master(cuts, caps)
-            assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-15 * k
-            assert (w - caps).max() <= 1e-12, (w, caps)
-            assert float((cuts @ w).min()) == value
-            assert abs(value - self.vertex_max(cuts, caps)) <= 1e-12 * scale, (k, m)
+            self.check(search.lp_master, cuts, caps)
+            if k == 2:
+                self.check(search.segment_master, cuts, caps)
+
+    @pytest.mark.parametrize("caps", ([0.6, 0.7], [1.0, 1.0], [3.0, 1.5], [0.25, 0.75], [0.3, 0.7]))
+    @pytest.mark.parametrize(
+        "cuts",
+        (
+            [[2.0, -1.0]],
+            [[1.0, 3.0], [1.0, 3.0], [2.0, 0.5]],
+            # slopes b = c0 - c1 a subnormal apart: the crossing's quotient
+            # overflows unless it is left undivided
+            [[5e-324, 0.0], [1.0, 1.0]],
+            [[1.0, 1.0 + 2.0**-52], [1.0, 1.0], [0.5, 4.0]],
+        ),
+    )
+    def test_segment_master_on_degenerate_cuts(self, cuts, caps):
+        # single, identical and near-parallel cuts; caps of 1 or more; caps
+        # that pin the feasible interval to a point, 0.25 exactly and 0.3
+        # with its ends an ulp apart; pytest makes a RuntimeWarning an error
+        self.check(search.segment_master, np.array(cuts), np.array(caps))
+
+
+def counted_masters(monkeypatch) -> dict:
+    """Calls from now on of the avar and robust masters that the loop picks."""
+    calls = {"lp_master": 0, "segment_master": 0}
+    for name in calls:
+        def counted(cuts, caps, name=name, real=getattr(ambiguity, name)):
+            calls[name] += 1
+            return real(cuts, caps)
+
+        monkeypatch.setattr(ambiguity, name, counted)
+    return calls
+
+
+class TestMasterSelection:
+    """Avar and robust solves on two support parameters take the segment
+    master; only three or more reach the simplex of ``lp_master``."""
+
+    def test_figure_rows_run_no_simplex(self, monkeypatch):
+        calls = counted_masters(monkeypatch)
+        _figure_rows(parse_config((CONFIG_DIR / "figure_avar.cfg").read_text()))
+        assert calls["lp_master"] == 0 and calls["segment_master"] > 0
+
+    def test_support_size_picks_the_master(self, monkeypatch):
+        model = random_model(np.random.default_rng(11), n_params=3, horizon=2)
+        calls = counted_masters(monkeypatch)
+        solve(model, "avar", Belief(np.array([0.2, 0.3, 0.5])), 0.5)
+        assert calls["lp_master"] > 0 and calls["segment_master"] == 0
+        calls["lp_master"] = 0
+        for mode, gamma in (("avar", 0.5), ("robust", None)):
+            solve(model, mode, Belief(np.array([0.4, 0.0, 0.6])), gamma)
+        assert calls["lp_master"] == 0 and calls["segment_master"] >= 2
+
+    def test_segment_master_matches_the_simplex(self):
+        # the same cost profiles and verdicts as with the simplex forced on
+        # the loop; a face of maxima may return another of its points
+        rng = np.random.default_rng(41)
+        certified = 0
+        for _ in range(200):
+            model = random_model(rng, n_params=2, horizon=int(rng.integers(1, 4)))
+            prior = Belief(rng.dirichlet(np.ones(2)))
+            slack = CUT_SLACK * max(map(abs, model.cost_bounds))
+            for mode, gamma in (("avar", 0.3), ("avar", 0.8), ("robust", None)):
+                fresh = dataclasses.replace(model)
+                result = solve(fresh, mode, prior, gamma)
+                cert = certify_saddle(fresh, result)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(ambiguity, "segment_master", search.lp_master)
+                    simplex = dataclasses.replace(model)
+                    forced = solve(simplex, mode, prior, gamma)
+                    forced_cert = certify_saddle(simplex, forced)
+                assert result.cost_profile.tobytes() == forced.cost_profile.tobytes()
+                assert abs(result.value - forced.value) <= slack, (mode, gamma)
+                for edge in ("worst_prior_lo", "worst_prior_hi"):
+                    got, want = getattr(result, edge).weights, getattr(forced, edge).weights
+                    assert np.abs(got - want).max() <= 1e-12, (mode, gamma, edge)
+                assert (cert.mu_side_ok, cert.pi_side_ok) == (
+                    forced_cert.mu_side_ok, forced_cert.pi_side_ok
+                )
+                certified += cert.mu_side_ok and cert.pi_side_ok
+        assert certified > 400
 
 
 def _result_bits(result) -> list:
