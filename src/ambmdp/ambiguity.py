@@ -24,8 +24,10 @@ replaced by the minimum over the planes found so far (see ``search``),
 computes the best response at the master's prior, and adds its cost
 profile as a new plane.  The master value bounds the outer value from
 above, the objective at each best response bounds it from below, and the
-loop stops when the bounds meet to float slack.  Deterministic policies are finite, so the loop
-ends after finitely many steps with the exact maximum.
+loop stops when the bounds meet to float slack.  Deterministic policies
+are finite, so the loop ends after finitely many steps with the exact
+maximum.  With three or more avar or robust parameters a solve's masters
+resume one simplex tableau, scaled once by the model's cost bounds.
 
 A two-parameter entropic solve starts from its support's segment planes,
 the first round of the sandwich rule: the Bayes planes at both point
@@ -77,7 +79,7 @@ import numpy as np
 from .bayes import DeterministicPolicy, ValueSolution, bayes_cost, solve_bayes
 from .model import Belief, StatisticalMDP
 from .risk import avar_quantile, entropic_risk, relative_entropy
-from .search import CUT_SLACK, entropic_master, lp_master, segment_ends, segment_master
+from .search import CUT_SLACK, LpTableau, entropic_master, lp_master, segment_ends, segment_master
 
 #: the certificate's prior and policy sides allow these times the cost scale
 PRIOR_SIDE_SLACK = 1e-10
@@ -163,12 +165,12 @@ class _Ambiguity:
             return avar_quantile(profile, self.base, self.gamma)
         return float(profile[self.index].max())
 
-    def master(self, cuts: np.ndarray) -> tuple[np.ndarray, float]:
+    def master(self, cuts: np.ndarray, tableau: LpTableau | None) -> tuple[np.ndarray, float]:
         if self.mode == "entropic":
             return entropic_master(cuts, self.reference, self.gamma)
         if len(self.support) == 2:
             return segment_master(cuts, self.caps)
-        return lp_master(cuts, self.caps)
+        return lp_master(cuts, self.caps, tableau)
 
     def embed(self, size: int, w: np.ndarray) -> Belief:
         full = np.zeros(size)
@@ -227,6 +229,8 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     if amb.mode == "entropic" and len(amb.support) == 2:
         seeds, cuts = _segment_planes(model, amb)
         held = list(seeds)
+    lp = amb.mode != "entropic" and len(amb.support) > 2  # cost bounds hold every cut
+    tableau = LpTableau(amb.caps, *model.cost_bounds) if lp else None
 
     def best_response(w: np.ndarray) -> tuple[float, bool, ValueSolution]:
         """Outer objective at the prior w, whether the best response's
@@ -244,7 +248,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     best_v, _, best = best_response(w)
     fresh = True  # one master step, even when the reference plane is a seed
     while fresh:
-        w, upper = amb.master(cuts)
+        w, upper = amb.master(cuts, tableau)
         if upper - best_v <= slack:
             break
         value, fresh, solution = best_response(w)

@@ -70,6 +70,8 @@ _DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 @dataclass
 class RunConfig:
+    """A parsed config: its mode, model, prior, gamma, caps and run options."""
+
     mode: str
     model: StatisticalMDP
     prior: Belief | None

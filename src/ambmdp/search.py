@@ -9,12 +9,14 @@ priors:
 
 * ``lp_master``: max_w min_i w . C_i over the simplex with weight caps
   (AVaR and robust modes), a small linear program solved exactly by a dense
-  simplex method with Bland's rule, for three or more support parameters;
+  simplex method with Bland's rule, for three or more support parameters.
+  An outer solve keeps one tableau, scaled once by the cost bounds, to
+  which a call adds its new cuts and then makes rank-1 dual simplex pivots;
 * ``entropic_master``: max_w min_i w . C_i - KL(w || base)/gamma.  With
   three or more parameters it solves the dual min over mixtures lambda of
-  the entropic risk of sum_i lambda_i C_i by line searches along Newton
-  directions on lambda until its duality gap is within the outer loop's
-  slack; the prior is the tilted prior of the mixed profile;
+  the entropic risk of sum_i lambda_i C_i by Newton steps on lambda, most
+  of them one pass over the exponentials, until its duality gap is within
+  the outer loop's slack; the prior is the tilted prior of the mixture;
 * with two parameters both are exact (``segment_master`` for the LP): on
   w = (s, 1 - s) the maximum lies at a crossing of two cuts, an end of the
   feasible s or (entropic) one cut's tilted prior, and ``_segment_max``
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from .risk import _divergence_terms, _entropic, _tilted
+from .risk import _divergence_terms, _tilted
 
 #: pivot and reduced-cost threshold of the simplex method; the tableau is
 #: scaled so that cut entries lie in [1, 2]
@@ -43,54 +45,80 @@ CUT_SLACK = 1e-12
 STALL_STEPS = 3
 #: hard cap on entropic master steps
 MAX_MASTER_STEPS = 10_000
+#: a Newton step of the entropic master is taken whole once it decreases F by
+#: at least this fraction of the decrease its slope at 0 predicts
+ARMIJO = 1e-4
 
 
-def lp_master(cuts: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
+class LpTableau:
+    """``lp_master``'s simplex tableau for one outer solve.  Rows: reduced
+    costs, ``sum(w) <= 1``, one per cap below 1, one per cut; columns: the
+    right-hand side, w, z, a slack per row; ``basis[r]`` is row r + 1's
+    basic column.  The range it is built with scales every cut (into [1, 2]
+    if the range holds it), so that a row never changes once added."""
+
+    def __init__(self, caps: np.ndarray, low: float, high: float):
+        n, capped = len(caps), [k for k in range(len(caps)) if caps[k] < 1.0]
+        rows = 1 + len(capped)
+        self.n, self.low, self.span, self.cuts = n, low, high - low or 1.0, 0
+        self.table = np.zeros((rows + 1, n + 2 + rows))
+        self.table[0, n + 1] = -1.0  # maximize z
+        self.table[1, : n + 1] = 1.0
+        for r, k in enumerate(capped, start=2):
+            self.table[r, 1 + k], self.table[r, 0] = 1.0, caps[k]
+        self.table[1:, n + 2 :] = np.eye(rows)
+        self.basis = list(range(n + 2, n + 2 + rows))
+
+    def resume(self, cuts: np.ndarray) -> np.ndarray:
+        """The optimal w once a row z <= w . cut, written in the basis, is
+        added for each new cut: dual simplex steps while a basic variable
+        is negative, else primal ones while a reduced cost is, by Bland's
+        rule, each pivot one rank-1 update."""
+        fresh, n, (rows, cols) = cuts[self.cuts :], self.n, self.table.shape
+        table, basis = np.zeros((rows + len(fresh), cols + len(fresh))), self.basis
+        table[:rows, :cols], self.cuts = self.table, len(cuts)
+        new = table[rows:]
+        new[:, 1 : n + 1] = -((fresh - self.low) / self.span + 1.0)
+        new[:, n + 1] = 1.0
+        new[:, :cols] -= new[:, basis] @ table[1:rows, :cols]
+        new[:, cols:] = np.eye(len(fresh))
+        basis += range(cols, table.shape[1])
+        while True:
+            rhs, cost = table[1:, 0].tolist(), table[0].tolist()
+            negative = [(j, r) for r, j in enumerate(basis) if rhs[r] < -PIVOT_TOL]
+            if negative:  # the least basic column leaves; the least ratio enters
+                row = table[1 + (r := min(negative)[1])].tolist()
+                columns = [j for j in range(1, len(row)) if row[j] < -PIVOT_TOL]
+                e = min(columns, key=lambda j: (cost[j] / -row[j], j))
+            else:  # the first column enters; the least ratio, then basic column, leaves
+                e = next((j for j in range(1, len(cost)) if cost[j] < -PIVOT_TOL), 0)
+                if not e:
+                    break
+                column = table[1:, e].tolist()
+                positive = [q for q in range(len(rhs)) if column[q] > PIVOT_TOL]
+                r = min(positive, key=lambda q: (rhs[q] / column[q], basis[q]))
+            pivot = table[r + 1] / table[r + 1, e]
+            table -= table[:, e, None] * pivot
+            table[r + 1] = pivot
+            basis[r] = e
+        self.table, x = table, np.zeros(table.shape[1])
+        x[basis] = np.maximum(table[1:, 0], 0.0)
+        return x[1 : n + 1] / x[1 : n + 1].sum()
+
+
+def lp_master(cuts: np.ndarray, caps: np.ndarray, tableau=None) -> tuple[np.ndarray, float]:
     """Maximize min_i w . cuts[i] over {w >= 0, sum(w) = 1, w <= caps}.
 
-    Returns (w, value).  The cuts are shifted and scaled into [1, 2]; with
-    strictly positive cuts every optimum puts full mass on the simplex, so
-    ``sum(w) <= 1`` replaces the equality and the origin is a feasible
-    starting basis.  Caps of 1 or more are implied by the simplex and
-    dropped.
+    Returns (w, value).  ``tableau``, the outer solve's ``LpTableau`` for
+    ``caps``, holds the leading cuts and resumes from its last basis; a
+    fresh one, scaled by the cuts' own range, starts from the origin.  With
+    strictly positive scaled cuts every optimum puts full mass on the
+    simplex, so ``sum(w) <= 1`` replaces the equality and the origin is a
+    feasible basis.  Caps of 1 or more are implied and dropped.
     """
-    m, n = cuts.shape
-    low = float(cuts.min())
-    span = float(cuts.max()) - low or 1.0
-    capped = [k for k in range(n) if caps[k] < 1.0]
-    rows = m + 1 + len(capped)
-    width = n + 1 + rows  # columns: w, z, slacks; the last column is the rhs
-    tableau = np.zeros((rows + 1, width + 1))
-    tableau[:m, :n] = -((cuts - low) / span + 1.0)
-    tableau[:m, n] = 1.0
-    tableau[m, :n] = 1.0
-    tableau[m, -1] = 1.0
-    for r, k in enumerate(capped, start=m + 1):
-        tableau[r, k] = 1.0
-        tableau[r, -1] = caps[k]
-    tableau[:rows, n + 1 : width] = np.eye(rows)
-    tableau[-1, n] = -1.0
-    basis = list(range(n + 1, width))
-    while True:
-        entering = next((j for j in range(width) if tableau[-1, j] < -PIVOT_TOL), None)
-        if entering is None:
-            break
-        column = tableau[:rows, entering]
-        _, _, r = min(
-            (tableau[q, -1] / column[q], basis[q], q)
-            for q in range(rows)
-            if column[q] > PIVOT_TOL
-        )
-        tableau[r] /= tableau[r, entering]
-        for q in range(rows + 1):
-            if q != r:
-                tableau[q] -= tableau[q, entering] * tableau[r]
-        basis[r] = entering
-    w = np.zeros(n)
-    for r, j in enumerate(basis):
-        if j < n:
-            w[j] = max(tableau[r, -1], 0.0)
-    w /= w.sum()
+    if tableau is None:
+        tableau = LpTableau(caps, float(cuts.min()), float(cuts.max()))
+    w = tableau.resume(cuts)
     return w, float((cuts @ w).min())
 
 
@@ -115,17 +143,16 @@ def entropic_master(
     minimax the maximum equals the minimum over mixtures lambda of
     F(lambda) = rho(lambda . cuts), rho(c) = log(base . exp(gamma c))/gamma,
     whose gradient is g_i = w . cuts[i] at the tilted prior w proportional
-    to base * exp(gamma * lambda . cuts).  rho is ``risk._entropic`` and w
-    ``risk._tilted``, so F keeps its precision at small gamma, where a
-    log-sum-exp divided by gamma loses eps/gamma and would end the outer
-    loop short of its slack.  The first step puts lambda on the cut of
-    least F; each later one moves lambda to the minimum of F
-    along the Newton direction on the face of the active cuts plus the one
-    with the least g or, where that direction is not a feasible descent,
-    along the pairwise direction from the worst active cut to that one.
-    The line minimum is found from derivatives, which keep their sign where
-    F's float values no longer change.  ``upper`` = F(lambda) bounds the
-    maximum for every lambda.
+    to base * exp(gamma * lambda . cuts); ``_tilt`` gives w and F in one
+    pass.  The first step puts lambda on the cut of least F; each later one
+    moves it along the Newton direction on the face of the active cuts plus
+    the one with the least g or, where that is not a feasible descent, from
+    the worst active cut to that one.  The end of the line (the whole
+    Newton step, or the face's boundary) is taken where F still descends
+    there or, on a Newton direction, has decreased by ``ARMIJO`` of what
+    its slope predicts; else the line minimum, found from derivatives,
+    which keep their sign where F's float values no longer change.
+    ``upper`` = F(lambda) bounds the maximum for every lambda.
 
     The steps stop once the duality gap lambda . g - min g, which bounds
     ``upper`` minus the maximum, is at most ``CUT_SLACK`` times the largest
@@ -136,40 +163,43 @@ def entropic_master(
     """
     if len(base) == 2:
         return _segment_max(cuts, 0.0, 1.0, (), base, gamma)
-    m, log_base = len(cuts), np.log(base)
-    tol = CUT_SLACK * float(np.abs(cuts).max())
-    lam = np.zeros(m)
-    lam[np.argmin([_entropic(cut, base, gamma) for cut in cuts])] = 1.0
-    least_gap = lowest = math.inf
-    stalled = 0
+    log_base, tol = np.log(base), CUT_SLACK * float(np.abs(cuts).max())
+    starts = [_tilt(cut, base, log_base, gamma) for cut in cuts]
+    i = min(range(len(cuts)), key=lambda i: starts[i][1])
+    lam, (w, f) = np.eye(len(cuts))[i], starts[i]
+    least_gap, lowest, stalled = math.inf, math.inf, 0
     for steps in range(MAX_MASTER_STEPS + 1):
-        mixed = lam @ cuts
-        w, f = _tilted(mixed, log_base, gamma), _entropic(mixed, base, gamma)
         g = cuts @ w
-        j = int(np.argmin(g))
-        gap = float(lam @ g) - float(g[j])
+        j = int(g.argmin())
+        gap = float(lam @ g - g[j])
         stalled = 0 if gap < least_gap or f < lowest else stalled + 1
         least_gap, lowest = min(least_gap, gap), min(lowest, f)
         if gap <= tol or stalled >= STALL_STEPS or steps == MAX_MASTER_STEPS:
             break
-        d = _face_newton(lam, cuts, j, w, g, gamma)
-        shrinking = np.nonzero(d < 0.0)[0]
-        if not (float(g @ d) < 0.0 and len(shrinking) and lam[shrinking].min() > 0.0):
-            active = np.nonzero(lam > 0.0)[0]
-            i = int(active[np.argmax(g[active])])
+        d, weights = _face_newton(lam, cuts, j, w, g, gamma), lam.tolist()
+        descent, moves = float(g @ d), d.tolist()
+        limits = [(weights[k] / -moves[k], k) for k in range(len(moves)) if moves[k] < 0.0]
+        newton = descent < 0.0 and limits and min(limits)[0] > 0.0
+        if not newton:
+            i = max((k for k in range(len(weights)) if weights[k] > 0.0), key=g.item)
             if i == j:
                 break
-            d = np.zeros(m)
+            d = np.zeros(len(cuts))
             d[j], d[i] = 1.0, -1.0
-            shrinking = np.array([i])
-        limits = lam[shrinking] / -d[shrinking]
-        t_max = float(limits.min())
-        t = _newton_line(mixed, d @ cuts, w, min(1.0, t_max), log_base, gamma)
-        lam = lam + t * d
-        if t == t_max:
-            lam[shrinking[np.argmin(limits)]] = 0.0
-        lam = np.maximum(lam, 0.0)
-        lam /= lam.sum()
+            descent, limits = float(g[j] - g[i]), [(weights[i], i)]
+        (t_max, hit), line = min(limits), d @ cuts
+        t = min(1.0, t_max)
+        for searched in (False, True):
+            trial = lam + t * d
+            if t == t_max:
+                trial[hit] = 0.0
+            trial = np.maximum(trial, 0.0)
+            trial /= trial.sum()
+            trial_w, trial_f = _tilt(trial @ cuts, base, log_base, gamma)
+            if searched or trial_w @ line <= 0.0 or newton and trial_f <= f + ARMIJO * t * descent:
+                break
+            t = _newton_line(lam @ cuts, line, w, t, log_base, gamma)
+        lam, w, f = trial, trial_w, trial_f
     return w, f
 
 
@@ -209,36 +239,50 @@ def _face_newton(lam, cuts, j, w, g, gamma) -> np.ndarray:
     diagonal keeps the system regular when the face's cuts are affinely
     dependent up to constants; F is linear along such a dependence, and the
     line search ends the long move along it at the face's boundary."""
-    face = np.nonzero((lam > 0.0) | (np.arange(len(lam)) == j))[0]
-    k = len(face)
-    rows = cuts[face] - g[face, None]
-    hess = gamma * (rows * w) @ rows.T
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = hess + max(1e-12 * np.trace(hess) / k, 1e-150) * np.eye(k)
-    kkt[:k, k] = kkt[k, :k] = 1.0
+    face = np.flatnonzero((lam > 0.0) | (np.arange(len(lam)) == j))
+    k, rows = len(face), cuts[face] - g[face, None]
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = gamma * (rows * w) @ rows.T
+    kkt[k, k] = 0.0
+    kkt.flat[: k * (k + 2) : k + 2] += max(1e-12 * kkt.trace() / k, 1e-150)
     d = np.zeros(len(lam))
     d[face] = np.linalg.solve(kkt, np.append(-g[face], 0.0))[:k]
     return d / max(1.0, float(np.abs(d).max()))
+
+
+def _tilt(v: np.ndarray, p: np.ndarray, log_p: np.ndarray, gamma: float):
+    """(w, rho): the tilted prior of ``v`` under the base ``p`` > 0 of log
+    ``log_p`` and its entropic risk, clamped to v's range, from one pass
+    over the exponentials; as in ``risk._entropic``, about the mean m = p .
+    v where gamma times v's distance from m is below 1, so that rho keeps
+    its precision at small gamma (a log-sum-exp over gamma loses eps/gamma),
+    and max-shifted elsewhere."""
+    listed = v.tolist()
+    m, lo, hi = float(p @ v), min(listed), max(listed)
+    if gamma * max(hi - m, m - lo) < 1.0:
+        u = np.expm1(gamma * (v - m))
+        e, value = p + p * u, m + math.log1p(float(p @ u)) / gamma
+    else:
+        a = gamma * v + log_p
+        shift = float(a.max())
+        e = np.exp(a - shift)
+        value = (shift + math.log(float(e.sum()))) / gamma
+    return e / e.sum(), min(max(value, lo), hi)
 
 
 def _newton_line(
     profile: np.ndarray, d: np.ndarray, w: np.ndarray, t_max: float, log_base, gamma: float
 ) -> float:
     """Minimizer over [0, t_max] of the convex rho(profile + t d), whose
-    derivative is w(t) . d, w(t) the tilted prior of profile + t d under
-    the base of log ``log_base`` (``risk._tilted``); ``w`` is w(0).  Newton
-    steps, bisection whenever a step would leave the bracket; the search
-    ends where a Newton step rounds to the current point, or the bracket
-    has shrunk to float noise.  rho's own values are never read."""
-    if _tilted(profile + t_max * d, log_base, gamma) @ d <= 0.0:
-        return t_max
+    derivative w(t) . d is negative at 0 and positive at ``t_max``, w(t)
+    the tilted prior of profile + t d under the base of log ``log_base``
+    (``risk._tilted``); ``w`` is w(0).  Newton steps, bisection whenever a
+    step would leave the bracket, until a Newton step rounds to the current
+    point or the bracket shrinks to float noise; rho is never read."""
     lo, hi, t = 0.0, t_max, 0.0
     for _ in range(200):
         slope = float(w @ d)
-        if slope > 0.0:
-            hi = t
-        else:
-            lo = t
+        lo, hi = (lo, t) if slope > 0.0 else (t, hi)
         curvature = gamma * float(w @ (d - slope) ** 2)
         # a step longer than the bracket is not taken, so it is not divided
         # out either: with a subnormal curvature the quotient overflows

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
@@ -939,16 +940,16 @@ class TestEntropicMaster:
                 assert abs(float(objective(cuts, w[:1], base, gamma)[0]) - upper) <= slack, gamma
 
     def test_master_work_on_a_figure_row(self, bench_model, monkeypatch):
-        # a figure row's masters have two parameters and make no line
-        # search, and the segment planes leave one best response after the
+        # a figure row's masters have two parameters and make no Newton
+        # step, and the segment planes leave one best response after the
         # reference; a three-parameter solve still takes the Newton path
-        calls, newton_line = [], search._newton_line
+        calls, face_newton = [], search._face_newton
 
         def counted(*args):
             calls.append(None)
-            return newton_line(*args)
+            return face_newton(*args)
 
-        monkeypatch.setattr(search, "_newton_line", counted)
+        monkeypatch.setattr(search, "_face_newton", counted)
         result = solve_entropic(bench_model, seqtest.prior_belief(0.2), 0.75)
         assert result.value == pytest.approx(entropic_closed_form(0.2, 0.75)[1], abs=1e-9)
         assert len(result.trace) == 2 and not calls
@@ -988,7 +989,7 @@ class TestLpMaster:
         attained = float((cuts @ w).min())
         # the segment master rates all its candidates in one matrix product,
         # which may round apart from the product with w alone
-        exact = master is search.lp_master
+        exact = master is not search.segment_master
         assert attained == value if exact else abs(attained - value) <= 1e-15 * scale
         assert abs(value - self.vertex_max(cuts, caps)) <= 1e-12 * scale, cuts.shape
 
@@ -1001,6 +1002,28 @@ class TestLpMaster:
             self.check(search.lp_master, cuts, caps)
             if k == 2:
                 self.check(search.segment_master, cuts, caps)
+
+    def test_kept_tableau_matches_vertex_enumeration_on_every_prefix(self):
+        # one tableau per cut sequence, scaled once by a cost range that
+        # holds every cut, as an outer solve keeps it; every prefix resumes
+        # it.  Each sequence holds a duplicated cut, a parallel one and cuts
+        # at both ends of the range, in a seeded order
+        low, high = -2.0, 5.0
+        rng = np.random.default_rng(31)
+        for k, m, draws in ((3, 7, 8), (4, 7, 6), (5, 6, 4), (6, 5, 2), (7, 3, 1), (8, 2, 1)):
+            for draw in range(draws):
+                cuts = rng.uniform(low + 0.5, high - 0.5, (max(m, 5), k))
+                cuts[1] = cuts[0]
+                cuts[2] = cuts[0] + rng.choice([-0.5, 0.5])
+                cuts[3] = np.where(rng.random(k) < 0.5, low, high)
+                cuts[4, rng.integers(k)] = rng.choice([low, high])
+                cuts = cuts[rng.permutation(len(cuts))][:m]
+                # caps below 1 (avar), or none (robust)
+                caps = rng.dirichlet(np.ones(k)) / rng.uniform(0.2, 1.0)
+                caps = np.ones(k) if draw % 3 == 2 else caps
+                tableau = search.LpTableau(caps, low, high)
+                for p in range(1, m + 1):
+                    self.check(functools.partial(search.lp_master, tableau=tableau), cuts[:p], caps)
 
     @pytest.mark.parametrize("caps", ([0.6, 0.7], [1.0, 1.0], [3.0, 1.5], [0.25, 0.75], [0.3, 0.7]))
     @pytest.mark.parametrize(
@@ -1025,9 +1048,9 @@ def counted_masters(monkeypatch) -> dict:
     """Calls from now on of the avar and robust masters that the loop picks."""
     calls = {"lp_master": 0, "segment_master": 0}
     for name in calls:
-        def counted(cuts, caps, name=name, real=getattr(ambiguity, name)):
+        def counted(*args, name=name, real=getattr(ambiguity, name)):
             calls[name] += 1
-            return real(cuts, caps)
+            return real(*args)
 
         monkeypatch.setattr(ambiguity, name, counted)
     return calls
