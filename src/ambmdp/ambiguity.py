@@ -4,8 +4,9 @@
 names the ambiguity set, and ``solve_entropic``, ``solve_avar`` and
 ``solve_robust`` are shorthands for its three modes.  Every mode-specific
 choice (feasible priors, penalty, dual risk, master problem) is made here,
-by the private ``_Ambiguity`` object.  Each mode maximizes a concave
-function of the prior whose inner value is an exact Bayes solve:
+by the private ``_Ambiguity`` object, once per solve.  Each mode
+maximizes a concave function of the prior whose inner value is an exact
+Bayes solve:
 
 * entropic mode maximizes  inner(mu) - relative_entropy(mu, base)/gamma
   over the simplex restricted to the base prior's support;
@@ -26,8 +27,9 @@ profile as a new plane.  The master value bounds the outer value from
 above, the objective at each best response bounds it from below, and the
 loop stops when the bounds meet to float slack.  Deterministic policies
 are finite, so the loop ends after finitely many steps with the exact
-maximum.  With three or more avar or robust parameters a solve's masters
-resume one simplex tableau, scaled once by the model's cost bounds.
+maximum.  Two support parameters take the exact segment master, more
+the entropic dual master or one simplex tableau per solve, scaled once by
+the model's cost bounds, which its masters resume.
 
 A two-parameter entropic solve starts from its support's segment planes,
 the first round of the sandwich rule: the Bayes planes at both point
@@ -79,7 +81,7 @@ import numpy as np
 from .bayes import DeterministicPolicy, ValueSolution, bayes_cost, solve_bayes
 from .model import Belief, StatisticalMDP
 from .risk import avar_quantile, entropic_risk, relative_entropy
-from .search import CUT_SLACK, LpTableau, entropic_master, lp_master, segment_ends, segment_master
+from .search import CUT_SLACK, LpTableau, _segment_max, entropic_master
 
 #: the certificate's prior and policy sides allow these times the cost scale
 PRIOR_SIDE_SLACK = 1e-10
@@ -130,9 +132,9 @@ class SaddleCertificate:
 
 
 class _Ambiguity:
-    """Feasible priors, penalty and dual risk of one solver mode.  Weight
-    vectors are indexed by position in ``support``.  A plain class: a
-    dataclass would cost the package import about 1 ms."""
+    """Feasible priors, penalty, dual risk and master of one solver mode.
+    Weight vectors are indexed by position in ``support``.  A plain class:
+    a dataclass would cost the package import about 1 ms."""
 
     def __init__(
         self,
@@ -145,13 +147,23 @@ class _Ambiguity:
         self.index = np.array(support, dtype=int)
         #: first prior of the search: the base, or (robust) the last support vertex
         self.reference = np.eye(len(support))[-1] if base is None else base.weights[self.index]
+        self.segment = self.tableau = None  # the solve's master, set by ``pick_master``
 
-    @property
-    def caps(self) -> np.ndarray:
-        if self.mode == "avar":
-            # densities against the base are capped at 1/(1-gamma)
-            return self.reference * (1.0 / (1.0 - self.gamma))
-        return np.ones(len(self.support))
+    def pick_master(self, cost_bounds: tuple[float, float]) -> None:
+        """Pick one solve's master by the mode and the support size: on two
+        parameters ``_segment_max`` over s in [lo, hi] for w = (s, 1 - s),
+        given as its arguments after the cuts; else ``entropic_master`` or
+        one ``LpTableau`` scaled by ``cost_bounds``, which hold every cut."""
+        k, entropic = len(self.support), self.mode == "entropic"
+        # avar densities against the base are capped at 1/(1-gamma)
+        caps = self.reference * (1.0 / (1.0 - self.gamma)) if self.mode == "avar" else np.ones(k)
+        if k == 2 and entropic:  # with each cut's tilted prior
+            self.segment = (0.0, 1.0, (), self.reference, self.gamma)
+        elif k == 2:  # over the s that the caps leave, ends first
+            ends = max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0]))
+            self.segment = (*ends, ends)
+        elif not entropic:
+            self.tableau = LpTableau(caps, *cost_bounds)
 
     def penalty(self, mu: Belief) -> float:
         if self.mode == "entropic":
@@ -165,12 +177,12 @@ class _Ambiguity:
             return avar_quantile(profile, self.base, self.gamma)
         return float(profile[self.index].max())
 
-    def master(self, cuts: np.ndarray, tableau: LpTableau | None) -> tuple[np.ndarray, float]:
-        if self.mode == "entropic":
-            return entropic_master(cuts, self.reference, self.gamma)
-        if len(self.support) == 2:
-            return segment_master(cuts, self.caps)
-        return lp_master(cuts, self.caps, tableau)
+    def master(self, cuts: np.ndarray) -> tuple[np.ndarray, float]:
+        if self.segment is not None:
+            return _segment_max(cuts, *self.segment)
+        if self.tableau is not None:
+            return self.tableau.resume(cuts)
+        return entropic_master(cuts, self.reference, self.gamma)
 
     def embed(self, size: int, w: np.ndarray) -> Belief:
         full = np.zeros(size)
@@ -226,11 +238,11 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     slack = CUT_SLACK * _cost_scale(model)
     trace: list[tuple[Belief, float]] = []
     held, cuts = [], np.empty((0, len(amb.support)))  # a cut row per held (costs, pairs)
-    if amb.mode == "entropic" and len(amb.support) == 2:
+    amb.pick_master(model.cost_bounds)
+    ends = amb.segment and amb.segment[2]  # the segment's ends (avar, robust), else none
+    if amb.segment and not ends:  # an entropic segment: its planes seed the loop
         seeds, cuts = _segment_planes(model, amb)
         held = list(seeds)
-    lp = amb.mode != "entropic" and len(amb.support) > 2  # cost bounds hold every cut
-    tableau = LpTableau(amb.caps, *model.cost_bounds) if lp else None
 
     def best_response(w: np.ndarray) -> tuple[float, bool, ValueSolution]:
         """Outer objective at the prior w, whether the best response's
@@ -248,7 +260,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     best_v, _, best = best_response(w)
     fresh = True  # one master step, even when the reference plane is a seed
     while fresh:
-        w, upper = amb.master(cuts, tableau)
+        w, upper = amb.master(cuts)
         if upper - best_v <= slack:
             break
         value, fresh, solution = best_response(w)
@@ -257,10 +269,10 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
 
     worst = best.tree.prior
     lo = hi = worst
-    if amb.mode != "entropic" and len(amb.support) == 2:
+    if ends:
         lo, hi = (
             amb.embed(model.n_params, e)
-            for e in _plateau(amb, lambda: cuts, best_w, best_v, slack, best_response)
+            for e in _plateau(ends, lambda: cuts, best_w, best_v, slack, best_response)
         )
     # the held planes through the returned prior, to slack, are its Bayes policies
     heights = cuts @ best_w
@@ -289,12 +301,12 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
 
 
 def _plateau(
-    amb: _Ambiguity, planes, best_w: np.ndarray, best_v: float, slack: float, best_response
+    bounds: tuple, planes, best_w: np.ndarray, best_v: float, slack: float, best_response
 ):
     """Plateau edges (as support weights) on the line a + s d = (s, 1 - s)
-    of the feasible priors of two support parameters; ``planes()`` is the
-    loop's cut matrix, a row of support costs per held plane, which the
-    edges' best responses extend.
+    of the feasible priors of two support parameters, s in ``bounds``, the
+    segment master's ends; ``planes()`` is the loop's cut matrix, a row of
+    support costs per held plane, which the edges' best responses extend.
 
     The edges are where the lowest plane falls below the best value.  A
     plane within ``slack`` of the best value at the best prior counts as
@@ -304,7 +316,6 @@ def _plateau(
     A master step onto a plateau lands on an end it reaches, else a crossing.
     """
     a, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
-    bounds = segment_ends(amb.caps)
     s_best = float(best_w[0])
 
     def interval() -> tuple[float, float]:

@@ -12,9 +12,9 @@ its dual form, as a supremum over priors, and evaluates it here directly:
 
 Exponents are max-shifted so large gamma (1e4 and beyond) stays finite,
 and small gamma is computed about the base mean, so that neither the risk
-nor the penalty divided by gamma loses eps/gamma to cancellation.  The
-entropic master of ``search`` reads both entropic rules from here too,
-unvalidated: the risk from ``_entropic``, the tilted prior from ``_tilted``.
+nor the penalty divided by gamma loses eps/gamma to cancellation.  Both
+rules live in ``_tilt``, one pass that gives the risk and its tilted
+prior; ``search``'s masters read it and ``_tilted`` unvalidated.
 """
 
 from __future__ import annotations
@@ -70,30 +70,37 @@ def relative_entropy(mu, nu) -> float:
 
 
 def entropic_risk(profile, base, gamma: float) -> float:
-    """(1/gamma) log sum(base exp(gamma profile)), validated, by ``_entropic``:
-    between the min and max of the profile on the support of ``base``, from
-    the expectation (gamma -> 0) to the worst case (gamma -> inf)."""
+    """(1/gamma) log sum(base exp(gamma profile)), validated: ``_tilt``'s
+    risk on the support of ``base``, between the min and max of the profile
+    there, from the expectation (gamma -> 0) to the worst case (gamma -> inf)."""
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     p = _weights(base)
-    return _entropic(as_profile(profile, p.size), p, gamma)
-
-
-def _entropic(v: np.ndarray, p: np.ndarray, gamma: float) -> float:
-    """``entropic_risk`` unvalidated, ``p`` taken as normalized: max-shifted
-    or, where gamma times the distance of ``v`` from its mean m is below 1,
-    m + log1p(p . expm1(gamma (v - m)))/gamma; clamped to v's range on p > 0."""
+    v = as_profile(profile, p.size)
     if not p.all():
         on = p > 0.0
         p, v = p[on], v[on]
+    return _tilt(v, p, np.log(p), gamma)[1]
+
+
+def _tilt(v: np.ndarray, p: np.ndarray, log_p: np.ndarray, gamma: float):
+    """(w, rho): the tilted prior of ``v`` under the base ``p`` > 0 of log
+    ``log_p`` and its entropic risk, clamped to v's range, from one pass
+    over the exponentials: about the mean m = p . v, as m + log1p(p .
+    expm1(gamma (v - m)))/gamma, where gamma times v's distance from m is
+    below 1, so that rho keeps its precision at small gamma (a log-sum-exp
+    over gamma loses eps/gamma), and max-shifted elsewhere."""
     listed = v.tolist()
     m, lo, hi = float(p @ v), min(listed), max(listed)
     if gamma * max(hi - m, m - lo) < 1.0:
-        value = m + math.log1p(float(p @ np.expm1(gamma * (v - m)))) / gamma
+        u = np.expm1(gamma * (v - m))
+        e, value = p + p * u, m + math.log1p(float(p @ u)) / gamma
     else:
-        shift = gamma * hi
-        value = (shift + math.log(float(np.sum(p * np.exp(gamma * v - shift))))) / gamma
-    return min(max(value, lo), hi)
+        a = gamma * v + log_p
+        shift = float(a.max())
+        e = np.exp(a - shift)
+        value = (shift + math.log(float(e.sum()))) / gamma
+    return e / e.sum(), min(max(value, lo), hi)
 
 
 def _tilted(profiles: np.ndarray, log_base: np.ndarray, gamma: float) -> np.ndarray:

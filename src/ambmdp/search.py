@@ -7,20 +7,20 @@ linear, and each cut is one of its supporting planes, so min_i w . C_i
 bounds V from above.  The masters maximize that bound over the feasible
 priors:
 
-* ``lp_master``: max_w min_i w . C_i over the simplex with weight caps
-  (AVaR and robust modes), a small linear program solved exactly by a dense
-  simplex method with Bland's rule, for three or more support parameters.
-  An outer solve keeps one tableau, scaled once by the cost bounds, to
-  which a call adds its new cuts and then makes rank-1 dual simplex pivots;
-* ``entropic_master``: max_w min_i w . C_i - KL(w || base)/gamma.  With
-  three or more parameters it solves the dual min over mixtures lambda of
-  the entropic risk of sum_i lambda_i C_i by Newton steps on lambda, most
-  of them one pass over the exponentials, until its duality gap is within
-  the outer loop's slack; the prior is the tilted prior of the mixture;
-* with two parameters both are exact (``segment_master`` for the LP): on
-  w = (s, 1 - s) the maximum lies at a crossing of two cuts, an end of the
-  feasible s or (entropic) one cut's tilted prior, and ``_segment_max``
-  returns the first best of these candidates.
+* ``_segment_max``, exact, for two parameters: on w = (s, 1 - s) the
+  maximum lies at a crossing of two cuts, an end of the feasible s (avar
+  and robust) or one cut's tilted prior (entropic), and it returns the
+  first best of these candidates;
+* ``LpTableau``: max_w min_i w . C_i over the simplex with weight caps
+  (avar and robust modes), a small linear program solved exactly by a
+  dense simplex method with Bland's rule.  An outer solve keeps one
+  tableau, scaled once by the cost bounds, to which each master step adds
+  its new cuts and then makes rank-1 dual simplex pivots;
+* ``entropic_master``: max_w min_i w . C_i - KL(w || base)/gamma, by the
+  dual min over mixtures lambda of the entropic risk of sum_i lambda_i C_i,
+  with Newton steps on lambda, most of them one pass over the exponentials
+  (``risk._tilt``), until its duality gap is within the outer loop's
+  slack; the prior is the tilted prior of the mixture.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .risk import _divergence_terms, _tilted
+from .risk import _divergence_terms, _tilt, _tilted
 
 #: pivot and reduced-cost threshold of the simplex method; the tableau is
 #: scaled so that cut entries lie in [1, 2]
@@ -51,11 +51,13 @@ ARMIJO = 1e-4
 
 
 class LpTableau:
-    """``lp_master``'s simplex tableau for one outer solve.  Rows: reduced
+    """One outer solve's simplex tableau of max_w min_i w . cuts[i] over {w
+    >= 0, sum(w) <= 1, w <= caps}, caps of 1 or more dropped.  Rows: reduced
     costs, ``sum(w) <= 1``, one per cap below 1, one per cut; columns: the
     right-hand side, w, z, a slack per row; ``basis[r]`` is row r + 1's
     basic column.  The range it is built with scales every cut (into [1, 2]
-    if the range holds it), so that a row never changes once added."""
+    if the range holds it), so that a row never changes once added; with
+    positive scaled cuts every optimum has sum(w) = 1."""
 
     def __init__(self, caps: np.ndarray, low: float, high: float):
         n, capped = len(caps), [k for k in range(len(caps)) if caps[k] < 1.0]
@@ -69,11 +71,12 @@ class LpTableau:
         self.table[1:, n + 2 :] = np.eye(rows)
         self.basis = list(range(n + 2, n + 2 + rows))
 
-    def resume(self, cuts: np.ndarray) -> np.ndarray:
-        """The optimal w once a row z <= w . cut, written in the basis, is
-        added for each new cut: dual simplex steps while a basic variable
-        is negative, else primal ones while a reduced cost is, by Bland's
-        rule, each pivot one rank-1 update."""
+    def resume(self, cuts: np.ndarray) -> tuple[np.ndarray, float]:
+        """(w, min_i w . cuts[i]) at the optimal w once a row z <= w . cut,
+        written in the basis, is added for each cut past those held: dual
+        simplex steps while a basic variable is negative, else primal ones
+        while a reduced cost is, by Bland's rule, each pivot one rank-1
+        update; the first call starts from the origin."""
         fresh, n, (rows, cols) = cuts[self.cuts :], self.n, self.table.shape
         table, basis = np.zeros((rows + len(fresh), cols + len(fresh))), self.basis
         table[:rows, :cols], self.cuts = self.table, len(cuts)
@@ -103,34 +106,8 @@ class LpTableau:
             basis[r] = e
         self.table, x = table, np.zeros(table.shape[1])
         x[basis] = np.maximum(table[1:, 0], 0.0)
-        return x[1 : n + 1] / x[1 : n + 1].sum()
-
-
-def lp_master(cuts: np.ndarray, caps: np.ndarray, tableau=None) -> tuple[np.ndarray, float]:
-    """Maximize min_i w . cuts[i] over {w >= 0, sum(w) = 1, w <= caps}.
-
-    Returns (w, value).  ``tableau``, the outer solve's ``LpTableau`` for
-    ``caps``, holds the leading cuts and resumes from its last basis; a
-    fresh one, scaled by the cuts' own range, starts from the origin.  With
-    strictly positive scaled cuts every optimum puts full mass on the
-    simplex, so ``sum(w) <= 1`` replaces the equality and the origin is a
-    feasible basis.  Caps of 1 or more are implied and dropped.
-    """
-    if tableau is None:
-        tableau = LpTableau(caps, float(cuts.min()), float(cuts.max()))
-    w = tableau.resume(cuts)
-    return w, float((cuts @ w).min())
-
-
-def segment_ends(caps: np.ndarray) -> tuple[float, float]:
-    """The feasible s of w = (s, 1 - s) under the weight caps: [lo, hi]."""
-    return max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0]))
-
-
-def segment_master(cuts: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
-    """``lp_master`` for two parameters; the ends of the feasible s first."""
-    lo, hi = segment_ends(caps)
-    return _segment_max(cuts, lo, hi, (lo, hi))
+        w = x[1 : n + 1] / x[1 : n + 1].sum()
+        return w, float((cuts @ w).min())
 
 
 def entropic_master(
@@ -138,9 +115,8 @@ def entropic_master(
 ) -> tuple[np.ndarray, float]:
     """Maximize min_i w . cuts[i] - KL(w || base)/gamma over the simplex.
 
-    Returns (w, upper): with two parameters ``_segment_max``, whose
-    ``upper`` is the primal value at w, exact to rounding.  With more, by
-    minimax the maximum equals the minimum over mixtures lambda of
+    Returns (w, upper).  By minimax the maximum equals the minimum over
+    mixtures lambda of
     F(lambda) = rho(lambda . cuts), rho(c) = log(base . exp(gamma c))/gamma,
     whose gradient is g_i = w . cuts[i] at the tilted prior w proportional
     to base * exp(gamma * lambda . cuts); ``_tilt`` gives w and F in one
@@ -161,8 +137,6 @@ def entropic_master(
     stop once neither F nor the gap has decreased for ``STALL_STEPS``
     steps, or after ``MAX_MASTER_STEPS``.
     """
-    if len(base) == 2:
-        return _segment_max(cuts, 0.0, 1.0, (), base, gamma)
     log_base, tol = np.log(base), CUT_SLACK * float(np.abs(cuts).max())
     starts = [_tilt(cut, base, log_base, gamma) for cut in cuts]
     i = min(range(len(cuts)), key=lambda i: starts[i][1])
@@ -248,26 +222,6 @@ def _face_newton(lam, cuts, j, w, g, gamma) -> np.ndarray:
     d = np.zeros(len(lam))
     d[face] = np.linalg.solve(kkt, np.append(-g[face], 0.0))[:k]
     return d / max(1.0, float(np.abs(d).max()))
-
-
-def _tilt(v: np.ndarray, p: np.ndarray, log_p: np.ndarray, gamma: float):
-    """(w, rho): the tilted prior of ``v`` under the base ``p`` > 0 of log
-    ``log_p`` and its entropic risk, clamped to v's range, from one pass
-    over the exponentials; as in ``risk._entropic``, about the mean m = p .
-    v where gamma times v's distance from m is below 1, so that rho keeps
-    its precision at small gamma (a log-sum-exp over gamma loses eps/gamma),
-    and max-shifted elsewhere."""
-    listed = v.tolist()
-    m, lo, hi = float(p @ v), min(listed), max(listed)
-    if gamma * max(hi - m, m - lo) < 1.0:
-        u = np.expm1(gamma * (v - m))
-        e, value = p + p * u, m + math.log1p(float(p @ u)) / gamma
-    else:
-        a = gamma * v + log_p
-        shift = float(a.max())
-        e = np.exp(a - shift)
-        value = (shift + math.log(float(e.sum()))) / gamma
-    return e / e.sum(), min(max(value, lo), hi)
 
 
 def _newton_line(

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import math
 import warnings
@@ -878,7 +877,7 @@ class TestEntropicMaster:
         # draws 7, 35 and 240 of this generator drove a line search to a
         # subnormal curvature, where slope / curvature overflowed (gamma
         # times the cost span 1.7e4, 6.7e3 and 8.4e4); draw 35 has two
-        # parameters and now ends in closed form, without a line search
+        # parameters, which solves send to the segment master instead
         rng = np.random.default_rng(1)
         for draw in range(241):
             n_params, n_cuts = int(rng.integers(2, 7)), int(rng.integers(1, 30))
@@ -894,7 +893,8 @@ class TestEntropicMaster:
             assert upper - lower <= 1e-9 * np.abs(cuts).max(), draw
 
     def test_two_parameter_master_is_exact(self):
-        # its prior attains upper, and upper is the primal maximum to rounding
+        # the segment master that two-parameter entropic solves take: its
+        # prior attains upper, and upper is the primal maximum to rounding
         rng = np.random.default_rng(17)
         s = np.linspace(0.0, 1.0, 20_001)
         grid = np.stack((s, 1.0 - s))
@@ -906,7 +906,7 @@ class TestEntropicMaster:
             scale = float(np.abs(cuts).max())
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                w, upper = entropic_master(cuts, base, gamma)
+                w, upper = search._segment_max(cuts, 0.0, 1.0, (), base, gamma)
             kl = relative_entropy(Belief(w), Belief(base))
             assert abs(upper - (float((cuts @ w).min()) - kl / gamma)) <= 1e-12 * scale
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -917,7 +917,8 @@ class TestEntropicMaster:
     def test_two_parameter_master_against_a_grid(self):
         # an independent oracle: the objective on 10,001 priors (s, 1 - s),
         # its divergence written out, never exceeds upper by more than the
-        # slack, and the returned prior attains upper to that slack
+        # slack, and the returned prior attains upper to that slack; for the
+        # segment master that solves take, and the dual master of any size
         def objective(cuts, s, base, gamma):
             with np.errstate(divide="ignore", invalid="ignore"):
                 kl = sum(
@@ -935,9 +936,13 @@ class TestEntropicMaster:
                 cuts = rng.uniform(-3.0, 7.0, (int(rng.integers(1, 7)), 2))
                 gamma = 10.0 ** rng.uniform(-3.0, 3.0)
                 slack = CUT_SLACK * float(np.abs(cuts).max())
-                w, upper = entropic_master(cuts, base, gamma)
-                assert float(objective(cuts, s, base, gamma).max()) <= upper + slack, gamma
-                assert abs(float(objective(cuts, w[:1], base, gamma)[0]) - upper) <= slack, gamma
+                for w, upper in (
+                    search._segment_max(cuts, 0.0, 1.0, (), base, gamma),
+                    entropic_master(cuts, base, gamma),
+                ):
+                    assert float(objective(cuts, s, base, gamma).max()) <= upper + slack, gamma
+                    attained = float(objective(cuts, w[:1], base, gamma)[0])
+                    assert abs(attained - upper) <= slack, gamma
 
     def test_master_work_on_a_figure_row(self, bench_model, monkeypatch):
         # a figure row's masters have two parameters and make no Newton
@@ -958,10 +963,23 @@ class TestEntropicMaster:
         assert 1 <= len(calls) <= 20
 
 
+def lp_master(cuts: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
+    """The simplex master from the origin: a fresh ``LpTableau`` for
+    ``caps``, scaled by the cuts' own range."""
+    return search.LpTableau(caps, float(cuts.min()), float(cuts.max())).resume(cuts)
+
+
+def segment_master(cuts: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_segment_max`` as avar and robust solves call it: over the s of w =
+    (s, 1 - s) that the caps leave, ends first."""
+    ends = max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0]))
+    return search._segment_max(cuts, *ends, ends)
+
+
 class TestLpMaster:
-    """``lp_master`` and, with two parameters, ``segment_master`` against
-    brute-force vertex enumeration of max z subject to z <= w . cuts[i],
-    sum(w) = 1 and 0 <= w <= caps."""
+    """The simplex master (fresh, and kept over a cut sequence) and, with two
+    parameters, the segment master against brute-force vertex enumeration
+    of max z subject to z <= w . cuts[i], sum(w) = 1 and 0 <= w <= caps."""
 
     @staticmethod
     def vertex_max(cuts: np.ndarray, caps: np.ndarray) -> float:
@@ -989,7 +1007,7 @@ class TestLpMaster:
         attained = float((cuts @ w).min())
         # the segment master rates all its candidates in one matrix product,
         # which may round apart from the product with w alone
-        exact = master is not search.segment_master
+        exact = master is not segment_master
         assert attained == value if exact else abs(attained - value) <= 1e-15 * scale
         assert abs(value - self.vertex_max(cuts, caps)) <= 1e-12 * scale, cuts.shape
 
@@ -999,9 +1017,9 @@ class TestLpMaster:
             k, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
             cuts = rng.uniform(-3.0, 7.0, (m, k)) * 10.0 ** rng.uniform(-2.0, 2.0)
             caps = rng.dirichlet(np.ones(k)) / rng.uniform(0.2, 1.0)  # sum(caps) >= 1
-            self.check(search.lp_master, cuts, caps)
+            self.check(lp_master, cuts, caps)
             if k == 2:
-                self.check(search.segment_master, cuts, caps)
+                self.check(segment_master, cuts, caps)
 
     def test_kept_tableau_matches_vertex_enumeration_on_every_prefix(self):
         # one tableau per cut sequence, scaled once by a cost range that
@@ -1023,7 +1041,7 @@ class TestLpMaster:
                 caps = np.ones(k) if draw % 3 == 2 else caps
                 tableau = search.LpTableau(caps, low, high)
                 for p in range(1, m + 1):
-                    self.check(functools.partial(search.lp_master, tableau=tableau), cuts[:p], caps)
+                    self.check(lambda cuts, caps: tableau.resume(cuts), cuts[:p], caps)
 
     @pytest.mark.parametrize("caps", ([0.6, 0.7], [1.0, 1.0], [3.0, 1.5], [0.25, 0.75], [0.3, 0.7]))
     @pytest.mark.parametrize(
@@ -1041,39 +1059,66 @@ class TestLpMaster:
         # single, identical and near-parallel cuts; caps of 1 or more; caps
         # that pin the feasible interval to a point, 0.25 exactly and 0.3
         # with its ends an ulp apart; pytest makes a RuntimeWarning an error
-        self.check(search.segment_master, np.array(cuts), np.array(caps))
+        self.check(segment_master, np.array(cuts), np.array(caps))
 
 
 def counted_masters(monkeypatch) -> dict:
-    """Calls from now on of the avar and robust masters that the loop picks."""
-    calls = {"lp_master": 0, "segment_master": 0}
-    for name in calls:
-        def counted(*args, name=name, real=getattr(ambiguity, name)):
+    """Calls from now on of the avar and robust masters that the loop picks:
+    the simplex tableau's steps and the segment master."""
+    calls = {"simplex": 0, "segment": 0}
+    for name, owner, attr in (
+        ("simplex", search.LpTableau, "resume"), ("segment", ambiguity, "_segment_max")
+    ):
+        def counted(*args, name=name, real=getattr(owner, attr)):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(ambiguity, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     return calls
 
 
 class TestMasterSelection:
     """Avar and robust solves on two support parameters take the segment
-    master; only three or more reach the simplex of ``lp_master``."""
+    master; any other support size reaches the simplex tableau."""
 
     def test_figure_rows_run_no_simplex(self, monkeypatch):
         calls = counted_masters(monkeypatch)
         _figure_rows(parse_config((CONFIG_DIR / "figure_avar.cfg").read_text()))
-        assert calls["lp_master"] == 0 and calls["segment_master"] > 0
+        assert calls["simplex"] == 0 and calls["segment"] > 0
 
     def test_support_size_picks_the_master(self, monkeypatch):
         model = random_model(np.random.default_rng(11), n_params=3, horizon=2)
         calls = counted_masters(monkeypatch)
         solve(model, "avar", Belief(np.array([0.2, 0.3, 0.5])), 0.5)
-        assert calls["lp_master"] > 0 and calls["segment_master"] == 0
-        calls["lp_master"] = 0
+        assert calls["simplex"] > 0 and calls["segment"] == 0
+        calls["simplex"] = 0
         for mode, gamma in (("avar", 0.5), ("robust", None)):
             solve(model, mode, Belief(np.array([0.4, 0.0, 0.6])), gamma)
-        assert calls["lp_master"] == 0 and calls["segment_master"] >= 2
+        assert calls["simplex"] == 0 and calls["segment"] >= 2
+        # one support parameter: the solve's one tableau, as with three
+        calls.update(simplex=0, segment=0)
+        for mode, gamma in (("avar", 0.5), ("robust", None)):
+            solve(model, mode, Belief(np.array([0.0, 1.0, 0.0])), gamma)
+        assert calls["simplex"] >= 2 and calls["segment"] == 0
+
+    @pytest.mark.parametrize(
+        "mode, gamma",
+        [("entropic", 1e-12), ("entropic", 0.5), ("entropic", 1e8)]
+        + [("avar", 0.5), ("robust", None)],
+    )
+    def test_one_parameter_support_is_its_point_mass(self, mode, gamma):
+        # the dual master (entropic) or the solve's one tableau on a single
+        # support parameter e_k: the prior stays at e_k, the value is the
+        # Bayes value there to the bit, the gap is 0 and both sides certify
+        for n_params in (3, 4):
+            model = random_model(np.random.default_rng(50 + n_params), n_params=n_params, horizon=2)
+            for k in range(n_params):
+                prior = Belief.point_mass(n_params, k)
+                result = solve(model, mode, prior, gamma)
+                cert = certify_saddle(model, result)
+                assert result.worst_prior == prior, (n_params, k)
+                assert result.value == solve_bayes(model, prior).value, (n_params, k)
+                assert result.gap == 0.0 and cert.mu_side_ok and cert.pi_side_ok, (n_params, k)
 
     def test_segment_master_matches_the_simplex(self):
         # the same cost profiles and verdicts as with the simplex forced on
@@ -1088,8 +1133,9 @@ class TestMasterSelection:
                 fresh = dataclasses.replace(model)
                 result = solve(fresh, mode, prior, gamma)
                 cert = certify_saddle(fresh, result)
+                caps = prior.weights * (1.0 / (1.0 - gamma)) if mode == "avar" else np.ones(2)
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(ambiguity, "segment_master", search.lp_master)
+                    patch.setattr(ambiguity, "_segment_max", lambda cuts, *_: lp_master(cuts, caps))
                     simplex = dataclasses.replace(model)
                     forced = solve(simplex, mode, prior, gamma)
                     forced_cert = certify_saddle(simplex, forced)

@@ -16,7 +16,7 @@ from oracles import (
 )
 
 from ambmdp.model import Belief
-from ambmdp.risk import avar_quantile, entropic_risk, relative_entropy
+from ambmdp.risk import _tilt, avar_quantile, entropic_risk, relative_entropy
 
 
 def belief(*weights) -> Belief:
@@ -178,6 +178,52 @@ class TestTiltedPrior:
             if np.any(probe < 0.0):
                 continue
             assert objective(probe / probe.sum()) <= best + 1e-10
+
+
+class TestTilt:
+    """``_tilt``, the one entropic pass, on both of its branches: about the
+    mean, where gamma times the profile's distance from its mean is below
+    1, and max-shifted above it."""
+
+    @pytest.mark.parametrize("about_the_mean", (True, False))
+    def test_matches_independent_forms(self, rng, about_the_mean):
+        for _ in range(60):
+            k = int(rng.integers(2, 6))
+            p = random_belief(rng, k).weights
+            v = rng.uniform(-5.0, 5.0, size=k) * 10.0 ** rng.uniform(-2.0, 2.0)
+            distance = float(np.abs(v - p @ v).max())
+            # gamma * distance in [1e-6, 0.99) or in [1, 1e3)
+            reach = 10.0 ** (rng.uniform(-6.0, -0.01) if about_the_mean else rng.uniform(0.0, 3.0))
+            gamma = reach / distance
+            assert (gamma * distance < 1.0) == about_the_mean
+            w, rho = _tilt(v, p, np.log(p), gamma)
+            tilted = p * np.exp(gamma * (v - v.max()))
+            # each exponent gamma * v + log(p) is rounded once
+            exponent = gamma * np.abs(v).max() + np.abs(np.log(p)).max()
+            np.testing.assert_allclose(
+                w, tilted / tilted.sum(), rtol=1e-15 * (1.0 + exponent), atol=1e-300
+            )
+            # so the max-shifted risk loses eps times the largest exponent over gamma
+            scale = np.abs(v).max() + (0.0 if about_the_mean else np.abs(np.log(p)).max() / gamma)
+            assert abs(rho - exact_entropic_risk(v, p, gamma)) <= 4e-16 * scale, reach
+
+    def test_entropic_risk_drops_a_zero_base_weight(self, rng):
+        # the pass runs on the base's support: the entry of a zero weight,
+        # however large, changes no bit
+        for _ in range(20):
+            k = int(rng.integers(3, 6))
+            p = random_belief(rng, k).weights.copy()
+            p[int(rng.integers(k))] = 0.0
+            p /= p.sum()
+            on = p > 0.0
+            v = rng.uniform(-5.0, 5.0, size=k)
+            far = np.where(on, v, 1e300)
+            for gamma in (1e-9, 0.3, 40.0):
+                risk = entropic_risk(v, Belief(p), gamma)
+                assert entropic_risk(far, Belief(p), gamma) == risk
+                assert entropic_risk(v[on], Belief(p[on]), gamma) == risk
+                scale = 5.0 + np.abs(np.log(p[on])).max() / gamma
+                assert abs(risk - exact_entropic_risk(v[on], p[on], gamma)) <= 4e-16 * scale, gamma
 
 
 class TestValueAtRisk:
