@@ -14,7 +14,6 @@ from .ambiguity import (
     solve,
     solve_avar,
     solve_entropic,
-    solve_robust,
 )
 from .bayes import (
     DeterministicPolicy,
@@ -70,6 +69,5 @@ __all__ = [
     "solve_avar",
     "solve_bayes",
     "solve_entropic",
-    "solve_robust",
     "validate",
 ]

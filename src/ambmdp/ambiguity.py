@@ -1,8 +1,8 @@
 """Outer prior optimization and saddle-point assembly.
 
 ``solve(model, mode, prior, gamma)`` is the one entry point; the mode
-names the ambiguity set, and ``solve_entropic``, ``solve_avar`` and
-``solve_robust`` are shorthands for its three modes.  Every mode-specific
+names the ambiguity set, and ``solve_entropic`` and ``solve_avar`` are
+shorthands for two of its modes.  Every mode-specific
 choice (feasible priors, penalty, dual risk, master problem) is made here,
 by the private ``_Ambiguity`` object, once per solve.  Each mode
 maximizes a concave function of the prior whose inner value is an exact
@@ -68,7 +68,8 @@ parameters a master step onto it lands on an end of the feasible interval
 that it reaches, else on a crossing of two planes (the master's first best
 candidate, ends first).  The planes are intersected with the line
 (s, 1 - s) of feasible priors, each edge found is confirmed by a best
-response there, and the edges are reported beside the returned prior.
+response there (a failed edge adds a plane), and the edges are reported
+beside the returned prior.
 """
 
 from __future__ import annotations
@@ -269,11 +270,33 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
 
     worst = best.tree.prior
     lo = hi = worst
-    if ends:
-        lo, hi = (
-            amb.embed(model.n_params, e)
-            for e in _plateau(ends, lambda: cuts, best_w, best_v, slack, best_response)
-        )
+    if ends:  # the plateau edges on the line a + s d = (s, 1 - s), s in ends
+        a, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
+        s_best = float(best_w[0])
+
+        def interval() -> tuple[float, float]:
+            """Where the lowest plane falls below the best value.  A plane
+            within slack of it at the best prior passes through it, and one
+            that changes by at most slack along the line is flat, so float
+            noise neither widens nor splits the set."""
+            left, right = ends
+            for excess, slope in zip((cuts @ best_w - best_v).tolist(), (cuts @ d).tolist()):
+                excess = 0.0 if excess <= slack else excess
+                if slope > slack:
+                    left = max(left, s_best - excess / slope)
+                elif slope < -slack:
+                    right = min(right, s_best - excess / slope)
+            return left, right
+
+        for side in (0, 1):
+            while True:
+                s = interval()[side]
+                if s == s_best:
+                    break
+                value, fresh, _ = best_response(a + s * d)
+                if value >= best_v - slack or not fresh:
+                    break
+        lo, hi = (amb.embed(model.n_params, a + s * d) for s in interval())
     # the held planes through the returned prior, to slack, are its Bayes policies
     heights = cuts @ best_w
     tied = [plane for plane, h in zip(held, heights) if h <= heights.min() + slack]
@@ -300,54 +323,19 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     )
 
 
-def _plateau(
-    bounds: tuple, planes, best_w: np.ndarray, best_v: float, slack: float, best_response
-):
-    """Plateau edges (as support weights) on the line a + s d = (s, 1 - s)
-    of the feasible priors of two support parameters, s in ``bounds``, the
-    segment master's ends; ``planes()`` is the loop's cut matrix, a row of
-    support costs per held plane, which the edges' best responses extend.
-
-    The edges are where the lowest plane falls below the best value.  A
-    plane within ``slack`` of the best value at the best prior counts as
-    passing through it, and one that changes by at most ``slack`` along the
-    line as flat, so float noise neither widens nor splits the set.  Each
-    edge is confirmed by a best response there; a failed edge adds a plane.
-    A master step onto a plateau lands on an end it reaches, else a crossing.
-    """
-    a, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
-    s_best = float(best_w[0])
-
-    def interval() -> tuple[float, float]:
-        left, right = bounds
-        cuts = planes()
-        for excess, slope in zip((cuts @ best_w - best_v).tolist(), (cuts @ d).tolist()):
-            excess = 0.0 if excess <= slack else excess
-            if slope > slack:
-                left = max(left, s_best - excess / slope)
-            elif slope < -slack:
-                right = min(right, s_best - excess / slope)
-        return left, right
-
-    for side in (0, 1):
-        while True:
-            s = interval()[side]
-            if s == s_best:
-                break
-            value, fresh, _ = best_response(a + s * d)
-            if value >= best_v - slack or not fresh:
-                break
-    return [a + s * d for s in interval()]
-
-
-def check_gamma(mode: str, gamma: float | None) -> None:
-    """Raise ValueError unless ``gamma`` suits the outer mode: entropic
-    needs a finite gamma > 0, avar gamma in (0, 1), and robust takes none."""
+def check_gamma(model: StatisticalMDP, mode: str, gamma: float | None) -> None:
+    """Raise ValueError unless ``gamma`` suits the outer mode on ``model``:
+    entropic needs gamma > 0 with 1/gamma and gamma times the model's cost
+    scale finite, avar gamma in (0, 1), and robust takes none."""
     if mode == "entropic":
         if gamma is None or not gamma > 0.0:
             raise ValueError("entropic mode requires gamma > 0")
-        if gamma == math.inf:
-            raise ValueError("entropic mode requires a finite gamma")
+        scale = _cost_scale(model)
+        if not (math.isfinite(1.0 / gamma) and math.isfinite(gamma * scale)):
+            raise ValueError(
+                "entropic mode requires a finite gamma: 1/gamma and gamma times "
+                f"the cost scale {scale:g} must be finite"
+            )
     elif mode == "avar":
         if gamma is None or not 0.0 < gamma < 1.0:
             raise ValueError("avar mode requires gamma in (0, 1)")
@@ -370,7 +358,7 @@ def solve(
     the prior's support is feasible and there is no penalty.  The module
     docstring says which maximizer a plateau returns.
     """
-    check_gamma(mode, gamma)
+    check_gamma(model, mode, gamma)
     if len(prior) != model.n_params:
         raise ValueError("prior dimension does not match the parameter set")
     base = None if mode == "robust" else prior
@@ -385,12 +373,6 @@ def solve_entropic(model: StatisticalMDP, base_prior: Belief, gamma: float) -> S
 def solve_avar(model: StatisticalMDP, base_prior: Belief, gamma: float) -> SaddleResult:
     """``solve`` in avar mode."""
     return solve(model, "avar", base_prior, gamma)
-
-
-def solve_robust(model: StatisticalMDP) -> SaddleResult:
-    """``solve`` in robust mode over every parameter; ``solve(model,
-    "robust", prior)`` takes the support of ``prior`` instead."""
-    return solve(model, "robust", Belief.uniform(model.n_params))
 
 
 def certify_saddle(model: StatisticalMDP, result: SaddleResult) -> SaddleCertificate:

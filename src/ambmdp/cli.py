@@ -11,7 +11,10 @@ Commands (see README for the full key reference):
 
     solve    --config FILE [--out FILE]      modes bayes|entropic|avar|robust
     figure   --config FILE [--out FILE]      modes figure-entropic|figure-avar
-    simulate --config FILE [--seed N] [--samples N] [--dump-trajectories FILE]
+    simulate --config FILE [--dump-trajectories FILE]
+
+Flags name files; config keys set the run (``simulate.seed`` and
+``simulate.samples`` included).
 
 Exit status: 0 on success, 1 on configuration errors and on output files
 that cannot be written (checked before any solve where possible), 2 when a
@@ -68,7 +71,7 @@ MAX_SWEEP_VALUES = 10_000
 _DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """A parsed config: its mode, model, prior, gamma, caps and run options."""
 
@@ -384,7 +387,7 @@ def parse_config(text: str) -> RunConfig:
     if mode in GAMMA_MODES:
         raw, lineno = entries.take("solver.gamma", required=True)
         gamma = _number("solver.gamma", raw, lineno)
-        _check_gamma(mode, gamma, "solver.gamma", lineno)
+        _check_gamma(model, mode, gamma, "solver.gamma", lineno)
     else:
         entries.forbid("solver.gamma", f"not allowed in mode {mode}")
 
@@ -398,7 +401,7 @@ def parse_config(text: str) -> RunConfig:
         for value in gamma_sweep:
             # gamma = 0 rows take the plain Bayes value
             if value != 0.0:
-                _check_gamma(_outer_mode(mode), value, "sweep.gamma", lineno)
+                _check_gamma(model, _outer_mode(mode), value, "sweep.gamma", lineno)
         raw, lineno = entries.take("sweep.prior", required=True)
         prior_sweep = _sweep_values("sweep.prior", raw, lineno)
         for value in prior_sweep:
@@ -442,9 +445,9 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _check_gamma(mode: str, gamma: float, key: str, lineno: int) -> None:
+def _check_gamma(model: StatisticalMDP, mode: str, gamma: float, key: str, lineno: int) -> None:
     try:
-        check_gamma(mode, gamma)
+        check_gamma(model, mode, gamma)
     except ValueError as exc:
         raise _err(lineno, key, f"{exc}, got {gamma}") from None
 
@@ -706,18 +709,14 @@ def _parser() -> argparse.ArgumentParser:
         description="Finite-horizon Bayesian MDP solver with ambiguity aversion",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("solve", "run a single solver mode"), ("figure", "sweep gamma/prior grids to CSV")
+    for name, text, path in (
+        ("solve", "run a single solver mode", "--out"),
+        ("figure", "sweep gamma/prior grids to CSV", "--out"),
+        ("simulate", "Monte-Carlo cross-check", "--dump-trajectories"),
     ):
         command = commands.add_parser(name, help=text)
         command.add_argument("--config", required=True)
-        command.add_argument("--out", default=None)
-
-    simulate_cmd = commands.add_parser("simulate", help="Monte-Carlo cross-check")
-    simulate_cmd.add_argument("--config", required=True)
-    simulate_cmd.add_argument("--seed", type=int, default=None)
-    simulate_cmd.add_argument("--samples", type=int, default=None)
-    simulate_cmd.add_argument("--dump-trajectories", default=None)
+        command.add_argument(path, default=None)
     return parser
 
 
@@ -731,18 +730,7 @@ def main(argv=None) -> int:
                 f"command {args.command} requires mode in {expected}, "
                 f"config has {config.mode}"
             )
-        if args.command == "simulate":
-            if args.seed is not None:
-                if args.seed < 0:
-                    raise ConfigError("--seed must be >= 0")
-                config.seed = args.seed
-            if args.samples is not None:
-                if args.samples < 1:
-                    raise ConfigError("--samples must be >= 1")
-                config.samples = args.samples
-            run(config, out_path=None, dump_path=args.dump_trajectories)
-        else:
-            run(config, out_path=args.out)
+        run(config, getattr(args, "out", None), getattr(args, "dump_trajectories", None))
         if sys.stdout is not None:  # None when descriptor 1 was closed at start
             sys.stdout.flush()
     except ConfigError as exc:

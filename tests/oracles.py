@@ -211,7 +211,7 @@ def entropic_objective(
     """Penalized outer objective: optimal Bayes cost at the candidate prior
     minus relative_entropy(candidate, base)/gamma; -inf off the base's
     support."""
-    check_gamma("entropic", gamma)
+    check_gamma(model, "entropic", gamma)
     rel = relative_entropy(candidate, base_prior)
     if rel == math.inf:
         return -math.inf

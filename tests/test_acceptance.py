@@ -15,7 +15,7 @@ from helpers import decision_nodes, policy_from, random_belief, random_model
 from oracles import avar_dual, bellman_sweep, entropic_dual_value
 
 from ambmdp import seqtest
-from ambmdp.ambiguity import solve_avar, solve_entropic, solve_robust
+from ambmdp.ambiguity import solve, solve_avar, solve_entropic
 from ambmdp.bayes import policy_cost_profile, solve_bayes
 from ambmdp.belief import predictive
 from ambmdp.cli import parse_config, run
@@ -94,7 +94,7 @@ def test_criterion_4_limit_behavior(bench_model):
 
 def test_criterion_5_robust_value(bench_model):
     with criterion(5, "robust worst-case value equals 13/3 within 1e-9"):
-        result = solve_robust(bench_model)
+        result = solve(bench_model, "robust", seqtest.prior_belief(0.5))
         assert abs(result.value - 13.0 / 3.0) <= 1e-9
 
 

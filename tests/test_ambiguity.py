@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from ambmdp.ambiguity import (
     solve,
     solve_avar,
     solve_entropic,
-    solve_robust,
 )
 from ambmdp.bayes import DeterministicPolicy, build_tree, solve_bayes
 from ambmdp.cli import _figure_rows, parse_config
@@ -167,16 +167,14 @@ class TestSolveEntryPoint:
         [
             ("entropic", 0.7, lambda model, base: solve_entropic(model, base, 0.7)),
             ("avar", 0.4, lambda model, base: solve_avar(model, base, 0.4)),
-            # the robust shorthand solves over every parameter
-            ("robust", None, lambda model, base: solve_robust(model)),
         ],
-        ids=("entropic", "avar", "robust"),
+        ids=("entropic", "avar"),
     )
     def test_equals_the_mode_wrapper(self, mode, gamma, wrapper):
         model, base = seeded_instance(3)
         base = Belief(np.array([*base.weights[:2], 0.0]) / base.weights[:2].sum())
         full = Belief(np.array([0.2, 0.3, 0.5]))
-        for prior in (full,) if mode == "robust" else (base, full):
+        for prior in (base, full):
             direct = solve(model, mode, prior, gamma)
             shorthand = wrapper(model, prior)
             assert direct.mode == shorthand.mode == mode
@@ -202,6 +200,50 @@ class TestSolveEntryPoint:
     def test_gamma_errors_name_the_mode(self, bench_model, mode, gamma, message):
         with pytest.raises(ValueError, match=message):
             solve(bench_model, mode, seqtest.prior_belief(0.3), gamma)
+
+
+def float_limit_models():
+    """seqtest H=1 at the base 0.1 (``configs/entropic.cfg``) and the K = 3
+    and 4 models of ``random_model(default_rng(K), n_params=K, horizon=2)``
+    at the uniform base."""
+    yield seqtest.build_model(seqtest.SeqTestConfig(horizon=1)), seqtest.prior_belief(0.1)
+    for k in (3, 4):
+        yield random_model(np.random.default_rng(k), n_params=k, horizon=2), Belief.uniform(k)
+
+
+class TestGammaAtTheFloatLimits:
+    """An entropic gamma is refused unless 1/gamma and gamma times the cost
+    scale are finite; at both ends of the gammas accepted the solve runs
+    without a numeric warning."""
+
+    @pytest.mark.parametrize("case", range(3), ids=("seqtest", "random-3", "random-4"))
+    def test_both_ends(self, case):
+        model, base = list(float_limit_models())[case]
+        scale = max(map(abs, model.cost_bounds))
+        low = 1.0 / sys.float_info.max
+        while math.isfinite(1.0 / math.nextafter(low, 0.0)):
+            low = math.nextafter(low, 0.0)
+        while not math.isfinite(1.0 / low):
+            low = math.nextafter(low, 1.0)
+        high = sys.float_info.max / scale
+        while math.isfinite(math.nextafter(high, math.inf) * scale):
+            high = math.nextafter(high, math.inf)
+        while not math.isfinite(high * scale):
+            high = math.nextafter(high, 0.0)
+        # the entropic value lies between the Bayes value at the base and
+        # the robust value on its support
+        tol = gap_tolerance(model)
+        bayes = solve_bayes(model, base).value
+        robust = solve(model, "robust", base).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gamma in (low, high):
+                value = solve(model, "entropic", base, gamma).value
+                assert bayes - tol <= value <= robust + tol, gamma
+        # past either end, and the values that failed in the solver before
+        for gamma in (math.nextafter(low, 0.0), math.nextafter(high, math.inf), 1e-320, 1.7e308):
+            with pytest.raises(ValueError, match="^entropic mode requires a finite gamma: "):
+                solve(model, "entropic", base, gamma)
 
 
 class TestSolveAvar:
@@ -244,7 +286,7 @@ class TestSolveAvar:
 
 class TestSolveRobust:
     def test_benchmark_plateau(self, bench_model):
-        result = solve_robust(bench_model)
+        result = solve(bench_model, "robust", seqtest.prior_belief(0.5))
         assert result.value == pytest.approx(13.0 / 3.0, abs=1e-9)
         assert 13.0 / 30.0 - 1e-6 <= result.worst_prior.weights[0] <= 0.5
         assert result.gap <= 1e-9
@@ -257,12 +299,12 @@ class TestSolveRobust:
 
     def test_zero_cost_model(self, rng):
         model = random_model(rng, cost_range=(0.0, 0.0))
-        result = solve_robust(model)
+        result = solve(model, "robust", Belief.uniform(model.n_params))
         assert result.value == pytest.approx(0.0, abs=1e-12)
         assert result.gap <= 1e-12
 
     def test_robust_dominates_every_fixed_parameter(self, bench_model):
-        result = solve_robust(bench_model)
+        result = solve(bench_model, "robust", seqtest.prior_belief(0.5))
         # worst-case value is at least the optimal cost under each theta
         for theta in range(2):
             solo = solve(bench_model, "robust", Belief.point_mass(2, theta))
@@ -287,7 +329,7 @@ class TestCertifySaddle:
         result = solve_avar(bench_model, seqtest.prior_belief(0.1), gamma=0.2)
         report = certify_saddle(bench_model, result)
         assert report.mu_side_ok and report.pi_side_ok
-        result = solve_robust(bench_model)
+        result = solve(bench_model, "robust", seqtest.prior_belief(0.5))
         report = certify_saddle(bench_model, result)
         assert report.mu_side_ok and report.pi_side_ok
 
@@ -428,7 +470,7 @@ class TestThreeParameters:
 
     def test_robust_matches_brute_force_grid(self):
         model = self.build_model()
-        result = solve_robust(model)
+        result = solve(model, "robust", Belief.uniform(model.n_params))
         brute = max(
             solve_bayes(model, Belief(w)).value for w in simplex_lattice(3, 60)
         )
@@ -443,7 +485,7 @@ def solve_mode(model, base, mode):
         return solve_entropic(model, base, gamma=1.5)
     if mode == "avar":
         return solve_avar(model, base, gamma=0.4)
-    return solve_robust(model)
+    return solve(model, "robust", Belief.uniform(model.n_params))
 
 
 def permuted_params(model, perm):
@@ -754,7 +796,7 @@ class TestCertificateScale:
         # against the robust result at the vertex (1, 0), a profile whose t1
         # cost exceeds t0's by 1e-8 of the cost scale is no saddle
         model = go_or_stay_model()
-        result = solve_robust(model)
+        result = solve(model, "robust", Belief.uniform(model.n_params))
         excess = 1e-8 * max(map(abs, model.cost_bounds))
         tampered = dataclasses.replace(result, cost_profile=np.array([6.0, 6.0 + excess]))
         cert = certify_saddle(model, tampered)
@@ -768,6 +810,39 @@ class TestCertificateScale:
                 cert = certify_saddle(zero, solve(zero, mode, base, gamma))
                 assert cert.mu_side_ok and cert.pi_side_ok, (mode, gamma)
                 assert cert.tol == 0.0
+
+
+class TestMetamorphic:
+    """Cost transformations that move the outer value in closed form, in
+    every mode, on 20 seeded models (K = 2-4, H = 2), each within the
+    transformed model's ``gap_tolerance`` plus 1e-12 of the value."""
+
+    MODES = (("entropic", 0.5), ("avar", 0.5), ("robust", None))
+
+    @staticmethod
+    def value(model, base, mode, gamma, factor):
+        """The outer value on ``model``, with an entropic gamma divided by
+        the factor its costs were scaled by."""
+        g = gamma / factor if mode == "entropic" else gamma
+        return solve(model, mode, base, g).value
+
+    def test_shift_and_scale(self):
+        for model, base in small_gamma_models()[:20]:
+            for mode, gamma in self.MODES:
+                plain = self.value(model, base, mode, gamma, 1.0)
+                for factor in (1e-6, 1.0, 1e6):
+                    scaled = scaled_costs(model, factor)
+                    value = self.value(scaled, base, mode, gamma, factor)
+                    want = factor * plain
+                    assert abs(value - want) <= gap_tolerance(scaled) + 1e-12 * abs(want)
+                    # a constant added to every terminal cost
+                    c = 2.5 * factor
+                    shifted = dataclasses.replace(
+                        scaled, terminal_cost=scaled.terminal_cost + c
+                    )
+                    moved = self.value(shifted, base, mode, gamma, factor)
+                    want = value + c
+                    assert abs(moved - want) <= gap_tolerance(shifted) + 1e-12 * abs(want)
 
 
 def go_or_stay_model(t1_terminal_s1=5.0):
@@ -803,7 +878,7 @@ class TestPrunedBranches:
         # with 8 the upper bound from cost_bounds (9) exceeds the value
         model = go_or_stay_model(t1_terminal_s1)
         base = Belief(np.array([0.5, 0.5]))
-        for result in (solve_avar(model, base, gamma=0.5), solve_robust(model)):
+        for result in (solve_avar(model, base, gamma=0.5), solve(model, "robust", base)):
             assert result.value == 6.0
             assert result.worst_prior == Belief(np.array([1.0, 0.0]))
             assert result.gap == 0.0
@@ -811,7 +886,7 @@ class TestPrunedBranches:
         entropic = solve_entropic(model, base, gamma=1e4)
         assert entropic.value == pytest.approx(6.0 - math.log(2.0) / 1e4, abs=1e-12)
         assert entropic.gap <= 1e-12
-        for result in (solve_avar(model, base, gamma=0.5), solve_robust(model), entropic):
+        for result in (solve_avar(model, base, gamma=0.5), solve(model, "robust", base), entropic):
             assert result.cost_profile.tolist() == [6.0, 0.0]
             certificate = certify_saddle(model, result)
             assert certificate.mu_side_ok and certificate.pi_side_ok

@@ -11,7 +11,7 @@ PUBLIC = [
     "ValueSolution", "avar_quantile", "bayes_cost", "build_tree", "certify_saddle",
     "entropic_risk", "enumerate_cost",
     "mc_estimate", "policy_cost_profile", "relative_entropy",
-    "solve", "solve_avar", "solve_bayes", "solve_entropic", "solve_robust", "validate",
+    "solve", "solve_avar", "solve_bayes", "solve_entropic", "validate",
 ]
 
 

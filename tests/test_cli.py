@@ -247,6 +247,17 @@ CONFIG_ERRORS = {
         SIMULATE_CONFIG.replace("simulate.samples = 2000", "simulate.samples = 0"),
         "line 7: simulate.samples: must be >= 1",
     ),
+    # gamma times the cost scale 20 overflows, and so does 1/gamma
+    "gamma-times-scale-overflows": (
+        ENTROPIC_CONFIG.replace("solver.gamma = 0.1", "solver.gamma = 1.7e308"),
+        "line 7: solver.gamma: entropic mode requires a finite gamma: 1/gamma and gamma "
+        "times the cost scale 20 must be finite, got 1.7e+308",
+    ),
+    "inverse-gamma-overflows": (
+        ENTROPIC_CONFIG.replace("solver.gamma = 0.1", "solver.gamma = 1e-320"),
+        "line 7: solver.gamma: entropic mode requires a finite gamma: 1/gamma and gamma "
+        "times the cost scale 20 must be finite, got 1e-320",
+    ),
 }
 
 #: per integer key: the key, a config that leaves it out, its least value,
@@ -400,6 +411,11 @@ class TestParseConfig:
             ("figure-entropic", "0 -0.5", "entropic mode requires gamma > 0, got -0.5"),
             ("figure-avar", "0:1:0.25", r"avar mode requires gamma in \(0, 1\), got 1.0"),
             ("figure-avar", "0 -0.25", r"avar mode requires gamma in \(0, 1\), got -0.25"),
+            *(
+                ("figure-entropic", f"0 1 {gamma}", "entropic mode requires a finite gamma: "
+                 rf"1/gamma and gamma times the cost scale 20 must be finite, got {shown}")
+                for gamma, shown in (("1e308", r"1e\+308"), ("5e-324", "5e-324"))
+            ),
         ],
     )
     def test_sweep_gamma_checked_per_mode_with_line(self, mode, sweep, message):
@@ -758,6 +774,19 @@ class TestRunFigure:
         with pytest.raises(ConfigError, match="output.path"):
             run(parse_config(FIGURE_CONFIG), stdout=io.StringIO())
 
+    @pytest.mark.parametrize("mode", FIGURE_MODES)
+    def test_point_mass_rows(self, mode):
+        # at priors 0 and 1 each solve has one support parameter: the worst
+        # prior is the prior, and the value the Bayes value there
+        text = FIGURE_CONFIG.replace("figure-entropic", mode)
+        text = text.replace("sweep.gamma = 0:1:0.25", "sweep.gamma = 0 0.25 0.5 0.9")
+        config = parse_config(text.replace("sweep.prior = 0.1 0.3", "sweep.prior = 0 1"))
+        rows, gaps = cli._figure_rows(config)
+        assert len(rows) == 8 and gaps == [0.0] * 6
+        for _, prior, *worst, value in rows:
+            assert worst == [prior] * len(cli.FIGURE_COLUMNS[mode])
+            assert value == solve_bayes(config.model, Belief(np.array([prior, 1.0 - prior]))).value
+
     def test_run_builds_the_dag_once(self, tmp_path, monkeypatch):
         builds, build_tree = [], bayes.build_tree
 
@@ -1006,11 +1035,11 @@ class TestMain:
             (tmp_path / name).write_text(text)
         calls = [
             ["solve", "--config", "entropic.cfg", "--out", "out-solve.json"],
-            ["simulate", "--config", "simulate.cfg", "--seed", "3", "--samples", "500",
-             "--dump-trajectories", "out-trajectories.csv"],
+            ["simulate", "--config", "simulate.cfg", "--dump-trajectories", "out-trajectories.csv"],
             ["figure", "--config", "figure.cfg", "--out", "out-figure.csv"],
             ["solve", "--config", "bad.cfg"],
-            ["solve", "--config", "entropic.cfg", "--seed", "1"],
+            # config keys, not flags, set the seed and the sample count
+            ["simulate", "--config", "simulate.cfg", "--seed", "1"],
             ["solve", "--config", "entropic.cfg", "--out", "out-solve.json"],
             # options left out take their defaults again
             ["simulate", "--config", "simulate.cfg"],
@@ -1036,25 +1065,28 @@ class TestMain:
         assert "requires mode" in capsys.readouterr().err
 
     def test_simulate_seed_override_changes_stream(self, tmp_path, capsys):
-        path = self.write(tmp_path, TestRunSimulate.CONFIG)
-        assert main(["simulate", "--config", path, "--seed", "1"]) == 0
-        first = capsys.readouterr().out
-        assert main(["simulate", "--config", path, "--seed", "1"]) == 0
-        assert capsys.readouterr().out == first
-        assert main(["simulate", "--config", path, "--seed", "2"]) == 0
-        assert capsys.readouterr().out != first
-
-    def test_negative_seed_option_exits_one(self, tmp_path, capsys):
-        path = self.write(tmp_path, TestRunSimulate.CONFIG)
-        assert main(["simulate", "--config", path, "--seed", "-3"]) == 1
-        assert "--seed must be >= 0" in capsys.readouterr().err
+        # simulate.seed overrides the default seed 0; no flag sets it
+        outputs = []
+        for seed in (1, 1, 2):
+            text = TestRunSimulate.CONFIG.replace("simulate.seed = 7", f"simulate.seed = {seed}")
+            assert main(["simulate", "--config", self.write(tmp_path, text)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", self.write(tmp_path, text), "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_simulate_samples_override(self, tmp_path, capsys):
-        path = self.write(tmp_path, TestRunSimulate.CONFIG)
-        assert main(["simulate", "--config", path, "--samples", "500"]) == 0
+        # simulate.samples overrides the default 10,000; no flag sets it
+        text = TestRunSimulate.CONFIG.replace("simulate.samples = 2000", "simulate.samples = 500")
+        assert main(["simulate", "--config", self.write(tmp_path, text)]) == 0
         assert "\nmonte carlo (500 samples, seed 7): " in capsys.readouterr().out
-        assert main(["simulate", "--config", path, "--samples", "0"]) == 1
-        assert capsys.readouterr().err == "config error: --samples must be >= 1\n"
+        text = text.replace("simulate.samples = 500", "simulate.samples = 0")
+        assert main(["simulate", "--config", self.write(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == "config error: line 7: simulate.samples: must be >= 1\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", self.write(tmp_path, text), "--samples", "500"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "command, head",
