@@ -10,8 +10,8 @@ Bayes solve:
 
 * entropic mode maximizes  inner(mu) - relative_entropy(mu, base)/gamma
   over the simplex restricted to the base prior's support;
-* avar mode maximizes  inner(mu)  over the density-capped polytope of the
-  AVaR dual;
+* avar mode maximizes  inner(mu)  over the priors within
+  ``risk._avar_caps`` of the base, the polytope ``avar_quantile`` fills;
 * robust mode maximizes  inner(mu)  over the whole simplex on the prior's
   support (no penalty).
 
@@ -81,7 +81,7 @@ import numpy as np
 
 from .bayes import DeterministicPolicy, ValueSolution, bayes_cost, solve_bayes
 from .model import Belief, StatisticalMDP
-from .risk import avar_quantile, entropic_risk, relative_entropy
+from .risk import _avar_caps, avar_quantile, entropic_risk, relative_entropy
 from .search import CUT_SLACK, LpTableau, _segment_max, entropic_master
 
 #: the certificate's prior and policy sides allow these times the cost scale
@@ -148,23 +148,25 @@ class _Ambiguity:
         self.index = np.array(support, dtype=int)
         #: first prior of the search: the base, or (robust) the last support vertex
         self.reference = np.eye(len(support))[-1] if base is None else base.weights[self.index]
-        self.segment = self.tableau = None  # the solve's master, set by ``pick_master``
 
     def pick_master(self, cost_bounds: tuple[float, float]) -> None:
-        """Pick one solve's master by the mode and the support size: on two
-        parameters ``_segment_max`` over s in [lo, hi] for w = (s, 1 - s),
-        given as its arguments after the cuts; else ``entropic_master`` or
-        one ``LpTableau`` scaled by ``cost_bounds``, which hold every cut."""
+        """Bind ``master``, cuts -> (w, upper), for one solve by the mode and
+        the support size: on two parameters ``_segment_max`` on w = (s, 1 -
+        s), with ``ends`` the feasible interval of s (avar, robust) or None
+        (entropic, over [0, 1]); else ``entropic_master`` or one
+        ``LpTableau`` scaled by ``cost_bounds``, which hold every cut."""
         k, entropic = len(self.support), self.mode == "entropic"
-        # avar densities against the base are capped at 1/(1-gamma)
-        caps = self.reference * (1.0 / (1.0 - self.gamma)) if self.mode == "avar" else np.ones(k)
+        caps = _avar_caps(self.reference, self.gamma) if self.mode == "avar" else np.ones(k)
+        self.ends = None
         if k == 2 and entropic:  # with each cut's tilted prior
-            self.segment = (0.0, 1.0, (), self.reference, self.gamma)
+            self.master = lambda cuts: _segment_max(cuts, 0.0, 1.0, self.reference, self.gamma)
         elif k == 2:  # over the s that the caps leave, ends first
-            ends = max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0]))
-            self.segment = (*ends, ends)
-        elif not entropic:
-            self.tableau = LpTableau(caps, *cost_bounds)
+            self.ends = lo, hi = max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0]))
+            self.master = lambda cuts: _segment_max(cuts, lo, hi)
+        elif entropic:
+            self.master = lambda cuts: entropic_master(cuts, self.reference, self.gamma)
+        else:
+            self.master = LpTableau(caps, *cost_bounds).resume
 
     def penalty(self, mu: Belief) -> float:
         if self.mode == "entropic":
@@ -177,13 +179,6 @@ class _Ambiguity:
         if self.mode == "avar":
             return avar_quantile(profile, self.base, self.gamma)
         return float(profile[self.index].max())
-
-    def master(self, cuts: np.ndarray) -> tuple[np.ndarray, float]:
-        if self.segment is not None:
-            return _segment_max(cuts, *self.segment)
-        if self.tableau is not None:
-            return self.tableau.resume(cuts)
-        return entropic_master(cuts, self.reference, self.gamma)
 
     def embed(self, size: int, w: np.ndarray) -> Belief:
         full = np.zeros(size)
@@ -240,8 +235,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
     trace: list[tuple[Belief, float]] = []
     held, cuts = [], np.empty((0, len(amb.support)))  # a cut row per held (costs, pairs)
     amb.pick_master(model.cost_bounds)
-    ends = amb.segment and amb.segment[2]  # the segment's ends (avar, robust), else none
-    if amb.segment and not ends:  # an entropic segment: its planes seed the loop
+    if len(amb.support) == 2 and amb.ends is None:  # an entropic segment: its planes seed
         seeds, cuts = _segment_planes(model, amb)
         held = list(seeds)
 
@@ -270,7 +264,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
 
     worst = best.tree.prior
     lo = hi = worst
-    if ends:  # the plateau edges on the line a + s d = (s, 1 - s), s in ends
+    if amb.ends is not None:  # the plateau edges on the line a + s d = (s, 1 - s), s in ends
         a, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
         s_best = float(best_w[0])
 
@@ -279,7 +273,7 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
             within slack of it at the best prior passes through it, and one
             that changes by at most slack along the line is flat, so float
             noise neither widens nor splits the set."""
-            left, right = ends
+            left, right = amb.ends
             for excess, slope in zip((cuts @ best_w - best_v).tolist(), (cuts @ d).tolist()):
                 excess = 0.0 if excess <= slack else excess
                 if slope > slack:

@@ -566,27 +566,26 @@ def _write_csv(path: str, header: tuple, rows) -> None:
     _write(path, buffer.getvalue())
 
 
-def _run_solve(config: RunConfig, out_path: str | None, stdout) -> None:
+def _run_solve(config: RunConfig, out_path: str | None) -> None:
     if config.mode == "bayes":
         solution = solve_bayes(config.model, config.prior)
         payload = bayes_to_dict(solution)
-        print(f"bayes value = {_fmt(solution.value)}", file=stdout)
-        print(f"policy rows = {solution.tree.offsets[-2]}", file=stdout)
+        print(f"bayes value = {_fmt(solution.value)}")
+        print(f"policy rows = {solution.tree.offsets[-2]}")
     else:
         result = solve(config.model, config.mode, config.prior, config.gamma)
         cert = certify_saddle(config.model, result)
         payload = saddle_to_dict(result, cert)
-        print(f"{result.mode} value = {_fmt(result.value)}", file=stdout)
-        print(f"worst prior = {[_fmt(w) for w in result.worst_prior.weights]}", file=stdout)
-        print(f"duality gap = {_fmt(result.gap)}", file=stdout)
+        print(f"{result.mode} value = {_fmt(result.value)}")
+        print(f"worst prior = {[_fmt(w) for w in result.worst_prior.weights]}")
+        print(f"duality gap = {_fmt(result.gap)}")
         print(
             f"certificate: prior side {'ok' if cert.mu_side_ok else 'FAILED'}, "
-            f"policy side {'ok' if cert.pi_side_ok else 'FAILED'}",
-            file=stdout,
+            f"policy side {'ok' if cert.pi_side_ok else 'FAILED'}"
         )
     if out_path:
         _write(out_path, _json_text(payload))
-        print(f"wrote {out_path}", file=stdout)
+        print(f"wrote {out_path}")
 
 
 def _figure_rows(config: RunConfig) -> tuple[list[tuple], list[float]]:
@@ -611,11 +610,11 @@ def _figure_rows(config: RunConfig) -> tuple[list[tuple], list[float]]:
     return rows, gaps
 
 
-def _run_figure(config: RunConfig, out_path: str, stdout) -> None:
+def _run_figure(config: RunConfig, out_path: str) -> None:
     rows, gaps = _figure_rows(config)
     header = ("gamma", "prior", *FIGURE_COLUMNS[config.mode], "value")
     _write_csv(out_path, header, ([_fmt(v) for v in row] for row in rows))
-    print(f"wrote {out_path} ({len(rows)} rows)", file=stdout)
+    print(f"wrote {out_path} ({len(rows)} rows)")
     # the CSV headers are fixed, so gaps are reported beside the file
     tol = gap_tolerance(config.model)
     wide = sum(gap > tol for gap in gaps)
@@ -626,9 +625,7 @@ def _run_figure(config: RunConfig, out_path: str, stdout) -> None:
     )
 
 
-def _run_simulate(
-    config: RunConfig, out_path: str | None, dump_path: str | None, stdout
-) -> None:
+def _run_simulate(config: RunConfig, out_path: str | None, dump_path: str | None) -> None:
     solution = solve_bayes(config.model, config.prior)
     exact, records = enumerate_cost(
         config.model, config.theta, solution.policy,
@@ -639,18 +636,17 @@ def _run_simulate(
         samples=config.samples, seed=config.seed,
     )
     label = config.model.params.labels[config.theta]
-    print(f"policy: Bayes-optimal at prior, value = {_fmt(solution.value)}", file=stdout)
-    print(f"exact cost under {label} = {_fmt(exact)} ({len(records)} trajectories)", file=stdout)
+    print(f"policy: Bayes-optimal at prior, value = {_fmt(solution.value)}")
+    print(f"exact cost under {label} = {_fmt(exact)} ({len(records)} trajectories)")
     print(
         f"monte carlo ({config.samples} samples, seed {config.seed}): "
-        f"{_fmt(mean)} +/- {_fmt(half_width)}",
-        file=stdout,
+        f"{_fmt(mean)} +/- {_fmt(half_width)}"
     )
     if dump_path:
         _write_csv(dump_path, TRAJECTORY_HEADER, (
             (" ".join(r.sequence), _fmt(r.probability), _fmt(r.total_cost)) for r in records
         ))
-        print(f"wrote {dump_path} ({len(records)} trajectories)", file=stdout)
+        print(f"wrote {dump_path} ({len(records)} trajectories)")
     if out_path:
         _write(out_path, _json_text({
             "mode": "simulate",
@@ -664,21 +660,15 @@ def _run_simulate(
             "trajectories": len(records),
             "nodes_per_epoch": solution.tree.nodes_per_epoch,
         }))
-        print(f"wrote {out_path}", file=stdout)
+        print(f"wrote {out_path}")
 
 
-def run(
-    config: RunConfig,
-    out_path: str | None = None,
-    dump_path: str | None = None,
-    stdout=None,
-) -> None:
+def run(config: RunConfig, out_path: str | None = None, dump_path: str | None = None) -> None:
     """Execute a parsed configuration, writing artifacts as requested.
     The model's belief DAG is built once, under ``config.node_cap``, and
     every solve of the run reads it, after the output paths are checked.
     Raises ConfigError, OSError from a write, or the solver guard exceptions;
     the command-line wrapper maps those to exit codes."""
-    stdout = stdout or sys.stdout
     out_path = out_path or config.out_path
     if config.mode in FIGURE_MODES and not out_path:
         raise ConfigError("figure modes require output.path (or --out)")
@@ -686,16 +676,16 @@ def run(
         _check_writable(path)
     build_tree(config.model, Belief.uniform(config.model.n_params), config.node_cap)
     if config.mode in SOLVE_MODES:
-        _run_solve(config, out_path, stdout)
+        _run_solve(config, out_path)
     elif config.mode in FIGURE_MODES:
-        _run_figure(config, out_path, stdout)
+        _run_figure(config, out_path)
     else:
-        _run_simulate(config, out_path, dump_path, stdout)
+        _run_simulate(config, out_path, dump_path)
 
 
 def _load(path: str) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)

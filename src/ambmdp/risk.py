@@ -6,9 +6,10 @@ its dual form, as a supremum over priors, and evaluates it here directly:
 
 * entropic risk: (1/gamma) * log E[exp(gamma * cost)], the worst
   expectation penalized by ``relative_entropy`` / gamma;
-* Average Value at Risk at level gamma: mean of the upper quantiles, the
-  worst expectation over distributions with density against the base
-  capped at 1/(1-gamma).
+* Average Value at Risk at level gamma: the worst expectation over priors
+  with density against the base capped at 1/(1-gamma), the masters' own
+  polytope (``_avar_caps``), which is the mean of the upper 1-gamma tail
+  of the costs.
 
 Exponents are max-shifted so large gamma (1e4 and beyond) stays finite,
 and small gamma is computed about the base mean, so that neither the risk
@@ -111,22 +112,25 @@ def _tilted(profiles: np.ndarray, log_base: np.ndarray, gamma: float) -> np.ndar
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _avar_caps(weights: np.ndarray, gamma: float) -> np.ndarray:
+    """AVaR's ambiguity set: priors whose weights are at most these, the
+    base ``weights`` times 1/(1-gamma)."""
+    return weights * (1.0 / (1.0 - gamma))
+
+
 def avar_quantile(profile, base, gamma: float) -> float:
-    """Average Value at Risk as the exact piecewise-constant integral of the
-    quantile function over (gamma, 1], divided by 1 - gamma."""
+    """Average Value at Risk: the largest expectation of the profile over
+    priors within ``_avar_caps`` of the base, filled greedily from the
+    largest cost down (ties by index), clamped to the profile's range on
+    the base's support."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     p = _weights(base)
     v = as_profile(profile, p.size)
+    caps, listed = _avar_caps(p, gamma).tolist(), v.tolist()
+    w, remaining = np.zeros(p.size), 1.0
+    for k in sorted(range(p.size), key=lambda k: -listed[k]):
+        w[k] = take = min(caps[k], remaining)
+        remaining -= take
     on = v[p > 0.0]
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(p[order])
-    cum[-1] = 1.0
-    integral = 0.0
-    prev = 0.0
-    for k in range(order.size):
-        length = min(cum[k], 1.0) - max(prev, gamma)
-        if length > 0.0:
-            integral += float(v[order[k]]) * length
-        prev = cum[k]
-    return min(max(integral / (1.0 - gamma), float(on.min())), float(on.max()))
+    return min(max(float(w @ v), float(on.min())), float(on.max()))

@@ -128,7 +128,9 @@ def entropic_master(
     there or, on a Newton direction, has decreased by ``ARMIJO`` of what
     its slope predicts; else the line minimum, found from derivatives,
     which keep their sign where F's float values no longer change.
-    ``upper`` = F(lambda) bounds the maximum for every lambda.
+    ``upper`` = F(lambda) bounds the maximum for every lambda.  The steps run
+    on the cuts mapped onto [0, 1] and gamma times their span, so that no
+    cost scale under- or overflows them.
 
     The steps stop once the duality gap lambda . g - min g, which bounds
     ``upper`` minus the maximum, is at most ``CUT_SLACK`` times the largest
@@ -137,7 +139,9 @@ def entropic_master(
     stop once neither F nor the gap has decreased for ``STALL_STEPS``
     steps, or after ``MAX_MASTER_STEPS``.
     """
-    log_base, tol = np.log(base), CUT_SLACK * float(np.abs(cuts).max())
+    low, span = float(cuts.min()), float(np.ptp(cuts)) or 1.0
+    log_base, tol = np.log(base), CUT_SLACK * float(np.abs(cuts).max()) / span
+    cuts, gamma = (cuts - low) / span, gamma * span
     starts = [_tilt(cut, base, log_base, gamma) for cut in cuts]
     i = min(range(len(cuts)), key=lambda i: starts[i][1])
     lam, (w, f) = np.eye(len(cuts))[i], starts[i]
@@ -174,20 +178,21 @@ def entropic_master(
                 break
             t = _newton_line(lam @ cuts, line, w, t, log_base, gamma)
         lam, w, f = trial, trial_w, trial_f
-    return w, f
+    return w, low + span * f
 
 
-def _segment_max(cuts, lo, hi, ends, base=None, gamma=None) -> tuple[np.ndarray, float]:
+def _segment_max(cuts, lo, hi, base=None, gamma=None) -> tuple[np.ndarray, float]:
     """(w, f(w)) for the first w = (s, 1 - s) of largest f(w) = min_i w .
-    cuts[i], less KL(w || base)/gamma given a ``base``, among: s in
-    ``ends``, the crossings s = (a_j - a_i)/(b_i - b_j) in (lo, hi) of the
-    cuts a_i + s b_i, by i then j, and given a base each cut's tilted prior.
-    Only quotients below 1 in size are divided, so (near-)parallel cuts
-    neither divide by zero nor overflow; a segment's few cuts are cheaper
-    as Python floats than as arrays.  At a crossing the entropic dual
-    mixture is lambda_i b_i + lambda_j b_j = (logit s - logit base_0)/gamma."""
+    cuts[i], less KL(w || base)/gamma given a ``base``, among: the ends lo
+    and hi if no base is given, the crossings s = (a_j - a_i)/(b_i - b_j) in
+    (lo, hi) of the cuts a_i + s b_i, by i then j, and each cut's tilted
+    prior if a base is.  Only quotients below 1 in size are divided, so
+    (near-)parallel cuts neither divide by zero nor overflow; a segment's
+    few cuts are cheaper as Python floats than as arrays.  At a crossing the
+    entropic dual mixture is lambda_i b_i + lambda_j b_j = (logit s - logit
+    base_0)/gamma."""
     lines = [(c1, c0 - c1) for c0, c1 in cuts.tolist()]
-    s = list(ends)
+    s = [lo, hi] if base is None else []
     for ai, bi in lines:
         for aj, bj in lines:
             if abs(aj - ai) < abs(bi - bj) and lo < (q := (aj - ai) / (bi - bj)) < hi:

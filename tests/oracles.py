@@ -1,9 +1,10 @@
 """Reference implementations the tests check the solver against: the risk
-measures' dual forms, the Bayes recursion over unmerged histories, the
-penalized entropic objective, the sequential test's scalar recursion, the
-exact reading of config number literals, the merge of equal DAG children
-by a sort on every key column, the policy table as a list of dicts, and
-every node's Bayes value with the action table filled in one pass."""
+measures' dual forms, AVaR's quantile integral, the Bayes recursion over
+unmerged histories, the penalized entropic objective, the sequential
+test's scalar recursion, the exact reading of config number literals, the
+merge of equal DAG children by a sort on every key column, the policy
+table as a list of dicts, and every node's Bayes value with the action
+table filled in one pass."""
 
 import math
 from fractions import Fraction
@@ -89,7 +90,7 @@ def avar_dual(profile, base, gamma: float) -> tuple[float, Belief]:
     """Maximize ``E_w[profile]`` over distributions with ``w <= base /
     (1 - gamma)`` coordinatewise, by greedy filling in decreasing profile
     order (ties broken by parameter index).  The value equals
-    ``avar_quantile`` up to float noise."""
+    ``avar_quantile`` and ``avar_integral`` up to float noise."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     p = _weights(base)
@@ -106,6 +107,28 @@ def avar_dual(profile, base, gamma: float) -> tuple[float, Belief]:
         remaining -= take
     argmax = Belief(w)
     return float(argmax.weights @ v), argmax
+
+
+def avar_integral(profile, base, gamma: float) -> float:
+    """Average Value at Risk as the exact piecewise-constant integral of the
+    quantile function over (gamma, 1], divided by 1 - gamma: the primal
+    form, independent of ``avar_quantile``'s greedy fill of the caps."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    p = _weights(base)
+    v = as_profile(profile, p.size)
+    on = v[p > 0.0]
+    order = np.argsort(v, kind="stable")
+    cum = np.cumsum(p[order])
+    cum[-1] = 1.0
+    integral = 0.0
+    prev = 0.0
+    for k in range(order.size):
+        length = min(cum[k], 1.0) - max(prev, gamma)
+        if length > 0.0:
+            integral += float(v[order[k]]) * length
+        prev = cum[k]
+    return min(max(integral / (1.0 - gamma), float(on.min())), float(on.max()))
 
 
 def within_avar_caps(mu: Belief, base: Belief, gamma: float, tol: float = 1e-12) -> bool:

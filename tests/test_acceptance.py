@@ -5,14 +5,13 @@ pass/fail lines immediately).
 """
 
 import csv
-import io
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from helpers import decision_nodes, policy_from, random_belief, random_model
-from oracles import avar_dual, bellman_sweep, entropic_dual_value
+from oracles import avar_dual, avar_integral, bellman_sweep, entropic_dual_value
 
 from ambmdp import seqtest
 from ambmdp.ambiguity import solve, solve_avar, solve_entropic
@@ -111,6 +110,7 @@ def test_criterion_6_duality_suite():
             gamma_a = float(rng.uniform(0.02, 0.98))
             dual_a, _ = avar_dual(v, mu, gamma_a)
             assert abs(dual_a - avar_quantile(v, mu, gamma_a)) <= 1e-12
+            assert abs(avar_integral(v, mu, gamma_a) - avar_quantile(v, mu, gamma_a)) <= 1e-12
 
 
 def test_criterion_7_oracle_equivalence():
@@ -185,7 +185,7 @@ sweep.prior = 0.1 0.2 0.3
 def test_criterion_10_figure_data(tmp_path):
     with criterion(10, "figure sweeps are monotone toward the uniform prior"):
         out = tmp_path / "entropic.csv"
-        run(parse_config(FIGURE_ENTROPIC), out_path=str(out), stdout=io.StringIO())
+        run(parse_config(FIGURE_ENTROPIC), out_path=str(out))
         rows = list(csv.DictReader(out.read_text().splitlines()))
         target = {(0.1, 0.1): 0.232}
         for prior in ("0.1", "0.2", "0.3"):
@@ -201,7 +201,7 @@ def test_criterion_10_figure_data(tmp_path):
         assert abs(float(by_key[(0.1, 0.1)]["worst_prior"]) - 0.232) <= 1e-3
 
         out = tmp_path / "avar.csv"
-        run(parse_config(FIGURE_AVAR), out_path=str(out), stdout=io.StringIO())
+        run(parse_config(FIGURE_AVAR), out_path=str(out))
         rows = list(csv.DictReader(out.read_text().splitlines()))
         for prior in ("0.1", "0.2", "0.3"):
             values = [

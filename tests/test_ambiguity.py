@@ -284,6 +284,41 @@ class TestSolveAvar:
             solve_avar(bench_model, seqtest.prior_belief(0.5), gamma=1.0)
 
 
+def two_parameter_probe_models():
+    """seqtest H = 1 and 2 and the two-parameter draws (the first and the
+    fourth) of six ``random_model(default_rng(5), n_states=3, n_actions=2,
+    horizon=2, n_params=2 + i % 3, full_feasible=True)``; and the second
+    draw, which has three parameters."""
+    rng = np.random.default_rng(5)
+    drawn = [
+        random_model(rng, n_states=3, n_actions=2, horizon=2, n_params=2 + i % 3, full_feasible=True)
+        for i in range(4)
+    ]
+    pairs = [seqtest.build_model(seqtest.SeqTestConfig(horizon=h)) for h in (1, 2)]
+    return pairs + [drawn[0], drawn[3]], drawn[1]
+
+
+class TestAvarNearOne:
+    """AVaR at gamma within 1e-7 of 1 with a base weight of 1e-12: the
+    caps are base/(1 - gamma), and the dual risk is the fill of the very
+    caps the master maximizes over, so weak duality holds to the bit where
+    a quantile integral's cumulative sums, rounded near 1, once broke it.
+    pytest makes a RuntimeWarning an error."""
+
+    @pytest.mark.parametrize("gamma", (1.0 - 1e-7, 1.0 - 1e-8, 1.0 - 1e-9, 1.0 - 1e-10))
+    def test_tiny_base_weight_certifies(self, gamma):
+        pairs, triple = two_parameter_probe_models()
+        cases = [(model, w) for model in pairs for w in ([1e-12, 1.0 - 1e-12], [1.0 - 1e-12, 1e-12])]
+        if gamma == 1.0 - 1e-10:  # nearer 1 its solve ends on a kink no policy certifies
+            cases.append((triple, [0.5 * (1.0 - 1e-12)] * 2 + [1e-12]))
+        for model, weights in cases:
+            base = Belief(np.array(weights))
+            result = solve(model, "avar", base, gamma)
+            cert = certify_saddle(model, result)
+            assert within_avar_caps(result.worst_prior, base, gamma), weights
+            assert cert.mu_side_ok and cert.pi_side_ok, (weights, cert)
+
+
 class TestSolveRobust:
     def test_benchmark_plateau(self, bench_model):
         result = solve(bench_model, "robust", seqtest.prior_belief(0.5))
@@ -812,10 +847,53 @@ class TestCertificateScale:
                 assert cert.tol == 0.0
 
 
+def relabelled_states(model, perm):
+    """The same model with state ``perm[i]`` moved to position i."""
+    return dataclasses.replace(
+        model,
+        states=tuple(model.states[i] for i in perm),
+        feasible=tuple(tuple(epoch[i] for i in perm) for epoch in model.feasible),
+        initial_kernel=model.initial_kernel[:, perm],
+        transition=model.transition[:, :, perm][..., perm],
+        stage_cost=model.stage_cost[:, :, perm],
+        terminal_cost=model.terminal_cost[:, perm],
+    )
+
+
+def split_param(model, base, j):
+    """The model with a copy of parameter j appended, and the base with j's
+    weight halved between j and its copy."""
+    weights = np.append(base.weights, 0.5 * base.weights[j])
+    weights[j] *= 0.5
+    return dataclasses.replace(
+        model,
+        params=ParameterSet((*model.params.labels, f"{model.params.labels[j]}-copy")),
+        initial_kernel=np.concatenate((model.initial_kernel, model.initial_kernel[[j]])),
+        transition=np.concatenate((model.transition, model.transition[:, [j]]), axis=1),
+        stage_cost=np.concatenate((model.stage_cost, model.stage_cost[:, [j]]), axis=1),
+        terminal_cost=np.concatenate((model.terminal_cost, model.terminal_cost[[j]])),
+    ), Belief(weights)
+
+
+def wide_cost_models() -> list:
+    """(model, base, rng) for 20 seeded models, K = 2-4 and H = 2, with
+    costs in [-50, 200], a random base, and the rng for the test's draws."""
+    cases = []
+    for seed in range(20):
+        rng = np.random.default_rng(1000 + seed)
+        k = int(rng.integers(2, 5))
+        model = random_model(rng, n_params=k, horizon=2, cost_range=(-50.0, 200.0))
+        cases.append((model, random_belief(rng, k), rng))
+    return cases
+
+
 class TestMetamorphic:
-    """Cost transformations that move the outer value in closed form, in
-    every mode, on 20 seeded models (K = 2-4, H = 2), each within the
-    transformed model's ``gap_tolerance`` plus 1e-12 of the value."""
+    """Transformations of the model that move the outer value in closed
+    form or keep it, in every mode, each within the transformed model's
+    ``gap_tolerance`` (plus 1e-12 of the value for a closed form), and the
+    value's order in gamma and across modes.  Cost shifts and scales run on
+    20 seeded models (K = 2-4, H = 2), and costs scaled by 1e-200 or 1e200
+    neither under- nor overflow a master; the rest on ``wide_cost_models``."""
 
     MODES = (("entropic", 0.5), ("avar", 0.5), ("robust", None))
 
@@ -830,7 +908,7 @@ class TestMetamorphic:
         for model, base in small_gamma_models()[:20]:
             for mode, gamma in self.MODES:
                 plain = self.value(model, base, mode, gamma, 1.0)
-                for factor in (1e-6, 1.0, 1e6):
+                for factor in (1e-200, 1e-6, 1.0, 1e6, 1e200):
                     scaled = scaled_costs(model, factor)
                     value = self.value(scaled, base, mode, gamma, factor)
                     want = factor * plain
@@ -843,6 +921,52 @@ class TestMetamorphic:
                     moved = self.value(shifted, base, mode, gamma, factor)
                     want = value + c
                     assert abs(moved - want) <= gap_tolerance(shifted) + 1e-12 * abs(want)
+
+    def test_permuting_parameters_with_the_base(self):
+        for model, base, rng in wide_cost_models():
+            perm = rng.permutation(model.n_params)
+            moved = permuted_params(model, perm)
+            for mode, gamma in self.MODES:
+                want = solve(model, mode, base, gamma).value
+                got = solve(moved, mode, Belief(base.weights[perm]), gamma).value
+                assert abs(got - want) <= gap_tolerance(model), (mode, perm)
+
+    def test_relabelling_states(self):
+        for model, base, rng in wide_cost_models():
+            perm = rng.permutation(len(model.states))
+            moved = relabelled_states(model, perm)
+            for mode, gamma in self.MODES:
+                want = solve(model, mode, base, gamma).value
+                got = solve(moved, mode, base, gamma).value
+                assert abs(got - want) <= gap_tolerance(model), (mode, perm)
+
+    def test_splitting_a_parameter_into_two_halves(self):
+        for model, base, rng in wide_cost_models():
+            j = int(rng.integers(model.n_params))
+            split, halved = split_param(model, base, j)
+            for mode, gamma in self.MODES:
+                want = solve(model, mode, base, gamma).value
+                got = solve(split, mode, halved, gamma).value
+                assert abs(got - want) <= gap_tolerance(model), (mode, j)
+
+    def test_value_is_monotone_in_gamma(self):
+        grids = {"entropic": (1e-4, 1e-3, 1e-2, 0.1, 1.0), "avar": (0.1, 0.3, 0.5, 0.7, 0.9)}
+        for model, base, _ in wide_cost_models():
+            for mode, gammas in grids.items():
+                values = [solve(model, mode, base, g).value for g in gammas]
+                for lower, higher in zip(values, values[1:]):
+                    assert higher >= lower - gap_tolerance(model), (mode, values)
+
+    def test_entropic_value_is_within_its_bound_of_the_robust_value(self):
+        # KL(mu || base) <= log(1/min base) for every prior mu on the base's
+        # support, so the robust worst prior costs at most that over gamma
+        for model, base, _ in wide_cost_models():
+            tol = gap_tolerance(model)
+            robust = solve(model, "robust", base).value
+            for gamma in (1e-3, 0.1, 10.0):
+                value = solve(model, "entropic", base, gamma).value
+                assert value <= robust + tol, gamma
+                assert value >= robust - math.log(1.0 / base.weights.min()) / gamma - tol, gamma
 
 
 def go_or_stay_model(t1_terminal_s1=5.0):
@@ -981,7 +1105,7 @@ class TestEntropicMaster:
             scale = float(np.abs(cuts).max())
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                w, upper = search._segment_max(cuts, 0.0, 1.0, (), base, gamma)
+                w, upper = search._segment_max(cuts, 0.0, 1.0, base, gamma)
             kl = relative_entropy(Belief(w), Belief(base))
             assert abs(upper - (float((cuts @ w).min()) - kl / gamma)) <= 1e-12 * scale
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -1012,7 +1136,7 @@ class TestEntropicMaster:
                 gamma = 10.0 ** rng.uniform(-3.0, 3.0)
                 slack = CUT_SLACK * float(np.abs(cuts).max())
                 for w, upper in (
-                    search._segment_max(cuts, 0.0, 1.0, (), base, gamma),
+                    search._segment_max(cuts, 0.0, 1.0, base, gamma),
                     entropic_master(cuts, base, gamma),
                 ):
                     assert float(objective(cuts, s, base, gamma).max()) <= upper + slack, gamma
@@ -1047,8 +1171,7 @@ def lp_master(cuts: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
 def segment_master(cuts: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
     """``_segment_max`` as avar and robust solves call it: over the s of w =
     (s, 1 - s) that the caps leave, ends first."""
-    ends = max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0]))
-    return search._segment_max(cuts, *ends, ends)
+    return search._segment_max(cuts, max(0.0, 1.0 - float(caps[1])), min(1.0, float(caps[0])))
 
 
 class TestLpMaster:

@@ -542,11 +542,10 @@ class TestNumberLiterals:
 
 
 class TestRunSolve:
-    def test_entropic_artifact_round_trips(self, tmp_path):
+    def test_entropic_artifact_round_trips(self, tmp_path, capsys):
         config = parse_config(ENTROPIC_CONFIG)
         out = tmp_path / "result.json"
-        buffer = io.StringIO()
-        run(config, out_path=str(out), stdout=buffer)
+        run(config, out_path=str(out))
         payload = json.loads(out.read_text())
         assert payload["mode"] == "entropic"
         assert payload["worst_prior"][0] == pytest.approx(0.232, abs=1e-3)
@@ -554,13 +553,12 @@ class TestRunSolve:
         assert payload["certificate"]["mu_side_ok"] is True
         # byte-for-byte identical on reserialization of the same payload
         assert json.dumps(payload, sort_keys=True) + "\n" == out.read_text()
-        assert "wrote" in buffer.getvalue()
+        assert f"wrote {out}" in capsys.readouterr().out
 
     def test_bayes_mode_reports_value(self, tmp_path):
         config = parse_config(INLINE_CONFIG)
         out = tmp_path / "bayes.json"
-        buffer = io.StringIO()
-        run(config, out_path=str(out), stdout=buffer)
+        run(config, out_path=str(out))
         payload = json.loads(out.read_text())
         # under t0 'go' pays 2 then terminal 1; under t1 'go' pays 4 then
         # mixes terminal 0/3; staying pays terminal 1 or 3: solver picks the
@@ -572,7 +570,7 @@ class TestRunSolve:
     def test_bayes_artifact_reports_nodes_per_epoch(self, tmp_path):
         config = parse_config("mode = bayes\nmodel.name = seqtest\nmodel.horizon = 4\nprior = 0.5\n")
         out = tmp_path / "bayes.json"
-        run(config, out_path=str(out), stdout=io.StringIO())
+        run(config, out_path=str(out))
         payload = json.loads(out.read_text())
         assert payload["nodes_per_epoch"] == [1, 3, 7, 11, 15, 9]
         assert sum(payload["nodes_per_epoch"]) == payload["nodes"] == 46
@@ -583,7 +581,7 @@ class TestRunSolve:
         )
         config = parse_config(text)
         out = tmp_path / "avar.json"
-        run(config, out_path=str(out), stdout=io.StringIO())
+        run(config, out_path=str(out))
         payload = json.loads(out.read_text())
         assert payload["worst_prior"][0] == pytest.approx(0.125, abs=1e-6)
         assert payload["worst_prior_lo"][0] == pytest.approx(0.125, abs=1e-6)
@@ -591,8 +589,8 @@ class TestRunSolve:
     def test_identical_config_gives_identical_artifact_bytes(self, tmp_path):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
-        run(parse_config(ENTROPIC_CONFIG), out_path=str(out_a), stdout=io.StringIO())
-        run(parse_config(ENTROPIC_CONFIG), out_path=str(out_b), stdout=io.StringIO())
+        run(parse_config(ENTROPIC_CONFIG), out_path=str(out_a))
+        run(parse_config(ENTROPIC_CONFIG), out_path=str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_serialization_matches_in_memory_result(self):
@@ -618,6 +616,16 @@ class TestRunSolve:
         config = GOLDEN_DIR.parents[1] / "configs" / f"{mode}.cfg"
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / f"{mode}.json").read_bytes()
+
+    def test_config_with_a_byte_order_mark_matches_golden_artifact(self, tmp_path, capsys):
+        # a UTF-8 byte-order mark, as some editors write it, is not part of line 1
+        config = tmp_path / "bom.cfg"
+        shipped = GOLDEN_DIR.parents[1] / "configs" / "entropic.cfg"
+        config.write_bytes(b"\xef\xbb\xbf" + shipped.read_bytes())
+        out = tmp_path / "entropic.json"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "entropic.json").read_bytes()
+        assert capsys.readouterr().err == ""
 
 
 def _reference_text(payload: dict) -> str:
@@ -651,7 +659,7 @@ class TestPolicyTable:
     def test_shipped_solve_artifact(self, path, tmp_path):
         config = parse_config(path.read_text())
         out = tmp_path / "out.json"
-        run(config, out_path=str(out), stdout=io.StringIO())
+        run(config, out_path=str(out))
         if config.mode == "bayes":
             payload = _bayes_payload(config.model, config.prior)
         else:
@@ -721,8 +729,8 @@ class TestRunFigure:
         config = parse_config(FIGURE_CONFIG)
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
-        run(config, out_path=str(out_a), stdout=io.StringIO())
-        run(parse_config(FIGURE_CONFIG), out_path=str(out_b), stdout=io.StringIO())
+        run(config, out_path=str(out_a))
+        run(parse_config(FIGURE_CONFIG), out_path=str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
         rows = list(csv.reader(out_a.read_text().splitlines()))
         assert rows[0] == ["gamma", "prior", "worst_prior", "value"]
@@ -737,7 +745,7 @@ class TestRunFigure:
             "sweep.gamma = 0:1:0.25", "sweep.gamma = 0.2 0.9"
         )
         out = tmp_path / "avar.csv"
-        run(parse_config(text), out_path=str(out), stdout=io.StringIO())
+        run(parse_config(text), out_path=str(out))
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["gamma", "prior", "worst_prior_lo", "worst_prior_hi", "value"]
         by_key = {(float(r[0]), float(r[1])): r for r in rows[1:]}
@@ -750,7 +758,7 @@ class TestRunFigure:
 
     def test_monotone_shift_toward_half(self, tmp_path):
         out = tmp_path / "fig.csv"
-        run(parse_config(FIGURE_CONFIG), out_path=str(out), stdout=io.StringIO())
+        run(parse_config(FIGURE_CONFIG), out_path=str(out))
         rows = list(csv.DictReader(out.read_text().splitlines()))
         for prior in ("0.1", "0.3"):
             series = [float(r["worst_prior"]) for r in rows if r["prior"] == prior]
@@ -763,7 +771,7 @@ class TestRunFigure:
         # largest gap is that of the least-risk policy among those tied at
         # the kink, and the threshold is 1e-10 of the cost scale 20
         out = tmp_path / "fig.csv"
-        run(parse_config(FIGURE_CONFIG), out_path=str(out), stdout=io.StringIO())
+        run(parse_config(FIGURE_CONFIG), out_path=str(out))
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         head = "duality gap > 2e-09 in 8 of 8 outer solves (largest "
@@ -772,7 +780,7 @@ class TestRunFigure:
 
     def test_missing_output_path_is_config_error(self):
         with pytest.raises(ConfigError, match="output.path"):
-            run(parse_config(FIGURE_CONFIG), stdout=io.StringIO())
+            run(parse_config(FIGURE_CONFIG))
 
     @pytest.mark.parametrize("mode", FIGURE_MODES)
     def test_point_mass_rows(self, mode):
@@ -797,7 +805,7 @@ class TestRunFigure:
         monkeypatch.setattr(bayes, "build_tree", counted)
         monkeypatch.setattr(cli, "build_tree", counted)
         out = tmp_path / "fig.csv"
-        run(parse_config(FIGURE_CONFIG), out_path=str(out), stdout=io.StringIO())
+        run(parse_config(FIGURE_CONFIG), out_path=str(out))
         assert len(out.read_text().splitlines()) == 1 + 5 * 2
         assert len(builds) == 1
 
@@ -821,12 +829,11 @@ class TestRunFigure:
 class TestRunSimulate:
     CONFIG = SIMULATE_CONFIG
 
-    def test_simulate_report_and_dump(self, tmp_path):
+    def test_simulate_report_and_dump(self, tmp_path, capsys):
         config = parse_config(self.CONFIG)
         out = tmp_path / "sim.json"
         dump = tmp_path / "trajectories.csv"
-        buffer = io.StringIO()
-        run(config, out_path=str(out), dump_path=str(dump), stdout=buffer)
+        run(config, out_path=str(out), dump_path=str(dump))
         payload = json.loads(out.read_text())
         assert abs(payload["mc_mean"] - payload["exact_cost"]) <= max(
             payload["mc_half_width_95"], 0.2
@@ -835,6 +842,11 @@ class TestRunSimulate:
         assert rows[0] == ["trajectory", "probability", "total_cost"]
         assert sum(float(r[1]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-10)
         assert payload["nodes_per_epoch"] == [1, 3, 3]
+        # one CSV row per trajectory that the report counts
+        report = capsys.readouterr().out
+        assert f"wrote {dump} ({len(rows) - 1} trajectories)" in report
+        assert f"({payload['trajectories']} trajectories)" in report
+        assert payload["trajectories"] == len(rows) - 1
 
     def test_shipped_simulate_matches_golden_stdout(self, capsys):
         config = GOLDEN_DIR.parents[1] / "configs" / "simulate.cfg"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     avar_dual,
+    avar_integral,
     entropic_dual_value,
     expected_cost,
     tilted_prior,
@@ -346,6 +347,7 @@ class TestDuality:
             direct = avar_quantile(v, mu, gamma)
             dual, _ = avar_dual(v, mu, gamma)
             assert dual == pytest.approx(direct, abs=1e-12)
+            assert avar_integral(v, mu, gamma) == pytest.approx(direct, abs=1e-12)
 
     def test_duality_with_zero_mass_atoms(self, rng):
         for _ in range(50):
@@ -360,3 +362,4 @@ class TestDuality:
             gamma_a = float(rng.uniform(0.05, 0.95))
             dual_a, _ = avar_dual(v, mu, gamma_a)
             assert dual_a == pytest.approx(avar_quantile(v, mu, gamma_a), abs=1e-12)
+            assert avar_integral(v, mu, gamma_a) == pytest.approx(dual_a, abs=1e-12)
