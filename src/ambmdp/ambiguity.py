@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +116,7 @@ class SaddleResult:
     trace: tuple[tuple[Belief, float], ...]
 
 
-@dataclass
-class SaddleCertificate:
+class SaddleCertificate(NamedTuple):
     """Saddle-point checks: no feasible prior improves on the returned one
     against the returned policy (prior side, in closed form, within
     ``tol``), and the policy is Bayes-optimal at the returned prior (policy

@@ -63,8 +63,8 @@ two-parameter support's segment planes are kept beside them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +75,7 @@ DEFAULT_NODE_CAP = 10_000_000
 SOLVE_MEMO = 64  # Bayes solves, and policy evaluations, kept per DAG
 
 
-@dataclass(frozen=True)
-class TreeEpoch:
+class TreeEpoch(NamedTuple):
     """The nodes of one epoch of the belief DAG, and below the horizon
     their (node, action) pairs, ordered by node and then action.
     ``child[p, x]`` is the index, within the next epoch, of the node
@@ -121,18 +120,16 @@ class _BeliefDag:
         self.solves, self.evals, self.segments = {}, {}, {}
 
 
-@dataclass
 class ReachableBeliefTree:
     """The belief DAG ``dag`` seen at ``prior``: the DAG's own ``epochs``
-    and ``offsets``, and the ``(nodes, K)`` belief of every node by global
-    index, computed on first read."""
+    and ``offsets`` (the global index of epoch n's first node; offsets[-1]
+    is the node count), and the ``(nodes, K)`` belief of every node by
+    global index, computed on first read."""
 
-    model: StatisticalMDP
-    prior: Belief
-    dag: _BeliefDag
-    epochs: tuple[TreeEpoch, ...]
-    # global index of epoch n's first node; offsets[-1] is the node count
-    offsets: np.ndarray
+    def __init__(self, model: StatisticalMDP, prior: Belief, dag: _BeliefDag,
+                 epochs: tuple[TreeEpoch, ...], offsets: np.ndarray):
+        self.model, self.prior, self.dag = model, prior, dag
+        self.epochs, self.offsets = epochs, offsets
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -209,8 +206,7 @@ class DeterministicPolicy:
         return out
 
 
-@dataclass
-class ValueSolution:
+class ValueSolution(NamedTuple):
     """Output of the value recursion: total value, an arg-min policy (ties
     broken by lowest action index) and the policy's expected total cost
     under each parameter, a read-only array that later solves may share."""
@@ -360,7 +356,7 @@ def build_tree(
     terminal = model.terminal_cost.take(state, axis=1).T
     root_step = (np.zeros(k), model.initial_kernel, model.initial_kernel > 0.0)
     arrays = [offsets, likelihood, root_of, terminal, *root_step]
-    for a in arrays + [a for e in epochs for a in vars(e).values()]:
+    for a in arrays + [a for e in epochs for a in e]:
         a.flags.writeable = False
     dag = _BeliefDag(tuple(epochs), likelihood, offsets, root_of, terminal, root_step)
     object.__setattr__(model, "belief_dag", dag)

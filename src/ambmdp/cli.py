@@ -24,7 +24,6 @@ solver guard refuses the run: the tree node cap or the trajectory cap.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -33,9 +32,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
-from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +69,7 @@ MAX_SWEEP_VALUES = 10_000
 _DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """A parsed config: its mode, model, prior, gamma, caps and run options."""
 
     mode: str
@@ -164,6 +161,7 @@ def _number(key: str, raw: str, lineno: int) -> float:
         value = float(raw)
         if math.isfinite(value) and (value or raw[0] != "-"):
             return value
+    from fractions import Fraction  # imported on use: it loads decimal, slow to import
     try:
         return float(Fraction(raw))
     except (ValueError, ZeroDivisionError):
@@ -200,24 +198,27 @@ def _labels(key: str, raw: str, lineno: int) -> tuple[str, ...]:
 
 
 def _sweep_values(key: str, raw: str, lineno: int) -> tuple[float, ...]:
-    """Either a whitespace/comma list or an inclusive range start:stop:step,
-    expanded with exact rational arithmetic to at most MAX_SWEEP_VALUES
-    values, counted before any is made."""
+    """Either a whitespace/comma list or an inclusive range start:stop:step
+    of at most MAX_SWEEP_VALUES values, counted before any is made; value i
+    is (a + i*b) / D for start = a/D and step = b/D, as float(start + i*step)."""
     if ":" in raw:
+        from fractions import Fraction
         pieces = raw.split(":")
         if len(pieces) != 3:
             raise _err(lineno, key, f"range must be start:stop:step, got {raw!r}")
         try:
-            start, stop, step = (Fraction(p.strip()) for p in pieces)
+            exact = [Fraction(p.strip()) for p in pieces]
         except (ValueError, ZeroDivisionError):
             raise _err(lineno, key, f"bad range literal: {raw!r}") from None
+        d = math.lcm(*(f.denominator for f in exact))
+        start, stop, step = (f.numerator * (d // f.denominator) for f in exact)
         if step <= 0 or stop < start:
             raise _err(lineno, key, "range requires step > 0 and stop >= start")
         count = (stop - start) // step + 1
         if count > MAX_SWEEP_VALUES:
             raise _err(lineno, key, f"range has {count} values, at most {MAX_SWEEP_VALUES}")
         try:
-            return tuple(float(start + i * step) for i in range(count))
+            return tuple((start + i * step) / d for i in range(count))
         except OverflowError:
             raise _err(lineno, key, f"out of float range: {raw!r}") from None
     return tuple(_number_list(key, raw, lineno))
@@ -507,7 +508,7 @@ def saddle_to_dict(result: SaddleResult, cert: SaddleCertificate | None) -> dict
         "support": list(result.support),
         "cost_profile": result.cost_profile.tolist(),
         "policy": result.policy,
-        "certificate": None if cert is None else asdict(cert),
+        "certificate": None if cert is None else cert._asdict(),
         "trace": [[mu.weights.tolist(), value] for mu, value in result.trace],
     }
 
@@ -559,6 +560,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _write_csv(path: str, header: tuple, rows) -> None:
+    import csv
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)

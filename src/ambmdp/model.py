@@ -12,7 +12,7 @@ i.e. the distribution of the state observed at epoch ``n+1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,14 +21,42 @@ SUM_TOL = 1e-12
 RENORM_LIMIT = 1e-6
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class _Frozen:
+    """A value whose fields are its ``__slots__``, set once by ``__init__``,
+    frozen and compared, hashed and shown as a frozen dataclass is."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ParameterSet(_Frozen):
     """Finite set of parameter labels the model is ambiguous over."""
 
-    labels: tuple[str, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+    def __init__(self, labels: tuple[str, ...]):
+        if isinstance(labels, str):
+            raise ValueError(f"parameter labels must be a sequence, not the string {labels!r}")
+        labels = tuple(str(x) for x in labels)
         if not labels:
             raise ValueError("parameter set must be non-empty")
         if len(set(labels)) != len(labels):
@@ -42,8 +70,7 @@ class ParameterSet:
         return self.labels.index(label)
 
 
-@dataclass(frozen=True, eq=False)
-class Belief:
+class Belief(_Frozen):
     """Probability vector over the parameter set.
 
     Weights are validated on construction: negatives are rejected, and the
@@ -52,10 +79,10 @@ class Belief:
     repeated posterior composition.
     """
 
-    weights: np.ndarray
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+    def __init__(self, weights: np.ndarray):
+        w = np.array(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("belief weights must form a non-empty vector")
         # one min and one sum pass a valid vector (NaN fails both tests, an

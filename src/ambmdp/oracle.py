@@ -23,7 +23,7 @@ estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ BATCH_SIZE = 10_000
 DRAW_FLOATS = 1 << 15
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """One realizable state/action path with its probability and cost."""
 
     sequence: tuple[str, ...]

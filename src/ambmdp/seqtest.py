@@ -15,11 +15,11 @@ hypothesis: 10*mu up to 13/30, flat at 13/3 over (13/30, 17/30], then
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
-from .model import Belief, ParameterSet, StatisticalMDP
+from .model import Belief, ParameterSet, StatisticalMDP, _Frozen
 
 STATES = ("start", "obs0", "obs1", "stopped")
 # declarations sorted below continue: ties at decision boundaries stop
@@ -36,8 +36,7 @@ CONTINUE_HI = 17.0 / 30.0
 PLATEAU_VALUE = 13.0 / 3.0
 
 
-@dataclass(frozen=True)
-class SeqTestConfig:
+class SeqTestConfig(_Frozen):
     """Example configuration.
 
     ``horizon`` counts observation opportunities; the built model has one
@@ -45,15 +44,17 @@ class SeqTestConfig:
     is always forced.
     """
 
-    horizon: int = 1
-    observation_cost: float = 1.0
-    error_cost: float = 10.0
-    p_low: float = 1.0 / 3.0
-    p_high: float = 2.0 / 3.0
+    __slots__ = ("horizon", "observation_cost", "error_cost", "p_low", "p_high")
 
-    def __post_init__(self):
-        if self.horizon < 0:
+    def __init__(self, horizon: int = 1, observation_cost: float = 1.0,
+                 error_cost: float = 10.0, p_low: float = 1.0 / 3.0, p_high: float = 2.0 / 3.0):
+        if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+            raise ValueError(f"horizon must be a non-negative integer, got {horizon!r}")
+        if horizon < 0:
             raise ValueError("horizon must be non-negative")
+        values = (horizon, observation_cost, error_cost, p_low, p_high)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         for name in ("p_low", "p_high"):
             p = getattr(self, name)
             if not 0.0 < p < 1.0:

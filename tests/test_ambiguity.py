@@ -382,7 +382,7 @@ def certificate_bits(certificate) -> list:
     """The certificate's fields, each float as its bytes."""
     return [
         np.float64(v).tobytes() if isinstance(v, float) else v
-        for v in dataclasses.astuple(certificate)
+        for v in tuple(certificate)
     ]
 
 

@@ -25,3 +25,25 @@ def test_package_import_leaves_the_one_node_oracle_unloaded():
     # ambmdp.belief is a test oracle: no solver path imports it
     code = "import sys, ambmdp; sys.exit('ambmdp.belief' in sys.modules)"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_cli_import_leaves_fractions_decimal_and_csv_unloaded():
+    # numpy loads none of them; the CLI imports each where it uses it
+    code = (
+        "import sys, ambmdp.cli; "
+        "sys.exit(sorted({'fractions', 'decimal', 'csv'} & set(sys.modules)) or None)"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_only_the_types_copied_by_replace_are_dataclasses():
+    # generating dataclass methods was most of the package import's time
+    code = (
+        "import dataclasses, sys, ambmdp, ambmdp.cli\n"
+        "found = sorted(v.__qualname__ for n, m in list(sys.modules.items())\n"
+        "               if n.split('.')[0] == 'ambmdp' for v in vars(m).values()\n"
+        "               if isinstance(v, type) and dataclasses.is_dataclass(v)\n"
+        "               and v.__module__ == n)\n"
+        "sys.exit(None if found == ['SaddleResult', 'StatisticalMDP'] else str(found))\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)

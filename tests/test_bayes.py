@@ -681,7 +681,7 @@ def _outputs(model, prior) -> list:
             result.worst_prior.weights.tobytes(), result.worst_prior_lo.weights.tobytes(),
             result.worst_prior_hi.weights.tobytes(), result.policy.actions.tobytes(),
             [(mu.weights.tobytes(), value) for mu, value in result.trace],
-            dataclasses.astuple(certify_saddle(model, result)),
+            tuple(certify_saddle(model, result)),
         ]
     return _float_bits(out)
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,7 @@ class TestParseConfig:
     def test_long_sweep_range_refused_before_expansion(self, monkeypatch):
         # the values are counted exactly, and not one of them is made
         monkeypatch.setattr(cli, "float", None, raising=False)
+        monkeypatch.setattr(cli, "range", None, raising=False)
         with pytest.raises(ConfigError) as caught:
             cli._sweep_values("sweep.gamma", "1/100000:1:1/100000", 5)
         monkeypatch.undo()
@@ -326,6 +328,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="range has 10001 values"):
             cli._sweep_values("sweep.gamma", "0:10000:1", 5)
         assert len(cli._sweep_values("sweep.gamma", "1:10000:1", 5)) == cli.MAX_SWEEP_VALUES
+
+    def test_sweep_range_values_are_the_doubles_of_exact_rationals(self):
+        # value i is float(start + i*step), bit for bit, whatever the literals'
+        # denominators and exponents, subnormal results included
+        rng = np.random.default_rng(1021)
+
+        def literal():
+            if rng.random() < 0.5:
+                return f"{int(rng.integers(-10**9, 10**9))}/{int(rng.integers(1, 10**6))}"
+            exponent = int(rng.choice([rng.integers(-12, 12), rng.integers(-330, 300)]))
+            return f"{int(rng.integers(-10**6, 10**6))}e{exponent}"
+
+        for _ in range(1021):
+            start, step = Fraction(literal()), abs(Fraction(literal())) or Fraction(1)
+            count = int(rng.integers(1, 60))
+            stop = start + (count - 1 + Fraction(int(rng.integers(0, 1000)), 1000)) * step
+            raw = f"{start}:{stop}:{step}"
+            want = [float(start + i * step).hex() for i in range(count)]
+            assert [v.hex() for v in cli._sweep_values("sweep.gamma", raw, 5)] == want, raw
+        # the shipped figure sweep, from decimal and from rational literals
+        want = [float(Fraction(i, 20)).hex() for i in range(41)]
+        for raw in ("0:2:0.05", "0:2:1/20"):
+            assert [v.hex() for v in cli._sweep_values("sweep.gamma", raw, 5)] == want
 
     def test_avar_gamma_range(self):
         bad = ENTROPIC_CONFIG.replace("mode = entropic", "mode = avar")

@@ -36,6 +36,11 @@ class TestParameterSet:
     def test_index(self):
         assert ParameterSet(("x", "y")).index("y") == 1
 
+    def test_a_bare_string_is_refused(self):
+        # it once gave the labels ('a', 'b')
+        with pytest.raises(ValueError, match="not the string 'ab'"):
+            ParameterSet("ab")
+
 
 class TestBelief:
     def test_rejects_negative_weights(self):

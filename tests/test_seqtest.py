@@ -35,6 +35,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="error_cost"):
             seqtest.SeqTestConfig(error_cost=-1.0)
 
+    # each once failed later or not at all: 2.5 in range(), "3" on <, and
+    # True built a one-observation model
+    @pytest.mark.parametrize("horizon", [2.5, True, "3"])
+    def test_horizon_must_be_an_integer(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be a non-negative integer"):
+            seqtest.SeqTestConfig(horizon=horizon)
+
+    def test_numpy_integer_horizon_builds(self):
+        assert seqtest.build_model(seqtest.SeqTestConfig(np.int64(2))).horizon == 3
+
 
 class TestBuildModel:
     def test_model_is_valid(self):
