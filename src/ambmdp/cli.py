@@ -24,6 +24,7 @@ solver guard refuses the run: the tree node cap or the trajectory cap.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import io
 import itertools
@@ -65,8 +66,11 @@ COMMAND_MODES = {"solve": SOLVE_MODES, "figure": FIGURE_MODES, "simulate": ("sim
 TRAJECTORY_HEADER = ("trajectory", "probability", "total_cost")
 #: most values a start:stop:step sweep range may expand to
 MAX_SWEEP_VALUES = 10_000
-#: an ASCII decimal literal, which float() rounds once, as float(Fraction()) does
-_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+#: an ASCII decimal literal, which float() rounds once, as float(Fraction()) does;
+#: one way to match a digit run keeps a failing match linear in its length
+_DECIMAL = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+#: the characters of such literals, one a line; float() reads no other string of them
+_DECIMAL_LINES = re.compile(r"[0-9.eE+\-\n]*")
 
 
 class RunConfig(NamedTuple):
@@ -90,26 +94,21 @@ class _Entries:
     """Config key table that tracks consumption for unknown-key detection."""
 
     def __init__(self, text: str):
-        self.values: dict[str, tuple[str, int]] = {}
-        self.tables: dict[str, list[str]] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-            key, value = map(str.strip, line.split("=", 1))
-            if not key:
-                raise ConfigError(f"line {lineno}: empty key")
-            if key in self.values:
+        raws = text.splitlines()
+        # (key, '=' or '', value, line number) of every line with content
+        lines = [(key, sep, value, n) for n, raw in enumerate(raws, 1)
+                 for head, sep, value in [raw.split("#", 1)[0].partition("=")]
+                 if (key := head.strip()) or sep]
+        # each key's first line; a later one is a duplicate
+        self.values = {key: (value.strip(), n) for key, _, value, n in reversed(lines)}
+        if len(self.values) < len(lines) or not all(key and sep for key, sep, _, _ in lines):
+            for key, sep, _, n in lines:  # the first defect in line order
                 first = self.values[key][1]
-                raise ConfigError(
-                    f"line {lineno}: duplicate key {key} (first set on line {first})"
-                )
-            self.values[key] = (value, lineno)
-            parts = key.split(".", 2)
-            if len(parts) == 3:
-                self.tables.setdefault(f"{parts[0]}.{parts[1]}.", []).append(key)
+                if not (sep and key and first == n):
+                    raise ConfigError(f"line {n}: " + (
+                        f"expected 'key = value', got {raws[n - 1]!r}" if not sep else "empty key"
+                        if not key else f"duplicate key {key} (first set on line {first})"))
+        self.keys = sorted(self.values)
         self.consumed: set[str] = set()
 
     def take(self, key: str, default: str | None = None, required: bool = False):
@@ -131,10 +130,12 @@ class _Entries:
             raise _err(lineno, key, f"must be >= {minimum}")
         return value
 
-    def take_prefixed(self, head: str):
-        keys = sorted(self.tables.get(head, ()))
+    def take_prefixed(self, head: str) -> list[str]:
+        """The keys that start with ``head``, which ends in '.', in key order."""
+        lo, hi = (bisect.bisect_left(self.keys, bound) for bound in (head, head[:-1] + "/"))
+        keys = self.keys[lo:hi]
         self.consumed.update(keys)
-        return [(key, *self.values[key]) for key in keys]
+        return keys
 
     def forbid(self, key: str, reason: str):
         if key in self.values:
@@ -168,6 +169,20 @@ def _number(key: str, raw: str, lineno: int) -> float:
         raise _err(lineno, key, f"not a number or rational literal: {raw!r}") from None
     except OverflowError:
         raise _err(lineno, key, f"out of float range: {raw!r}") from None
+
+
+def _floats(tokens: list[str], shape=(-1,)) -> np.ndarray | None:
+    """The tokens as ``_number`` reads each, in ``shape``, or None if it refuses one:
+    plain decimals by one regex match and one ``float`` pass, the rest, zeros (-0
+    reads as +0.0) and overflow by ``_number``."""
+    try:  # float refuses a malformed literal of those characters, such as 1.2.3, as _number does
+        values = list(map(float, tokens)) if _DECIMAL_LINES.fullmatch("\n".join(tokens)) else None
+        if values is None or 0.0 in values or math.inf in values or -math.inf in values:
+            values = [v if v and math.isfinite(v) else _number("", token, 0)
+                      for token, v in zip(tokens, values or [math.nan] * len(tokens))]
+    except (ValueError, ConfigError):
+        return None
+    return np.array(values).reshape(shape)
 
 
 def _integer(key: str, raw: str, lineno: int) -> int:
@@ -243,98 +258,108 @@ def _parse_seqtest_model(entries: _Entries) -> StatisticalMDP:
 
 def _parse_inline_model(entries: _Entries) -> StatisticalMDP:
     horizon = entries.integer("model.horizon", 1)
-    raw, lineno = entries.take("model.states", required=True)
-    states = _labels("model.states", raw, lineno)
-    raw, lineno = entries.take("model.actions", required=True)
-    actions = _labels("model.actions", raw, lineno)
-    raw, lineno = entries.take("model.params", required=True)
-    params = _labels("model.params", raw, lineno)
+    states, actions, params = (_labels(key, *entries.take(key, required=True))
+                               for key in ("model.states", "model.actions", "model.params"))
     n_e, n_a, n_k = len(states), len(actions), len(params)
-    labels = {"state": states, "action": actions, "param": params}
-    positions = {field: {x: i for i, x in enumerate(names)} for field, names in labels.items()}
+    # the table index each key token names, -1 for every epoch
+    positions = {field: {x: i for i, x in enumerate(names)} for field, names in
+                 (("state", states), ("action", actions), ("param", params))}
+    positions["epoch"] = {"*": -1, **{str(n): n for n in range(horizon)}}
 
-    def index(field, token, key, lineno):
-        """The table index a key field names: every epoch for ``*``."""
-        if field == "epoch":
-            if token == "*":
-                return slice(None)
-            epoch = _integer(key, token, lineno)
-            if not 0 <= epoch < horizon:
-                raise _err(lineno, key, f"epoch {epoch} outside 0..{horizon - 1}")
-            return epoch
-        if token not in positions[field]:
+    def check(field, token, key, lineno):
+        """Refuse a key or value token that names no table index."""
+        if token in positions[field]:
+            return
+        if field != "epoch":
             name = "parameter" if field == "param" else field
             raise _err(lineno, key, f"unknown {name} {token!r}")
-        return positions[field][token]
+        if str(_integer(key, token, lineno)) != token:
+            raise _err(lineno, key, f"epoch {token!r} must be * or ASCII digits "
+                       "with no sign, leading zero or underscore")
+        raise _err(lineno, key, f"epoch {token} outside 0..{horizon - 1}")
 
-    def cells(prefix, fields):
-        """Per key ``model.<prefix>.<field>...``: the key, its value, its line
-        number, and the index of the table cells it names."""
+    def table(prefix, fields, convert, read):
+        """Per key ``model.<prefix>.<field>...``, every-epoch keys first, its cells
+        (epoch -1 for every epoch) and value, all read by ``convert``; if that
+        gives None, the first key with a defect is refused, its value by ``read``."""
         head = f"model.{prefix}."
-        for key, raw, lineno in entries.take_prefixed(head):
-            tail = key.removeprefix(head).split(".")
-            if len(tail) != len(fields):
-                form = ".".join(f"<{field}>" for field in fields)
-                raise _err(lineno, key, f"expected {head}{form}")
-            yield key, raw, lineno, tuple(
-                index(field, token, key, lineno) for field, token in zip(fields, tail)
-            )
+        keys = entries.take_prefixed(head)
+        tails = [key[len(head) :].split(".") for key in keys]
+        maps = itertools.cycle([positions[field] for field in fields])
+        flat = list(map(dict.get, maps, itertools.chain.from_iterable(tails)))
+        values = None
+        if list(map(len, tails)).count(len(fields)) == len(keys) and None not in flat:
+            values = convert([entries.values[key][0] for key in keys]) if keys else np.empty(0)
+        if values is None:
+            for key, tail, (raw, lineno) in zip(keys, tails, map(entries.values.get, keys)):
+                if len(tail) != len(fields):
+                    raise _err(lineno, key, f"expected {head}{'.'.join(f'<{f}>' for f in fields)}")
+                for field, token in zip(fields, tail):
+                    check(field, token, key, lineno)
+                read(key, raw, lineno)
+        return np.array(flat, dtype=np.intp).reshape(-1, len(fields)), values
 
-    def row(key, raw, lineno, what):
-        values = _number_list(key, raw, lineno)
-        if len(values) != n_e:
-            raise _err(lineno, key, f"expected {n_e} {what}, got {len(values)}")
-        return values
+    def rows(raws):
+        """A row of n_e numbers per value, or None."""
+        tokens = [raw.replace(",", " ").split() for raw in raws]
+        if list(map(len, tokens)).count(n_e) == len(tokens):
+            return _floats(list(itertools.chain.from_iterable(tokens)), (-1, n_e))
+
+    def row(key, raw, lineno, what="probabilities"):
+        count = len(_number_list(key, raw, lineno))
+        if count != n_e:
+            raise _err(lineno, key, f"expected {n_e} {what}, got {count}")
+
+    def listed(raws):
+        """The mask of the actions each value lists, or None."""
+        lists = [raw.split() for raw in raws]
+        if set(itertools.chain.from_iterable(lists)) <= positions["action"].keys():
+            return np.array([[a in names for a in actions] for names in lists]).reshape(-1, n_a)
+
+    def put(array, index, values):
+        """Each key's value at its cells; explicit epochs override every-epoch (-1) keys."""
+        every = index[:, 0].tolist().count(-1)
+        if every:
+            array[(slice(None), *index[:every, 1:].T)] = values[:every]
+        if every < len(index):
+            array[tuple(index[every:].T)] = values[every:]
 
     initial = np.zeros((n_k, n_e))
-    given = np.zeros(n_k, dtype=bool)
-    for key, raw, lineno, where in cells("initial", ("param",)):
-        initial[where] = row(key, raw, lineno, "probabilities")
-        given[where] = True
-    if not given.all():
-        missing = ", ".join(params[k] for k in np.flatnonzero(~given))
+    index, values = table("initial", ("param",), rows, row)
+    put(initial, index, values)
+    if len(index) < n_k:
+        missing = ", ".join(label for k, label in enumerate(params) if k not in index)
         raise ConfigError(f"missing model.initial.<param> for: {missing}")
 
     feasible = np.ones((horizon, n_e, n_a), dtype=bool)
-    for key, raw, lineno, where in cells("feasible", ("epoch", "state")):
-        feasible[where] = False
-        for token in raw.split():
-            feasible[where + (index("action", token, key, lineno),)] = True
+    put(feasible, *table("feasible", ("epoch", "state"), listed, lambda key, raw, lineno: [
+        check("action", token, key, lineno) for token in raw.split()]))
 
-    # infeasible rows keep a valid filler distribution; validation skips them
-    transition = np.zeros((horizon, n_k, n_e, n_a, n_e))
-    transition[..., 0] = 1.0
-    assigned = np.zeros((horizon, n_k, n_e, n_a), dtype=bool)
-    for key, raw, lineno, where in cells("transition", ("epoch", "param", "state", "action")):
-        transition[where] = row(key, raw, lineno, "probabilities")
-        assigned[where] = True
+    # rows no key gives stay NaN, which no number reads as
+    transition = np.full((horizon, n_k, n_e, n_a, n_e), np.nan)
+    cells = ("epoch", "param", "state", "action")
+    put(transition, *table("transition", cells, rows, row))
 
     stage = np.zeros((horizon, n_k, n_e, n_a))
-    for key, raw, lineno, where in cells("cost", ("epoch", "param", "state", "action")):
-        stage[where] = _number(key, raw, lineno)
+    put(stage, *table("cost", cells, _floats, _number))
 
     terminal = np.zeros((n_k, n_e))
-    for key, raw, lineno, where in cells("terminal", ("param",)):
-        terminal[where] = row(key, raw, lineno, "costs")
+    put(terminal, *table("terminal", ("param",), rows, functools.partial(row, what="costs")))
 
-    # the first in (epoch, state, action, parameter) order
-    unset = np.argwhere(feasible[..., None] & ~assigned.transpose(0, 2, 3, 1))
-    if unset.size:
-        n, x, a, k = unset[0]
-        raise ConfigError(
-            f"missing model.transition row for epoch {n}, param {params[k]}, "
-            f"state {states[x]}, action {actions[a]}"
-        )
+    unset = np.isnan(transition[..., 0])
+    if unset.any():
+        # infeasible rows get a valid filler distribution; validation skips them
+        transition[unset] = np.eye(1, n_e)
+        # the first in (epoch, state, action, parameter) order
+        missing = np.argwhere(feasible[..., None] & unset.transpose(0, 2, 3, 1))
+        if missing.size:
+            n, x, a, k = missing[0]
+            raise ConfigError(f"missing model.transition row for epoch {n}, param {params[k]}, "
+                              f"state {states[x]}, action {actions[a]}")
 
     return StatisticalMDP(
-        horizon=horizon,
-        states=states,
-        actions=actions,
-        params=ParameterSet(params),
-        feasible=[[np.flatnonzero(acts) for acts in per_state] for per_state in feasible],
-        initial_kernel=initial,
-        transition=transition,
-        stage_cost=stage,
+        horizon=horizon, states=states, actions=actions, params=ParameterSet(params),
+        feasible=feasible, initial_kernel=initial, transition=transition, stage_cost=stage,
         terminal_cost=terminal,
     )
 

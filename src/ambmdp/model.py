@@ -12,6 +12,7 @@ i.e. the distribution of the state observed at epoch ``n+1``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
@@ -127,21 +128,34 @@ class Belief(_Frozen):
         return f"Belief({self.weights.tolist()})"
 
 
-def _as_feasible(feasible, horizon: int, n_states: int, n_actions: int):
-    out = []
-    if len(feasible) != horizon:
-        raise ValueError(f"feasible sets must cover {horizon} epochs, got {len(feasible)}")
-    for n, per_state in enumerate(feasible):
-        if len(per_state) != n_states:
-            raise ValueError(f"feasible sets at epoch {n} must cover {n_states} states")
-        row = []
-        for x, acts in enumerate(per_state):
-            acts = tuple(sorted(set(int(a) for a in acts)))
-            if any(a < 0 or a >= n_actions for a in acts):
-                raise ValueError(f"feasible action out of range at epoch {n}, state {x}")
-            row.append(acts)
-        out.append(tuple(row))
-    return tuple(out)
+def _feasible(feasible, horizon: int, n_states: int, n_actions: int):
+    """The feasible sets as sorted tuples of distinct action indices, and as a
+    read-only (N, E, A) mask; ``feasible`` is nested action lists or that mask."""
+    shape = (horizon, n_states, n_actions)
+    if not (isinstance(feasible, np.ndarray) and feasible.dtype == bool):
+        if len(feasible) != horizon:
+            raise ValueError(f"feasible sets must cover {horizon} epochs, got {len(feasible)}")
+        for n, per_state in enumerate(feasible):
+            if len(per_state) != n_states:
+                raise ValueError(f"feasible sets at epoch {n} must cover {n_states} states")
+        sets = [acts for per_state in feasible for acts in per_state]
+        owner = np.repeat(np.arange(len(sets)), list(map(len, sets)))
+        acts = np.array(list(itertools.chain.from_iterable(sets)), dtype=np.intp)
+        out = owner[(acts < 0) | (acts >= n_actions)]
+        if out.size:
+            raise ValueError("feasible action out of range at epoch %d, state %d"
+                             % divmod(out[0], n_states))
+        feasible = np.zeros(shape, dtype=bool)
+        feasible.reshape(-1, n_actions)[owner, acts] = True
+    elif feasible.shape != shape:
+        raise ValueError(f"feasible mask must have shape {shape}")
+    mask = feasible.reshape(-1, n_actions).copy()
+    # each set is a slice of the list of every set's actions, in mask order
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    listed = np.nonzero(mask)[1].tolist()
+    sets = map(tuple, map(listed.__getitem__, map(slice, [0] + ends[:-1], ends)))
+    mask.flags.writeable = False
+    return tuple(zip(*[sets] * n_states)), mask.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -152,7 +166,8 @@ class StatisticalMDP:
         horizon: number of decision epochs N (0 means terminal costs only)
         states, actions: label tuples defining the index spaces
         params: the parameter set the model is ambiguous over
-        feasible: feasible[n][x] = sorted tuple of feasible action indices
+        feasible: feasible[n][x] = sorted tuple of feasible action indices,
+            given so or as ``feasible_mask``, the sets' (N, E, A) boolean table
         initial_kernel: (K, E) initial state distribution per parameter
         transition: (N, K, E, A, E); transition[n, k, x, a] is the state
             distribution after taking action a in state x at epoch n
@@ -197,7 +212,8 @@ class StatisticalMDP:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-        object.__setattr__(self, "feasible", _as_feasible(self.feasible, n, e, a))
+        for name, value in zip(("feasible", "feasible_mask"), _feasible(self.feasible, n, e, a)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_states(self) -> int:
@@ -210,15 +226,6 @@ class StatisticalMDP:
     @property
     def n_params(self) -> int:
         return len(self.params)
-
-    @cached_property
-    def feasible_mask(self) -> np.ndarray:
-        """(N, E, A) boolean table of the feasible sets."""
-        mask = np.zeros((self.horizon, self.n_states, self.n_actions), dtype=bool)
-        for n, per_state in enumerate(self.feasible):
-            for x, acts in enumerate(per_state):
-                mask[n, x, list(acts)] = True
-        return mask
 
     @cached_property
     def cost_bounds(self) -> tuple[float, float]:

@@ -53,6 +53,9 @@ class SeqTestConfig(_Frozen):
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
         values = (horizon, observation_cost, error_cost, p_low, p_high)
+        for name, value in zip(self.__slots__[1:], values[1:]):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
         for name in ("p_low", "p_high"):
@@ -101,15 +104,10 @@ def build_model(config: SeqTestConfig = DEFAULT_CONFIG) -> StatisticalMDP:
     stage[0, :, A_DECLARE_2] = config.error_cost  # theta1 true, theta2 declared
     stage[:, X_STOPPED] = 0.0
 
-    open_epoch = tuple(
-        (A_CONTINUE,) if x == X_STOPPED else (A_DECLARE_1, A_DECLARE_2, A_CONTINUE)
-        for x in range(n_e)
-    )
-    last_epoch = tuple(
-        (A_CONTINUE,) if x == X_STOPPED else (A_DECLARE_1, A_DECLARE_2)
-        for x in range(n_e)
-    )
-    feasible = tuple(open_epoch for _ in range(n_epochs - 1)) + (last_epoch,)
+    # the last epoch forbids continue, but stopped allows only continue, its no-op
+    feasible = np.ones((n_epochs, n_e, n_a), dtype=bool)
+    feasible[-1, :, A_CONTINUE] = False
+    feasible[:, X_STOPPED] = np.arange(n_a) == A_CONTINUE
 
     initial = np.zeros((n_k, n_e))
     initial[:, STATES.index("start")] = 1.0

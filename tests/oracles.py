@@ -2,20 +2,24 @@
 measures' dual forms, AVaR's quantile integral, the Bayes recursion over
 unmerged histories, the penalized entropic objective, the sequential
 test's scalar recursion, the exact reading of config number literals, the
-merge of equal DAG children by a sort on every key column, the policy
-table as a list of dicts, and every node's Bayes value with the action
-table filled in one pass."""
+config reader that takes one key and one token at a time, feasible sets
+built set by set, the merge of equal DAG children by a sort on every key
+column, the policy table as a list of dicts, and every node's Bayes value
+with the action table filled in one pass."""
 
 import math
 from fractions import Fraction
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 
+from ambmdp import cli
 from ambmdp.ambiguity import check_gamma
 from ambmdp.bayes import DeterministicPolicy, _expect, _mix, solve_bayes
 from ambmdp.belief import initial_posterior, predictive
-from ambmdp.model import Belief, StatisticalMDP
+from ambmdp.errors import ConfigError
+from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from ambmdp.risk import _weights, as_profile, relative_entropy
 from ambmdp.seqtest import (
     A_CONTINUE,
@@ -226,6 +230,175 @@ def exact_number(raw: str) -> float:
     """A config number literal read as an exact rational and rounded once to
     the nearest double; raises as ``Fraction`` and ``float`` do."""
     return float(Fraction(raw))
+
+
+def exact_config_number(key: str, raw: str, lineno: int) -> float:
+    """``exact_number`` with the config reader's refusals."""
+    try:
+        return exact_number(raw)
+    except (ValueError, ZeroDivisionError):
+        raise cli._err(lineno, key, f"not a number or rational literal: {raw!r}") from None
+    except OverflowError:
+        raise cli._err(lineno, key, f"out of float range: {raw!r}") from None
+
+
+class KeyByKeyEntries(cli._Entries):
+    """The config key table read line by line, each line checked in turn."""
+
+    def __init__(self, text: str):
+        self.values: dict[str, tuple[str, int]] = {}
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            key, value = map(str.strip, line.split("=", 1))
+            if not key:
+                raise ConfigError(f"line {lineno}: empty key")
+            if key in self.values:
+                first = self.values[key][1]
+                raise ConfigError(
+                    f"line {lineno}: duplicate key {key} (first set on line {first})"
+                )
+            self.values[key] = (value, lineno)
+        self.consumed: set[str] = set()
+
+    def take_prefixed(self, head: str):
+        keys = sorted(key for key in self.values if key.startswith(head))
+        self.consumed.update(keys)
+        return [(key, *self.values[key]) for key in keys]
+
+
+def key_by_key_inline_model(entries) -> StatisticalMDP:
+    """An inline model read one key, and one token, at a time, in key order:
+    numbers by ``exact_config_number``, and each key written into its table
+    in turn, so that ``*`` keys, which sort first, are overridden by
+    explicit epochs; feasible sets are passed on as action lists."""
+    horizon = entries.integer("model.horizon", 1)
+    labels = {}
+    for field in ("states", "actions", "params"):
+        raw, lineno = entries.take(f"model.{field}", required=True)
+        labels[field] = cli._labels(f"model.{field}", raw, lineno)
+    states, actions, params = labels["states"], labels["actions"], labels["params"]
+    n_e, n_a, n_k = len(states), len(actions), len(params)
+    names = {"state": states, "action": actions, "param": params}
+
+    def index(field, token, key, lineno):
+        if field == "epoch":
+            if token == "*":
+                return slice(None)
+            epoch = cli._integer(key, token, lineno)
+            if str(epoch) != token:
+                raise cli._err(lineno, key, f"epoch {token!r} must be * or ASCII digits "
+                               "with no sign, leading zero or underscore")
+            if not 0 <= epoch < horizon:
+                raise cli._err(lineno, key, f"epoch {epoch} outside 0..{horizon - 1}")
+            return epoch
+        if token not in names[field]:
+            name = "parameter" if field == "param" else field
+            raise cli._err(lineno, key, f"unknown {name} {token!r}")
+        return names[field].index(token)
+
+    def cells(prefix, fields):
+        head = f"model.{prefix}."
+        for key, raw, lineno in entries.take_prefixed(head):
+            tail = key.removeprefix(head).split(".")
+            if len(tail) != len(fields):
+                form = ".".join(f"<{field}>" for field in fields)
+                raise cli._err(lineno, key, f"expected {head}{form}")
+            yield key, raw, lineno, tuple(
+                index(field, token, key, lineno) for field, token in zip(fields, tail)
+            )
+
+    def row(key, raw, lineno, what):
+        parts = raw.replace(",", " ").split()
+        if not parts:
+            raise cli._err(lineno, key, "empty value")
+        values = [exact_config_number(key, part, lineno) for part in parts]
+        if len(values) != n_e:
+            raise cli._err(lineno, key, f"expected {n_e} {what}, got {len(values)}")
+        return values
+
+    initial = np.zeros((n_k, n_e))
+    given = np.zeros(n_k, dtype=bool)
+    for key, raw, lineno, where in cells("initial", ("param",)):
+        initial[where] = row(key, raw, lineno, "probabilities")
+        given[where] = True
+    if not given.all():
+        missing = ", ".join(params[k] for k in np.flatnonzero(~given))
+        raise ConfigError(f"missing model.initial.<param> for: {missing}")
+
+    feasible = np.ones((horizon, n_e, n_a), dtype=bool)
+    for key, raw, lineno, where in cells("feasible", ("epoch", "state")):
+        feasible[where] = False
+        for token in raw.split():
+            feasible[where + (index("action", token, key, lineno),)] = True
+
+    transition = np.zeros((horizon, n_k, n_e, n_a, n_e))
+    transition[..., 0] = 1.0
+    assigned = np.zeros((horizon, n_k, n_e, n_a), dtype=bool)
+    full = ("epoch", "param", "state", "action")
+    for key, raw, lineno, where in cells("transition", full):
+        transition[where] = row(key, raw, lineno, "probabilities")
+        assigned[where] = True
+
+    stage = np.zeros((horizon, n_k, n_e, n_a))
+    for key, raw, lineno, where in cells("cost", full):
+        stage[where] = exact_config_number(key, raw, lineno)
+
+    terminal = np.zeros((n_k, n_e))
+    for key, raw, lineno, where in cells("terminal", ("param",)):
+        terminal[where] = row(key, raw, lineno, "costs")
+
+    unset = np.argwhere(feasible[..., None] & ~assigned.transpose(0, 2, 3, 1))
+    if unset.size:
+        n, x, a, k = unset[0]
+        raise ConfigError(
+            f"missing model.transition row for epoch {n}, param {params[k]}, "
+            f"state {states[x]}, action {actions[a]}"
+        )
+
+    return StatisticalMDP(
+        horizon=horizon,
+        states=states,
+        actions=actions,
+        params=ParameterSet(params),
+        feasible=[[np.flatnonzero(acts).tolist() for acts in per_state] for per_state in feasible],
+        initial_kernel=initial,
+        transition=transition,
+        stage_cost=stage,
+        terminal_cost=terminal,
+    )
+
+
+def key_by_key_parse(text: str):
+    """``cli.parse_config`` with the key-by-key reader in place of the bulk
+    one, and every number read exactly: the reference for the parse."""
+    with mock.patch.multiple(
+        cli,
+        _Entries=KeyByKeyEntries,
+        _parse_inline_model=key_by_key_inline_model,
+        _number=exact_config_number,
+    ):
+        return cli.parse_config(text)
+
+
+def loop_feasible(feasible, horizon: int, n_states: int, n_actions: int):
+    """Feasible sets as sorted tuples of distinct actions, and their (N, E, A)
+    mask, built set by set: the reference for ``StatisticalMDP``'s."""
+    assert len(feasible) == horizon
+    sets, mask = [], np.zeros((horizon, n_states, n_actions), dtype=bool)
+    for n, per_state in enumerate(feasible):
+        assert len(per_state) == n_states
+        row = []
+        for x, acts in enumerate(per_state):
+            acts = tuple(sorted(set(int(a) for a in acts)))
+            assert all(0 <= a < n_actions for a in acts)
+            mask[n, x, list(acts)] = True
+            row.append(acts)
+        sets.append(tuple(row))
+    return tuple(sets), mask
 
 
 def entropic_objective(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from ambmdp.cli import (
 from ambmdp.errors import ConfigError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from helpers import decision_nodes, random_belief, random_model, render_inline
-from oracles import exact_number, policy_rows
+from oracles import exact_number, key_by_key_parse, policy_rows
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 #: ``ambmdp figure`` output of the shipped figure configs, the stdout of
@@ -533,16 +534,22 @@ class TestNumberLiterals:
         # reader follows the running one
         assert _number_outcome(raw) == _exact_outcome(raw)
 
-    @staticmethod
-    def exact_parse(text, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "_number", lambda key, raw, lineno: exact_number(raw))
-            return parse_config(text)
+    def test_long_digit_run_is_refused_in_linear_time(self):
+        # two ways to split a digit run made a failing match quadratic:
+        # 16,000 digits and an x took 7 s
+        raw = "1" * 20_000 + "x"
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="not a number or rational literal"):
+            cli._number("solver.gamma", raw, 3)
+        assert time.perf_counter() - start < 1.0
 
     @staticmethod
     def assert_bitwise_equal(got, want):
-        for name in ("initial_kernel", "transition", "stage_cost", "terminal_cost"):
+        """Every array and value of two parses alike, bit for bit."""
+        for name in ("initial_kernel", "transition", "stage_cost", "terminal_cost",
+                     "feasible_mask"):
             assert getattr(got.model, name).tobytes() == getattr(want.model, name).tobytes()
+        assert got.model.feasible == want.model.feasible
         for name in ("gamma", "gamma_sweep", "prior_sweep"):
             assert repr(getattr(got, name)) == repr(getattr(want, name))
         if want.prior is None:
@@ -551,19 +558,156 @@ class TestNumberLiterals:
             assert got.prior.weights.tobytes() == want.prior.weights.tobytes()
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
-    def test_shipped_config_parses_as_exact_reading(self, path, monkeypatch):
+    def test_shipped_config_parses_as_exact_reading(self, path):
         text = path.read_text()
-        self.assert_bitwise_equal(parse_config(text), self.exact_parse(text, monkeypatch))
+        self.assert_bitwise_equal(parse_config(text), key_by_key_parse(text))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_inline_config_parses_as_exact_reading(self, seed, monkeypatch):
+    def test_random_inline_config_parses_as_exact_reading(self, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng, n_params=int(rng.integers(3, 6)))
         text = render_inline(model, random_belief(rng, model.n_params))
         config = parse_config(text)
-        self.assert_bitwise_equal(config, self.exact_parse(text, monkeypatch))
+        self.assert_bitwise_equal(config, key_by_key_parse(text))
         assert config.model.initial_kernel.tobytes() == model.initial_kernel.tobytes()
         assert config.model.terminal_cost.tobytes() == model.terminal_cost.tobytes()
+
+
+
+def _random_inline_sources() -> list[str]:
+    """Rendered random inline configs; in the last, every-epoch costs that
+    explicit epochs override and transition rows written with commas."""
+    rng = np.random.default_rng(2024)
+    texts = []
+    for horizon in (1, 2, 3):
+        model = random_model(rng, horizon=horizon)
+        texts.append(render_inline(model, random_belief(rng, model.n_params)))
+    lines = texts[-1].splitlines()
+    lines += [
+        f"model.cost.*.{theta}.s0.{action} = 9.5"
+        for theta in model.params.labels for action in model.actions
+    ]
+    for at, line in enumerate(lines):
+        key, _, value = line.partition(" = ")
+        if key.startswith("model.transition."):
+            lines[at] = f"{key} = {', '.join(value.split())}"
+    return texts + ["\n".join(lines) + "\n"]
+
+
+#: every shipped config and random inline ones, to mutate
+READER_SOURCES = [path.read_text() for path in SHIPPED_CONFIGS] + _random_inline_sources()
+#: what a mutated number token becomes
+ODD_TOKENS = ("-0", "-0.0", "1e400", "-1e-400", "1/3", "nan", "1,2", "0x1", "", "1.2.3", "--1",
+              "1e5e5", "1_0", "\u0661")
+#: what a mutated epoch token becomes
+ODD_EPOCHS = ("00", "+0", "-0", "0_0", "\u0660", "01", "9", "x", "*", " 0", "-1")
+
+
+@st.composite
+def mutated_configs(draw) -> str:
+    """A reader source with one or two defects: a key dropped or repeated, a
+    label or epoch misspelled, a row too short or too long, or a number
+    token replaced by an odd literal."""
+    lines = draw(st.sampled_from(READER_SOURCES)).splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(
+            ("drop", "repeat", "label", "epoch", "short", "long", "token")
+        ))
+        # the table lines, or every line for a dropped or repeated key
+        table = [at for at, line in enumerate(lines) if line.startswith("model.")
+                 and line.count(".") > 1 and kind not in ("drop", "repeat")]
+        at = draw(st.sampled_from(table or range(len(lines))))
+        key, sep, value = lines[at].partition(" = ")
+        parts = key.split(".")
+        if kind == "drop":
+            del lines[at]
+        elif kind == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[at])
+        elif kind in ("label", "epoch") and len(parts) > 2:
+            field = 2 if kind == "epoch" and len(parts) > 3 else draw(
+                st.integers(2, len(parts) - 1)
+            )
+            parts[field] = draw(st.sampled_from(ODD_EPOCHS)) if kind == "epoch" else (
+                parts[field] + draw(st.sampled_from(("x", "0", "")))
+            )
+            lines[at] = ".".join(parts) + sep + value
+        elif kind in ("short", "long") and value:
+            tokens = value.split()
+            tokens = tokens[:-1] if kind == "short" else tokens + [tokens[-1]]
+            lines[at] = key + sep + " ".join(tokens)
+        elif kind == "token" and value:
+            tokens = value.split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+            lines[at] = key + sep + " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _reading(parse, text):
+    """What a reader makes of a config: the bytes of every array and value
+    of the parse, or the text of its error."""
+    try:
+        config = parse(text)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+    model = config.model
+    arrays = (model.initial_kernel, model.transition, model.stage_cost, model.terminal_cost,
+              model.feasible_mask)
+    prior = None if config.prior is None else config.prior.weights.tobytes()
+    return (
+        [a.tobytes() for a in arrays], model.feasible, prior,
+        repr((config.mode, config.gamma, config.gamma_sweep, config.prior_sweep)),
+    )
+
+
+class TestBulkReader:
+    """The bulk config reader against the key-by-key reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=mutated_configs())
+    def test_mutated_configs_read_as_the_reference_reads_them(self, text):
+        assert _reading(parse_config, text) == _reading(key_by_key_parse, text)
+
+    @pytest.mark.parametrize("text", READER_SOURCES, ids=range(len(READER_SOURCES)))
+    def test_sources_read_as_the_reference_reads_them(self, text):
+        assert not isinstance(_reading(parse_config, text), str)
+        assert _reading(parse_config, text) == _reading(key_by_key_parse, text)
+
+    # each once named epoch 0: int() reads a sign, leading zeros, underscores
+    # and non-ASCII digits
+    @pytest.mark.parametrize("epoch", ["00", "+0", "0_0", "\u0660", "-0", " 0"])
+    def test_epoch_spelling_refused(self, epoch):
+        text = INLINE_CONFIG.replace("model.cost.*.t0.s0.go", f"model.cost.{epoch}.t0.s0.go")
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == (
+            f"line 18: model.cost.{epoch}.t0.s0.go: epoch {epoch!r} must be * "
+            "or ASCII digits with no sign, leading zero or underscore"
+        )
+
+    def test_two_spellings_of_one_cell_refused(self):
+        # 00 once named the cell 0 names, and the later line won
+        text = (
+            Path(SHIPPED_CONFIGS[0]).parent.joinpath("inline_example.cfg").read_text()
+            + "model.cost.0.t0.s0.go = 7\nmodel.cost.00.t0.s0.go = 9\n"
+        )
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == (
+            "line 25: model.cost.00.t0.s0.go: epoch '00' must be * or ASCII digits "
+            "with no sign, leading zero or underscore"
+        )
+
+    def test_first_defect_in_table_then_key_order_is_reported(self):
+        # a bad transition token, and an unknown state in an earlier table
+        # (feasible) and in an earlier key of the same table
+        text = INLINE_CONFIG.replace("t1.s1.go = 0 1", "t1.s1.go = 0 x") + (
+            "model.transition.*.t0.s9.go = 1 0\nmodel.feasible.0.s9 = go\n"
+        )
+        with pytest.raises(ConfigError, match="^line 24: model.feasible.0.s9: unknown state"):
+            parse_config(text)
+        text = text.replace("model.feasible.0.s9 = go\n", "")
+        with pytest.raises(ConfigError, match=r"^line 23: model.transition.\*.t0.s9.go: unknown"):
+            parse_config(text)
 
 
 class TestRunSolve:

@@ -1,9 +1,14 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import random_belief, random_model
+from oracles import loop_feasible
 
 from ambmdp import seqtest
 from ambmdp.bayes import build_tree, policy_cost_profile, solve_bayes
+from ambmdp.cli import parse_config
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP, validate
 
 
@@ -311,3 +316,77 @@ class TestConstruction:
         )
         assert validate(model) == []
         assert model.cost_bounds == (1.0, 3.0)
+
+
+def _feasible_cases():
+    """(name, model) for every shipped config, seqtest H = 0, 1, 32 and 20
+    seeded random models."""
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    cases = [(path.name, parse_config(path.read_text()).model) for path in configs]
+    cases += [
+        (f"seqtest-H{h}", seqtest.build_model(seqtest.SeqTestConfig(horizon=h)))
+        for h in (0, 1, 32)
+    ]
+    rng = np.random.default_rng(31)
+    cases += [(f"random-{i}", random_model(rng, n_actions=int(rng.integers(1, 6))))
+              for i in range(20)]
+    return cases
+
+
+FEASIBLE_CASES = _feasible_cases()
+
+
+class TestFeasibleSets:
+    """``feasible`` and ``feasible_mask`` against the set-by-set reference."""
+
+    @staticmethod
+    def scrambled(feasible, rng):
+        """The sets as lists of mixed int types, each shuffled, with some
+        actions repeated."""
+        out = []
+        for per_state in feasible:
+            row = []
+            for acts in per_state:
+                acts = list(acts) + list(rng.choice(acts, size=int(rng.integers(0, 3))))
+                rng.shuffle(acts)
+                row.append([np.int64(a) if rng.random() < 0.5 else int(a) for a in acts])
+            out.append(row)
+        return out
+
+    @pytest.mark.parametrize("name, model", FEASIBLE_CASES, ids=[n for n, _ in FEASIBLE_CASES])
+    def test_sets_and_mask_match_the_reference(self, name, model):
+        shape = (model.horizon, model.n_states, model.n_actions)
+        sets, mask = loop_feasible(model.feasible, *shape)
+        assert model.feasible == sets
+        assert model.feasible_mask.tobytes() == mask.tobytes()
+        assert model.feasible_mask.shape == shape and not model.feasible_mask.flags.writeable
+        given = self.scrambled(model.feasible, np.random.default_rng(len(name)))
+        rebuilt = dataclasses.replace(model, feasible=given)
+        assert rebuilt.feasible == loop_feasible(given, *shape)[0] == sets
+        assert rebuilt.feasible_mask.tobytes() == mask.tobytes()
+        assert all(type(a) is int for per_state in rebuilt.feasible
+                   for acts in per_state for a in acts)
+        from_mask = dataclasses.replace(model, feasible=mask)
+        assert from_mask.feasible == sets
+        assert from_mask.feasible_mask.tobytes() == mask.tobytes()
+
+    def test_mask_is_copied(self):
+        model = FEASIBLE_CASES[-1][1]
+        mask = model.feasible_mask.copy()
+        copy = dataclasses.replace(model, feasible=mask)
+        mask[...] = False
+        assert copy.feasible == model.feasible
+
+    @pytest.mark.parametrize(
+        "feasible, message",
+        [
+            ((((0,), (0,)),) * 2, "feasible sets must cover 1 epochs, got 2"),
+            ((((0,),),), "feasible sets at epoch 0 must cover 2 states"),
+            ((((0,), (0, 1)),), "feasible action out of range at epoch 0, state 1"),
+            ((((-1,), (0,)),), "feasible action out of range at epoch 0, state 0"),
+            (np.ones((1, 2, 2), dtype=bool), r"feasible mask must have shape \(1, 2, 1\)"),
+        ],
+    )
+    def test_malformed_sets_refused(self, feasible, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(two_state_model(), feasible=feasible)

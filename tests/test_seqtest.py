@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from oracles import (
@@ -44,6 +46,23 @@ class TestConfig:
 
     def test_numpy_integer_horizon_builds(self):
         assert seqtest.build_model(seqtest.SeqTestConfig(np.int64(2))).horizon == 3
+
+    # each once failed later or not at all: "0.5" on <, "3" in math.isfinite,
+    # and True charged 1.0 per observation
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p_low", "0.5"), ("p_high", None), ("error_cost", "3"), ("observation_cost", True),
+         ("p_high", np.bool_(False)), ("error_cost", 3j)],
+    )
+    def test_cost_and_rate_must_be_real_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+            seqtest.SeqTestConfig(**{field: value})
+
+    def test_numpy_and_exact_reals_build(self):
+        config = seqtest.SeqTestConfig(p_low=np.float64(0.25), error_cost=Fraction(5))
+        model = seqtest.build_model(config)
+        assert model.stage_cost[0, 0, 0, A_DECLARE_2] == 5.0
+        assert model.transition[0, 0, X_START, A_CONTINUE, X_OBS1] == 0.25
 
 
 class TestBuildModel:
