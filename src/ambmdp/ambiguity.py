@@ -74,15 +74,14 @@ beside the returned prior.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .bayes import DeterministicPolicy, ValueSolution, bayes_cost, solve_bayes
-from .model import Belief, StatisticalMDP
-from .risk import _avar_caps, avar_quantile, entropic_risk, relative_entropy
+from .model import Belief, StatisticalMDP, _check_prior
+from .risk import _avar_caps, _check_gamma, _tilt, avar_quantile, relative_entropy
 from .search import CUT_SLACK, LpTableau, _segment_max, entropic_master
 
 #: the certificate's prior and policy sides allow these times the cost scale
@@ -174,8 +173,8 @@ class _Ambiguity:
         return 0.0
 
     def dual_risk(self, profile: np.ndarray) -> float:
-        if self.mode == "entropic":
-            return entropic_risk(profile, self.base, self.gamma)
+        if self.mode == "entropic":  # solve checked gamma against cost bounds that hold the profile
+            return _tilt(profile[self.index], self.reference, np.log(self.reference), self.gamma)[1]
         if self.mode == "avar":
             return avar_quantile(profile, self.base, self.gamma)
         return float(profile[self.index].max())
@@ -318,26 +317,8 @@ def _solve(model: StatisticalMDP, amb: _Ambiguity) -> SaddleResult:
 
 
 def check_gamma(model: StatisticalMDP, mode: str, gamma: float | None) -> None:
-    """Raise ValueError unless ``gamma`` suits the outer mode on ``model``:
-    entropic needs gamma > 0 with 1/gamma and gamma times the model's cost
-    scale finite, avar gamma in (0, 1), and robust takes none."""
-    if mode == "entropic":
-        if gamma is None or not gamma > 0.0:
-            raise ValueError("entropic mode requires gamma > 0")
-        scale = _cost_scale(model)
-        if not (math.isfinite(1.0 / gamma) and math.isfinite(gamma * scale)):
-            raise ValueError(
-                "entropic mode requires a finite gamma: 1/gamma and gamma times "
-                f"the cost scale {scale:g} must be finite"
-            )
-    elif mode == "avar":
-        if gamma is None or not 0.0 < gamma < 1.0:
-            raise ValueError("avar mode requires gamma in (0, 1)")
-    elif mode == "robust":
-        if gamma is not None:
-            raise ValueError("robust mode takes no gamma")
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected entropic, avar or robust")
+    """``risk._check_gamma`` for the outer mode on the model's cost bounds."""
+    _check_gamma(mode, gamma, model.cost_bounds)
 
 
 def solve(
@@ -353,8 +334,7 @@ def solve(
     docstring says which maximizer a plateau returns.
     """
     check_gamma(model, mode, gamma)
-    if len(prior) != model.n_params:
-        raise ValueError("prior dimension does not match the parameter set")
+    _check_prior(model, prior)
     base = None if mode == "robust" else prior
     return _solve(model, _Ambiguity(mode, prior.support(), base, gamma))
 

@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PolicyTreeMismatchError, TreeSizeLimitError
-from .model import RENORM_LIMIT, SUM_TOL, Belief, StatisticalMDP
+from .model import RENORM_LIMIT, Belief, StatisticalMDP, _check_prior, _count
 
 DEFAULT_NODE_CAP = 10_000_000
 SOLVE_MEMO = 64  # Bayes solves, and policy evaluations, kept per DAG
@@ -206,6 +206,13 @@ class DeterministicPolicy:
         return out
 
 
+def _fitted_pairs(model: StatisticalMDP, policy: DeterministicPolicy) -> list[np.ndarray]:
+    """``policy.pairs``, once the policy is known to be built for ``model``."""
+    if policy.tree.model is not model:
+        raise PolicyTreeMismatchError("policy was built for a different model")
+    return policy.pairs
+
+
 class ValueSolution(NamedTuple):
     """Output of the value recursion: total value, an arg-min policy (ties
     broken by lowest action index) and the policy's expected total cost
@@ -218,15 +225,9 @@ class ValueSolution(NamedTuple):
 
 
 def _normalized(weights: np.ndarray) -> np.ndarray:
-    """Each row divided by its sum, then renormalized as ``Belief`` does
-    when the sum still drifts from 1 by more than SUM_TOL."""
+    """Each row divided by its sum, which pairwise sums keep within Belief's tolerance of 1."""
     weights = np.ascontiguousarray(weights)  # sums run along contiguous rows
-    rows = weights / weights.sum(axis=1)[:, None]
-    totals = rows.sum(axis=1)
-    drift = np.abs(totals - 1.0) > SUM_TOL
-    if drift.any():
-        rows[drift] /= totals[drift, None]
-    return rows
+    return weights / weights.sum(axis=1)[:, None]
 
 
 def _row_hash(key: np.ndarray) -> np.ndarray:
@@ -295,8 +296,8 @@ def build_tree(
     ValueError when a predictive distribution sums to more than
     RENORM_LIMIT away from 1.  A build that raises caches nothing.
     """
-    if len(prior) != model.n_params:
-        raise ValueError("prior dimension does not match the parameter set")
+    _check_prior(model, prior)
+    node_cap = _count("node_cap", node_cap, 1)
     # the DAG is grown from the uniform prior, one epoch at a time, so that
     # it does not depend on which prior built it
     uniform = np.full(model.n_params, 1.0 / model.n_params)
@@ -427,8 +428,7 @@ def solve_bayes(model: StatisticalMDP, prior: Belief) -> ValueSolution:
     continuation cost under its belief (see ``_backward``).  The returned
     value mixes the policy's per-parameter costs by the prior.
     """
-    if len(prior) != model.n_params:
-        raise ValueError("prior dimension does not match the parameter set")
+    _check_prior(model, prior)
     dag = model.belief_dag
     tree = build_tree(model, prior) if dag is None else ReachableBeliefTree(
         model, prior, dag, dag.epochs, dag.offsets)
@@ -457,9 +457,7 @@ def _recall(memo: dict, key: bytes, compute):
 def policy_cost_profile(model: StatisticalMDP, policy: DeterministicPolicy) -> np.ndarray:
     """Per-parameter expected total cost of a policy, as a read-only array
     from the DAG's evaluation memo."""
-    if policy.tree.model is not model:
-        raise PolicyTreeMismatchError("policy was built for a different model")
-    tree, pairs = policy.tree, policy.pairs  # pairs raise for a policy that does not fit
+    tree, pairs = policy.tree, _fitted_pairs(model, policy)
     def evaluated():
         costs = _backward(model, tree, pairs)[0]
         costs.flags.writeable = False
@@ -470,6 +468,5 @@ def policy_cost_profile(model: StatisticalMDP, policy: DeterministicPolicy) -> n
 
 def bayes_cost(model: StatisticalMDP, policy: DeterministicPolicy, mu: Belief) -> float:
     """Belief-mixture of per-parameter policy costs."""
-    if len(mu) != model.n_params:
-        raise ValueError("belief dimension does not match the parameter set")
+    _check_prior(model, mu)
     return float(_mix(mu.weights, policy_cost_profile(model, policy)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleActionError
-from .model import RENORM_LIMIT, SUM_TOL, Belief, StatisticalMDP
+from .model import RENORM_LIMIT, SUM_TOL, Belief, StatisticalMDP, _check_prior, _count
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class PredictiveDistribution:
         if np.any(m < 0.0) or not np.all(np.isfinite(m)):
             raise ValueError("predictive masses must be non-negative and finite")
         if abs(float(m.sum()) - 1.0) > SUM_TOL:
-            raise ValueError(f"predictive masses sum to {m.sum()!r}, not 1")
+            raise ValueError(f"predictive masses sum to {float(m.sum())!r}, not 1")
         if len(self.posteriors) != m.size:
             raise ValueError("one posterior belief required per next state")
         m = m.copy()
@@ -39,9 +39,11 @@ class PredictiveDistribution:
         object.__setattr__(self, "masses", m)
 
 
-def _require_feasible(model: StatisticalMDP, epoch: int, state: int, action: int):
-    if epoch < 0 or epoch >= model.horizon:
-        raise ValueError(f"epoch {epoch} outside 0..{model.horizon - 1}")
+def _require_feasible(model: StatisticalMDP, epoch: int, state: int, belief: Belief, action: int):
+    _count("epoch", epoch, 0, model.horizon)
+    _count("state", state, 0, model.n_states)
+    _count("action", action, 0, model.n_actions)
+    _check_prior(model, belief)
     if action not in model.feasible[epoch][state]:
         raise InfeasibleActionError(
             f"action {model.actions[action]} is not feasible at epoch {epoch} "
@@ -56,9 +58,8 @@ def initial_posterior(model: StatisticalMDP, prior: Belief, state: int) -> Belie
     Returns the prior unchanged when the observation has zero mass under
     every parameter in the prior's support.
     """
-    if len(prior) != model.n_params:
-        raise ValueError("prior dimension does not match the parameter set")
-    w = model.initial_kernel[:, state] * prior.weights
+    _check_prior(model, prior)
+    w = model.initial_kernel[:, _count("state", state, 0, model.n_states)] * prior.weights
     total = float(w.sum())
     if total <= 0.0:
         return prior
@@ -76,7 +77,8 @@ def update_posterior(
     """Posterior after taking ``action`` in ``state`` at ``epoch`` and
     observing ``next_state``; zero-mass observations leave the belief
     unchanged."""
-    _require_feasible(model, epoch, state, action)
+    _require_feasible(model, epoch, state, belief, action)
+    next_state = _count("next_state", next_state, 0, model.n_states)
     w = model.transition[epoch, :, state, action, next_state] * belief.weights
     total = float(w.sum())
     if total <= 0.0:
@@ -92,7 +94,7 @@ def predictive(
 
     mass(x') = sum_theta belief(theta) * q[theta](x, a, x').
     """
-    _require_feasible(model, epoch, state, action)
+    _require_feasible(model, epoch, state, belief, action)
     rows = model.transition[epoch, :, state, action, :]
     masses = belief.weights @ rows
     total = float(masses.sum())

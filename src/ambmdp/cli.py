@@ -122,13 +122,8 @@ class _Entries:
     def integer(self, key: str, minimum: int, default: int | None = None) -> int:
         """The value of ``key`` as an integer of at least ``minimum``; a key
         without a default is required."""
-        if default is not None and key not in self.values:
-            return default
-        raw, lineno = self.take(key, required=True)
-        value = _integer(key, raw, lineno)
-        if value < minimum:
-            raise _err(lineno, key, f"must be >= {minimum}")
-        return value
+        raw, lineno = self.take(key, required=default is None)
+        return default if raw is None else _integer(key, raw, lineno, minimum)
 
     def take_prefixed(self, head: str) -> list[str]:
         """The keys that start with ``head``, which ends in '.', in key order."""
@@ -185,11 +180,14 @@ def _floats(tokens: list[str], shape=(-1,)) -> np.ndarray | None:
     return np.array(values).reshape(shape)
 
 
-def _integer(key: str, raw: str, lineno: int) -> int:
+def _integer(key: str, raw: str, lineno: int, minimum: int | None = None) -> int:
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise _err(lineno, key, f"not an integer: {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise _err(lineno, key, f"must be >= {minimum}")
+    return value
 
 
 def _number_list(key: str, raw: str, lineno: int) -> list[float]:
@@ -240,19 +238,14 @@ def _sweep_values(key: str, raw: str, lineno: int) -> tuple[float, ...]:
 
 
 def _parse_seqtest_model(entries: _Entries) -> StatisticalMDP:
-    fields = {"horizon": entries.integer("model.horizon", 0, default=1)}
-    for key, attr, check, what in (
-        ("model.observation_cost", "observation_cost", lambda v: v >= 0, ">= 0"),
-        ("model.error_cost", "error_cost", lambda v: v >= 0, ">= 0"),
-        ("model.p_low", "p_low", lambda v: 0 < v < 1, "strictly inside (0, 1)"),
-        ("model.p_high", "p_high", lambda v: 0 < v < 1, "strictly inside (0, 1)"),
-    ):
-        default = str(getattr(seqtest.DEFAULT_CONFIG, attr))
-        raw, lineno = entries.take(key, default=default)
-        value = _number(key, raw, lineno)
-        if not check(value):
-            raise _err(lineno, key, f"must be {what}, got {value}")
-        fields[attr] = value
+    raw, lineno = entries.take("model.horizon")
+    fields = {} if raw is None else {"horizon": _integer("model.horizon", raw, lineno, 0)}
+    for name in seqtest.FIELD_RULES:
+        raw, lineno = entries.take(key := f"model.{name}")
+        if raw is not None:
+            fields[name] = _number(key, raw, lineno)
+            if fault := seqtest._field_fault(name, fields[name]):
+                raise _err(lineno, key, fault)
     return seqtest.build_model(seqtest.SeqTestConfig(**fields))
 
 
@@ -377,10 +370,7 @@ def _parse_prior(entries: _Entries, model: StatisticalMDP) -> Belief:
             lineno, "prior",
             f"expected {model.n_params} weights (or a scalar for two parameters)",
         )
-    try:
-        return Belief(np.array(values))
-    except ValueError as exc:
-        raise _err(lineno, "prior", str(exc)) from None
+    return _on_line(lineno, "prior", Belief, np.array(values))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -413,7 +403,7 @@ def parse_config(text: str) -> RunConfig:
     if mode in GAMMA_MODES:
         raw, lineno = entries.take("solver.gamma", required=True)
         gamma = _number("solver.gamma", raw, lineno)
-        _check_gamma(model, mode, gamma, "solver.gamma", lineno)
+        _on_line(lineno, "solver.gamma", check_gamma, model, mode, gamma)
     else:
         entries.forbid("solver.gamma", f"not allowed in mode {mode}")
 
@@ -427,7 +417,7 @@ def parse_config(text: str) -> RunConfig:
         for value in gamma_sweep:
             # gamma = 0 rows take the plain Bayes value
             if value != 0.0:
-                _check_gamma(model, _outer_mode(mode), value, "sweep.gamma", lineno)
+                _on_line(lineno, "sweep.gamma", check_gamma, model, _outer_mode(mode), value)
         raw, lineno = entries.take("sweep.prior", required=True)
         prior_sweep = _sweep_values("sweep.prior", raw, lineno)
         for value in prior_sweep:
@@ -471,11 +461,12 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _check_gamma(model: StatisticalMDP, mode: str, gamma: float, key: str, lineno: int) -> None:
+def _on_line(lineno: int, key: str, check, *args):
+    """``check(*args)``, with a ValueError it raises reported on ``key``'s line."""
     try:
-        check_gamma(model, mode, gamma)
+        return check(*args)
     except ValueError as exc:
-        raise _err(lineno, key, f"{exc}, got {gamma}") from None
+        raise _err(lineno, key, str(exc)) from None
 
 
 def _outer_mode(figure_mode: str) -> str:

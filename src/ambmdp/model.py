@@ -13,6 +13,7 @@ i.e. the distribution of the state observed at epoch ``n+1``.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
@@ -20,6 +21,17 @@ import numpy as np
 
 SUM_TOL = 1e-12
 RENORM_LIMIT = 1e-6
+
+
+def _count(name: str, value, minimum: int = 0, limit: int | None = None) -> int:
+    """``value`` as an int if it is an integer, not a bool, in [minimum, limit),
+    with minimum 0 or 1; else ValueError naming it."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and minimum <= value and (limit is None or value < limit)):
+        return int(value)
+    below = "" if limit is None else f" below {limit}"
+    raise ValueError(f"{name} must be a {'positive' if minimum else 'non-negative'} "
+                     f"integer{below}, got {value!r}")
 
 
 class _Frozen:
@@ -108,9 +120,7 @@ class Belief(_Frozen):
 
     @classmethod
     def point_mass(cls, size: int, index: int) -> "Belief":
-        w = np.zeros(size)
-        w[index] = 1.0
-        return cls(w)
+        return cls(np.eye(1, size, _count("index", index, 0, size))[0])
 
     def support(self) -> tuple[int, ...]:
         """Indices carrying strictly positive weight."""
@@ -189,8 +199,7 @@ class StatisticalMDP:
     belief_dag = None
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError("horizon must be a non-negative integer")
+        object.__setattr__(self, "horizon", _count("horizon", self.horizon))
         states = tuple(str(s) for s in self.states)
         actions = tuple(str(a) for a in self.actions)
         object.__setattr__(self, "states", states)
@@ -244,6 +253,11 @@ class StatisticalMDP:
         lo += float(self.terminal_cost.min())
         hi += float(self.terminal_cost.max())
         return lo, hi
+
+
+def _check_prior(model: StatisticalMDP, prior: Belief) -> None:
+    if len(prior) != model.n_params:
+        raise ValueError("prior dimension does not match the parameter set")
 
 
 def _row_faults(rows: np.ndarray):

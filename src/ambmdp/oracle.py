@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bayes import DeterministicPolicy
-from .errors import PolicyTreeMismatchError, TrajectoryLimitError
-from .model import StatisticalMDP
+from .bayes import DeterministicPolicy, _fitted_pairs
+from .errors import TrajectoryLimitError
+from .model import StatisticalMDP, _count
 
 DEFAULT_TRAJECTORY_CAP = 1_000_000
 
@@ -49,13 +49,6 @@ class TrajectoryRecord(NamedTuple):
     total_cost: float
 
 
-def _check(model: StatisticalMDP, theta: int, policy: DeterministicPolicy) -> None:
-    if policy.tree.model is not model:
-        raise PolicyTreeMismatchError("policy was built for a different model")
-    if theta < 0 or theta >= model.n_params:
-        raise ValueError(f"parameter index {theta} out of range")
-
-
 def enumerate_cost(
     model: StatisticalMDP,
     theta: int,
@@ -68,7 +61,9 @@ def enumerate_cost(
     Raises TrajectoryLimitError when more than ``trajectory_cap``
     trajectories would be produced.
     """
-    _check(model, theta, policy)
+    _fitted_pairs(model, policy)
+    theta = _count("parameter index", theta, 0, model.n_params)
+    trajectory_cap = _count("trajectory_cap", trajectory_cap, 1)
     tree = policy.tree
     records: list[TrajectoryRecord] = []
     init = model.initial_kernel[theta]
@@ -170,9 +165,9 @@ def mc_estimate(
     Batches use seeds spawned from ``SeedSequence(seed)`` and are combined
     in batch order, so identical inputs give identical output.
     """
-    _check(model, theta, policy)
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    _fitted_pairs(model, policy)
+    theta = _count("parameter index", theta, 0, model.n_params)
+    samples, seed = _count("samples", samples, 1), _count("seed", seed)
     n_states = model.n_states
     root_cum, order = _cumulative(model.initial_kernel[theta][None, :])
     root_nodes = policy.tree.dag.root_of[order[0]]

@@ -14,13 +14,14 @@ its dual form, as a supremum over priors, and evaluates it here directly:
 Exponents are max-shifted so large gamma (1e4 and beyond) stays finite,
 and small gamma is computed about the base mean, so that neither the risk
 nor the penalty divided by gamma loses eps/gamma to cancellation.  Both
-rules live in ``_tilt``, one pass that gives the risk and its tilted
-prior; ``search``'s masters read it and ``_tilted`` unvalidated.
+rules live in ``_tilt``, one pass that gives the risk and its tilted prior;
+the masters and ``solve``'s dual risk read it and ``_tilted`` unvalidated.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -70,17 +71,37 @@ def relative_entropy(mu, nu) -> float:
     return max(0.0, float(_divergence_terms(p, q).sum()))
 
 
+def _check_gamma(mode: str, gamma, bounds: tuple[float, float] = (0.0, 0.0)) -> None:
+    """Raise ValueError unless ``gamma``, a real number and not a bool, suits the
+    mode: entropic > 0 with 1/gamma and gamma times the scale of the cost ``bounds``
+    (lo, hi), or their span if they straddle 0, finite; avar in (0, 1); robust none."""
+    real = isinstance(gamma, (float, numbers.Real)) and type(gamma) is not bool  # fast for float
+    g, (lo, hi) = float(gamma) if real else math.nan, bounds
+    reach, name = (hi - lo, "span") if lo < 0.0 < hi else (max(-lo, hi), "scale")
+    if mode not in ("entropic", "avar", "robust"):
+        raise ValueError(f"unknown mode {mode!r}; expected entropic, avar or robust")
+    if mode == "entropic" and not g > 0.0:
+        fault = "entropic mode requires gamma > 0"
+    elif mode == "entropic" and not (math.isfinite(1.0 / g) and math.isfinite(g * reach)):
+        fault = ("entropic mode requires a finite gamma: 1/gamma and gamma times "
+                 f"the cost {name} {reach:g} must be finite")  # inf * 0 is NaN
+    elif mode == "avar" and not 0.0 < g < 1.0:
+        fault = "avar mode requires gamma in (0, 1)"
+    elif mode == "robust" and gamma is not None:
+        fault = "robust mode takes no gamma"
+    else:
+        return
+    raise ValueError(f"{fault}, got {gamma!r}")
+
+
 def entropic_risk(profile, base, gamma: float) -> float:
     """(1/gamma) log sum(base exp(gamma profile)), validated: ``_tilt``'s
     risk on the support of ``base``, between the min and max of the profile
     there, from the expectation (gamma -> 0) to the worst case (gamma -> inf)."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     p = _weights(base)
-    v = as_profile(profile, p.size)
-    if not p.all():
-        on = p > 0.0
-        p, v = p[on], v[on]
+    on = p > 0.0
+    p, v = p[on], as_profile(profile, p.size)[on]
+    _check_gamma("entropic", gamma, (float(v.min()), float(v.max())))
     return _tilt(v, p, np.log(p), gamma)[1]
 
 
@@ -123,8 +144,7 @@ def avar_quantile(profile, base, gamma: float) -> float:
     priors within ``_avar_caps`` of the base, filled greedily from the
     largest cost down (ties by index), clamped to the profile's range on
     the base's support."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    _check_gamma("avar", gamma)
     p = _weights(base)
     v = as_profile(profile, p.size)
     caps, listed = _avar_caps(p, gamma).tolist(), v.tolist()

@@ -19,7 +19,8 @@ import numbers
 
 import numpy as np
 
-from .model import Belief, ParameterSet, StatisticalMDP, _Frozen
+from .model import Belief, ParameterSet, StatisticalMDP, _count, _Frozen
+from .risk import _check_gamma
 
 STATES = ("start", "obs0", "obs1", "stopped")
 # declarations sorted below continue: ties at decision boundaries stop
@@ -36,6 +37,20 @@ CONTINUE_HI = 17.0 / 30.0
 PLATEAU_VALUE = 13.0 / 3.0
 
 
+_COST, _RATE = (lambda v: v >= 0.0, ">= 0"), (lambda v: 0.0 < v < 1.0, "strictly inside (0, 1)")
+FIELD_RULES = dict(observation_cost=_COST, error_cost=_COST, p_low=_RATE, p_high=_RATE)
+
+
+def _field_fault(name: str, value) -> str | None:
+    """Why ``value`` breaks the (test, range) rule of the real field ``name``, or None."""
+    test, what = FIELD_RULES[name]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"must be a real number, got {value!r}"
+    if not math.isfinite(value):
+        return f"must be finite, got {value}"
+    return None if test(value) else f"must be {what}, got {value}"
+
+
 class SeqTestConfig(_Frozen):
     """Example configuration.
 
@@ -44,28 +59,15 @@ class SeqTestConfig(_Frozen):
     is always forced.
     """
 
-    __slots__ = ("horizon", "observation_cost", "error_cost", "p_low", "p_high")
+    __slots__ = ("horizon", *FIELD_RULES)
 
     def __init__(self, horizon: int = 1, observation_cost: float = 1.0,
                  error_cost: float = 10.0, p_low: float = 1.0 / 3.0, p_high: float = 2.0 / 3.0):
-        if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-            raise ValueError(f"horizon must be a non-negative integer, got {horizon!r}")
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
-        values = (horizon, observation_cost, error_cost, p_low, p_high)
-        for name, value in zip(self.__slots__[1:], values[1:]):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        for name, value in zip(self.__slots__, values):
+        object.__setattr__(self, "horizon", _count("horizon", horizon))
+        for name, value in zip(FIELD_RULES, (observation_cost, error_cost, p_low, p_high)):
+            if fault := _field_fault(name, value):
+                raise ValueError(f"{name} {fault}")
             object.__setattr__(self, name, value)
-        for name in ("p_low", "p_high"):
-            p = getattr(self, name)
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"{name} must lie strictly in (0, 1), got {p}")
-        for name in ("observation_cost", "error_cost"):
-            c = getattr(self, name)
-            if not (math.isfinite(c) and c >= 0.0):
-                raise ValueError(f"{name} must be a non-negative real, got {c}")
 
 
 DEFAULT_CONFIG = SeqTestConfig()
@@ -150,8 +152,7 @@ def avar_worst_prior_interval(gamma: float, mu0: float) -> tuple[float, float]:
     while it stays below the plateau; the plateau edge up to the cap once
     the cap enters the plateau; the full plateau once the cap passes it.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    _check_gamma("avar", gamma)
     if not 0.0 < mu0 <= 0.5:
         raise ValueError(f"mu0 must lie in (0, 0.5], got {mu0}")
     cap = mu0 / (1.0 - gamma)

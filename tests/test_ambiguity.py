@@ -203,32 +203,42 @@ class TestSolveEntryPoint:
 
 
 def float_limit_models():
-    """seqtest H=1 at the base 0.1 (``configs/entropic.cfg``) and the K = 3
+    """seqtest H=1 at the base 0.1 (``configs/entropic.cfg``), the K = 3
     and 4 models of ``random_model(default_rng(K), n_params=K, horizon=2)``
-    at the uniform base."""
+    at the uniform base, and the second draw of a fuzz whose costs straddle
+    0, so that the span of the cuts exceeds the cost scale: K = 4, scale
+    1.2e5, whose entropic master overflowed at 0.9 * max float / scale."""
     yield seqtest.build_model(seqtest.SeqTestConfig(horizon=1)), seqtest.prior_belief(0.1)
     for k in (3, 4):
         yield random_model(np.random.default_rng(k), n_params=k, horizon=2), Belief.uniform(k)
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        k, s = int(rng.integers(3, 5)), 10 ** rng.uniform(-5, 5)
+        model = random_model(rng, n_params=k, horizon=2, cost_range=(-5 * s, 5 * s))
+    yield model, Belief.uniform(k)
 
 
 class TestGammaAtTheFloatLimits:
     """An entropic gamma is refused unless 1/gamma and gamma times the cost
-    scale are finite; at both ends of the gammas accepted the solve runs
-    without a numeric warning."""
+    range, the larger of the cost scale and the span of the cost bounds,
+    are finite; at both ends of the gammas accepted the solve runs without
+    a numeric warning."""
 
-    @pytest.mark.parametrize("case", range(3), ids=("seqtest", "random-3", "random-4"))
+    @pytest.mark.parametrize(
+        "case", range(4), ids=("seqtest", "random-3", "random-4", "straddling-4"))
     def test_both_ends(self, case):
         model, base = list(float_limit_models())[case]
-        scale = max(map(abs, model.cost_bounds))
+        lo, hi = model.cost_bounds
+        reach = max(abs(lo), abs(hi), hi - lo)
         low = 1.0 / sys.float_info.max
         while math.isfinite(1.0 / math.nextafter(low, 0.0)):
             low = math.nextafter(low, 0.0)
         while not math.isfinite(1.0 / low):
             low = math.nextafter(low, 1.0)
-        high = sys.float_info.max / scale
-        while math.isfinite(math.nextafter(high, math.inf) * scale):
+        high = sys.float_info.max / reach
+        while math.isfinite(math.nextafter(high, math.inf) * reach):
             high = math.nextafter(high, math.inf)
-        while not math.isfinite(high * scale):
+        while not math.isfinite(high * reach):
             high = math.nextafter(high, 0.0)
         # the entropic value lies between the Bayes value at the base and
         # the robust value on its support

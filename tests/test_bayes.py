@@ -242,6 +242,15 @@ class TestBuildTree:
         with pytest.raises(TreeSizeLimitError, match="5"):
             build_tree(bench_model, seqtest.prior_belief(0.3), node_cap=5)
 
+    def test_node_cap_below_the_root_count(self, rng):
+        # the roots alone exceed the cap: refused before any epoch is grown,
+        # and nothing is cached
+        model = random_model(rng, n_states=3, n_params=2)
+        assert np.count_nonzero(model.initial_kernel.sum(axis=0)) == 3
+        with pytest.raises(TreeSizeLimitError, match="2"):
+            build_tree(model, Belief.uniform(2), node_cap=2)
+        assert model.belief_dag is None
+
     def test_beliefs_follow_root_path_updates(self, bench_model):
         # every tree belief is the posterior composition along its path
         tree = build_tree(bench_model, seqtest.prior_belief(0.3))

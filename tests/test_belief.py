@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambmdp import seqtest
-from ambmdp.belief import initial_posterior, predictive, update_posterior
+from ambmdp.belief import PredictiveDistribution, initial_posterior, predictive, update_posterior
 from ambmdp.errors import InfeasibleActionError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 
@@ -174,6 +174,18 @@ class TestPredictive:
         np.testing.assert_allclose(pred.masses, [0.5, 0.5], atol=1e-15)
         np.testing.assert_allclose(pred.posteriors[0].weights, [1.0, 0.0])
         np.testing.assert_allclose(pred.posteriors[1].weights, [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "masses, posteriors, message",
+        [([1.5, -0.5], 2, "non-negative and finite"),
+         ([0.5, np.inf], 2, "non-negative and finite"),
+         ([0.5, 0.4], 2, r"sum to 0\.9, not 1$"),
+         ([0.5, 0.5], 1, "one posterior belief required")],
+        ids=("negative", "infinite", "sum", "posteriors"),
+    )
+    def test_distribution_refuses(self, masses, posteriors, message):
+        with pytest.raises(ValueError, match=message):
+            PredictiveDistribution(np.array(masses), (Belief.uniform(2),) * posteriors)
 
     def test_martingale_property(self, rng):
         # posterior mixture under the predictive equals the prior belief

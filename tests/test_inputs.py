@@ -1,0 +1,229 @@
+"""The input contract: each public entry point refuses a bad argument with a
+ValueError that names it, or with the named limit error, never with a
+TypeError, an IndexError, a numeric warning or a NaN result.  Each rule
+has one home: the risk level in ``risk._check_gamma``, counts and indices
+in ``model._count``, the prior size in ``model._check_prior``, the policy
+fit in ``bayes._fitted_pairs`` and the seqtest fields in
+``seqtest.FIELD_RULES``."""
+
+import itertools
+import math
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ambmdp import seqtest
+from ambmdp.ambiguity import solve
+from ambmdp.bayes import build_tree, solve_bayes
+from ambmdp.belief import initial_posterior, predictive, update_posterior
+from ambmdp.cli import parse_config
+from ambmdp.errors import ConfigError, TrajectoryLimitError, TreeSizeLimitError
+from ambmdp.model import Belief, ParameterSet, StatisticalMDP
+from ambmdp.oracle import enumerate_cost, mc_estimate
+from ambmdp.risk import avar_quantile, entropic_risk
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ambmdp"
+PROFILE = np.array([1.0, 3.0])
+BASE = Belief(np.array([0.4, 0.6]))
+
+
+def seqtest_model():
+    return seqtest.build_model(seqtest.SeqTestConfig(horizon=1))
+
+
+def model_of_horizon(horizon):
+    """A one-state, one-action, one-parameter model of two epochs, built with
+    ``horizon`` as given."""
+    return StatisticalMDP(
+        horizon=horizon,
+        states=("s0",),
+        actions=("a0",),
+        params=ParameterSet(("t0",)),
+        feasible=(((0,),),) * 2,
+        initial_kernel=np.ones((1, 1)),
+        transition=np.ones((2, 1, 1, 1, 1)),
+        stage_cost=np.ones((2, 1, 1, 1)),
+        terminal_cost=np.zeros((1, 1)),
+    )
+
+
+@pytest.fixture(scope="module")
+def solved():
+    model = seqtest_model()
+    return model, solve_bayes(model, seqtest.prior_belief(0.5)).policy
+
+
+class TestDefectsOfTheDuplicatedRules:
+    """Each call once gave a NaN, a result at a wrong argument, or an error
+    from inside the function that did not name the argument."""
+
+    @pytest.mark.parametrize(
+        "gamma", [math.nan, math.inf, np.True_], ids=("nan", "inf", "np-true"))
+    def test_entropic_risk_refuses_gamma(self, gamma):
+        with pytest.raises(ValueError, match="^entropic mode requires "):
+            entropic_risk(PROFILE, BASE, gamma)
+
+    def test_solve_refuses_a_bool_gamma(self, bench_model):
+        # it solved at gamma = 1
+        with pytest.raises(ValueError, match="^entropic mode requires gamma > 0, got True"):
+            solve(bench_model, "entropic", seqtest.prior_belief(0.3), True)
+
+    @pytest.mark.parametrize("theta", [True, 1.0], ids=("true", "float"))
+    def test_enumerate_cost_refuses_theta(self, solved, theta):
+        # it raised IndexError
+        model, policy = solved
+        with pytest.raises(ValueError, match="^parameter index must be a non-negative integer"):
+            enumerate_cost(model, theta, policy)
+
+    @pytest.mark.parametrize("samples", [True, 2.5], ids=("true", "float"))
+    def test_mc_estimate_refuses_samples(self, solved, samples):
+        # True ran one sample, and 2.5 raised TypeError
+        model, policy = solved
+        with pytest.raises(ValueError, match="^samples must be a positive integer"):
+            mc_estimate(model, 0, policy, samples=samples, seed=0)
+
+    def test_mc_estimate_names_a_negative_seed(self, solved):
+        model, policy = solved
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            mc_estimate(model, 0, policy, samples=3, seed=-1)
+
+    def test_build_tree_refuses_a_fractional_node_cap(self):
+        with pytest.raises(ValueError, match="^node_cap must be a positive integer, got 2.5$"):
+            build_tree(seqtest_model(), Belief.uniform(2), node_cap=2.5)
+
+    @pytest.mark.parametrize("horizon", [1.5, True], ids=("float", "true"))
+    def test_statistical_mdp_names_the_horizon(self, horizon):
+        # 1.5 was reported as a wrong array shape, and True built a model
+        with pytest.raises(ValueError, match="^horizon must be a non-negative integer"):
+            model_of_horizon(horizon)
+
+    @pytest.mark.parametrize("index", [5, True], ids=("out-of-range", "true"))
+    def test_point_mass_refuses_index(self, index):
+        # 5 raised IndexError, and True weighed every entry
+        with pytest.raises(ValueError, match="^index must be a non-negative integer below 2"):
+            Belief.point_mass(2, index)
+
+
+    @pytest.mark.parametrize("name, call", [
+        ("state", lambda m, b: initial_posterior(m, b, -1)),
+        ("state", lambda m, b: update_posterior(m, 0, 4, b, 2, 1)),
+        ("action", lambda m, b: update_posterior(m, 0, 0, b, 3, 1)),
+        ("next_state", lambda m, b: update_posterior(m, 0, 0, b, 2, -1)),
+        ("action", lambda m, b: predictive(m, 0, 0, b, -1)),
+    ], ids=("initial-negative", "update-state", "update-action", "update-next", "predictive"))
+    def test_belief_updates_refuse_an_index_outside_the_model(self, name, call):
+        # an index past the end raised IndexError, and a negative one read
+        # the last entry and returned a wrong posterior
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer below"):
+            call(seqtest_model(), seqtest.prior_belief(0.3))
+
+    @pytest.mark.parametrize("call", [
+        lambda m, b: update_posterior(m, 0, 0, b, 2, 1),
+        lambda m, b: predictive(m, 0, 0, b, 2),
+    ], ids=("update", "predictive"))
+    def test_belief_updates_refuse_a_prior_of_another_size(self, call):
+        # it failed with NumPy's broadcast error
+        with pytest.raises(ValueError, match="^prior dimension does not match the parameter set$"):
+            call(seqtest_model(), Belief.uniform(3))
+
+
+class TestOneHomePerRule:
+    def test_each_message_is_written_once(self):
+        text = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+        for message in (
+            "prior dimension does not match the parameter set",
+            "policy was built for a different model",
+            "strictly inside (0, 1)",
+        ):
+            assert text.count(message) == 1, message
+
+    def test_the_gamma_messages_live_in_the_rule(self):
+        for path in SRC.glob("*.py"):
+            if path.name != "risk.py":
+                assert "requires gamma" not in path.read_text(), path.name
+
+    def test_the_config_reader_states_no_seqtest_range(self):
+        text = (SRC / "cli.py").read_text()
+        assert "DEFAULT_CONFIG" not in text
+        assert "(0, 1)" not in text and "v >= 0" not in text
+        assert "SUM_TOL" not in (SRC / "bayes.py").read_text()
+
+    @pytest.mark.parametrize("name", ["observation_cost", "error_cost", "p_low", "p_high"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, 1.0])
+    def test_seqtest_fields_read_alike_from_code_and_config(self, name, value):
+        try:
+            seqtest.SeqTestConfig(**{name: value})
+        except ValueError as exc:
+            expected = f"config error: line 2: model.{name}: {str(exc).removeprefix(name + ' ')}"
+        else:
+            expected = None
+        try:
+            parse_config(f"mode = bayes\nmodel.{name} = {value}\nprior = 0.5\n")
+        except ConfigError as exc:
+            assert f"config error: {exc}" == expected
+        else:
+            assert expected is None
+
+    def test_unset_seqtest_keys_keep_the_defaults(self):
+        model = parse_config("mode = bayes\nprior = 0.5\n").model
+        default = seqtest.build_model(seqtest.DEFAULT_CONFIG)
+        assert model.horizon == default.horizon
+        assert np.array_equal(model.transition, default.transition)
+        assert np.array_equal(model.stage_cost, default.stage_cost)
+
+
+#: one value of each kind an argument can be given
+VALUES = (0, 0.0, -0.0, 5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf,
+          True, np.True_, "1", 2.5, np.int64(2))
+
+
+def _entry_points():
+    """Per public entry point and argument, a call taking the argument."""
+    model = seqtest_model()
+    prior = seqtest.prior_belief(0.3)
+    policy = solve_bayes(model, seqtest.prior_belief(0.5)).policy
+    other = seqtest_model()
+    return {
+        "entropic_risk.gamma": lambda v: entropic_risk(PROFILE, BASE, v),
+        "avar_quantile.gamma": lambda v: avar_quantile(PROFILE, BASE, v),
+        "solve.entropic.gamma": lambda v: solve(model, "entropic", prior, v).value,
+        "solve.avar.gamma": lambda v: solve(model, "avar", prior, v).value,
+        "solve.robust.gamma": lambda v: solve(model, "robust", prior, v).value,
+        "avar_worst_prior_interval.gamma": lambda v: seqtest.avar_worst_prior_interval(v, 0.1),
+        "enumerate_cost.theta": lambda v: enumerate_cost(model, v, policy)[0],
+        "enumerate_cost.trajectory_cap": lambda v: enumerate_cost(model, 0, policy, v)[0],
+        "mc_estimate.theta": lambda v: mc_estimate(model, v, policy, 3, 0),
+        "mc_estimate.samples": lambda v: mc_estimate(model, 0, policy, v, 0),
+        "mc_estimate.seed": lambda v: mc_estimate(model, 0, policy, 3, v),
+        "build_tree.node_cap": lambda v: len(build_tree(other, Belief.uniform(2), v)),
+        "StatisticalMDP.horizon": lambda v: model_of_horizon(v).horizon,
+        "SeqTestConfig.horizon": lambda v: seqtest.SeqTestConfig(horizon=v).horizon,
+        "Belief.point_mass.index": lambda v: Belief.point_mass(2, v).weights,
+        "initial_posterior.state": lambda v: initial_posterior(model, prior, v).weights,
+        "update_posterior.epoch": lambda v: update_posterior(model, v, 0, prior, 2, 1).weights,
+        "update_posterior.state": lambda v: update_posterior(model, 0, v, prior, 2, 1).weights,
+        "update_posterior.action": lambda v: update_posterior(model, 0, 0, prior, v, 1).weights,
+        "update_posterior.next_state":
+            lambda v: update_posterior(model, 0, 0, prior, 2, v).weights,
+        "predictive.epoch": lambda v: predictive(model, v, 0, prior, 2).masses,
+        "predictive.state": lambda v: predictive(model, 0, v, prior, 2).masses,
+        "predictive.action": lambda v: predictive(model, 0, 0, prior, v).masses,
+    }
+
+
+ENTRY_POINTS = _entry_points()
+
+
+@pytest.mark.parametrize(
+    "entry, value", [pytest.param(entry, value, id=f"{entry}-{type(value).__name__}-{value!r}")
+                     for entry, value in itertools.product(sorted(ENTRY_POINTS), VALUES)])
+def test_every_argument_gives_a_finite_result_or_a_named_error(entry, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            result = ENTRY_POINTS[entry](value)
+        except (ValueError, TreeSizeLimitError, TrajectoryLimitError):
+            return
+    assert np.all(np.isfinite(result)), (entry, value, result)

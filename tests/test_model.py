@@ -108,6 +108,16 @@ class TestBelief:
             assert not b.weights.flags.writeable
 
 
+    def test_empty_weights_are_refused(self):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            Belief(np.array([]))
+
+    def test_compares_unequal_to_other_types(self):
+        mu = Belief(np.array([0.5, 0.5]))
+        assert mu != [0.5, 0.5] and mu != "Belief([0.5, 0.5])"
+        assert mu == Belief(np.array([0.5, 0.5]))
+
+
 class TestValidate:
     def test_well_formed_model_has_no_diagnostics(self):
         assert validate(two_state_model()) == []
@@ -299,6 +309,22 @@ class TestConstruction:
                 transition=np.ones((1, 1, 1, 1, 1)),
                 stage_cost=np.zeros((1, 1, 1, 1)),
                 terminal_cost=np.zeros((1, 1)),
+            )
+
+    @pytest.mark.parametrize("states, actions", [((), ("a0",)), (("s0",), ())])
+    def test_empty_state_or_action_space_is_refused(self, states, actions):
+        e, a = len(states), len(actions)
+        with pytest.raises(ValueError, match="state and action spaces must be non-empty"):
+            StatisticalMDP(
+                horizon=1,
+                states=states,
+                actions=actions,
+                params=ParameterSet(("t0",)),
+                feasible=((),),
+                initial_kernel=np.ones((1, e)),
+                transition=np.ones((1, 1, e, a, e)),
+                stage_cost=np.zeros((1, 1, e, a)),
+                terminal_cost=np.zeros((1, e)),
             )
 
     def test_zero_horizon_model_is_allowed(self):

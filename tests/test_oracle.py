@@ -133,6 +133,13 @@ class TestMcEstimate:
         solution = solve_bayes(model, random_belief(rng, model.n_params))
         assert mc_estimate(model, 0, solution.policy, samples=200, seed=3) == (0.0, 0.0)
 
+    def test_one_sample_has_zero_width(self, bench_model):
+        # one cost is no spread to estimate; the width is 0, not NaN
+        solution = solve_bayes(bench_model, seqtest.prior_belief(0.5))
+        mean, half = mc_estimate(bench_model, 0, solution.policy, samples=1, seed=7)
+        costs = {r.total_cost for r in enumerate_cost(bench_model, 0, solution.policy)[1]}
+        assert mean in costs and half == 0.0
+
     def test_deterministic_chain_has_zero_width(self):
         model = chain_model()
         solution = solve_bayes(model, Belief.uniform(1))

@@ -90,6 +90,21 @@ class TestEntropicRisk:
                 exact = exact_entropic_risk(v, mu.weights, gamma)
                 assert abs(entropic_risk(v, mu, gamma) - exact) <= 4e-16 * np.abs(v).max(), gamma
 
+    @pytest.mark.parametrize(
+        "profile, message",
+        [([[1.0, 2.0]], "non-empty vector"), ([], "non-empty vector"),
+         ([1.0, math.nan], "finite"), ([1.0, 2.0, 3.0], "has 3 entries, expected 2")],
+        ids=("matrix", "empty", "nan", "length"),
+    )
+    def test_profile_is_refused(self, profile, message):
+        with pytest.raises(ValueError, match=message):
+            entropic_risk(profile, belief(0.5, 0.5), 1.0)
+
+    def test_base_as_a_raw_array(self):
+        # a weight vector that is not a Belief is read as one
+        raw = entropic_risk([0.0, 1.0], np.array([0.25, 0.75]), 2.0)
+        assert raw == entropic_risk([0.0, 1.0], belief(0.25, 0.75), 2.0)
+
     def test_constant_profile_for_any_gamma(self):
         mu = belief(0.4, 0.6)
         for gamma in (1e-6, 0.1, 1.0, 1e4):
