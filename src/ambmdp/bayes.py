@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PolicyTreeMismatchError, TreeSizeLimitError
-from .model import RENORM_LIMIT, Belief, StatisticalMDP, _check_prior, _count
+from .model import Belief, StatisticalMDP, _check_masses, _check_prior, _count
 
 DEFAULT_NODE_CAP = 10_000_000
 SOLVE_MEMO = 64  # Bayes solves, and policy evaluations, kept per DAG
@@ -317,13 +317,7 @@ def build_tree(
         pair_belief = belief[pair_node]
         kernel = model.transition[n].transpose(1, 2, 0, 3)[pair_state, pair_action]
         masses = np.matmul(pair_belief[:, None, :], kernel)[:, 0, :]
-        totals = masses.sum(axis=1)
-        far = ~(np.abs(totals - 1.0) <= RENORM_LIMIT)  # NaN is far too
-        if far.any():
-            raise ValueError(
-                f"predictive masses sum to {totals[far][0]}; model row sums are off "
-                f"by more than {RENORM_LIMIT}"
-            )
+        _check_masses(masses.sum(axis=1))
 
         reached = masses > 0.0
         cand_pair, cand_state = np.nonzero(reached)

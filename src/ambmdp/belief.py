@@ -1,11 +1,12 @@
 """Posterior belief updates and the predictive state distribution.
 
-All three operations are pure functions of immutable inputs.  The posterior
-is exact for finite parameter sets: new weights are proportional to
-``likelihood(theta) * old_weight(theta)``.  When the total posterior mass of
-an observation is zero the belief is returned unchanged; such branches carry
-zero probability in every expectation, so the convention never affects
-values.  No solver path imports this module; tests check ``bayes`` by it.
+All three operations are pure functions of immutable inputs, and each forms
+its posteriors by ``_posterior``, Bayes' rule, exact for finite parameter
+sets: new weights are proportional to ``likelihood(theta) *
+old_weight(theta)``.  When the total posterior mass of an observation is
+zero the belief is returned unchanged; such branches carry zero probability
+in every expectation, so the convention never affects values.  No solver
+path imports this module; tests check ``bayes`` by it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleActionError
-from .model import RENORM_LIMIT, SUM_TOL, Belief, StatisticalMDP, _check_prior, _count
+from .model import SUM_TOL, Belief, StatisticalMDP, _check_masses, _check_prior, _count
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,14 @@ def _require_feasible(model: StatisticalMDP, epoch: int, state: int, belief: Bel
         )
 
 
+def _posterior(likelihood: np.ndarray, belief: Belief) -> Belief:
+    """Bayes' rule: weights proportional to ``likelihood * belief``, or
+    ``belief`` unchanged when that has zero mass."""
+    w = likelihood * belief.weights
+    total = float(w.sum())
+    return Belief(w / total) if total > 0.0 else belief
+
+
 def initial_posterior(model: StatisticalMDP, prior: Belief, state: int) -> Belief:
     """Belief after observing the initial state: weights proportional to
     ``initial_kernel[theta](state) * prior(theta)``.
@@ -59,11 +68,7 @@ def initial_posterior(model: StatisticalMDP, prior: Belief, state: int) -> Belie
     every parameter in the prior's support.
     """
     _check_prior(model, prior)
-    w = model.initial_kernel[:, _count("state", state, 0, model.n_states)] * prior.weights
-    total = float(w.sum())
-    if total <= 0.0:
-        return prior
-    return Belief(w / total)
+    return _posterior(model.initial_kernel[:, _count("state", state, 0, model.n_states)], prior)
 
 
 def update_posterior(
@@ -79,11 +84,7 @@ def update_posterior(
     unchanged."""
     _require_feasible(model, epoch, state, belief, action)
     next_state = _count("next_state", next_state, 0, model.n_states)
-    w = model.transition[epoch, :, state, action, next_state] * belief.weights
-    total = float(w.sum())
-    if total <= 0.0:
-        return belief
-    return Belief(w / total)
+    return _posterior(model.transition[epoch, :, state, action, next_state], belief)
 
 
 def predictive(
@@ -98,16 +99,7 @@ def predictive(
     rows = model.transition[epoch, :, state, action, :]
     masses = belief.weights @ rows
     total = float(masses.sum())
+    _check_masses(np.array([total]))
     if abs(total - 1.0) > SUM_TOL:
-        if abs(total - 1.0) > RENORM_LIMIT:
-            raise ValueError(
-                f"predictive masses sum to {total}; model row sums are off by "
-                f"more than {RENORM_LIMIT}"
-            )
         masses = masses / total
-    posteriors = []
-    for x_next in range(model.n_states):
-        w = rows[:, x_next] * belief.weights
-        w_total = float(w.sum())
-        posteriors.append(Belief(w / w_total) if w_total > 0.0 else belief)
-    return PredictiveDistribution(masses, tuple(posteriors))
+    return PredictiveDistribution(masses, tuple(_posterior(column, belief) for column in rows.T))

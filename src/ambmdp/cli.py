@@ -46,7 +46,7 @@ from .bayes import (
     DEFAULT_NODE_CAP, DeterministicPolicy, ValueSolution, build_tree, solve_bayes,
 )
 from .errors import ConfigError, TrajectoryLimitError, TreeSizeLimitError
-from .model import Belief, ParameterSet, StatisticalMDP, validate
+from .model import Belief, ParameterSet, StatisticalMDP, _as_labels, validate
 from .oracle import DEFAULT_TRAJECTORY_CAP, enumerate_cost, mc_estimate
 
 SOLVE_MODES = ("bayes", "entropic", "avar", "robust")
@@ -198,11 +198,7 @@ def _number_list(key: str, raw: str, lineno: int) -> list[float]:
 
 
 def _labels(key: str, raw: str, lineno: int) -> tuple[str, ...]:
-    parts = tuple(raw.split())
-    if not parts:
-        raise _err(lineno, key, "empty label list")
-    if len(set(parts)) != len(parts):
-        raise _err(lineno, key, "labels must be unique")
+    parts = _on_line(lineno, key, _as_labels, raw.split(), "", "empty label list")
     # keys split on '.', and lines on their first '='
     for label, char in itertools.product(parts, ".="):
         if char in label:
@@ -254,10 +250,11 @@ def _parse_inline_model(entries: _Entries) -> StatisticalMDP:
     states, actions, params = (_labels(key, *entries.take(key, required=True))
                                for key in ("model.states", "model.actions", "model.params"))
     n_e, n_a, n_k = len(states), len(actions), len(params)
-    # the table index each key token names, -1 for every epoch
+    # the table index each key token names, -1 for every epoch; ``table`` adds
+    # the epochs its keys name, so the map grows with the keys, not the horizon
     positions = {field: {x: i for i, x in enumerate(names)} for field, names in
                  (("state", states), ("action", actions), ("param", params))}
-    positions["epoch"] = {"*": -1, **{str(n): n for n in range(horizon)}}
+    positions["epoch"] = {"*": -1}
 
     def check(field, token, key, lineno):
         """Refuse a key or value token that names no table index."""
@@ -278,6 +275,10 @@ def _parse_inline_model(entries: _Entries) -> StatisticalMDP:
         head = f"model.{prefix}."
         keys = entries.take_prefixed(head)
         tails = [key[len(head) :].split(".") for key in keys]
+        if fields[0] == "epoch":
+            width = len(str(horizon))  # a longer token names no epoch; int() never reads it
+            short = [t for t in {tail[0] for tail in tails} if t.isdecimal() and len(t) <= width]
+            positions["epoch"].update((str(n), n) for n in map(int, short) if n < horizon)
         maps = itertools.cycle([positions[field] for field in fields])
         flat = list(map(dict.get, maps, itertools.chain.from_iterable(tails)))
         values = None
@@ -375,13 +376,20 @@ def _parse_prior(entries: _Entries, model: StatisticalMDP) -> Belief:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config file; raises ConfigError with line and
-    field information on any defect, including model invariant violations."""
+    field information on any defect, including model invariant violations,
+    and TreeSizeLimitError for a horizon beyond ``solver.node_cap``."""
     entries = _Entries(text)
 
     mode, lineno = entries.take("mode", required=True)
     if mode not in ALL_MODES:
         raise _err(lineno, "mode", f"must be one of {', '.join(ALL_MODES)}")
 
+    node_cap = entries.integer("solver.node_cap", 1, default=DEFAULT_NODE_CAP)
+    # a model has more epochs than its horizon, each holding a DAG node, so a
+    # horizon beyond the cap is refused as the tree guard, before any table
+    raw, lineno = entries.take("model.horizon")
+    if raw is not None and _integer("model.horizon", raw, lineno) > node_cap:
+        raise TreeSizeLimitError(node_cap)
     name, lineno = entries.take("model.name", default="seqtest")
     if name == "seqtest":
         model = _parse_seqtest_model(entries)
@@ -395,7 +403,6 @@ def parse_config(text: str) -> RunConfig:
         listing = "; ".join(diagnostics)
         raise ConfigError(f"model failed validation: {listing}")
 
-    node_cap = entries.integer("solver.node_cap", 1, default=DEFAULT_NODE_CAP)
     trajectory_cap = entries.integer("solver.trajectory_cap", 1, default=DEFAULT_TRAJECTORY_CAP)
     out_path, _ = entries.take("output.path")
 

@@ -13,6 +13,7 @@ i.e. the distribution of the state observed at epoch ``n+1``.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
@@ -32,6 +33,41 @@ def _count(name: str, value, minimum: int = 0, limit: int | None = None) -> int:
     below = "" if limit is None else f" below {limit}"
     raise ValueError(f"{name} must be a {'positive' if minimum else 'non-negative'} "
                      f"integer{below}, got {value!r}")
+
+
+def _real(value, default=None):
+    """``value`` as a float if it is a real number and not a bool, an int
+    beyond float range as the infinity of its sign; else ``default``."""
+    if isinstance(value, (float, numbers.Real)) and type(value) is not bool:  # fast for float
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    return default
+
+
+def _float_array(name: str, values) -> np.ndarray:
+    """``values`` as a new C-ordered float array; ValueError naming it if an
+    entry is an int beyond float range."""
+    try:
+        return np.array(values, dtype=float, order="C")
+    except OverflowError:
+        raise ValueError(f"{name} must be finite") from None
+
+
+def _as_labels(labels, name: str, empty: str) -> tuple[str, ...]:
+    """``labels`` as a tuple of str if it is a sequence, not a bare string, of
+    unique labels, else ValueError led by ``name`` (bare if blank); ValueError
+    ``empty`` if it has none."""
+    if isinstance(labels, str):
+        fault = f"labels must be a sequence, not the string {labels!r}"
+    elif not (labels := tuple(map(str, labels))):
+        raise ValueError(empty)
+    elif len(set(labels)) < len(labels):
+        fault = "labels must be unique"
+    else:
+        return labels
+    raise ValueError(f"{name} {fault}".lstrip())
 
 
 class _Frozen:
@@ -67,13 +103,7 @@ class ParameterSet(_Frozen):
     __slots__ = ("labels",)
 
     def __init__(self, labels: tuple[str, ...]):
-        if isinstance(labels, str):
-            raise ValueError(f"parameter labels must be a sequence, not the string {labels!r}")
-        labels = tuple(str(x) for x in labels)
-        if not labels:
-            raise ValueError("parameter set must be non-empty")
-        if len(set(labels)) != len(labels):
-            raise ValueError("parameter labels must be unique")
+        labels = _as_labels(labels, "parameter", "parameter set must be non-empty")
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
@@ -95,7 +125,7 @@ class Belief(_Frozen):
     __slots__ = ("weights",)
 
     def __init__(self, weights: np.ndarray):
-        w = np.array(weights, dtype=float)
+        w = _float_array("belief weights", weights)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("belief weights must form a non-empty vector")
         # one min and one sum pass a valid vector (NaN fails both tests, an
@@ -200,24 +230,19 @@ class StatisticalMDP:
 
     def __post_init__(self):
         object.__setattr__(self, "horizon", _count("horizon", self.horizon))
-        states = tuple(str(s) for s in self.states)
-        actions = tuple(str(a) for a in self.actions)
+        empty = "state and action spaces must be non-empty"
+        states = _as_labels(self.states, "state", empty)
+        actions = _as_labels(self.actions, "action", empty)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
         n, k, e, a = self.horizon, len(self.params), len(states), len(actions)
-        if e == 0 or a == 0:
-            raise ValueError("state and action spaces must be non-empty")
 
-        arrays = {
-            "initial_kernel": (np.asarray(self.initial_kernel, dtype=float), (k, e)),
-            "transition": (np.asarray(self.transition, dtype=float), (n, k, e, a, e)),
-            "stage_cost": (np.asarray(self.stage_cost, dtype=float), (n, k, e, a)),
-            "terminal_cost": (np.asarray(self.terminal_cost, dtype=float), (k, e)),
-        }
-        for name, (arr, shape) in arrays.items():
+        shapes = {"initial_kernel": (k, e), "transition": (n, k, e, a, e),
+                  "stage_cost": (n, k, e, a), "terminal_cost": (k, e)}
+        for name, shape in shapes.items():
+            arr = _float_array(f"{name} entries", getattr(self, name))
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -258,6 +283,15 @@ class StatisticalMDP:
 def _check_prior(model: StatisticalMDP, prior: Belief) -> None:
     if len(prior) != model.n_params:
         raise ValueError("prior dimension does not match the parameter set")
+
+
+def _check_masses(totals: np.ndarray) -> None:
+    """Raise ValueError unless each predictive mass total is within
+    RENORM_LIMIT of 1 (NaN is far)."""
+    far = ~(np.abs(totals - 1.0) <= RENORM_LIMIT)
+    if far.any():
+        raise ValueError(f"predictive masses sum to {float(totals[far][0])}; "
+                         f"model row sums are off by more than {RENORM_LIMIT}")
 
 
 def _row_faults(rows: np.ndarray):

@@ -21,16 +21,15 @@ the masters and ``solve``'s dual risk read it and ``_tilted`` unvalidated.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .model import Belief
+from .model import Belief, _float_array, _real
 
 
 def as_profile(values, size: int) -> np.ndarray:
     """Coerce a cost profile to a validated 1-D float array."""
-    v = np.asarray(values, dtype=float)
+    v = _float_array("cost profile entries", values)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("cost profile must be a non-empty vector")
     if not np.all(np.isfinite(v)):
@@ -43,7 +42,7 @@ def as_profile(values, size: int) -> np.ndarray:
 def _weights(dist) -> np.ndarray:
     if isinstance(dist, Belief):
         return dist.weights
-    return Belief(np.asarray(dist, dtype=float)).weights
+    return Belief(dist).weights
 
 
 def _divergence_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -75,8 +74,7 @@ def _check_gamma(mode: str, gamma, bounds: tuple[float, float] = (0.0, 0.0)) -> 
     """Raise ValueError unless ``gamma``, a real number and not a bool, suits the
     mode: entropic > 0 with 1/gamma and gamma times the scale of the cost ``bounds``
     (lo, hi), or their span if they straddle 0, finite; avar in (0, 1); robust none."""
-    real = isinstance(gamma, (float, numbers.Real)) and type(gamma) is not bool  # fast for float
-    g, (lo, hi) = float(gamma) if real else math.nan, bounds
+    g, (lo, hi) = _real(gamma, math.nan), bounds
     reach, name = (hi - lo, "span") if lo < 0.0 < hi else (max(-lo, hi), "scale")
     if mode not in ("entropic", "avar", "robust"):
         raise ValueError(f"unknown mode {mode!r}; expected entropic, avar or robust")

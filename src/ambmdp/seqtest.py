@@ -15,11 +15,10 @@ hypothesis: 10*mu up to 13/30, flat at 13/3 over (13/30, 17/30], then
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .model import Belief, ParameterSet, StatisticalMDP, _count, _Frozen
+from .model import Belief, ParameterSet, StatisticalMDP, _count, _Frozen, _real
 from .risk import _check_gamma
 
 STATES = ("start", "obs0", "obs1", "stopped")
@@ -44,9 +43,9 @@ FIELD_RULES = dict(observation_cost=_COST, error_cost=_COST, p_low=_RATE, p_high
 def _field_fault(name: str, value) -> str | None:
     """Why ``value`` breaks the (test, range) rule of the real field ``name``, or None."""
     test, what = FIELD_RULES[name]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if (real := _real(value)) is None:
         return f"must be a real number, got {value!r}"
-    if not math.isfinite(value):
+    if not math.isfinite(real):
         return f"must be finite, got {value}"
     return None if test(value) else f"must be {what}, got {value}"
 

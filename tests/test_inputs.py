@@ -2,10 +2,13 @@
 ValueError that names it, or with the named limit error, never with a
 TypeError, an IndexError, a numeric warning or a NaN result.  Each rule
 has one home: the risk level in ``risk._check_gamma``, counts and indices
-in ``model._count``, the prior size in ``model._check_prior``, the policy
-fit in ``bayes._fitted_pairs`` and the seqtest fields in
-``seqtest.FIELD_RULES``."""
+in ``model._count``, real numbers in ``model._real`` and
+``model._float_array``, labels in ``model._as_labels``, the predictive
+mass in ``model._check_masses``, the prior size in ``model._check_prior``,
+the policy fit in ``bayes._fitted_pairs``, the seqtest fields in
+``seqtest.FIELD_RULES`` and Bayes' rule in ``belief._posterior``."""
 
+import ast
 import itertools
 import math
 import warnings
@@ -15,14 +18,14 @@ import numpy as np
 import pytest
 
 from ambmdp import seqtest
-from ambmdp.ambiguity import solve
+from ambmdp.ambiguity import check_gamma, solve, solve_avar, solve_entropic
 from ambmdp.bayes import build_tree, solve_bayes
 from ambmdp.belief import initial_posterior, predictive, update_posterior
-from ambmdp.cli import parse_config
+from ambmdp.cli import main, parse_config
 from ambmdp.errors import ConfigError, TrajectoryLimitError, TreeSizeLimitError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from ambmdp.oracle import enumerate_cost, mc_estimate
-from ambmdp.risk import avar_quantile, entropic_risk
+from ambmdp.risk import avar_quantile, entropic_risk, relative_entropy
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ambmdp"
 PROFILE = np.array([1.0, 3.0])
@@ -47,6 +50,25 @@ def model_of_horizon(horizon):
         stage_cost=np.ones((2, 1, 1, 1)),
         terminal_cost=np.zeros((1, 1)),
     )
+
+
+def labelled_model(states=("s0",), actions=("a0",), **fields):
+    """A one-parameter model of one epoch, its arrays shaped by the number
+    of ``states`` and ``actions`` (a bare string counts its characters),
+    with ``fields`` in place of the defaults."""
+    e, a = len(states), len(actions)
+    return StatisticalMDP(**{
+        "horizon": 1,
+        "states": states,
+        "actions": actions,
+        "params": ParameterSet(("t0",)),
+        "feasible": np.ones((1, e, a), dtype=bool),
+        "initial_kernel": np.full((1, e), 1.0 / e),
+        "transition": np.full((1, 1, e, a, e), 1.0 / e),
+        "stage_cost": np.zeros((1, 1, e, a)),
+        "terminal_cost": np.zeros((1, e)),
+        **fields,
+    })
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +151,106 @@ class TestDefectsOfTheDuplicatedRules:
             call(seqtest_model(), Belief.uniform(3))
 
 
+#: per real-valued argument, a call taking it; an int beyond float range
+#: once raised OverflowError from inside each (integer arguments are kept
+#: off: ``mc_estimate`` would make ``samples`` seed sequences up front)
+REAL_ARGUMENTS = {
+    "entropic_risk.gamma": lambda v: entropic_risk(PROFILE, BASE, v),
+    "avar_quantile.gamma": lambda v: avar_quantile(PROFILE, BASE, v),
+    "solve.entropic.gamma": lambda v: solve(seqtest_model(), "entropic", BASE, v),
+    "solve.avar.gamma": lambda v: solve(seqtest_model(), "avar", BASE, v),
+    "solve.robust.gamma": lambda v: solve(seqtest_model(), "robust", BASE, v),
+    "solve_entropic.gamma": lambda v: solve_entropic(seqtest_model(), BASE, v),
+    "solve_avar.gamma": lambda v: solve_avar(seqtest_model(), BASE, v),
+    "check_gamma.entropic": lambda v: check_gamma(seqtest_model(), "entropic", v),
+    "check_gamma.avar": lambda v: check_gamma(seqtest_model(), "avar", v),
+    "avar_worst_prior_interval.gamma": lambda v: seqtest.avar_worst_prior_interval(v, 0.1),
+    **{f"SeqTestConfig.{name}": lambda v, name=name: seqtest.SeqTestConfig(**{name: v})
+       for name in seqtest.FIELD_RULES},
+    "Belief.weights": lambda v: Belief([v, 0.0]),
+    "relative_entropy.nu": lambda v: relative_entropy(BASE, [0.5, v]),
+    "entropic_risk.profile": lambda v: entropic_risk([v, 2.0], BASE, 1.0),
+    "avar_quantile.profile": lambda v: avar_quantile([v, 2.0], BASE, 0.5),
+    "StatisticalMDP.stage_cost": lambda v: labelled_model(stage_cost=[[[[v]]]]),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=("plus", "minus"))
+@pytest.mark.parametrize("entry", sorted(REAL_ARGUMENTS))
+def test_an_int_beyond_float_range_is_refused_by_name(entry, sign):
+    with pytest.raises(ValueError):
+        REAL_ARGUMENTS[entry](sign * 10**400)
+
+
+class TestLabels:
+    """``StatisticalMDP`` reads its state and action labels by the rule that
+    ``ParameterSet`` and the config reader read theirs by."""
+
+    def test_a_bare_string_of_states_is_refused(self):
+        # it gave the states ('a', 'b')
+        with pytest.raises(ValueError, match="^state labels must be a sequence, not the string 'ab'$"):
+            labelled_model(states="ab")
+
+    @pytest.mark.parametrize("field", ["states", "actions"])
+    def test_repeated_labels_are_refused(self, field):
+        # both built a model
+        with pytest.raises(ValueError, match=f"^{field[:-1]} labels must be unique$"):
+            labelled_model(**{field: ("x", "x")})
+
+    def test_distinct_labels_are_kept_as_strings(self):
+        model = labelled_model(states=("s0", 1), actions=["go", "stay"])
+        assert (model.states, model.actions) == (("s0", "1"), ("go", "stay"))
+
+
+class TestPredictiveMass:
+    """One rule and one message refuse masses off 1 in the solver and in
+    the reference engine."""
+
+    MESSAGE = r"^predictive masses sum to 1\.001\d*; model row sums are off by more than 1e-06$"
+
+    def model(self):
+        return labelled_model(states=("s0", "s1"), transition=np.full((1, 1, 2, 1, 2), 0.5005))
+
+    def test_build_tree_and_predictive_refuse_alike(self):
+        with pytest.raises(ValueError, match=self.MESSAGE) as built:
+            build_tree(self.model(), Belief.uniform(1))
+        with pytest.raises(ValueError, match=self.MESSAGE) as predicted:
+            predictive(self.model(), 0, 0, Belief.uniform(1), 0)
+        assert str(built.value) == str(predicted.value)
+
+    def test_a_nan_total_is_far(self):
+        model = labelled_model(states=("s0", "s1"), transition=np.full((1, 1, 2, 1, 2), np.nan))
+        with pytest.raises(ValueError, match="^predictive masses sum to nan;"):
+            predictive(model, 0, 0, Belief.uniform(1), 0)
+
+
+class TestHorizonBeyondTheNodeCap:
+    """Every epoch of a valid model holds a DAG node, so a config horizon
+    beyond ``solver.node_cap`` is refused as the tree guard before any
+    table is made (a seqtest horizon of 1e20 once ended in NumPy's
+    dimension error, and an inline one ran out of memory)."""
+
+    SEQTEST = "mode = bayes\nmodel.horizon = 100000000000000000000\nprior = 0.5\n"
+    INLINE = (Path(__file__).resolve().parents[1] / "configs" / "inline_example.cfg").read_text()
+
+    def test_seqtest(self):
+        with pytest.raises(TreeSizeLimitError, match="^reachable belief tree exceeds node cap 10000000$"):
+            parse_config(self.SEQTEST)
+
+    def test_inline(self):
+        text = self.INLINE.replace("model.horizon = 1\n", "model.horizon = 6\n")
+        assert text != self.INLINE
+        with pytest.raises(TreeSizeLimitError, match="^reachable belief tree exceeds node cap 5$"):
+            parse_config(text + "solver.node_cap = 5\n")
+        assert parse_config(text + "solver.node_cap = 6\n").model.horizon == 6
+
+    def test_the_command_exits_two_on_one_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.cfg"
+        path.write_text(self.SEQTEST)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "solver guard: reachable belief tree exceeds node cap 10000000\n"
+
+
 class TestOneHomePerRule:
     def test_each_message_is_written_once(self):
         text = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
@@ -136,8 +258,24 @@ class TestOneHomePerRule:
             "prior dimension does not match the parameter set",
             "policy was built for a different model",
             "strictly inside (0, 1)",
+            "model row sums are off by more than",
+            "labels must be unique",
+            "labels must be a sequence, not the string",
+            "numbers.Real",
         ):
             assert text.count(message) == 1, message
+
+    def test_only_model_reads_real_numbers(self):
+        for path in SRC.glob("*.py"):
+            assert ("import numbers" in path.read_text()) == (path.name == "model.py"), path.name
+
+    def test_belief_forms_a_posterior_in_one_function(self):
+        tree = ast.parse((SRC / "belief.py").read_text())
+        makers = {function.name for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef)
+                  for node in ast.walk(function)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Belief"}
+        assert makers == {"_posterior"}
 
     def test_the_gamma_messages_live_in_the_rule(self):
         for path in SRC.glob("*.py"):
