@@ -74,8 +74,7 @@ beside the returned prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -89,52 +88,42 @@ PRIOR_SIDE_SLACK = 1e-10
 POLICY_SIDE_SLACK = 1e-12
 
 
-@dataclass
-class SaddleResult:
-    """Saddle-point solve output.
+class SaddleResult(namedtuple("SaddleResult", "mode worst_prior worst_prior_lo worst_prior_hi "
+                                              "policy value gap gamma base_prior support "
+                                              "cost_profile trace")):
+    """Saddle-point solve output: the ``mode``, the worst prior and its
+    plateau edges (each a ``Belief``), the ``DeterministicPolicy`` viewed
+    at ``worst_prior``, its ``value`` and duality ``gap`` (floats),
+    ``gamma`` (a float, None for robust), ``base_prior`` (a ``Belief``,
+    None for robust), the ``support`` (a tuple of parameter indices), the
+    policy's ``cost_profile``, a (K,) array, and the ``trace``.
 
     ``worst_prior_lo`` / ``worst_prior_hi`` are the plateau edges of an
     avar or robust solve with two support parameters, on the line of its
     feasible priors; every other solve reports ``worst_prior`` in both.
     ``trace`` records every prior at which this solve computed a best
-    response, with its outer objective value; seed solves are not in it.
-    ``policy`` is viewed at ``worst_prior``.
+    response, as (``Belief``, outer objective value) pairs; seed solves
+    are not in it.
     """
 
-    mode: str
-    worst_prior: Belief
-    worst_prior_lo: Belief
-    worst_prior_hi: Belief
-    policy: DeterministicPolicy
-    value: float
-    gap: float
-    gamma: float | None
-    base_prior: Belief | None
-    support: tuple[int, ...]
-    cost_profile: np.ndarray
-    trace: tuple[tuple[Belief, float], ...]
+    __slots__ = ()
 
 
-class SaddleCertificate(NamedTuple):
+class SaddleCertificate(namedtuple("SaddleCertificate", "mu_side_ok mu_side_violation pi_side_ok "
+                                                        "pi_side_error gap grid_points tol")):
     """Saddle-point checks: no feasible prior improves on the returned one
     against the returned policy (prior side, in closed form, within
     ``tol``), and the policy is Bayes-optimal at the returned prior (policy
-    side).  ``grid_points`` is always 0: no prior grid is scanned.  The
-    field stays so that artifacts and their readers keep their keys."""
+    side).  The ``_ok`` fields are bools, ``grid_points`` an int and the
+    rest floats.  ``grid_points`` is always 0: no prior grid is scanned.
+    The field stays so that artifacts and their readers keep their keys."""
 
-    mu_side_ok: bool
-    mu_side_violation: float
-    pi_side_ok: bool
-    pi_side_error: float
-    gap: float
-    grid_points: int
-    tol: float
+    __slots__ = ()
 
 
 class _Ambiguity:
     """Feasible priors, penalty, dual risk and master of one solver mode.
-    Weight vectors are indexed by position in ``support``.  A plain class:
-    a dataclass would cost the package import about 1 ms."""
+    Weight vectors are indexed by position in ``support``."""
 
     def __init__(
         self,

@@ -63,8 +63,8 @@ two-parameter support's segment planes are kept beside them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +75,8 @@ DEFAULT_NODE_CAP = 10_000_000
 SOLVE_MEMO = 64  # Bayes solves, and policy evaluations, kept per DAG
 
 
-class TreeEpoch(NamedTuple):
+class TreeEpoch(namedtuple("TreeEpoch", "state pair_node pair_action child kernel stage "
+                                        "first_pair pair_row live")):
     """The nodes of one epoch of the belief DAG, and below the horizon
     their (node, action) pairs, ordered by node and then action.
     ``child[p, x]`` is the index, within the next epoch, of the node
@@ -83,20 +84,16 @@ class TreeEpoch(NamedTuple):
     parameter reaches that branch.  ``kernel[p]`` is the pair's (parameter,
     next state) table of transition probabilities and ``stage[p]`` its
     stage cost per parameter.  The arrays are read-only and shared by every
-    view of the DAG; the beliefs at a prior are ``ReachableBeliefTree.belief``."""
+    view of the DAG; the beliefs at a prior are ``ReachableBeliefTree.belief``.
 
-    state: np.ndarray  # (nodes,)
-    pair_node: np.ndarray  # (pairs,)
-    pair_action: np.ndarray  # (pairs,)
-    child: np.ndarray  # (pairs, E)
-    kernel: np.ndarray  # (pairs, K, E)
-    stage: np.ndarray  # (pairs, K)
-    # the backward pass's plan: each node's first pair (empty at the
-    # horizon), each pair's node by global index, where the kernel is > 0
-    # on a branch with a child
-    first_pair: np.ndarray  # (nodes,)
-    pair_row: np.ndarray  # (pairs,)
-    live: np.ndarray  # (pairs, K, E)
+    Shapes: ``state`` (nodes,), ``pair_node`` and ``pair_action`` (pairs,),
+    ``child`` (pairs, E), ``kernel`` (pairs, K, E), ``stage`` (pairs, K).
+    The backward pass's plan: ``first_pair`` (nodes,), each node's first
+    pair (empty at the horizon); ``pair_row`` (pairs,), each pair's node by
+    global index; ``live`` (pairs, K, E), where the kernel is > 0 on a
+    branch with a child."""
+
+    __slots__ = ()
 
 
 class _BeliefDag:
@@ -213,15 +210,13 @@ def _fitted_pairs(model: StatisticalMDP, policy: DeterministicPolicy) -> list[np
     return policy.pairs
 
 
-class ValueSolution(NamedTuple):
-    """Output of the value recursion: total value, an arg-min policy (ties
-    broken by lowest action index) and the policy's expected total cost
-    under each parameter, a read-only array that later solves may share."""
+class ValueSolution(namedtuple("ValueSolution", "tree value policy costs")):
+    """Output of the value recursion: the ``ReachableBeliefTree``, the total
+    value (a float), an arg-min ``DeterministicPolicy`` (ties broken by
+    lowest action index) and the policy's expected total cost under each
+    parameter, a read-only (K,) array that later solves may share."""
 
-    tree: ReachableBeliefTree
-    value: float
-    policy: DeterministicPolicy
-    costs: np.ndarray
+    __slots__ = ()
 
 
 def _normalized(weights: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ path imports this module; tests check ``bayes`` by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -19,25 +19,24 @@ from .errors import InfeasibleActionError
 from .model import SUM_TOL, Belief, StatisticalMDP, _check_masses, _check_prior, _count
 
 
-@dataclass(frozen=True)
-class PredictiveDistribution:
-    """Mixture distribution of the next state, with the posterior belief
-    reached on observing each next state."""
+class PredictiveDistribution(namedtuple("PredictiveDistribution", "masses posteriors")):
+    """Mixture distribution of the next state, a read-only (E,) array of
+    masses, with the posterior ``Belief`` reached on observing each next
+    state, a tuple."""
 
-    masses: np.ndarray
-    posteriors: tuple[Belief, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
+    def __new__(cls, masses: np.ndarray, posteriors: tuple[Belief, ...]):
+        m = np.asarray(masses, dtype=float)
         if np.any(m < 0.0) or not np.all(np.isfinite(m)):
             raise ValueError("predictive masses must be non-negative and finite")
         if abs(float(m.sum()) - 1.0) > SUM_TOL:
             raise ValueError(f"predictive masses sum to {float(m.sum())!r}, not 1")
-        if len(self.posteriors) != m.size:
+        if len(posteriors) != m.size:
             raise ValueError("one posterior belief required per next state")
         m = m.copy()
         m.flags.writeable = False
-        object.__setattr__(self, "masses", m)
+        return super().__new__(cls, m, posteriors)
 
 
 def _require_feasible(model: StatisticalMDP, epoch: int, state: int, belief: Belief, action: int):

@@ -33,8 +33,8 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,21 +73,14 @@ _DECIMAL = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII
 _DECIMAL_LINES = re.compile(r"[0-9.eE+\-\n]*")
 
 
-class RunConfig(NamedTuple):
-    """A parsed config: its mode, model, prior, gamma, caps and run options."""
+class RunConfig(namedtuple("RunConfig", "mode model prior gamma node_cap trajectory_cap "
+                                        "gamma_sweep prior_sweep samples seed theta out_path")):
+    """A parsed config: its mode, ``StatisticalMDP``, prior (a ``Belief`` or
+    None), gamma (a float or None), node and trajectory caps, gamma and
+    prior sweeps (tuples of floats or None), Monte-Carlo samples and seed,
+    simulated parameter index (or None) and output path (or None)."""
 
-    mode: str
-    model: StatisticalMDP
-    prior: Belief | None
-    gamma: float | None
-    node_cap: int
-    trajectory_cap: int
-    gamma_sweep: tuple[float, ...] | None
-    prior_sweep: tuple[float, ...] | None
-    samples: int
-    seed: int
-    theta: int | None
-    out_path: str | None
+    __slots__ = ()
 
 
 class _Entries:
@@ -318,6 +311,12 @@ def _parse_inline_model(entries: _Entries) -> StatisticalMDP:
         if every < len(index):
             array[tuple(index[every:].T)] = values[every:]
 
+    # the largest table first: one too large for memory fails before any is filled;
+    # rows no key gives stay NaN, which no number reads as
+    shape = (horizon, n_k, n_e, n_a, n_e)
+    if math.prod(shape) > sys.maxsize // 8:  # NumPy would refuse it as a ValueError
+        raise MemoryError(f"a transition table of shape {shape} exceeds the address space")
+    transition = np.full(shape, np.nan)
     initial = np.zeros((n_k, n_e))
     index, values = table("initial", ("param",), rows, row)
     put(initial, index, values)
@@ -329,8 +328,6 @@ def _parse_inline_model(entries: _Entries) -> StatisticalMDP:
     put(feasible, *table("feasible", ("epoch", "state"), listed, lambda key, raw, lineno: [
         check("action", token, key, lineno) for token in raw.split()]))
 
-    # rows no key gives stay NaN, which no number reads as
-    transition = np.full((horizon, n_k, n_e, n_a, n_e), np.nan)
     cells = ("epoch", "param", "state", "action")
     put(transition, *table("transition", cells, rows, row))
 
@@ -754,6 +751,9 @@ def main(argv=None) -> int:
     except (TreeSizeLimitError, TrajectoryLimitError) as exc:
         print(f"solver guard: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # NumPy names the array it could not allocate
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 3
     except OSError as exc:
         if exc.filename is not None:
             print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,15 +70,22 @@ def _as_labels(labels, name: str, empty: str) -> tuple[str, ...]:
 
 
 class _Frozen:
-    """A value whose fields are its ``__slots__``, set once by ``__init__``,
-    frozen and compared, hashed and shown as a frozen dataclass is."""
+    """A value whose fields are its ``_fields``, set once by ``__init__``,
+    frozen and compared, hashed and shown as a frozen dataclass is.  Copies,
+    pickles and ``_replace`` rebuild it from its fields through ``__init__``,
+    so every check runs again."""
 
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
     def __setattr__(self, name, *value):
+        from dataclasses import FrozenInstanceError  # on use: dataclasses is slow to import
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
     __delattr__ = __setattr__
 
@@ -90,7 +96,7 @@ class _Frozen:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -100,7 +106,7 @@ class _Frozen:
 class ParameterSet(_Frozen):
     """Finite set of parameter labels the model is ambiguous over."""
 
-    __slots__ = ("labels",)
+    __slots__ = _fields = ("labels",)
 
     def __init__(self, labels: tuple[str, ...]):
         labels = _as_labels(labels, "parameter", "parameter set must be non-empty")
@@ -122,7 +128,7 @@ class Belief(_Frozen):
     repeated posterior composition.
     """
 
-    __slots__ = ("weights",)
+    __slots__ = _fields = ("weights",)
 
     def __init__(self, weights: np.ndarray):
         w = _float_array("belief weights", weights)
@@ -198,8 +204,7 @@ def _feasible(feasible, horizon: int, n_states: int, n_actions: int):
     return tuple(zip(*[sets] * n_states)), mask.reshape(shape)
 
 
-@dataclass(frozen=True)
-class StatisticalMDP:
+class StatisticalMDP(_Frozen):
     """Finite-horizon MDP with parameter-dependent kernels and costs.
 
     Attributes:
@@ -213,41 +218,39 @@ class StatisticalMDP:
             distribution after taking action a in state x at epoch n
         stage_cost: (N, K, E, A) per-epoch cost
         terminal_cost: (K, E) cost charged at epoch N
+
+    The arrays are read-only.  ``feasible_mask``, the cached ``cost_bounds``
+    and ``belief_dag`` live in the instance ``__dict__``, outside the fields.
     """
 
-    horizon: int
-    states: tuple[str, ...]
-    actions: tuple[str, ...]
-    params: ParameterSet
-    feasible: tuple[tuple[tuple[int, ...], ...], ...]
-    initial_kernel: np.ndarray
-    transition: np.ndarray
-    stage_cost: np.ndarray
-    terminal_cost: np.ndarray
+    _fields = ("horizon", "states", "actions", "params", "feasible", "initial_kernel",
+               "transition", "stage_cost", "terminal_cost")
     #: the reachable belief DAG, set by ``bayes.build_tree``; it holds
     #: arrays only, no model
     belief_dag = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "horizon", _count("horizon", self.horizon))
+    def __init__(self, horizon: int, states: tuple[str, ...], actions: tuple[str, ...],
+                 params: ParameterSet, feasible, initial_kernel: np.ndarray,
+                 transition: np.ndarray, stage_cost: np.ndarray, terminal_cost: np.ndarray):
+        horizon = _count("horizon", horizon)
         empty = "state and action spaces must be non-empty"
-        states = _as_labels(self.states, "state", empty)
-        actions = _as_labels(self.actions, "action", empty)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
-        n, k, e, a = self.horizon, len(self.params), len(states), len(actions)
+        states = _as_labels(states, "state", empty)
+        actions = _as_labels(actions, "action", empty)
+        fields = vars(self)
+        fields.update(horizon=horizon, states=states, actions=actions, params=params)
+        n, k, e, a = horizon, len(params), len(states), len(actions)
 
         shapes = {"initial_kernel": (k, e), "transition": (n, k, e, a, e),
                   "stage_cost": (n, k, e, a), "terminal_cost": (k, e)}
-        for name, shape in shapes.items():
-            arr = _float_array(f"{name} entries", getattr(self, name))
+        for (name, shape), values in zip(shapes.items(),
+                                         (initial_kernel, transition, stage_cost, terminal_cost)):
+            arr = _float_array(f"{name} entries", values)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            fields[name] = arr
 
-        for name, value in zip(("feasible", "feasible_mask"), _feasible(self.feasible, n, e, a)):
-            object.__setattr__(self, name, value)
+        fields["feasible"], fields["feasible_mask"] = _feasible(feasible, n, e, a)
 
     @property
     def n_states(self) -> int:

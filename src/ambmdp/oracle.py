@@ -23,7 +23,7 @@ estimate.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,12 +41,11 @@ BATCH_SIZE = 10_000
 DRAW_FLOATS = 1 << 15
 
 
-class TrajectoryRecord(NamedTuple):
-    """One realizable state/action path with its probability and cost."""
+class TrajectoryRecord(namedtuple("TrajectoryRecord", "sequence probability total_cost")):
+    """One realizable state/action path, a tuple of labels, with its
+    probability and cost (floats)."""
 
-    sequence: tuple[str, ...]
-    probability: float
-    total_cost: float
+    __slots__ = ()
 
 
 def enumerate_cost(
@@ -163,11 +162,12 @@ def mc_estimate(
     theta-kernel: (sample mean, 95% normal-approximation half-width).
 
     Batches use seeds spawned from ``SeedSequence(seed)`` and are combined
-    in batch order, so identical inputs give identical output.
+    in batch order, so identical inputs give identical output.  ``samples``
+    is below 2**63.
     """
     _fitted_pairs(model, policy)
     theta = _count("parameter index", theta, 0, model.n_params)
-    samples, seed = _count("samples", samples, 1), _count("seed", seed)
+    samples, seed = _count("samples", samples, 1, 2**63), _count("seed", seed)
     n_states = model.n_states
     root_cum, order = _cumulative(model.initial_kernel[theta][None, :])
     root_nodes = policy.tree.dag.root_of[order[0]]
@@ -177,15 +177,15 @@ def mc_estimate(
     last = int((cumulative < 1.0).sum(axis=1).max(initial=0))
     columns = np.ascontiguousarray(cumulative[:, :last].T)
 
-    n_batches = (samples + BATCH_SIZE - 1) // BATCH_SIZE
-    seeds = np.random.SeedSequence(seed).spawn(n_batches)
+    root = np.random.SeedSequence(seed)
     width = model.horizon + 1
     block = max(1, DRAW_FLOATS // width)
     total = 0.0
     total_sq = 0.0
     remaining = samples
-    for batch_seed in seeds:
-        rng = np.random.default_rng(batch_seed)
+    while remaining:
+        # one child a batch, spawned as it starts: the children spawn(n) makes
+        rng = np.random.default_rng(root.spawn(1)[0])
         count = min(BATCH_SIZE, remaining)
         remaining -= count
         # blocks of consecutive rows draw the stream as one (count, width) block

@@ -160,8 +160,6 @@ def entropic_master(
         newton = descent < 0.0 and limits and min(limits)[0] > 0.0
         if not newton:
             i = max((k for k in range(len(weights)) if weights[k] > 0.0), key=g.item)
-            if i == j:
-                break
             d = np.zeros(len(cuts))
             d[j], d[i] = 1.0, -1.0
             descent, limits = float(g[j] - g[i]), [(weights[i], i)]

@@ -58,7 +58,7 @@ class SeqTestConfig(_Frozen):
     is always forced.
     """
 
-    __slots__ = ("horizon", *FIELD_RULES)
+    __slots__ = _fields = ("horizon", *FIELD_RULES)
 
     def __init__(self, horizon: int = 1, observation_cost: float = 1.0,
                  error_cost: float = 10.0, p_low: float = 1.0 / 3.0, p_high: float = 2.0 / 3.0):

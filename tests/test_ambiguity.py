@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import sys
@@ -381,9 +380,7 @@ class TestCertifySaddle:
     def test_perturbed_worst_prior_fails_mu_side(self, bench_model):
         result = solve_entropic(bench_model, seqtest.prior_belief(0.1), gamma=0.1)
         shifted = float(result.worst_prior.weights[0]) + 0.05
-        tampered = dataclasses.replace(
-            result, worst_prior=seqtest.prior_belief(shifted)
-        )
+        tampered = result._replace(worst_prior=seqtest.prior_belief(shifted))
         report = certify_saddle(bench_model, tampered)
         assert not report.mu_side_ok
 
@@ -406,17 +403,17 @@ class TestCertificateReuse:
     def test_swapped_policy_or_profile_fails_with_the_reused_value(
         self, bench_model, monkeypatch
     ):
-        bench_model = dataclasses.replace(bench_model)  # no evaluation cached yet
+        bench_model = bench_model._replace()  # no evaluation cached yet
         other = solve_entropic(bench_model, seqtest.prior_belief(0.9), gamma=0.1)
         result = solve_entropic(bench_model, seqtest.prior_belief(0.1), gamma=0.1)
         passes = counted_passes(monkeypatch)
         assert certify_saddle(bench_model, result).pi_side_ok
         swapped_policy, again = (
-            certify_saddle(bench_model, dataclasses.replace(result, policy=other.policy))
+            certify_saddle(bench_model, result._replace(policy=other.policy))
             for _ in range(2)
         )
         swapped_profile = certify_saddle(
-            bench_model, dataclasses.replace(result, cost_profile=other.cost_profile)
+            bench_model, result._replace(cost_profile=other.cost_profile)
         )
         assert passes == []  # every check above read the loop's solve
         # each policy is evaluated once, the swapped one too
@@ -431,7 +428,7 @@ class TestCertificateReuse:
         result = solve_avar(bench_model, seqtest.prior_belief(0.1), gamma=0.2)
         weights = result.worst_prior.weights.copy()
         weights[0] = np.nextafter(weights[0], 1.0)
-        moved = dataclasses.replace(result, worst_prior=Belief(weights))
+        moved = result._replace(worst_prior=Belief(weights))
         assert moved.worst_prior.weights.tobytes() != result.worst_prior.weights.tobytes()
         passes = counted_passes(monkeypatch)
         certify_saddle(bench_model, moved)
@@ -448,11 +445,11 @@ class TestCertificateReuse:
                 hit = certify_saddle(model, result)
                 assert len(passes) == before, mode
                 # a copy of the model has no DAG; its policy is rebuilt on a new one
-                fresh = dataclasses.replace(model)
+                fresh = model._replace()
                 policy = DeterministicPolicy(
                     build_tree(fresh, result.worst_prior), result.policy.actions
                 )
-                miss = certify_saddle(fresh, dataclasses.replace(result, policy=policy))
+                miss = certify_saddle(fresh, result._replace(policy=policy))
                 assert len(passes) == before + 1, mode
                 assert fresh.belief_dag is not model.belief_dag
                 assert certificate_bits(hit) == certificate_bits(miss), mode
@@ -800,8 +797,8 @@ class TestUlpStability:
 
 def scaled_costs(model, factor):
     """The model with every stage and terminal cost multiplied by factor."""
-    return dataclasses.replace(
-        model, stage_cost=model.stage_cost * factor, terminal_cost=model.terminal_cost * factor
+    return model._replace(
+        stage_cost=model.stage_cost * factor, terminal_cost=model.terminal_cost * factor
     )
 
 
@@ -830,9 +827,7 @@ class TestCertificateScale:
         for factor in (1.0, 1e-6, 1e6):
             model = scaled_costs(bench_model, factor)
             result = solve_avar(model, seqtest.prior_belief(0.1), gamma=0.2)
-            moved = dataclasses.replace(
-                result, worst_prior=seqtest.prior_belief(13.0 / 30.0 + 1e-7)
-            )
+            moved = result._replace(worst_prior=seqtest.prior_belief(13.0 / 30.0 + 1e-7))
             cert = certify_saddle(model, moved)
             assert cert.pi_side_error == pytest.approx(1e-6 * factor, rel=1e-6)
             assert not cert.pi_side_ok, factor
@@ -843,7 +838,7 @@ class TestCertificateScale:
         model = go_or_stay_model()
         result = solve(model, "robust", Belief.uniform(model.n_params))
         excess = 1e-8 * max(map(abs, model.cost_bounds))
-        tampered = dataclasses.replace(result, cost_profile=np.array([6.0, 6.0 + excess]))
+        tampered = result._replace(cost_profile=np.array([6.0, 6.0 + excess]))
         cert = certify_saddle(model, tampered)
         assert cert.mu_side_violation == pytest.approx(excess, rel=1e-6)
         assert not cert.mu_side_ok
@@ -859,8 +854,7 @@ class TestCertificateScale:
 
 def relabelled_states(model, perm):
     """The same model with state ``perm[i]`` moved to position i."""
-    return dataclasses.replace(
-        model,
+    return model._replace(
         states=tuple(model.states[i] for i in perm),
         feasible=tuple(tuple(epoch[i] for i in perm) for epoch in model.feasible),
         initial_kernel=model.initial_kernel[:, perm],
@@ -875,8 +869,7 @@ def split_param(model, base, j):
     weight halved between j and its copy."""
     weights = np.append(base.weights, 0.5 * base.weights[j])
     weights[j] *= 0.5
-    return dataclasses.replace(
-        model,
+    return model._replace(
         params=ParameterSet((*model.params.labels, f"{model.params.labels[j]}-copy")),
         initial_kernel=np.concatenate((model.initial_kernel, model.initial_kernel[[j]])),
         transition=np.concatenate((model.transition, model.transition[:, [j]]), axis=1),
@@ -925,9 +918,7 @@ class TestMetamorphic:
                     assert abs(value - want) <= gap_tolerance(scaled) + 1e-12 * abs(want)
                     # a constant added to every terminal cost
                     c = 2.5 * factor
-                    shifted = dataclasses.replace(
-                        scaled, terminal_cost=scaled.terminal_cost + c
-                    )
+                    shifted = scaled._replace(terminal_cost=scaled.terminal_cost + c)
                     moved = self.value(shifted, base, mode, gamma, factor)
                     want = value + c
                     assert abs(moved - want) <= gap_tolerance(shifted) + 1e-12 * abs(want)
@@ -1338,13 +1329,13 @@ class TestMasterSelection:
             prior = Belief(rng.dirichlet(np.ones(2)))
             slack = CUT_SLACK * max(map(abs, model.cost_bounds))
             for mode, gamma in (("avar", 0.3), ("avar", 0.8), ("robust", None)):
-                fresh = dataclasses.replace(model)
+                fresh = model._replace()
                 result = solve(fresh, mode, prior, gamma)
                 cert = certify_saddle(fresh, result)
                 caps = prior.weights * (1.0 / (1.0 - gamma)) if mode == "avar" else np.ones(2)
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(ambiguity, "_segment_max", lambda cuts, *_: lp_master(cuts, caps))
-                    simplex = dataclasses.replace(model)
+                    simplex = model._replace()
                     forced = solve(simplex, mode, prior, gamma)
                     forced_cert = certify_saddle(simplex, forced)
                 assert result.cost_profile.tobytes() == forced.cost_profile.tobytes()
@@ -1406,7 +1397,7 @@ class TestSegmentPlanes:
                 for gamma in (1e-3, 0.1, 0.7, 3.0, 30.0, 1e3):
                     runs = {}
                     for name, run in (("seeded", solve), ("plain", _plain_solve)):
-                        fresh = dataclasses.replace(model)
+                        fresh = model._replace()
                         before = len(passes)
                         result = run(fresh, "entropic", prior, gamma)
                         cert = certify_saddle(fresh, result)
@@ -1468,13 +1459,13 @@ class TestSegmentPlanes:
         config = parse_config((CONFIG_DIR / "figure_entropic.cfg").read_text())
         grid = [(mu0, g) for mu0 in config.prior_sweep for g in config.gamma_sweep if g > 0.0]
         order = np.random.default_rng(5).permutation(len(grid))
-        model = dataclasses.replace(config.model)
+        model = config.model._replace()
         shared = {}
         for i in order.tolist():
             mu0, gamma = grid[i]
             shared[i] = _result_bits(solve_entropic(model, seqtest.prior_belief(mu0), gamma))
         for i, (mu0, gamma) in enumerate(grid):
-            fresh = dataclasses.replace(config.model)
+            fresh = config.model._replace()
             assert _result_bits(solve_entropic(fresh, seqtest.prior_belief(mu0), gamma)) == (
                 shared[i]
             ), (mu0, gamma)

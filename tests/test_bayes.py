@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import weakref
 from pathlib import Path
@@ -227,14 +226,14 @@ class TestBuildTree:
     def test_predictive_sums_are_renormalized_or_refused(self, rng):
         model = random_model(rng)
         prior = random_belief(rng, model.n_params)
-        drifted = dataclasses.replace(model, transition=model.transition * (1.0 + 1e-9))
+        drifted = model._replace(transition=model.transition * (1.0 + 1e-9))
         tree = build_tree(drifted, prior)
         assert len(tree) == len(build_tree(model, prior))
         for n, epoch in enumerate(tree.epochs[:-1]):
             for p, children in enumerate(epoch.child):
                 masses = pair_masses(tree, n, p)[children >= 0]
                 assert masses.sum() == pytest.approx(1.0, abs=1e-12)
-        far = dataclasses.replace(model, transition=model.transition * (1.0 + 1e-3))
+        far = model._replace(transition=model.transition * (1.0 + 1e-3))
         with pytest.raises(ValueError, match="row sums are off"):
             build_tree(far, prior)
 
@@ -371,8 +370,7 @@ def sparse_model(rng, n_params=3):
         table = table * keep
         return table / table.sum(axis=-1, keepdims=True)
 
-    return dataclasses.replace(
-        model,
+    return model._replace(
         initial_kernel=thinned(model.initial_kernel),
         transition=thinned(model.transition),
     )
@@ -466,7 +464,7 @@ class TestLikelihoodUnderflow:
         model = underflow_model()
         transition = np.array(model.transition)
         transition[2, 2] = [0.0, 0.0, 1.0]
-        dead_end = dataclasses.replace(model, transition=transition)
+        dead_end = model._replace(transition=transition)
         for m in (model, dead_end):
             policy = solve_bayes(m, Belief.uniform(3)).policy
             tree = policy.tree
@@ -640,7 +638,7 @@ class TestBayesCost:
         assert solution.tree.dag is tree.dag
         point = solve_bayes(model, seqtest.prior_belief(1.0))
         assert point.tree.dag is tree.dag
-        fresh = dataclasses.replace(model)
+        fresh = model._replace()
         assert point.value == solve_bayes(fresh, seqtest.prior_belief(1.0)).value
 
     def test_dedup_does_not_change_values(self, rng):
@@ -748,14 +746,14 @@ class TestBeliefDagCache:
             seqtest.build_model(seqtest.SeqTestConfig(horizon=2)),
         ):
             k = model.n_params
-            warm = dataclasses.replace(model)
+            warm = model._replace()
             # other priors and other supports first
             for w in ([1.0] + [0.0] * (k - 1), [0.5, 0.5] + [0.0] * (k - 2)):
                 solve_bayes(warm, Belief(np.array(w)))
             solve(warm, "robust", Belief.uniform(k))
             assert warm.belief_dag is not None
             prior = random_belief(rng, k)
-            assert _outputs(warm, prior) == _outputs(dataclasses.replace(model), prior)
+            assert _outputs(warm, prior) == _outputs(model._replace(), prior)
 
     def test_solved_model_is_freed_by_its_last_reference(self):
         # a figure sweep, an outer solve and its certificate leave on the
@@ -815,7 +813,7 @@ class TestBeliefDagCache:
 
     def test_node_cap_is_checked_when_the_dag_is_built(self, bench_model):
         # the cap is a build-time guard; a cached DAG is read without one
-        model = dataclasses.replace(bench_model)
+        model = bench_model._replace()
         with pytest.raises(TreeSizeLimitError, match="5"):
             build_tree(model, seqtest.prior_belief(0.3), node_cap=5)
         assert model.belief_dag is None  # a build that raises caches nothing
@@ -839,12 +837,12 @@ class TestSolveMemo:
             weights = rng.dirichlet(np.ones(model.n_params))
             weights[int(rng.integers(model.n_params))] = 0.0
             prior = Belief(weights / weights.sum())
-            warm = dataclasses.replace(model)
+            warm = model._replace()
             first = _outputs(warm, prior)
             before = len(passes)
             assert _outputs(warm, prior) == first  # every solve a hit
             assert len(passes) == before
-            assert _outputs(dataclasses.replace(model), prior) == first
+            assert _outputs(model._replace(), prior) == first
             assert len(passes) > before
 
     def test_least_recently_used_solve_is_dropped_first(self, rng, monkeypatch):
@@ -862,7 +860,7 @@ class TestSolveMemo:
         assert [mu.weights.tobytes() for mu in passes] == [
             priors[-1].weights.tobytes(), priors[1].weights.tobytes()
         ]
-        fresh = solve_bayes(dataclasses.replace(model), priors[1])
+        fresh = solve_bayes(model._replace(), priors[1])
         assert again.value == fresh.value
         assert again.costs.tobytes() == fresh.costs.tobytes()
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import errno
 import io
 import json
@@ -856,8 +855,9 @@ class TestPolicyTable:
         assert_same_text(cli._json_text(payload), _reference_text(payload))
 
     def test_labels_that_json_escapes(self, rng):
-        model = dataclasses.replace(
-            random_model(rng, n_states=3, n_actions=2, horizon=2, n_params=3, full_feasible=True),
+        model = random_model(
+            rng, n_states=3, n_actions=2, horizon=2, n_params=3, full_feasible=True
+        )._replace(
             states=("sé2", 's"0', "s\\1"), actions=('b"é', "a\\"),
         )
         payload = _bayes_payload(model, random_belief(rng, 3))

@@ -11,6 +11,9 @@ the policy fit in ``bayes._fitted_pairs``, the seqtest fields in
 import ast
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -26,6 +29,11 @@ from ambmdp.errors import ConfigError, TrajectoryLimitError, TreeSizeLimitError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from ambmdp.oracle import enumerate_cost, mc_estimate
 from ambmdp.risk import avar_quantile, entropic_risk, relative_entropy
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ambmdp"
 PROFILE = np.array([1.0, 3.0])
@@ -152,8 +160,7 @@ class TestDefectsOfTheDuplicatedRules:
 
 
 #: per real-valued argument, a call taking it; an int beyond float range
-#: once raised OverflowError from inside each (integer arguments are kept
-#: off: ``mc_estimate`` would make ``samples`` seed sequences up front)
+#: once raised OverflowError from inside each
 REAL_ARGUMENTS = {
     "entropic_risk.gamma": lambda v: entropic_risk(PROFILE, BASE, v),
     "avar_quantile.gamma": lambda v: avar_quantile(PROFILE, BASE, v),
@@ -249,6 +256,30 @@ class TestHorizonBeyondTheNodeCap:
         path.write_text(self.SEQTEST)
         assert main(["solve", "--config", str(path)]) == 2
         assert capsys.readouterr().err == "solver guard: reachable belief tree exceeds node cap 10000000\n"
+
+    @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+    @pytest.mark.parametrize("horizon, message", [
+        (10**9, "Unable to allocate "), (10**17, "a transition table of shape "),
+    ], ids=("beyond-memory", "beyond-address-space"))
+    def test_tables_too_large_for_memory_exit_three_on_one_line(self, tmp_path, horizon, message):
+        # within the node cap, the inline tables of 1e9 epochs need about 130 GB
+        # and those of 1e17 more bytes than NumPy can index, and each once
+        # ended in a traceback; the child's own address-space limit keeps any
+        # table from being filled
+        text = self.INLINE.replace("model.horizon = 1\n", f"model.horizon = {horizon}\n")
+        assert text != self.INLINE
+        path = tmp_path / "huge.cfg"
+        path.write_text(text + f"solver.node_cap = {10 * horizon}\n")
+        limit = 1 << 30
+        done = subprocess.run(
+            [sys.executable, "-m", "ambmdp.cli", "solve", "--config", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith(f"out of memory: {message}")
+        assert done.stderr.count("\n") == 1 and done.stdout == ""
 
 
 class TestOneHomePerRule:
@@ -365,3 +396,17 @@ def test_every_argument_gives_a_finite_result_or_a_named_error(entry, value):
         except (ValueError, TreeSizeLimitError, TrajectoryLimitError):
             return
     assert np.all(np.isfinite(result)), (entry, value, result)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=("plus", "minus"))
+@pytest.mark.parametrize("entry", ["mc_estimate.theta", "mc_estimate.samples", "mc_estimate.seed"])
+def test_an_int_beyond_64_bits_gives_a_finite_estimate_or_a_named_error(entry, sign):
+    # a samples count beyond 64 bits once raised OverflowError from NumPy's seed spawning
+    name = entry.split(".")[1]
+    try:
+        result = ENTRY_POINTS[entry](sign * 10**400)
+    except ValueError as exc:
+        assert str(exc).startswith("parameter index" if name == "theta" else name), exc
+        return
+    assert entry == "mc_estimate.seed" and sign == 1  # any non-negative seed is read
+    assert np.all(np.isfinite(result))

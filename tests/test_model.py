@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -387,19 +386,19 @@ class TestFeasibleSets:
         assert model.feasible_mask.tobytes() == mask.tobytes()
         assert model.feasible_mask.shape == shape and not model.feasible_mask.flags.writeable
         given = self.scrambled(model.feasible, np.random.default_rng(len(name)))
-        rebuilt = dataclasses.replace(model, feasible=given)
+        rebuilt = model._replace(feasible=given)
         assert rebuilt.feasible == loop_feasible(given, *shape)[0] == sets
         assert rebuilt.feasible_mask.tobytes() == mask.tobytes()
         assert all(type(a) is int for per_state in rebuilt.feasible
                    for acts in per_state for a in acts)
-        from_mask = dataclasses.replace(model, feasible=mask)
+        from_mask = model._replace(feasible=mask)
         assert from_mask.feasible == sets
         assert from_mask.feasible_mask.tobytes() == mask.tobytes()
 
     def test_mask_is_copied(self):
         model = FEASIBLE_CASES[-1][1]
         mask = model.feasible_mask.copy()
-        copy = dataclasses.replace(model, feasible=mask)
+        copy = model._replace(feasible=mask)
         mask[...] = False
         assert copy.feasible == model.feasible
 
@@ -415,4 +414,4 @@ class TestFeasibleSets:
     )
     def test_malformed_sets_refused(self, feasible, message):
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(two_state_model(), feasible=feasible)
+            two_state_model()._replace(feasible=feasible)

@@ -1,10 +1,10 @@
-"""The contract of the value and record types that are not dataclasses:
-construction by position and keyword with their defaults, frozen fields,
-equality, hashing and ``repr``, as they were as dataclasses; and
-``dataclasses.replace`` on the two types that stay dataclasses."""
+"""The contract of the value and record types, none of them a dataclass
+or a ``typing.NamedTuple``: construction by position and keyword with
+their defaults, frozen fields, equality, hashing and ``repr``, as they
+were as dataclasses; and ``_replace``, which copies a model through its
+constructor, checks and all, and a record field by field."""
 
 import copy
-import dataclasses
 import pickle
 
 import numpy as np
@@ -13,7 +13,8 @@ import pytest
 from ambmdp import cli, seqtest
 from ambmdp.ambiguity import SaddleCertificate, certify_saddle, solve
 from ambmdp.bayes import ReachableBeliefTree, TreeEpoch, ValueSolution, build_tree, solve_bayes
-from ambmdp.model import Belief, ParameterSet
+from ambmdp.belief import PredictiveDistribution, predictive
+from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from ambmdp.oracle import TrajectoryRecord
 
 SEQTEST_FIELDS = ("horizon", "observation_cost", "error_cost", "p_low", "p_high")
@@ -134,14 +135,106 @@ def test_slotted_types_copy_and_pickle(bench_model):
     assert twin.params == bench_model.params and twin.params is not bench_model.params
 
 
-def test_replace_copies_the_two_dataclasses(bench_model):
-    model = dataclasses.replace(bench_model)
+def tiny_model(stage=1.0):
+    """A one-state, one-action, one-parameter model of one epoch: every
+    array holds one entry, so two models compare by value."""
+    return StatisticalMDP(
+        horizon=1, states=("s",), actions=("a",), params=ParameterSet(("t",)),
+        feasible=(((0,),),), initial_kernel=[[1.0]], transition=[[[[[1.0]]]]],
+        stage_cost=[[[[stage]]]], terminal_cost=[[0.0]],
+    )
+
+
+def test_model_replace_copies_without_the_cached_dag(bench_model):
+    model = bench_model._replace()
     build_tree(model, seqtest.prior_belief(0.3))
     assert model.belief_dag is not None
-    fresh = dataclasses.replace(model)
+    fresh = model._replace()
     assert fresh.belief_dag is None  # the cached DAG stays with its model
     assert fresh.params is model.params
-    np.testing.assert_array_equal(fresh.transition, model.transition)
+    assert fresh._values()[:5] == model._values()[:5]  # the labels and feasible sets
+    for name in StatisticalMDP._fields[5:]:
+        assert getattr(fresh, name).tobytes() == getattr(model, name).tobytes()
+    assert fresh.feasible_mask.tobytes() == model.feasible_mask.tobytes()
+    assert fresh.cost_bounds == model.cost_bounds
+
+
+def test_model_replace_checks_a_changed_field_again(bench_model):
+    with pytest.raises(ValueError, match="^horizon must be a non-negative integer, got -1$"):
+        bench_model._replace(horizon=-1)
+    with pytest.raises(ValueError, match="^transition must have shape"):
+        bench_model._replace(transition=bench_model.transition[:, :1])
+    with pytest.raises(ValueError, match="^state labels must be unique$"):
+        bench_model._replace(states=("s",) * bench_model.n_states)
+    with pytest.raises(TypeError):
+        bench_model._replace(bogus=1)
+    moved = bench_model._replace(stage_cost=bench_model.stage_cost + 1.0)
+    assert not moved.stage_cost.flags.writeable
+    assert moved.cost_bounds[0] > bench_model.cost_bounds[0]
+
+
+def test_model_equality_hash_and_repr_leave_out_the_cached_dag(bench_model):
+    model, twin = tiny_model(), tiny_model()
+    build_tree(model, Belief.uniform(1))
+    assert model.belief_dag is not None and twin.belief_dag is None
+    assert model == twin and not model != twin
+    assert model != tiny_model(stage=2.0)
+    assert model != object()
+    with pytest.raises(TypeError):  # the arrays are unhashable, as a frozen dataclass's are
+        hash(model)
+    assert repr(model) == repr(twin) == "StatisticalMDP(" + ", ".join(
+        f"{name}={getattr(model, name)!r}" for name in StatisticalMDP._fields) + ")"
+    with pytest.raises(AttributeError):
+        model.horizon = 2
+    with pytest.raises(AttributeError):
+        model.belief_dag = None
+
+
+def test_model_copy_and_pickle_rebuild_without_the_cached_dag():
+    model = tiny_model()
+    build_tree(model, Belief.uniform(1))
+    for twin in (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert type(twin) is StatisticalMDP and twin == model
+        assert twin.belief_dag is None
+        assert not twin.transition.flags.writeable
+        assert twin.feasible_mask.tobytes() == model.feasible_mask.tobytes()
+
+
+def test_result_replace_changes_one_field(bench_model):
+    model = bench_model._replace()
     result = solve(model, "avar", seqtest.prior_belief(0.1), 0.5)
-    moved = dataclasses.replace(result, value=result.value + 1.0)
+    moved = result._replace(value=result.value + 1.0)
+    assert type(moved) is type(result)
     assert moved.value == result.value + 1.0 and moved.policy is result.policy
+    assert all(a is b for name, a, b in zip(result._fields, moved, result) if name != "value")
+    with pytest.raises(ValueError):
+        result._replace(bogus=1)
+
+
+def test_result_equality_hash_repr_copy_and_pickle(bench_model):
+    result = solve(bench_model, "entropic", seqtest.prior_belief(0.1), 0.1)
+    assert result == result and not result != result
+    assert result == copy.copy(result)  # the same field values
+    with pytest.raises(TypeError):  # a Belief field is unhashable
+        hash(result)
+    assert repr(result) == "SaddleResult(" + ", ".join(
+        f"{name}={getattr(result, name)!r}" for name in result._fields) + ")"
+    for twin in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert type(twin) is type(result) and twin._fields == result._fields
+        assert (twin.mode, twin.value, twin.gap, twin.gamma, twin.support) == (
+            result.mode, result.value, result.gap, result.gamma, result.support)
+        assert twin.worst_prior == result.worst_prior
+        assert twin.cost_profile.tobytes() == result.cost_profile.tobytes()
+        np.testing.assert_array_equal(twin.policy.actions, result.policy.actions)
+
+
+def test_predictive_distribution_is_a_checked_record(bench_model):
+    dist = predictive(bench_model, 0, 0, seqtest.prior_belief(0.3), seqtest.A_CONTINUE)
+    assert PredictiveDistribution._fields == ("masses", "posteriors")
+    masses, posteriors = dist
+    assert masses is dist.masses and not masses.flags.writeable
+    assert PredictiveDistribution(masses=masses, posteriors=posteriors).posteriors is posteriors
+    with pytest.raises(AttributeError):
+        dist.masses = None
+    with pytest.raises(ValueError, match="one posterior belief required per next state"):
+        PredictiveDistribution(masses, posteriors[:-1])
