@@ -120,13 +120,12 @@ class _BeliefDag:
 class ReachableBeliefTree:
     """The belief DAG ``dag`` seen at ``prior``: the DAG's own ``epochs``
     and ``offsets`` (the global index of epoch n's first node; offsets[-1]
-    is the node count), and the ``(nodes, K)`` belief of every node by
-    global index, computed on first read."""
+    is the node count), read from it, and the ``(nodes, K)`` belief of
+    every node by global index, computed on first read."""
 
-    def __init__(self, model: StatisticalMDP, prior: Belief, dag: _BeliefDag,
-                 epochs: tuple[TreeEpoch, ...], offsets: np.ndarray):
+    def __init__(self, model: StatisticalMDP, prior: Belief, dag: _BeliefDag):
         self.model, self.prior, self.dag = model, prior, dag
-        self.epochs, self.offsets = epochs, offsets
+        self.epochs, self.offsets = dag.epochs, dag.offsets
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -350,7 +349,7 @@ def build_tree(
         a.flags.writeable = False
     dag = _BeliefDag(tuple(epochs), likelihood, offsets, root_of, terminal, root_step)
     object.__setattr__(model, "belief_dag", dag)
-    return ReachableBeliefTree(model, prior, dag, dag.epochs, dag.offsets)
+    return ReachableBeliefTree(model, prior, dag)
 
 
 def _mix(weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -419,8 +418,7 @@ def solve_bayes(model: StatisticalMDP, prior: Belief) -> ValueSolution:
     """
     _check_prior(model, prior)
     dag = model.belief_dag
-    tree = build_tree(model, prior) if dag is None else ReachableBeliefTree(
-        model, prior, dag, dag.epochs, dag.offsets)
+    tree = build_tree(model, prior) if dag is None else ReachableBeliefTree(model, prior, dag)
     def solved():
         costs, chosen = _backward(model, tree)
         for a in (costs, *chosen):

@@ -226,9 +226,8 @@ def _sweep_values(key: str, raw: str, lineno: int) -> tuple[float, ...]:
     return tuple(_number_list(key, raw, lineno))
 
 
-def _parse_seqtest_model(entries: _Entries) -> StatisticalMDP:
-    raw, lineno = entries.take("model.horizon")
-    fields = {} if raw is None else {"horizon": _integer("model.horizon", raw, lineno, 0)}
+def _parse_seqtest_model(entries: _Entries, horizon: int | None) -> StatisticalMDP:
+    fields = {} if horizon is None else {"horizon": horizon}
     for name in seqtest.FIELD_RULES:
         raw, lineno = entries.take(key := f"model.{name}")
         if raw is not None:
@@ -238,8 +237,7 @@ def _parse_seqtest_model(entries: _Entries) -> StatisticalMDP:
     return seqtest.build_model(seqtest.SeqTestConfig(**fields))
 
 
-def _parse_inline_model(entries: _Entries) -> StatisticalMDP:
-    horizon = entries.integer("model.horizon", 1)
+def _parse_inline_model(entries: _Entries, horizon: int) -> StatisticalMDP:
     states, actions, params = (_labels(key, *entries.take(key, required=True))
                                for key in ("model.states", "model.actions", "model.params"))
     n_e, n_a, n_k = len(states), len(actions), len(params)
@@ -382,18 +380,21 @@ def parse_config(text: str) -> RunConfig:
         raise _err(lineno, "mode", f"must be one of {', '.join(ALL_MODES)}")
 
     node_cap = entries.integer("solver.node_cap", 1, default=DEFAULT_NODE_CAP)
-    # a model has more epochs than its horizon, each holding a DAG node, so a
+    name, name_line = entries.take("model.name", default="seqtest")
+    # read once, at the model's least horizon (none for an unknown model); a
+    # model has more epochs than its horizon, each holding a DAG node, so a
     # horizon beyond the cap is refused as the tree guard, before any table
-    raw, lineno = entries.take("model.horizon")
-    if raw is not None and _integer("model.horizon", raw, lineno) > node_cap:
+    raw, lineno = entries.take("model.horizon", required=name == "inline")
+    minimum = {"seqtest": 0, "inline": 1}.get(name)
+    horizon = None if raw is None else _integer("model.horizon", raw, lineno, minimum)
+    if horizon is not None and horizon > node_cap:
         raise TreeSizeLimitError(node_cap)
-    name, lineno = entries.take("model.name", default="seqtest")
     if name == "seqtest":
-        model = _parse_seqtest_model(entries)
+        model = _parse_seqtest_model(entries, horizon)
     elif name == "inline":
-        model = _parse_inline_model(entries)
+        model = _parse_inline_model(entries, horizon)
     else:
-        raise _err(lineno, "model.name", f"must be 'seqtest' or 'inline', got {name!r}")
+        raise _err(name_line, "model.name", f"must be 'seqtest' or 'inline', got {name!r}")
 
     diagnostics = validate(model)
     if diagnostics:

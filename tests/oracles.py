@@ -1,11 +1,12 @@
 """Reference implementations the tests check the solver against: the risk
 measures' dual forms, AVaR's quantile integral, the Bayes recursion over
 unmerged histories, the penalized entropic objective, the sequential
-test's scalar recursion, the exact reading of config number literals, the
-config reader that takes one key and one token at a time, feasible sets
-built set by set, the merge of equal DAG children by a sort on every key
-column, the policy table as a list of dicts, and every node's Bayes value
-with the action table filled in one pass."""
+test's scalar recursion and its policies' two thresholds per epoch, the
+exact reading of config number literals, the config reader that takes
+one key and one token at a time, feasible sets built set by set, the
+merge of equal DAG children by a sort on every key column, the policy
+table as a list of dicts, and every node's Bayes value with the action
+table filled in one pass."""
 
 import math
 from fractions import Fraction
@@ -29,6 +30,7 @@ from ambmdp.seqtest import (
     CONTINUE_HI,
     CONTINUE_LO,
     DEFAULT_CONFIG,
+    X_STOPPED,
     SeqTestConfig,
     _check_mu,
 )
@@ -270,12 +272,11 @@ class KeyByKeyEntries(cli._Entries):
         return [(key, *self.values[key]) for key in keys]
 
 
-def key_by_key_inline_model(entries) -> StatisticalMDP:
+def key_by_key_inline_model(entries, horizon: int) -> StatisticalMDP:
     """An inline model read one key, and one token, at a time, in key order:
     numbers by ``exact_config_number``, and each key written into its table
     in turn, so that ``*`` keys, which sort first, are overridden by
     explicit epochs; feasible sets are passed on as action lists."""
-    horizon = entries.integer("model.horizon", 1)
     labels = {}
     for field in ("states", "actions", "params"):
         raw, lineno = entries.take(f"model.{field}", required=True)
@@ -472,3 +473,43 @@ def bellman_sweep(
         + (1.0 - p_success) * values(failure_posterior(mu, config))
     )
     return min(stop, continue_value)
+
+
+def seqtest_choices(policy: DeterministicPolicy):
+    """Per decision epoch of a sequential-test policy, the belief on theta1
+    and the action of each node that has not stopped."""
+    tree = policy.tree
+    for n, epoch in enumerate(tree.epochs[:-1]):
+        nodes = slice(tree.offsets[n], tree.offsets[n + 1])
+        live = epoch.state != X_STOPPED
+        yield tree.belief[nodes, 0][live], policy.actions[nodes][live]
+
+
+def thresholds(policy: DeterministicPolicy) -> list[tuple[float, float]] | str:
+    """Per decision epoch of a sequential-test policy, its continue interval
+    (lo, hi): lo the largest belief on theta1 at which it declares theta2
+    (-inf if none), hi the least at which it declares theta1 (inf if none).
+    Or the first violation of that two-threshold rule, as a message: lo not
+    below hi, or a node that continues outside (lo, hi)."""
+    pairs = []
+    for n, (belief, action) in enumerate(seqtest_choices(policy)):
+        lo = belief[action == A_DECLARE_2].max(initial=-math.inf)
+        hi = belief[action == A_DECLARE_1].min(initial=math.inf)
+        go = belief[action == A_CONTINUE]
+        if not lo < hi:
+            return f"epoch {n}: declares theta2 at {lo} and theta1 at {hi}"
+        if ((go <= lo) | (go >= hi)).any():
+            return f"epoch {n}: continues at {go.min()}..{go.max()} outside ({lo}, {hi})"
+        pairs.append((float(lo), float(hi)))
+    return pairs
+
+
+def continue_region_nests(policy: DeterministicPolicy, pairs) -> bool:
+    """Whether, as the deadline nears, the policy continues at no belief
+    that an earlier epoch's ``thresholds`` pair leaves out: a node that
+    continues at epoch n lies inside the interval of every epoch before n."""
+    for n, (belief, action) in enumerate(seqtest_choices(policy)):
+        go = belief[action == A_CONTINUE]
+        if any(((go <= lo) | (go >= hi)).any() for lo, hi in pairs[:n]):
+            return False
+    return True

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -26,7 +27,8 @@ from ambmdp.model import Belief, ParameterSet, StatisticalMDP
 from helpers import decision_nodes, random_belief, random_model, render_inline
 from oracles import exact_number, key_by_key_parse, policy_rows
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))
 #: ``ambmdp figure`` output of the shipped figure configs, the stdout of
 #: ``ambmdp simulate`` on ``configs/simulate.cfg`` and the ``ambmdp solve``
 #: artifact of ``configs/bayes.cfg``, kept byte for byte
@@ -287,6 +289,86 @@ INTEGER_KEYS = {
     "simulate-seed": (
         "simulate.seed", SIMULATE_CONFIG.replace("simulate.seed = 7\n", ""), 0, 0,
         lambda config: config.seed,
+    ),
+}
+
+
+def edited(name: str, lines: dict) -> str:
+    """The text of ``configs/<name>.cfg`` with the one line that sets each key
+    of ``lines`` replaced by its value, or dropped where that is None."""
+    text = (CONFIG_DIR / f"{name}.cfg").read_text()
+    for key, line in lines.items():
+        text, count = re.subn(
+            rf"^{re.escape(key)} = .*\n", lambda _: "" if line is None else line + "\n", text,
+            flags=re.M,
+        )
+        assert count == 1, (name, key)
+    return text
+
+
+CERTIFIED = "certificate: prior side ok, policy side ok"
+GAMMA_OVERFLOWS = (
+    "config error: line 6: solver.gamma: entropic mode requires a finite gamma: 1/gamma and "
+    "gamma times the cost scale 20 must be finite, got "
+)
+NODE_CAP_GUARD = "solver guard: reachable belief tree exceeds node cap 10000000"
+
+#: per case, a config and what ``ambmdp solve`` on it gives: its exit status,
+#: and a line of its stdout (status 0) or its one stderr line
+SOLVE_OUTCOMES = {
+    # a tiny entropic gamma keeps weak duality
+    "entropic-gamma-1e-8": (
+        edited("entropic", {"solver.gamma": "solver.gamma = 1e-8"}), 0, CERTIFIED,
+    ),
+    # so does avar at gamma 1 - 1e-9 with a base weight of 1e-12
+    "avar-near-one": (
+        edited("avar", {
+            "prior": "prior = 1e-12 0.999999999999", "solver.gamma": "solver.gamma = 0.999999999",
+        }), 0, CERTIFIED,
+    ),
+    # a zero-weight prior leaves one support parameter, whose avar and robust
+    # masters are the simplex tableau
+    "one-support-avar": (
+        edited("inline_example", {
+            "mode": "mode = avar", "prior": "prior = 1 0", "solver.gamma": "solver.gamma = 0.5",
+        }), 0, CERTIFIED,
+    ),
+    "one-support-robust": (
+        edited("inline_example", {
+            "mode": "mode = robust", "prior": "prior = 1 0", "solver.gamma": None,
+        }), 0, CERTIFIED,
+    ),
+    # an entropic gamma whose product with the cost scale 20, or whose
+    # inverse, overflows is refused on its line before any solve
+    "entropic-gamma-1e308": (
+        edited("entropic", {"solver.gamma": "solver.gamma = 1e308"}), 1, GAMMA_OVERFLOWS + "1e+308",
+    ),
+    "entropic-gamma-5e-324": (
+        edited("entropic", {"solver.gamma": "solver.gamma = 5e-324"}), 1, GAMMA_OVERFLOWS + "5e-324",
+    ),
+    "unknown-state": (
+        edited("inline_example", {"model.cost.*.t0.s0.go": "model.cost.*.t0.s9.go = 2"}), 1,
+        "config error: line 18: model.cost.*.t0.s9.go: unknown state 's9'",
+    ),
+    "epoch-with-leading-zero": (
+        edited("inline_example", {"model.cost.*.t0.s0.go": "model.cost.00.t0.s0.go = 2"}), 1,
+        "config error: line 18: model.cost.00.t0.s0.go: epoch '00' must be * or ASCII digits "
+        "with no sign, leading zero or underscore",
+    ),
+    # refused by the rule SeqTestConfig reads, on its line
+    "seqtest-field": (
+        "mode = bayes\nmodel.p_low = 1\nprior = 0.5\n", 1,
+        "config error: line 2: model.p_low: must be strictly inside (0, 1), got 1.0",
+    ),
+    # refused by the model's label rule, on its line
+    "repeated-state": (
+        edited("inline_example", {"model.states": "model.states = s0 s0"}), 1,
+        "config error: line 5: model.states: labels must be unique",
+    ),
+    # a horizon beyond solver.node_cap is the tree guard, before any table
+    "inline-horizon-beyond-node-cap": (
+        edited("inline_example", {"model.horizon": "model.horizon = 100000000000000000000"}), 2,
+        NODE_CAP_GUARD,
     ),
 }
 
@@ -772,23 +854,29 @@ class TestRunSolve:
 
     def test_shipped_bayes_matches_golden_artifact(self, tmp_path, capsys):
         out = tmp_path / "bayes.json"
-        config = GOLDEN_DIR.parents[1] / "configs" / "bayes.cfg"
+        config = CONFIG_DIR / "bayes.cfg"
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "bayes.json").read_bytes()
 
-    # inline_example is the one shipped inline model, with rational literals
-    @pytest.mark.parametrize("mode", ("entropic", "avar", "robust", "inline_example"))
-    def test_shipped_saddle_config_matches_golden_artifact(self, tmp_path, capsys, mode):
+    # inline_example is the one shipped inline model, with rational literals;
+    # a rational prior, read by the fractions module that the CLI imports on
+    # use, gives the double of 0.1 and so the same artifact
+    @pytest.mark.parametrize("mode, lines", [
+        ("entropic", {}), ("avar", {}), ("robust", {}), ("inline_example", {}),
+        ("entropic", {"prior": "prior = 1/10"}),
+    ], ids=("entropic", "avar", "robust", "inline_example", "entropic-rational-prior"))
+    def test_shipped_saddle_config_matches_golden_artifact(self, tmp_path, capsys, mode, lines):
         # every value, trace entry and certificate field, byte for byte
         out = tmp_path / f"{mode}.json"
-        config = GOLDEN_DIR.parents[1] / "configs" / f"{mode}.cfg"
+        config = tmp_path / f"{mode}.cfg"
+        config.write_text(edited(mode, lines))
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / f"{mode}.json").read_bytes()
 
     def test_config_with_a_byte_order_mark_matches_golden_artifact(self, tmp_path, capsys):
         # a UTF-8 byte-order mark, as some editors write it, is not part of line 1
         config = tmp_path / "bom.cfg"
-        shipped = GOLDEN_DIR.parents[1] / "configs" / "entropic.cfg"
+        shipped = CONFIG_DIR / "entropic.cfg"
         config.write_bytes(b"\xef\xbb\xbf" + shipped.read_bytes())
         out = tmp_path / "entropic.json"
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
@@ -978,10 +1066,15 @@ class TestRunFigure:
         assert len(out.read_text().splitlines()) == 1 + 5 * 2
         assert len(builds) == 1
 
-    @pytest.mark.parametrize("name", ("figure_entropic", "figure_avar"))
-    def test_shipped_figure_matches_golden_csv(self, name, tmp_path, capsys):
+    # a rational sweep step gives the doubles of 0.05 and so the same CSV
+    @pytest.mark.parametrize("name, lines", [
+        ("figure_entropic", {}), ("figure_avar", {}),
+        ("figure_entropic", {"sweep.gamma": "sweep.gamma = 0:2:1/20"}),
+    ], ids=("figure_entropic", "figure_avar", "figure_entropic-rational-sweep"))
+    def test_shipped_figure_matches_golden_csv(self, name, lines, tmp_path, capsys):
         out = tmp_path / f"{name}.csv"
-        config = GOLDEN_DIR.parents[1] / "configs" / f"{name}.cfg"
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(edited(name, lines))
         assert main(["figure", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
@@ -989,7 +1082,7 @@ class TestRunFigure:
         # the rows whose worst prior sits on a kink of the value have no
         # deterministic saddle; a master that certifies fewer rows moves it
         out = tmp_path / "figure_entropic.csv"
-        config = GOLDEN_DIR.parents[1] / "configs" / "figure_entropic.cfg"
+        config = CONFIG_DIR / "figure_entropic.cfg"
         assert main(["figure", "--config", str(config), "--out", str(out)]) == 0
         err = capsys.readouterr().err
         assert err.startswith("duality gap > 2e-09 in 114 of 120 outer solves (largest ")
@@ -1018,9 +1111,19 @@ class TestRunSimulate:
         assert payload["trajectories"] == len(rows) - 1
 
     def test_shipped_simulate_matches_golden_stdout(self, capsys):
-        config = GOLDEN_DIR.parents[1] / "configs" / "simulate.cfg"
+        config = CONFIG_DIR / "simulate.cfg"
         assert main(["simulate", "--config", str(config)]) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / "simulate.txt").read_text()
+
+    def test_shipped_simulate_dump_has_a_row_per_counted_trajectory(self, tmp_path, capsys):
+        dump = tmp_path / "t.csv"
+        config = CONFIG_DIR / "simulate.cfg"
+        assert main(["simulate", "--config", str(config), "--dump-trajectories", str(dump)]) == 0
+        rows = len(dump.read_text().splitlines()) - 1
+        lines = capsys.readouterr().out.splitlines()
+        assert rows > 0 and f"wrote {dump} ({rows} trajectories)" in lines
+        exact = re.compile(rf"exact cost under theta2 = .* \({rows} trajectories\)")
+        assert any(map(exact.fullmatch, lines))
 
     def test_unknown_theta_rejected(self):
         bad = self.CONFIG.replace("theta2", "theta9")
@@ -1140,11 +1243,15 @@ class TestMain:
         [
             ("solve", ENTROPIC_CONFIG, "--out"),
             ("figure", FIGURE_CONFIG, "--out"),
+            ("figure", (CONFIG_DIR / "figure_avar.cfg").read_text(), "--out"),
             ("simulate", TestRunSimulate.CONFIG, "--dump-trajectories"),
             ("solve", ENTROPIC_CONFIG, "output.path"),
             ("simulate", TestRunSimulate.CONFIG, "output.path"),
         ],
-        ids=("solve", "figure", "simulate", "solve-output-path", "simulate-output-path"),
+        ids=(
+            "solve", "figure", "shipped-figure", "simulate", "solve-output-path",
+            "simulate-output-path",
+        ),
     )
     def test_unwritable_output_exits_one(
         self, tmp_path, capsys, monkeypatch, command, text, option
@@ -1165,6 +1272,20 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err == f"cannot write {out}: No such file or directory\n"
         assert captured.out == ""
+
+    def test_failed_artifact_write_exits_one(self, tmp_path, capsys, monkeypatch):
+        # the path passes the check before the solve, and the disk fills after
+        # it; the message spells the path as the command line does
+        def full(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        path = self.write(tmp_path, ENTROPIC_CONFIG)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(Path, "write_text", full)
+        assert main(["solve", "--config", path, "--out", "./out.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "cannot write ./out.json: No space left on device\n"
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("flags", ([], ["-u"]), ids=("block-buffered", "unbuffered"))
@@ -1239,6 +1360,18 @@ class TestMain:
         assert [code for code, *_ in together] == [0, 0, 0, 1, 2, 0, 0, 0]
         alone = {tuple(argv): session([argv])[0] for argv in calls}
         assert together == [alone[tuple(argv)] for argv in calls]
+
+    @pytest.mark.parametrize("name", list(SOLVE_OUTCOMES))
+    def test_solve_outcome(self, tmp_path, capsys, name):
+        text, status, line = SOLVE_OUTCOMES[name]
+        out = tmp_path / "out.json"
+        assert main(["solve", "--config", self.write(tmp_path, text), "--out", str(out)]) == status
+        captured = capsys.readouterr()
+        if status:
+            assert (captured.out, captured.err) == ("", line + "\n")
+            assert not out.exists()
+        else:
+            assert line in captured.out.splitlines() and captured.err == ""
 
     def test_command_mode_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, ENTROPIC_CONFIG)

@@ -1,17 +1,22 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from oracles import (
     bellman_sweep,
+    continue_region_nests,
     failure_posterior,
     optimal_first_action,
+    seqtest_choices,
     success_posterior,
     terminal_decision_cost,
+    thresholds,
 )
 
 from ambmdp import seqtest
-from ambmdp.bayes import solve_bayes
+from ambmdp.ambiguity import solve
+from ambmdp.bayes import DeterministicPolicy, solve_bayes
 from ambmdp.belief import update_posterior
 from ambmdp.model import validate
 
@@ -212,3 +217,56 @@ class TestBellmanSweep:
         for mu in np.linspace(0.0, 1.0, 101):
             swept = bellman_sweep(seqtest.optimal_value, mu)
             assert swept == pytest.approx(seqtest.optimal_value(mu), abs=1e-9)
+
+
+class TestThresholdStructure:
+    """The Bayes value of a test between two hypotheses is concave in the
+    belief at every epoch, so a Bayes policy continues on an interval of
+    beliefs and declares outside it (Wald & Wolfowitz 1948); each policy a
+    saddle solve returns is Bayes at its worst prior, so the same holds."""
+
+    #: the default, other rates, a cheaper observation, and a cheap
+    #: observation against a small error cost with close rates
+    CONFIGS = {
+        "default": {},
+        "rates-0.3-0.6": dict(p_low=0.3, p_high=0.6),
+        "observation-0.2": dict(observation_cost=0.2, p_low=0.45, p_high=0.7),
+        "observation-0.05": dict(observation_cost=0.05, error_cost=3.0, p_low=0.2, p_high=0.35),
+    }
+    MODES = (("bayes", None), ("entropic", 2.0), ("avar", 0.7), ("robust", None))
+
+    @pytest.mark.parametrize("horizon", [1, 2, 8, 32])
+    def test_every_policy_is_a_two_threshold_rule(self, horizon):
+        violations, not_nested = [], []
+        for name, fields in self.CONFIGS.items():
+            model = seqtest.build_model(seqtest.SeqTestConfig(horizon=horizon, **fields))
+            for mu, (mode, gamma) in itertools.product((0.1, 0.3, 0.6), self.MODES):
+                prior = seqtest.prior_belief(mu)
+                if mode == "bayes":
+                    policy = solve_bayes(model, prior).policy
+                else:
+                    policy = solve(model, mode, prior, gamma).policy
+                pairs = thresholds(policy)
+                if isinstance(pairs, str):
+                    violations.append((name, mu, mode, pairs))
+                elif not continue_region_nests(policy, pairs):
+                    not_nested.append((name, mu, mode))
+        assert violations == []
+        # whether the continue region shrinks as the deadline nears is
+        # measured, not asserted; ``pytest -rP`` shows it
+        print(f"H = {horizon}: the continue region does not nest in {not_nested or 'no policy'}")
+
+    def test_the_oracle_reports_each_kind_of_violation(self):
+        policy = solve_bayes(
+            seqtest.build_model(seqtest.SeqTestConfig(horizon=8)), seqtest.prior_belief(0.3)
+        ).policy
+        assert not isinstance(thresholds(policy), str)
+        tree = policy.tree
+        n, (belief, action) = max(enumerate(seqtest_choices(policy)), key=lambda c: c[1][0].size)
+        live = tree.offsets[n] + np.flatnonzero(tree.epochs[n].state != seqtest.X_STOPPED)
+        # the node of least belief declares theta1, and then it continues
+        for moved, message in ((A_DECLARE_1, "declares theta2 at "), (A_CONTINUE, "continues at ")):
+            actions = policy.actions.copy()
+            actions[live[np.argmin(belief)]] = moved
+            got = thresholds(DeterministicPolicy(tree, actions))
+            assert isinstance(got, str) and got.startswith(f"epoch {n}: {message}"), got

@@ -64,10 +64,12 @@ def test_slotted_types_construct_by_position_and_keyword(bench_model):
         horizon=2, observation_cost=0.5, error_cost=4.0, p_low=0.25, p_high=0.75
     )
     tree = build_tree(bench_model, seqtest.prior_belief(0.3))
-    parts = (tree.model, tree.prior, tree.dag, tree.epochs, tree.offsets)
-    names = ("model", "prior", "dag", "epochs", "offsets")
+    parts = (tree.model, tree.prior, tree.dag)
+    names = ("model", "prior", "dag")
     for view in (ReachableBeliefTree(*parts), ReachableBeliefTree(**dict(zip(names, parts)))):
         assert all(a is b for a, b in zip(_fields(view, names), parts))
+        # the epochs and offsets are the DAG's own
+        assert view.epochs is tree.dag.epochs and view.offsets is tree.dag.offsets
         np.testing.assert_array_equal(view.belief, tree.belief)
 
 
