@@ -1,14 +1,16 @@
 """Independent verification engines for per-parameter policy cost.
 
-``enumerate_cost`` walks every positive-probability trajectory forward and
-sums probability-weighted total costs; it shares no recursion with the
-backward induction in ``bayes.policy_cost_profile`` and is the primary
-anti-bug oracle for it.  ``mc_estimate`` is a seeded Monte-Carlo rollout
-cross-check that builds one successor table over every decision node of
-the policy's tree and moves a whole batch of samples through it one epoch
-at a time.  Both follow the tree's children, which hold every branch that
-some parameter reaches, and leave out a branch that the tree prunes,
-which weighs less than about 1e-300 under theta.
+Both read the policy's successor table under theta, built at once for
+every decision node of its tree, and follow the tree's children, which
+hold every branch some parameter reaches; a branch the tree prunes weighs
+less than about 1e-300 under theta and is left out.  ``enumerate_cost``
+counts the trajectories in one backward pass over the table and refuses
+more than its cap before building any; it then grows them one epoch at a
+time, each parent's children in ascending state order (the depth-first
+order), and sums probability-weighted total costs.  It shares no recursion
+with ``bayes.policy_cost_profile`` and is the primary anti-bug oracle for
+it.  ``mc_estimate`` is a seeded Monte-Carlo rollout cross-check that
+moves a whole batch of samples through the table one epoch at a time.
 
 Random source: NumPy ``default_rng`` seeded through ``SeedSequence(seed)``,
 with one spawned child sequence per batch of ``BATCH_SIZE`` samples (the
@@ -16,9 +18,8 @@ last batch takes the rest), consumed in batch order.  Each batch draws one
 row-major ``(count, horizon + 1)`` block of uniforms, one row per sample:
 the first picks the initial state, the one at column ``n + 1`` the state
 after epoch ``n``.  The block is drawn in whole rows, at most
-``DRAW_FLOATS`` numbers at a time, which consumes the stream exactly as
-one draw would.  The same seed and inputs always reproduce the same
-estimate.
+``DRAW_FLOATS`` numbers (2 MiB) at a time, which is one draw per batch up
+to horizon 25 and otherwise consumes the stream exactly as one draw would.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ Z_95 = 1.96
 #: samples per Monte-Carlo batch, each batch with its own spawned seed
 BATCH_SIZE = 10_000
 #: uniforms drawn at a time by the Monte-Carlo sampler, which bounds its memory
-DRAW_FLOATS = 1 << 15
+DRAW_FLOATS = 1 << 18
 
 
 class TrajectoryRecord(namedtuple("TrajectoryRecord", "sequence probability total_cost")):
@@ -55,51 +56,72 @@ def enumerate_cost(
     trajectory_cap: int = DEFAULT_TRAJECTORY_CAP,
 ) -> tuple[float, list[TrajectoryRecord]]:
     """Exact policy cost under the theta-kernel by exhaustive enumeration of
-    positive-probability trajectories.
+    positive-probability trajectories, in depth-first order: by initial
+    state, then by each next state in ascending order.
 
-    Raises TrajectoryLimitError when more than ``trajectory_cap``
-    trajectories would be produced.
+    Raises TrajectoryLimitError, before any trajectory is built, when more
+    than ``trajectory_cap`` trajectories would be produced.
     """
     _fitted_pairs(model, policy)
     theta = _count("parameter index", theta, 0, model.n_params)
     trajectory_cap = _count("trajectory_cap", trajectory_cap, 1)
-    tree = policy.tree
-    records: list[TrajectoryRecord] = []
+    rows, child, action, state, node_cost = _successors(model, theta, policy)
+    offsets, horizon = policy.tree.offsets, model.horizon
     init = model.initial_kernel[theta]
-    # depth first, each node's successors in ascending state order
-    stack = [
-        (0, int(tree.dag.root_of[x]), int(x), float(init[x]), 0.0, (model.states[x],))
-        for x in np.flatnonzero(init > 0.0)[::-1]
-    ]
-    while stack:
-        n, node, state, prob, cost, seq = stack.pop()
-        if n == model.horizon:
-            if len(records) >= trajectory_cap:
-                raise TrajectoryLimitError(trajectory_cap)
-            records.append(
-                TrajectoryRecord(
-                    sequence=seq,
-                    probability=prob,
-                    total_cost=cost + float(model.terminal_cost[theta, state]),
-                )
-            )
-            continue
-        epoch = tree.epochs[n]
-        pair = policy.pairs[n][node]
-        action = int(epoch.pair_action[pair])
-        row = model.transition[n, theta, state, action]
-        cost = cost + float(model.stage_cost[n, theta, state, action])
-        seq = seq + (model.actions[action],)
-        for x_next in np.flatnonzero(row > 0.0)[::-1]:
-            child = int(epoch.child[pair, x_next])
-            if child >= 0:
-                stack.append((
-                    n + 1, child, int(x_next),
-                    prob * float(row[x_next]), cost, seq + (model.states[x_next],),
-                ))
+    roots = policy.tree.dag.root_of[np.flatnonzero(init > 0.0)]
+    # complete trajectories from each node, saturated above the cap (or
+    # below int64 overflow); the last entry, 0, counts a branch without weight
+    limit = min(trajectory_cap + 1, (2**63 - 1) // model.n_states)
+    counts = np.zeros(offsets[-1] + 1, dtype=np.int64)
+    counts[offsets[-2] : -1] = 1
+    branches = np.where(rows > 0.0, child, -1).T
+    for n in range(horizon - 1, -1, -1):
+        nodes = slice(offsets[n], offsets[n + 1])
+        np.minimum(counts.take(branches[:, nodes]).sum(axis=0), limit, out=counts[nodes])
+    if counts[roots].sum() > trajectory_cap:
+        raise TrajectoryLimitError(trajectory_cap)
 
-    value = sum(r.probability * r.total_cost for r in records)
-    return float(value), records
+    # one epoch at a time, parents in order and each one's children by
+    # ascending state, the depth-first order; then each trajectory's nodes
+    frontier, parents = [roots], []
+    for n in range(horizon):
+        parent, x = np.nonzero(rows[frontier[n]])
+        parents.append(parent)
+        frontier.append(child[frontier[n][parent], x])
+    path = np.empty((horizon + 1, frontier[-1].size), dtype=int)
+    index = np.arange(frontier[-1].size)
+    for n in range(horizon, -1, -1):
+        path[n] = frontier[n][index]
+        index = parents[n - 1][index] if n else index
+    states = state[path]
+    # running products and sums along each path in epoch order, the sum from 0.0
+    prob = np.cumprod(np.vstack((init[states[0]], rows[path[:-1], states[1:]])), 0)[-1].copy()
+    cost = np.cumsum(np.vstack((np.zeros(path.shape[1]), node_cost[path])), 0)[-1].copy()
+    labels = [None] * (2 * horizon + 1)
+    labels[::2] = np.array(model.states, dtype=object)[states].tolist()
+    labels[1::2] = np.array(model.actions, dtype=object)[action[path[:-1]]].tolist()
+    records = list(map(TrajectoryRecord, zip(*labels), prob.tolist(), cost.tolist()))
+    return float(sum((prob * cost).tolist())), records
+
+
+def _successors(model: StatisticalMDP, theta: int, policy: DeterministicPolicy) -> tuple:
+    """The policy's successor table under theta, built for every decision
+    node (global index below ``offsets[-2]``) at once: the next state's
+    weights, 0 on a branch without a child; the children by global index,
+    -1 where there is none; and the chosen actions.  Then every node's
+    state and its stage or terminal cost."""
+    offsets, epochs = policy.tree.offsets, policy.tree.epochs
+    epoch = np.repeat(np.arange(model.horizon), np.diff(offsets[:-1]))
+    # the horizon epoch, which has no pairs, adds none
+    pairs = [*zip(epochs, policy.pairs), (epochs[-1], epochs[-1].pair_node)]
+    action = np.concatenate([e.pair_action.take(p) for e, p in pairs])
+    child = np.concatenate([e.child.take(p, axis=0) for e, p in pairs])
+    child = np.where(child < 0, -1, child + offsets[1:][epoch, None])
+    state = np.concatenate([e.state for e in epochs])
+    at = (epoch, theta, state[: offsets[-2]], action)
+    rows = np.where(child < 0, 0.0, model.transition[at])
+    cost = np.concatenate((model.stage_cost[at], model.terminal_cost[theta, epochs[-1].state]))
+    return rows, child, action, state, cost
 
 
 def _cumulative(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,28 +149,16 @@ def _cumulative(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sampler_table(model: StatisticalMDP, theta: int, policy: DeterministicPolicy) -> tuple:
-    """Per decision node in global order (none at horizon 0): the next
-    state's cumulative distribution (``_cumulative``) and the children by
-    global index, in the same column order; then each node's stage or
-    terminal cost.  A branch without a child has no weight, as in
-    ``enumerate_cost``; a node where theta reaches none (with probability
-    below about 1e-300) samples evenly among the branches with one."""
-    tree = policy.tree
-    blocks = [(np.empty((0, model.n_states)), np.empty((0, model.n_states), dtype=int), [])]
-    for n, pairs in enumerate(policy.pairs):
-        epoch = tree.epochs[n]
-        action, child = epoch.pair_action[pairs], epoch.child[pairs]
-        blocks.append((
-            np.where(child < 0, 0.0, model.transition[n, theta, epoch.state, action]),
-            np.where(child < 0, -1, child + tree.offsets[n + 1]),
-            model.stage_cost[n, theta, epoch.state, action],
-        ))
-    rows, child, stage = (np.concatenate(b) for b in zip(*blocks))
+    """The successor table (``_successors``) as the sampler reads it: per
+    decision node the next state's cumulative distribution (``_cumulative``)
+    and the children in the same column order, then each node's cost.  A
+    node where theta reaches no branch (with probability below about
+    1e-300) samples evenly among the branches with a child."""
+    rows, child, _, _, node_cost = _successors(model, theta, policy)
     dead = ~rows.any(axis=1)
     rows[dead] = child[dead] >= 0
     cumulative, order = _cumulative(rows)
-    terminal = model.terminal_cost[theta, tree.epochs[-1].state]
-    return cumulative, np.take_along_axis(child, order, axis=1), np.concatenate((stage, terminal))
+    return cumulative, np.take_along_axis(child, order, axis=1), node_cost
 
 
 def mc_estimate(

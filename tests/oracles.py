@@ -5,8 +5,9 @@ test's scalar recursion and its policies' two thresholds per epoch, the
 exact reading of config number literals, the config reader that takes
 one key and one token at a time, feasible sets built set by set, the
 merge of equal DAG children by a sort on every key column, the policy
-table as a list of dicts, and every node's Bayes value with the action
-table filled in one pass."""
+table as a list of dicts, every node's Bayes value with the action
+table filled in one pass, the trajectory enumeration as a depth-first walk
+and the Monte-Carlo sampler's table built epoch by epoch."""
 
 import math
 from fractions import Fraction
@@ -21,6 +22,7 @@ from ambmdp.bayes import DeterministicPolicy, _expect, _mix, solve_bayes
 from ambmdp.belief import initial_posterior, predictive
 from ambmdp.errors import ConfigError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
+from ambmdp.oracle import TrajectoryRecord, _cumulative
 from ambmdp.risk import _weights, as_profile, relative_entropy
 from ambmdp.seqtest import (
     A_CONTINUE,
@@ -513,3 +515,73 @@ def continue_region_nests(policy: DeterministicPolicy, pairs) -> bool:
         if any(((go <= lo) | (go >= hi)).any() for lo, hi in pairs[:n]):
             return False
     return True
+
+
+def walked_trajectories(model, theta: int, policy: DeterministicPolicy):
+    """``enumerate_cost`` without its cap, as a depth-first walk: a stack of
+    partial trajectories, each node's successors in ascending state order,
+    indexed one node at a time."""
+    tree = policy.tree
+    records = []
+    init = model.initial_kernel[theta]
+    stack = [
+        (0, int(tree.dag.root_of[x]), int(x), float(init[x]), 0.0, (model.states[x],))
+        for x in np.flatnonzero(init > 0.0)[::-1]
+    ]
+    while stack:
+        n, node, state, prob, cost, seq = stack.pop()
+        if n == model.horizon:
+            records.append(TrajectoryRecord(
+                sequence=seq,
+                probability=prob,
+                total_cost=cost + float(model.terminal_cost[theta, state]),
+            ))
+            continue
+        epoch = tree.epochs[n]
+        pair = policy.pairs[n][node]
+        action = int(epoch.pair_action[pair])
+        row = model.transition[n, theta, state, action]
+        cost = cost + float(model.stage_cost[n, theta, state, action])
+        seq = seq + (model.actions[action],)
+        for x_next in np.flatnonzero(row > 0.0)[::-1]:
+            child = int(epoch.child[pair, x_next])
+            if child >= 0:
+                stack.append((
+                    n + 1, child, int(x_next),
+                    prob * float(row[x_next]), cost, seq + (model.states[x_next],),
+                ))
+    value = sum(r.probability * r.total_cost for r in records)
+    return float(value), records
+
+
+def successor_table_by_epoch(model, theta: int, policy: DeterministicPolicy) -> tuple:
+    """The policy's successor table under theta built one epoch at a time:
+    per decision node in global order, the next state's weights (0 on a
+    branch without a child) and the children by global index (-1 where
+    there is none), then every node's stage or terminal cost."""
+    tree = policy.tree
+    blocks = [(np.empty((0, model.n_states)), np.empty((0, model.n_states), dtype=int), [])]
+    for n, pairs in enumerate(policy.pairs):
+        epoch = tree.epochs[n]
+        action, child = epoch.pair_action[pairs], epoch.child[pairs]
+        blocks.append((
+            np.where(child < 0, 0.0, model.transition[n, theta, epoch.state, action]),
+            np.where(child < 0, -1, child + tree.offsets[n + 1]),
+            model.stage_cost[n, theta, epoch.state, action],
+        ))
+    rows, child, stage = (np.concatenate(b) for b in zip(*blocks))
+    terminal = model.terminal_cost[theta, tree.epochs[-1].state]
+    return rows, child, np.concatenate((stage, terminal))
+
+
+def sampler_table_by_epoch(model, theta: int, policy: DeterministicPolicy) -> tuple:
+    """The Monte-Carlo sampler's table from ``successor_table_by_epoch``:
+    per decision node the next state's cumulative distribution and the
+    children in the same column order, then every node's cost.  A node
+    where theta reaches no branch samples evenly among the branches with a
+    child."""
+    rows, child, cost = successor_table_by_epoch(model, theta, policy)
+    dead = ~rows.any(axis=1)
+    rows[dead] = child[dead] >= 0
+    cumulative, order = _cumulative(rows)
+    return cumulative, np.take_along_axis(child, order, axis=1), cost

@@ -1124,6 +1124,7 @@ class TestRunSimulate:
         assert rows > 0 and f"wrote {dump} ({rows} trajectories)" in lines
         exact = re.compile(rf"exact cost under theta2 = .* \({rows} trajectories\)")
         assert any(map(exact.fullmatch, lines))
+        assert dump.read_bytes() == (GOLDEN_DIR / "simulate_dump.csv").read_bytes()
 
     def test_unknown_theta_rejected(self):
         bad = self.CONFIG.replace("theta2", "theta9")

@@ -1,12 +1,24 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import random_belief, random_model
+from oracles import sampler_table_by_epoch, successor_table_by_epoch, walked_trajectories
 
 from ambmdp import oracle, seqtest
 from ambmdp.bayes import policy_cost_profile, solve_bayes
 from ambmdp.errors import TrajectoryLimitError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
-from ambmdp.oracle import enumerate_cost, mc_estimate
+from ambmdp.oracle import DEFAULT_TRAJECTORY_CAP, enumerate_cost, mc_estimate
+
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
 
 
 def chain_model():
@@ -71,6 +83,107 @@ def mixed_successor_model():
     )
 
 
+def dying_model():
+    """Two parameters, three states and three epochs, starting in s0.  Under
+    t1, s0 moves to s1 and s1 stays in s1 with probability 1e-200 each, so
+    after two such steps the likelihood of t1 is 0 and the tree keeps no
+    branch from (epoch 2, s1) to s2, the one place t1 goes from there: the
+    partial trajectory s0 s1 s1 dies under t1, and two trajectories remain."""
+    tiny = 1e-200
+    transition = np.zeros((3, 2, 3, 1, 3))
+    transition[:, :, 0, 0, 0] = 1.0
+    transition[:, :, 1, 0, 1] = 1.0
+    transition[:, :, 2, 0, 2] = 1.0
+    transition[0, 0, 0, 0, :2] = 0.5
+    transition[0, 1, 0, 0, :2] = 1.0, tiny
+    transition[1, 0, 1, 0, :2] = 0.5
+    transition[1, 1, 1, 0, :2] = 1.0, tiny
+    transition[2, :, 1, 0] = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    return StatisticalMDP(
+        horizon=3,
+        states=("s0", "s1", "s2"),
+        actions=("a0",),
+        params=ParameterSet(("t0", "t1")),
+        feasible=tuple((((0,),) * 3) for _ in range(3)),
+        initial_kernel=np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+        transition=transition,
+        stage_cost=np.ones((3, 2, 3, 1)),
+        terminal_cost=np.array([[0.0, 0.5, 2.0], [0.0, 0.5, 2.0]]),
+    )
+
+
+def wide_model():
+    """One parameter, 4 states, 2 actions and 12 epochs, every move equally
+    likely: 52 tree nodes and 4**13 (about 6.7e7) trajectories."""
+    horizon, n_e, n_a = 12, 4, 2
+    return StatisticalMDP(
+        horizon=horizon,
+        states=tuple(f"s{x}" for x in range(n_e)),
+        actions=("a0", "a1"),
+        params=ParameterSet(("t0",)),
+        feasible=tuple(((0, 1),) * n_e for _ in range(horizon)),
+        initial_kernel=np.full((1, n_e), 1.0 / n_e),
+        transition=np.full((horizon, 1, n_e, n_a, n_e), 1.0 / n_e),
+        stage_cost=np.arange(horizon * n_e * n_a, dtype=float).reshape(horizon, 1, n_e, n_a),
+        terminal_cost=np.arange(n_e, dtype=float)[None, :],
+    )
+
+
+def pruned(model, rng):
+    """``model`` with next states removed from its initial and transition
+    rows at random, alike for every parameter (each row keeps one), so that
+    the tree prunes those branches."""
+    def cut(rows):
+        keep = rng.random(rows.shape[1:]) < 0.6
+        keep[..., 0] |= ~keep.any(axis=-1)
+        rows = rows * keep
+        return rows / rows.sum(axis=-1, keepdims=True)
+
+    return model._replace(
+        initial_kernel=cut(model.initial_kernel),
+        transition=cut(model.transition.transpose(1, 0, 2, 3, 4)).transpose(1, 0, 2, 3, 4),
+    )
+
+
+def differential_models() -> dict:
+    """The models the enumeration and its tables are checked on against the
+    depth-first walk and the per-epoch table."""
+    rng = np.random.default_rng(37)
+    models = {f"seqtest-H{h}": seqtest.build_model(seqtest.SeqTestConfig(horizon=h))
+              for h in (1, 4, 32)}
+    models.update(chain=chain_model(), zero_horizon=zero_horizon_model(),
+                  mixed_successor=mixed_successor_model(), dying=dying_model())
+    for k in range(1, 5):
+        shape = {"n_params": k, "horizon": 5 - k, "n_states": 3, "n_actions": 2}
+        models[f"random-K{k}"] = random_model(rng, **shape)
+        models[f"random-K{k}-pruned"] = pruned(random_model(rng, **shape), rng)
+    return models
+
+
+DIFFERENTIAL_MODELS = differential_models()
+#: cost scales; -0.0 turns costs into zeros of either sign, which a sum from
+#: 0.0 adds as the walk does; seqtest at H = 32 with negative costs observes
+#: at every epoch, 2**32 trajectories that the walk would take days over
+DIFFERENTIAL_CASES = [
+    (name, scale) for name in DIFFERENTIAL_MODELS
+    for scale in (1.0, 1e300, -1e300, 1e-300, -0.0)
+    if (name, scale) != ("seqtest-H32", -1e300)
+]
+
+
+def scaled(model, scale: float):
+    return model._replace(stage_cost=model.stage_cost * scale,
+                          terminal_cost=model.terminal_cost * scale)
+
+
+def bayes_policy(model):
+    return solve_bayes(model, Belief.uniform(model.n_params)).policy
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestEnumerateCost:
     def test_zero_horizon_averages_terminal_cost(self):
         model = zero_horizon_model()
@@ -116,6 +229,89 @@ class TestEnumerateCost:
         solution = solve_bayes(model, random_belief(rng, model.n_params))
         with pytest.raises(TrajectoryLimitError, match="3"):
             enumerate_cost(model, 0, solution.policy, trajectory_cap=3)
+
+    @pytest.mark.parametrize(
+        "name, scale", DIFFERENTIAL_CASES, ids=[f"{n}-x{s:g}" for n, s in DIFFERENTIAL_CASES])
+    def test_matches_the_depth_first_walk_bit_for_bit(self, name, scale):
+        model = scaled(DIFFERENTIAL_MODELS[name], scale)
+        policy = bayes_policy(model)
+        for theta in range(model.n_params):
+            value, records = enumerate_cost(model, theta, policy)
+            walked, walked_records = walked_trajectories(model, theta, policy)
+            assert value.hex() == walked.hex()
+            assert records == walked_records
+            bits = [(r.probability.hex(), r.total_cost.hex()) for r in records]
+            assert bits == [(r.probability.hex(), r.total_cost.hex()) for r in walked_records]
+
+    @pytest.mark.parametrize("name", ["mixed_successor", "dying", "random-K1", "random-K2-pruned"])
+    def test_cap_at_the_count_passes_and_one_below_raises(self, name):
+        # the count is of complete trajectories: under t1 the dying model
+        # has three partial trajectories at epoch 2 and two complete ones
+        model = DIFFERENTIAL_MODELS[name]
+        policy = bayes_policy(model)
+        for theta in range(model.n_params):
+            _, walked = walked_trajectories(model, theta, policy)
+            assert len(walked) >= 2
+            assert enumerate_cost(model, theta, policy, len(walked))[1] == walked
+            with pytest.raises(TrajectoryLimitError, match=f"cap {len(walked) - 1}$"):
+                enumerate_cost(model, theta, policy, len(walked) - 1)
+        if name == "dying":
+            assert len(walked_trajectories(model, 1, policy)[1]) == 2
+
+    def test_over_cap_model_is_refused_before_any_record(self, monkeypatch):
+        # the count refuses 4**13 trajectories before a record is built
+        model = wide_model()
+        policy = bayes_policy(model)
+        assert len(policy.tree) == 52
+        built = []
+        monkeypatch.setattr(oracle, "TrajectoryRecord", lambda *fields: built.append(fields))
+        with pytest.raises(TrajectoryLimitError, match=f"cap {DEFAULT_TRAJECTORY_CAP}$"):
+            enumerate_cost(model, 0, policy)
+        assert built == []
+
+    @pytest.mark.skipif(resource is None or not os.path.exists("/proc/self/statm"),
+                        reason="needs POSIX resource limits and /proc/self/statm")
+    def test_over_cap_model_is_refused_in_64_mib_of_address_space(self):
+        # the child limits its own address space to what it holds once the
+        # policy is built, plus 64 MiB
+        script = (
+            "import resource, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_oracle import bayes_policy, wide_model\n"
+            "from ambmdp.errors import TrajectoryLimitError\n"
+            "from ambmdp.oracle import enumerate_cost\n"
+            "model = wide_model()\n"
+            "policy = bayes_policy(model)\n"
+            "with open('/proc/self/statm') as f:\n"
+            "    held = int(f.read().split()[0]) * resource.getpagesize()\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (held + (64 << 20),) * 2)\n"
+            "try:\n"
+            "    enumerate_cost(model, 0, policy)\n"
+            "except TrajectoryLimitError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).resolve().parent)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"trajectory enumeration exceeds cap {DEFAULT_TRAJECTORY_CAP}\n"
+
+
+class TestSuccessorTable:
+    @pytest.mark.parametrize("name", DIFFERENTIAL_MODELS)
+    def test_whole_tree_table_matches_the_per_epoch_one(self, name):
+        model = DIFFERENTIAL_MODELS[name]
+        policy = bayes_policy(model)
+        for theta in range(model.n_params):
+            rows, child, _, _, cost = oracle._successors(model, theta, policy)
+            if name.endswith("pruned"):
+                assert (child < 0).any()
+            expected = successor_table_by_epoch(model, theta, policy)
+            assert all(map(same_bits, (rows, child, cost), expected))
+            sampler = oracle._sampler_table(model, theta, policy)
+            assert all(map(same_bits, sampler, sampler_table_by_epoch(model, theta, policy)))
 
 
 class TestMcEstimate:
@@ -228,6 +424,18 @@ class TestMcEstimate:
         monkeypatch.setattr(oracle, "BATCH_SIZE", 500)
         assert mc_estimate(model, 1, solution.policy, samples=1_234, seed=5) == (
             3.031418225407694, 0.14378498748596177
+        )
+
+    @pytest.mark.parametrize("blocks, budget", [(1, 1 << 18), (2, 2_500 * 33), (7, 715 * 33)])
+    def test_pinned_long_horizon_in_one_two_and_seven_draw_blocks(self, monkeypatch, blocks,
+                                                                   budget):
+        # a batch of 5,000 rows of 33 uniforms, drawn in 1, 2 or 7 blocks
+        assert math.ceil(5_000 / (budget // 33)) == blocks
+        model = seqtest.build_model(seqtest.SeqTestConfig(horizon=32))
+        solution = solve_bayes(model, seqtest.prior_belief(0.5))
+        monkeypatch.setattr(oracle, "DRAW_FLOATS", budget)
+        assert mc_estimate(model, 0, solution.policy, samples=5_000, seed=201) == (
+            4.416, 0.13146748203965408
         )
 
     def test_zero_horizon_model(self):
