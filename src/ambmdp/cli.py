@@ -47,7 +47,7 @@ from .bayes import (
 )
 from .errors import ConfigError, TrajectoryLimitError, TreeSizeLimitError
 from .model import Belief, ParameterSet, StatisticalMDP, _as_labels, validate
-from .oracle import DEFAULT_TRAJECTORY_CAP, enumerate_cost, mc_estimate
+from .oracle import DEFAULT_TRAJECTORY_CAP, SAMPLE_LIMIT, enumerate_cost, mc_estimate
 
 SOLVE_MODES = ("bayes", "entropic", "avar", "robust")
 #: solve modes that take solver.gamma
@@ -87,21 +87,18 @@ class _Entries:
     """Config key table that tracks consumption for unknown-key detection."""
 
     def __init__(self, text: str):
-        raws = text.splitlines()
-        # (key, '=' or '', value, line number) of every line with content
-        lines = [(key, sep, value, n) for n, raw in enumerate(raws, 1)
-                 for head, sep, value in [raw.split("#", 1)[0].partition("=")]
-                 if (key := head.strip()) or sep]
-        # each key's first line; a later one is a duplicate
-        self.values = {key: (value.strip(), n) for key, _, value, n in reversed(lines)}
-        if len(self.values) < len(lines) or not all(key and sep for key, sep, _, _ in lines):
-            for key, sep, _, n in lines:  # the first defect in line order
-                first = self.values[key][1]
-                if not (sep and key and first == n):
-                    raise ConfigError(f"line {n}: " + (
-                        f"expected 'key = value', got {raws[n - 1]!r}" if not sep else "empty key"
-                        if not key else f"duplicate key {key} (first set on line {first})"))
-        self.keys = sorted(self.values)
+        # (value, line number) per key; the first defect in line order is refused
+        self.values = values = {}
+        for n, raw in enumerate(text.splitlines(), 1):
+            head, sep, value = raw.split("#", 1)[0].partition("=")
+            key = head.strip()
+            if sep and key and key not in values:
+                values[key] = (value.strip(), n)
+            elif sep or key:
+                raise ConfigError(f"line {n}: " + (
+                    f"expected 'key = value', got {raw!r}" if not sep else "empty key"
+                    if not key else f"duplicate key {key} (first set on line {values[key][1]})"))
+        self.keys = sorted(values)
         self.consumed: set[str] = set()
 
     def take(self, key: str, default: str | None = None, required: bool = False):
@@ -112,11 +109,12 @@ class _Entries:
             raise ConfigError(f"missing required key {key}")
         return (default, 0)
 
-    def integer(self, key: str, minimum: int, default: int | None = None) -> int:
-        """The value of ``key`` as an integer of at least ``minimum``; a key
-        without a default is required."""
+    def integer(self, key: str, minimum: int, default: int | None = None,
+                limit: int | None = None) -> int:
+        """The value of ``key`` as an integer of at least ``minimum`` and
+        below ``limit``; a key without a default is required."""
         raw, lineno = self.take(key, required=default is None)
-        return default if raw is None else _integer(key, raw, lineno, minimum)
+        return default if raw is None else _integer(key, raw, lineno, minimum, limit)
 
     def take_prefixed(self, head: str) -> list[str]:
         """The keys that start with ``head``, which ends in '.', in key order."""
@@ -127,15 +125,11 @@ class _Entries:
 
     def forbid(self, key: str, reason: str):
         if key in self.values:
-            _, lineno = self.values[key]
-            raise ConfigError(f"line {lineno}: {key}: {reason}")
+            raise _err(self.values[key][1], key, reason)
 
     def reject_unknown(self):
-        unknown = sorted(set(self.values) - self.consumed)
-        if unknown:
-            lines = ", ".join(
-                f"{key} (line {self.values[key][1]})" for key in unknown
-            )
+        if unknown := sorted(set(self.values) - self.consumed):
+            lines = ", ".join(f"{key} (line {self.values[key][1]})" for key in unknown)
             raise ConfigError(f"unknown keys: {lines}")
 
 
@@ -173,13 +167,16 @@ def _floats(tokens: list[str], shape=(-1,)) -> np.ndarray | None:
     return np.array(values).reshape(shape)
 
 
-def _integer(key: str, raw: str, lineno: int, minimum: int | None = None) -> int:
+def _integer(key: str, raw: str, lineno: int, minimum: int | None = None,
+             limit: int | None = None) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise _err(lineno, key, f"not an integer: {raw!r}") from None
     if minimum is not None and value < minimum:
         raise _err(lineno, key, f"must be >= {minimum}")
+    if limit is not None and value >= limit:
+        raise _err(lineno, key, f"must be < {limit}")
     return value
 
 
@@ -362,10 +359,8 @@ def _parse_prior(entries: _Entries, model: StatisticalMDP) -> Belief:
             raise _err(lineno, "prior", f"scalar prior must lie in [0, 1], got {mu}")
         values = [mu, 1.0 - mu]
     if len(values) != model.n_params:
-        raise _err(
-            lineno, "prior",
-            f"expected {model.n_params} weights (or a scalar for two parameters)",
-        )
+        raise _err(lineno, "prior",
+                   f"expected {model.n_params} weights (or a scalar for two parameters)")
     return _on_line(lineno, "prior", Belief, np.array(values))
 
 
@@ -443,8 +438,8 @@ def parse_config(text: str) -> RunConfig:
                 f"unknown parameter {label!r}; expected one of {model.params.labels}",
             )
         theta = model.params.index(label)
-        samples = entries.integer("simulate.samples", 1, default=10_000)
-        seed = entries.integer("simulate.seed", 0, default=0)
+        samples = entries.integer("simulate.samples", 1, default=samples, limit=SAMPLE_LIMIT)
+        seed = entries.integer("simulate.seed", 0, default=seed)
     else:
         for key in ("simulate.theta", "simulate.samples", "simulate.seed"):
             entries.forbid(key, f"not allowed in mode {mode}")
@@ -649,16 +644,11 @@ def _run_figure(config: RunConfig, out_path: str) -> None:
 
 
 def _run_simulate(config: RunConfig, out_path: str | None, dump_path: str | None) -> None:
-    solution = solve_bayes(config.model, config.prior)
-    exact, records = enumerate_cost(
-        config.model, config.theta, solution.policy,
-        trajectory_cap=config.trajectory_cap,
-    )
-    mean, half_width = mc_estimate(
-        config.model, config.theta, solution.policy,
-        samples=config.samples, seed=config.seed,
-    )
-    label = config.model.params.labels[config.theta]
+    model, theta = config.model, config.theta
+    solution = solve_bayes(model, config.prior)
+    exact, records = enumerate_cost(model, theta, solution.policy, config.trajectory_cap)
+    mean, half_width = mc_estimate(model, theta, solution.policy, config.samples, config.seed)
+    label = model.params.labels[theta]
     print(f"policy: Bayes-optimal at prior, value = {_fmt(solution.value)}")
     print(f"exact cost under {label} = {_fmt(exact)} ({len(records)} trajectories)")
     print(

@@ -71,9 +71,11 @@ def _as_labels(labels, name: str, empty: str) -> tuple[str, ...]:
 
 class _Frozen:
     """A value whose fields are its ``_fields``, set once by ``__init__``,
-    frozen and compared, hashed and shown as a frozen dataclass is.  Copies,
-    pickles and ``_replace`` rebuild it from its fields through ``__init__``,
-    so every check runs again."""
+    frozen, hashed and shown as a frozen dataclass is.  Two values of one
+    type are equal when each field is the same object or equal, an array
+    field by value (``np.array_equal``); a value that holds an array is
+    unhashable.  Copies, pickles and ``_replace`` rebuild it from its fields
+    through ``__init__``, so every check runs again."""
 
     __slots__ = ()
 
@@ -90,7 +92,10 @@ class _Frozen:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+                   for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())
@@ -164,11 +169,6 @@ class Belief(_Frozen):
 
     def __len__(self) -> int:
         return int(self.weights.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Belief):
-            return NotImplemented
-        return np.array_equal(self.weights, other.weights)
 
     def __repr__(self) -> str:
         return f"Belief({self.weights.tolist()})"

@@ -40,6 +40,8 @@ Z_95 = 1.96
 BATCH_SIZE = 10_000
 #: uniforms drawn at a time by the Monte-Carlo sampler, which bounds its memory
 DRAW_FLOATS = 1 << 18
+#: the Monte-Carlo sample counts stay below this, ``simulate.samples`` included
+SAMPLE_LIMIT = 2**63
 
 
 class TrajectoryRecord(namedtuple("TrajectoryRecord", "sequence probability total_cost")):
@@ -71,7 +73,7 @@ def enumerate_cost(
     roots = policy.tree.dag.root_of[np.flatnonzero(init > 0.0)]
     # complete trajectories from each node, saturated above the cap (or
     # below int64 overflow); the last entry, 0, counts a branch without weight
-    limit = min(trajectory_cap + 1, (2**63 - 1) // model.n_states)
+    limit = min(trajectory_cap + 1, np.iinfo(np.int64).max // model.n_states)
     counts = np.zeros(offsets[-1] + 1, dtype=np.int64)
     counts[offsets[-2] : -1] = 1
     branches = np.where(rows > 0.0, child, -1).T
@@ -112,9 +114,9 @@ def _successors(model: StatisticalMDP, theta: int, policy: DeterministicPolicy) 
     state and its stage or terminal cost."""
     offsets, epochs = policy.tree.offsets, policy.tree.epochs
     epoch = np.repeat(np.arange(model.horizon), np.diff(offsets[:-1]))
-    # the horizon epoch, which has no pairs, adds none
+    action = np.asarray(policy.actions, dtype=np.intp)[: offsets[-2]]
+    # the horizon epoch adds no pairs, but keeps the list non-empty at H = 0
     pairs = [*zip(epochs, policy.pairs), (epochs[-1], epochs[-1].pair_node)]
-    action = np.concatenate([e.pair_action.take(p) for e, p in pairs])
     child = np.concatenate([e.child.take(p, axis=0) for e, p in pairs])
     child = np.where(child < 0, -1, child + offsets[1:][epoch, None])
     state = np.concatenate([e.state for e in epochs])
@@ -173,11 +175,11 @@ def mc_estimate(
 
     Batches use seeds spawned from ``SeedSequence(seed)`` and are combined
     in batch order, so identical inputs give identical output.  ``samples``
-    is below 2**63.
+    is below ``SAMPLE_LIMIT``.
     """
     _fitted_pairs(model, policy)
     theta = _count("parameter index", theta, 0, model.n_params)
-    samples, seed = _count("samples", samples, 1, 2**63), _count("seed", seed)
+    samples, seed = _count("samples", samples, 1, SAMPLE_LIMIT), _count("seed", seed)
     n_states = model.n_states
     root_cum, order = _cumulative(model.initial_kernel[theta][None, :])
     root_nodes = policy.tree.dag.root_of[order[0]]

@@ -50,9 +50,13 @@ def _divergence_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     (p - q)/q, elementwise where q > 0, as p log1p(d) - (p - q).  They sum
     to KL(p || q) when p and q sum to 1, are small where p is near q, and a
     normalization defect of p adds nothing to first order.  Where d rounds
-    to -1, log1p is read at the next double, so the term is about q."""
-    diff = p - q
-    return p * np.log1p(np.maximum(diff / q, 2.0**-53 - 1.0)) - diff  # the next double above -1
+    to -1, log1p is read at the next double, so the term is about q.  Where
+    q < 2**-1000, and d may overflow, log1p(d) is read as log(p) - log(q)."""
+    diff, floor = p - q, 2.0**-1000
+    if min(q.ravel().tolist()) >= floor:  # 2.0**-53 - 1.0 is the next double above -1
+        return p * np.log1p(np.maximum(diff / q, 2.0**-53 - 1.0)) - diff
+    logs = np.log1p(np.maximum(diff / np.maximum(q, floor), 2.0**-53 - 1.0))
+    return p * np.where(q < floor, np.log(np.where(p > 0.0, p, q)) - np.log(q), logs) - diff
 
 
 def relative_entropy(mu, nu) -> float:

@@ -160,6 +160,15 @@ def small_gamma_models() -> list:
     return cases
 
 
+@pytest.mark.parametrize("mode, gamma", [("entropic", 0.1), ("avar", 0.5), ("robust", None)])
+def test_dual_risk_below_the_outer_value_is_refused(bench_model, monkeypatch, mode, gamma):
+    # every cost of the sequential test is non-negative, so a risk of -1 is
+    # below any outer value: a defect that solve reports, not a result
+    monkeypatch.setattr(ambiguity._Ambiguity, "dual_risk", lambda self, profile: -1.0)
+    with pytest.raises(RuntimeError, match="^weak duality violated"):
+        solve(bench_model, mode, seqtest.prior_belief(0.5), gamma)
+
+
 class TestSolveEntryPoint:
     @pytest.mark.parametrize(
         "mode, gamma, wrapper",

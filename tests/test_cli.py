@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import io
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -1403,6 +1405,36 @@ class TestMain:
             main(["simulate", "--config", self.write(tmp_path, text), "--samples", "500"])
         assert exc.value.code == 2
 
+    def test_samples_at_the_sampler_bound_refused_before_any_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the run once solved and enumerated, then ended in the sampler's traceback
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver entry point called")
+
+        for name in ("build_tree", "solve_bayes", "enumerate_cost", "mc_estimate"):
+            monkeypatch.setattr(cli, name, refuse)
+        text = TestRunSimulate.CONFIG.replace("samples = 2000", f"samples = {2**63}")
+        assert main(["simulate", "--config", self.write(tmp_path, text)]) == 1
+        assert capsys.readouterr() == (
+            "", f"config error: line 7: simulate.samples: must be < {2**63}\n"
+        )
+        assert parse_config(text.replace(str(2**63), str(2**63 - 1))).samples == 2**63 - 1
+
+    def test_closed_stdout_descriptor_exits_one(self, tmp_path):
+        # the flush fails on the closed descriptor; the descriptor then takes
+        # the null device, so the interpreter's own flush at exit succeeds
+        argv = ["solve", "--config", self.write(tmp_path, ENTROPIC_CONFIG),
+                "--out", str(tmp_path / "out.json")]
+        script = ("import os, sys\nfrom ambmdp.cli import main\nos.close(1)\n"
+                  f"sys.exit(main({argv!r}))")
+        env = {**os.environ, "PYTHONPATH": str(Path(ambmdp.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (
+            1, "cannot write standard output: Bad file descriptor\n"
+        )
+
     @pytest.mark.parametrize(
         "command, head",
         [
@@ -1421,6 +1453,64 @@ class TestMain:
         assert captured.err == ""
         if command == "simulate":
             assert "exact cost under t0 = 6 (1 trajectories)" in captured.out
+
+
+#: what a number of a shipped config becomes: each zero, the least and
+#: nearly the largest double, NaN, infinity, the sampler's bound, a word, True
+MAIN_TOKENS = ("0", "-0", "5e-324", "1e308", "nan", "inf", str(2**63), "word", "True")
+#: a number token in a config value: a decimal or a rational, not a label's digit
+NUMBER_TOKEN = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?:/\d+)?(?![\w.])")
+
+
+def shipped_edit(name: str, old: str, new: str) -> tuple[str, str]:
+    return name, (CONFIG_DIR / name).read_text().replace(old, new)
+
+
+@st.composite
+def mutated_shipped_configs(draw) -> tuple[str, str]:
+    """A shipped config's name and its text with one defect: a key dropped
+    or repeated, or a number replaced by one of MAIN_TOKENS."""
+    path = draw(st.sampled_from(SHIPPED_CONFIGS))
+    lines = path.read_text().splitlines()
+    at = draw(st.sampled_from([at for at, line in enumerate(lines) if "=" in line]))
+    key, sep, value = lines[at].partition("=")
+    numbers = list(NUMBER_TOKEN.finditer(value))
+    kind = draw(st.sampled_from(("drop", "repeat", "number")[: 3 if numbers else 2]))
+    if kind == "drop":
+        del lines[at]
+    elif kind == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), lines[at])
+    else:
+        number = draw(st.sampled_from(numbers))
+        token = draw(st.sampled_from(MAIN_TOKENS))
+        lines[at] = key + sep + value[: number.start()] + token + value[number.end() :]
+    return path.name, "\n".join(lines) + "\n"
+
+
+# the example count comes from the hypothesis profile (tests/conftest.py)
+@settings(deadline=None)
+@example(case=shipped_edit("simulate.cfg", "samples = 100000", f"samples = {2**63}"))
+@example(case=shipped_edit("entropic.cfg", "prior = 0.1", "prior = 5e-324"))
+@given(case=mutated_shipped_configs())
+def test_mutated_shipped_config_exits_with_one_line(case):
+    """The command a shipped config runs, on a mutation of it: a status of
+    0 to 3, at most one line on stderr and no traceback; a RuntimeWarning
+    fails the test as an error."""
+    name, text = case
+    mode = parse_config((CONFIG_DIR / name).read_text()).mode
+    command = next(c for c, modes in cli.COMMAND_MODES.items() if mode in modes)
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as run_dir:
+        os.chdir(run_dir)  # the configs write their artifacts by relative path
+        try:
+            Path(name).write_text(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main([command, "--config", name])
+        finally:
+            os.chdir(home)
+    assert status in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)

@@ -59,6 +59,16 @@ class TestRelativeEntropy:
                 exact = exact_divergence(p, q)
                 assert abs(relative_entropy(Belief(p), Belief(q)) - exact) <= 1e-17 + 1e-14 * exact
 
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-310, 2.0**-1001])
+    def test_subnormal_base_weight_matches_exact_arithmetic(self, tiny):
+        # (p - q)/q overflowed on such a q: a RuntimeWarning, and an infinite
+        # divergence where p log(p/q) is about 372
+        q = np.array([tiny, 1.0 - tiny])
+        for p in ([0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [tiny, 1.0 - tiny], [1e-300, 1.0]):
+            got = relative_entropy(belief(*p), Belief(q))
+            exact = exact_divergence(belief(*p).weights, q)
+            assert abs(got - exact) <= 1e-320 + 1e-14 * exact, (p, got, exact)
+
 
 def exact_divergence(p, q) -> float:
     """sum p log(p/q) - p + q in 60-digit decimals: KL for normalized p and q."""

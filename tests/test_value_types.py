@@ -6,6 +6,7 @@ constructor, checks and all, and a record field by field."""
 
 import copy
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +119,28 @@ def test_equality_and_hashing_go_by_field_values():
     assert Belief([0.5, 0.5]) == Belief(np.array([0.5, 0.5]))
     with pytest.raises(TypeError):
         hash(Belief([0.5, 0.5]))
+
+
+def test_models_compare_by_value():
+    # an array field compares by value; a model that raised on == before
+    inline = (Path(__file__).resolve().parents[1] / "configs" / "inline_example.cfg").read_text()
+    for build in (lambda: seqtest.build_model(seqtest.SeqTestConfig(horizon=1)),
+                  lambda: seqtest.build_model(seqtest.SeqTestConfig(horizon=4)),
+                  lambda: cli.parse_config(inline).model):
+        model, again = build(), build()
+        twins = (again, model._replace(), copy.deepcopy(model), pickle.loads(pickle.dumps(model)))
+        for twin in twins:
+            assert twin is not model and model == twin and twin == model and not model != twin
+        for name in ("initial_kernel", "transition", "stage_cost", "terminal_cost"):
+            table = getattr(model, name).copy()
+            table.flat[-1] += 1.0
+            changed = model._replace(**{name: table})
+            assert model != changed and changed != again and not model == changed
+        # a value equals itself, NaN entries and all
+        unset = model._replace(stage_cost=np.full_like(model.stage_cost, np.nan))
+        assert unset == unset and unset != model
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(model)
 
 
 def test_repr_is_unchanged():
