@@ -46,7 +46,7 @@ from .bayes import (
     DEFAULT_NODE_CAP, DeterministicPolicy, ValueSolution, build_tree, solve_bayes,
 )
 from .errors import ConfigError, TrajectoryLimitError, TreeSizeLimitError
-from .model import Belief, ParameterSet, StatisticalMDP, _as_labels, validate
+from .model import Belief, ParameterSet, StatisticalMDP, _as_labels, _count, validate
 from .oracle import DEFAULT_TRAJECTORY_CAP, SAMPLE_LIMIT, enumerate_cost, mc_estimate
 
 SOLVE_MODES = ("bayes", "entropic", "avar", "robust")
@@ -109,12 +109,9 @@ class _Entries:
             raise ConfigError(f"missing required key {key}")
         return (default, 0)
 
-    def integer(self, key: str, minimum: int, default: int | None = None,
-                limit: int | None = None) -> int:
-        """The value of ``key`` as an integer of at least ``minimum`` and
-        below ``limit``; a key without a default is required."""
-        raw, lineno = self.take(key, required=default is None)
-        return default if raw is None else _integer(key, raw, lineno, minimum, limit)
+    def integer(self, key: str, minimum: int, default: int) -> int:
+        """The value of ``key``, else ``default``, as an integer of at least ``minimum``."""
+        return _integer(key, *self.take(key, str(default)), minimum)
 
     def take_prefixed(self, head: str) -> list[str]:
         """The keys that start with ``head``, which ends in '.', in key order."""
@@ -128,8 +125,11 @@ class _Entries:
             raise _err(self.values[key][1], key, reason)
 
     def reject_unknown(self):
-        if unknown := sorted(set(self.values) - self.consumed):
-            lines = ", ".join(f"{key} (line {self.values[key][1]})" for key in unknown)
+        unknown = sorted(set(self.values) - self.consumed)
+        if unknown:
+            lines = ", ".join(
+                f"{key} (line {self.values[key][1]})" for key in unknown
+            )
             raise ConfigError(f"unknown keys: {lines}")
 
 
@@ -167,16 +167,13 @@ def _floats(tokens: list[str], shape=(-1,)) -> np.ndarray | None:
     return np.array(values).reshape(shape)
 
 
-def _integer(key: str, raw: str, lineno: int, minimum: int | None = None,
-             limit: int | None = None) -> int:
+def _integer(key: str, raw: str, lineno: int, minimum: int | None = None) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise _err(lineno, key, f"not an integer: {raw!r}") from None
     if minimum is not None and value < minimum:
         raise _err(lineno, key, f"must be >= {minimum}")
-    if limit is not None and value >= limit:
-        raise _err(lineno, key, f"must be < {limit}")
     return value
 
 
@@ -359,8 +356,10 @@ def _parse_prior(entries: _Entries, model: StatisticalMDP) -> Belief:
             raise _err(lineno, "prior", f"scalar prior must lie in [0, 1], got {mu}")
         values = [mu, 1.0 - mu]
     if len(values) != model.n_params:
-        raise _err(lineno, "prior",
-                   f"expected {model.n_params} weights (or a scalar for two parameters)")
+        raise _err(
+            lineno, "prior",
+            f"expected {model.n_params} weights (or a scalar for two parameters)",
+        )
     return _on_line(lineno, "prior", Belief, np.array(values))
 
 
@@ -438,7 +437,9 @@ def parse_config(text: str) -> RunConfig:
                 f"unknown parameter {label!r}; expected one of {model.params.labels}",
             )
         theta = model.params.index(label)
-        samples = entries.integer("simulate.samples", 1, default=samples, limit=SAMPLE_LIMIT)
+        raw, lineno = entries.take("simulate.samples", str(samples))
+        samples = _integer("simulate.samples", raw, lineno, 1)
+        _on_line(lineno, "simulate.samples", _count, "samples", samples, 1, SAMPLE_LIMIT)
         seed = entries.integer("simulate.seed", 0, default=seed)
     else:
         for key in ("simulate.theta", "simulate.samples", "simulate.seed"):
@@ -644,11 +645,16 @@ def _run_figure(config: RunConfig, out_path: str) -> None:
 
 
 def _run_simulate(config: RunConfig, out_path: str | None, dump_path: str | None) -> None:
-    model, theta = config.model, config.theta
-    solution = solve_bayes(model, config.prior)
-    exact, records = enumerate_cost(model, theta, solution.policy, config.trajectory_cap)
-    mean, half_width = mc_estimate(model, theta, solution.policy, config.samples, config.seed)
-    label = model.params.labels[theta]
+    solution = solve_bayes(config.model, config.prior)
+    exact, records = enumerate_cost(
+        config.model, config.theta, solution.policy,
+        trajectory_cap=config.trajectory_cap,
+    )
+    mean, half_width = mc_estimate(
+        config.model, config.theta, solution.policy,
+        samples=config.samples, seed=config.seed,
+    )
+    label = config.model.params.labels[config.theta]
     print(f"policy: Bayes-optimal at prior, value = {_fmt(solution.value)}")
     print(f"exact cost under {label} = {_fmt(exact)} ({len(records)} trajectories)")
     print(

@@ -71,11 +71,10 @@ def _as_labels(labels, name: str, empty: str) -> tuple[str, ...]:
 
 class _Frozen:
     """A value whose fields are its ``_fields``, set once by ``__init__``,
-    frozen, hashed and shown as a frozen dataclass is.  Two values of one
-    type are equal when each field is the same object or equal, an array
-    field by value (``np.array_equal``); a value that holds an array is
-    unhashable.  Copies, pickles and ``_replace`` rebuild it from its fields
-    through ``__init__``, so every check runs again."""
+    frozen, hashed and shown as a frozen dataclass is, and equal to a value
+    of its type whose fields are each the same object or equal, an array by
+    value (``np.array_equal``).  Copies, pickles and ``_replace`` rebuild it
+    from its fields through ``__init__``, so every check runs again."""
 
     __slots__ = ()
 

@@ -52,9 +52,7 @@ def _divergence_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     normalization defect of p adds nothing to first order.  Where d rounds
     to -1, log1p is read at the next double, so the term is about q.  Where
     q < 2**-1000, and d may overflow, log1p(d) is read as log(p) - log(q)."""
-    diff, floor = p - q, 2.0**-1000
-    if min(q.ravel().tolist()) >= floor:  # 2.0**-53 - 1.0 is the next double above -1
-        return p * np.log1p(np.maximum(diff / q, 2.0**-53 - 1.0)) - diff
+    diff, floor = p - q, 2.0**-1000  # 2.0**-53 - 1.0 is the next double above -1
     logs = np.log1p(np.maximum(diff / np.maximum(q, floor), 2.0**-53 - 1.0))
     return p * np.where(q < floor, np.log(np.where(p > 0.0, p, q)) - np.log(q), logs) - diff
 

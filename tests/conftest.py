@@ -1,16 +1,7 @@
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from ambmdp import seqtest
-
-# examples per property test that sets no count of its own; the environment
-# variable HYPOTHESIS_PROFILE picks one, and CI runs ``ci``
-settings.register_profile("default", max_examples=100)
-settings.register_profile("ci", max_examples=1000)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -136,9 +136,9 @@ def test_models_compare_by_value():
             table.flat[-1] += 1.0
             changed = model._replace(**{name: table})
             assert model != changed and changed != again and not model == changed
-        # a value equals itself, NaN entries and all
+        # a value equals itself, NaN entries and all, but a copy holding NaN does not
         unset = model._replace(stage_cost=np.full_like(model.stage_cost, np.nan))
-        assert unset == unset and unset != model
+        assert unset == unset and unset != model and unset != copy.deepcopy(unset)
         with pytest.raises(TypeError, match="unhashable"):
             hash(model)
 
