@@ -11,7 +11,8 @@ grows it once per model, from the uniform prior on every parameter, and
 caches it on the model (``StatisticalMDP.belief_dag``).  It is stored
 epoch by epoch in arrays: the state and normalized likelihood of each
 node, a table of its feasible (node, action) pairs, and per pair the child
-at each next state, the kernel rows and the stage costs.  Nodes are
+at each next state and its (state, action) cell, its row in the DAG's
+pair-major copy of the model's kernels and stage costs.  Nodes are
 numbered globally through per-epoch offsets, within an epoch in order of
 first occurrence (by parent, then action, then next state).  Only branches
 that no parameter reaches are pruned.  Children with identical (state,
@@ -75,19 +76,19 @@ DEFAULT_NODE_CAP = 10_000_000
 SOLVE_MEMO = 64  # Bayes solves, and policy evaluations, kept per DAG
 
 
-class TreeEpoch(namedtuple("TreeEpoch", "state pair_node pair_action child kernel stage "
+class TreeEpoch(namedtuple("TreeEpoch", "state pair_node pair_action child pair_cell "
                                         "first_pair pair_row live")):
     """The nodes of one epoch of the belief DAG, and below the horizon
     their (node, action) pairs, ordered by node and then action.
     ``child[p, x]`` is the index, within the next epoch, of the node
     reached from pair ``p`` on observing next state ``x``, or -1 where no
-    parameter reaches that branch.  ``kernel[p]`` is the pair's (parameter,
-    next state) table of transition probabilities and ``stage[p]`` its
-    stage cost per parameter.  The arrays are read-only and shared by every
+    parameter reaches that branch.  ``pair_cell[p]``, state * A + action,
+    is the pair's row in epoch n's kernels ``dag.kernels[n]`` and stage
+    costs ``dag.stages[n]``.  The arrays are read-only and shared by every
     view of the DAG; the beliefs at a prior are ``ReachableBeliefTree.belief``.
 
-    Shapes: ``state`` (nodes,), ``pair_node`` and ``pair_action`` (pairs,),
-    ``child`` (pairs, E), ``kernel`` (pairs, K, E), ``stage`` (pairs, K).
+    Shapes: ``state`` (nodes,), ``pair_node``, ``pair_action`` and
+    ``pair_cell`` (pairs,), ``child`` (pairs, E).
     The backward pass's plan: ``first_pair`` (nodes,), each node's first
     pair (empty at the horizon); ``pair_row`` (pairs,), each pair's node by
     global index; ``live`` (pairs, K, E), where the kernel is > 0 on a
@@ -100,19 +101,20 @@ class _BeliefDag:
     """The reachable DAG of a model: its ``TreeEpoch``s; the normalized
     likelihood of every node, in global order; the epoch offsets; per
     state the index of its root node, -1 for a state no parameter starts
-    in; and the backward pass's terminal columns and root step.  Arrays
-    only, and read-only: every view of the DAG shares them.  ``solves``
+    in; the model's kernels (N, E·A, K, E) and stage costs (N, E·A, K),
+    copied pair-major; the backward pass's terminal columns and root step.
+    Arrays only, and read-only: every view of the DAG shares them.  ``solves``
     maps the bytes of a prior's weights to the last ``SOLVE_MEMO`` Bayes
     solves, least recently used first: each (value, costs, chosen pairs).
     ``evals`` maps the bytes of a policy's pairs to its costs the same way.
     ``segments`` maps a support to its segment planes (see ``ambiguity``)."""
 
-    __slots__ = ("epochs", "likelihood", "offsets", "root_of", "terminal", "root_step",
-                 "solves", "evals", "segments")
+    __slots__ = ("epochs", "likelihood", "offsets", "root_of", "kernels", "stages",
+                 "terminal", "root_step", "solves", "evals", "segments")
 
-    def __init__(self, epochs, likelihood, offsets, root_of, terminal, root_step):
-        self.epochs, self.likelihood = epochs, likelihood
-        self.offsets, self.root_of = offsets, root_of
+    def __init__(self, epochs, likelihood, offsets, root_of, kernels, stages, terminal, root_step):
+        self.epochs, self.likelihood, self.offsets = tuple(epochs), likelihood, offsets
+        self.root_of, self.kernels, self.stages = root_of, kernels, stages
         self.terminal, self.root_step = terminal, root_step
         self.solves, self.evals, self.segments = {}, {}, {}
 
@@ -297,7 +299,10 @@ def build_tree(
     uniform = np.full(model.n_params, 1.0 / model.n_params)
     state = np.flatnonzero(uniform @ model.initial_kernel > 0.0)
     belief = _normalized(model.initial_kernel.T[state] * uniform)
-    n_states, k = model.n_states, model.n_params
+    n_states, n_actions, k = model.n_states, model.n_actions, model.n_params
+    by_cell = (model.horizon, n_states * n_actions)  # pair-major: cell c of epoch n is row [n, c]
+    kernels = model.transition.transpose(0, 2, 3, 1, 4).reshape(*by_cell, k, n_states)
+    stages = model.stage_cost.transpose(0, 2, 3, 1).reshape(*by_cell, k)
     root_of = np.full(n_states, -1)
     root_of[state] = np.arange(state.size)
     epochs, beliefs = [], [belief]
@@ -307,27 +312,27 @@ def build_tree(
 
     for n in range(model.horizon):
         pair_node, pair_action = np.nonzero(model.feasible_mask[n][state])
-        pair_state = state[pair_node]
+        pair_cell = state[pair_node] * n_actions + pair_action
         pair_belief = belief[pair_node]
-        kernel = model.transition[n].transpose(1, 2, 0, 3)[pair_state, pair_action]
-        masses = np.matmul(pair_belief[:, None, :], kernel)[:, 0, :]
-        _check_masses(masses.sum(axis=1))
+        kernel = kernels[n].take(pair_cell, axis=0)
+        # (pair, parameter, next state) products, for the masses and the posteriors
+        joint = kernel * pair_belief[:, :, None]
+        masses = reduce(np.add, joint.transpose(1, 0, 2))
+        _check_masses(reduce(np.add, masses.T))
 
         reached = masses > 0.0
         cand_pair, cand_state = np.nonzero(reached)
-        joint = kernel.transpose(0, 2, 1)[cand_pair, cand_state] * pair_belief[cand_pair]
-        posterior = _normalized(joint)
+        posterior = _normalized(joint.transpose(0, 2, 1)[cand_pair, cand_state])
         key = np.empty((cand_state.size, k + 1))  # (state, rounded posterior) rows
         key[:, 0], key[:, 1:] = cand_state, np.round(posterior, 12)
         first, inverse = _first_of_equal_rows(key)
         child = np.full(masses.shape, -1)
         child[cand_pair, cand_state] = inverse
 
-        stage = model.stage_cost[n][:, pair_state, pair_action].T
         first_pair = np.searchsorted(pair_node, np.arange(state.size))
         live = (kernel > 0.0) & reached[:, None, :]  # and the branch has a child
         plan = (first_pair, offsets[-2] + pair_node, live)
-        epochs.append(TreeEpoch(state, pair_node, pair_action, child, kernel, stage, *plan))
+        epochs.append(TreeEpoch(state, pair_node, pair_action, child, pair_cell, *plan))
         state = cand_state[first]
         belief = posterior[first]
         beliefs.append(belief)
@@ -337,17 +342,16 @@ def build_tree(
 
     no_pairs = np.empty(0, dtype=int)
     epochs.append(TreeEpoch(
-        state, no_pairs, no_pairs, np.empty((0, n_states), dtype=int),
-        np.empty((0, k, n_states)), np.empty((0, k)),
+        state, no_pairs, no_pairs, np.empty((0, n_states), dtype=int), no_pairs,
         no_pairs, no_pairs, np.empty((0, k, n_states), dtype=bool),
     ))
     offsets, likelihood = np.array(offsets), np.concatenate(beliefs)
     terminal = model.terminal_cost.take(state, axis=1).T
     root_step = (np.zeros(k), model.initial_kernel, model.initial_kernel > 0.0)
-    arrays = [offsets, likelihood, root_of, terminal, *root_step]
+    arrays = [offsets, likelihood, root_of, kernels, stages, terminal, *root_step]
     for a in arrays + [a for e in epochs for a in e]:
         a.flags.writeable = False
-    dag = _BeliefDag(tuple(epochs), likelihood, offsets, root_of, terminal, root_step)
+    dag = _BeliefDag(epochs, likelihood, offsets, root_of, kernels, stages, terminal, root_step)
     object.__setattr__(model, "belief_dag", dag)
     return ReachableBeliefTree(model, prior, dag)
 
@@ -360,13 +364,15 @@ def _mix(weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 def _expect(start: np.ndarray, prob: np.ndarray, live: np.ndarray, reached: np.ndarray):
     """``start`` plus the ``prob``-weighted values ``reached``, both indexed
-    by next state along the last axis, added by a running sum in ascending
-    next state.  Only next states where ``live`` are added, so a value
+    by next state along the last axis, added one next state at a time in
+    ascending order.  Only next states where ``live`` are added, so a value
     read where a branch is not live counts for nothing.  The result is
     contiguous, as a dot product with a strided vector can round otherwise."""
     terms = np.where(live, prob * reached, 0.0)
-    terms[..., 0] += start
-    return np.add.accumulate(terms, axis=-1)[..., -1].copy()
+    total = start + terms[..., 0]
+    for x in range(1, terms.shape[-1]):
+        total += terms[..., x]
+    return total
 
 
 def _backward(
@@ -393,10 +399,11 @@ def _backward(
     for n in range(model.horizon - 1, -1, -1):
         epoch = tree.epochs[n]
         p = slice(None) if pairs is None else pairs[n]
+        cells = epoch.pair_cell[p]
         # stage term first, then the branches; (pair, parameter, next state)
         columns = _expect(
-            epoch.stage[p], epoch.kernel[p], epoch.live[p],
-            columns.take(epoch.child[p], axis=0).transpose(0, 2, 1),
+            dag.stages[n].take(cells, axis=0), dag.kernels[n].take(cells, axis=0),
+            epoch.live[p], columns.take(epoch.child[p], axis=0).transpose(0, 2, 1),
         )
         if pairs is None:
             mixed = _mix(tree.belief.take(epoch.pair_row, axis=0), columns)

@@ -1,16 +1,17 @@
 """Independent verification engines for per-parameter policy cost.
 
 Both read the policy's successor table under theta, built at once for
-every decision node of its tree, and follow the tree's children, which
-hold every branch some parameter reaches; a branch the tree prunes weighs
-less than about 1e-300 under theta and is left out.  ``enumerate_cost``
-counts the trajectories in one backward pass over the table and refuses
-more than its cap before building any; it then grows them one epoch at a
-time, each parent's children in ascending state order (the depth-first
-order), and sums probability-weighted total costs.  It shares no recursion
-with ``bayes.policy_cost_profile`` and is the primary anti-bug oracle for
-it.  ``mc_estimate`` is a seeded Monte-Carlo rollout cross-check that
-moves a whole batch of samples through the table one epoch at a time.
+every decision node of its tree and kept on the policy, and follow the
+tree's children, which hold every branch some parameter reaches; a branch
+the tree prunes weighs less than about 1e-300 under theta and is left out.
+``enumerate_cost`` counts the trajectories in one backward pass over the
+table and refuses more than its cap before building any; it then grows
+them one epoch at a time, each parent's children in ascending state order
+(the depth-first order), sums probability-weighted total costs and builds
+``RECORD_CHUNK`` records at a time.  It shares no recursion with
+``bayes.policy_cost_profile`` and is the primary anti-bug oracle for it.
+``mc_estimate`` is a seeded Monte-Carlo rollout cross-check that moves a
+whole batch of samples through the table one epoch at a time.
 
 Random source: NumPy ``default_rng`` seeded through ``SeedSequence(seed)``,
 with one spawned child sequence per batch of ``BATCH_SIZE`` samples (the
@@ -42,6 +43,8 @@ BATCH_SIZE = 10_000
 DRAW_FLOATS = 1 << 18
 #: the Monte-Carlo sample counts stay below this, ``simulate.samples`` included
 SAMPLE_LIMIT = 2**63
+#: trajectories labelled at a time by the enumeration, which bounds its memory
+RECORD_CHUNK = 1 << 12
 
 
 class TrajectoryRecord(namedtuple("TrajectoryRecord", "sequence probability total_cost")):
@@ -64,10 +67,8 @@ def enumerate_cost(
     Raises TrajectoryLimitError, before any trajectory is built, when more
     than ``trajectory_cap`` trajectories would be produced.
     """
-    _fitted_pairs(model, policy)
-    theta = _count("parameter index", theta, 0, model.n_params)
+    rows, child, action, state, node_cost = _table(model, theta, policy)
     trajectory_cap = _count("trajectory_cap", trajectory_cap, 1)
-    rows, child, action, state, node_cost = _successors(model, theta, policy)
     offsets, horizon = policy.tree.offsets, model.horizon
     init = model.initial_kernel[theta]
     roots = policy.tree.dag.root_of[np.flatnonzero(init > 0.0)]
@@ -83,27 +84,31 @@ def enumerate_cost(
     if counts[roots].sum() > trajectory_cap:
         raise TrajectoryLimitError(trajectory_cap)
 
-    # one epoch at a time, parents in order and each one's children by
-    # ascending state, the depth-first order; then each trajectory's nodes
+    # one epoch at a time in depth-first order (parents in order, each one's children
+    # by ascending state), with running products and sums (from 0.0) in epoch order
     frontier, parents = [roots], []
+    prob, cost = init[state[roots]], 0.0 + node_cost[roots]
     for n in range(horizon):
         parent, x = np.nonzero(rows[frontier[n]])
+        node = frontier[n][parent]
+        prob = prob[parent] * rows[node, x]
+        frontier.append(child[node, x])
+        cost = cost[parent] + node_cost[frontier[-1]]
         parents.append(parent)
-        frontier.append(child[frontier[n][parent], x])
-    path = np.empty((horizon + 1, frontier[-1].size), dtype=int)
-    index = np.arange(frontier[-1].size)
-    for n in range(horizon, -1, -1):
-        path[n] = frontier[n][index]
-        index = parents[n - 1][index] if n else index
-    states = state[path]
-    # running products and sums along each path in epoch order, the sum from 0.0
-    prob = np.cumprod(np.vstack((init[states[0]], rows[path[:-1], states[1:]])), 0)[-1].copy()
-    cost = np.cumsum(np.vstack((np.zeros(path.shape[1]), node_cost[path])), 0)[-1].copy()
-    labels = [None] * (2 * horizon + 1)
-    labels[::2] = np.array(model.states, dtype=object)[states].tolist()
-    labels[1::2] = np.array(model.actions, dtype=object)[action[path[:-1]]].tolist()
-    records = list(map(TrajectoryRecord, zip(*labels), prob.tolist(), cost.tolist()))
-    return float(sum((prob * cost).tolist())), records
+    value = float(sum((prob * cost).tolist()))
+    records = []
+    # then the records a chunk at a time, each trajectory's nodes read back
+    for start in range(0, prob.size, RECORD_CHUNK):
+        chunk = index = np.arange(start, min(start + RECORD_CHUNK, prob.size))
+        path = np.empty((horizon + 1, chunk.size), dtype=int)
+        for n in range(horizon, -1, -1):
+            path[n] = frontier[n][index]
+            index = parents[n - 1][index] if n else index
+        labels = [None] * (2 * horizon + 1)
+        labels[::2] = np.array(model.states, dtype=object)[state[path]].tolist()
+        labels[1::2] = np.array(model.actions, dtype=object)[action[path[:-1]]].tolist()
+        records += map(TrajectoryRecord, zip(*labels), prob[chunk].tolist(), cost[chunk].tolist())
+    return value, records
 
 
 def _successors(model: StatisticalMDP, theta: int, policy: DeterministicPolicy) -> tuple:
@@ -126,6 +131,14 @@ def _successors(model: StatisticalMDP, theta: int, policy: DeterministicPolicy) 
     return rows, child, action, state, cost
 
 
+def _table(model: StatisticalMDP, theta: int, policy: DeterministicPolicy) -> tuple:
+    """``_successors`` of a fitted policy, built once per theta and kept on the policy."""
+    _fitted_pairs(model, policy)
+    theta = _count("parameter index", theta, 0, model.n_params)
+    tables = vars(policy).setdefault("successor_tables", {})
+    return tables.get(theta) or tables.setdefault(theta, _successors(model, theta, policy))
+
+
 def _cumulative(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the cumulative distribution of its positive entries, moved
     to the front in column order and normalized by their sum, and the
@@ -133,33 +146,32 @@ def _cumulative(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     read exactly 1, so ``(u > cumulative).sum(1)`` for u in [0, 1) is the
     position ``searchsorted`` gives on the positive entries alone."""
     positive = probs > 0.0
-    counts = positive.sum(axis=1)
-    order = np.argsort(~positive, axis=1, kind="stable")
-    front = np.where(
-        np.arange(probs.shape[1]) < counts[:, None],
-        np.take_along_axis(probs, order, axis=1),
-        0.0,
-    )
+    rank = np.cumsum(positive, axis=1)
+    counts = rank[:, -1]
+    columns = np.arange(probs.shape[1])
+    # each column's place: the positive entries in column order, then the rest
+    rank = np.where(positive, rank - 1, counts[:, None] + columns - rank)
+    order = np.empty_like(rank)
+    np.put_along_axis(order, rank, columns[None, :], axis=1)
+    front = np.where(columns < counts[:, None], np.take_along_axis(probs, order, axis=1), 0.0)
     totals = np.empty(len(probs))
-    for count in set(counts.tolist()):
+    for count in np.flatnonzero(np.bincount(counts)):
         rows = counts == count
         # summed as the 1-D array of that row's positive entries
         totals[rows] = np.ascontiguousarray(front[rows, :count]).sum(axis=1)
     cumulative = np.cumsum(front / totals[:, None], axis=1)
-    cumulative[np.arange(probs.shape[1]) >= counts[:, None] - 1] = 1.0
+    cumulative[columns >= counts[:, None] - 1] = 1.0
     return cumulative, order
 
 
 def _sampler_table(model: StatisticalMDP, theta: int, policy: DeterministicPolicy) -> tuple:
-    """The successor table (``_successors``) as the sampler reads it: per
+    """The successor table (``_table``) as the sampler reads it: per
     decision node the next state's cumulative distribution (``_cumulative``)
     and the children in the same column order, then each node's cost.  A
     node where theta reaches no branch (with probability below about
     1e-300) samples evenly among the branches with a child."""
-    rows, child, _, _, node_cost = _successors(model, theta, policy)
-    dead = ~rows.any(axis=1)
-    rows[dead] = child[dead] >= 0
-    cumulative, order = _cumulative(rows)
+    rows, child, _, _, node_cost = _table(model, theta, policy)
+    cumulative, order = _cumulative(np.where(rows.any(axis=1)[:, None], rows, child >= 0))
     return cumulative, np.take_along_axis(child, order, axis=1), node_cost
 
 
@@ -177,13 +189,11 @@ def mc_estimate(
     in batch order, so identical inputs give identical output.  ``samples``
     is below ``SAMPLE_LIMIT``.
     """
-    _fitted_pairs(model, policy)
-    theta = _count("parameter index", theta, 0, model.n_params)
+    cumulative, child, node_cost = _sampler_table(model, theta, policy)
     samples, seed = _count("samples", samples, 1, SAMPLE_LIMIT), _count("seed", seed)
     n_states = model.n_states
     root_cum, order = _cumulative(model.initial_kernel[theta][None, :])
     root_nodes = policy.tree.dag.root_of[order[0]]
-    cumulative, child, node_cost = _sampler_table(model, theta, policy)
     child = child.ravel()
     # a row reads 1 from its last positive entry on, which u < 1 never passes
     last = int((cumulative < 1.0).sum(axis=1).max(initial=0))

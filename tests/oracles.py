@@ -22,7 +22,7 @@ from ambmdp.bayes import DeterministicPolicy, _expect, _mix, solve_bayes
 from ambmdp.belief import initial_posterior, predictive
 from ambmdp.errors import ConfigError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
-from ambmdp.oracle import TrajectoryRecord, _cumulative
+from ambmdp.oracle import TrajectoryRecord
 from ambmdp.risk import _weights, as_profile, relative_entropy
 from ambmdp.seqtest import (
     A_CONTINUE,
@@ -180,8 +180,10 @@ def eager_bayes_outputs(model, prior: Belief) -> tuple[np.ndarray, np.ndarray]:
     values[offsets[horizon] :] = _mix(tree.belief[offsets[horizon] :], columns)
     for n in range(horizon - 1, -1, -1):
         epoch = tree.epochs[n]
+        # the model's own rows at each pair's (state, action), not the DAG's copies
+        at = (n, slice(None), epoch.state[epoch.pair_node], epoch.pair_action)
         columns = _expect(
-            epoch.stage, epoch.kernel, epoch.live,
+            model.stage_cost[at], model.transition[at], epoch.live,
             np.concatenate((columns, missing)).take(epoch.child, axis=0).transpose(0, 2, 1),
         )
         mixed = _mix(tree.belief.take(epoch.pair_row, axis=0), columns)
@@ -583,5 +585,29 @@ def sampler_table_by_epoch(model, theta: int, policy: DeterministicPolicy) -> tu
     rows, child, cost = successor_table_by_epoch(model, theta, policy)
     dead = ~rows.any(axis=1)
     rows[dead] = child[dead] >= 0
-    cumulative, order = _cumulative(rows)
+    cumulative, order = cumulative_by_sort(rows)
     return cumulative, np.take_along_axis(child, order, axis=1), cost
+
+
+def cumulative_by_sort(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``oracle._cumulative`` with the column order from a stable sort of
+    each row's non-positive flags: per row, the cumulative distribution of
+    its positive entries, moved to the front in column order and
+    normalized by their sum, read as exactly 1 from the last positive
+    entry on, and the column order used."""
+    positive = probs > 0.0
+    counts = positive.sum(axis=1)
+    order = np.argsort(~positive, axis=1, kind="stable")
+    front = np.where(
+        np.arange(probs.shape[1]) < counts[:, None],
+        np.take_along_axis(probs, order, axis=1),
+        0.0,
+    )
+    totals = np.empty(len(probs))
+    for count in set(counts.tolist()):
+        rows = counts == count
+        # summed as the 1-D array of that row's positive entries
+        totals[rows] = np.ascontiguousarray(front[rows, :count]).sum(axis=1)
+    cumulative = np.cumsum(front / totals[:, None], axis=1)
+    cumulative[np.arange(probs.shape[1]) >= counts[:, None] - 1] = 1.0
+    return cumulative, order

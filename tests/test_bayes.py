@@ -266,12 +266,13 @@ class TestBuildTree:
 
     def test_children_match_predictive(self, rng):
         # the array builder against the one-node oracle: every feasible
-        # action has a pair carrying exactly the model's kernel rows and
-        # stage costs, every positive predictive mass a child, and every
+        # action has a pair whose cell reads exactly the model's kernel rows
+        # and stage costs, every positive predictive mass a child, and every
         # zero mass a pruned branch
         for _ in range(10):
             model = random_model(rng, n_params=int(rng.integers(2, 6)))
             tree = build_tree(model, random_belief(rng, model.n_params))
+            dag = tree.dag
             for n, epoch in enumerate(tree.epochs[:-1]):
                 pairs = list(zip(epoch.pair_node.tolist(), epoch.pair_action.tolist()))
                 expected_pairs = [
@@ -283,11 +284,13 @@ class TestBuildTree:
                     belief = Belief(tree.belief[tree.offsets[n] + i])
                     pred = predictive(model, n, state, belief, action)
                     kept = pred.masses > 0.0
+                    cell = epoch.pair_cell[p]
+                    assert cell == state * model.n_actions + action
                     np.testing.assert_array_equal(
-                        epoch.kernel[p], model.transition[n, :, state, action]
+                        dag.kernels[n][cell], model.transition[n, :, state, action]
                     )
                     np.testing.assert_array_equal(
-                        epoch.stage[p], model.stage_cost[n, :, state, action]
+                        dag.stages[n][cell], model.stage_cost[n, :, state, action]
                     )
                     np.testing.assert_array_equal(epoch.child[p] >= 0, kept)
                     for x in np.flatnonzero(kept):
@@ -297,6 +300,40 @@ class TestBuildTree:
                             pred.posteriors[x].weights,
                             atol=1e-12,
                         )
+
+    def test_pair_cells_read_the_models_rows(self, rng):
+        # random models with 1 to 4 parameters, infeasible actions and
+        # zeros in the kernels: each pair's cell reads the model's kernel
+        # rows and stage costs at the pair's (state, action), and a branch
+        # is live where its kernel entry is positive and it has a child
+        infeasible = zeros = 0
+        for n_params in [1, 2, 3, 4] * 8:
+            model = sparse_model(rng, n_params=n_params)
+            infeasible += int((~model.feasible_mask).sum())
+            dag = build_tree(model, Belief.uniform(n_params)).dag
+            cells = model.n_states * model.n_actions
+            assert dag.kernels.shape == (model.horizon, cells, n_params, model.n_states)
+            assert dag.stages.shape == (model.horizon, cells, n_params)
+            for n, epoch in enumerate(dag.epochs[:-1]):
+                at = (n, slice(None), epoch.state[epoch.pair_node], epoch.pair_action)
+                kernel = dag.kernels[n][epoch.pair_cell]
+                assert np.array_equal(kernel, model.transition[at])
+                assert np.array_equal(dag.stages[n][epoch.pair_cell], model.stage_cost[at])
+                has_child = (epoch.child >= 0)[:, None, :]
+                assert np.array_equal(epoch.live, (kernel > 0.0) & has_child)
+                zeros += int((kernel == 0.0).sum())
+        assert infeasible and zeros
+
+    def test_long_horizon_dag_holds_few_bytes_per_node(self):
+        # every array the seqtest 0.3/0.6 DAG holds at H = 64: the model's
+        # tables once, not a kernel row and stage cost per pair
+        config = seqtest.SeqTestConfig(horizon=64, p_low=0.3, p_high=0.6)
+        tree = build_tree(seqtest.build_model(config), seqtest.prior_belief(0.5))
+        dag = tree.dag
+        held = [dag.likelihood, dag.offsets, dag.root_of, dag.kernels, dag.stages,
+                dag.terminal, *dag.root_step, *(a for e in dag.epochs for a in e)]
+        assert len(tree) == 48_987
+        assert sum(a.nbytes for a in held) <= 125 * len(tree)
 
     def test_offsets_number_the_epochs(self, rng):
         model = random_model(rng, horizon=3)
@@ -469,7 +506,9 @@ class TestLikelihoodUnderflow:
             policy = solve_bayes(m, Belief.uniform(3)).policy
             tree = policy.tree
             pruned = [e.child[:, None, :] < 0 for e in tree.epochs[:-1]]
-            reached = [e.kernel[:, 2] > 0.0 for e in tree.epochs[:-1]]
+            # t2's kernel rows by (state, action) cell
+            kernels = [m.transition[n][2].reshape(-1, 3) for n in range(m.horizon)]
+            reached = [k[e.pair_cell] > 0.0 for k, e in zip(kernels, tree.epochs)]
             assert any((p[:, 0] & r).any() for p, r in zip(pruned, reached))
             for theta in range(3):
                 cumulative, child, node_cost = oracle._sampler_table(m, theta, policy)
@@ -481,7 +520,8 @@ class TestLikelihoodUnderflow:
                 assert (child[:, 0] >= 0).all() and (child[:, 1:][rises] >= 0).all()
                 assert np.isfinite(mc_estimate(m, theta, policy, 2000, seed=5)[0])
         no_branch = [
-            (~(e.kernel[:, 2] > 0.0) | (e.child < 0)).all(axis=1) for e in tree.epochs[:-1]
+            (~(k[e.pair_cell] > 0.0) | (e.child < 0)).all(axis=1)
+            for k, e in zip(kernels, tree.epochs)
         ]
         assert any(rows.any() for rows in no_branch)  # dead_end has such a node
 
@@ -790,10 +830,12 @@ class TestBeliefDagCache:
                 assert not any(a.flags.writeable for a in plan)
                 assert np.array_equal(epoch.pair_row, dag.offsets[n] + epoch.pair_node)
                 has_child = (epoch.child >= 0)[:, None, :]
-                assert np.array_equal(epoch.live, (epoch.kernel > 0.0) & has_child)
+                kernel = dag.kernels[n][epoch.pair_cell]
+                assert np.array_equal(epoch.live, (kernel > 0.0) & has_child)
                 nodes = np.arange(epoch.state.size)
                 assert np.array_equal(epoch.pair_node[epoch.first_pair], nodes)
-            assert not any(a.flags.writeable for a in (dag.terminal, *dag.root_step))
+            tables = (dag.kernels, dag.stages, dag.terminal, *dag.root_step)
+            assert not any(a.flags.writeable for a in tables)
             # the entropic solve's segment planes: read-only (costs, pairs)
             # and their read-only cut matrix only
             assert type(dag.segments) is dict and list(dag.segments) == [(0, 1)]

@@ -2,14 +2,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import random_belief, random_model
-from oracles import sampler_table_by_epoch, successor_table_by_epoch, walked_trajectories
+from oracles import (
+    cumulative_by_sort,
+    sampler_table_by_epoch,
+    successor_table_by_epoch,
+    walked_trajectories,
+)
 
-from ambmdp import oracle, seqtest
+from ambmdp import cli, oracle, seqtest
 from ambmdp.bayes import policy_cost_profile, solve_bayes
 from ambmdp.errors import TrajectoryLimitError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
@@ -112,10 +118,11 @@ def dying_model():
     )
 
 
-def wide_model():
+def wide_model(horizon=12):
     """One parameter, 4 states, 2 actions and 12 epochs, every move equally
-    likely: 52 tree nodes and 4**13 (about 6.7e7) trajectories."""
-    horizon, n_e, n_a = 12, 4, 2
+    likely: 52 tree nodes and 4**13 (about 6.7e7) trajectories; with
+    another horizon, 4**(horizon + 1) trajectories."""
+    n_e, n_a = 4, 2
     return StatisticalMDP(
         horizon=horizon,
         states=tuple(f"s{x}" for x in range(n_e)),
@@ -269,6 +276,22 @@ class TestEnumerateCost:
             enumerate_cost(model, 0, policy)
         assert built == []
 
+    def test_peak_memory_is_mostly_the_records(self):
+        # 4**7 records: each trajectory's nodes and labels are listed a chunk
+        # of trajectories at a time, so the records are most of the peak
+        model = wide_model(horizon=6)
+        policy = bayes_policy(model)
+        oracle._table(model, 0, policy)  # kept on the policy, not counted
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            records = enumerate_cost(model, 0, policy)[1]
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 4**7
+        assert peak - start <= 1.5 * (held - start)
+
     @pytest.mark.skipif(resource is None or not os.path.exists("/proc/self/statm"),
                         reason="needs POSIX resource limits and /proc/self/statm")
     def test_over_cap_model_is_refused_in_64_mib_of_address_space(self):
@@ -312,6 +335,30 @@ class TestSuccessorTable:
             assert all(map(same_bits, (rows, child, cost), expected))
             sampler = oracle._sampler_table(model, theta, policy)
             assert all(map(same_bits, sampler, sampler_table_by_epoch(model, theta, policy)))
+
+    def test_cumulative_by_rank_matches_the_stable_sort(self, rng):
+        # random tables of 1 to 10 columns, with zero columns, zero entries
+        # (some -0.0) and dead rows, which read 1 throughout: the same
+        # column order and the same bits
+        for _ in range(300):
+            n_rows, n_columns = int(rng.integers(0, 30)), int(rng.integers(1, 11))
+            probs = rng.uniform(size=(n_rows, n_columns)) ** 3
+            probs[rng.uniform(size=probs.shape) < rng.uniform()] = 0.0
+            probs[:, rng.uniform(size=n_columns) < 0.3] = 0.0
+            probs[rng.uniform(size=n_rows) < 0.2] = 0.0
+            probs[(probs == 0.0) & (rng.uniform(size=probs.shape) < 0.5)] = -0.0
+            with np.errstate(invalid="ignore"):  # a dead row divides 0 by 0
+                by_rank, by_sort = oracle._cumulative(probs), cumulative_by_sort(probs)
+            assert all(map(same_bits, by_rank, by_sort))
+
+    def test_one_successor_table_per_simulate_run(self, monkeypatch):
+        # the enumeration and the sampler read one table of the policy under theta
+        built = []
+        build = oracle._successors
+        monkeypatch.setattr(oracle, "_successors", lambda *args: built.append(1) or build(*args))
+        config = Path(__file__).resolve().parents[1] / "configs" / "simulate.cfg"
+        assert cli.main(["simulate", "--config", str(config)]) == 0
+        assert len(built) == 1
 
 
 class TestMcEstimate:
