@@ -28,16 +28,16 @@ A solve reads the DAG through a view at its prior (``ReachableBeliefTree``),
 which shares the DAG's epochs and adds one array, the belief of every
 node: the likelihoods times the prior, normalized.  The array is computed
 on first read, so a view that only evaluates a given policy, or that a
-caller discards after a build, costs nothing.  A node reached only
-under parameters of zero prior weight keeps its likelihood as belief, the
-limit of the beliefs there as the prior is moved towards the uniform one.
+caller discards after a build, costs nothing.  A node of zero mass
+under the prior, by zero weights or underflow, keeps its likelihood as
+belief (at zero weights, the limit as the prior moves to uniform).
 ``build_tree`` is the one place that takes a node cap.
 
 One backward pass runs over the arrays with a few array operations per
-epoch.  All its prior-free work (each node's first pair, each pair's
-belief row, the live branches, the terminal and initial tables) is
-planned once per DAG, by ``build_tree``, so that a pass over a small DAG
-costs little beyond its arithmetic.  It carries a cost column per
+epoch.  All its prior-free work (each node's first pair, the live
+branches, the terminal and initial tables) is planned once per DAG, by
+``build_tree``, so that a pass over a small DAG costs little beyond its
+arithmetic.  It carries a cost column per
 parameter: the expected cost to go of the policy under that parameter,
 moved by that parameter's own kernel (the alpha vectors of Smallwood and
 Sondik).  A node's Bayes value is its belief-weighted mix of the columns,
@@ -76,23 +76,22 @@ DEFAULT_NODE_CAP = 10_000_000
 SOLVE_MEMO = 64  # Bayes solves, and policy evaluations, kept per DAG
 
 
-class TreeEpoch(namedtuple("TreeEpoch", "state pair_node pair_action child pair_cell "
-                                        "first_pair pair_row live")):
+class TreeEpoch(namedtuple("TreeEpoch", "state pair_node child pair_cell first_pair live")):
     """The nodes of one epoch of the belief DAG, and below the horizon
     their (node, action) pairs, ordered by node and then action.
     ``child[p, x]`` is the index, within the next epoch, of the node
     reached from pair ``p`` on observing next state ``x``, or -1 where no
     parameter reaches that branch.  ``pair_cell[p]``, state * A + action,
     is the pair's row in epoch n's kernels ``dag.kernels[n]`` and stage
-    costs ``dag.stages[n]``.  The arrays are read-only and shared by every
-    view of the DAG; the beliefs at a prior are ``ReachableBeliefTree.belief``.
+    costs ``dag.stages[n]``, so ``pair_cell % A`` is its action.  The
+    arrays are read-only and shared by every view of the DAG; the beliefs
+    at a prior are ``ReachableBeliefTree.belief``.
 
-    Shapes: ``state`` (nodes,), ``pair_node``, ``pair_action`` and
-    ``pair_cell`` (pairs,), ``child`` (pairs, E).
+    Shapes: ``state`` (nodes,), ``pair_node`` and ``pair_cell`` (pairs,),
+    ``child`` (pairs, E).
     The backward pass's plan: ``first_pair`` (nodes,), each node's first
-    pair (empty at the horizon); ``pair_row`` (pairs,), each pair's node by
-    global index; ``live`` (pairs, K, E), where the kernel is > 0 on a
-    branch with a child."""
+    pair (empty at the horizon); ``live`` (pairs, K, E), where the kernel
+    is > 0 on a branch with a child."""
 
     __slots__ = ()
 
@@ -134,16 +133,12 @@ class ReachableBeliefTree:
 
     @cached_property
     def belief(self) -> np.ndarray:
-        """The likelihood rows times the prior, normalized.  A row the
-        prior zeroes keeps its likelihood as belief."""
-        likelihood, weights = self.dag.likelihood, self.prior.weights
-        weighted = likelihood * weights
-        if weights.all():
-            return _normalized(weighted)
-        belief = likelihood.copy()
-        live = weighted.any(axis=1)
-        belief[live] = _normalized(weighted[live])
-        return belief
+        """The likelihood rows times the prior, normalized.  A row of zero
+        mass, left by a zero weight or by underflow, keeps its likelihood."""
+        likelihood = self.dag.likelihood
+        weighted = likelihood * self.prior.weights
+        totals = weighted.sum(axis=1)[:, None]
+        return np.divide(weighted, totals, out=likelihood.copy(), where=totals > 0.0)
 
     @property
     def nodes_per_epoch(self) -> list[int]:
@@ -170,7 +165,8 @@ class DeterministicPolicy:
         tree = self.tree
         actions = np.full(len(tree), -1)
         for n, pairs in enumerate(self.pairs):
-            actions[tree.offsets[n] : tree.offsets[n + 1]] = tree.epochs[n].pair_action.take(pairs)
+            actions[tree.offsets[n] : tree.offsets[n + 1]] = tree.epochs[n].pair_cell.take(pairs)
+        actions[: tree.offsets[-2]] %= tree.model.n_actions  # each cell's action
         return actions
 
     @cached_property
@@ -192,7 +188,7 @@ class DeterministicPolicy:
         for n, epoch in enumerate(tree.epochs[:-1]):
             chosen = actions[tree.offsets[n] : tree.offsets[n + 1]]
             # pairs are sorted by node and then action, so by this key
-            keys = np.append(epoch.pair_node * n_actions + epoch.pair_action, -1)
+            keys = np.append(epoch.pair_node * n_actions + epoch.pair_cell % n_actions, -1)
             wanted = np.arange(chosen.size) * n_actions + chosen
             pos = np.searchsorted(keys[:-1], wanted)
             bad = (chosen < 0) | (chosen >= n_actions) | (keys[pos] != wanted)
@@ -311,8 +307,8 @@ def build_tree(
         raise TreeSizeLimitError(node_cap)
 
     for n in range(model.horizon):
-        pair_node, pair_action = np.nonzero(model.feasible_mask[n][state])
-        pair_cell = state[pair_node] * n_actions + pair_action
+        pair_node, action = np.nonzero(model.feasible_mask[n][state])
+        pair_cell = state[pair_node] * n_actions + action
         pair_belief = belief[pair_node]
         kernel = kernels[n].take(pair_cell, axis=0)
         # (pair, parameter, next state) products, for the masses and the posteriors
@@ -331,8 +327,7 @@ def build_tree(
 
         first_pair = np.searchsorted(pair_node, np.arange(state.size))
         live = (kernel > 0.0) & reached[:, None, :]  # and the branch has a child
-        plan = (first_pair, offsets[-2] + pair_node, live)
-        epochs.append(TreeEpoch(state, pair_node, pair_action, child, pair_cell, *plan))
+        epochs.append(TreeEpoch(state, pair_node, child, pair_cell, first_pair, live))
         state = cand_state[first]
         belief = posterior[first]
         beliefs.append(belief)
@@ -342,8 +337,8 @@ def build_tree(
 
     no_pairs = np.empty(0, dtype=int)
     epochs.append(TreeEpoch(
-        state, no_pairs, no_pairs, np.empty((0, n_states), dtype=int), no_pairs,
-        no_pairs, no_pairs, np.empty((0, k, n_states), dtype=bool),
+        state, no_pairs, np.empty((0, n_states), dtype=int), no_pairs, no_pairs,
+        np.empty((0, k, n_states), dtype=bool),
     ))
     offsets, likelihood = np.array(offsets), np.concatenate(beliefs)
     terminal = model.terminal_cost.take(state, axis=1).T
@@ -393,7 +388,7 @@ def _backward(
     Returns the per-parameter cost of the policy from the prior and the
     chosen pairs.
     """
-    dag = tree.dag
+    dag, bounds = tree.dag, tree.offsets.tolist()
     chosen = [None] * model.horizon if pairs is None else pairs
     columns = dag.terminal
     for n in range(model.horizon - 1, -1, -1):
@@ -406,7 +401,8 @@ def _backward(
             epoch.live[p], columns.take(epoch.child[p], axis=0).transpose(0, 2, 1),
         )
         if pairs is None:
-            mixed = _mix(tree.belief.take(epoch.pair_row, axis=0), columns)
+            beliefs = tree.belief[bounds[n] : bounds[n + 1]]
+            mixed = _mix(beliefs.take(epoch.pair_node, axis=0), columns)
             # a node's pairs are in action order, so the stable sort puts
             # its least mix, with the lowest action on a tie, first
             chosen[n] = np.lexsort((mixed, epoch.pair_node)).take(epoch.first_pair)

@@ -1,6 +1,8 @@
 """Shared builders for randomized test instances."""
 
+import json
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +51,37 @@ def random_model(
         ),
         stage_cost=rng.uniform(*cost_range, size=(horizon, n_params, n_states, n_actions)),
         terminal_cost=rng.uniform(*cost_range, size=(n_params, n_states)),
+    )
+
+
+def load_artifact(path):
+    """The JSON artifact at ``path``, parsed strictly: ``NaN``, ``Infinity``
+    and ``-Infinity``, which ``json.dumps`` writes for non-finite floats but
+    JSON has no words for, raise ValueError."""
+    def refuse(word):
+        raise ValueError(f"{path}: {word} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def subnormal_prior_model() -> StatisticalMDP:
+    """One action, H=2, every parameter starts in s0: t0 and t1 move to
+    x1, t2 to x2, and x1 and x2 absorb.  At the prior (5e-324, 5e-324, 1)
+    the x1 node's likelihood (1/2, 1/2, 0) times the prior underflows to
+    zero mass, although every weight is positive."""
+    transition = np.zeros((2, 3, 3, 1, 3))
+    transition[:, :, 1, 0, 1] = transition[:, :, 2, 0, 2] = 1.0
+    transition[:, :2, 0, 0, 1] = transition[:, 2, 0, 0, 2] = 1.0
+    return StatisticalMDP(
+        horizon=2,
+        states=("s0", "x1", "x2"),
+        actions=("go",),
+        params=ParameterSet(("t0", "t1", "t2")),
+        feasible=(((0,),) * 3,) * 2,
+        initial_kernel=np.tile([1.0, 0.0, 0.0], (3, 1)),
+        transition=transition,
+        stage_cost=np.zeros((2, 3, 3, 1)),
+        terminal_cost=np.tile([0.0, 1.0, 2.0], (3, 1)),
     )
 
 

@@ -180,17 +180,19 @@ def eager_bayes_outputs(model, prior: Belief) -> tuple[np.ndarray, np.ndarray]:
     values[offsets[horizon] :] = _mix(tree.belief[offsets[horizon] :], columns)
     for n in range(horizon - 1, -1, -1):
         epoch = tree.epochs[n]
+        pair_action = epoch.pair_cell % model.n_actions
         # the model's own rows at each pair's (state, action), not the DAG's copies
-        at = (n, slice(None), epoch.state[epoch.pair_node], epoch.pair_action)
+        at = (n, slice(None), epoch.state[epoch.pair_node], pair_action)
         columns = _expect(
             model.stage_cost[at], model.transition[at], epoch.live,
             np.concatenate((columns, missing)).take(epoch.child, axis=0).transpose(0, 2, 1),
         )
-        mixed = _mix(tree.belief.take(epoch.pair_row, axis=0), columns)
+        beliefs = tree.belief[offsets[n] : offsets[n + 1]]
+        mixed = _mix(beliefs.take(epoch.pair_node, axis=0), columns)
         chosen = np.lexsort((mixed, epoch.pair_node)).take(epoch.first_pair)
         columns = columns.take(chosen, axis=0)
         values[offsets[n] : offsets[n + 1]] = mixed.take(chosen)
-        actions[offsets[n] : offsets[n + 1]] = epoch.pair_action.take(chosen)
+        actions[offsets[n] : offsets[n + 1]] = pair_action.take(chosen)
     return values, actions
 
 
@@ -541,7 +543,7 @@ def walked_trajectories(model, theta: int, policy: DeterministicPolicy):
             continue
         epoch = tree.epochs[n]
         pair = policy.pairs[n][node]
-        action = int(epoch.pair_action[pair])
+        action = int(epoch.pair_cell[pair]) % model.n_actions
         row = model.transition[n, theta, state, action]
         cost = cost + float(model.stage_cost[n, theta, state, action])
         seq = seq + (model.actions[action],)
@@ -565,7 +567,7 @@ def successor_table_by_epoch(model, theta: int, policy: DeterministicPolicy) -> 
     blocks = [(np.empty((0, model.n_states)), np.empty((0, model.n_states), dtype=int), [])]
     for n, pairs in enumerate(policy.pairs):
         epoch = tree.epochs[n]
-        action, child = epoch.pair_action[pairs], epoch.child[pairs]
+        action, child = epoch.pair_cell[pairs] % model.n_actions, epoch.child[pairs]
         blocks.append((
             np.where(child < 0, 0.0, model.transition[n, theta, epoch.state, action]),
             np.where(child < 0, -1, child + tree.offsets[n + 1]),

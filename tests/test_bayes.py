@@ -13,6 +13,7 @@ from helpers import (
     policy_from,
     random_belief,
     random_model,
+    subnormal_prior_model,
 )
 from oracles import eager_bayes_outputs, first_of_equal_rows, history_value
 
@@ -51,7 +52,8 @@ def pair_masses(tree, n, p) -> np.ndarray:
     """Next-state masses from pair ``p`` of epoch ``n``, by ``predictive``."""
     epoch, node = tree.epochs[n], tree.epochs[n].pair_node[p]
     state, belief = int(epoch.state[node]), Belief(tree.belief[tree.offsets[n] + node])
-    return predictive(tree.model, n, state, belief, int(epoch.pair_action[p])).masses
+    action = int(epoch.pair_cell[p]) % tree.model.n_actions
+    return predictive(tree.model, n, state, belief, action).masses
 
 
 def branches(tree):
@@ -60,8 +62,8 @@ def branches(tree):
     for n, epoch in enumerate(tree.epochs):
         for p, x in zip(*np.nonzero(epoch.child >= 0)):
             yield (
-                n, int(epoch.pair_node[p]), int(epoch.pair_action[p]), int(x),
-                int(epoch.child[p, x]), float(pair_masses(tree, n, p)[x]),
+                n, int(epoch.pair_node[p]), int(epoch.pair_cell[p]) % tree.model.n_actions,
+                int(x), int(epoch.child[p, x]), float(pair_masses(tree, n, p)[x]),
             )
 
 
@@ -274,7 +276,8 @@ class TestBuildTree:
             tree = build_tree(model, random_belief(rng, model.n_params))
             dag = tree.dag
             for n, epoch in enumerate(tree.epochs[:-1]):
-                pairs = list(zip(epoch.pair_node.tolist(), epoch.pair_action.tolist()))
+                actions = epoch.pair_cell % model.n_actions
+                pairs = list(zip(epoch.pair_node.tolist(), actions.tolist()))
                 expected_pairs = [
                     (i, a) for i, x in enumerate(epoch.state) for a in model.feasible[n][x]
                 ]
@@ -315,7 +318,8 @@ class TestBuildTree:
             assert dag.kernels.shape == (model.horizon, cells, n_params, model.n_states)
             assert dag.stages.shape == (model.horizon, cells, n_params)
             for n, epoch in enumerate(dag.epochs[:-1]):
-                at = (n, slice(None), epoch.state[epoch.pair_node], epoch.pair_action)
+                action = epoch.pair_cell % model.n_actions
+                at = (n, slice(None), epoch.state[epoch.pair_node], action)
                 kernel = dag.kernels[n][epoch.pair_cell]
                 assert np.array_equal(kernel, model.transition[at])
                 assert np.array_equal(dag.stages[n][epoch.pair_cell], model.stage_cost[at])
@@ -333,7 +337,7 @@ class TestBuildTree:
         held = [dag.likelihood, dag.offsets, dag.root_of, dag.kernels, dag.stages,
                 dag.terminal, *dag.root_step, *(a for e in dag.epochs for a in e)]
         assert len(tree) == 48_987
-        assert sum(a.nbytes for a in held) <= 125 * len(tree)
+        assert sum(a.nbytes for a in held) <= 100 * len(tree)
 
     def test_offsets_number_the_epochs(self, rng):
         model = random_model(rng, horizon=3)
@@ -377,7 +381,8 @@ class TestSolveBayes:
             for action in model.feasible[n][state]:
                 pred = predictive(model, n, state, belief, action)
                 q = float(belief.weights @ model.stage_cost[n, :, state, action])
-                (p,) = np.flatnonzero((epoch.pair_node == node) & (epoch.pair_action == action))
+                pair_action = epoch.pair_cell % model.n_actions
+                (p,) = np.flatnonzero((epoch.pair_node == node) & (pair_action == action))
                 for x_next in np.flatnonzero(epoch.child[p] >= 0):
                     mass = pred.masses[x_next]
                     child = tree.offsets[n + 1] + epoch.child[p, x_next]
@@ -524,6 +529,21 @@ class TestLikelihoodUnderflow:
             for k, e in zip(kernels, tree.epochs)
         ]
         assert any(rows.any() for rows in no_branch)  # dead_end has such a node
+
+    def test_subnormal_prior_keeps_each_zero_mass_likelihood(self):
+        # every weight is positive, yet x1's weighted likelihood underflows:
+        # its belief was once 0/0, NaN
+        model = subnormal_prior_model()
+        assert validate(model) == []
+        solution = solve_bayes(model, Belief(np.array([5e-324, 5e-324, 1.0])))
+        tree = solution.tree
+        belief, likelihood = tree.belief, tree.dag.likelihood
+        assert np.isfinite(belief).all()
+        zero_mass = (likelihood * tree.prior.weights).sum(axis=1) == 0.0
+        assert zero_mass.tolist() == [False, True, False, True, False]  # x1 at epochs 1, 2
+        np.testing.assert_array_equal(belief[zero_mass], likelihood[zero_mass])
+        assert belief[zero_mass].tolist() == [[0.5, 0.5, 0.0]] * 2
+        assert np.isfinite(solution.costs).all() and np.isfinite(solution.value)
 
     def test_every_live_branch_has_a_child(self, rng):
         for model in [underflow_model()] + [sparse_model(rng) for _ in range(20)]:
@@ -826,9 +846,8 @@ class TestBeliefDagCache:
             views = [result.policy.tree, solve_bayes(model, seqtest.prior_belief(0.7)).tree]
             assert all(view.dag is dag and view.epochs is dag.epochs for view in views)
             for n, epoch in enumerate(dag.epochs[:-1]):
-                plan = (epoch.first_pair, epoch.pair_row, epoch.live)
+                plan = (epoch.first_pair, epoch.live)
                 assert not any(a.flags.writeable for a in plan)
-                assert np.array_equal(epoch.pair_row, dag.offsets[n] + epoch.pair_node)
                 has_child = (epoch.child >= 0)[:, None, :]
                 kernel = dag.kernels[n][epoch.pair_cell]
                 assert np.array_equal(epoch.live, (kernel > 0.0) & has_child)

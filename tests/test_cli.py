@@ -24,7 +24,14 @@ from ambmdp.cli import (
 )
 from ambmdp.errors import ConfigError
 from ambmdp.model import Belief, ParameterSet, StatisticalMDP
-from helpers import decision_nodes, random_belief, random_model, render_inline
+from helpers import (
+    decision_nodes,
+    load_artifact,
+    random_belief,
+    random_model,
+    render_inline,
+    subnormal_prior_model,
+)
 from oracles import exact_number, key_by_key_parse, policy_rows
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -796,7 +803,7 @@ class TestRunSolve:
         config = parse_config(ENTROPIC_CONFIG)
         out = tmp_path / "result.json"
         run(config, out_path=str(out))
-        payload = json.loads(out.read_text())
+        payload = load_artifact(out)
         assert payload["mode"] == "entropic"
         assert payload["worst_prior"][0] == pytest.approx(0.232, abs=1e-3)
         assert payload["gap"] <= 1e-6
@@ -809,7 +816,7 @@ class TestRunSolve:
         config = parse_config(INLINE_CONFIG)
         out = tmp_path / "bayes.json"
         run(config, out_path=str(out))
-        payload = json.loads(out.read_text())
+        payload = load_artifact(out)
         # under t0 'go' pays 2 then terminal 1; under t1 'go' pays 4 then
         # mixes terminal 0/3; staying pays terminal 1 or 3: solver picks the
         # cheaper mixture
@@ -821,7 +828,7 @@ class TestRunSolve:
         config = parse_config("mode = bayes\nmodel.name = seqtest\nmodel.horizon = 4\nprior = 0.5\n")
         out = tmp_path / "bayes.json"
         run(config, out_path=str(out))
-        payload = json.loads(out.read_text())
+        payload = load_artifact(out)
         assert payload["nodes_per_epoch"] == [1, 3, 7, 11, 15, 9]
         assert sum(payload["nodes_per_epoch"]) == payload["nodes"] == 46
 
@@ -832,7 +839,7 @@ class TestRunSolve:
         config = parse_config(text)
         out = tmp_path / "avar.json"
         run(config, out_path=str(out))
-        payload = json.loads(out.read_text())
+        payload = load_artifact(out)
         assert payload["worst_prior"][0] == pytest.approx(0.125, abs=1e-6)
         assert payload["worst_prior_lo"][0] == pytest.approx(0.125, abs=1e-6)
 
@@ -1096,7 +1103,7 @@ class TestRunSimulate:
         out = tmp_path / "sim.json"
         dump = tmp_path / "trajectories.csv"
         run(config, out_path=str(out), dump_path=str(dump))
-        payload = json.loads(out.read_text())
+        payload = load_artifact(out)
         assert abs(payload["mc_mean"] - payload["exact_cost"]) <= max(
             payload["mc_half_width_95"], 0.2
         )
@@ -1173,6 +1180,21 @@ class TestMain:
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
         assert out.exists()
         assert "entropic value" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "mode", ("bayes", "entropic\nsolver.gamma = 1", "avar\nsolver.gamma = 0.5"),
+        ids=("bayes", "entropic", "avar"),
+    )
+    def test_subnormal_prior_writes_finite_beliefs(self, tmp_path, mode):
+        # x1's belief was once 0/0: NaN in the artifact, or a RuntimeWarning
+        prior = Belief(np.array([5e-324, 5e-324, 1.0]))
+        text = render_inline(subnormal_prior_model(), prior)
+        path = self.write(tmp_path, text.replace("mode = bayes", f"mode = {mode}"))
+        out = tmp_path / "out.json"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        rows = load_artifact(out)["policy"]
+        assert all(np.isfinite(row["belief"]).all() for row in rows)
+        assert [row["belief"] for row in rows if row["state"] == "x1"] == [[0.5, 0.5, 0.0]]
 
     def test_config_error_exits_one(self, tmp_path, capsys):
         path = self.write(tmp_path, ENTROPIC_CONFIG + "bogus = 1\n")
@@ -1490,17 +1512,23 @@ def run_dir(tmp_path_factory):
 def test_mutated_shipped_config_exits_with_one_line(name, text, run_dir, monkeypatch, capsys):
     """The command a shipped config runs, on a mutation of it: a status of
     0 to 3, at most one line on stderr and no traceback; a RuntimeWarning
-    fails the test as an error.  The sample bound and a subnormal entropic
+    fails the test as an error.  A run that exits 0 and writes a JSON
+    artifact writes strict JSON.  The sample bound and a subnormal entropic
     prior (simulate.cfg:7:20:9223372036854775808 and entropic.cfg:5:9:5e-324)
     once ended in a traceback."""
     mode = parse_config((CONFIG_DIR / name).read_text()).mode
     command = next(c for c, modes in cli.COMMAND_MODES.items() if mode in modes)
     monkeypatch.chdir(run_dir)  # the configs write their artifacts by relative path
     Path(name).write_text(text)
+    for stale in Path().glob("*.json"):
+        stale.unlink()
     status = main([command, "--config", name])
     err = capsys.readouterr().err
     assert status in (0, 1, 2, 3)
     assert err.count("\n") <= 1 and "Traceback" not in err
+    if status == 0:
+        for artifact in Path().glob("*.json"):
+            load_artifact(artifact)
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
@@ -1523,8 +1551,8 @@ def test_shipped_config_runs(path, tmp_path, monkeypatch):
     out = tmp_path / config.out_path
     assert out.exists()
     if command == "solve" and config.mode != "bayes":
-        certificate = json.loads(out.read_text())["certificate"]
+        certificate = load_artifact(out)["certificate"]
         assert certificate["mu_side_ok"] and certificate["pi_side_ok"]
     if command == "simulate":
-        payload = json.loads(out.read_text())
+        payload = load_artifact(out)
         assert abs(payload["mc_mean"] - payload["exact_cost"]) <= 4 * payload["mc_half_width_95"]

@@ -41,8 +41,7 @@ def test_named_tuples_construct_by_position_and_keyword(bench_model):
         assert all(a is b for a, b in zip(cls(*value), value))
         assert all(a is b for a, b in zip(by_keyword, value))
     assert TreeEpoch._fields == (
-        "state", "pair_node", "pair_action", "child", "pair_cell",
-        "first_pair", "pair_row", "live",
+        "state", "pair_node", "child", "pair_cell", "first_pair", "live",
     )
     assert ValueSolution._fields == ("tree", "value", "policy", "costs")
     assert TrajectoryRecord._fields == ("sequence", "probability", "total_cost")
